@@ -318,7 +318,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, fn) -> argparse.ArgumentParser:
+        p = sub.add_parser(name)
         p.add_argument("--family", choices=FAMILIES, default="hermite")
         p.add_argument("--gamma", type=_rational, default=None, help="weight exponent (rational)")
         p.add_argument("--alpha", type=_rational, default=None, help="Gaussian rate (rational)")
@@ -326,29 +327,28 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--v2", type=_rational, default=None)
         p.add_argument("--b0-squared", dest="b0_squared", type=_rational, default=None)
         p.add_argument("--n-max", dest="n_max", type=int, default=12)
-        p.add_argument("--dim", type=int, default=40)
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="accepted for config completeness; each command has a fixed native format")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("-K", dest="K", type=int, default=None, help="epsilon horizon")
         p.add_argument("--seed-file", dest="seed_file", default=None,
                        help="JSON governing sequence for --family custom-file")
-
-    for name, fn in (
-        ("build", cmd_build),
-        ("table", cmd_table),
-        ("verify", cmd_verify),
-        ("ode", cmd_ode),
-        ("spectrum", cmd_spectrum),
-        ("classify", cmd_classify),
-        ("epsilons", cmd_epsilons),
-    ):
-        p = sub.add_parser(name)
-        add_common(p)
-        if name == "verify":
-            p.add_argument("--orthonormality", action="store_true",
-                           help="print the Gram deviation matrix as CSV")
         p.set_defaults(func=fn)
+        return p
+
+    # flags read by only some commands are registered on those alone
+    def add_dim(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--dim", type=int, default=40, help="truncated operator dimension")
+
+    command("build", cmd_build)
+    table = command("table", cmd_table)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    verify = command("verify", cmd_verify)
+    add_dim(verify)
+    verify.add_argument("--orthonormality", action="store_true",
+                        help="print the Gram deviation matrix as CSV")
+    command("ode", cmd_ode)
+    add_dim(command("spectrum", cmd_spectrum))
+    command("classify", cmd_classify)
+    epsilons = command("epsilons", cmd_epsilons)
+    epsilons.add_argument("-K", dest="K", type=int, default=None, help="epsilon horizon")
     return parser
 
 

@@ -1,9 +1,13 @@
 """Generalized derivation operators D = sum_k eps_k x^{k-1} d^k/dx^k.
 
-The operator acts on monomials as D x^n = v_{n-1} x^{n-1}; the eps coefficients
-are produced from a governing sequence by the triangular recurrence
+The operator acts on monomials as D x^n = v_{n-1} x^{n-1}.  Applying the series
+to x^n gives sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, so the eps coefficients
+are the binomial inverse transform of the governing sequence,
 
-    eps_1 = 1,   eps_k = v_{k-1}/k! - sum_{j=1}^{k-1} eps_j / (k-j)! .
+    k! eps_k = sum_{j=1}^{k} (-1)^{k-j} C(k,j) v_{j-1}.
+
+Each operator checks the forward identity once, when it is built; after that
+D is applied by the monomial rule alone.
 
 Polynomials are dense tuples of exact rationals (index = power of x).
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, NamedTuple
 
 from .governing import GoverningSequence, as_fraction
@@ -20,7 +24,6 @@ from .governing import GoverningSequence, as_fraction
 __all__ = [
     "Poly",
     "poly",
-    "X_POLY",
     "DerivationOperator",
     "OrderVerdict",
     "epsilons_from_sequence",
@@ -104,9 +107,6 @@ def poly(coeffs: Iterable) -> Poly:
     return Poly(tuple(coeffs))
 
 
-X_POLY = Poly((Fraction(0), Fraction(1)))
-
-
 class OrderVerdict(NamedTuple):
     """Finite order of the operator, or 'infinite within horizon'."""
 
@@ -122,10 +122,33 @@ class OrderVerdict(NamedTuple):
 
 @dataclass(frozen=True)
 class DerivationOperator:
-    """eps_1..eps_K plus the source values v_0..; both exact."""
+    """eps_1..eps_K plus the source values v_0..; both exact.
+
+    Construction checks that the series reproduces the monomial rule,
+    sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for every n <= K, and raises
+    ValueError otherwise.  Both sides are linear, so on polynomials of degree
+    <= K the series and the monomial rule agree everywhere.
+    """
 
     epsilons: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if self.k_max > len(self.values):
+            raise ValueError(f"K={self.k_max} epsilons need at least {self.k_max} values")
+        # k! eps_k over one common denominator, so the sums run in integers
+        scaled = [e * factorial(k) for k, e in enumerate(self.epsilons, 1)]
+        den = lcm(*(x.denominator for x in scaled))
+        num = [x.numerator * (den // x.denominator) for x in scaled]
+        binom = [1]  # row n of Pascal's triangle, C(n, 0..n)
+        for n in range(1, self.k_max + 1):
+            binom = [1, *(a + b for a, b in zip(binom, binom[1:])), 1]
+            series = Fraction(sum(c * a for c, a in zip(binom[1:], num)), den)
+            if series != self.values[n - 1]:
+                raise ValueError(
+                    f"epsilons give D x^{n} = {series} x^{n - 1}, "
+                    f"but v_{n - 1} = {self.values[n - 1]}"
+                )
 
     @property
     def k_max(self) -> int:
@@ -138,31 +161,22 @@ class DerivationOperator:
         return Fraction(0) if i == -1 else self.values[i]
 
     def apply(self, p: Poly) -> Poly:
-        """D p via the x^{k-1} d^k series, cross-checked against the monomial rule."""
-        if p.degree > self.k_max:
-            raise ValueError(f"degree {p.degree} exceeds available epsilons K={self.k_max}")
-        series = Poly(())
-        for k in range(1, p.degree + 1):
-            series = series + p.derivative(k).shift(k - 1).scale(self.eps(k))
-        direct = self.apply_monomial_rule(p)
-        if series != direct:
-            raise RuntimeError("series and monomial routes disagree; epsilons corrupt")
-        return series
-
-    def apply_monomial_rule(self, p: Poly) -> Poly:
-        """Linear extension of D x^n = v_{n-1} x^{n-1}."""
-        if p.degree > len(self.values):
-            raise ValueError("polynomial degree exceeds stored sequence length")
-        return Poly(tuple(p.coeff(n) * self.v(n - 1) for n in range(1, p.degree + 1)))
+        """D p by the linear extension of D x^n = v_{n-1} x^{n-1}."""
+        self._check_degree(p)
+        return Poly(tuple(c * self.values[n] for n, c in enumerate(p.coeffs[1:])))
 
     def apply_upper_part(self, p: Poly) -> Poly:
-        """The degree-preserving part sum_{k>=2} eps_k x^k d^k applied to p."""
+        """The degree-preserving part sum_{k>=2} eps_k x^k d^k applied to p.
+
+        It is diagonal: x^m -> A_m(2) x^m with A_m(2) = v_{m-1} - m eps_1, the
+        full series x D x^m = v_{m-1} x^m less its k = 1 term (eps_1 = v_0)."""
+        self._check_degree(p)
+        v0 = self.values[0]
+        return Poly(tuple(c * (self.v(m - 1) - m * v0) for m, c in enumerate(p.coeffs)))
+
+    def _check_degree(self, p: Poly) -> None:
         if p.degree > self.k_max:
             raise ValueError(f"degree {p.degree} exceeds available epsilons K={self.k_max}")
-        out = Poly(())
-        for k in range(2, p.degree + 1):
-            out = out + p.derivative(k).shift(k).scale(self.eps(k))
-        return out
 
     def order(self) -> OrderVerdict:
         """Smallest k with eps_j = 0 exactly for all k < j <= K."""
@@ -184,16 +198,18 @@ class DerivationOperator:
 
 
 def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> DerivationOperator:
-    """Run the triangular recurrence up to eps_K (K defaults to N+1, the most
-    the stored prefix supports)."""
+    """eps_1..eps_K by the binomial inverse transform (K defaults to N+1, the
+    most the stored prefix supports)."""
     if K is None:
         K = len(seq)
     if K > len(seq):
         raise ValueError(f"K={K} exceeds stored sequence length {len(seq)}")
-    eps: list[Fraction] = []
+    # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
+    # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k
+    den = lcm(*(v.denominator for v in seq.values[:K]))
+    f = [0, *(v.numerator * (den // v.denominator) for v in seq.values[:K])]
+    eps = []
     for k in range(1, K + 1):
-        acc = seq.values[k - 1] / factorial(k)
-        for j in range(1, k):
-            acc -= eps[j - 1] / factorial(k - j)
-        eps.append(acc)
+        f = [b - a for a, b in zip(f, f[1:])]
+        eps.append(Fraction(f[0], den * factorial(k)))
     return DerivationOperator(epsilons=tuple(eps), values=seq.values)

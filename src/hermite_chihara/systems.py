@@ -115,6 +115,30 @@ def alpha_table_entry(
     return alpha_closed(values, brackets, m, n)
 
 
+def _ldexp_float(q: Fraction, e: int) -> float:
+    """float(q * 2^e), rounded once from the exact value."""
+    num, den = q.numerator, q.denominator
+    return (num << e) / den if e >= 0 else num / (den << -e)
+
+
+def _sqrt_parts(q: Fraction) -> tuple[float, int]:
+    """(s, t) with sqrt(q) = s * 2^t and s near 1, for rational q > 0.
+
+    Scaling by an even power of two commutes with rounding and with the square
+    root, so s * 2^t is the correctly rounded sqrt(float(q)) wherever float(q)
+    exists, and s stays finite for q far beyond the float range."""
+    t = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.sqrt(_ldexp_float(q, -2 * t)), t
+
+
+def _over_sqrt(c: Fraction, q: Fraction) -> float:
+    """c / sqrt(q) in floating point without converting q itself; equal to
+    float(c) / sqrt(float(q)) bit for bit wherever that neither overflows nor
+    underflows."""
+    s, t = _sqrt_parts(q)
+    return _ldexp_float(c, -t) / s
+
+
 @dataclass(frozen=True)
 class NormalizedPoly:
     """Exact monic core plus exact squared normalization: psi = core / sqrt(norm2)."""
@@ -124,16 +148,16 @@ class NormalizedPoly:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(float(self.norm_squared))
+        s, t = _sqrt_parts(self.norm_squared)
+        return math.ldexp(s, t)
 
     def float_coeffs(self) -> list[float]:
-        nu = self.norm
-        return [float(c) / nu for c in self.core.coeffs]
+        return [_over_sqrt(c, self.norm_squared) for c in self.core.coeffs]
 
     def __call__(self, x) -> float:
         # Horner on the exact core (the float argument converts exactly);
         # rounding enters only through the normalization.
-        return float(self.core(Fraction(x))) / self.norm
+        return _over_sqrt(self.core(Fraction(x)), self.norm_squared)
 
 
 @dataclass(frozen=True)
@@ -166,6 +190,8 @@ class PolynomialSystem:
     """
 
     def __init__(self, seq: GoverningSequence, n_max: int | None = None):
+        if len(seq) < 3:
+            raise ValueError(f"a polynomial system needs v_0, v_1 and v_2; got {len(seq)} entries")
         if n_max is None:
             n_max = seq.n_max
         if not 1 <= n_max <= seq.n_max:
@@ -372,7 +398,8 @@ class PolynomialSystem:
         The bracket is combined in rational arithmetic (the float grid value of
         x converts exactly), so the returned residual is free of the
         catastrophic cancellation a naive float evaluation suffers at large
-        |x| and n; only the 1/nu_n normalization is applied in floating point.
+        |x| and n; only the 1/nu_n normalization is applied in floating point,
+        without converting nu_n^2 itself (it passes the float range near n = 200).
         """
         self._check_n(n)
         if float(x) == 0.0:
@@ -387,7 +414,7 @@ class PolynomialSystem:
         dp = core.derivative()(xq)
         ddp = core.derivative(2)(xq)
         bracket = xq * ddp + (g - 2 * a * xq * xq) * dp + (2 * a * n * xq - theta / xq) * p
-        return float(bracket) / math.sqrt(float(self.norm2[n]))
+        return _over_sqrt(bracket, self.norm2[n])
 
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.n_max:

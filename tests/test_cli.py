@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -237,6 +238,31 @@ def child_env(**overrides):
     package_root = str(Path(hermite_chihara.__file__).resolve().parent.parent)
     search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, **overrides, "PYTHONPATH": search_path}
+
+
+class TestFlagScope:
+    """A subcommand accepts only the flags it reads."""
+
+    SCOPED = {"--format": {"table"}, "-K": {"epsilons"}, "--dim": {"verify", "spectrum"}}
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "--format", "json"),
+        ("classify", "-K", "5"),
+        ("table", "--dim", "5"),
+    ])
+    def test_ignored_flag_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+    @pytest.mark.parametrize(
+        "command", ["build", "table", "verify", "ode", "spectrum", "classify", "epsilons"]
+    )
+    def test_help_lists_scoped_flags_only_where_read(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])(--format|-K|--dim)\b", out))
+        assert listed == {flag for flag, owners in self.SCOPED.items() if command in owners}
 
 
 class TestSubprocessEntry:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermite_chihara import (
+    DerivationOperator,
     Poly,
     epsilons_from_sequence,
     poly,
@@ -19,6 +20,25 @@ from hermite_chihara import (
 coeff_lists = st.lists(
     st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6), min_size=0, max_size=9
 )
+
+K_SERIES = 10
+SERIES_OPERATORS = {
+    name: epsilons_from_sequence(seq, K=K_SERIES)
+    for name, seq in (
+        ("classical", seq_classical(F(3, 2), K_SERIES)),
+        ("family", seq_family(F(2, 3), F(5, 3), F(3, 7), K_SERIES)),
+        ("order2", seq_order2(3, K_SERIES)),
+        ("order3", seq_order3(8, 30, K_SERIES)),
+    )
+}
+
+
+def series(op, p: Poly, k_min: int, power_offset: int) -> Poly:
+    """sum_{k >= k_min} eps_k x^{k + power_offset} p^{(k)}, term by term."""
+    out = poly([])
+    for k in range(k_min, p.degree + 1):
+        out = out + p.derivative(k).shift(k + power_offset).scale(op.eps(k))
+    return out
 
 
 class TestPoly:
@@ -106,7 +126,6 @@ class TestApply:
                 mono = poly([0] * n + [1])
                 expect = poly([0] * (n - 1) + [seq.values[n - 1]]) if n >= 1 else poly([])
                 assert op.apply(mono) == expect
-                assert op.apply_monomial_rule(mono) == expect
 
     def test_degree_guard(self):
         op = epsilons_from_sequence(seq_hermite(4), K=3)
@@ -120,6 +139,38 @@ class TestApply:
         p, q = poly(a), poly(b)
         combo = p.scale(ca) + q.scale(cb)
         assert op.apply(combo) == op.apply(p).scale(ca) + op.apply(q).scale(cb)
+
+
+class TestSeriesReference:
+    """The operator is the series sum_k eps_k x^{k-1} d^k; apply and
+    apply_upper_part must agree with that series evaluated term by term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SERIES_OPERATORS)),
+        coeffs=st.lists(
+            st.fractions(min_value=F(-7), max_value=F(7), max_denominator=9),
+            max_size=K_SERIES + 1,
+        ),
+    )
+    def test_apply_and_upper_part_match_the_series(self, name, coeffs):
+        op = SERIES_OPERATORS[name]
+        p = poly(coeffs)
+        assert op.apply(p) == series(op, p, 1, -1)
+        assert op.apply_upper_part(p) == series(op, p, 2, 0)
+
+    def test_perturbed_epsilon_fails_at_construction(self):
+        op = epsilons_from_sequence(seq_classical(F(3, 2), 8))
+        for k in (1, 4, op.k_max):
+            eps = list(op.epsilons)
+            eps[k - 1] += F(1, 10**9)
+            with pytest.raises(ValueError, match=f"D x\\^{k} "):
+                DerivationOperator(epsilons=tuple(eps), values=op.values)
+
+    def test_too_few_values_fail_at_construction(self):
+        op = epsilons_from_sequence(seq_hermite(5))
+        with pytest.raises(ValueError):
+            DerivationOperator(epsilons=op.epsilons, values=op.values[:3])
 
 
 class TestOrder:

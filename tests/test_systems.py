@@ -164,6 +164,10 @@ class TestPsiConstruction:
         with pytest.raises(ValueError):
             hermite_sys.psi_coeffs(31)
 
+    def test_two_entry_sequence_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match=r"needs v_0, v_1 and v_2; got 2 entries"):
+            PolynomialSystem(GoverningSequence((F(1), F(2)), F(1)))
+
 
 class TestPsiEval:
     def test_psi0_is_one(self, hermite_sys):
@@ -187,6 +191,27 @@ class TestPsiEval:
                 recur = np.array([sys.psi_eval(n, x) for x in xs])
                 scale = max(1.0, float(np.max(np.abs(horner))))
                 assert np.max(np.abs(horner - recur)) <= 1e-12 * scale
+
+    def test_normalization_matches_plain_float_where_it_fits(self):
+        # the normalization never converts norm^2 itself, yet where float(norm^2)
+        # exists it rounds exactly as float(c) / sqrt(float(norm^2)) does
+        sys = PolynomialSystem(seq_classical(F(1, 2), 60))
+        for n in range(0, 61, 6):
+            npoly = sys.psi_coeffs(n)
+            nu = math.sqrt(float(npoly.norm_squared))
+            assert npoly.norm == nu
+            assert npoly.float_coeffs() == [float(c) / nu for c in npoly.core.coeffs]
+            for x in (-3.5, 0.25, 4.75):
+                assert npoly(x) == float(npoly.core(F(x))) / nu
+
+    def test_n200_past_the_float_range_of_norm_squared(self):
+        sys = PolynomialSystem(seq_hermite(200))
+        npoly = sys.psi_coeffs(200)
+        assert npoly.norm_squared > F(10) ** 309  # float() of it overflows
+        assert math.isfinite(npoly.norm)
+        assert all(math.isfinite(c) for c in npoly.float_coeffs())
+        for x in (-2.5, 0.5, 4.0):
+            assert npoly(x) == pytest.approx(sys.psi_eval(200, x), rel=1e-9)
 
     def test_eval_table_matches_scalar(self, family15_sys):
         xs = np.array([-2.0, 0.5, 3.25])
@@ -418,6 +443,13 @@ class TestOde:
         d2 = (c[2:] * np.arange(2, n + 1) * np.arange(1, n))[::-1]
         direct = x * (np.polyval(d2, x) - 2 * x * np.polyval(d1, x) + 2 * n * np.polyval(c[::-1], x))
         assert hermite_sys.ode_residual(n, x) == pytest.approx(direct, abs=1e-9)
+
+    def test_n200_residual_is_finite(self):
+        # norm^2 of psi_200 is past the float range for both systems
+        for seq in (seq_hermite(200), seq_classical(F(1, 2), 200)):
+            sys = PolynomialSystem(seq)
+            worst = max(abs(sys.ode_residual(200, x)) for x in POINT_GRID)
+            assert math.isfinite(worst) and worst < 1e-9
 
     def test_zero_is_rejected(self, classical1_sys):
         with pytest.raises(ValueError):
