@@ -248,8 +248,13 @@ def cmd_verify(args) -> int:
         for row in rep.deviation:
             lines.append(",".join(_fmt_real(v) for v in row))
         _emit(args, "\n".join(lines) + "\n")
+        failed = []
         if rep.max_deviation >= 1e-8:
-            _sys.stderr.write(json.dumps({"failed": ["orthonormality deviation >= 1e-8"]}) + "\n")
+            failed.append("orthonormality deviation >= 1e-8")
+        if not rep.converged:
+            failed.append(_unconverged(rep))
+        if failed:
+            _sys.stderr.write(json.dumps({"failed": failed}) + "\n")
             return 1
         return 0
 
@@ -292,7 +297,10 @@ def cmd_verify(args) -> int:
         record("ode", worst_ode < 1e-9, f"max residual {worst_ode:.3e}")
         spec = measure_mod.spec_for_system(sys_)
         orep = measure_mod.orthonormality_check(sys_, spec, min(n_max, 12))
-        record("orthonormality", orep.max_deviation < 1e-8, f"max deviation {orep.max_deviation:.3e}")
+        detail = f"max deviation {orep.max_deviation:.3e}"
+        if not orep.converged:
+            detail += f"; {_unconverged(orep)}"
+        record("orthonormality", orep.max_deviation < 1e-8 and orep.converged, detail)
         sq = osc_mod.square_lowering_report(ops, sys_, interior_margin=4)
         record("square_lowering", sq < 1e-10, f"max deviation {sq:.3e}")
     else:
@@ -308,6 +316,11 @@ def cmd_verify(args) -> int:
         )
         return 1
     return 0
+
+
+def _unconverged(rep: measure_mod.OrthonormalityReport) -> str:
+    return (f"quadrature error {rep.quadrature_error:.3e} exceeds its tolerance "
+            f"{rep.tolerance:.0e}; the Gram matrix is not converged")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -9,17 +9,18 @@ are the binomial inverse transform of the governing sequence,
 Each operator checks the forward identity once, when it is built; after that
 D is applied by the monomial rule alone.
 
-Polynomials are dense tuples of exact rationals (index = power of x).
+Polynomials are dense tuples of integer numerators over one shared
+denominator (index = power of x), so their arithmetic runs in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Iterable, NamedTuple
+from math import factorial, gcd, lcm, perm
+from typing import Iterable, NamedTuple, Sequence
 
-from .governing import GoverningSequence, as_fraction
+from .governing import GoverningSequence, as_fraction, common_denominator
 
 __all__ = [
     "Poly",
@@ -30,77 +31,121 @@ __all__ = [
 ]
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poly:
-    """Dense univariate polynomial over Q; the zero polynomial has no coeffs."""
+    """Dense univariate polynomial over Q, held as integer numerators over one
+    shared denominator: p = sum_k nums[k] x^k / den.
 
-    coeffs: tuple[Fraction, ...]
+    The form is canonical -- den > 0, gcd(den, *nums) == 1, no trailing zero
+    numerators, and the zero polynomial has none at all -- so == and hash
+    compare structure.  ``coeffs`` gives the coefficients as lowest-terms
+    Fractions."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(as_fraction(c) for c in self.coeffs)))
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, coeffs: Iterable):
+        _settle(self, *common_denominator(as_fraction(c) for c in coeffs))
+
+    @classmethod
+    def from_numerators(cls, nums: Sequence[int], den: int = 1) -> "Poly":
+        """sum_k nums[k] x^k / den for integers nums and den > 0, reduced once."""
+        p = object.__new__(cls)
+        _settle(p, nums, den)
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(Fraction(-1))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (sign * (den // other.den)) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return Poly.from_numerators(a, den)
 
     def scale(self, c) -> "Poly":
         c = as_fraction(c)
-        return Poly(tuple(c * a for a in self.coeffs))
+        return Poly.from_numerators([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly.from_numerators((0,) * k + self.nums, self.den)
 
     def derivative(self, order: int = 1) -> "Poly":
-        c = self.coeffs
-        for _ in range(order):
-            c = tuple(c[i] * i for i in range(1, len(c)))
-        return Poly(c)
+        return Poly.from_numerators(
+            [a * perm(k, order) for k, a in enumerate(self.nums)][order:], self.den
+        )
+
+    def homogeneous(self, w: int) -> list[int]:
+        """Integers c_k = nums[k] w^(deg-k), so that p(u/w) = sum_k c_k u^k / (den w^deg)."""
+        out, pw = [], 1
+        for a in reversed(self.nums):
+            out.append(a * pw)
+            pw *= w
+        return out[::-1]
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction x, float otherwise."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
-        return acc
+        """Horner evaluation; exact (in integers) for Fraction x, float otherwise."""
+        if not isinstance(x, Fraction):
+            acc = x * 0
+            for a in reversed(self.nums):
+                acc = acc * x + a / self.den
+            return acc
+        if self.is_zero():
+            return Fraction(0)
+        u, w = x.numerator, x.denominator
+        acc = 0
+        for c in reversed(self.homogeneous(w)):
+            acc = acc * u + c
+        return Fraction(acc, self.den * w**self.degree)
 
     def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self.nums), default=0), self.den)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms)
+
+
+def _settle(p: Poly, nums: Sequence[int], den: int) -> None:
+    """Store nums/den on p in canonical form: trailing zeros dropped, then one
+    division by gcd(den, *nums)."""
+    if den <= 0:
+        raise ValueError(f"the shared denominator must be positive, got {den}")
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    g = gcd(den, *nums[:n])
+    object.__setattr__(p, "nums", tuple(a // g for a in nums[:n]) if g > 1 else tuple(nums[:n]))
+    object.__setattr__(p, "den", den // g)
 
 
 def poly(coeffs: Iterable) -> Poly:
@@ -137,9 +182,7 @@ class DerivationOperator:
         if self.k_max > len(self.values):
             raise ValueError(f"K={self.k_max} epsilons need at least {self.k_max} values")
         # k! eps_k over one common denominator, so the sums run in integers
-        scaled = [e * factorial(k) for k, e in enumerate(self.epsilons, 1)]
-        den = lcm(*(x.denominator for x in scaled))
-        num = [x.numerator * (den // x.denominator) for x in scaled]
+        num, den = common_denominator(e * factorial(k) for k, e in enumerate(self.epsilons, 1))
         binom = [1]  # row n of Pascal's triangle, C(n, 0..n)
         for n in range(1, self.k_max + 1):
             binom = [1, *(a + b for a, b in zip(binom, binom[1:])), 1]
@@ -157,13 +200,11 @@ class DerivationOperator:
     def eps(self, k: int) -> Fraction:
         return self.epsilons[k - 1]
 
-    def v(self, i: int) -> Fraction:
-        return Fraction(0) if i == -1 else self.values[i]
-
     def apply(self, p: Poly) -> Poly:
         """D p by the linear extension of D x^n = v_{n-1} x^{n-1}."""
         self._check_degree(p)
-        return Poly(tuple(c * self.values[n] for n, c in enumerate(p.coeffs[1:])))
+        v, vden = common_denominator(self.values[: max(p.degree, 0)])
+        return Poly.from_numerators([a * b for a, b in zip(p.nums[1:], v)], p.den * vden)
 
     def apply_upper_part(self, p: Poly) -> Poly:
         """The degree-preserving part sum_{k>=2} eps_k x^k d^k applied to p.
@@ -171,8 +212,11 @@ class DerivationOperator:
         It is diagonal: x^m -> A_m(2) x^m with A_m(2) = v_{m-1} - m eps_1, the
         full series x D x^m = v_{m-1} x^m less its k = 1 term (eps_1 = v_0)."""
         self._check_degree(p)
-        v0 = self.values[0]
-        return Poly(tuple(c * (self.v(m - 1) - m * v0) for m, c in enumerate(p.coeffs)))
+        v, vden = common_denominator(self.values[: max(p.degree, 0)])
+        return Poly.from_numerators(
+            [0] + [a * (v[m - 1] - m * v[0]) for m, a in enumerate(p.nums[1:], 1)],
+            p.den * vden,
+        )
 
     def _check_degree(self, p: Poly) -> None:
         if p.degree > self.k_max:
@@ -206,8 +250,8 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
         raise ValueError(f"K={K} exceeds stored sequence length {len(seq)}")
     # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
     # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k
-    den = lcm(*(v.denominator for v in seq.values[:K]))
-    f = [0, *(v.numerator * (den // v.denominator) for v in seq.values[:K])]
+    nums, den = common_denominator(seq.values[:K])
+    f = [0, *nums]
     eps = []
     for k in range(1, K + 1):
         f = [b - a for a, b in zip(f, f[1:])]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "ConstructionError",
@@ -50,6 +50,14 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"expected exact rational, got float {x!r}")
     return Fraction(x)
+
+
+def common_denominator(fracs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers nums and den > 0 with fracs[i] = nums[i] / den, den the lcm of
+    the denominators."""
+    fracs = list(fracs)
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
@@ -134,13 +142,16 @@ def validate(seq: GoverningSequence) -> ValidationReport:
     """
     if len(seq) < 3:
         raise ValueError("validate needs at least 3 sequence entries")
-    v = seq.value
-    monotone = all(seq.values[i] <= seq.values[i + 1] for i in range(seq.n_max))
+    # both conditions are homogeneous (the identity of degree 2), so they are
+    # checked on the integers L v_i, with L the common denominator
+    w, _ = common_denominator(seq.values)
+    v = w + [0]  # v[-1] = 0 stands for v_{-1}
+    monotone = all(a <= b for a, b in zip(w, w[1:]))
     first = None
     for n in range(2, len(seq)):
         for p in range(1, n // 2 + 1):
-            lhs = v(n - 2) * v(2 * p - 1) + v(2 * p - 3) * v(n - 2 * p)
-            rhs = v(n) * v(2 * p - 3) + v(2 * p - 1) * v(n - 2 * p)
+            lhs = v[n - 2] * v[2 * p - 1] + v[2 * p - 3] * v[n - 2 * p]
+            rhs = v[n] * v[2 * p - 3] + v[2 * p - 1] * v[n - 2 * p]
             if lhs != rhs:
                 first = (n, p)
                 break

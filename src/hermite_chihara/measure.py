@@ -124,6 +124,12 @@ class OrthonormalityReport:
     max_deviation: float
     deviation: np.ndarray  # |<psi_i, psi_j> - delta_ij|
     quadrature_error: float
+    tolerance: float  # the quadrature's error target
+
+    @property
+    def converged(self) -> bool:
+        """Whether the quadrature met its tolerance before its panel limit."""
+        return self.quadrature_error <= self.tolerance
 
 
 def _integration_radius(n_max: int, alpha: float) -> float:
@@ -154,6 +160,7 @@ def gram_deviation(
         max_deviation=float(dev.max()),
         deviation=dev,
         quadrature_error=float(err),
+        tolerance=tol,
     )
 
 

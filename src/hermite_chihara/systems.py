@@ -28,6 +28,7 @@ from .derivation import DerivationOperator, Poly, epsilons_from_sequence
 from .governing import (
     GoverningSequence,
     bracket_table,
+    common_denominator,
     gamma_squares,
     is_special_family,
     recurrence_squares,
@@ -77,20 +78,18 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
     return inner(m, n - 1)
 
 
-def _gen_factorial(values: Sequence[Fraction], k: int) -> Fraction:
-    """(v_k)! = v_0 v_1 ... v_k with (v_{-1})! = 1."""
-    acc = Fraction(1)
-    for i in range(k + 1):
-        acc *= values[i]
-    return acc
-
-
-def _bracket_double_factorial(brackets: Sequence[Fraction], m: int) -> Fraction:
-    """[2m-1]!! = [1][3]...[2m-1] (empty product for m = 0)."""
-    acc = Fraction(1)
-    for j in range(1, m + 1):
-        acc *= brackets[2 * j - 1]
-    return acc
+def _alpha_row(values: Sequence[Fraction], brackets: Sequence[Fraction], n: int) -> list[Fraction]:
+    """alpha_closed(values, brackets, m, n) for m = 0..n//2, from the prefix
+    products (v_k)! = v_0 ... v_k and [2m-1]!! = [1][3]...[2m-1], each built once."""
+    fact = [Fraction(1)]  # fact[j] = (v_{j-1})!, with (v_{-1})! = 1
+    for v in values[:n]:
+        fact.append(fact[-1] * v)
+    out, dfact = [], Fraction(1)
+    for m in range(n // 2 + 1):
+        if m:
+            dfact *= brackets[2 * m - 1]
+        out.append(dfact * fact[n] / (fact[2 * m] * fact[n - 2 * m]))
+    return out
 
 
 def alpha_closed(
@@ -99,9 +98,7 @@ def alpha_closed(
     """Closed form  [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!)."""
     if n < 1 or not 0 <= m <= n // 2:
         raise ValueError(f"need n >= 1 and 0 <= m <= n//2, got m={m}, n={n}")
-    num = _bracket_double_factorial(brackets, m) * _gen_factorial(values, n - 1)
-    den = _gen_factorial(values, 2 * m - 1) * _gen_factorial(values, n - 2 * m - 1)
-    return num / den
+    return _alpha_row(values, brackets, n)[m]
 
 
 def alpha_table_entry(
@@ -137,6 +134,19 @@ def _over_sqrt(c: Fraction, q: Fraction) -> float:
     underflows."""
     s, t = _sqrt_parts(q)
     return _ldexp_float(c, -t) / s
+
+
+def _next_monic(cur: Poly, prev: Poly, b2: Fraction) -> Poly:
+    """x cur - b2 prev over the lcm of the two terms' denominators.  The cores
+    alternate in parity, so only the slots of the new parity are computed."""
+    prev_den = prev.den * b2.denominator
+    den = math.lcm(cur.den, prev_den)
+    sa, sb = den // cur.den, den // prev_den * b2.numerator
+    s = len(cur.nums) % 2  # parity of the new degree
+    out = [0] * (len(cur.nums) + 1)
+    shifted = (0, *cur.nums)
+    out[s::2] = [sa * a - sb * b for a, b in zip(shifted[s::2], (*prev.nums[s::2], 0))]
+    return Poly.from_numerators(out, den)
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,9 @@ class PolynomialSystem:
             norm2.append(norm2[-1] * self.b2[n - 1])
         self.norm2 = norm2
 
-        monic = [Poly((Fraction(1),)), Poly((Fraction(0), Fraction(1)))]
+        monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         for n in range(1, n_max):
-            monic.append(monic[n].shift(1) - monic[n - 1].scale(self.b2[n - 1]))
+            monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
         self.monic = monic[: n_max + 1]
 
         fam, params = is_special_family(seq)
@@ -253,16 +263,14 @@ class PolynomialSystem:
         """psi_n from the explicit coefficient formula
         sum_m (-1)^m b0^{2m-n} alpha_{2m-1,n-1} x^{n-2m} / sqrt([n]!)."""
         self._check_n(n)
+        if nested:
+            alphas = [Fraction(1)] + [alpha_nested(self.brackets, m, n) for m in range(1, n // 2 + 1)]
+        else:
+            alphas = _alpha_row(self.values, self.brackets, n)
         coeffs = [Fraction(0)] * (n + 1)
-        for m in range(0, n // 2 + 1):
-            if m == 0:
-                a = Fraction(1)
-            elif nested:
-                a = alpha_nested(self.brackets, m, n)
-            else:
-                a = alpha_closed(self.values, self.brackets, m, n)
-            coeffs[n - 2 * m] = (-1) ** m * self.seq.b0_squared**m * a
-        return NormalizedPoly(Poly(tuple(coeffs)), self.norm2[n])
+        for m, a in enumerate(alphas):
+            coeffs[n - 2 * m] = (-self.seq.b0_squared) ** m * a
+        return NormalizedPoly(Poly(coeffs), self.norm2[n])
 
     def psi_eval(self, n: int, x):
         """Forward three-term recurrence evaluation (float; x scalar or array)."""
@@ -366,8 +374,11 @@ class PolynomialSystem:
         for j, e in enumerate(expansion):
             idx = n - 1 - 2 * j
             if e != 0:
-                ratio = math.sqrt(float(self.norm2[idx] / self.norm2[n]))
-                out.append((idx, float(e) * ratio))
+                # e sqrt(norm2[idx] / norm2[n]) with e and the root both scaled
+                # near 1 by powers of two, so neither underflows nor overflows
+                s, t = _sqrt_parts(self.norm2[idx] / self.norm2[n])
+                k = e.numerator.bit_length() - e.denominator.bit_length()
+                out.append((idx, math.ldexp(_ldexp_float(e, -k) * s, k + t)))
         return out
 
     def derivative_decomposition(self, n: int) -> tuple[float, float]:
@@ -395,11 +406,14 @@ class PolynomialSystem:
         at x != 0.  (gamma, alpha) default to the system's weight parameters;
         overriding them probes a mismatched equation (negative controls).
 
-        The bracket is combined in rational arithmetic (the float grid value of
-        x converts exactly), so the returned residual is free of the
-        catastrophic cancellation a naive float evaluation suffers at large
-        |x| and n; only the 1/nu_n normalization is applied in floating point,
-        without converting nu_n^2 itself (it passes the float range near n = 200).
+        The bracket is exact: one Horner pass in integers gives p, p' and p''
+        at x = u/w (a float grid value converts exactly, to a dyadic u/2^e),
+        and the bracket is assembled over the common denominator
+        u den w^(d+1) G, with G clearing the denominators of gamma and alpha.
+        So the residual is free of the catastrophic cancellation a naive float
+        evaluation suffers at large |x| and n; only the 1/nu_n normalization is
+        applied in floating point, without converting nu_n^2 itself (it passes
+        the float range near n = 200).
         """
         self._check_n(n)
         if float(x) == 0.0:
@@ -407,13 +421,21 @@ class PolynomialSystem:
         default_g, default_a = self.weight_parameters()
         g = default_g if gamma is None else Fraction(gamma)
         a = default_a if alpha is None else Fraction(alpha)
-        xq = Fraction(x)
         theta = g if n % 2 == 1 else Fraction(0)
+        u, w = Fraction(x).as_integer_ratio()
         core = self.monic[n]
-        p = core(xq)
-        dp = core.derivative()(xq)
-        ddp = core.derivative(2)(xq)
-        bracket = xq * ddp + (g - 2 * a * xq * xq) * dp + (2 * a * n * xq - theta / xq) * p
+        # p = P(x) den w^d, dp = P'(x) den w^(d-1), half_ddp = P''(x)/2 den w^(d-2)
+        p = dp = half_ddp = 0
+        for c in reversed(core.homogeneous(w)):
+            half_ddp = half_ddp * u + dp
+            dp = dp * u + p
+            p = p * u + c
+        (gi, ai, ti), G = common_denominator((g, a, theta))
+        uu, ww = u * u, w * w
+        num = u * (2 * u * ww * G * half_ddp + (gi * ww - 2 * ai * uu) * dp) + (
+            2 * ai * n * uu - ti * ww
+        ) * p
+        bracket = Fraction(num, u * core.den * w ** (core.degree + 1) * G)
         return _over_sqrt(bracket, self.norm2[n])
 
     def _check_n(self, n: int) -> None:

@@ -1,0 +1,170 @@
+"""Reference routes in plain Fraction arithmetic.
+
+The package holds polynomials as integer numerators over one shared
+denominator and runs its exact kernel in integers.  The routes below are the
+ones that kernel replaced: every coefficient a lowest-terms Fraction, every
+operation re-normalized.  The tests compare the kernel against them.
+
+- ``FractionPoly``: a dense tuple of Fractions;
+- ``monic_cores``: P_{n+1} = x P_n - b_{n-1}^2 P_{n-1} on FractionPoly;
+- ``lowering_residual``, ``decompose_b1bar``, ``derivative_core_expansion``,
+  ``derivative_decomposition_c2``: the eliminations on FractionPoly;
+- ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
+- ``validate``: the compatibility identity and monotonicity on Fractions;
+- ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n])).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from hermite_chihara.governing import ValidationReport
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """Dense univariate polynomial over Q; the zero polynomial has no coeffs."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(tuple(out))
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "FractionPoly":
+        c = Fraction(c)
+        return FractionPoly(tuple(c * a for a in self.coeffs))
+
+    def shift(self, k: int) -> "FractionPoly":
+        if self.is_zero():
+            return self
+        return FractionPoly((Fraction(0),) * k + self.coeffs)
+
+    def derivative(self, order: int = 1) -> "FractionPoly":
+        c = self.coeffs
+        for _ in range(order):
+            c = tuple(c[i] * i for i in range(1, len(c)))
+        return FractionPoly(c)
+
+    def __call__(self, x):
+        acc = x * 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        return acc
+
+    def max_abs_coeff(self) -> Fraction:
+        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        return " + ".join(f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0)
+
+
+def monic_cores(b2, n_max: int) -> list[FractionPoly]:
+    monic = [FractionPoly((1,)), FractionPoly((0, 1))]
+    for n in range(1, n_max):
+        monic.append(monic[n].shift(1) - monic[n - 1].scale(b2[n - 1]))
+    return monic[: n_max + 1]
+
+
+def _eliminate(rem: FractionPoly, cores, indices) -> tuple[list[Fraction], FractionPoly]:
+    """Coefficients of rem on cores[idx], idx in the given (descending) order."""
+    out = []
+    for idx in indices:
+        c = rem.coeff(idx)
+        out.append(c)
+        if c != 0:
+            rem = rem - cores[idx].scale(c)
+    return out, rem
+
+
+def lowering_residual(values, cores, n: int) -> Fraction:
+    p = cores[n]
+    applied = FractionPoly(tuple(c * values[k - 1] for k, c in enumerate(p.coeffs) if k >= 1))
+    return (applied - cores[n - 1].scale(values[n - 1])).max_abs_coeff()
+
+
+def decompose_b1bar(values, cores, n: int):
+    """(delta_scaled, beta_scaled, tail, support) as decompose_b1bar reports them."""
+    upper = FractionPoly(tuple(
+        c * ((values[m - 1] if m else 0) - m * values[0]) for m, c in enumerate(cores[n].coeffs)
+    ))
+    delta = upper.coeff(n)
+    rem = upper - cores[n - 1].shift(1).scale(delta)
+    indices = list(range(n - 2, -1, -2))
+    coeffs, rem = _eliminate(rem, cores, indices)
+    assert rem.is_zero()
+    tail = {idx: c for idx, c in zip(indices[1:], coeffs[1:]) if c != 0}
+    support = [n - 1] * (delta != 0) + [idx for idx, c in zip(indices, coeffs) if c != 0]
+    return delta, coeffs[0], tail, tuple(support)
+
+
+def derivative_core_expansion(cores, n: int) -> list[Fraction]:
+    coeffs, rem = _eliminate(cores[n].derivative(), cores, range(n - 1, -1, -2))
+    assert rem.is_zero()
+    return coeffs
+
+
+def derivative_decomposition_c2(cores, n: int) -> Fraction:
+    """c with x P_n' - n x P_{n-1} = c P_{n-2}."""
+    s = cores[n].derivative().shift(1) - cores[n - 1].shift(1).scale(n)
+    c = s.coeff(n - 2)
+    assert (s - cores[n - 2].scale(c)).is_zero()
+    return c
+
+
+def ode_bracket(core: FractionPoly, n: int, x, gamma, alpha) -> Fraction:
+    """x P'' + (gamma - 2 alpha x^2) P' + (2 alpha n x - theta_n/x) P, exactly."""
+    g, a, xq = Fraction(gamma), Fraction(alpha), Fraction(x)
+    theta = g if n % 2 == 1 else Fraction(0)
+    p, dp, ddp = core(xq), core.derivative()(xq), core.derivative(2)(xq)
+    return xq * ddp + (g - 2 * a * xq * xq) * dp + (2 * a * n * xq - theta / xq) * p
+
+
+def validate(seq) -> ValidationReport:
+    v = seq.value
+    monotone = all(seq.values[i] <= seq.values[i + 1] for i in range(seq.n_max))
+    for n in range(2, len(seq)):
+        for p in range(1, n // 2 + 1):
+            lhs = v(n - 2) * v(2 * p - 1) + v(2 * p - 3) * v(n - 2 * p)
+            rhs = v(n) * v(2 * p - 3) + v(2 * p - 1) * v(n - 2 * p)
+            if lhs != rhs:
+                return ValidationReport(monotone=monotone, compatible=False, first_violation=(n, p))
+    return ValidationReport(monotone=monotone, compatible=True, first_violation=None)
+
+
+def derivative_in_basis(expansion, norm2, n: int) -> list[tuple[int, float]]:
+    out = []
+    for j, e in enumerate(expansion):
+        idx = n - 1 - 2 * j
+        if e != 0:
+            out.append((idx, float(e) * math.sqrt(float(norm2[idx] / norm2[n]))))
+    return out

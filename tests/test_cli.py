@@ -176,6 +176,42 @@ class TestVerify:
         assert max(abs(float(v)) for r in rows for v in r.split(",")) < 1e-8
 
 
+class TestUnconvergedQuadrature:
+    """A Gram quadrature that stops short of its tolerance fails the
+    orthonormality check, whatever the deviation it reached."""
+
+    @pytest.fixture
+    def short_quadrature(self, monkeypatch):
+        from hermite_chihara import measure
+
+        integrate = measure.integrate_split_at_zero
+
+        def stops_short(f, radius, tol):
+            vals, _ = integrate(f, radius, tol=tol)
+            return vals, 1.0  # as if max_panels ran out with this error left
+
+        monkeypatch.setattr(measure, "integrate_split_at_zero", stops_short)
+
+    def test_verify_check_fails(self, capsys, short_quadrature):
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "classical", "--gamma", "1", "--n-max", "6", "--dim", "12"
+        )
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
+        assert check["passed"] is False
+        assert "not converged" in check["detail"]
+        assert json.loads(err.splitlines()[-1])["failed"] == ["orthonormality"]
+
+    def test_orthonormality_matrix_fails(self, capsys, short_quadrature):
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "hermite", "--n-max", "4", "--orthonormality"
+        )
+        assert code == 1
+        assert len(out.splitlines()) == 5  # the matrix is still printed
+        (reason,) = json.loads(err.splitlines()[-1])["failed"]
+        assert "not converged" in reason
+
+
 class TestSpectrumCommand:
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20", "--n-max", "8")

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from hermite_chihara import (
     seq_order2,
     seq_order3,
 )
+from fraction_reference import FractionPoly
 
 coeff_lists = st.lists(
     st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6), min_size=0, max_size=9
@@ -65,6 +66,64 @@ class TestPoly:
         p = poly([1, -2, 1])
         assert p(F(3)) == 4
         assert p(3.0) == pytest.approx(4.0)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p == Poly.from_numerators(p.nums, p.den) == poly(p.coeffs)
+    assert hash(p) == hash(poly(p.coeffs))
+
+
+class TestAgainstFractionReference:
+    """The integer kernel against the Fraction-tuple polynomial it replaced:
+    the same lowest-terms coefficients from every operation, in canonical
+    form, and the same value at Fraction and float points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=coeff_lists,
+        b=coeff_lists,
+        c=st.fractions(min_value=F(-9), max_value=F(9), max_denominator=7),
+        k=st.integers(min_value=0, max_value=3),
+        x=st.fractions(min_value=F(-4), max_value=F(4), max_denominator=12),
+        xf=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_operations(self, a, b, c, k, x, xf):
+        p, q, rp, rq = poly(a), poly(b), FractionPoly(a), FractionPoly(b)
+        pairs = (
+            (p, rp),
+            (p + q, rp + rq),
+            (p - q, rp - rq),
+            (p.scale(c), rp.scale(c)),
+            (p.shift(k), rp.shift(k)),
+            (p.derivative(k), rp.derivative(k)),
+        )
+        for new, ref in pairs:
+            assert_canonical(new)
+            assert new.coeffs == ref.coeffs
+            assert new.degree == ref.degree
+            assert [new.coeff(j) for j in range(-1, len(a) + 2)] == [
+                ref.coeff(j) for j in range(-1, len(a) + 2)
+            ]
+            assert new.max_abs_coeff() == ref.max_abs_coeff()
+            assert str(new) == str(ref)
+        assert p(x) == rp(x)
+        assert p(xf) == rp(xf)
+        assert (p == q) == (rp == rq)
+
+    def test_equal_values_are_equal_structures(self):
+        p = poly([F(1, 2), 1, 0, 0])
+        assert p == Poly.from_numerators([3, 6, 0], 6)
+        assert (p.nums, p.den) == ((1, 2), 2)
+        assert hash(p) == hash(Poly.from_numerators([3, 6], 6))
+        assert poly([0, 0]) == Poly.from_numerators([], 5) and poly([]).den == 1
+        with pytest.raises(ValueError, match="must be positive"):
+            Poly.from_numerators([1, 2], -2)
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            poly([1, 0.5])
 
 
 class TestEpsilons:

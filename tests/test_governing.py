@@ -20,6 +20,7 @@ from hermite_chihara import (
     seq_order3,
     validate,
 )
+from fraction_reference import validate as validate_fractions
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
 
@@ -154,6 +155,31 @@ class TestValidate:
     @given(gamma=st.fractions(min_value=F(-1, 2), max_value=F(6), max_denominator=4))
     def test_classical_always_compatible(self, gamma):
         assert validate(seq_classical(gamma, 12)).ok
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["family", "classical", "order2", "free"]),
+        a=rationals,
+        b=rationals,
+        index=st.integers(min_value=1, max_value=14),
+        bump=st.fractions(min_value=F(-1, 2), max_value=F(3), max_denominator=7),
+    )
+    def test_integer_check_matches_fraction_reference(self, kind, a, b, index, bump):
+        # compatible sequences, then one entry bumped, so the first violation
+        # (and monotonicity) moves around the range
+        lo, hi = min(a, b), max(a, b)
+        build = {
+            "family": lambda: seq_family(lo, hi, F(1), 14),
+            "classical": lambda: seq_classical(a - 1, 14),
+            "order2": lambda: seq_order2(a + 1, 14),
+            "free": lambda: GoverningSequence((F(1), a, b, *(a + b * k for k in range(12))), F(1)),
+        }
+        values = list(build[kind]().values)
+        for bumped in (values, [*values[:index], values[index] + bump, *values[index + 1:]]):
+            assume(min(bumped) > 0)
+            seq = GoverningSequence(tuple(bumped), F(1, 3))
+            assert validate(seq) == validate_fractions(seq)
 
 
 class TestDerivedTables:

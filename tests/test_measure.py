@@ -154,6 +154,19 @@ class TestOrthonormality:
         rep = orthonormality_check(sys, spec, 10)
         assert rep.max_deviation < 1e-8
 
+    def test_converged_quadrature_reports_its_tolerance(self):
+        sys = PolynomialSystem(seq_hermite(8))
+        rep = gram_deviation(sys, spec_for_system(sys), 4)
+        assert rep.tolerance == 1e-11
+        assert rep.converged and rep.quadrature_error <= rep.tolerance
+
+    def test_quadrature_stopped_short_is_not_converged(self):
+        # no panel count reaches 1e-300: the quadrature stops at max_panels
+        sys = PolynomialSystem(seq_hermite(4))
+        rep = gram_deviation(sys, spec_for_system(sys), 2, tol=1e-300)
+        assert rep.tolerance == 1e-300
+        assert rep.converged is False
+
     def test_gram_is_symmetric(self):
         sys = PolynomialSystem(seq_classical(2, 14))
         spec = spec_for_system(sys)

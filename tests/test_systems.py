@@ -19,7 +19,11 @@ from hermite_chihara import (
     seq_family,
     seq_hermite,
     seq_order2,
+    seq_order3,
 )
+from hermite_chihara.systems import _over_sqrt
+
+import fraction_reference as ref
 from conftest import POINT_GRID
 
 
@@ -468,3 +472,104 @@ class TestOde:
             for x in POINT_GRID
         )
         assert worst > 1e-3
+
+
+REFERENCE_SEQUENCES = {
+    "hermite": seq_hermite(60),
+    "classical_1_3": seq_classical(F(1, 3), 60),
+    "family": seq_family(F(7, 3), F(11, 3), F(8, 3), 60),
+    "order2": seq_order2(3, 60),
+    "order3": seq_order3(F(7, 3), F(17, 3), 60, F(8, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_pairs():
+    """{name: (system, reference monic cores in Fraction arithmetic)}."""
+    out = {}
+    for name, seq in REFERENCE_SEQUENCES.items():
+        sys = PolynomialSystem(seq)
+        out[name] = (sys, ref.monic_cores(sys.b2, sys.n_max))
+    return out
+
+
+class TestFractionReference:
+    """The integer kernel against the Fraction routes it replaced
+    (tests/fraction_reference.py): the same exact rationals and the same
+    float bits."""
+
+    def test_monic_cores(self, reference_pairs):
+        for sys, cores in reference_pairs.values():
+            assert [p.coeffs for p in sys.monic] == [p.coeffs for p in cores]
+
+    def test_eliminations(self, reference_pairs):
+        for sys, cores in reference_pairs.values():
+            for n in range(2, 41):
+                assert sys.lowering_residual(n) == ref.lowering_residual(sys.values, cores, n)
+                rep = sys.decompose_b1bar(n)
+                got = (rep.delta_scaled, rep.beta_scaled, rep.tail_scaled, rep.support)
+                assert got == ref.decompose_b1bar(sys.values, cores, n)
+                assert sys.derivative_core_expansion(n) == ref.derivative_core_expansion(cores, n)
+                if sys.is_family:
+                    _, c_over_x = sys.derivative_decomposition(n)
+                    c2 = ref.derivative_decomposition_c2(cores, n)
+                    assert c_over_x == float(c2) / (sys.b_float[n - 1] * sys.b_float[n - 2])
+
+    @pytest.mark.parametrize("name", ["hermite", "classical_1_3", "family"])
+    def test_ode_residual_bit_identical(self, reference_pairs, name):
+        sys, cores = reference_pairs[name]
+        gamma, alpha = sys.weight_parameters()
+        mismatched = (gamma + F(1, 3), alpha * F(21, 20))
+        for n in range(0, 61, 3):
+            for x in POINT_GRID[::2]:
+                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, gamma, alpha), sys.norm2[n])
+                assert sys.ode_residual(n, x).hex() == want.hex()
+                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, *mismatched), sys.norm2[n])
+                assert sys.ode_residual(n, x, *mismatched).hex() == want.hex()
+
+    def test_ode_residual_with_a_float_alpha(self, classical1_sys):
+        # the negative control passes alpha as a float; it converts exactly
+        cores = ref.monic_cores(classical1_sys.b2, 15)
+        gamma, alpha = classical1_sys.weight_parameters()
+        a = float(alpha) * 1.05
+        for n in (3, 8, 15):
+            for x in (-4.5, 0.1, 2.3):
+                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, gamma, a), classical1_sys.norm2[n])
+                assert classical1_sys.ode_residual(n, x, alpha=a) == want
+
+    def test_normalized_evaluation_bit_identical(self, reference_pairs):
+        for sys, cores in reference_pairs.values():
+            for n in range(0, 61, 5):
+                for x in (-4.75, -0.3, 1.0, 3.125, 7.5):
+                    want = _over_sqrt(cores[n](F(x)), sys.norm2[n])
+                    assert sys.psi_coeffs(n)(x).hex() == want.hex()
+
+
+class TestDerivativeInBasis:
+    @pytest.mark.parametrize("seq", [seq_hermite(60), seq_classical(F(1, 2), 60),
+                                     seq_family(F(7, 3), F(11, 3), F(8, 3), 60)])
+    def test_bit_identical_where_the_plain_formula_fits(self, seq):
+        sys = PolynomialSystem(seq)
+        for n in range(1, 61):
+            want = ref.derivative_in_basis(sys.derivative_core_expansion(n), sys.norm2, n)
+            assert sys.derivative_in_basis(n) == want
+
+    @pytest.mark.parametrize("seq,n", [
+        (seq_order2(3, 200), 120),
+        (seq_order2(3, 200), 150),
+        (seq_order3(2, 5, 160), 80),
+        (seq_order3(2, 5, 160), 120),
+    ])
+    def test_no_underflow_or_overflow_past_the_float_range(self, seq, n):
+        # the plain formula returns 0.0 for half these coefficients at the
+        # first n of each sequence and raises OverflowError at the second
+        sys = PolynomialSystem(seq)
+        expansion = sys.derivative_core_expansion(n)
+        got = sys.derivative_in_basis(n)
+        nonzero = [(n - 1 - 2 * j, e) for j, e in enumerate(expansion) if e != 0]
+        assert [idx for idx, _ in got] == [idx for idx, _ in nonzero]
+        for (_, c), (idx, e) in zip(got, nonzero):
+            # exact reference: c^2 against e^2 norm2[idx] / norm2[n]
+            assert math.isfinite(c) and (c > 0) == (e > 0)
+            exact = e * e * sys.norm2[idx] / sys.norm2[n]
+            assert abs(float(F(c) ** 2 / exact - 1)) < 1e-15
