@@ -82,7 +82,10 @@ def integrate_adaptive(
         total = val if total is None else total + val
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
-    total_err = -sum(item[0] for item in heap)
+    # A running error total keeps each split O(log panels).  It drifts by
+    # rounding, so it is re-anchored on a fresh sum over the heap whenever it
+    # has halved since the last anchor, and only a fresh sum may end the loop.
+    total_err = anchor = _heap_error(heap)
     while total_err > tol and len(heap) < max_panels:
         neg_err, _, a, b, val = heapq.heappop(heap)
         if -neg_err <= 0.0:
@@ -94,9 +97,16 @@ def integrate_adaptive(
         total = total - val + v1 + v2
         heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
-        total_err = -sum(item[0] for item in heap)
+        total_err += neg_err + e1 + e2
+        if total_err <= tol or total_err <= 0.5 * anchor:
+            total_err = anchor = _heap_error(heap)
     result = total[0] if total.shape == (1,) else total
-    return result, total_err
+    return result, _heap_error(heap)
+
+
+def _heap_error(heap) -> float:
+    """Sum of the panel error estimates, recomputed from the heap."""
+    return -sum(item[0] for item in heap)
 
 
 def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10, max_panels: int = 4000):

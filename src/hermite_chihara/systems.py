@@ -31,7 +31,6 @@ from .governing import (
     common_denominator,
     gamma_squares,
     is_special_family,
-    recurrence_squares,
 )
 
 __all__ = [
@@ -210,7 +209,7 @@ class PolynomialSystem:
         self.n_max = n_max
         self.op: DerivationOperator = epsilons_from_sequence(seq, K=n_max + 1)
         self.brackets = bracket_table(seq)
-        self.b2 = recurrence_squares(seq)  # b2[i] = b_i^2
+        self.b2 = [seq.b0_squared * br for br in self.brackets[1:]]  # b2[i] = b_i^2 = b0^2 [i+1]
         self.g2 = gamma_squares(seq)  # g2[n] = gamma_n^2
         self.b_float = [math.sqrt(float(x)) for x in self.b2]
         self.gamma_float = [math.sqrt(float(x)) for x in self.g2]
@@ -398,13 +397,48 @@ class PolynomialSystem:
         c_over_x = float(c2_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
         return c_prev, c_over_x
 
+    def _ode_parameters(self, gamma, alpha) -> tuple[Fraction, Fraction]:
+        """(gamma, alpha) of the second-order equation: the system's weight
+        parameters unless overridden (a mismatched equation, for negative
+        controls); defined for special-family systems."""
+        default_g, default_a = self.weight_parameters()
+        g = default_g if gamma is None else Fraction(gamma)
+        a = default_a if alpha is None else Fraction(alpha)
+        return g, a
+
+    def ode_bracket(self, n: int, gamma=None, alpha=None) -> Poly:
+        """The second-order equation applied to the monic core, as an exact
+        polynomial:
+
+            x^2 P'' + (gamma x - 2 alpha x^3) P' + (2 alpha n x^2 - theta_n) P,
+
+        theta_n = gamma for odd n and 0 for even n.  It is the zero polynomial
+        for every n when (gamma, alpha) are the weight parameters of a special
+        family, so the equation holds for all x, not only on a grid.  (gamma,
+        alpha) default and override as in ode_residual.
+        """
+        self._check_n(n)
+        g, a = self._ode_parameters(gamma, alpha)
+        theta = g if n % 2 == 1 else Fraction(0)
+        p = self.monic[n]
+        dp = p.derivative()
+        return (
+            p.derivative(2).shift(2)
+            + dp.shift(1).scale(g)
+            - dp.shift(3).scale(2 * a)
+            + p.shift(2).scale(2 * a * n)
+            - p.scale(theta)
+        )
+
     def ode_residual(self, n: int, x, gamma=None, alpha=None) -> float:
         """Left side of the second-order equation
 
             x psi'' + (gamma - 2 alpha x^2) psi' + (2 alpha n x - theta_n/x) psi
 
-        at x != 0.  (gamma, alpha) default to the system's weight parameters;
-        overriding them probes a mismatched equation (negative controls).
+        at x != 0, which is ode_bracket(n)(x) / (x nu_n) reached by a second,
+        independent route.  (gamma, alpha) default to the system's weight
+        parameters; overriding them probes a mismatched equation (negative
+        controls).
 
         The bracket is exact: one Horner pass in integers gives p, p' and p''
         at x = u/w (a float grid value converts exactly, to a dyadic u/2^e),
@@ -418,9 +452,7 @@ class PolynomialSystem:
         self._check_n(n)
         if float(x) == 0.0:
             raise ValueError("the equation has a regular singular point at x = 0")
-        default_g, default_a = self.weight_parameters()
-        g = default_g if gamma is None else Fraction(gamma)
-        a = default_a if alpha is None else Fraction(alpha)
+        g, a = self._ode_parameters(gamma, alpha)
         theta = g if n % 2 == 1 else Fraction(0)
         u, w = Fraction(x).as_integer_ratio()
         core = self.monic[n]

@@ -176,6 +176,57 @@ class TestVerify:
         assert max(abs(float(v)) for r in rows for v in r.split(",")) < 1e-8
 
 
+class TestCheckStatus:
+    def test_skipped_checks_say_so(self, capsys):
+        # order2 is not compatible: validate fails, lowering and
+        # route_equivalence do not run; the exit code still counts them
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"
+        )
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["status"], c["passed"]) for c in checks] == [
+            ("validate", "fail", False),
+            ("lowering", "skipped", False),
+            ("route_equivalence", "skipped", False),
+            ("commutator", "pass", True),
+            ("spectrum", "pass", True),
+        ]
+        assert json.loads(err.splitlines()[-1])["failed"] == [
+            "validate", "lowering", "route_equivalence"
+        ]
+
+    def test_ode_is_an_exact_identity_to_n_max(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "family", "--v2", "5", "--n-max", "20", "--dim", "24"
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert {c["status"] for c in checks} == {"pass"}
+        ode = {c["name"]: c for c in checks}["ode"]
+        assert ode["detail"] == "exact polynomial identity for every n <= 20"
+
+    def test_nonzero_ode_bracket_fails_verify(self, capsys, monkeypatch):
+        from hermite_chihara.derivation import Poly
+        from hermite_chihara.systems import PolynomialSystem
+
+        bracket = PolynomialSystem.ode_bracket
+
+        def off_from_3(self, n, gamma=None, alpha=None):
+            p = bracket(self, n, gamma, alpha)
+            return p + Poly([F(1, 10**30)]) if n >= 3 else p
+
+        monkeypatch.setattr(PolynomialSystem, "ode_bracket", off_from_3)
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "classical", "--gamma", "1", "--n-max", "6", "--dim", "12"
+        )
+        assert code == 1
+        ode = {c["name"]: c for c in json.loads(out)["checks"]}["ode"]
+        assert (ode["status"], ode["passed"]) == ("fail", False)
+        assert ode["detail"].endswith("fails first at n = 3")
+        assert json.loads(err.splitlines()[-1])["failed"] == ["ode"]
+
+
 class TestUnconvergedQuadrature:
     """A Gram quadrature that stops short of its tolerance fails the
     orthonormality check, whatever the deviation it reached."""

@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction as F
 
@@ -23,7 +24,8 @@ from hermite_chihara import (
     spec_for_system,
 )
 from hermite_chihara.gammafn import gamma as lanczos_gamma
-from hermite_chihara.quadrature import integrate_adaptive, integrate_split_at_zero
+from hermite_chihara import quadrature
+from hermite_chihara.quadrature import _panel, integrate_adaptive, integrate_split_at_zero
 
 
 def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
@@ -190,7 +192,58 @@ class TestOrthonormality:
             assert xg[n - 1, n] == pytest.approx(sys.b_float[n - 1], abs=1e-8)
 
 
+def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000):
+    """integrate_adaptive with the error total re-summed over every panel
+    after each split: the reference for the running total.  Also returns the
+    panel count."""
+    heap, counter, total = [], 0, None
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        val, err = _panel(f, a, b)
+        total = val if total is None else total + val
+        heapq.heappush(heap, (-err, counter, a, b, val))
+        counter += 1
+    total_err = -sum(item[0] for item in heap)
+    while total_err > tol and len(heap) < max_panels:
+        neg_err, _, a, b, val = heapq.heappop(heap)
+        if -neg_err <= 0.0:
+            heapq.heappush(heap, (neg_err, counter, a, b, val))
+            break
+        mid = 0.5 * (a + b)
+        v1, e1 = _panel(f, a, mid)
+        v2, e2 = _panel(f, mid, b)
+        total = total - val + v1 + v2
+        heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
+        heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
+        total_err = -sum(item[0] for item in heap)
+    return (total[0] if total.shape == (1,) else total), total_err, len(heap)
+
+
 class TestQuadratureEngine:
+    @pytest.mark.parametrize("amplitude,tol", [(1e10, 1e-8), (1e12, 1e-8), (1e12, 1e-6)])
+    def test_running_error_total_matches_fresh_sums(self, amplitude, tol, monkeypatch):
+        # a spike of 1e12 over a unit background: a running total that is
+        # never re-summed drifts by more than tol and, at (1e12, 1e-8), splits
+        # on to max_panels where the fresh sums stop at 844 panels
+        def f(x):
+            return amplitude * np.exp(-(((x - 0.3) / 1e-3) ** 2)) + np.cos(x)
+
+        want, want_err, panels = integrate_fresh_sums(f, [-1.0, 0.0, 1.0], tol)
+        assert want_err <= tol and panels < 4000
+        calls = []
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: calls.append(a) or _panel(*a))
+        got, err = integrate_adaptive(f, [-1.0, 0.0, 1.0], tol=tol)
+        assert (got, err) == (want, want_err)  # same floats, bit for bit
+        assert len(calls) == 2 * panels - 2  # two initial panels, two per split
+
+    @pytest.mark.parametrize("tol,max_panels", [(1e-6, 4000), (1e-12, 4000), (1e-300, 600)])
+    def test_vector_integrand_matches_fresh_sums(self, tol, max_panels):
+        def f(x):
+            return np.stack([np.abs(x) ** 0.3 * np.exp(-x * x), np.cos(5 * x)], axis=1)
+
+        want, want_err, _ = integrate_fresh_sums(f, [-5.0, 0.0, 5.0], tol, max_panels)
+        got, err = integrate_adaptive(f, [-5.0, 0.0, 5.0], tol=tol, max_panels=max_panels)
+        assert got.tobytes() == want.tobytes() and err == want_err
+
     def test_polynomial_exactness(self):
         val, err = integrate_adaptive(lambda x: x**6, [0.0, 2.0], tol=1e-13)
         assert val == pytest.approx(2.0**7 / 7, rel=1e-13)

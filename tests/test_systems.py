@@ -463,6 +463,8 @@ class TestOde:
         sys = PolynomialSystem(seq_order2(3, 8))
         with pytest.raises(UnsupportedSystemError):
             sys.ode_residual(3, 1.0)
+        with pytest.raises(UnsupportedSystemError):
+            sys.ode_bracket(3)
 
     def test_perturbed_alpha_fails(self, classical1_sys):
         gamma, alpha = classical1_sys.weight_parameters()
@@ -472,6 +474,49 @@ class TestOde:
             for x in POINT_GRID
         )
         assert worst > 1e-3
+
+
+ODE_SEQUENCES = {
+    "classical_1": seq_classical(1, 64),
+    "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 64),
+    "hermite": seq_hermite(64),
+}
+
+
+@pytest.fixture(scope="module")
+def ode_systems():
+    return {name: PolynomialSystem(seq) for name, seq in ODE_SEQUENCES.items()}
+
+
+@pytest.mark.parametrize("name", list(ODE_SEQUENCES))
+class TestOdeBracket:
+    """The second-order equation as an exact polynomial identity."""
+
+    @staticmethod
+    def mismatches(sys):
+        gamma, alpha = sys.weight_parameters()
+        return {"alpha": float(alpha) * 1.05}, {"gamma": gamma + F(1, 3)}
+
+    def test_zero_polynomial_for_every_n(self, ode_systems, name):
+        sys = ode_systems[name]
+        assert [n for n in range(65) if not sys.ode_bracket(n).is_zero()] == []
+
+    def test_mismatched_parameters_leave_a_nonzero_bracket(self, ode_systems, name):
+        # n = 0 and 1 solve the equation for every (gamma, alpha)
+        sys = ode_systems[name]
+        for kw in self.mismatches(sys):
+            assert all(not sys.ode_bracket(n, **kw).is_zero() for n in range(2, 65))
+
+    def test_equals_ode_residual_on_the_cli_grid(self, ode_systems, name):
+        # two exact routes to one equation: the polynomial evaluated at x, and
+        # ode_residual's Horner pass; both round only in the normalization
+        sys = ode_systems[name]
+        for kw in ({}, *self.mismatches(sys)):
+            for n in range(0, 65, 3):  # both parities; theta_n is 0 for even n
+                bracket = sys.ode_bracket(n, **kw)
+                for x in POINT_GRID:
+                    got = _over_sqrt(bracket(F(x)) / F(x), sys.norm2[n])
+                    assert got.hex() == sys.ode_residual(n, x, **kw).hex()
 
 
 REFERENCE_SEQUENCES = {
