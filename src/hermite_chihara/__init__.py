@@ -10,10 +10,8 @@ from .governing import (
     GoverningSequence,
     ValidationReport,
     bracket_table,
-    gamma_coeffs,
     gamma_squares,
     is_special_family,
-    recurrence_coeffs,
     recurrence_squares,
     seq_classical,
     seq_family,
@@ -50,7 +48,6 @@ from .measure import (
     gram_deviation,
     jacobi_moment,
     moment_closed,
-    moments,
     normalization,
     orthonormality_check,
     spec_for_system,

@@ -35,6 +35,7 @@ from .systems import PolynomialSystem, UnsupportedSystemError
 log = logging.getLogger("hermite_chihara.cli")
 
 FAMILIES = ("hermite", "classical", "family", "order2", "order3", "custom-file")
+MARGIN = 4  # the operator checks cover the interior rows n < dim - MARGIN
 
 
 def _fmt_real(x: float) -> str:
@@ -187,7 +188,7 @@ def cmd_spectrum(args) -> int:
     seq = build_sequence(args, length)
     sys_ = PolynomialSystem(seq)
     ops = osc_mod.build_operators(sys_, dim=args.dim)
-    rep = osc_mod.spectrum_report(ops, sys_, interior_margin=4)
+    rep = osc_mod.spectrum_report(ops, sys_, interior_margin=MARGIN)
     lines = ["n,lambda_matrix,lambda_formula,deviation"]
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
@@ -238,12 +239,14 @@ def cmd_verify(args) -> int:
     seq = build_sequence(args, length)
     sys_ = PolynomialSystem(seq)
     n_max = args.n_max
+    gram_n = min(n_max, 12)
+    interior = args.dim - MARGIN
 
     if args.orthonormality:
         if not sys_.is_family:
             raise InputError("orthonormality verification requires a special-family system")
         spec = measure_mod.spec_for_system(sys_)
-        rep = measure_mod.orthonormality_check(sys_, spec, min(n_max, 12))
+        rep = measure_mod.orthonormality_check(sys_, spec, gram_n)
         lines = []
         for row in rep.deviation:
             lines.append(",".join(_fmt_real(v) for v in row))
@@ -284,13 +287,14 @@ def cmd_verify(args) -> int:
         record("route_equivalence", False, "skipped: sequence not compatible", "skipped")
 
     ops = osc_mod.build_operators(sys_, dim=args.dim)
-    crep = osc_mod.commutator_report(ops, sys_, interior_margin=4)
-    record("commutator", crep.max_deviation < 1e-10, f"max deviation {crep.max_deviation:.3e}")
-    srep = osc_mod.spectrum_report(ops, sys_, interior_margin=4)
+    crep = osc_mod.commutator_report(ops, sys_, interior_margin=MARGIN)
+    record("commutator", crep.max_deviation < 1e-10,
+           f"max deviation {crep.max_deviation:.3e} on rows n < {interior}")
+    srep = osc_mod.spectrum_report(ops, sys_, interior_margin=MARGIN)
     record(
         "spectrum",
         srep.max_deviation < 1e-10 and srep.off_diagonal < 1e-10,
-        f"max deviation {srep.max_deviation:.3e}",
+        f"max deviation {srep.max_deviation:.3e} on rows n < {interior}",
     )
 
     if sys_.is_family:
@@ -300,13 +304,14 @@ def cmd_verify(args) -> int:
         else:
             record("ode", False, f"exact polynomial identity fails first at n = {first_bad}")
         spec = measure_mod.spec_for_system(sys_)
-        orep = measure_mod.orthonormality_check(sys_, spec, min(n_max, 12))
-        detail = f"max deviation {orep.max_deviation:.3e}"
+        orep = measure_mod.orthonormality_check(sys_, spec, gram_n)
+        detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
         if not orep.converged:
             detail += f"; {_unconverged(orep)}"
         record("orthonormality", orep.max_deviation < 1e-8 and orep.converged, detail)
-        sq = osc_mod.square_lowering_report(ops, sys_, interior_margin=4)
-        record("square_lowering", sq < 1e-10, f"max deviation {sq:.3e}")
+        sq = osc_mod.square_lowering_report(ops, sys_, interior_margin=MARGIN)
+        record("square_lowering", sq < 1e-10,
+               f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}")
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
 
@@ -352,7 +357,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     # flags read by only some commands are registered on those alone
     def add_dim(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dim", type=int, default=40, help="truncated operator dimension")
+        p.add_argument("--dim", type=int, default=40,
+                       help=f"truncated operator dimension (>= {MARGIN + 1})")
 
     command("build", cmd_build)
     table = command("table", cmd_table)
@@ -381,6 +387,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     if args.n_max < 2:
         _sys.stderr.write("error: --n-max must be >= 2\n")
+        return 2
+    if getattr(args, "dim", MARGIN + 1) <= MARGIN:  # no interior row n < dim - MARGIN
+        _sys.stderr.write(f"error: --dim must be >= {MARGIN + 1}\n")
         return 2
     try:
         return args.func(args)

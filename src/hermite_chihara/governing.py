@@ -32,9 +32,7 @@ __all__ = [
     "seq_family",
     "bracket_table",
     "recurrence_squares",
-    "recurrence_coeffs",
     "gamma_squares",
-    "gamma_coeffs",
     "is_special_family",
 ]
 
@@ -259,12 +257,6 @@ def recurrence_squares(seq: GoverningSequence) -> list[Fraction]:
     return [seq.b0_squared * brackets[n] for n in range(1, len(seq))]
 
 
-def recurrence_coeffs(seq: GoverningSequence) -> list[float]:
-    """b_i = b0 sqrt([i+1]) as floats, i = 0..N-1 (the n = 1 entry is b0
-    itself since [1] = 1); the exact data lives in recurrence_squares."""
-    return [math.sqrt(float(x)) for x in recurrence_squares(seq)]
-
-
 def gamma_squares(seq: GoverningSequence) -> list[Fraction]:
     """Squared lowering factors, entry n = gamma_n^2 for n = 1..N (entry 0 is 0).
 
@@ -281,11 +273,6 @@ def gamma_squares(seq: GoverningSequence) -> list[Fraction]:
             raise RuntimeError(f"gamma_n^2 formulas disagree at n={n}: {direct} != {via_b}")
         out.append(direct)
     return out
-
-
-def gamma_coeffs(seq: GoverningSequence) -> list[float]:
-    """gamma_n = v_{n-1}/b_{n-1} as floats, entry n for n = 1..N (entry 0 is 0)."""
-    return [math.sqrt(float(x)) for x in gamma_squares(seq)]
 
 
 def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fraction] | None]:

@@ -20,7 +20,6 @@ __all__ = [
     "MeasureSpec",
     "normalization",
     "moment_closed",
-    "moments",
     "jacobi_moment",
     "spec_for_system",
     "OrthonormalityReport",
@@ -82,10 +81,6 @@ def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
     for j in range(n):
         acc *= s + j
     return acc / spec.alpha**n
-
-
-def moments(spec: MeasureSpec, k: int) -> float:
-    return float(moment_closed(spec, k))
 
 
 def jacobi_moment(b2: Sequence[Fraction], k: int) -> Fraction:

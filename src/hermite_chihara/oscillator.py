@@ -1,10 +1,17 @@
 """Ladder, position and number operators on the truncated basis psi_0..psi_{dim-1}.
 
-All matrices are dense real float64.  The momentum operator is kept as the real
-matrix of -iP (skew-symmetric), so the hamiltonian is assembled from ladder
-products and never touches complex arithmetic.  Identities are asserted only on
-interior indices (index < dim - margin): the creation operator maps the last
-basis vector out of the truncated space, polluting the trailing rows.
+Every operator is banded over the recurrence coefficients, so the float
+realization holds only the off-diagonal b_0..b_{dim-2}:
+
+    a-   psi_n = sqrt2 b_{n-1} psi_{n-1},   a+ = (a-)^T
+    X    psi_n = b_{n-1} psi_{n-1} + b_n psi_{n+1}
+    -iP  = sqrt2 a- - X     (real: upper band sqrt2 (sqrt2 b_n) - b_n, lower band -b_n)
+    H    = a- a+ + a+ a-    (diagonal: (sqrt2 b_n)^2 + (sqrt2 b_{n-1})^2)
+
+The creation operator maps the last basis vector out of the truncated space, so
+the commutator, the spectrum and the mixed form of H are checked only on the
+interior rows n < dim - margin.  Square lowering is checked as an exact
+identity on the monic cores.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import PolynomialSystem, UnsupportedSystemError
+from .systems import PolynomialSystem, UnsupportedSystemError, _over_sqrt
 
 __all__ = [
     "OperatorSet",
@@ -33,17 +40,7 @@ SQRT2 = math.sqrt(2.0)
 @dataclass(frozen=True)
 class OperatorSet:
     dim: int
-    X: np.ndarray          # position (symmetric tridiagonal, zero diagonal)
-    a_minus: np.ndarray    # annihilation: psi_n -> sqrt2 b_{n-1} psi_{n-1}
-    a_plus: np.ndarray     # creation = sqrt2 X - a_minus
-    p_skew: np.ndarray     # real matrix of -iP = sqrt2 a_minus - X
-    H: np.ndarray          # a_minus a_plus + a_plus a_minus
-    num: np.ndarray        # number operator diag(0..dim-1)
-    B: np.ndarray          # diag(b_{n-1}^2), b_{-1} = 0
-    B_shift: np.ndarray    # diag(b_n^2), i.e. B(N+I)
-    Theta: np.ndarray      # 2 B - N
-    Delta: np.ndarray      # 2 B / c1 - N with c1 = b0^2 (v2 - 1)
-    F: np.ndarray          # diagonal factor with a_minus = (lowering matrix) @ F
+    b: np.ndarray  # off-diagonal b_0..b_{dim-2}; every operator is a band of it
 
 
 def build_operators(sys: PolynomialSystem, dim: int = 40) -> OperatorSet:
@@ -53,42 +50,28 @@ def build_operators(sys: PolynomialSystem, dim: int = 40) -> OperatorSet:
         raise ValueError("dim must be >= 3")
     if sys.n_max < dim:
         raise ValueError(f"system built to n_max={sys.n_max}; need >= dim={dim}")
-    b = np.array(sys.b_float[:dim], dtype=float)  # b[i] = b_i
-    X = np.zeros((dim, dim))
-    for n in range(1, dim):
-        X[n - 1, n] = X[n, n - 1] = b[n - 1]
-    a_minus = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a_minus[n - 1, n] = SQRT2 * b[n - 1]
-    a_plus = SQRT2 * X - a_minus
-    p_skew = SQRT2 * a_minus - X
-    H = a_minus @ a_plus + a_plus @ a_minus
-    num = np.diag(np.arange(dim, dtype=float))
-    b2 = np.array([0.0] + [float(x) for x in sys.b2[: dim - 1]])
-    b2_shift = np.array([float(x) for x in sys.b2[:dim]])
-    B = np.diag(b2)
-    B_shift = np.diag(b2_shift)
-    Theta = 2.0 * B - num
-    c1 = float(sys.seq.b0_squared * (sys.values[2] - 1))
-    Delta = (2.0 / c1) * B - num
-    f = np.zeros(dim)
-    b0sq = float(sys.seq.b0_squared)
-    v = sys.values
-    for n in range(1, dim):
-        prev2 = float(v[n - 2]) if n >= 2 else 0.0
-        f[n] = SQRT2 * b0sq * (float(v[n]) - prev2) / float(v[1])
-    F = np.diag(f)
-    return OperatorSet(
-        dim=dim, X=X, a_minus=a_minus, a_plus=a_plus, p_skew=p_skew, H=H,
-        num=num, B=B, B_shift=B_shift, Theta=Theta, Delta=Delta, F=F,
-    )
+    return OperatorSet(dim=dim, b=np.array(sys.b_float[: dim - 1], dtype=float))
 
 
-def _interior(mat: np.ndarray, margin: int) -> np.ndarray:
-    k = mat.shape[0] - margin
-    if k < 1:
-        raise ValueError("margin leaves no interior rows")
-    return mat[:k, :k]
+def _interior_rows(ops: OperatorSet, margin: int) -> int:
+    """The count k of interior rows n < dim - margin."""
+    if not 1 <= margin < ops.dim:
+        raise ValueError(f"interior_margin must be in [1, {ops.dim - 1}] for dim {ops.dim}")
+    return ops.dim - margin
+
+
+def _ladder_diagonals(ops: OperatorSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of a- a+ and a+ a- on rows n < k: (sqrt2 b_n)^2 and
+    (sqrt2 b_{n-1})^2, with b_{-1} = 0."""
+    s = SQRT2 * ops.b[:k]
+    up = s * s
+    return up, np.concatenate(([0.0], up[:-1]))
+
+
+def _b2_diagonals(sys: PolynomialSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """B(N+I) and B(N) on rows n < k: b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
+    shift = np.array([float(x) for x in sys.b2[:k]])
+    return shift, np.concatenate(([0.0], shift[:-1]))
 
 
 @dataclass(frozen=True)
@@ -101,20 +84,20 @@ def commutator_report(
     ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
 ) -> CommutatorReport:
     """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; classical
-    systems (alpha = 1) are additionally compared with (gamma+1) I - 2 Theta."""
-    if interior_margin < 1:
-        raise ValueError("interior_margin must be >= 1")
-    comm = ops.a_minus @ ops.a_plus - ops.a_plus @ ops.a_minus
-    target = 2.0 * (ops.B_shift - ops.B)
-    dev = np.max(np.abs(_interior(comm - target, interior_margin)))
+    systems (alpha = 1) are additionally compared with (gamma+1) I - 2 Theta,
+    Theta = 2 B(N) - N.  Both sides are diagonal."""
+    k = _interior_rows(ops, interior_margin)
+    up, down = _ladder_diagonals(ops, k)
+    comm = up - down
+    b2_shift, b2 = _b2_diagonals(sys, k)
+    dev = float(np.max(np.abs(comm - 2.0 * (b2_shift - b2))))
     classical_dev = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
         if alpha == 1:
-            eye = np.eye(ops.dim)
-            target_cl = (float(gamma) + 1.0) * eye - 2.0 * ops.Theta
-            classical_dev = float(np.max(np.abs(_interior(comm - target_cl, interior_margin))))
-    return CommutatorReport(max_deviation=float(dev), classical_deviation=classical_dev)
+            theta = 2.0 * b2 - np.arange(k)
+            classical_dev = float(np.max(np.abs(comm - ((float(gamma) + 1.0) - 2.0 * theta))))
+    return CommutatorReport(max_deviation=dev, classical_deviation=classical_dev)
 
 
 @dataclass(frozen=True)
@@ -129,55 +112,62 @@ def spectrum_report(
     ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
 ) -> SpectrumReport:
     """H psi_n = lambda_n psi_n with lambda_n = 2(b_{n-1}^2 + b_n^2), checked on
-    interior indices; for family systems also against (2n + gamma + 1)/alpha."""
-    k = ops.dim - interior_margin
-    lam_matrix = np.diag(ops.H)[:k]
-    lam_formula = np.array(
-        [2.0 * (float(sys.b2[n - 1]) if n >= 1 else 0.0) + 2.0 * float(sys.b2[n]) for n in range(k)]
-    )
+    interior indices; for family systems also against (2n + gamma + 1)/alpha.
+    H is diagonal by its band structure, so off_diagonal is 0.0."""
+    k = _interior_rows(ops, interior_margin)
+    up, down = _ladder_diagonals(ops, k)
+    lam_matrix = up + down
+    b2_shift, b2 = _b2_diagonals(sys, k)
+    lam_formula = 2.0 * b2 + 2.0 * b2_shift
+    deviation = np.abs(lam_matrix - lam_formula)
     rows = [
-        (n, float(lam_matrix[n]), float(lam_formula[n]), float(abs(lam_matrix[n] - lam_formula[n])))
-        for n in range(k)
+        (n, float(lam_matrix[n]), float(lam_formula[n]), float(deviation[n])) for n in range(k)
     ]
-    max_dev = float(np.max(np.abs(lam_matrix - lam_formula)))
-    off = ops.H - np.diag(np.diag(ops.H))
-    off_dev = float(np.max(np.abs(_interior(off, interior_margin))))
     classical_dev = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
         lam_cl = np.array([(2.0 * n + float(gamma) + 1.0) / float(alpha) for n in range(k)])
         classical_dev = float(np.max(np.abs(lam_matrix - lam_cl)))
     return SpectrumReport(
-        rows=rows, max_deviation=max_dev, off_diagonal=off_dev, classical_deviation=classical_dev
+        rows=rows, max_deviation=float(np.max(deviation)), off_diagonal=0.0,
+        classical_deviation=classical_dev,
     )
-
-
-def derivative_matrix(sys: PolynomialSystem, dim: int) -> np.ndarray:
-    """Matrix of d/dx on the truncated basis, column n from the exact
-    expansion of psi_n' over psi_{n-1}, psi_{n-3}, ..."""
-    D = np.zeros((dim, dim))
-    for n in range(dim):
-        for idx, c in sys.derivative_in_basis(n):
-            D[idx, n] = c
-    return D
 
 
 def square_lowering_report(
     ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
 ) -> float:
-    """Max interior deviation of X d/dx - N = (a-)^2 / c1, c1 = b0^2 (v2 - 1).
-    Family systems only."""
+    """Deviation of X d/dx - N = (a-)^2 / c1, c1 = b0^2 (v2 - 1), on the
+    columns 2 <= n < dim - margin.  On the monic cores it reads
+
+        x P_n' - n P_n = (2 b_{n-1}^2 b_{n-2}^2 / c1) P_{n-2},
+
+    checked exactly: 0.0 when every column holds, else the largest residual
+    coefficient in units of psi_n.  Family systems only."""
     if not sys.is_family:
         raise UnsupportedSystemError("square-lowering identity holds for family systems")
-    c1 = float(sys.seq.b0_squared * (sys.values[2] - 1))
-    D = derivative_matrix(sys, ops.dim)
-    lhs = ops.X @ D - ops.num
-    rhs = (ops.a_minus @ ops.a_minus) / c1
-    return float(np.max(np.abs(_interior(lhs - rhs, interior_margin))))
+    k = _interior_rows(ops, interior_margin)
+    c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+    worst = 0.0
+    for n in range(2, k):
+        p = sys.monic[n]
+        lowered = sys.monic[n - 2].scale(2 * sys.b2[n - 1] * sys.b2[n - 2] / c1)
+        residual = p.derivative().shift(1) - p.scale(n) - lowered
+        worst = max(worst, _over_sqrt(residual.max_abs_coeff(), sys.norm2[n]))
+    return worst
 
 
 def hamiltonian_mixed_form_deviation(ops: OperatorSet, interior_margin: int = 4) -> float:
     """Max interior deviation of H = X^2 + P^2 realized over the reals as
-    H = X @ X - p_skew @ p_skew (P = i p_skew)."""
-    alt = ops.X @ ops.X - ops.p_skew @ ops.p_skew
-    return float(np.max(np.abs(_interior(ops.H - alt, interior_margin))))
+    H = X^2 - (-iP)^2.  Both squares are pentadiagonal: their first
+    off-diagonals vanish, and so does the lower second off-diagonal of the
+    difference (both give b_n b_{n+1} there), which leaves the diagonal and
+    the upper second off-diagonal."""
+    k = _interior_rows(ops, interior_margin)
+    b = ops.b[:k]
+    p = SQRT2 * (SQRT2 * b) - b  # upper band of -iP
+    pair = b * b + b * p  # what rows n and n+1 each take from the pair (n, n+1)
+    diag = pair + np.concatenate(([0.0], pair[:-1]))
+    up, down = _ladder_diagonals(ops, k)
+    second = (b[:-1] * b[1:] - p[:-1] * p[1:])[: k - 2]  # entries (n, n+2), n + 2 < k
+    return float(max(np.max(np.abs(up + down - diag)), np.max(np.abs(second), initial=0.0)))

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from hermite_chihara import (
     ConstructionError,
     GoverningSequence,
+    PolynomialSystem,
     bracket_table,
-    gamma_coeffs,
     gamma_squares,
     is_special_family,
-    recurrence_coeffs,
     recurrence_squares,
     seq_classical,
     seq_family,
@@ -217,12 +216,10 @@ class TestDerivedTables:
     def test_float_conveniences(self):
         import math
 
-        seq = seq_hermite(8)
-        b = recurrence_coeffs(seq)
-        assert b[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert b[3] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        g = gamma_coeffs(seq)
-        assert g[4] == pytest.approx(math.sqrt(8.0), rel=1e-15)
+        sys = PolynomialSystem(seq_hermite(8))
+        assert sys.b_float[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert sys.b_float[3] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert sys.gamma_float[4] == pytest.approx(math.sqrt(8.0), rel=1e-15)
 
     def test_gamma1_is_inverse_b0(self):
         for seq in (seq_hermite(6), seq_classical(5, 6), seq_family(2, 7, F(3), 6)):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from hermite_chihara import (
+    CommutatorReport,
     PolynomialSystem,
+    SpectrumReport,
     UnsupportedSystemError,
     build_operators,
     commutator_report,
@@ -17,14 +20,11 @@ from hermite_chihara import (
     spectrum_report,
     square_lowering_report,
 )
-from hermite_chihara.oscillator import derivative_matrix
+from hermite_chihara.cli import main
 
 DIM = 40
 MARGIN = 4
-
-
-def build(seq, dim=DIM):
-    return build_operators(PolynomialSystem(seq), dim=dim)
+SQRT2 = math.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -39,65 +39,143 @@ def classical2_ops():
     return sys, build_operators(sys, DIM)
 
 
+# -- a dense reference ---------------------------------------------------------
+
+
+def dense_operators(sys, dim):
+    """X, a-, a+ and the real matrix of -iP as dense dim x dim matrices, each
+    built from its definition on the basis: a- psi_n = sqrt2 b_{n-1} psi_{n-1},
+    X psi_n = b_{n-1} psi_{n-1} + b_n psi_{n+1}, a+ = sqrt2 X - a-, and
+    -iP = sqrt2 a- - X."""
+    X = np.zeros((dim, dim))
+    a_minus = np.zeros((dim, dim))
+    for n in range(1, dim):
+        X[n - 1, n] = X[n, n - 1] = sys.b_float[n - 1]
+        a_minus[n - 1, n] = SQRT2 * sys.b_float[n - 1]
+    return X, a_minus, SQRT2 * X - a_minus, SQRT2 * a_minus - X
+
+
+def dense_b(sys, dim):
+    """B(N) = diag(b_{n-1}^2) and B(N+I) = diag(b_n^2), b_{-1} = 0."""
+    b2 = [0.0] + [float(x) for x in sys.b2[:dim]]
+    return np.diag(b2[:dim]), np.diag(b2[1:])
+
+
+def dense_reports(sys, dim, margin):
+    """The commutator and spectrum reports and the mixed-form deviation by
+    dense matrix products on the interior block."""
+    X, a_minus, a_plus, p_skew = dense_operators(sys, dim)
+    B, B_shift = dense_b(sys, dim)
+    num = np.diag(np.arange(dim, dtype=float))
+    k = dim - margin
+
+    def interior_max(mat):
+        return float(np.max(np.abs(mat[:k, :k])))
+
+    comm = a_minus @ a_plus - a_plus @ a_minus
+    H = a_minus @ a_plus + a_plus @ a_minus
+    lam = np.diag(H)[:k]
+    lam_formula = 2.0 * np.diag(B)[:k] + 2.0 * np.diag(B_shift)[:k]
+    comm_classical = spec_classical = None
+    if sys.is_family:
+        gamma, alpha = sys.weight_parameters()
+        if alpha == 1:
+            target = (float(gamma) + 1.0) * np.eye(dim) - 2.0 * (2.0 * B - num)
+            comm_classical = interior_max(comm - target)
+        lam_cl = np.array([(2.0 * n + float(gamma) + 1.0) / float(alpha) for n in range(k)])
+        spec_classical = float(np.max(np.abs(lam - lam_cl)))
+    commutator = CommutatorReport(interior_max(comm - 2.0 * (B_shift - B)), comm_classical)
+    spectrum = SpectrumReport(
+        rows=[(n, float(lam[n]), float(lam_formula[n]), float(abs(lam[n] - lam_formula[n])))
+              for n in range(k)],
+        max_deviation=float(np.max(np.abs(lam - lam_formula))),
+        off_diagonal=interior_max(H - np.diag(np.diag(H))),
+        classical_deviation=spec_classical,
+    )
+    mixed = interior_max(H - (X @ X - p_skew @ p_skew))
+    return commutator, spectrum, mixed
+
+
+class TestDenseReference:
+    """The band reports equal the dense matrix products they replace."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return {
+            "classical gamma=1": PolynomialSystem(seq_classical(1, 400)),
+            "family (2/3, 5/3, 3/7)": PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 130)),
+            "order2 v1=3": PolynomialSystem(seq_order2(3, 64)),
+        }
+
+    @pytest.mark.parametrize(
+        "name, dim",
+        [("classical gamma=1", 400), ("classical gamma=1", 40),
+         ("family (2/3, 5/3, 3/7)", 130), ("order2 v1=3", 40)],
+    )
+    @pytest.mark.parametrize("margin", [1, MARGIN])
+    def test_band_equals_dense(self, systems, name, dim, margin):
+        sys = systems[name]
+        ops = build_operators(sys, dim)
+        commutator, spectrum, mixed = dense_reports(sys, dim, margin)
+        assert commutator_report(ops, sys, margin) == commutator
+        assert spectrum_report(ops, sys, margin) == spectrum
+        assert hamiltonian_mixed_form_deviation(ops, margin) == pytest.approx(mixed, abs=1e-10)
+
+
+# -- structure -------------------------------------------------------------------
+
+
 class TestStructure:
-    def test_x_symmetric_tridiagonal(self, hermite_ops):
-        _, ops = hermite_ops
-        assert np.array_equal(ops.X, ops.X.T)
-        assert np.all(np.diag(ops.X) == 0)
-        off = ops.X - np.diag(np.diag(ops.X, 1), 1) - np.diag(np.diag(ops.X, -1), -1)
-        assert np.all(off == 0)
-
-    def test_a_plus_is_transpose(self, classical2_ops):
-        _, ops = classical2_ops
-        assert np.allclose(ops.a_plus, ops.a_minus.T, atol=1e-15)
-
-    def test_diagonal_operators(self, classical2_ops):
-        _, ops = classical2_ops
-        for M in (ops.num, ops.B, ops.B_shift, ops.Theta, ops.Delta, ops.F):
-            assert np.all(M == np.diag(np.diag(M)))
-
     def test_annihilator_entries(self, classical2_ops):
+        # the band is b_0..b_{dim-2}; a- carries sqrt2 b_{n-1} into psi_{n-1}
         sys, ops = classical2_ops
-        for n in range(1, DIM):
-            assert ops.a_minus[n - 1, n] == pytest.approx(math.sqrt(2) * sys.b_float[n - 1], rel=1e-15)
+        assert ops.b.shape == (DIM - 1,)
+        assert list(ops.b) == sys.b_float[: DIM - 1]
 
     def test_b_diagonal_starts_at_zero(self, classical2_ops):
+        # B(N) = diag(b_{n-1}^2) with b_{-1} = 0: the level formula of row 0
+        # has only b_0^2 in it
         sys, ops = classical2_ops
-        assert ops.B[0, 0] == 0.0
-        assert ops.B[1, 1] == pytest.approx(float(sys.b2[0]))
+        rows = spectrum_report(ops, sys, MARGIN).rows
+        assert rows[0][2] == 2.0 * float(sys.b2[0])
+        assert rows[1][2] == 2.0 * float(sys.b2[0]) + 2.0 * float(sys.b2[1])
 
     def test_f_diagonal(self, classical2_ops):
-        # f_0 = 0, f_1 = sqrt2 b0^2, f_n = sqrt2 b0^2 (v_n - v_{n-2})/v_1
+        # the band entry sqrt2 b_{n-1} of a- is gamma_n f_n, with f_1 = sqrt2 b0^2
+        # and f_n = sqrt2 b0^2 (v_n - v_{n-2}) / v_1
         sys, ops = classical2_ops
-        b0sq = float(sys.seq.b0_squared)
-        v = sys.values
-        assert ops.F[0, 0] == 0.0
-        assert ops.F[1, 1] == pytest.approx(math.sqrt(2) * b0sq, rel=1e-15)
+        v, b0sq = sys.seq.value, float(sys.seq.b0_squared)
+        assert ops.b[0] / sys.gamma_float[1] == pytest.approx(b0sq, rel=1e-15)
         for n in range(2, DIM):
-            expect = math.sqrt(2) * b0sq * float((v[n] - v[n - 2]) / v[1])
-            assert ops.F[n, n] == pytest.approx(expect, rel=1e-14)
+            f = SQRT2 * b0sq * float((v(n) - v(n - 2)) / v(1))
+            assert SQRT2 * ops.b[n - 1] == pytest.approx(sys.gamma_float[n] * f, rel=1e-14)
 
-    def test_a_minus_factors_through_f(self, classical2_ops):
-        # a- = (lowering matrix with gamma_n) @ f(N)
-        sys, ops = classical2_ops
-        G = np.zeros((DIM, DIM))
-        for n in range(1, DIM):
-            G[n - 1, n] = sys.gamma_float[n]
-        assert np.allclose(G @ ops.F, ops.a_minus, atol=1e-13)
+    def test_a_minus_factors_through_f(self):
+        # a- = (gamma-lowering) f(N): gamma_n^2 f_n^2 = 2 b_{n-1}^2, exactly, with
+        # f_n = sqrt2 b0^2 (v_n - v_{n-2}) / v_1 and v_{-1} = 0
+        for seq in (seq_classical(2, 64), seq_hermite(64),
+                    seq_family(F(2, 3), F(5, 3), F(3, 7), 64), seq_order2(3, 64)):
+            sys = PolynomialSystem(seq)
+            v, b0sq = seq.value, seq.b0_squared
+            for n in range(1, 65):
+                f_squared = 2 * b0sq**2 * (v(n) - v(n - 2)) ** 2 / v(1) ** 2
+                assert sys.g2[n] * f_squared == 2 * sys.b2[n - 1], (seq, n)
 
-    def test_theta_classical_pattern(self, classical2_ops):
-        _, ops = classical2_ops
-        diag = np.diag(ops.Theta)[: DIM - MARGIN]
-        expect = np.array([2.0 if n % 2 == 1 else 0.0 for n in range(DIM - MARGIN)])
-        assert np.max(np.abs(diag - expect)) < 1e-12
+    def test_theta_classical_pattern(self):
+        # Theta = 2 B(N) - N is 0 on even n and gamma = 2 on odd n
+        sys = PolynomialSystem(seq_classical(2, 64))
+        for n in range(0, 65):
+            theta = 2 * (sys.b2[n - 1] if n >= 1 else 0) - n
+            assert theta == (2 if n % 2 == 1 else 0), n
 
     def test_delta_family_pattern(self):
+        # Delta = 2 B(N) / c1 - N is 0 on even n and gamma~ on odd n
         sys = PolynomialSystem(seq_family(4, 5, F(1), 64))
-        ops = build_operators(sys, DIM)
-        gamma_tilde = float(sys.weight_parameters()[0])
-        diag = np.diag(ops.Delta)[: DIM - MARGIN]
-        expect = np.array([gamma_tilde if n % 2 == 1 else 0.0 for n in range(DIM - MARGIN)])
-        assert np.max(np.abs(diag - expect)) < 1e-12
+        gamma_tilde = sys.weight_parameters()[0]
+        c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+        for n in range(0, 65):
+            delta = 2 * (sys.b2[n - 1] if n >= 1 else 0) / c1 - n
+            assert delta == (gamma_tilde if n % 2 == 1 else 0), n
 
     def test_dim_guards(self):
         sys = PolynomialSystem(seq_hermite(10))
@@ -107,28 +185,59 @@ class TestStructure:
             build_operators(sys, 20)
 
 
+class TestMarginGuard:
+    """Every report needs 1 <= interior_margin < dim; the CLI needs --dim >= 5."""
+
+    REPORTS = {
+        "commutator": lambda ops, sys, m: commutator_report(ops, sys, m),
+        "spectrum": lambda ops, sys, m: spectrum_report(ops, sys, m),
+        "square_lowering": lambda ops, sys, m: square_lowering_report(ops, sys, m),
+        "mixed_form": lambda ops, sys, m: hamiltonian_mixed_form_deviation(ops, m),
+    }
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    @pytest.mark.parametrize("margin", [-1, 0, 10, 11])
+    def test_report_rejects_margin(self, report, margin):
+        sys = PolynomialSystem(seq_hermite(10))
+        with pytest.raises(ValueError, match="interior_margin"):
+            self.REPORTS[report](build_operators(sys, 10), sys, margin)
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    def test_report_accepts_largest_margin(self, report):
+        sys = PolynomialSystem(seq_hermite(10))
+        assert self.REPORTS[report](build_operators(sys, 10), sys, 9) is not None
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("dim", ["3", "4"])
+    def test_cli_rejects_small_dim(self, capsys, command, dim):
+        code = main([command, "--family", "hermite", "--dim", dim])
+        assert code == 2
+        assert "--dim" in capsys.readouterr().err
+
+
 class TestCommutator:
     def test_hermite_canonical(self, hermite_ops):
         sys, ops = hermite_ops
         rep = commutator_report(ops, sys, interior_margin=MARGIN)
         assert rep.max_deviation < 1e-12
-        comm = ops.a_minus @ ops.a_plus - ops.a_plus @ ops.a_minus
         # 2(b_n^2 - b_{n-1}^2) = 1: the canonical [a, a+] = 1 pattern
-        assert np.max(np.abs(np.diag(comm)[: DIM - MARGIN] - 1.0)) < 1e-12
+        for n in range(64):
+            assert 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0)) == 1, n
 
     def test_classical_gamma2_pattern(self, classical2_ops):
         sys, ops = classical2_ops
         rep = commutator_report(ops, sys, interior_margin=MARGIN)
         assert rep.max_deviation < 1e-12
         assert rep.classical_deviation is not None and rep.classical_deviation < 1e-12
-        comm = ops.a_minus @ ops.a_plus - ops.a_plus @ ops.a_minus
-        diag = np.diag(comm)[: DIM - MARGIN]
-        expect = np.array([3.0 if n % 2 == 0 else -1.0 for n in range(DIM - MARGIN)])
-        assert np.max(np.abs(diag - expect)) < 1e-12
+        for n in range(64):
+            comm = 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0))
+            assert comm == (3 if n % 2 == 0 else -1), n
 
     def test_off_diagonal_interior_zero(self, classical2_ops):
-        sys, ops = classical2_ops
-        comm = ops.a_minus @ ops.a_plus - ops.a_plus @ ops.a_minus
+        # [a-, a+] is diagonal, which is what lets the reports read its band
+        sys, _ = classical2_ops
+        _, a_minus, a_plus, _ = dense_operators(sys, DIM)
+        comm = a_minus @ a_plus - a_plus @ a_minus
         k = DIM - MARGIN
         off = comm[:k, :k] - np.diag(np.diag(comm)[:k])
         assert np.max(np.abs(off)) < 1e-12
@@ -158,7 +267,8 @@ class TestSpectrum:
 
     def test_lambda0_is_2b0sq(self, classical2_ops):
         sys, ops = classical2_ops
-        assert ops.H[0, 0] == pytest.approx(2 * float(sys.seq.b0_squared), rel=1e-14)
+        lam0 = spectrum_report(ops, sys, MARGIN).rows[0][1]
+        assert lam0 == pytest.approx(2 * float(sys.seq.b0_squared), rel=1e-14)
 
     def test_family_two_routes(self):
         sys = PolynomialSystem(seq_family(4, 5, F(1), 64))
@@ -171,7 +281,7 @@ class TestSpectrum:
         for n in range(1, DIM - MARGIN):
             vm2 = v(n - 2) if n >= 2 else F(0)
             expect = float(2 * b0sq / v(1) * (v(n) * v(n + 1) - v(n - 1) * vm2))
-            assert ops.H[n, n] == pytest.approx(expect, rel=1e-12)
+            assert rep.rows[n][1] == pytest.approx(expect, rel=1e-12)
 
 
 class TestSquareLowering:
@@ -181,24 +291,26 @@ class TestSquareLowering:
             c1 = sys.seq.b0_squared * (sys.values[2] - 1)
             assert c1 == 1
             ops = build_operators(sys, DIM)
-            assert square_lowering_report(ops, sys, interior_margin=MARGIN) < 1e-10
+            assert square_lowering_report(ops, sys, interior_margin=MARGIN) == 0.0
 
     def test_family_v2_2(self):
         sys = PolynomialSystem(seq_family(1, 2, F(1), 64))
         ops = build_operators(sys, DIM)
-        assert square_lowering_report(ops, sys, interior_margin=MARGIN) < 1e-10
+        assert square_lowering_report(ops, sys, interior_margin=MARGIN) == 0.0
 
     def test_hermite_structure(self):
-        # X d/dx psi_n - n psi_n = 2 b_{n-1} b_{n-2} psi_{n-2} (c1 = 1)
+        # X d/dx psi_n - n psi_n = 2 b_{n-1} b_{n-2} psi_{n-2} (c1 = 1), here by
+        # the float expansion of psi_n' over the basis and X's two bands: the
+        # psi_{n-2} component of X psi_n' takes b_{n-3} from psi_{n-3} and
+        # b_{n-2} from psi_{n-1}
         sys = PolynomialSystem(seq_hermite(64))
         assert sys.seq.b0_squared * (sys.values[2] - 1) == 1
-        ops = build_operators(sys, DIM)
-        lhs = ops.X @ derivative_matrix(sys, DIM) - ops.num
-        k = DIM - MARGIN
-        for n in range(2, k):
-            assert lhs[n - 2, n] == pytest.approx(
-                2 * sys.b_float[n - 1] * sys.b_float[n - 2], rel=1e-12
-            )
+        b = sys.b_float
+        for n in range(2, DIM - MARGIN):
+            d = dict(sys.derivative_in_basis(n))
+            component = b[n - 2] * d[n - 1] + (b[n - 3] * d.get(n - 3, 0.0) if n >= 3 else 0.0)
+            assert component == pytest.approx(2 * b[n - 1] * b[n - 2], rel=1e-12)
+        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) == 0.0
 
     def test_non_family_rejected(self):
         sys = PolynomialSystem(seq_order2(3, 50))
@@ -207,14 +319,52 @@ class TestSquareLowering:
             square_lowering_report(ops, sys)
 
 
+def perturb_core(sys, n=20, factor=1 + F(1, 10**9)):
+    """Scale the monic core P_n of a built system by factor, in place."""
+    sys.monic[n] = sys.monic[n].scale(factor)
+
+
+class TestPerturbedCore:
+    """A monic core off by a relative 1e-9 breaks square lowering at n and n + 2."""
+
+    def test_report_exceeds_bound(self):
+        sys = PolynomialSystem(seq_classical(1, 64))
+        perturb_core(sys)
+        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) > 1e-10
+
+    def test_core_beyond_range_is_not_checked(self):
+        # the columns stop below dim - margin = 36
+        sys = PolynomialSystem(seq_classical(1, 64))
+        perturb_core(sys, n=38)
+        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) == 0.0
+
+    def test_verify_fails_square_lowering_only(self, capsys, monkeypatch):
+        # n_max = 12 keeps core 20 out of every other check
+        init = PolynomialSystem.__init__
+
+        def perturbed_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            perturb_core(self)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", perturbed_init)
+        code = main(["verify", "--family", "classical", "--gamma", "1",
+                     "--n-max", "12", "--dim", str(DIM)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["square_lowering"]}
+        square = {c["name"]: c for c in json.loads(captured.out)["checks"]}["square_lowering"]
+        assert (square["status"], square["passed"]) == ("fail", False)
+
+
 class TestHamiltonian:
     def test_ladder_products(self, classical2_ops):
-        sys, ops = classical2_ops
+        # a+ a- = 2 B(N) and a- a+ = 2 B(N+I)
+        sys, _ = classical2_ops
+        _, a_minus, a_plus, _ = dense_operators(sys, DIM)
+        B, B_shift = dense_b(sys, DIM)
         k = DIM - MARGIN
-        two_b = 2.0 * ops.B
-        two_b_shift = 2.0 * ops.B_shift
-        assert np.max(np.abs((ops.a_plus @ ops.a_minus - two_b)[:k, :k])) < 1e-10
-        assert np.max(np.abs((ops.a_minus @ ops.a_plus - two_b_shift)[:k, :k])) < 1e-10
+        assert np.max(np.abs((a_plus @ a_minus - 2.0 * B)[:k, :k])) < 1e-10
+        assert np.max(np.abs((a_minus @ a_plus - 2.0 * B_shift)[:k, :k])) < 1e-10
 
     def test_h_diagonal_interior(self, classical2_ops):
         sys, ops = classical2_ops
@@ -223,9 +373,10 @@ class TestHamiltonian:
 
     def test_position_momentum_form(self, classical2_ops):
         # H = X^2 + P^2 over the reals: H = X@X - p_skew@p_skew
-        _, ops = classical2_ops
+        sys, ops = classical2_ops
         assert hamiltonian_mixed_form_deviation(ops, interior_margin=MARGIN) < 1e-10
-        assert np.allclose(ops.p_skew, -ops.p_skew.T, atol=1e-15)
+        p_skew = dense_operators(sys, DIM)[3]
+        assert np.allclose(p_skew, -p_skew.T, atol=1e-15)
 
     def test_doubling_dim_keeps_noise_scale(self):
         sys = PolynomialSystem(seq_classical(1, 100))
