@@ -34,7 +34,15 @@ from .systems import PolynomialSystem, UnsupportedSystemError
 
 log = logging.getLogger("hermite_chihara.cli")
 
-FAMILIES = ("hermite", "classical", "family", "order2", "order3", "custom-file")
+# the family flags (by argparse dest) each family reads; it rejects the others
+FAMILY_FLAGS = {
+    "hermite": ("b0_squared",),
+    "classical": ("gamma", "alpha"),
+    "family": ("v1", "v2", "b0_squared"),
+    "order2": ("v1", "b0_squared"),
+    "order3": ("v1", "v2", "b0_squared"),
+    "custom-file": ("seed_file",),
+}
 MARGIN = 4  # the operator checks cover the interior rows n < dim - MARGIN
 
 
@@ -55,12 +63,18 @@ class InputError(Exception):
 
 def build_sequence(args, length: int) -> GoverningSequence:
     fam = args.family
+    for dest in ("gamma", "alpha", "v1", "v2", "b0_squared", "seed_file"):
+        if getattr(args, dest) is not None and dest not in FAMILY_FLAGS[fam]:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"--family {fam} does not read {flag}")
     if fam == "hermite":
         b0sq = args.b0_squared if args.b0_squared is not None else Fraction(1, 2)
         return seq_hermite(length, b0_squared=b0sq)
     if fam == "classical":
         if args.gamma is None:
             raise InputError("--family classical requires --gamma")
+        if args.alpha is not None and args.alpha <= 0:
+            raise InputError(f"--alpha must be positive, got {args.alpha}")
         seq = seq_classical(args.gamma, length)
         if args.alpha is not None and args.alpha != 1:
             # alpha rescales the weight; the sequence is unchanged, b0 is not
@@ -342,7 +356,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def command(name: str, fn) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
-        p.add_argument("--family", choices=FAMILIES, default="hermite")
+        p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="hermite")
         p.add_argument("--gamma", type=_rational, default=None, help="weight exponent (rational)")
         p.add_argument("--alpha", type=_rational, default=None, help="Gaussian rate (rational)")
         p.add_argument("--v1", type=_rational, default=None)

@@ -102,14 +102,6 @@ class Poly:
             [a * perm(k, order) for k, a in enumerate(self.nums)][order:], self.den
         )
 
-    def homogeneous(self, w: int) -> list[int]:
-        """Integers c_k = nums[k] w^(deg-k), so that p(u/w) = sum_k c_k u^k / (den w^deg)."""
-        out, pw = [], 1
-        for a in reversed(self.nums):
-            out.append(a * pw)
-            pw *= w
-        return out[::-1]
-
     def __call__(self, x):
         """Horner evaluation; exact (in integers) for Fraction x, float otherwise."""
         if not isinstance(x, Fraction):
@@ -119,10 +111,12 @@ class Poly:
             return acc
         if self.is_zero():
             return Fraction(0)
+        # p(u/w) den w^deg = sum_k nums[k] u^k w^(deg-k)
         u, w = x.numerator, x.denominator
-        acc = 0
-        for c in reversed(self.homogeneous(w)):
-            acc = acc * u + c
+        acc, pw = 0, 1
+        for a in reversed(self.nums):
+            acc = acc * u + a * pw
+            pw *= w
         return Fraction(acc, self.den * w**self.degree)
 
     def max_abs_coeff(self) -> Fraction:
@@ -242,12 +236,12 @@ class DerivationOperator:
 
 
 def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> DerivationOperator:
-    """eps_1..eps_K by the binomial inverse transform (K defaults to N+1, the
-    most the stored prefix supports)."""
+    """eps_1..eps_K by the binomial inverse transform, for 1 <= K <= N+1 (K
+    defaults to N+1, the most the stored prefix supports)."""
     if K is None:
         K = len(seq)
-    if K > len(seq):
-        raise ValueError(f"K={K} exceeds stored sequence length {len(seq)}")
+    if not 1 <= K <= len(seq):
+        raise ValueError(f"K={K} must be in [1, {len(seq)}], the stored sequence length")
     # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
     # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k
     nums, den = common_denominator(seq.values[:K])

@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammafn import gamma as gamma_fn
 from .governing import as_fraction
 from .quadrature import integrate_split_at_zero
 from .systems import PolynomialSystem
@@ -62,7 +61,7 @@ def normalization(gamma: float, alpha: float) -> float:
         raise ValueError("gamma must be > -1")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return alpha ** ((gamma + 1.0) / 2.0) / gamma_fn((gamma + 1.0) / 2.0)
+    return alpha ** ((gamma + 1.0) / 2.0) / math.gamma((gamma + 1.0) / 2.0)
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
@@ -160,23 +159,18 @@ def gram_deviation(
 
 
 def orthonormality_check(
-    sys: PolynomialSystem,
-    spec: MeasureSpec,
-    n_max: int,
-    require_match: bool = True,
-    tol: float = 1e-11,
+    sys: PolynomialSystem, spec: MeasureSpec, n_max: int
 ) -> OrthonormalityReport:
-    """Gram deviation report; by default the measure parameters must match the
-    system's weight parameters exactly (pass require_match=False to probe a
-    deliberately mismatched weight, e.g. as a negative control)."""
-    if require_match:
-        gamma, alpha = sys.weight_parameters()
-        if (gamma, alpha) != (spec.gamma, spec.alpha):
-            raise ValueError(
-                f"measure ({spec.gamma}, {spec.alpha}) does not match the system's "
-                f"weight parameters ({gamma}, {alpha})"
-            )
-    return gram_deviation(sys, spec, n_max, tol=tol)
+    """Gram deviation report against the system's own weight: the measure
+    parameters must match its weight parameters exactly (gram_deviation takes
+    any measure, e.g. a deliberately mismatched one as a negative control)."""
+    gamma, alpha = sys.weight_parameters()
+    if (gamma, alpha) != (spec.gamma, spec.alpha):
+        raise ValueError(
+            f"measure ({spec.gamma}, {spec.alpha}) does not match the system's "
+            f"weight parameters ({gamma}, {alpha})"
+        )
+    return gram_deviation(sys, spec, n_max)
 
 
 @dataclass(frozen=True)

@@ -416,59 +416,44 @@ class PolynomialSystem:
         for every n when (gamma, alpha) are the weight parameters of a special
         family, so the equation holds for all x, not only on a grid.  (gamma,
         alpha) default and override as in ode_residual.
+
+        Built in one pass from the two-term relation for its coefficients,
+
+            [x^k] = (k(k-1) + gamma k - theta_n) c_k + 2 alpha (n - k + 2) c_{k-2},
+
+        c_k those of P_n, in integers over den(P_n) times the common
+        denominator of (gamma, alpha, theta_n).  Only k <= n can be nonzero:
+        c_{n-1} = 0 by parity, and n - k + 2 = 0 at k = n + 2.
         """
         self._check_n(n)
         g, a = self._ode_parameters(gamma, alpha)
         theta = g if n % 2 == 1 else Fraction(0)
-        p = self.monic[n]
-        dp = p.derivative()
-        return (
-            p.derivative(2).shift(2)
-            + dp.shift(1).scale(g)
-            - dp.shift(3).scale(2 * a)
-            + p.shift(2).scale(2 * a * n)
-            - p.scale(theta)
-        )
+        (gi, ai, ti), G = common_denominator((g, a, theta))
+        core = self.monic[n]
+        out = [
+            (k * (k - 1) * G + gi * k - ti) * c + 2 * ai * (n - k + 2) * c2
+            for k, (c, c2) in enumerate(zip(core.nums, (0, 0, *core.nums)))
+        ]
+        return Poly.from_numerators(out, core.den * G)
 
     def ode_residual(self, n: int, x, gamma=None, alpha=None) -> float:
         """Left side of the second-order equation
 
             x psi'' + (gamma - 2 alpha x^2) psi' + (2 alpha n x - theta_n/x) psi
 
-        at x != 0, which is ode_bracket(n)(x) / (x nu_n) reached by a second,
-        independent route.  (gamma, alpha) default to the system's weight
-        parameters; overriding them probes a mismatched equation (negative
-        controls).
-
-        The bracket is exact: one Horner pass in integers gives p, p' and p''
-        at x = u/w (a float grid value converts exactly, to a dyadic u/2^e),
-        and the bracket is assembled over the common denominator
-        u den w^(d+1) G, with G clearing the denominators of gamma and alpha.
-        So the residual is free of the catastrophic cancellation a naive float
-        evaluation suffers at large |x| and n; only the 1/nu_n normalization is
-        applied in floating point, without converting nu_n^2 itself (it passes
-        the float range near n = 200).
+        at x != 0, which is ode_bracket(n)(x) / (x nu_n).  The bracket is
+        evaluated exactly (a float x converts exactly) and only the 1/nu_n
+        normalization rounds, without converting nu_n^2 itself (it passes the
+        float range near n = 200).  So a family system reads exactly 0, and a
+        mismatched equation is free of the cancellation a naive float
+        evaluation suffers at large |x| and n.  (gamma, alpha) default to the
+        system's weight parameters; overriding them probes a mismatched
+        equation (negative controls).
         """
-        self._check_n(n)
         if float(x) == 0.0:
             raise ValueError("the equation has a regular singular point at x = 0")
-        g, a = self._ode_parameters(gamma, alpha)
-        theta = g if n % 2 == 1 else Fraction(0)
-        u, w = Fraction(x).as_integer_ratio()
-        core = self.monic[n]
-        # p = P(x) den w^d, dp = P'(x) den w^(d-1), half_ddp = P''(x)/2 den w^(d-2)
-        p = dp = half_ddp = 0
-        for c in reversed(core.homogeneous(w)):
-            half_ddp = half_ddp * u + dp
-            dp = dp * u + p
-            p = p * u + c
-        (gi, ai, ti), G = common_denominator((g, a, theta))
-        uu, ww = u * u, w * w
-        num = u * (2 * u * ww * G * half_ddp + (gi * ww - 2 * ai * uu) * dp) + (
-            2 * ai * n * uu - ti * ww
-        ) * p
-        bracket = Fraction(num, u * core.den * w ** (core.degree + 1) * G)
-        return _over_sqrt(bracket, self.norm2[n])
+        X = Fraction(x)
+        return _over_sqrt(self.ode_bracket(n, gamma, alpha)(X) / X, self.norm2[n])
 
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.n_max:

@@ -10,6 +10,8 @@ operation re-normalized.  The tests compare the kernel against them.
 - ``lowering_residual``, ``decompose_b1bar``, ``derivative_core_expansion``,
   ``derivative_decomposition_c2``: the eliminations on FractionPoly;
 - ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
+- ``ode_bracket_composed``: the bracket polynomial composed from derivative,
+  shift, scale and sum;
 - ``validate``: the compatibility identity and monotonicity on Fractions;
 - ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n])).
 """
@@ -147,6 +149,21 @@ def ode_bracket(core: FractionPoly, n: int, x, gamma, alpha) -> Fraction:
     theta = g if n % 2 == 1 else Fraction(0)
     p, dp, ddp = core(xq), core.derivative()(xq), core.derivative(2)(xq)
     return xq * ddp + (g - 2 * a * xq * xq) * dp + (2 * a * n * xq - theta / xq) * p
+
+
+def ode_bracket_composed(p, n: int, gamma, alpha):
+    """x^2 P'' + (gamma x - 2 alpha x^3) P' + (2 alpha n x^2 - theta_n) P as a
+    polynomial of p's own type (the package's Poly or FractionPoly)."""
+    g, a = Fraction(gamma), Fraction(alpha)
+    theta = g if n % 2 == 1 else Fraction(0)
+    dp = p.derivative()
+    return (
+        p.derivative(2).shift(2)
+        + dp.shift(1).scale(g)
+        - dp.shift(3).scale(2 * a)
+        + p.shift(2).scale(2 * a * n)
+        - p.scale(theta)
+    )
 
 
 def validate(seq) -> ValidationReport:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hermite_chihara
-from hermite_chihara.cli import main
+from hermite_chihara.cli import build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence
 
 
@@ -313,6 +314,77 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", "--family", "order2", "--v1", "3/2", "--n-max", "12")
         assert code == 2
         assert "nondecreasing" in err
+
+
+class TestEpsilonHorizon:
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_horizon_below_one_is_an_input_error(self, capsys, K):
+        code, out, err = run_cli(capsys, "epsilons", "--family", "hermite", "-K", K)
+        assert code == 2 and out == ""
+        assert f"K={K} must be in [1, " in err
+
+
+def bench_workload():
+    """bench/workload.py, the module that defines the benchmark's jobs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("bench_workload", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# the family flags each family reads, the flags each one needs, and one value
+# for every family flag
+FAMILY_READS = {
+    "hermite": {"--b0-squared"},
+    "classical": {"--gamma", "--alpha"},
+    "family": {"--v1", "--v2", "--b0-squared"},
+    "order2": {"--v1", "--b0-squared"},
+    "order3": {"--v1", "--v2", "--b0-squared"},
+    "custom-file": {"--seed-file"},
+}
+FAMILY_NEEDS = {
+    "hermite": (),
+    "classical": ("--gamma", "1"),
+    "family": ("--v2", "5"),
+    "order2": ("--v1", "3"),
+    "order3": ("--v1", "2", "--v2", "3"),
+    "custom-file": ("--seed-file", "seed.json"),
+}
+FLAG_VALUE = {"--gamma": "1", "--alpha": "2", "--v1": "3", "--v2": "5", "--b0-squared": "5",
+              "--seed-file": "seed.json"}
+
+
+class TestFamilyFlags:
+    """A family accepts only the family flags it reads."""
+
+    @pytest.mark.parametrize("family,flag", [
+        (family, flag) for family, reads in FAMILY_READS.items() for flag in FLAG_VALUE
+        if flag not in reads
+    ])
+    def test_unread_flag_is_an_input_error(self, capsys, family, flag):
+        code, out, err = run_cli(
+            capsys, "build", "--family", family, *FAMILY_NEEDS[family], flag, FLAG_VALUE[flag]
+        )
+        assert code == 2 and out == ""
+        assert f"--family {family} does not read {flag}" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "-2"])
+    def test_non_positive_alpha_is_an_input_error(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, "build", "--family", "classical", "--gamma", "1", f"--alpha={alpha}"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --alpha must be positive, got {alpha}\n"
+
+    def test_every_flag_set_of_the_benchmark_is_accepted(self):
+        wl = bench_workload()
+        jobs = [job for w in wl.WORKLOADS for seed in (1, 2, 3) for job in wl.job_list(w, seed, 1)]
+        jobs = [job for job in [*jobs, *wl.WARMUP.values()] if job.family is not None]
+        assert {job.family.name for job in jobs} == set(FAMILY_READS) - {"custom-file"}
+        for job in jobs:
+            build_sequence(make_parser().parse_args(job.argv()), max(job.size, 3))
 
 
 def child_env(**overrides):

@@ -163,6 +163,11 @@ class TestEpsilons:
         with pytest.raises(ValueError):
             epsilons_from_sequence(seq_hermite(4), K=9)
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_horizon_must_be_positive(self, K):
+        with pytest.raises(ValueError, match=rf"K={K} must be in \[1, 5\]"):
+            epsilons_from_sequence(seq_hermite(4), K=K)
+
 
 class TestApply:
     def test_annihilates_constants(self):

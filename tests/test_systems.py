@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermite_chihara import (
@@ -507,16 +507,34 @@ class TestOdeBracket:
         for kw in self.mismatches(sys):
             assert all(not sys.ode_bracket(n, **kw).is_zero() for n in range(2, 65))
 
-    def test_equals_ode_residual_on_the_cli_grid(self, ode_systems, name):
-        # two exact routes to one equation: the polynomial evaluated at x, and
-        # ode_residual's Horner pass; both round only in the normalization
+    def test_equals_the_composition_reference(self, ode_systems, name):
+        # the two-term coefficient relation against the bracket composed from
+        # derivative, shift, scale and sum
         sys = ode_systems[name]
+        gamma, alpha = sys.weight_parameters()
         for kw in ({}, *self.mismatches(sys)):
-            for n in range(0, 65, 3):  # both parities; theta_n is 0 for even n
-                bracket = sys.ode_bracket(n, **kw)
-                for x in POINT_GRID:
-                    got = _over_sqrt(bracket(F(x)) / F(x), sys.norm2[n])
-                    assert got.hex() == sys.ode_residual(n, x, **kw).hex()
+            g, a = kw.get("gamma", gamma), kw.get("alpha", alpha)
+            for n in range(65):
+                assert sys.ode_bracket(n, **kw) == ref.ode_bracket_composed(sys.monic[n], n, g, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    v1=st.fractions(F(1, 4), F(5), max_denominator=4),
+    v2=st.fractions(F(5, 4), F(5), max_denominator=4),
+    b0sq=st.fractions(F(1, 4), F(3), max_denominator=4),
+    n=st.integers(0, 30),
+    dg=st.fractions(-1, 1, max_denominator=4),
+    da=st.fractions(-1, 1, max_denominator=4),
+)
+def test_ode_bracket_equals_the_composition_reference(v1, v2, b0sq, n, dg, da):
+    # random family parameters, with the weight's (gamma, alpha) and shifted ones
+    assume(v1 <= v2)
+    sys = PolynomialSystem(seq_family(v1, v2, b0sq, 30))
+    gamma, alpha = sys.weight_parameters()
+    for g, a in ((gamma, alpha), (gamma + dg, alpha + da)):
+        want = ref.ode_bracket_composed(sys.monic[n], n, g, a)
+        assert sys.ode_bracket(n, gamma=g, alpha=a) == want
 
 
 REFERENCE_SEQUENCES = {
