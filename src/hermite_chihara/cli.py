@@ -17,6 +17,7 @@ import logging
 import os
 import sys as _sys
 from fractions import Fraction
+from math import gcd
 
 from . import measure as measure_mod
 from . import oscillator as osc_mod
@@ -48,6 +49,14 @@ MARGIN = 4  # the operator checks cover the interior rows n < dim - MARGIN
 
 def _fmt_real(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, by one gcd and without a Fraction."""
+    if not p:
+        return "0"
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _rational(text: str) -> Fraction:
@@ -158,12 +167,13 @@ def cmd_table(args) -> int:
     sys_ = PolynomialSystem(seq, args.n_max)
     rows = []
     for n in range(sys_.n_max + 1):
+        core = sys_.monic[n]
         rows.append({
             "n": n,
             "b_squared": str(sys_.b2[n - 1] if n >= 1 else Fraction(0)),
             "gamma_squared": str(sys_.g2[n]),
             "norm_squared": str(sys_.norm2[n]),
-            "monic_coeffs": [str(sys_.monic[n].coeff(k)) for k in range(n + 1)],
+            "monic_coeffs": [_ratio_str(a, core.den) for a in core.nums],
         })
     if args.format == "json":
         _emit(args, json.dumps({"rows": rows}, indent=2) + "\n")

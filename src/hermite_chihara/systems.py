@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -195,7 +195,9 @@ class DecompositionReport:
 class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
-    Immutable once built; all query methods are pure.
+    Immutable once built, except that the derivation operator ``op`` is built
+    the first time it is read (only the lowering and decomposition checks read
+    it); all query methods are pure.
     """
 
     def __init__(self, seq: GoverningSequence, n_max: int | None = None):
@@ -207,7 +209,6 @@ class PolynomialSystem:
             raise ValueError(f"n_max must be in [1, {seq.n_max}]")
         self.seq = seq
         self.n_max = n_max
-        self.op: DerivationOperator = epsilons_from_sequence(seq, K=n_max + 1)
         self.brackets = bracket_table(seq)
         self.b2 = [seq.b0_squared * br for br in self.brackets[1:]]  # b2[i] = b_i^2 = b0^2 [i+1]
         self.g2 = gamma_squares(seq)  # g2[n] = gamma_n^2
@@ -226,6 +227,16 @@ class PolynomialSystem:
 
         fam, params = is_special_family(seq)
         self._family_params = params if fam else None
+        self._weight = None
+        if fam:
+            v2 = seq.values[2]
+            self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
+
+    @cached_property
+    def op(self) -> DerivationOperator:
+        """The derivation operator D with eps_1..eps_{n_max+1}; its forward
+        check runs here, so a bad eps raises ValueError at the first read."""
+        return epsilons_from_sequence(self.seq, K=self.n_max + 1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -244,12 +255,9 @@ class PolynomialSystem:
     def weight_parameters(self) -> tuple[Fraction, Fraction]:
         """(gamma, alpha) of the weight C |x|^gamma exp(-alpha x^2) the system
         is orthonormal against; defined for special-family systems."""
-        if not self.is_family:
+        if self._weight is None:
             raise UnsupportedSystemError("weight parameters exist only for family systems")
-        v2 = self.values[2]
-        gamma = (3 - v2) / (v2 - 1)
-        alpha = 1 / (self.seq.b0_squared * (v2 - 1))
-        return gamma, alpha
+        return self._weight
 
     # -- polynomials -------------------------------------------------------
 

@@ -13,7 +13,9 @@ operation re-normalized.  The tests compare the kernel against them.
 - ``ode_bracket_composed``: the bracket polynomial composed from derivative,
   shift, scale and sum;
 - ``validate``: the compatibility identity and monotonicity on Fractions;
-- ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n])).
+- ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n]));
+- ``fraction_str``, ``coeff_strings``: a rational as ``str(Fraction)`` prints
+  it, and the ``hcpoly table`` strings of a monic core built that way.
 """
 
 from __future__ import annotations
@@ -185,3 +187,12 @@ def derivative_in_basis(expansion, norm2, n: int) -> list[tuple[int, float]]:
         if e != 0:
             out.append((idx, float(e) * math.sqrt(float(norm2[idx] / norm2[n]))))
     return out
+
+
+def fraction_str(p: int, q: int) -> str:
+    return str(Fraction(p, q))
+
+
+def coeff_strings(core) -> list[str]:
+    """The table strings of a monic core: str of each lowest-terms coefficient."""
+    return [str(core.coeff(k)) for k in range(core.degree + 1)]

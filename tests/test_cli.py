@@ -8,9 +8,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import fraction_reference as ref
 import hermite_chihara
-from hermite_chihara.cli import build_sequence, main, make_parser
+from hermite_chihara import DerivationOperator, PolynomialSystem, epsilons_from_sequence
+from hermite_chihara.cli import _ratio_str, build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence
 
 
@@ -99,6 +103,88 @@ class TestTable:
             assert code == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+# the five families whose table strings are compared with str(Fraction)
+TABLE_FAMILIES = {
+    "hermite": ["--family", "hermite"],
+    "classical_1_3": ["--family", "classical", "--gamma", "1/3"],
+    "family": ["--family", "family", "--v1", "2/3", "--v2", "5/3", "--b0-squared", "3/7"],
+    "order2": ["--family", "order2", "--v1", "7/3", "--b0-squared", "8/3"],
+    "order3": ["--family", "order3", "--v1", "7/3", "--v2", "17/3", "--b0-squared", "8/3"],
+}
+
+
+class TestTableStrings:
+    """Table coefficients print from the integer numerators, as str(Fraction)
+    prints them (tests/fraction_reference.py)."""
+
+    def test_hermite_table_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--family", "hermite", "--n-max", "4")
+        assert code == 0
+        assert out == (
+            "n,b_squared,gamma_squared,norm_squared,monic_coeffs\n"
+            "0,0,0,1,1\n"
+            "1,1/2,2,1/2,0;1\n"
+            "2,1,4,1/2,-1/2;0;1\n"
+            "3,3/2,6,3/4,0;-3/2;0;1\n"
+            "4,2,8,3/2,3/4;0;-3;0;1\n"
+        )
+
+    @pytest.mark.parametrize("name", list(TABLE_FAMILIES))
+    def test_every_coefficient_to_n_256(self, capsys, name):
+        argv = ["table", *TABLE_FAMILIES[name], "--n-max", "256"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        got = [row["monic_coeffs"] for row in json.loads(out)["rows"]]
+        system = PolynomialSystem(build_sequence(make_parser().parse_args(argv), 256), 256)
+        assert got == [ref.coeff_strings(core) for core in system.monic]
+        # zero, negative, integer and non-integer coefficients all occur
+        flat = [c for row in got for c in row]
+        assert "0" in flat and any(c.startswith("-") for c in flat)
+        assert any("/" in c for c in flat)
+        assert any(c not in ("0", "1") and "/" not in c for c in flat)
+
+    @pytest.mark.parametrize(
+        "p, q", [(0, 1), (0, 9), (5, 1), (-5, 1), (12, 4), (-12, 4), (6, 4), (-6, 4), (1, 3)]
+    )
+    def test_zero_integer_negative_and_reduced(self, p, q):
+        assert _ratio_str(p, q) == ref.fraction_str(p, q)
+
+    @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+    def test_any_numerator_over_any_denominator(self, p, q):
+        assert _ratio_str(p, q) == ref.fraction_str(p, q)
+
+
+FAMILY_ARGS = TABLE_FAMILIES["family"] + ["--n-max", "40"]
+
+
+class TestLazyOperator:
+    """Only lowering and decomposition read the derivation operator, so no
+    other command builds it."""
+
+    @pytest.mark.parametrize(
+        "argv", [["table", "--format", "csv"], ["table", "--format", "json"], ["build"]]
+    )
+    def test_table_and_build_never_build_it(self, capsys, monkeypatch, argv):
+        want = run_cli(capsys, *argv, *FAMILY_ARGS)
+
+        def unreachable(seq, K=None):
+            raise RuntimeError("the derivation operator was built")
+
+        monkeypatch.setattr(hermite_chihara.systems, "epsilons_from_sequence", unreachable)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, *FAMILY_ARGS) == want
+
+    def test_a_bad_epsilon_is_an_input_error_in_verify(self, capsys, monkeypatch):
+        def off_by_one_at_k(seq, K=None):
+            eps = epsilons_from_sequence(seq, K).epsilons
+            return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
+
+        monkeypatch.setattr(hermite_chihara.systems, "epsilons_from_sequence", off_by_one_at_k)
+        code, out, err = run_cli(capsys, "verify", *FAMILY_ARGS, "--dim", "44")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: epsilons give D x^45 = ")
 
 
 class TestBuildAndSeedFile:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermite_chihara import (
+    DerivationOperator,
     GoverningSequence,
     PolynomialSystem,
     UnsupportedSystemError,
@@ -15,12 +16,14 @@ from hermite_chihara import (
     alpha_nested,
     alpha_table_entry,
     bracket_table,
+    epsilons_from_sequence,
     seq_classical,
     seq_family,
     seq_hermite,
     seq_order2,
     seq_order3,
 )
+from hermite_chihara import systems as systems_mod
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
@@ -247,6 +250,45 @@ class TestLowering:
         assert any(sys.lowering_residual(n) != 0 for n in range(1, 7))
 
 
+class TestLazyOperator:
+    """D is built the first time ``op`` is read, and once per system."""
+
+    @pytest.fixture
+    def eps_calls(self, monkeypatch):
+        calls = []
+
+        def counted(seq, K=None):
+            calls.append(K)
+            return epsilons_from_sequence(seq, K)
+
+        monkeypatch.setattr(systems_mod, "epsilons_from_sequence", counted)
+        return calls
+
+    def test_a_fresh_system_has_no_operator(self, eps_calls):
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 30))
+        sys.psi_coeffs_via_alpha(30)
+        sys.ode_bracket(30)
+        sys.derivative_decomposition(30)
+        assert "op" not in vars(sys) and eps_calls == []
+
+    def test_built_once_across_every_lowering_check(self, eps_calls):
+        sys = PolynomialSystem(seq_classical(F(1, 3), 30))
+        assert all(sys.lowering_residual(n) == 0 for n in range(1, sys.n_max + 1))
+        sys.decompose_b1bar(sys.n_max)
+        assert eps_calls == [sys.n_max + 1]
+        assert vars(sys)["op"].k_max == sys.n_max + 1
+
+    def test_a_bad_epsilon_raises_at_the_first_lowering_check(self, monkeypatch):
+        def off_by_one_at_k(seq, K=None):
+            eps = epsilons_from_sequence(seq, K).epsilons
+            return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
+
+        monkeypatch.setattr(systems_mod, "epsilons_from_sequence", off_by_one_at_k)
+        sys = PolynomialSystem(seq_hermite(12))
+        with pytest.raises(ValueError, match=r"epsilons give D x\^13"):
+            sys.lowering_residual(1)
+
+
 class TestCompatiblePropagation:
     """The compatibility identity at p = 2 propagates a free (v1, v2, v3) seed
     to a full sequence; the result satisfies the identity at every (n, p) and
@@ -428,6 +470,12 @@ class TestOde:
             sys = PolynomialSystem(seq)
             worst = max(abs(sys.ode_residual(n, x)) for n in range(16) for x in POINT_GRID)
             assert worst < 1e-9
+
+    def test_weight_parameters_are_computed_once(self):
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 16))
+        v2, b0sq = sys.values[2], sys.seq.b0_squared
+        assert sys.weight_parameters() == ((3 - v2) / (v2 - 1), 1 / (b0sq * (v2 - 1)))
+        assert sys.weight_parameters() is sys.weight_parameters()
 
     def test_family_v2_2_at_spec_points(self):
         sys = PolynomialSystem(seq_family(1, 2, F(1), 16))
