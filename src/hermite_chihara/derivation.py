@@ -102,13 +102,10 @@ class Poly:
             [a * perm(k, order) for k, a in enumerate(self.nums)][order:], self.den
         )
 
-    def __call__(self, x):
-        """Horner evaluation; exact (in integers) for Fraction x, float otherwise."""
-        if not isinstance(x, Fraction):
-            acc = x * 0
-            for a in reversed(self.nums):
-                acc = acc * x + a / self.den
-            return acc
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation in integers at a rational x; a float x
+        raises TypeError, as a float coefficient does."""
+        x = as_fraction(x)
         if self.is_zero():
             return Fraction(0)
         # p(u/w) den w^deg = sum_k nums[k] u^k w^(deg-k)

@@ -258,21 +258,10 @@ def recurrence_squares(seq: GoverningSequence) -> list[Fraction]:
 
 
 def gamma_squares(seq: GoverningSequence) -> list[Fraction]:
-    """Squared lowering factors, entry n = gamma_n^2 for n = 1..N (entry 0 is 0).
-
-    Both closed forms are evaluated -- v1 v_{n-1} / (b0^2 (v_n - v_{n-2})) and
-    v_{n-1}^2 / b_{n-1}^2 -- and must agree exactly.
-    """
-    v = seq.value
+    """Squared lowering factors, entry n = gamma_n^2 = v_{n-1}^2 / b_{n-1}^2
+    for n = 1..N (entry 0 is 0)."""
     b2 = recurrence_squares(seq)
-    out = [Fraction(0)]
-    for n in range(1, len(seq)):
-        direct = v(1) * v(n - 1) / (seq.b0_squared * (v(n) - v(n - 2)))
-        via_b = v(n - 1) ** 2 / b2[n - 1]
-        if direct != via_b:
-            raise RuntimeError(f"gamma_n^2 formulas disagree at n={n}: {direct} != {via_b}")
-        out.append(direct)
-    return out
+    return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
 
 
 def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fraction] | None]:

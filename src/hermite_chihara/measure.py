@@ -142,7 +142,8 @@ def gram_deviation(
     def integrand(x):
         table = sys.psi_eval_table(x, n_max)
         w = spec.weight(x)
-        outer = table[:, :, None] * table[:, None, :] * w[:, None, None]
+        outer = table[:, :, None] * table[:, None, :]
+        outer *= w[:, None, None]  # in place, so a panel allocates one 15 x d x d array
         return outer.reshape(x.size, d * d)
 
     radius = _integration_radius(n_max, float(spec.alpha))
@@ -183,7 +184,7 @@ class DeterminacyReport:
     EXPONENT_LIMIT = 1.05
 
 
-def carleman_determinacy(b_values: Sequence[float], fit_start: int | None = None) -> DeterminacyReport:
+def carleman_determinacy(b_values: Sequence[float]) -> DeterminacyReport:
     """Partial sums of sum 1/b_n plus a log-log growth fit of b_n.
 
     The sum diverges (and the moment problem is determinate) whenever
@@ -196,7 +197,7 @@ def carleman_determinacy(b_values: Sequence[float], fit_start: int | None = None
     if any(x <= 0 for x in b):
         raise ValueError("recurrence coefficients must be positive")
     partial = sum(1.0 / x for x in b)
-    n0 = max(2, len(b) // 4) if fit_start is None else fit_start
+    n0 = max(2, len(b) // 4)
     ns = np.arange(n0, len(b), dtype=float)
     logs = np.log(np.array(b[n0:]))
     slope, _ = np.polyfit(np.log(ns), logs, 1)

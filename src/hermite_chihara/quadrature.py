@@ -109,6 +109,6 @@ def _heap_error(heap) -> float:
     return -sum(item[0] for item in heap)
 
 
-def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10, max_panels: int = 4000):
+def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate over [-R, R] with an initial split at 0 (weight cusp)."""
-    return integrate_adaptive(f, [-radius, 0.0, radius], tol=tol, max_panels=max_panels)
+    return integrate_adaptive(f, [-radius, 0.0, radius], tol=tol)

@@ -175,8 +175,9 @@ class DecompositionReport:
     the triangular generating set {x psi_{n-1}, psi_{n-2}, psi_{n-4}, ...}.
 
     ``support`` lists the basis indices carrying a nonzero coefficient, with
-    index n-1 standing for the x psi_{n-1} term.  The *_scaled fields are the
-    exact rational coefficients relative to the monic cores:
+    index n-1 standing for the x psi_{n-1} term; ``reduced`` says that no
+    term below psi_{n-2} appears (``tail_scaled`` is empty).  The *_scaled
+    fields are the exact rational coefficients relative to the monic cores:
 
         delta_scaled = delta_bar * b_{n-1},
         beta_scaled  = beta_bar * b_{n-1} b_{n-2}.
@@ -266,16 +267,13 @@ class PolynomialSystem:
         self._check_n(n)
         return NormalizedPoly(self.monic[n], self.norm2[n])
 
-    def psi_coeffs_via_alpha(self, n: int, nested: bool = False) -> NormalizedPoly:
+    def psi_coeffs_via_alpha(self, n: int) -> NormalizedPoly:
         """psi_n from the explicit coefficient formula
-        sum_m (-1)^m b0^{2m-n} alpha_{2m-1,n-1} x^{n-2m} / sqrt([n]!)."""
+        sum_m (-1)^m b0^{2m-n} alpha_{2m-1,n-1} x^{n-2m} / sqrt([n]!), with
+        the alphas in closed form (alpha_nested is the defining display)."""
         self._check_n(n)
-        if nested:
-            alphas = [Fraction(1)] + [alpha_nested(self.brackets, m, n) for m in range(1, n // 2 + 1)]
-        else:
-            alphas = _alpha_row(self.values, self.brackets, n)
         coeffs = [Fraction(0)] * (n + 1)
-        for m, a in enumerate(alphas):
+        for m, a in enumerate(_alpha_row(self.values, self.brackets, n)):
             coeffs[n - 2 * m] = (-self.seq.b0_squared) ** m * a
         return NormalizedPoly(Poly(coeffs), self.norm2[n])
 
@@ -313,38 +311,38 @@ class PolynomialSystem:
         res = self.op.apply(self.monic[n]) - self.monic[n - 1].scale(self.values[n - 1])
         return res.max_abs_coeff()
 
+    def _core_expansion(self, p: Poly, indices: Sequence[int]) -> list[Fraction]:
+        """Coefficients of p over the monic cores P_idx, idx in the given
+        descending order, by triangular elimination: P_idx is monic of degree
+        idx, so its coefficient is that of x^idx in what is left of p."""
+        out = []
+        for idx in indices:
+            c = p.coeff(idx)
+            out.append(c)
+            if c != 0:
+                p = p - self.monic[idx].scale(c)
+        if not p.is_zero():
+            raise RuntimeError("triangular elimination left a remainder")
+        return out
+
     def decompose_b1bar(self, n: int) -> DecompositionReport:
         """Expand (degree-preserving part of D) psi_n over
         {x psi_{n-1}, psi_{n-2}, psi_{n-4}, ...} by exact degree elimination."""
         if not 2 <= n <= self.n_max:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
-        rem = self.op.apply_upper_part(self.monic[n])
-        delta_scaled = rem.coeff(n)
-        rem = rem - self.monic[n - 1].shift(1).scale(delta_scaled)
-        beta_scaled = Fraction(0)
-        tail: dict[int, Fraction] = {}
-        support: list[int] = [n - 1] if delta_scaled != 0 else []
-        for k in range(1, n // 2 + 1):
-            idx = n - 2 * k
-            c = rem.coeff(idx)
-            if c != 0:
-                rem = rem - self.monic[idx].scale(c)
-                support.append(idx)
-            if k == 1:
-                beta_scaled = c
-            elif c != 0:
-                tail[idx] = c
-        if not rem.is_zero():
-            raise RuntimeError("triangular elimination left a remainder")
-        reduced = all(i in (n - 1, n - 2) for i in support)
-        delta_bar = float(delta_scaled) / self.b_float[n - 1]
-        beta_bar = float(beta_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
+        upper = self.op.apply_upper_part(self.monic[n])
+        delta_scaled = upper.coeff(n)
+        rem = upper - self.monic[n - 1].shift(1).scale(delta_scaled)
+        indices = range(n - 2, -1, -2)
+        beta_scaled, *rest = self._core_expansion(rem, indices)
+        tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
+        support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(
             n=n,
             support=tuple(support),
-            delta_bar=delta_bar,
-            beta_bar=beta_bar,
-            reduced=reduced,
+            delta_bar=float(delta_scaled) / self.b_float[n - 1],
+            beta_bar=float(beta_scaled) / (self.b_float[n - 1] * self.b_float[n - 2]),
+            reduced=not tail,
             delta_scaled=delta_scaled,
             beta_scaled=beta_scaled,
             tail_scaled=tail,
@@ -360,19 +358,7 @@ class PolynomialSystem:
     def derivative_core_expansion(self, n: int) -> list[Fraction]:
         """Exact coefficients e_j with P_n' = sum_j e_j P_{n-1-2j}."""
         self._check_n(n)
-        rem = self.monic[n].derivative()
-        out: list[Fraction] = []
-        j = 0
-        while n - 1 - 2 * j >= 0:
-            idx = n - 1 - 2 * j
-            c = rem.coeff(idx)
-            out.append(c)
-            if c != 0:
-                rem = rem - self.monic[idx].scale(c)
-            j += 1
-        if not rem.is_zero():
-            raise RuntimeError("derivative elimination left a remainder")
-        return out
+        return self._core_expansion(self.monic[n].derivative(), range(n - 1, -1, -2))
 
     def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
         """psi_n' = sum c_k psi_k with float c_k from the exact expansion."""
@@ -395,12 +381,9 @@ class PolynomialSystem:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
         if not self.is_family:
             raise UnsupportedSystemError("two-term derivative decomposition needs a family system")
-        # x P_n' - n x P_{n-1} must be an exact multiple of P_{n-2}
+        # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}
         s = self.monic[n].derivative().shift(1) - self.monic[n - 1].shift(1).scale(n)
-        c2_scaled = s.coeff(n - 2)
-        rem = s - self.monic[n - 2].scale(c2_scaled)
-        if not rem.is_zero():
-            raise UnsupportedSystemError("decomposition has lower-order residue; not a family system")
+        (c2_scaled,) = self._core_expansion(s, (n - 2,))
         c_prev = n / self.b_float[n - 1]
         c_over_x = float(c2_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
         return c_prev, c_over_x

@@ -77,10 +77,10 @@ class FractionPoly:
             c = tuple(c[i] * i for i in range(1, len(c)))
         return FractionPoly(c)
 
-    def __call__(self, x):
-        acc = x * 0
+    def __call__(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+            acc = acc * x + c
         return acc
 
     def max_abs_coeff(self) -> Fraction:

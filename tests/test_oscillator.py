@@ -7,6 +7,7 @@ import pytest
 
 from hermite_chihara import (
     CommutatorReport,
+    OperatorSet,
     PolynomialSystem,
     SpectrumReport,
     UnsupportedSystemError,
@@ -377,6 +378,13 @@ class TestHamiltonian:
         assert hamiltonian_mixed_form_deviation(ops, interior_margin=MARGIN) < 1e-10
         p_skew = dense_operators(sys, DIM)[3]
         assert np.allclose(p_skew, -p_skew.T, atol=1e-15)
+
+    def test_mixed_form_reads_the_second_off_diagonal(self):
+        # on a band of ones the diagonal rounds exactly, so the figure comes
+        # from the upper second off-diagonal: 1 - p^2 with the momentum band
+        # p = sqrt2 (sqrt2 1) - 1 = 1 + 4.4e-16 in floats
+        ops = OperatorSet(dim=12, b=np.ones(11))
+        assert hamiltonian_mixed_form_deviation(ops, interior_margin=MARGIN) > 0.0
 
     def test_doubling_dim_keeps_noise_scale(self):
         sys = PolynomialSystem(seq_classical(1, 100))

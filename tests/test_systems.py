@@ -160,13 +160,6 @@ class TestPsiConstruction:
             for n in range(0, 26):
                 assert sys.psi_coeffs(n).core == sys.psi_coeffs_via_alpha(n).core
 
-    def test_nested_route_matches_too(self, classical1_sys):
-        for n in range(0, 12):
-            assert (
-                classical1_sys.psi_coeffs_via_alpha(n, nested=True).core
-                == classical1_sys.psi_coeffs(n).core
-            )
-
     def test_n_range_guard(self, hermite_sys):
         with pytest.raises(ValueError):
             hermite_sys.psi_coeffs(31)
@@ -414,6 +407,34 @@ class TestDecomposition:
         for sys in reference_systems.values():
             assert sys.classify_reduced(12) is True
         assert PolynomialSystem(seq_order2(3, 12)).classify_reduced(10) is False
+
+    def test_reduced_means_no_tail(self, reference_systems):
+        systems = [*reference_systems.values(), PolynomialSystem(seq_order2(3, 16))]
+        for sys in systems:
+            for n in range(2, 17):
+                rep = sys.decompose_b1bar(n)
+                assert rep.reduced == (not rep.tail_scaled)
+                assert set(rep.support) - {n - 1, n - 2} == set(rep.tail_scaled)
+
+
+class TestCorruptCore:
+    """Every expansion over the cores runs one triangular elimination; a core
+    off by a relative 1e-9 leaves a remainder there, which raises."""
+
+    @pytest.fixture
+    def corrupt_sys(self):
+        sys = PolynomialSystem(seq_classical(1, 40))
+        sys.monic[20] = sys.monic[20].scale(1 + F(1, 10**9))
+        return sys
+
+    @pytest.mark.parametrize("call", [
+        lambda sys: sys.derivative_core_expansion(21),
+        lambda sys: sys.derivative_decomposition(21),
+        lambda sys: sys.classify_reduced(),
+    ], ids=["derivative_core_expansion", "derivative_decomposition", "classify_reduced"])
+    def test_remainder_raises(self, corrupt_sys, call):
+        with pytest.raises(RuntimeError, match="remainder"):
+            call(corrupt_sys)
 
 
 class TestDerivativeDecomposition:
