@@ -141,10 +141,9 @@ def gram_deviation(
 
     def integrand(x):
         table = sys.psi_eval_table(x, n_max)
-        w = spec.weight(x)
-        outer = table[:, :, None] * table[:, None, :]
-        outer *= w[:, None, None]  # in place, so a panel allocates one 15 x d x d array
-        return outer.reshape(x.size, d * d)
+        tw = table * spec.weight(x)[:, None]
+        # one pass over the 61 x d x d array a panel allocates
+        return (tw[:, :, None] * table[:, None, :]).reshape(x.size, d * d)
 
     radius = _integration_radius(n_max, float(spec.alpha))
     vals, err = integrate_split_at_zero(integrand, radius, tol=tol)

@@ -110,6 +110,26 @@ class TestOrthonormality:
         rep = orthonormality_check(sys, MeasureSpec(F(1), F(1)), 12)
         assert rep.max_deviation < 1e-8
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            seq_hermite(104, b0_squared=F(1, 2)),
+            seq_classical(1, 104),
+            seq_family(F(2, 3), F(5, 3), F(3, 7), 104),
+            seq_classical(F(-1, 2), 104),  # singular weight: |x|^{-1/2}
+        ],
+        ids=["hermite", "classical-1", "family", "classical-singular"],
+    )
+    def test_converged_at_n100(self, seq):
+        sys = PolynomialSystem(seq)
+        rep = orthonormality_check(sys, spec_for_system(sys), 100)
+        assert rep.converged and rep.max_deviation < 1e-8
+
+    def test_wrong_alpha_is_visible_at_n100(self):
+        sys = PolynomialSystem(seq_classical(1, 104))
+        rep = gram_deviation(sys, MeasureSpec(F(1), F(2)), 100)
+        assert rep.max_deviation > 0.1
+
     def test_wrong_alpha_is_visible(self):
         sys = PolynomialSystem(seq_classical(1, 16))
         rep = gram_deviation(sys, MeasureSpec(F(1), F(2)), 8)
@@ -194,7 +214,7 @@ class TestQuadratureEngine:
     def test_running_error_total_matches_fresh_sums(self, amplitude, tol, monkeypatch):
         # a spike of 1e12 over a unit background: a running total that is
         # never re-summed drifts by more than tol and, at (1e12, 1e-8), splits
-        # on to max_panels where the fresh sums stop at 844 panels
+        # on to max_panels where the fresh sums stop at 666 panels
         def f(x):
             return amplitude * np.exp(-(((x - 0.3) / 1e-3) ** 2)) + np.cos(x)
 
@@ -214,6 +234,22 @@ class TestQuadratureEngine:
         want, want_err, _ = integrate_fresh_sums(f, [-5.0, 0.0, 5.0], tol, max_panels)
         got, err = integrate_adaptive(f, [-5.0, 0.0, 5.0], tol=tol, max_panels=max_panels)
         assert got.tobytes() == want.tobytes() and err == want_err
+
+    def test_rule_constants_by_exactness(self):
+        # K61 integrates x^k over [-1, 1] exactly for k <= 91, G30 for k <= 59
+        gauss = quadrature._WGAUSS != 0
+        for weights, nodes, degree in (
+            (quadrature._WK, quadrature._NODES, 91),
+            (quadrature._WGAUSS[gauss], quadrature._NODES[gauss], 59),
+        ):
+            for k in range(degree + 1):
+                want = 0.0 if k % 2 else 2.0 / (k + 1)
+                assert abs(weights @ nodes**k - want) < 1e-14, (len(nodes), k)
+            assert np.all(weights > 0)
+        nodes = quadrature._NODES
+        assert nodes.shape == (61,) and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 61, 2))
 
     def test_polynomial_exactness(self):
         val, err = integrate_adaptive(lambda x: x**6, [0.0, 2.0], tol=1e-13)
