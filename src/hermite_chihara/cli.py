@@ -45,6 +45,7 @@ FAMILY_FLAGS = {
     "custom-file": ("seed_file",),
 }
 MARGIN = 4  # the operator checks cover the interior rows n < dim - MARGIN
+_ROUNDING = f"{osc_mod.ROUNDING_BOUND:g} eps |lambda_n|"  # their per-row bound, in words
 
 
 def _fmt_real(x: float) -> str:
@@ -217,8 +218,10 @@ def cmd_spectrum(args) -> int:
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    if rep.max_deviation > 1e-10 or rep.off_diagonal > 1e-10:
-        _sys.stderr.write(json.dumps({"failed": ["spectrum deviation exceeds 1e-10"]}) + "\n")
+    if not rep.within_rounding or rep.off_diagonal > 1e-10:
+        _sys.stderr.write(
+            json.dumps({"failed": [f"spectrum deviation exceeds {_ROUNDING} on a row"]}) + "\n"
+        )
         return 1
     return 0
 
@@ -312,13 +315,15 @@ def cmd_verify(args) -> int:
 
     ops = osc_mod.build_operators(sys_, dim=args.dim)
     crep = osc_mod.commutator_report(ops, sys_, interior_margin=MARGIN)
-    record("commutator", crep.max_deviation < 1e-10,
-           f"max deviation {crep.max_deviation:.3e} on rows n < {interior}")
+    record("commutator", crep.within_rounding,
+           f"max deviation {crep.max_deviation:.3e} on rows n < {interior}, "
+           f"bound {_ROUNDING} per row")
     srep = osc_mod.spectrum_report(ops, sys_, interior_margin=MARGIN)
     record(
         "spectrum",
-        srep.max_deviation < 1e-10 and srep.off_diagonal < 1e-10,
-        f"max deviation {srep.max_deviation:.3e} on rows n < {interior}",
+        srep.within_rounding and srep.off_diagonal < 1e-10,
+        f"max deviation {srep.max_deviation:.3e} on rows n < {interior}, "
+        f"bound {_ROUNDING} per row",
     )
 
     if sys_.is_family:

@@ -1,6 +1,7 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2): normalization,
-moments (three independent routes), Gram matrices by quadrature, and the
-Carleman determinacy heuristic."""
+moments (three independent routes), Gram matrices by adaptive quadrature of
+the bilinear integrand (w psi_i) psi_j, and the Carleman determinacy
+heuristic."""
 
 from __future__ import annotations
 
@@ -134,21 +135,20 @@ def gram_deviation(
     sys: PolynomialSystem, spec: MeasureSpec, n_max: int, tol: float = 1e-11
 ) -> OrthonormalityReport:
     """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive
-    panel quadrature split at the origin."""
+    panel quadrature split at the origin.  The integrand is bilinear: its
+    factors are the weighted table (w psi_i) and the table (psi_j) at a
+    panel's nodes, one psi_eval_table call per panel, and the quadrature
+    contracts them into the d x d block directly."""
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
-    d = n_max + 1
 
     def integrand(x):
         table = sys.psi_eval_table(x, n_max)
-        tw = table * spec.weight(x)[:, None]
-        # one pass over the 61 x d x d array a panel allocates
-        return (tw[:, :, None] * table[:, None, :]).reshape(x.size, d * d)
+        return table * spec.weight(x)[:, None], table
 
     radius = _integration_radius(n_max, float(spec.alpha))
-    vals, err = integrate_split_at_zero(integrand, radius, tol=tol)
-    gram = np.asarray(vals).reshape(d, d)
-    dev = np.abs(gram - np.eye(d))
+    gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
+    dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(
         n_max=n_max,
         max_deviation=float(dev.max()),

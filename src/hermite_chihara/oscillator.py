@@ -10,7 +10,10 @@ realization holds only the off-diagonal b_0..b_{dim-2}:
 
 The creation operator maps the last basis vector out of the truncated space, so
 the commutator, the spectrum and the mixed form of H are checked only on the
-interior rows n < dim - margin.  Square lowering is checked as an exact
+interior rows n < dim - margin.  The commutator and spectrum rows compare the
+band with its own b^2, so they can differ only by rounding, which grows with
+the level lambda_n = (sqrt2 b_n)^2 + (sqrt2 b_{n-1})^2; each row is judged
+against ROUNDING_BOUND eps lambda_n.  Square lowering is checked as an exact
 identity on the monic cores.
 """
 
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,6 +40,9 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# a row's rounding bound in units of eps lambda_n: measured rounding stays at
+# or below 2.25 eps lambda_n, on levels from 2e-3 to 1.6e12 and up to dim 400
+ROUNDING_BOUND = 8.0
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,12 @@ def _ladder_diagonals(ops: OperatorSet, k: int) -> tuple[np.ndarray, np.ndarray]
     return up, np.concatenate(([0.0], up[:-1]))
 
 
+def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
+    """Whether every row's deviation is at most ROUNDING_BOUND eps lambda_n
+    (lambda_n > 0, as b_0^2 > 0)."""
+    return bool(np.all(deviation <= ROUNDING_BOUND * np.finfo(float).eps * lam))
+
+
 def _b2_diagonals(sys: PolynomialSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """B(N+I) and B(N) on rows n < k: b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
     shift = np.array([float(x) for x in sys.b2[:k]])
@@ -78,6 +92,7 @@ def _b2_diagonals(sys: PolynomialSystem, k: int) -> tuple[np.ndarray, np.ndarray
 class CommutatorReport:
     max_deviation: float
     classical_deviation: float | None  # vs (gamma+1) I - 2 Theta, alpha = 1 systems
+    within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
 
 
 def commutator_report(
@@ -90,14 +105,17 @@ def commutator_report(
     up, down = _ladder_diagonals(ops, k)
     comm = up - down
     b2_shift, b2 = _b2_diagonals(sys, k)
-    dev = float(np.max(np.abs(comm - 2.0 * (b2_shift - b2))))
+    deviation = np.abs(comm - 2.0 * (b2_shift - b2))
     classical_dev = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
         if alpha == 1:
             theta = 2.0 * b2 - np.arange(k)
             classical_dev = float(np.max(np.abs(comm - ((float(gamma) + 1.0) - 2.0 * theta))))
-    return CommutatorReport(max_deviation=dev, classical_deviation=classical_dev)
+    return CommutatorReport(
+        max_deviation=float(np.max(deviation)), classical_deviation=classical_dev,
+        within_rounding=_within_rounding(deviation, up + down),
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,7 @@ class SpectrumReport:
     max_deviation: float
     off_diagonal: float
     classical_deviation: float | None  # vs (2n + gamma + 1)/alpha for family systems
+    within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
 
 
 def spectrum_report(
@@ -131,6 +150,7 @@ def spectrum_report(
     return SpectrumReport(
         rows=rows, max_deviation=float(np.max(deviation)), off_diagonal=0.0,
         classical_deviation=classical_dev,
+        within_rounding=_within_rounding(deviation, lam_matrix),
     )
 
 
@@ -140,20 +160,28 @@ def square_lowering_report(
     """Deviation of X d/dx - N = (a-)^2 / c1, c1 = b0^2 (v2 - 1), on the
     columns 2 <= n < dim - margin.  On the monic cores it reads
 
-        x P_n' - n P_n = (2 b_{n-1}^2 b_{n-2}^2 / c1) P_{n-2},
+        x P_n' - n P_n = r P_{n-2},   r = 2 b_{n-1}^2 b_{n-2}^2 / c1,
 
-    checked exactly: 0.0 when every column holds, else the largest residual
-    coefficient in units of psi_n.  Family systems only."""
+    that is (k - n) c_k(P_n) = r c_k(P_{n-2}) for every k, checked exactly by
+    cross-multiplying the integer numerators: 0.0 when every column holds,
+    else the largest residual coefficient in units of psi_n.  Family systems
+    only."""
     if not sys.is_family:
         raise UnsupportedSystemError("square-lowering identity holds for family systems")
     k = _interior_rows(ops, interior_margin)
     c1 = sys.seq.b0_squared * (sys.values[2] - 1)
     worst = 0.0
     for n in range(2, k):
-        p = sys.monic[n]
-        lowered = sys.monic[n - 2].scale(2 * sys.b2[n - 1] * sys.b2[n - 2] / c1)
-        residual = p.derivative().shift(1) - p.scale(n) - lowered
-        worst = max(worst, _over_sqrt(residual.max_abs_coeff(), sys.norm2[n]))
+        p, q = sys.monic[n], sys.monic[n - 2]
+        r = 2 * sys.b2[n - 1] * sys.b2[n - 2] / c1
+        # the residual coefficients times den(P_n) * sp, sp = den(P_{n-2}) den(r)
+        sp, sq = q.den * r.denominator, p.den * r.numerator
+        gap = max(
+            abs((j - n) * a * sp - c * sq)
+            for j, (a, c) in enumerate(zip_longest(p.nums, q.nums, fillvalue=0))
+        )
+        if gap:
+            worst = max(worst, _over_sqrt(Fraction(gap, p.den * sp), sys.norm2[n]))
     return worst
 
 

@@ -1,9 +1,14 @@
-"""Adaptive Gauss-Kronrod (G30/K61) panel integration.
+"""Adaptive Gauss-Kronrod (G30/K61) panel integration of bilinear integrands.
 
-The integrand may be vector valued: f(x) with x an array of nodes must return
-shape (len(x),) or (len(x), d).  Panels are bisected greedily by estimated
-error; the error estimate |K61 - G30| is conservative for smooth integrands,
-which is what drives the splitting toward weight-function cusps.
+The integrand is given by two factors: f(x), with x the 61 nodes of a panel,
+returns a pair (u, v) of shapes (61, p) and (61, q), and the integral is the
+p x q block of integrals of u_i v_j.  A Gram matrix is one such block, with
+u = (weight * psi) and v = psi; a plain vector integrand y is the pair
+(y, a column of ones).  Each panel applies both rules to the nodewise outer
+products in one matrix product, so the 61 x p x q products are never formed.
+Panels are bisected greedily by estimated error; the error estimate
+max |K61 - G30| over the block is conservative for smooth integrands, which
+is what drives the splitting toward weight-function cusps.
 """
 
 from __future__ import annotations
@@ -111,15 +116,13 @@ _RULES = np.stack([_WK, _WGAUSS])  # one product applies both rules
 
 
 def _panel(f: Callable, a: float, b: float):
+    """The K61 block over [a, b] of the integrand's pair of factors, and its
+    error estimate max |K61 - G30|."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    k, g = half * (_RULES @ y)
-    err = float(np.max(np.abs(k - g)))
-    return k, err
+    u, v = f(0.5 * (a + b) + half * _NODES)
+    # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
+    k, g = (half * _RULES[:, None, :] * u.T) @ v
+    return k, float(np.max(np.abs(k - g)))
 
 
 def integrate_adaptive(
@@ -128,9 +131,10 @@ def integrate_adaptive(
     tol: float = 1e-10,
     max_panels: int = 4000,
 ):
-    """Integrate f over [breakpoints[0], breakpoints[-1]] with initial panels
-    between consecutive breakpoints.  Returns (integral, error_estimate); the
-    integral is a scalar for scalar integrands, an array of length d otherwise.
+    """Integrate the bilinear integrand f (see the module docstring) over
+    [breakpoints[0], breakpoints[-1]] with initial panels between consecutive
+    breakpoints.  Returns (integral, error_estimate); the integral is the
+    p x q block of the factors' shapes (61, p) and (61, q).
     """
     if len(breakpoints) < 2:
         raise ValueError("need at least two breakpoints")
@@ -160,8 +164,7 @@ def integrate_adaptive(
         total_err += neg_err + e1 + e2
         if total_err <= tol or total_err <= 0.5 * anchor:
             total_err = anchor = _heap_error(heap)
-    result = total[0] if total.shape == (1,) else total
-    return result, _heap_error(heap)
+    return total, _heap_error(heap)
 
 
 def _heap_error(heap) -> float:

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hermite_chihara import PolynomialSystem, seq_classical, seq_family, seq_hermite
@@ -7,6 +8,17 @@ from hermite_chihara import PolynomialSystem, seq_classical, seq_family, seq_her
 # the fixed pointwise grid: 50 deterministic points in [-5, 5] \ {0}
 POINT_GRID = tuple(0.1 + 4.9 * k / 24 for k in range(25))
 POINT_GRID = tuple(-x for x in POINT_GRID) + POINT_GRID
+
+
+def plain(f):
+    """A plain integrand y(x), of shape (nodes,) or (nodes, d), in the
+    quadrature engine's bilinear pair form: (y as a column block, a column of
+    ones), whose integral is the d x 1 block of the integrals of y."""
+
+    def pair(x):
+        return np.reshape(f(x), (x.size, -1)), np.ones((x.size, 1))
+
+    return pair
 
 
 @pytest.fixture(scope="session")

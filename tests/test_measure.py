@@ -20,8 +20,9 @@ from hermite_chihara import (
     seq_hermite,
     spec_for_system,
 )
-from hermite_chihara import quadrature
+from hermite_chihara import measure, quadrature
 from hermite_chihara.quadrature import _panel, integrate_adaptive, integrate_split_at_zero
+from conftest import plain
 
 
 def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
@@ -45,8 +46,10 @@ class TestNormalization:
     def test_total_mass_is_one(self):
         for g, a in ((F(0), F(1)), (F(1, 2), F(2)), (F(2), F(1, 2)), (F(-1, 2), F(1))):
             spec = MeasureSpec(g, a)
-            val, err = integrate_split_at_zero(spec.weight, 12.0 / math.sqrt(float(a)), tol=1e-12)
-            assert abs(val - 1.0) < 1e-10
+            val, err = integrate_split_at_zero(
+                plain(spec.weight), 12.0 / math.sqrt(float(a)), tol=1e-12
+            )
+            assert abs(val.item() - 1.0) < 1e-10
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
@@ -80,9 +83,10 @@ class TestMoments:
                     closed = moment_closed(spec, k)
                     assert closed == jacobi_moment(sys.b2, k)
                     radius = max(10.0, 3.0 * math.sqrt(max(k, 1) / float(a)) + 5.0)
-                    quad, _ = integrate_split_at_zero(
-                        lambda x: x**k * spec.weight(x), radius, tol=1e-11
+                    block, _ = integrate_split_at_zero(
+                        plain(lambda x: x**k * spec.weight(x)), radius, tol=1e-11
                     )
+                    quad = block.item()
                     assert abs(float(closed) - quad) <= 1e-8 * max(1.0, abs(float(closed)))
 
     def test_jacobi_walk_needs_enough_coefficients(self):
@@ -124,6 +128,33 @@ class TestOrthonormality:
         sys = PolynomialSystem(seq)
         rep = orthonormality_check(sys, spec_for_system(sys), 100)
         assert rep.converged and rep.max_deviation < 1e-8
+
+    @pytest.mark.parametrize(
+        "seq",
+        [seq_hermite(104, b0_squared=F(1, 2)), seq_classical(1, 104), seq_classical(F(-1, 2), 104)],
+        ids=["hermite", "classical-1", "classical-singular"],
+    )
+    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
+        # the Gram by the 61 x d^2 nodal products and the same adaptive
+        # splitting, with the table evaluated as often
+        sys = PolynomialSystem(seq)
+        spec = spec_for_system(sys)
+        calls = []
+        table = sys.psi_eval_table
+        monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
+
+        def integrand(x):
+            t = sys.psi_eval_table(x, 100)
+            return t * spec.weight(x)[:, None], t
+
+        radius = measure._integration_radius(100, float(spec.alpha))
+        gram, err, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11,
+                                            panel=dense_panel)
+        want_calls = len(calls)
+        rep = gram_deviation(sys, spec, 100)
+        assert len(calls) - want_calls == want_calls
+        assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
+        assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
 
     def test_wrong_alpha_is_visible_at_n100(self):
         sys = PolynomialSystem(seq_classical(1, 104))
@@ -174,22 +205,31 @@ class TestOrthonormality:
 
         def integrand(x):
             t = sys.psi_eval_table(x, n_hi)
-            w = spec.weight(x)
-            return (t[:, :, None] * t[:, None, :] * (x * w)[:, None, None]).reshape(x.size, -1)
+            return t * (x * spec.weight(x))[:, None], t
 
-        vals, _ = integrate_split_at_zero(integrand, 14.0, tol=1e-11)
-        xg = np.asarray(vals).reshape(n_hi + 1, n_hi + 1)
+        xg, _ = integrate_split_at_zero(integrand, 14.0, tol=1e-11)
         for n in range(1, n_hi + 1):
             assert xg[n - 1, n] == pytest.approx(sys.b_float[n - 1], abs=1e-8)
 
 
-def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000):
+def dense_panel(f, a, b):
+    """The panel rule on the explicit nodewise outer products of f's pair of
+    factors: the 61 x p x q array u_i v_j, contracted with both rules.  The
+    reference for _panel's one rule-weighted product."""
+    half = 0.5 * (b - a)
+    u, v = f(0.5 * (a + b) + half * quadrature._NODES)
+    y = (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
+    k, g = half * (quadrature._RULES @ y)
+    return k.reshape(u.shape[1], v.shape[1]), float(np.max(np.abs(k - g)))
+
+
+def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=_panel):
     """integrate_adaptive with the error total re-summed over every panel
     after each split: the reference for the running total.  Also returns the
     panel count."""
     heap, counter, total = [], 0, None
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _panel(f, a, b)
+        val, err = panel(f, a, b)
         total = val if total is None else total + val
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
@@ -200,21 +240,27 @@ def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000):
             heapq.heappush(heap, (neg_err, counter, a, b, val))
             break
         mid = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
+        v1, e1 = panel(f, a, mid)
+        v2, e2 = panel(f, mid, b)
         total = total - val + v1 + v2
         heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
         total_err = -sum(item[0] for item in heap)
-    return (total[0] if total.shape == (1,) else total), total_err, len(heap)
+    return total, total_err, len(heap)
 
 
 class TestQuadratureEngine:
-    @pytest.mark.parametrize("amplitude,tol", [(1e10, 1e-8), (1e12, 1e-8), (1e12, 1e-6)])
+    @pytest.mark.parametrize(
+        "amplitude,tol",
+        [(1e10, 1e-8), (1e12, 1e-8), (1e12, 1e-6), (3e10, 1e-8), (1e13, 1e-7)],
+    )
     def test_running_error_total_matches_fresh_sums(self, amplitude, tol, monkeypatch):
-        # a spike of 1e12 over a unit background: a running total that is
-        # never re-summed drifts by more than tol and, at (1e12, 1e-8), splits
-        # on to max_panels where the fresh sums stop at 666 panels
+        # a tall spike over a unit background, with tol near the rounding of
+        # the panel errors: a running total that is not re-summed when it has
+        # halved drifts by more than tol and, at (3e10, 1e-8) and (1e13, 1e-7),
+        # splits on to max_panels where the fresh sums stop at 22 and 577
+        # panels.  Which cases drift depends on the panel product's rounding.
+        @plain
         def f(x):
             return amplitude * np.exp(-(((x - 0.3) / 1e-3) ** 2)) + np.cos(x)
 
@@ -223,17 +269,32 @@ class TestQuadratureEngine:
         calls = []
         monkeypatch.setattr(quadrature, "_panel", lambda *a: calls.append(a) or _panel(*a))
         got, err = integrate_adaptive(f, [-1.0, 0.0, 1.0], tol=tol)
-        assert (got, err) == (want, want_err)  # same floats, bit for bit
+        assert got.tobytes() == want.tobytes() and err == want_err  # bit for bit
         assert len(calls) == 2 * panels - 2  # two initial panels, two per split
 
     @pytest.mark.parametrize("tol,max_panels", [(1e-6, 4000), (1e-12, 4000), (1e-300, 600)])
     def test_vector_integrand_matches_fresh_sums(self, tol, max_panels):
+        @plain
         def f(x):
             return np.stack([np.abs(x) ** 0.3 * np.exp(-x * x), np.cos(5 * x)], axis=1)
 
         want, want_err, _ = integrate_fresh_sums(f, [-5.0, 0.0, 5.0], tol, max_panels)
         got, err = integrate_adaptive(f, [-5.0, 0.0, 5.0], tol=tol, max_panels=max_panels)
         assert got.tobytes() == want.tobytes() and err == want_err
+
+    def test_panel_contracts_the_pair_of_factors(self):
+        # one rule-weighted product equals both rules applied to the explicit
+        # 61 x p x q nodewise products, to rounding: 1e-15 of the integral of
+        # |u_i v_j| (the scale of a 61-term dot product's rounding)
+        rng = np.random.default_rng(11)
+        u, v = rng.standard_normal((61, 7)), rng.standard_normal((61, 5))
+        a, b = -0.7, 2.3
+        k, err = _panel(lambda x: (u, v), a, b)
+        want, want_err = dense_panel(lambda x: (u, v), a, b)
+        scale, _ = dense_panel(lambda x: (np.abs(u), np.abs(v)), a, b)
+        assert k.shape == (7, 5)
+        assert np.all(np.abs(k - want) <= 1e-15 * scale)
+        assert abs(err - want_err) <= 2e-15 * scale.max()
 
     def test_rule_constants_by_exactness(self):
         # K61 integrates x^k over [-1, 1] exactly for k <= 91, G30 for k <= 59
@@ -252,23 +313,23 @@ class TestQuadratureEngine:
         assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 61, 2))
 
     def test_polynomial_exactness(self):
-        val, err = integrate_adaptive(lambda x: x**6, [0.0, 2.0], tol=1e-13)
-        assert val == pytest.approx(2.0**7 / 7, rel=1e-13)
+        val, err = integrate_adaptive(plain(lambda x: x**6), [0.0, 2.0], tol=1e-13)
+        assert val.item() == pytest.approx(2.0**7 / 7, rel=1e-13)
 
     def test_vector_integrand(self):
         val, _ = integrate_adaptive(
-            lambda x: np.stack([np.ones_like(x), x, x * x], axis=1), [0.0, 1.0]
+            plain(lambda x: np.stack([np.ones_like(x), x, x * x], axis=1)), [0.0, 1.0]
         )
-        assert np.allclose(val, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
+        assert np.allclose(val[:, 0], [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
 
     def test_cusp_handling(self):
         # int_{-1}^{1} |x|^{-1/2} dx = 4, integrable singularity at 0
-        val, err = integrate_split_at_zero(lambda x: np.abs(x) ** -0.5, 1.0, tol=1e-9)
-        assert val == pytest.approx(4.0, abs=1e-7)
+        val, err = integrate_split_at_zero(plain(lambda x: np.abs(x) ** -0.5), 1.0, tol=1e-9)
+        assert val.item() == pytest.approx(4.0, abs=1e-7)
 
     def test_breakpoint_guard(self):
         with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, [1.0])
+            integrate_adaptive(plain(lambda x: x), [1.0])
 
 
 class TestCarleman:

@@ -22,6 +22,7 @@ from hermite_chihara import (
     square_lowering_report,
 )
 from hermite_chihara.cli import main
+from hermite_chihara.oscillator import ROUNDING_BOUND
 
 DIM = 40
 MARGIN = 4
@@ -64,7 +65,8 @@ def dense_b(sys, dim):
 
 def dense_reports(sys, dim, margin):
     """The commutator and spectrum reports and the mixed-form deviation by
-    dense matrix products on the interior block."""
+    dense matrix products on the interior block; a row is within rounding
+    when its deviation is at most ROUNDING_BOUND eps times H's diagonal."""
     X, a_minus, a_plus, p_skew = dense_operators(sys, dim)
     B, B_shift = dense_b(sys, dim)
     num = np.diag(np.arange(dim, dtype=float))
@@ -85,13 +87,21 @@ def dense_reports(sys, dim, margin):
             comm_classical = interior_max(comm - target)
         lam_cl = np.array([(2.0 * n + float(gamma) + 1.0) / float(alpha) for n in range(k)])
         spec_classical = float(np.max(np.abs(lam - lam_cl)))
-    commutator = CommutatorReport(interior_max(comm - 2.0 * (B_shift - B)), comm_classical)
+
+    def within_rounding(rows):
+        return bool(np.all(np.abs(rows) <= ROUNDING_BOUND * np.finfo(float).eps * lam))
+
+    commutator = CommutatorReport(
+        interior_max(comm - 2.0 * (B_shift - B)), comm_classical,
+        within_rounding(np.diag(comm - 2.0 * (B_shift - B))[:k]),
+    )
     spectrum = SpectrumReport(
         rows=[(n, float(lam[n]), float(lam_formula[n]), float(abs(lam[n] - lam_formula[n])))
               for n in range(k)],
         max_deviation=float(np.max(np.abs(lam - lam_formula))),
         off_diagonal=interior_max(H - np.diag(np.diag(H))),
         classical_deviation=spec_classical,
+        within_rounding=within_rounding(lam - lam_formula),
     )
     mixed = interior_max(H - (X @ X - p_skew @ p_skew))
     return commutator, spectrum, mixed
@@ -355,6 +365,50 @@ class TestPerturbedCore:
         assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["square_lowering"]}
         square = {c["name"]: c for c in json.loads(captured.out)["checks"]}["square_lowering"]
         assert (square["status"], square["passed"]) == ("fail", False)
+
+
+class TestRoundingBound:
+    """The commutator and spectrum rows are judged against their own rounding,
+    ROUNDING_BOUND eps lambda_n, not against an absolute bound."""
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_large_levels_pass(self, capsys, command):
+        # levels up to 1.4e7: the rows round to ~2e-9, above an absolute 1e-10
+        args = [command, "--family", "hermite", "--b0-squared", "100000", "--dim", str(DIM)]
+        code = main(args + (["--n-max", "12"] if command == "verify" else []))
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        if command == "verify":
+            checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+            assert checks["commutator"]["status"] == checks["spectrum"]["status"] == "pass"
+            assert float(checks["commutator"]["detail"].split()[2]) > 1e-10
+
+    def perturbed(self, ops):
+        # one band entry off by 1e3 eps relative: rows 10 and 11 of the
+        # ladder diagonals move by ~2e3 eps of their level
+        b = ops.b.copy()
+        b[10] *= 1 + 1e3 * np.finfo(float).eps
+        return OperatorSet(dim=ops.dim, b=b)
+
+    def test_perturbed_band_fails(self, hermite_ops):
+        sys, ops = hermite_ops
+        assert commutator_report(ops, sys, MARGIN).within_rounding
+        assert spectrum_report(ops, sys, MARGIN).within_rounding
+        bad = self.perturbed(ops)
+        rep = commutator_report(bad, sys, MARGIN)
+        assert rep.max_deviation < 1e-10 and not rep.within_rounding
+        assert not spectrum_report(bad, sys, MARGIN).within_rounding
+
+    def test_verify_fails_commutator_on_a_perturbed_band(self, capsys, monkeypatch):
+        from hermite_chihara import oscillator
+
+        build = oscillator.build_operators
+        monkeypatch.setattr(oscillator, "build_operators",
+                            lambda *a, **kw: self.perturbed(build(*a, **kw)))
+        code = main(["verify", "--family", "hermite", "--n-max", "12", "--dim", str(DIM)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["commutator", "spectrum"]}
 
 
 class TestHamiltonian:
