@@ -44,8 +44,8 @@ FAMILY_FLAGS = {
     "order3": ("v1", "v2", "b0_squared"),
     "custom-file": ("seed_file",),
 }
-MARGIN = 4  # the operator checks cover the interior rows n < dim - MARGIN
 _ROUNDING = f"{osc_mod.ROUNDING_BOUND:g} eps |lambda_n|"  # their per-row bound, in words
+_GRAM_BOUND = "1e-8"  # the orthonormality check's bound on the Gram deviation, as printed
 
 
 def _fmt_real(x: float) -> str:
@@ -77,9 +77,10 @@ def build_sequence(args, length: int) -> GoverningSequence:
         if getattr(args, dest) is not None and dest not in FAMILY_FLAGS[fam]:
             flag = "--" + dest.replace("_", "-")
             raise InputError(f"--family {fam} does not read {flag}")
+    # b0^2 is passed only when given; each constructor holds its own default
+    b0 = {} if args.b0_squared is None else {"b0_squared": args.b0_squared}
     if fam == "hermite":
-        b0sq = args.b0_squared if args.b0_squared is not None else Fraction(1, 2)
-        return seq_hermite(length, b0_squared=b0sq)
+        return seq_hermite(length, **b0)
     if fam == "classical":
         if args.gamma is None:
             raise InputError("--family classical requires --gamma")
@@ -95,18 +96,15 @@ def build_sequence(args, length: int) -> GoverningSequence:
         if args.v2 is None:
             raise InputError("--family family requires --v2")
         v1 = args.v1 if args.v1 is not None else args.v2 - 1
-        b0sq = args.b0_squared if args.b0_squared is not None else Fraction(1)
-        return seq_family(v1, args.v2, b0_squared=b0sq, N=length)
+        return seq_family(v1, args.v2, N=length, **b0)
     if fam == "order2":
         if args.v1 is None:
             raise InputError("--family order2 requires --v1")
-        b0sq = args.b0_squared if args.b0_squared is not None else Fraction(1, 2)
-        return seq_order2(args.v1, N=length, b0_squared=b0sq)
+        return seq_order2(args.v1, N=length, **b0)
     if fam == "order3":
         if args.v1 is None or args.v2 is None:
             raise InputError("--family order3 requires --v1 and --v2")
-        b0sq = args.b0_squared if args.b0_squared is not None else Fraction(1, 2)
-        return seq_order3(args.v1, args.v2, N=length, b0_squared=b0sq)
+        return seq_order3(args.v1, args.v2, N=length, **b0)
     if fam == "custom-file":
         if args.seed_file is None:
             raise InputError("--family custom-file requires --seed-file")
@@ -140,11 +138,11 @@ def cmd_epsilons(args) -> int:
 
 def cmd_build(args) -> int:
     seq = build_sequence(args, args.n_max)
-    sys_ = PolynomialSystem(seq, args.n_max)
+    sys_ = PolynomialSystem(seq)
     rep = validate(seq)
     payload = {
         "family": args.family,
-        "n_max": sys_.n_max,
+        "n_max": args.n_max,
         "governing_sequence": seq.to_json_dict(),
         "validation": {
             "ok": rep.ok,
@@ -152,8 +150,8 @@ def cmd_build(args) -> int:
             "compatible": rep.compatible,
             "first_violation": rep.first_violation,
         },
-        "b_squared": [str(x) for x in sys_.b2[: sys_.n_max]],
-        "gamma_squared": [str(x) for x in sys_.g2[: sys_.n_max + 1]],
+        "b_squared": [str(x) for x in sys_.b2[: args.n_max]],
+        "gamma_squared": [str(x) for x in sys_.g2[: args.n_max + 1]],
         "special_family": sys_.is_family,
     }
     if sys_.is_family:
@@ -165,9 +163,9 @@ def cmd_build(args) -> int:
 
 def cmd_table(args) -> int:
     seq = build_sequence(args, args.n_max)
-    sys_ = PolynomialSystem(seq, args.n_max)
+    sys_ = PolynomialSystem(seq)
     rows = []
-    for n in range(sys_.n_max + 1):
+    for n in range(args.n_max + 1):  # a seed file may store more values
         core = sys_.monic[n]
         rows.append({
             "n": n,
@@ -213,12 +211,12 @@ def cmd_spectrum(args) -> int:
     seq = build_sequence(args, length)
     sys_ = PolynomialSystem(seq)
     ops = osc_mod.build_operators(sys_, dim=args.dim)
-    rep = osc_mod.spectrum_report(ops, sys_, interior_margin=MARGIN)
+    rep = osc_mod.spectrum_report(ops, sys_)
     lines = ["n,lambda_matrix,lambda_formula,deviation"]
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    if not rep.within_rounding or rep.off_diagonal > 1e-10:
+    if not rep.within_rounding:
         _sys.stderr.write(
             json.dumps({"failed": [f"spectrum deviation exceeds {_ROUNDING} on a row"]}) + "\n"
         )
@@ -267,7 +265,7 @@ def cmd_verify(args) -> int:
     sys_ = PolynomialSystem(seq)
     n_max = args.n_max
     gram_n = min(n_max, 12)
-    interior = args.dim - MARGIN
+    interior = args.dim - osc_mod.MARGIN
 
     if args.orthonormality:
         if not sys_.is_family:
@@ -279,8 +277,8 @@ def cmd_verify(args) -> int:
             lines.append(",".join(_fmt_real(v) for v in row))
         _emit(args, "\n".join(lines) + "\n")
         failed = []
-        if rep.max_deviation >= 1e-8:
-            failed.append("orthonormality deviation >= 1e-8")
+        if rep.max_deviation >= float(_GRAM_BOUND):
+            failed.append(f"orthonormality deviation >= {_GRAM_BOUND}")
         if not rep.converged:
             failed.append(_unconverged(rep))
         if failed:
@@ -314,17 +312,14 @@ def cmd_verify(args) -> int:
         record("route_equivalence", False, "skipped: sequence not compatible", "skipped")
 
     ops = osc_mod.build_operators(sys_, dim=args.dim)
-    crep = osc_mod.commutator_report(ops, sys_, interior_margin=MARGIN)
+    crep = osc_mod.commutator_report(ops, sys_)
     record("commutator", crep.within_rounding,
            f"max deviation {crep.max_deviation:.3e} on rows n < {interior}, "
            f"bound {_ROUNDING} per row")
-    srep = osc_mod.spectrum_report(ops, sys_, interior_margin=MARGIN)
-    record(
-        "spectrum",
-        srep.within_rounding and srep.off_diagonal < 1e-10,
-        f"max deviation {srep.max_deviation:.3e} on rows n < {interior}, "
-        f"bound {_ROUNDING} per row",
-    )
+    srep = osc_mod.spectrum_report(ops, sys_)
+    record("spectrum", srep.within_rounding,
+           f"max deviation {srep.max_deviation:.3e} on rows n < {interior}, "
+           f"bound {_ROUNDING} per row")
 
     if sys_.is_family:
         first_bad = next((n for n in range(n_max + 1) if not sys_.ode_bracket(n).is_zero()), None)
@@ -337,9 +332,10 @@ def cmd_verify(args) -> int:
         detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
         if not orep.converged:
             detail += f"; {_unconverged(orep)}"
-        record("orthonormality", orep.max_deviation < 1e-8 and orep.converged, detail)
-        sq = osc_mod.square_lowering_report(ops, sys_, interior_margin=MARGIN)
-        record("square_lowering", sq < 1e-10,
+        record("orthonormality", orep.max_deviation < float(_GRAM_BOUND) and orep.converged,
+               detail)
+        sq = osc_mod.square_lowering_report(ops, sys_)
+        record("square_lowering", sq == 0.0,
                f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}")
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
@@ -387,7 +383,7 @@ def make_parser() -> argparse.ArgumentParser:
     # flags read by only some commands are registered on those alone
     def add_dim(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, default=40,
-                       help=f"truncated operator dimension (>= {MARGIN + 1})")
+                       help=f"truncated operator dimension (>= {osc_mod.MARGIN + 1})")
 
     command("build", cmd_build)
     table = command("table", cmd_table)
@@ -417,8 +413,9 @@ def main(argv=None) -> int:
     if args.n_max < 2:
         _sys.stderr.write("error: --n-max must be >= 2\n")
         return 2
-    if getattr(args, "dim", MARGIN + 1) <= MARGIN:  # no interior row n < dim - MARGIN
-        _sys.stderr.write(f"error: --dim must be >= {MARGIN + 1}\n")
+    # --dim leaves at least one interior row n < dim - MARGIN
+    if getattr(args, "dim", osc_mod.MARGIN + 1) <= osc_mod.MARGIN:
+        _sys.stderr.write(f"error: --dim must be >= {osc_mod.MARGIN + 1}\n")
         return 2
     try:
         return args.func(args)

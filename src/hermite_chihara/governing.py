@@ -257,10 +257,10 @@ def recurrence_squares(seq: GoverningSequence) -> list[Fraction]:
     return [seq.b0_squared * brackets[n] for n in range(1, len(seq))]
 
 
-def gamma_squares(seq: GoverningSequence) -> list[Fraction]:
+def gamma_squares(seq: GoverningSequence, b2: Sequence[Fraction]) -> list[Fraction]:
     """Squared lowering factors, entry n = gamma_n^2 = v_{n-1}^2 / b_{n-1}^2
-    for n = 1..N (entry 0 is 0)."""
-    b2 = recurrence_squares(seq)
+    for n = 1..N (entry 0 is 0), from the sequence's squared recurrence
+    coefficients b2 (recurrence_squares(seq))."""
     return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
 
 

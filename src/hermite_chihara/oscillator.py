@@ -10,7 +10,7 @@ realization holds only the off-diagonal b_0..b_{dim-2}:
 
 The creation operator maps the last basis vector out of the truncated space, so
 the commutator, the spectrum and the mixed form of H are checked only on the
-interior rows n < dim - margin.  The commutator and spectrum rows compare the
+interior rows n < dim - MARGIN.  The commutator and spectrum rows compare the
 band with its own b^2, so they can differ only by rounding, which grows with
 the level lambda_n = (sqrt2 b_n)^2 + (sqrt2 b_{n-1})^2; each row is judged
 against ROUNDING_BOUND eps lambda_n.  Square lowering is checked as an exact
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# the truncation margin: the operator checks cover the interior rows n < dim - MARGIN
+MARGIN = 4
 # a row's rounding bound in units of eps lambda_n: measured rounding stays at
 # or below 2.25 eps lambda_n, on levels from 2e-3 to 1.6e12 and up to dim 400
 ROUNDING_BOUND = 8.0
@@ -50,22 +52,17 @@ class OperatorSet:
     dim: int
     b: np.ndarray  # off-diagonal b_0..b_{dim-2}; every operator is a band of it
 
+    def __post_init__(self):
+        if self.dim <= MARGIN:
+            raise ValueError(f"dim must be >= {MARGIN + 1}: the checks read n < dim - {MARGIN}")
+
 
 def build_operators(sys: PolynomialSystem, dim: int = 40) -> OperatorSet:
     """Realize the operator set on the first dim basis vectors.  Needs the
     system built at least to n_max = dim (b_{dim-1}^2 uses v_dim)."""
-    if dim < 3:
-        raise ValueError("dim must be >= 3")
     if sys.n_max < dim:
         raise ValueError(f"system built to n_max={sys.n_max}; need >= dim={dim}")
     return OperatorSet(dim=dim, b=np.array(sys.b_float[: dim - 1], dtype=float))
-
-
-def _interior_rows(ops: OperatorSet, margin: int) -> int:
-    """The count k of interior rows n < dim - margin."""
-    if not 1 <= margin < ops.dim:
-        raise ValueError(f"interior_margin must be in [1, {ops.dim - 1}] for dim {ops.dim}")
-    return ops.dim - margin
 
 
 def _ladder_diagonals(ops: OperatorSet, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,13 +92,11 @@ class CommutatorReport:
     within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
 
 
-def commutator_report(
-    ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
-) -> CommutatorReport:
+def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorReport:
     """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; classical
     systems (alpha = 1) are additionally compared with (gamma+1) I - 2 Theta,
     Theta = 2 B(N) - N.  Both sides are diagonal."""
-    k = _interior_rows(ops, interior_margin)
+    k = ops.dim - MARGIN
     up, down = _ladder_diagonals(ops, k)
     comm = up - down
     b2_shift, b2 = _b2_diagonals(sys, k)
@@ -127,13 +122,11 @@ class SpectrumReport:
     within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
 
 
-def spectrum_report(
-    ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
-) -> SpectrumReport:
+def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     """H psi_n = lambda_n psi_n with lambda_n = 2(b_{n-1}^2 + b_n^2), checked on
     interior indices; for family systems also against (2n + gamma + 1)/alpha.
     H is diagonal by its band structure, so off_diagonal is 0.0."""
-    k = _interior_rows(ops, interior_margin)
+    k = ops.dim - MARGIN
     up, down = _ladder_diagonals(ops, k)
     lam_matrix = up + down
     b2_shift, b2 = _b2_diagonals(sys, k)
@@ -154,11 +147,9 @@ def spectrum_report(
     )
 
 
-def square_lowering_report(
-    ops: OperatorSet, sys: PolynomialSystem, interior_margin: int = 4
-) -> float:
+def square_lowering_report(ops: OperatorSet, sys: PolynomialSystem) -> float:
     """Deviation of X d/dx - N = (a-)^2 / c1, c1 = b0^2 (v2 - 1), on the
-    columns 2 <= n < dim - margin.  On the monic cores it reads
+    columns 2 <= n < dim - MARGIN.  On the monic cores it reads
 
         x P_n' - n P_n = r P_{n-2},   r = 2 b_{n-1}^2 b_{n-2}^2 / c1,
 
@@ -168,7 +159,7 @@ def square_lowering_report(
     only."""
     if not sys.is_family:
         raise UnsupportedSystemError("square-lowering identity holds for family systems")
-    k = _interior_rows(ops, interior_margin)
+    k = ops.dim - MARGIN
     c1 = sys.seq.b0_squared * (sys.values[2] - 1)
     worst = 0.0
     for n in range(2, k):
@@ -185,13 +176,13 @@ def square_lowering_report(
     return worst
 
 
-def hamiltonian_mixed_form_deviation(ops: OperatorSet, interior_margin: int = 4) -> float:
+def hamiltonian_mixed_form_deviation(ops: OperatorSet) -> float:
     """Max interior deviation of H = X^2 + P^2 realized over the reals as
     H = X^2 - (-iP)^2.  Both squares are pentadiagonal: their first
     off-diagonals vanish, and so does the lower second off-diagonal of the
     difference (both give b_n b_{n+1} there), which leaves the diagonal and
     the upper second off-diagonal."""
-    k = _interior_rows(ops, interior_margin)
+    k = ops.dim - MARGIN
     b = ops.b[:k]
     p = SQRT2 * (SQRT2 * b) - b  # upper band of -iP
     pair = b * b + b * p  # what rows n and n+1 each take from the pair (n, n+1)

@@ -117,12 +117,13 @@ _RULES = np.stack([_WK, _WGAUSS])  # one product applies both rules
 
 def _panel(f: Callable, a: float, b: float):
     """The K61 block over [a, b] of the integrand's pair of factors, and its
-    error estimate max |K61 - G30|."""
+    error estimate max |K61 - G30|.  The block owns its data, so a panel kept
+    in the heap does not keep the G30 block alive."""
     half = 0.5 * (b - a)
     u, v = f(0.5 * (a + b) + half * _NODES)
     # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
     k, g = (half * _RULES[:, None, :] * u.T) @ v
-    return k, float(np.max(np.abs(k - g)))
+    return k.copy(), float(np.max(np.abs(k - g)))
 
 
 def integrate_adaptive(

@@ -201,20 +201,15 @@ class PolynomialSystem:
     it); all query methods are pure.
     """
 
-    def __init__(self, seq: GoverningSequence, n_max: int | None = None):
+    def __init__(self, seq: GoverningSequence):
         if len(seq) < 3:
             raise ValueError(f"a polynomial system needs v_0, v_1 and v_2; got {len(seq)} entries")
-        if n_max is None:
-            n_max = seq.n_max
-        if not 1 <= n_max <= seq.n_max:
-            raise ValueError(f"n_max must be in [1, {seq.n_max}]")
         self.seq = seq
-        self.n_max = n_max
+        self.n_max = n_max = seq.n_max
         self.brackets = bracket_table(seq)
         self.b2 = [seq.b0_squared * br for br in self.brackets[1:]]  # b2[i] = b_i^2 = b0^2 [i+1]
-        self.g2 = gamma_squares(seq)  # g2[n] = gamma_n^2
+        self.g2 = gamma_squares(seq, self.b2)  # g2[n] = gamma_n^2
         self.b_float = [math.sqrt(float(x)) for x in self.b2]
-        self.gamma_float = [math.sqrt(float(x)) for x in self.g2]
 
         norm2 = [Fraction(1)]
         for n in range(1, n_max + 1):
@@ -224,7 +219,7 @@ class PolynomialSystem:
         monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         for n in range(1, n_max):
             monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
-        self.monic = monic[: n_max + 1]
+        self.monic = monic
 
         fam, params = is_special_family(seq)
         self._family_params = params if fam else None

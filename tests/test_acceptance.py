@@ -30,11 +30,11 @@ from hermite_chihara import (
     spectrum_report,
     square_lowering_report,
 )
+from hermite_chihara.oscillator import MARGIN
 from hermite_chihara.quadrature import integrate_split_at_zero
 from conftest import POINT_GRID, plain
 
 DIM = 40
-MARGIN = 4
 
 
 def _pass(num, detail, t0=None, budget=None):
@@ -155,9 +155,9 @@ def test_criterion_07_oscillator_identities():
     worst_comm = worst_spec = 0.0
     for name, sys in cases:
         ops = build_operators(sys, DIM)
-        crep = commutator_report(ops, sys, MARGIN)
+        crep = commutator_report(ops, sys)
         assert crep.max_deviation < 1e-10, name
-        srep = spectrum_report(ops, sys, MARGIN)
+        srep = spectrum_report(ops, sys)
         assert srep.max_deviation < 1e-10 and srep.off_diagonal < 1e-10, name
         gamma, alpha = sys.weight_parameters()
         if alpha == 1:
@@ -178,11 +178,11 @@ def test_criterion_08_square_lowering():
     for gamma in (0, 1, 2):
         sys = PolynomialSystem(seq_classical(gamma, 64))
         assert sys.seq.b0_squared * (sys.values[2] - 1) == 1  # c1 = 1
-        dev = square_lowering_report(build_operators(sys, DIM), sys, MARGIN)
+        dev = square_lowering_report(build_operators(sys, DIM), sys)
         worst = max(worst, dev)
         assert dev < 1e-10
     fam = PolynomialSystem(seq_family(1, 2, F(1), 64))
-    dev = square_lowering_report(build_operators(fam, DIM), fam, MARGIN)
+    dev = square_lowering_report(build_operators(fam, DIM), fam)
     worst = max(worst, dev)
     assert dev < 1e-10
     _pass(8, f"X d/dx - N = (a-)^2/c1 < 1e-10, as the exact monic identity on columns "

@@ -137,7 +137,7 @@ class TestTableStrings:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         got = [row["monic_coeffs"] for row in json.loads(out)["rows"]]
-        system = PolynomialSystem(build_sequence(make_parser().parse_args(argv), 256), 256)
+        system = PolynomialSystem(build_sequence(make_parser().parse_args(argv), 256))
         assert got == [ref.coeff_strings(core) for core in system.monic]
         # zero, negative, integer and non-integer coefficients all occur
         flat = [c for row in got for c in row]
@@ -216,6 +216,39 @@ class TestBuildAndSeedFile:
         )
         assert code == 0
         assert json.loads(out)["governing_sequence"]["values"] == ["1", "3/2", "2"]
+
+    def test_seed_file_longer_than_n_max(self, capsys, tmp_path):
+        # build and table print the rows n <= --n-max whatever the file stores
+        seed = tmp_path / "seed.json"
+        seed.write_text(GoverningSequence(tuple(F(n + 1) for n in range(21)), F(1, 2)).to_json())
+        custom = ("--family", "custom-file", "--seed-file", str(seed), "--n-max", "6")
+        code, table_seeded, _ = run_cli(capsys, "table", *custom)
+        assert code == 0
+        assert table_seeded == run_cli(capsys, "table", "--family", "hermite", "--n-max", "6")[1]
+        code, out, _ = run_cli(capsys, "build", *custom)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["governing_sequence"]["values"]) == 21
+        assert payload["n_max"] == 6
+        assert (len(payload["b_squared"]), len(payload["gamma_squared"])) == (6, 7)
+
+    @pytest.mark.parametrize(
+        "flags, b0_squared",
+        [
+            (("--family", "hermite"), "1/2"),
+            (("--family", "family", "--v2", "5"), "1"),
+            (("--family", "order2", "--v1", "3"), "1/2"),
+            (("--family", "order3", "--v1", "7/3", "--v2", "17/3"), "1/2"),
+        ],
+        ids=["hermite", "family", "order2", "order3"],
+    )
+    def test_default_b0_squared(self, capsys, flags, b0_squared):
+        # without --b0-squared each family takes its constructor's default
+        code, out, _ = run_cli(capsys, "build", *flags, "--n-max", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["governing_sequence"]["b0_squared"] == b0_squared
+        assert payload["b_squared"][0] == b0_squared  # b_0^2 = b0^2 [1]
 
 
 class TestVerify:
@@ -312,6 +345,27 @@ class TestCheckStatus:
         assert (ode["status"], ode["passed"]) == ("fail", False)
         assert ode["detail"].endswith("fails first at n = 3")
         assert json.loads(err.splitlines()[-1])["failed"] == ["ode"]
+
+    def test_square_lowering_fails_on_any_residual(self, capsys, monkeypatch):
+        # the report is exact, 0.0 when every column holds: a core off by a
+        # relative 1e-15 leaves a residual of ~2e-11 psi units, and fails
+        init = PolynomialSystem.__init__
+
+        def perturbed_init(self, seq):
+            init(self, seq)
+            self.monic[20] = self.monic[20].scale(1 + F(1, 10**15))
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", perturbed_init)
+        # n_max = 12 keeps core 20 out of every other check
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
+            "--b0-squared", "3/7", "--n-max", "12", "--dim", "40",
+        )
+        assert code == 1
+        square = {c["name"]: c for c in json.loads(out)["checks"]}["square_lowering"]
+        assert (square["status"], square["passed"]) == ("fail", False)
+        assert 0.0 < float(square["detail"].split()[2].rstrip(",")) < 1e-10
+        assert json.loads(err.splitlines()[-1])["failed"] == ["square_lowering"]
 
 
 class TestUnconvergedQuadrature:

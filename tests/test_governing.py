@@ -210,7 +210,8 @@ class TestDerivedTables:
             assert b2[n - 1] == expect
 
     def test_hermite_gamma_squared(self):
-        g2 = gamma_squares(seq_hermite(12))
+        seq = seq_hermite(12)
+        g2 = gamma_squares(seq, recurrence_squares(seq))
         assert g2[1:] == [F(2 * n) for n in range(1, 13)]
 
     def test_float_conveniences(self):
@@ -219,15 +220,16 @@ class TestDerivedTables:
         sys = PolynomialSystem(seq_hermite(8))
         assert sys.b_float[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert sys.b_float[3] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert sys.gamma_float[4] == pytest.approx(math.sqrt(8.0), rel=1e-15)
+        assert math.sqrt(float(sys.g2[4])) == pytest.approx(math.sqrt(8.0), rel=1e-15)
 
     def test_gamma1_is_inverse_b0(self):
         for seq in (seq_hermite(6), seq_classical(5, 6), seq_family(2, 7, F(3), 6)):
-            assert gamma_squares(seq)[1] == 1 / seq.b0_squared
+            assert gamma_squares(seq, recurrence_squares(seq))[1] == 1 / seq.b0_squared
 
     def test_classical_gamma_closed_form(self):
         gamma = F(1)
-        g2 = gamma_squares(seq_classical(gamma, 12))
+        seq = seq_classical(gamma, 12)
+        g2 = gamma_squares(seq, recurrence_squares(seq))
         for n in range(1, 13):
             num = 2 * n if n % 2 == 0 else 2 * (n + gamma)
             assert g2[n] == F(num) / (gamma + 1) ** 2
@@ -244,13 +246,14 @@ class TestDerivedTables:
         assume(v2 > 1)  # v2 = 1 degenerates to zero brackets (no system)
         seq = seq_family(v1, v2, b0sq, 12)
         b2 = recurrence_squares(seq)
-        g2 = gamma_squares(seq)
+        g2 = gamma_squares(seq, b2)
         for n in range(1, 13):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
 
     def test_roundtrip_on_incompatible_sequence_too(self):
         seq = seq_order2(3, 10)
-        b2, g2 = recurrence_squares(seq), gamma_squares(seq)
+        b2 = recurrence_squares(seq)
+        g2 = gamma_squares(seq, b2)
         for n in range(1, 11):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
 

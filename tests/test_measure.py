@@ -272,6 +272,43 @@ class TestQuadratureEngine:
         assert got.tobytes() == want.tobytes() and err == want_err  # bit for bit
         assert len(calls) == 2 * panels - 2  # two initial panels, two per split
 
+    @pytest.mark.parametrize(
+        "small,half,tol",
+        [(3.0, 0.0, 3.5), (1.0, 0.0, 0.5), (1.0, 3e15, 6e15)],
+        ids=["reads-over", "reads-under", "reads-under-unhalved"],
+    )
+    def test_running_error_total_against_chosen_errors(self, small, half, tol, monkeypatch):
+        # panels with chosen error estimates: [-1, 0] at 1e16, its halves at
+        # `half` and theirs at 0; [0, 1] at `small`, and each half of a panel
+        # there at a quarter of its parent's.  The float spacing is 2 at 1e16,
+        # so splitting [-1, 0] leaves a running total off by one:
+        # - 1e16 + 3 rounds up: the total reads 4 where the panels hold 3, over
+        #   tol 3.5; the halving re-anchor must catch it;
+        # - 1e16 + 1 rounds down: it reads 0 where they hold 1, under tol 0.5;
+        # - with halves at 3e15 it reads 6e15 = tol where they hold 6e15 + 1,
+        #   without having halved.
+        # Only a fresh sum may end the loop.
+        def fake(f, a, b):
+            if b > 0.0:
+                return np.zeros((1, 1)), small * (b - a) ** 2
+            return np.zeros((1, 1)), {1.0: 1e16, 0.5: half}.get(b - a, 0.0)
+
+        want, want_err, panels = integrate_fresh_sums(None, [-1.0, 0.0, 1.0], tol, panel=fake)
+        assert want_err <= tol
+        calls = []
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: calls.append(a) or fake(*a))
+        _, err = integrate_adaptive(None, [-1.0, 0.0, 1.0], tol=tol)
+        assert err == want_err
+        assert len(calls) == 2 * panels - 2  # two initial panels, two per split
+
+    def test_panel_block_owns_its_data(self):
+        # a panel kept in the heap holds its K61 block alone, not a view into
+        # the product that also holds the G30 block
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal((61, 4)), rng.standard_normal((61, 3))
+        k, _ = _panel(lambda x: (u, v), -1.0, 1.0)
+        assert k.base is None and k.flags.owndata
+
     @pytest.mark.parametrize("tol,max_panels", [(1e-6, 4000), (1e-12, 4000), (1e-300, 600)])
     def test_vector_integrand_matches_fresh_sums(self, tol, max_panels):
         @plain

@@ -22,10 +22,9 @@ from hermite_chihara import (
     square_lowering_report,
 )
 from hermite_chihara.cli import main
-from hermite_chihara.oscillator import ROUNDING_BOUND
+from hermite_chihara.oscillator import MARGIN, ROUNDING_BOUND
 
 DIM = 40
-MARGIN = 4
 SQRT2 = math.sqrt(2.0)
 
 
@@ -63,14 +62,14 @@ def dense_b(sys, dim):
     return np.diag(b2[:dim]), np.diag(b2[1:])
 
 
-def dense_reports(sys, dim, margin):
+def dense_reports(sys, dim):
     """The commutator and spectrum reports and the mixed-form deviation by
     dense matrix products on the interior block; a row is within rounding
     when its deviation is at most ROUNDING_BOUND eps times H's diagonal."""
     X, a_minus, a_plus, p_skew = dense_operators(sys, dim)
     B, B_shift = dense_b(sys, dim)
     num = np.diag(np.arange(dim, dtype=float))
-    k = dim - margin
+    k = dim - MARGIN
 
     def interior_max(mat):
         return float(np.max(np.abs(mat[:k, :k])))
@@ -123,14 +122,13 @@ class TestDenseReference:
         [("classical gamma=1", 400), ("classical gamma=1", 40),
          ("family (2/3, 5/3, 3/7)", 130), ("order2 v1=3", 40)],
     )
-    @pytest.mark.parametrize("margin", [1, MARGIN])
-    def test_band_equals_dense(self, systems, name, dim, margin):
+    def test_band_equals_dense(self, systems, name, dim):
         sys = systems[name]
         ops = build_operators(sys, dim)
-        commutator, spectrum, mixed = dense_reports(sys, dim, margin)
-        assert commutator_report(ops, sys, margin) == commutator
-        assert spectrum_report(ops, sys, margin) == spectrum
-        assert hamiltonian_mixed_form_deviation(ops, margin) == pytest.approx(mixed, abs=1e-10)
+        commutator, spectrum, mixed = dense_reports(sys, dim)
+        assert commutator_report(ops, sys) == commutator
+        assert spectrum_report(ops, sys) == spectrum
+        assert hamiltonian_mixed_form_deviation(ops) == pytest.approx(mixed, abs=1e-10)
 
 
 # -- structure -------------------------------------------------------------------
@@ -147,7 +145,7 @@ class TestStructure:
         # B(N) = diag(b_{n-1}^2) with b_{-1} = 0: the level formula of row 0
         # has only b_0^2 in it
         sys, ops = classical2_ops
-        rows = spectrum_report(ops, sys, MARGIN).rows
+        rows = spectrum_report(ops, sys).rows
         assert rows[0][2] == 2.0 * float(sys.b2[0])
         assert rows[1][2] == 2.0 * float(sys.b2[0]) + 2.0 * float(sys.b2[1])
 
@@ -156,10 +154,11 @@ class TestStructure:
         # and f_n = sqrt2 b0^2 (v_n - v_{n-2}) / v_1
         sys, ops = classical2_ops
         v, b0sq = sys.seq.value, float(sys.seq.b0_squared)
-        assert ops.b[0] / sys.gamma_float[1] == pytest.approx(b0sq, rel=1e-15)
+        assert ops.b[0] / math.sqrt(float(sys.g2[1])) == pytest.approx(b0sq, rel=1e-15)
         for n in range(2, DIM):
             f = SQRT2 * b0sq * float((v(n) - v(n - 2)) / v(1))
-            assert SQRT2 * ops.b[n - 1] == pytest.approx(sys.gamma_float[n] * f, rel=1e-14)
+            gamma_n = math.sqrt(float(sys.g2[n]))
+            assert SQRT2 * ops.b[n - 1] == pytest.approx(gamma_n * f, rel=1e-14)
 
     def test_a_minus_factors_through_f(self):
         # a- = (gamma-lowering) f(N): gamma_n^2 f_n^2 = 2 b_{n-1}^2, exactly, with
@@ -197,26 +196,21 @@ class TestStructure:
 
 
 class TestMarginGuard:
-    """Every report needs 1 <= interior_margin < dim; the CLI needs --dim >= 5."""
+    """An operator set needs dim > MARGIN, one interior row n < dim - MARGIN;
+    the CLI needs --dim >= MARGIN + 1."""
 
-    REPORTS = {
-        "commutator": lambda ops, sys, m: commutator_report(ops, sys, m),
-        "spectrum": lambda ops, sys, m: spectrum_report(ops, sys, m),
-        "square_lowering": lambda ops, sys, m: square_lowering_report(ops, sys, m),
-        "mixed_form": lambda ops, sys, m: hamiltonian_mixed_form_deviation(ops, m),
-    }
+    @pytest.mark.parametrize("dim", [1, MARGIN])
+    def test_operator_set_rejects_dim(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be >= {MARGIN + 1}"):
+            OperatorSet(dim=dim, b=np.ones(dim - 1))
 
-    @pytest.mark.parametrize("report", sorted(REPORTS))
-    @pytest.mark.parametrize("margin", [-1, 0, 10, 11])
-    def test_report_rejects_margin(self, report, margin):
-        sys = PolynomialSystem(seq_hermite(10))
-        with pytest.raises(ValueError, match="interior_margin"):
-            self.REPORTS[report](build_operators(sys, 10), sys, margin)
-
-    @pytest.mark.parametrize("report", sorted(REPORTS))
-    def test_report_accepts_largest_margin(self, report):
-        sys = PolynomialSystem(seq_hermite(10))
-        assert self.REPORTS[report](build_operators(sys, 10), sys, 9) is not None
+    def test_one_interior_row_is_checked(self):
+        sys = PolynomialSystem(seq_family(1, 2, F(1), 10))
+        ops = build_operators(sys, MARGIN + 1)
+        assert [row[0] for row in spectrum_report(ops, sys).rows] == [0]
+        assert commutator_report(ops, sys).within_rounding
+        assert square_lowering_report(ops, sys) == 0.0
+        assert hamiltonian_mixed_form_deviation(ops) < 1e-15
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("dim", ["3", "4"])
@@ -229,7 +223,7 @@ class TestMarginGuard:
 class TestCommutator:
     def test_hermite_canonical(self, hermite_ops):
         sys, ops = hermite_ops
-        rep = commutator_report(ops, sys, interior_margin=MARGIN)
+        rep = commutator_report(ops, sys)
         assert rep.max_deviation < 1e-12
         # 2(b_n^2 - b_{n-1}^2) = 1: the canonical [a, a+] = 1 pattern
         for n in range(64):
@@ -237,7 +231,7 @@ class TestCommutator:
 
     def test_classical_gamma2_pattern(self, classical2_ops):
         sys, ops = classical2_ops
-        rep = commutator_report(ops, sys, interior_margin=MARGIN)
+        rep = commutator_report(ops, sys)
         assert rep.max_deviation < 1e-12
         assert rep.classical_deviation is not None and rep.classical_deviation < 1e-12
         for n in range(64):
@@ -253,16 +247,11 @@ class TestCommutator:
         off = comm[:k, :k] - np.diag(np.diag(comm)[:k])
         assert np.max(np.abs(off)) < 1e-12
 
-    def test_margin_guard(self, hermite_ops):
-        sys, ops = hermite_ops
-        with pytest.raises(ValueError):
-            commutator_report(ops, sys, interior_margin=0)
-
 
 class TestSpectrum:
     def test_hermite_levels(self, hermite_ops):
         sys, ops = hermite_ops
-        rep = spectrum_report(ops, sys, interior_margin=MARGIN)
+        rep = spectrum_report(ops, sys)
         assert rep.max_deviation < 1e-10
         assert rep.off_diagonal < 1e-10
         for n, lam, _, _ in rep.rows[:20]:
@@ -271,20 +260,20 @@ class TestSpectrum:
     def test_classical_levels(self):
         sys = PolynomialSystem(seq_classical(1, 64))
         ops = build_operators(sys, DIM)
-        rep = spectrum_report(ops, sys, interior_margin=MARGIN)
+        rep = spectrum_report(ops, sys)
         assert rep.classical_deviation is not None and rep.classical_deviation < 1e-10
         for n, lam, _, _ in rep.rows[:20]:
             assert lam == pytest.approx(2 * n + 2, abs=1e-12)
 
     def test_lambda0_is_2b0sq(self, classical2_ops):
         sys, ops = classical2_ops
-        lam0 = spectrum_report(ops, sys, MARGIN).rows[0][1]
+        lam0 = spectrum_report(ops, sys).rows[0][1]
         assert lam0 == pytest.approx(2 * float(sys.seq.b0_squared), rel=1e-14)
 
     def test_family_two_routes(self):
         sys = PolynomialSystem(seq_family(4, 5, F(1), 64))
         ops = build_operators(sys, DIM)
-        rep = spectrum_report(ops, sys, interior_margin=MARGIN)
+        rep = spectrum_report(ops, sys)
         assert rep.max_deviation < 1e-10
         # v-form of the levels, with v_{-1} = 0
         v = sys.seq.value
@@ -302,12 +291,12 @@ class TestSquareLowering:
             c1 = sys.seq.b0_squared * (sys.values[2] - 1)
             assert c1 == 1
             ops = build_operators(sys, DIM)
-            assert square_lowering_report(ops, sys, interior_margin=MARGIN) == 0.0
+            assert square_lowering_report(ops, sys) == 0.0
 
     def test_family_v2_2(self):
         sys = PolynomialSystem(seq_family(1, 2, F(1), 64))
         ops = build_operators(sys, DIM)
-        assert square_lowering_report(ops, sys, interior_margin=MARGIN) == 0.0
+        assert square_lowering_report(ops, sys) == 0.0
 
     def test_hermite_structure(self):
         # X d/dx psi_n - n psi_n = 2 b_{n-1} b_{n-2} psi_{n-2} (c1 = 1), here by
@@ -321,7 +310,7 @@ class TestSquareLowering:
             d = dict(sys.derivative_in_basis(n))
             component = b[n - 2] * d[n - 1] + (b[n - 3] * d.get(n - 3, 0.0) if n >= 3 else 0.0)
             assert component == pytest.approx(2 * b[n - 1] * b[n - 2], rel=1e-12)
-        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) == 0.0
+        assert square_lowering_report(build_operators(sys, DIM), sys) == 0.0
 
     def test_non_family_rejected(self):
         sys = PolynomialSystem(seq_order2(3, 50))
@@ -341,13 +330,13 @@ class TestPerturbedCore:
     def test_report_exceeds_bound(self):
         sys = PolynomialSystem(seq_classical(1, 64))
         perturb_core(sys)
-        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) > 1e-10
+        assert square_lowering_report(build_operators(sys, DIM), sys) > 1e-10
 
     def test_core_beyond_range_is_not_checked(self):
-        # the columns stop below dim - margin = 36
+        # the columns stop below dim - MARGIN = 36
         sys = PolynomialSystem(seq_classical(1, 64))
         perturb_core(sys, n=38)
-        assert square_lowering_report(build_operators(sys, DIM), sys, MARGIN) == 0.0
+        assert square_lowering_report(build_operators(sys, DIM), sys) == 0.0
 
     def test_verify_fails_square_lowering_only(self, capsys, monkeypatch):
         # n_max = 12 keeps core 20 out of every other check
@@ -392,12 +381,12 @@ class TestRoundingBound:
 
     def test_perturbed_band_fails(self, hermite_ops):
         sys, ops = hermite_ops
-        assert commutator_report(ops, sys, MARGIN).within_rounding
-        assert spectrum_report(ops, sys, MARGIN).within_rounding
+        assert commutator_report(ops, sys).within_rounding
+        assert spectrum_report(ops, sys).within_rounding
         bad = self.perturbed(ops)
-        rep = commutator_report(bad, sys, MARGIN)
+        rep = commutator_report(bad, sys)
         assert rep.max_deviation < 1e-10 and not rep.within_rounding
-        assert not spectrum_report(bad, sys, MARGIN).within_rounding
+        assert not spectrum_report(bad, sys).within_rounding
 
     def test_verify_fails_commutator_on_a_perturbed_band(self, capsys, monkeypatch):
         from hermite_chihara import oscillator
@@ -423,13 +412,13 @@ class TestHamiltonian:
 
     def test_h_diagonal_interior(self, classical2_ops):
         sys, ops = classical2_ops
-        rep = spectrum_report(ops, sys, interior_margin=MARGIN)
+        rep = spectrum_report(ops, sys)
         assert rep.off_diagonal < 1e-10
 
     def test_position_momentum_form(self, classical2_ops):
         # H = X^2 + P^2 over the reals: H = X@X - p_skew@p_skew
         sys, ops = classical2_ops
-        assert hamiltonian_mixed_form_deviation(ops, interior_margin=MARGIN) < 1e-10
+        assert hamiltonian_mixed_form_deviation(ops) < 1e-10
         p_skew = dense_operators(sys, DIM)[3]
         assert np.allclose(p_skew, -p_skew.T, atol=1e-15)
 
@@ -438,10 +427,10 @@ class TestHamiltonian:
         # from the upper second off-diagonal: 1 - p^2 with the momentum band
         # p = sqrt2 (sqrt2 1) - 1 = 1 + 4.4e-16 in floats
         ops = OperatorSet(dim=12, b=np.ones(11))
-        assert hamiltonian_mixed_form_deviation(ops, interior_margin=MARGIN) > 0.0
+        assert hamiltonian_mixed_form_deviation(ops) > 0.0
 
     def test_doubling_dim_keeps_noise_scale(self):
         sys = PolynomialSystem(seq_classical(1, 100))
-        dev40 = commutator_report(build_operators(sys, 40), sys, MARGIN).max_deviation
-        dev80 = commutator_report(build_operators(sys, 80), sys, MARGIN).max_deviation
+        dev40 = commutator_report(build_operators(sys, 40), sys).max_deviation
+        dev80 = commutator_report(build_operators(sys, 80), sys).max_deviation
         assert dev80 <= max(2 * dev40, 1e-12)

@@ -168,6 +168,28 @@ class TestPsiConstruction:
         with pytest.raises(ValueError, match=r"needs v_0, v_1 and v_2; got 2 entries"):
             PolynomialSystem(GoverningSequence((F(1), F(2)), F(1)))
 
+    def test_one_bracket_pass_per_system(self, monkeypatch):
+        # the constructor hands its b^2 table to gamma_squares, so the bracket
+        # table is built once; gamma_squares is still called through the name
+        # systems binds, once per system
+        from hermite_chihara import governing
+
+        calls = {"bracket_table": 0, "gamma_squares": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        brackets = counted(governing.bracket_table)
+        monkeypatch.setattr(governing, "bracket_table", brackets)
+        monkeypatch.setattr(systems_mod, "bracket_table", brackets)
+        monkeypatch.setattr(systems_mod, "gamma_squares", counted(governing.gamma_squares))
+        for seq in (seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)):
+            PolynomialSystem(seq)
+        assert calls == {"bracket_table": 2, "gamma_squares": 2}
+
 
 class TestPsiEval:
     def test_psi0_is_one(self, hermite_sys):
