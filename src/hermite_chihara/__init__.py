@@ -12,7 +12,6 @@ from .governing import (
     bracket_table,
     gamma_squares,
     is_special_family,
-    recurrence_squares,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -20,10 +19,9 @@ from .governing import (
     seq_order3,
     validate,
 )
-from .derivation import DerivationOperator, OrderVerdict, Poly, epsilons_from_sequence, poly
+from .derivation import DerivationOperator, OrderVerdict, Poly, epsilons_from_sequence
 from .systems import (
     DecompositionReport,
-    NormalizedPoly,
     PolynomialSystem,
     UnsupportedSystemError,
     alpha_closed,

@@ -24,7 +24,6 @@ from .governing import GoverningSequence, as_fraction, common_denominator
 
 __all__ = [
     "Poly",
-    "poly",
     "DerivationOperator",
     "OrderVerdict",
     "epsilons_from_sequence",
@@ -119,12 +118,6 @@ class Poly:
     def max_abs_coeff(self) -> Fraction:
         return Fraction(max(map(abs, self.nums), default=0), self.den)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
-        return " + ".join(terms)
-
 
 def _settle(p: Poly, nums: Sequence[int], den: int) -> None:
     """Store nums/den on p in canonical form: trailing zeros dropped, then one
@@ -137,10 +130,6 @@ def _settle(p: Poly, nums: Sequence[int], den: int) -> None:
     g = gcd(den, *nums[:n])
     object.__setattr__(p, "nums", tuple(a // g for a in nums[:n]) if g > 1 else tuple(nums[:n]))
     object.__setattr__(p, "den", den // g)
-
-
-def poly(coeffs: Iterable) -> Poly:
-    return Poly(tuple(coeffs))
 
 
 class OrderVerdict(NamedTuple):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -31,7 +32,6 @@ __all__ = [
     "seq_classical",
     "seq_family",
     "bracket_table",
-    "recurrence_squares",
     "gamma_squares",
     "is_special_family",
 ]
@@ -56,6 +56,16 @@ def common_denominator(fracs: Iterable[Fraction]) -> tuple[list[int], int]:
     fracs = list(fracs)
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _json_rational(x) -> Fraction:
+    """A seed-file entry: a JSON integer or a "p/q" string with q > 0.  A JSON
+    float is refused, since Fraction would take it at its binary value."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", x):
+        return Fraction(x)
+    raise ValueError(f"seed-file entry {x!r} is not an integer or a 'p/q' string with q > 0")
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,15 @@ class GoverningSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GoverningSequence":
+        """The sequence of a seed file's object {"values": [...], "b0_squared": ...}.
+        Raises ValueError on any other shape."""
+        if not (isinstance(data, dict) and isinstance(data.get("values"), list)
+                and "b0_squared" in data):
+            raise ValueError('a seed file holds one JSON object '
+                             '{"values": [...], "b0_squared": ...}')
         return cls(
-            values=tuple(Fraction(s) for s in data["values"]),
-            b0_squared=Fraction(data["b0_squared"]),
+            values=tuple(_json_rational(x) for x in data["values"]),
+            b0_squared=_json_rational(data["b0_squared"]),
         )
 
     @classmethod
@@ -251,16 +267,10 @@ def bracket_table(seq: GoverningSequence) -> list[Fraction]:
     return out
 
 
-def recurrence_squares(seq: GoverningSequence) -> list[Fraction]:
-    """Squared recurrence coefficients: entry i is b_i^2 = b0^2 [i+1], i = 0..N-1."""
-    brackets = bracket_table(seq)
-    return [seq.b0_squared * brackets[n] for n in range(1, len(seq))]
-
-
 def gamma_squares(seq: GoverningSequence, b2: Sequence[Fraction]) -> list[Fraction]:
     """Squared lowering factors, entry n = gamma_n^2 = v_{n-1}^2 / b_{n-1}^2
     for n = 1..N (entry 0 is 0), from the sequence's squared recurrence
-    coefficients b2 (recurrence_squares(seq))."""
+    coefficients b2, entry i = b_i^2 = b0^2 [i+1] (PolynomialSystem.b2)."""
     return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
 
 

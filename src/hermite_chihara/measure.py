@@ -1,7 +1,8 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2): normalization,
 moments (three independent routes), Gram matrices by adaptive quadrature of
 the bilinear integrand (w psi_i) psi_j, and the Carleman determinacy
-heuristic."""
+heuristic.  gram_deviation takes any weight (a mismatched one is a negative
+control); orthonormality_check takes the system's own."""
 
 from __future__ import annotations
 
@@ -45,14 +46,10 @@ class MeasureSpec:
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
 
-    @property
-    def normalization(self) -> float:
-        return normalization(float(self.gamma), float(self.alpha))
-
     def weight(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         g, a = float(self.gamma), float(self.alpha)
-        return self.normalization * np.abs(x) ** g * np.exp(-a * x * x)
+        return normalization(g, a) * np.abs(x) ** g * np.exp(-a * x * x)
 
 
 def normalization(gamma: float, alpha: float) -> float:
@@ -158,19 +155,10 @@ def gram_deviation(
     )
 
 
-def orthonormality_check(
-    sys: PolynomialSystem, spec: MeasureSpec, n_max: int
-) -> OrthonormalityReport:
-    """Gram deviation report against the system's own weight: the measure
-    parameters must match its weight parameters exactly (gram_deviation takes
-    any measure, e.g. a deliberately mismatched one as a negative control)."""
-    gamma, alpha = sys.weight_parameters()
-    if (gamma, alpha) != (spec.gamma, spec.alpha):
-        raise ValueError(
-            f"measure ({spec.gamma}, {spec.alpha}) does not match the system's "
-            f"weight parameters ({gamma}, {alpha})"
-        )
-    return gram_deviation(sys, spec, n_max)
+def orthonormality_check(sys: PolynomialSystem, n_max: int) -> OrthonormalityReport:
+    """Gram deviation report of psi_0..psi_{n_max} against the weight of the
+    family system sys (spec_for_system)."""
+    return gram_deviation(sys, spec_for_system(sys), n_max)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["integrate_adaptive", "integrate_split_at_zero"]
+__all__ = ["MAX_PANELS", "integrate_split_at_zero"]
+
+MAX_PANELS = 4000  # the panel count at which the bisection stops short of tol
 
 # QUADPACK dqk61 tables (Piessens et al., 1983): the 31 non-negative
 # abscissae of the 61-point Kronrod rule, descending, with the 30-point Gauss
@@ -126,32 +128,23 @@ def _panel(f: Callable, a: float, b: float):
     return k.copy(), float(np.max(np.abs(k - g)))
 
 
-def integrate_adaptive(
-    f: Callable,
-    breakpoints: list[float],
-    tol: float = 1e-10,
-    max_panels: int = 4000,
-):
+def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate the bilinear integrand f (see the module docstring) over
-    [breakpoints[0], breakpoints[-1]] with initial panels between consecutive
-    breakpoints.  Returns (integral, error_estimate); the integral is the
-    p x q block of the factors' shapes (61, p) and (61, q).
+    [-radius, radius], starting from the two panels split at 0, where a weight
+    has its cusp.  Returns (integral, error_estimate); the integral is the
+    p x q block of the factors' shapes (61, p) and (61, q).  The error
+    estimate exceeds tol only when MAX_PANELS panels did not meet it.
     """
-    if len(breakpoints) < 2:
-        raise ValueError("need at least two breakpoints")
-    heap = []
-    counter = 0
-    total = None
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _panel(f, a, b)
-        total = val if total is None else total + val
-        heapq.heappush(heap, (-err, counter, a, b, val))
-        counter += 1
+    (v1, e1), (v2, e2) = _panel(f, -radius, 0.0), _panel(f, 0.0, radius)
+    total = v1 + v2
+    heap = [(-e1, 0, -radius, 0.0, v1), (-e2, 1, 0.0, radius, v2)]
+    heapq.heapify(heap)
+    counter = 2
     # A running error total keeps each split O(log panels).  It drifts by
     # rounding, so it is re-anchored on a fresh sum over the heap whenever it
     # has halved since the last anchor, and only a fresh sum may end the loop.
     total_err = anchor = _heap_error(heap)
-    while total_err > tol and len(heap) < max_panels:
+    while total_err > tol and len(heap) < MAX_PANELS:
         neg_err, _, a, b, val = heapq.heappop(heap)
         if -neg_err <= 0.0:
             heapq.heappush(heap, (neg_err, counter, a, b, val))
@@ -171,8 +164,3 @@ def integrate_adaptive(
 def _heap_error(heap) -> float:
     """Sum of the panel error estimates, recomputed from the heap."""
     return -sum(item[0] for item in heap)
-
-
-def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
-    """Integrate over [-R, R] with an initial split at 0 (weight cusp)."""
-    return integrate_adaptive(f, [-radius, 0.0, radius], tol=tol)

@@ -38,7 +38,6 @@ __all__ = [
     "alpha_nested",
     "alpha_closed",
     "alpha_table_entry",
-    "NormalizedPoly",
     "DecompositionReport",
     "PolynomialSystem",
 ]
@@ -149,27 +148,6 @@ def _next_monic(cur: Poly, prev: Poly, b2: Fraction) -> Poly:
 
 
 @dataclass(frozen=True)
-class NormalizedPoly:
-    """Exact monic core plus exact squared normalization: psi = core / sqrt(norm2)."""
-
-    core: Poly
-    norm_squared: Fraction
-
-    @property
-    def norm(self) -> float:
-        s, t = _sqrt_parts(self.norm_squared)
-        return math.ldexp(s, t)
-
-    def float_coeffs(self) -> list[float]:
-        return [_over_sqrt(c, self.norm_squared) for c in self.core.coeffs]
-
-    def __call__(self, x) -> float:
-        # Horner on the exact core (the float argument converts exactly);
-        # rounding enters only through the normalization.
-        return _over_sqrt(self.core(Fraction(x)), self.norm_squared)
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     """Expansion of the degree-preserving operator part applied to psi_n over
     the triangular generating set {x psi_{n-1}, psi_{n-2}, psi_{n-4}, ...}.
@@ -257,20 +235,16 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
-    def psi_coeffs(self, n: int) -> NormalizedPoly:
-        """psi_n from the three-term recurrence (exact core + squared norm)."""
-        self._check_n(n)
-        return NormalizedPoly(self.monic[n], self.norm2[n])
-
-    def psi_coeffs_via_alpha(self, n: int) -> NormalizedPoly:
-        """psi_n from the explicit coefficient formula
-        sum_m (-1)^m b0^{2m-n} alpha_{2m-1,n-1} x^{n-2m} / sqrt([n]!), with
-        the alphas in closed form (alpha_nested is the defining display)."""
+    def psi_coeffs_via_alpha(self, n: int) -> Poly:
+        """The monic core P_n from the explicit coefficient formula: the
+        coefficient of x^{n-2m} is (-1)^m b0^{2m} alpha_{2m-1,n-1}, with the
+        alphas in closed form (alpha_nested is the defining display).  Then
+        psi_n = P_n / sqrt(norm2[n]), as for the recurrence's core monic[n]."""
         self._check_n(n)
         coeffs = [Fraction(0)] * (n + 1)
         for m, a in enumerate(_alpha_row(self.values, self.brackets, n)):
             coeffs[n - 2 * m] = (-self.seq.b0_squared) ** m * a
-        return NormalizedPoly(Poly(coeffs), self.norm2[n])
+        return Poly(coeffs)
 
     def psi_eval(self, n: int, x):
         """Forward three-term recurrence evaluation (float; x scalar or array)."""

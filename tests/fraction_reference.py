@@ -86,11 +86,6 @@ class FractionPoly:
     def max_abs_coeff(self) -> Fraction:
         return max((abs(c) for c in self.coeffs), default=Fraction(0))
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0)
-
 
 def monic_cores(b2, n_max: int) -> list[FractionPoly]:
     monic = [FractionPoly((1,)), FractionPoly((0, 1))]

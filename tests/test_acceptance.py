@@ -127,7 +127,7 @@ def test_criterion_05_route_equivalence():
     for seq in (seq_hermite(25), seq_classical(1, 25), seq_family(1, 5, F(1), 25)):
         sys = PolynomialSystem(seq)
         for n in range(0, 26):
-            assert sys.psi_coeffs(n).core == sys.psi_coeffs_via_alpha(n).core
+            assert sys.monic[n] == sys.psi_coeffs_via_alpha(n)
     _pass(5, "explicit-coefficient route coefficient-identical to the recurrence, n <= 25", t0)
 
 
@@ -137,7 +137,8 @@ def test_criterion_06_orthonormality():
     for gamma in (F(0), F(1), F(2)):
         for alpha in (F(1, 2), F(1), F(2)):
             sys = weight_system(gamma, alpha)
-            rep = orthonormality_check(sys, MeasureSpec(gamma, alpha), 12)
+            assert sys.weight_parameters() == (gamma, alpha)
+            rep = orthonormality_check(sys, 12)
             worst = max(worst, rep.max_deviation)
             assert rep.max_deviation < 1e-8
     _pass(6, f"Gram deviation < 1e-8 for i,j <= 12 over 9 (gamma, alpha) combos "

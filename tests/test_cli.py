@@ -217,6 +217,28 @@ class TestBuildAndSeedFile:
         assert code == 0
         assert json.loads(out)["governing_sequence"]["values"] == ["1", "3/2", "2"]
 
+    def test_a_json_float_in_a_seed_file_is_an_input_error(self, capsys, tmp_path):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        seed = tmp_path / "seed.json"
+        seed.write_text('{"values": ["1", 0.1, "3"], "b0_squared": "1/2"}')
+        code, out, err = run_cli(
+            capsys, "build", "--family", "custom-file", "--seed-file", str(seed), "--n-max", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed-file entry 0.1 is not an integer or a 'p/q' string with q > 0\n"
+
+    @pytest.mark.parametrize(
+        "text", ['{"b0_squared": "1/2"}', '["1", "2", "3"]'], ids=["no-values", "array"]
+    )
+    def test_a_malformed_seed_file_is_an_input_error(self, capsys, tmp_path, text):
+        seed = tmp_path / "seed.json"
+        seed.write_text(text)
+        code, out, err = run_cli(
+            capsys, "build", "--family", "custom-file", "--seed-file", str(seed), "--n-max", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == 'error: a seed file holds one JSON object {"values": [...], "b0_squared": ...}\n'
+
     def test_seed_file_longer_than_n_max(self, capsys, tmp_path):
         # build and table print the rows n <= --n-max whatever the file stores
         seed = tmp_path / "seed.json"
@@ -380,7 +402,7 @@ class TestUnconvergedQuadrature:
 
         def stops_short(f, radius, tol):
             vals, _ = integrate(f, radius, tol=tol)
-            return vals, 1.0  # as if max_panels ran out with this error left
+            return vals, 1.0  # as if MAX_PANELS ran out with this error left
 
         monkeypatch.setattr(measure, "integrate_split_at_zero", stops_short)
 

@@ -11,7 +11,6 @@ from hermite_chihara import (
     bracket_table,
     gamma_squares,
     is_special_family,
-    recurrence_squares,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -198,20 +197,20 @@ class TestDerivedTables:
             bracket_table(GoverningSequence((F(1),) * 6, F(1)))
 
     def test_hermite_b_squared(self):
-        b2 = recurrence_squares(seq_hermite(12))
+        b2 = PolynomialSystem(seq_hermite(12)).b2
         assert b2 == [F(n, 2) for n in range(1, 13)]
         assert b2[0] == seq_hermite(12).b0_squared
 
     def test_classical_b_squared_parity(self):
         gamma = F(3)
-        b2 = recurrence_squares(seq_classical(gamma, 14))
+        b2 = PolynomialSystem(seq_classical(gamma, 14)).b2
         for n in range(1, 15):
             expect = F(n, 2) if n % 2 == 0 else (n + gamma) / 2
             assert b2[n - 1] == expect
 
     def test_hermite_gamma_squared(self):
         seq = seq_hermite(12)
-        g2 = gamma_squares(seq, recurrence_squares(seq))
+        g2 = gamma_squares(seq, PolynomialSystem(seq).b2)
         assert g2[1:] == [F(2 * n) for n in range(1, 13)]
 
     def test_float_conveniences(self):
@@ -224,12 +223,12 @@ class TestDerivedTables:
 
     def test_gamma1_is_inverse_b0(self):
         for seq in (seq_hermite(6), seq_classical(5, 6), seq_family(2, 7, F(3), 6)):
-            assert gamma_squares(seq, recurrence_squares(seq))[1] == 1 / seq.b0_squared
+            assert gamma_squares(seq, PolynomialSystem(seq).b2)[1] == 1 / seq.b0_squared
 
     def test_classical_gamma_closed_form(self):
         gamma = F(1)
         seq = seq_classical(gamma, 12)
-        g2 = gamma_squares(seq, recurrence_squares(seq))
+        g2 = gamma_squares(seq, PolynomialSystem(seq).b2)
         for n in range(1, 13):
             num = 2 * n if n % 2 == 0 else 2 * (n + gamma)
             assert g2[n] == F(num) / (gamma + 1) ** 2
@@ -245,14 +244,14 @@ class TestDerivedTables:
             v1, v2 = v2, v1
         assume(v2 > 1)  # v2 = 1 degenerates to zero brackets (no system)
         seq = seq_family(v1, v2, b0sq, 12)
-        b2 = recurrence_squares(seq)
+        b2 = PolynomialSystem(seq).b2
         g2 = gamma_squares(seq, b2)
         for n in range(1, 13):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
 
     def test_roundtrip_on_incompatible_sequence_too(self):
         seq = seq_order2(3, 10)
-        b2 = recurrence_squares(seq)
+        b2 = PolynomialSystem(seq).b2
         g2 = gamma_squares(seq, b2)
         for n in range(1, 11):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
@@ -299,3 +298,22 @@ class TestJson:
     def test_schema_shape(self):
         d = seq_hermite(2).to_json_dict()
         assert d == {"values": ["1", "2", "3"], "b0_squared": "1/2"}
+
+    def test_entries_are_integers_or_p_over_q_strings(self):
+        seq = GoverningSequence.from_json('{"values": [1, "3/2", "+4", "5/10"], "b0_squared": 2}')
+        assert seq.values == (1, F(3, 2), 4, F(1, 2)) and seq.b0_squared == 2
+
+    @pytest.mark.parametrize("entry", ["0.1", '"0.5"', '"1e3"', '"1/0"', '" 2"', "true", "null"])
+    def test_any_other_entry_is_refused_by_name(self, entry):
+        with pytest.raises(ValueError, match="seed-file entry"):
+            GoverningSequence.from_json(f'{{"values": ["1", {entry}], "b0_squared": "1/2"}}')
+        with pytest.raises(ValueError, match="seed-file entry"):
+            GoverningSequence.from_json(f'{{"values": ["1", "2"], "b0_squared": {entry}}}')
+
+    @pytest.mark.parametrize(
+        "text", ['{"b0_squared": "1"}', '{"values": ["1"]}', '{"values": "123", "b0_squared": "1"}',
+                 '["1", "2"]', '"1"'],
+    )
+    def test_any_other_shape_is_refused(self, text):
+        with pytest.raises(ValueError, match="one JSON object"):
+            GoverningSequence.from_json(text)

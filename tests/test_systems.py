@@ -139,30 +139,28 @@ class TestAlpha:
 
 class TestPsiConstruction:
     def test_base_cases(self, hermite_sys):
-        psi0 = hermite_sys.psi_coeffs(0)
-        assert psi0.core.coeffs == (1,) and psi0.norm_squared == 1
-        psi1 = hermite_sys.psi_coeffs(1)
-        assert psi1.core.coeffs == (0, 1)
-        assert psi1.norm_squared == hermite_sys.seq.b0_squared
+        assert hermite_sys.monic[0].coeffs == (1,) and hermite_sys.norm2[0] == 1
+        assert hermite_sys.monic[1].coeffs == (0, 1)
+        assert hermite_sys.norm2[1] == hermite_sys.seq.b0_squared
 
     def test_hermite_psi2_proportional_to_2x2_minus_1(self, hermite_sys):
-        core = hermite_sys.psi_coeffs(2).core
+        core = hermite_sys.monic[2]
         assert core.coeffs == (F(-1, 2), 0, 1)  # x^2 - 1/2, i.e. (2x^2 - 1)/2
 
     def test_parity(self, family15_sys):
-        core = family15_sys.psi_coeffs(5).core
+        core = family15_sys.monic[5]
         assert all(core.coeff(k) == 0 for k in (0, 2, 4))
-        even = family15_sys.psi_coeffs(8).core
+        even = family15_sys.monic[8]
         assert all(even.coeff(k) == 0 for k in (1, 3, 5, 7))
 
     def test_route_equivalence_exact(self, reference_systems):
         for sys in reference_systems.values():
             for n in range(0, 26):
-                assert sys.psi_coeffs(n).core == sys.psi_coeffs_via_alpha(n).core
+                assert sys.monic[n] == sys.psi_coeffs_via_alpha(n)
 
     def test_n_range_guard(self, hermite_sys):
         with pytest.raises(ValueError):
-            hermite_sys.psi_coeffs(31)
+            hermite_sys.psi_coeffs_via_alpha(31)
 
     def test_two_entry_sequence_is_rejected_up_front(self):
         with pytest.raises(ValueError, match=r"needs v_0, v_1 and v_2; got 2 entries"):
@@ -208,32 +206,30 @@ class TestPsiEval:
         xs = np.linspace(-10.0, 10.0, 41)
         for sys in reference_systems.values():
             for n in range(0, 31):
-                npoly = sys.psi_coeffs(n)
-                horner = np.array([npoly(x) for x in xs])
+                horner = np.array([_over_sqrt(sys.monic[n](F(x)), sys.norm2[n]) for x in xs])
                 recur = np.array([sys.psi_eval(n, x) for x in xs])
                 scale = max(1.0, float(np.max(np.abs(horner))))
                 assert np.max(np.abs(horner - recur)) <= 1e-12 * scale
 
     def test_normalization_matches_plain_float_where_it_fits(self):
-        # the normalization never converts norm^2 itself, yet where float(norm^2)
-        # exists it rounds exactly as float(c) / sqrt(float(norm^2)) does
+        # _over_sqrt never converts norm^2 itself, yet where float(norm^2)
+        # exists it rounds exactly as float(c) / sqrt(float(norm^2)) does, for
+        # the coefficients of psi_n and for its exact value at x
         sys = PolynomialSystem(seq_classical(F(1, 2), 60))
         for n in range(0, 61, 6):
-            npoly = sys.psi_coeffs(n)
-            nu = math.sqrt(float(npoly.norm_squared))
-            assert npoly.norm == nu
-            assert npoly.float_coeffs() == [float(c) / nu for c in npoly.core.coeffs]
-            for x in (-3.5, 0.25, 4.75):
-                assert npoly(x) == float(npoly.core(F(x))) / nu
+            q, core = sys.norm2[n], sys.monic[n]
+            nu = math.sqrt(float(q))
+            for c in (*core.coeffs, *(core(F(x)) for x in (-3.5, 0.25, 4.75))):
+                assert _over_sqrt(c, q).hex() == (float(c) / nu).hex()
 
     def test_n200_past_the_float_range_of_norm_squared(self):
         sys = PolynomialSystem(seq_hermite(200))
-        npoly = sys.psi_coeffs(200)
-        assert npoly.norm_squared > F(10) ** 309  # float() of it overflows
-        assert math.isfinite(npoly.norm)
-        assert all(math.isfinite(c) for c in npoly.float_coeffs())
+        q, core = sys.norm2[200], sys.monic[200]
+        assert q > F(10) ** 309  # float() of it overflows
+        assert 0.0 < _over_sqrt(F(1), q) < math.inf  # 1 / nu_200
+        assert all(math.isfinite(_over_sqrt(c, q)) for c in core.coeffs)
         for x in (-2.5, 0.5, 4.0):
-            assert npoly(x) == pytest.approx(sys.psi_eval(200, x), rel=1e-9)
+            assert _over_sqrt(core(F(x)), q) == pytest.approx(sys.psi_eval(200, x), rel=1e-9)
 
     def test_eval_table_matches_scalar(self, family15_sys):
         xs = np.array([-2.0, 0.5, 3.25])
@@ -334,7 +330,7 @@ class TestCompatiblePropagation:
         for n in range(1, 11):
             assert sys.lowering_residual(n) == 0
         for n in range(0, 11):
-            assert sys.psi_coeffs(n).core == sys.psi_coeffs_via_alpha(n).core
+            assert sys.monic[n] == sys.psi_coeffs_via_alpha(n)
 
     def test_generic_seed_is_not_family(self):
         seq = self.propagate(2, 3, 5, 10)
@@ -489,7 +485,7 @@ class TestDerivativeDecomposition:
         sys = classical1_sys
         for n in range(2, 13):
             c_prev, c_over_x = sys.derivative_decomposition(n)
-            dcoeffs = np.array(sys.psi_coeffs(n).float_coeffs())
+            dcoeffs = np.array([_over_sqrt(c, sys.norm2[n]) for c in sys.monic[n].coeffs])
             for x in POINT_GRID:
                 dpsi = float(np.polyval((dcoeffs[1:] * np.arange(1, n + 1))[::-1], x))
                 res = dpsi - c_prev * sys.psi_eval(n - 1, x) - c_over_x * sys.psi_eval(n - 2, x) / x
@@ -533,7 +529,7 @@ class TestOde:
         assert (gamma, alpha) == (0, 1)
         # residual == x(psi'' - 2x psi' + 2n psi); check against a direct evaluation
         n, x = 6, 1.3
-        c = np.array(hermite_sys.psi_coeffs(n).float_coeffs())
+        c = np.array([_over_sqrt(c, hermite_sys.norm2[n]) for c in hermite_sys.monic[n].coeffs])
         d1 = (c[1:] * np.arange(1, n + 1))[::-1]
         d2 = (c[2:] * np.arange(2, n + 1) * np.arange(1, n))[::-1]
         direct = x * (np.polyval(d2, x) - 2 * x * np.polyval(d1, x) + 2 * n * np.polyval(c[::-1], x))
@@ -692,11 +688,14 @@ class TestFractionReference:
                 assert classical1_sys.ode_residual(n, x, alpha=a) == want
 
     def test_normalized_evaluation_bit_identical(self, reference_pairs):
+        # psi_n(x) = P_n(x) / nu_n: the core by the integer Horner rule, then
+        # the one rounding of the normalization
         for sys, cores in reference_pairs.values():
             for n in range(0, 61, 5):
                 for x in (-4.75, -0.3, 1.0, 3.125, 7.5):
+                    got = _over_sqrt(sys.monic[n](F(x)), sys.norm2[n])
                     want = _over_sqrt(cores[n](F(x)), sys.norm2[n])
-                    assert sys.psi_coeffs(n)(x).hex() == want.hex()
+                    assert got.hex() == want.hex()
 
 
 class TestDerivativeInBasis:
