@@ -12,6 +12,7 @@ report is printed), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from . import oscillator as osc_mod
 from .derivation import epsilons_from_sequence
 from .governing import (
     GoverningSequence,
+    is_special_family,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -190,12 +192,14 @@ def cmd_table(args) -> int:
 
 def cmd_classify(args) -> int:
     seq = build_sequence(args, max(args.n_max, 3))
-    sys_ = PolynomialSystem(seq)
-    reduced = sys_.classify_reduced(args.n_max)
-    fam = sys_.is_family
+    reduced = PolynomialSystem(seq).classify_reduced(args.n_max)
+    # the decompositions at n <= n_max read v_0..v_{n_max-1}, so membership is
+    # judged on that prefix (at least the 3 entries the family shape needs)
+    prefix = GoverningSequence(seq.values[: max(args.n_max, 3)], seq.b0_squared)
+    fam, params = is_special_family(prefix)
     lines = [f"reduced: {str(reduced).lower()}", f"special_family: {str(fam).lower()}"]
     if fam:
-        v1, v2 = sys_.family_params
+        v1, v2 = params
         lines.append(f"v1: {v1}")
         lines.append(f"v2: {v2}")
     _emit(args, "\n".join(lines) + "\n")
@@ -299,7 +303,7 @@ def cmd_verify(args) -> int:
     if rep.ok:
         worst = max(sys_.lowering_residual(n) for n in range(1, n_max + 1))
         record("lowering", worst == 0, f"max residual {worst} (exact)")
-        routes = all(sys_.monic[n] == sys_.psi_coeffs_via_alpha(n) for n in range(n_max + 1))
+        routes = sys_.first_route_mismatch(n_max) is None
         record("route_equivalence", routes, "recurrence vs explicit coefficients, exact")
     else:
         record("lowering", False, "skipped: sequence not compatible", "skipped")
@@ -360,7 +364,11 @@ def _unconverged(rep: measure_mod.OrthonormalityReport) -> str:
             f"{rep.tolerance:.0e}; the Gram matrix is not converged")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The hcpoly parser, built on the first call and shared after it:
+    parse_args returns a fresh Namespace and prints (usage, errors, help)
+    to the sys.stdout and sys.stderr of the moment, so reuse changes no output."""
     parser = argparse.ArgumentParser(
         prog="hcpoly",
         description="Generalized Hermite (Hermite-Chihara) polynomial systems: "

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -76,27 +78,18 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
     return inner(m, n - 1)
 
 
-def _alpha_row(values: Sequence[Fraction], brackets: Sequence[Fraction], n: int) -> list[Fraction]:
-    """alpha_closed(values, brackets, m, n) for m = 0..n//2, from the prefix
-    products (v_k)! = v_0 ... v_k and [2m-1]!! = [1][3]...[2m-1], each built once."""
-    fact = [Fraction(1)]  # fact[j] = (v_{j-1})!, with (v_{-1})! = 1
-    for v in values[:n]:
-        fact.append(fact[-1] * v)
-    out, dfact = [], Fraction(1)
-    for m in range(n // 2 + 1):
-        if m:
-            dfact *= brackets[2 * m - 1]
-        out.append(dfact * fact[n] / (fact[2 * m] * fact[n - 2 * m]))
-    return out
-
-
 def alpha_closed(
     values: Sequence[Fraction], brackets: Sequence[Fraction], m: int, n: int
 ) -> Fraction:
     """Closed form  [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!)."""
     if n < 1 or not 0 <= m <= n // 2:
         raise ValueError(f"need n >= 1 and 0 <= m <= n//2, got m={m}, n={n}")
-    return _alpha_row(values, brackets, n)[m]
+
+    def fact(j: int) -> Fraction:  # (v_{j-1})! = v_0 ... v_{j-1}
+        return math.prod(values[:j], start=Fraction(1))
+
+    dfact = math.prod(brackets[1 : 2 * m : 2], start=Fraction(1))
+    return dfact * fact(n) / (fact(2 * m) * fact(n - 2 * m))
 
 
 def alpha_table_entry(
@@ -199,10 +192,8 @@ class PolynomialSystem:
             monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
         self.monic = monic
 
-        fam, params = is_special_family(seq)
-        self._family_params = params if fam else None
         self._weight = None
-        if fam:
+        if is_special_family(seq)[0]:
             v2 = seq.values[2]
             self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
 
@@ -220,11 +211,7 @@ class PolynomialSystem:
 
     @property
     def is_family(self) -> bool:
-        return self._family_params is not None
-
-    @property
-    def family_params(self) -> tuple[Fraction, Fraction] | None:
-        return self._family_params
+        return self._weight is not None
 
     def weight_parameters(self) -> tuple[Fraction, Fraction]:
         """(gamma, alpha) of the weight C |x|^gamma exp(-alpha x^2) the system
@@ -235,16 +222,59 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
+    def _explicit_rows(self, n_hi: int):
+        """The explicit coefficient formula in integers, for n <= n_hi.  The
+        coefficient of x^{n-2m} in P_n is
+
+            (-b0^2)^m [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!)
+              = (-p)^m Dn_m V_n / (q^m Dd_m V_2m V_{n-2m}),
+
+        with b0^2 = p/q, [1][3]...[2m-1] = Dn_m / Dd_m, and V_j = prod_{i<j} L v_i,
+        L the common denominator of v_0..v_{n_hi-1} (its powers cancel).  The
+        prefix-product tables are built once; the returned row(n) gives the
+        pairs (numerator, denominator > 0) for m = 0..n//2, unreduced."""
+        w, _ = common_denominator(self.values[:n_hi])
+        V = list(accumulate(w, mul, initial=1))
+        half = n_hi // 2
+        odd = self.brackets[1 : 2 * half : 2]  # [1], [3], ..., [2 half - 1]
+        b0 = self.seq.b0_squared
+        num = list(accumulate((-b0.numerator * br.numerator for br in odd), mul, initial=1))
+        den = list(accumulate((b0.denominator * br.denominator for br in odd), mul, initial=1))
+
+        def row(n: int) -> list[tuple[int, int]]:
+            return [(num[m] * V[n], den[m] * V[2 * m] * V[n - 2 * m]) for m in range(n // 2 + 1)]
+
+        return row
+
     def psi_coeffs_via_alpha(self, n: int) -> Poly:
         """The monic core P_n from the explicit coefficient formula: the
         coefficient of x^{n-2m} is (-1)^m b0^{2m} alpha_{2m-1,n-1}, with the
-        alphas in closed form (alpha_nested is the defining display).  Then
+        alphas in closed form (alpha_nested is the defining display), from the
+        integer tables of the route check (first_route_mismatch).  Then
         psi_n = P_n / sqrt(norm2[n]), as for the recurrence's core monic[n]."""
         self._check_n(n)
         coeffs = [Fraction(0)] * (n + 1)
-        for m, a in enumerate(_alpha_row(self.values, self.brackets, n)):
-            coeffs[n - 2 * m] = (-self.seq.b0_squared) ** m * a
+        for m, (num, den) in enumerate(self._explicit_rows(n)(n)):
+            coeffs[n - 2 * m] = Fraction(num, den)
         return Poly(coeffs)
+
+    def first_route_mismatch(self, n_hi: int) -> int | None:
+        """The first n <= n_hi whose recurrence core monic[n] differs from the
+        explicit formula's polynomial (psi_coeffs_via_alpha(n)), or None.
+
+        A core agrees when it has degree n, zeros in every slot of the other
+        parity, and each coefficient of x^{n-2m} equal to the formula's, which
+        is tested by integer cross-multiplication with no gcd and no Fraction."""
+        self._check_n(n_hi)
+        row = self._explicit_rows(n_hi)
+        for n in range(n_hi + 1):
+            core = self.monic[n]
+            if core.degree != n or any(core.nums[(n + 1) % 2 :: 2]):
+                return n
+            if any(core.nums[n - 2 * m] * den != core.den * num
+                   for m, (num, den) in enumerate(row(n))):
+                return n
+        return None
 
     def psi_eval(self, n: int, x):
         """Forward three-term recurrence evaluation (float; x scalar or array)."""

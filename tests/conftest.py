@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermite_chihara import PolynomialSystem, seq_classical, seq_family, seq_hermite
+from hermite_chihara.derivation import Poly
 
 # the fixed pointwise grid: 50 deterministic points in [-5, 5] \ {0}
 POINT_GRID = tuple(0.1 + 4.9 * k / 24 for k in range(25))
@@ -19,6 +20,24 @@ def plain(f):
         return np.reshape(f(x), (x.size, -1)), np.ones((x.size, 1))
 
     return pair
+
+
+def corrupt_core(core, n, kind, j=0):
+    """The core P_n with one defect the route check must see: an even-slot
+    numerator scaled by 1 + 1e-9, a nonzero odd slot, or the wrong degree."""
+    nums, den = list(core.nums), core.den
+    if kind == "even":
+        k = n - 2 * (j % (n // 2 + 1))
+        nums = [a * 10**9 + (a if i == k else 0) for i, a in enumerate(nums)]
+        den *= 10**9
+    elif kind == "odd":
+        if n == 0:
+            nums.append(1)  # x^1 sits in the odd slot of P_0 (and raises its degree)
+        else:
+            nums[n - 1 - 2 * (j % ((n + 1) // 2))] += 1
+    else:  # degree: x^{n+2} added; every slot of degree <= n is untouched
+        nums += [0, den]
+    return Poly.from_numerators(nums, den)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 import hermite_chihara
+from conftest import corrupt_core
 from hermite_chihara import DerivationOperator, PolynomialSystem, epsilons_from_sequence
 from hermite_chihara.cli import _ratio_str, build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence
@@ -63,6 +65,30 @@ class TestClassify:
         assert "reduced: true" in lines
         assert "special_family: true" in lines
         assert "v1: 4" in lines and "v2: 5" in lines
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "order2", "--v1", "3", "--n-max", "3"),
+        ("--family", "order3", "--v1", "3/2", "--v2", "3", "--n-max", "2"),
+    ], ids=["order2", "order3"])
+    def test_membership_judged_on_the_prefix_that_is_decomposed(self, capsys, argv):
+        # both sequences leave the family shape at v_3, which no decomposition
+        # at n <= n_max reads
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ") for line in out.splitlines())
+        assert lines["reduced"] == lines["special_family"] == "true"
+
+    def test_a_seed_file_longer_than_n_max(self, capsys, tmp_path):
+        # Hermite through v_9, then v_10 = 12 (Hermite has 11)
+        values = [F(n + 1) for n in range(10)] + [F(12)]
+        seed = tmp_path / "seed.json"
+        seed.write_text(GoverningSequence(tuple(values), F(1, 2)).to_json())
+        code, out, err = run_cli(capsys, "classify", "--family", "custom-file",
+                                 "--seed-file", str(seed), "--n-max", "9")
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ") for line in out.splitlines())
+        assert lines["reduced"] == lines["special_family"] == "true"
 
 
 class TestTable:
@@ -390,6 +416,43 @@ class TestCheckStatus:
         assert json.loads(err.splitlines()[-1])["failed"] == ["square_lowering"]
 
 
+class TestRouteEquivalence:
+    """verify's route check fails on a defect of one recurrence core, or of the
+    explicit formula's tables alone."""
+
+    ARGV = ("verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
+            "--b0-squared", "3/7", "--n-max", "12", "--dim", "16")
+
+    def route(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 1
+        route = {c["name"]: c for c in json.loads(out)["checks"]}["route_equivalence"]
+        assert (route["status"], route["passed"]) == ("fail", False)
+        return json.loads(err.splitlines()[-1])["failed"]
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
+    def test_a_corrupt_core_fails(self, capsys, monkeypatch, kind):
+        init = PolynomialSystem.__init__
+
+        def corrupted(self, seq):
+            init(self, seq)
+            self.monic[6] = corrupt_core(self.monic[6], 6, kind)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
+        assert "route_equivalence" in self.route(capsys)
+
+    def test_b0_squared_changed_in_the_explicit_tables_only(self, capsys, monkeypatch):
+        explicit = PolynomialSystem._explicit_rows
+
+        def off_b0(self, n_hi):
+            shadow = copy.copy(self)
+            shadow.seq = GoverningSequence(self.values, self.seq.b0_squared * (1 + F(1, 10**9)))
+            return explicit(shadow, n_hi)
+
+        monkeypatch.setattr(PolynomialSystem, "_explicit_rows", off_b0)
+        assert self.route(capsys) == ["route_equivalence"]
+
+
 class TestUnconvergedQuadrature:
     """A Gram quadrature that stops short of its tolerance fails the
     orthonormality check, whatever the deviation it reached."""
@@ -613,3 +676,33 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "epsilons" in proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it; each command of
+    a run in one process gives the stdout, stderr and exit code of a fresh
+    process."""
+
+    RUNS = {
+        "table_json_then_csv": [("table", "--format", "json"), ("table",)],
+        "gram_then_checks": [("verify", "--orthonormality"), ("verify",)],
+        "usage_error_then_valid": [("verify", "--n-max", "x"), ("classify", "--n-max", "6")],
+        "help_then_valid": [("--help",), ("verify", "--help"), ("build", "--n-max", "4")],
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS.values()), ids=list(RUNS))
+    def test_each_command_as_in_a_fresh_process(self, capsys, monkeypatch, run):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at one width in both
+        monkeypatch.delenv("HC_LOG", raising=False)
+        for argv in run:
+            proc = subprocess.run([sys.executable, "-m", "hermite_chihara.cli", *argv],
+                                  capture_output=True, text=True, env=child_env())
+            assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_built_on_the_first_call_not_at_import(self):
+        script = ("import hermite_chihara.cli as cli; print(cli.make_parser.cache_info().currsize); "
+                  "cli.main(['build']); print(cli.make_parser() is cli.make_parser())")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "0" and proc.stdout.splitlines()[-1] == "True"

@@ -24,10 +24,11 @@ from hermite_chihara import (
     seq_order3,
 )
 from hermite_chihara import systems as systems_mod
+from hermite_chihara.derivation import Poly
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
-from conftest import POINT_GRID
+from conftest import POINT_GRID, corrupt_core
 
 
 def alpha_brute(brackets, m, n):
@@ -187,6 +188,74 @@ class TestPsiConstruction:
         for seq in (seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)):
             PolynomialSystem(seq)
         assert calls == {"bracket_table": 2, "gamma_squares": 2}
+
+
+def _explicit_core(sys, n):
+    """P_n from the paper's coefficient display, in Fractions: the coefficient
+    of x^{n-2m} is (-b0^2)^m alpha_{2m-1,n-1}, alpha in the table convention."""
+    coeffs = [F(0)] * (n + 1)
+    for m in range(n // 2 + 1):
+        coeffs[n - 2 * m] = (-sys.seq.b0_squared) ** m * alpha_table_entry(
+            sys.values, sys.brackets, m, n)
+    return Poly(coeffs)
+
+
+_route_systems = st.one_of(
+    st.builds(lambda b0, N: seq_hermite(N, b0), st.fractions(F(1, 5), F(4), max_denominator=7),
+              st.integers(2, 40)),
+    st.builds(lambda g, N: seq_classical(g, N), st.fractions(F(-6, 7), F(4), max_denominator=7),
+              st.integers(2, 40)),
+    st.builds(lambda r, v2, b0, N: seq_family(r * v2, v2, b0, N),  # 0 < v1 <= v2, 1 < v2
+              st.fractions(F(1, 5), F(1), max_denominator=5),
+              st.fractions(F(5, 4), F(5), max_denominator=4),
+              st.fractions(F(1, 5), F(4), max_denominator=7), st.integers(2, 40)),
+)
+
+
+class TestRouteCheck:
+    """first_route_mismatch: the recurrence cores against the explicit
+    formula, by integer cross-multiplication."""
+
+    def test_valid_systems_agree_to_n_max(self, reference_systems):
+        for sys in reference_systems.values():
+            assert sys.first_route_mismatch(sys.n_max) is None
+
+    @pytest.mark.parametrize("seq", [
+        seq_order3(F(7, 3), F(17, 3), N=40, b0_squared=F(8, 3)),
+        seq_order2(3, N=30),
+    ], ids=["order3", "order2"])
+    def test_an_incompatible_sequence_fails_where_the_polynomials_differ(self, seq):
+        sys = PolynomialSystem(seq)
+        first = next(n for n in range(sys.n_max + 1) if sys.monic[n] != _explicit_core(sys, n))
+        assert sys.first_route_mismatch(sys.n_max) == first
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+    def test_each_defect_fails_at_its_row(self, kind, n):
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
+        sys.monic[n] = corrupt_core(sys.monic[n], n, kind)
+        assert sys.first_route_mismatch(24) == n
+        if n:
+            assert sys.first_route_mismatch(n - 1) is None
+
+    def test_b0_squared_changed_in_the_formula_only(self):
+        sys = PolynomialSystem(seq_hermite(12))
+        sys.seq = GoverningSequence(sys.values, sys.seq.b0_squared * (1 + F(1, 10**9)))
+        assert sys.first_route_mismatch(12) == 2  # P_0 and P_1 carry no b0^2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=_route_systems, kind=st.sampled_from([None, "even", "odd", "degree"]),
+           at=st.integers(0, 40), j=st.integers(0, 20))
+    def test_same_verdict_as_comparing_polynomials(self, seq, kind, at, j):
+        sys = PolynomialSystem(seq)
+        n = at % (sys.n_max + 1)
+        if kind is not None:
+            sys.monic[n] = corrupt_core(sys.monic[n], n, kind, j)
+        by_poly = next((k for k in range(sys.n_max + 1)
+                        if sys.monic[k] != sys.psi_coeffs_via_alpha(k)), None)
+        assert sys.first_route_mismatch(sys.n_max) == by_poly
+        assert by_poly == (None if kind is None else n)
+        assert sys.psi_coeffs_via_alpha(n) == _explicit_core(sys, n)
 
 
 class TestPsiEval:
