@@ -26,7 +26,6 @@ from .systems import (
     UnsupportedSystemError,
     alpha_closed,
     alpha_nested,
-    alpha_table_entry,
 )
 from .oscillator import (
     CommutatorReport,

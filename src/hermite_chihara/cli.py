@@ -75,6 +75,9 @@ class InputError(Exception):
 
 
 def build_sequence(args, length: int) -> GoverningSequence:
+    """v_0..v_length of the chosen family, and its b0^2.  This is all of the
+    sequence a command reads: a seed file may store more values, and the rest
+    is neither read nor judged."""
     fam = args.family
     for dest in ("gamma", "alpha", "v1", "v2", "b0_squared", "seed_file"):
         if getattr(args, dest) is not None and dest not in FAMILY_FLAGS[fam]:
@@ -117,7 +120,7 @@ def build_sequence(args, length: int) -> GoverningSequence:
             raise InputError(
                 f"seed file stores {seq.n_max + 1} values; need at least {length + 1}"
             )
-        return seq
+        return GoverningSequence(seq.values[: length + 1], seq.b0_squared)
     raise InputError(f"unknown family {fam!r}")
 
 
@@ -129,10 +132,17 @@ def _emit(args, text: str) -> None:
         _sys.stdout.write(text)
 
 
+def _exit_code(failed: list[str]) -> int:
+    """0 when nothing failed; otherwise the JSON failure report on stderr, and 1."""
+    if not failed:
+        return 0
+    _sys.stderr.write(json.dumps({"failed": failed}) + "\n")
+    return 1
+
+
 def cmd_epsilons(args) -> int:
-    K = args.K if args.K is not None else args.n_max
-    seq = build_sequence(args, max(K, args.n_max, 2))
-    op = epsilons_from_sequence(seq, K=K)
+    seq = build_sequence(args, args.n_max)
+    op = epsilons_from_sequence(seq, K=args.n_max)
     lines = [str(e) for e in op.epsilons]
     lines.append(f"order: {op.order()}")
     _emit(args, "\n".join(lines) + "\n")
@@ -153,8 +163,8 @@ def cmd_build(args) -> int:
             "compatible": rep.compatible,
             "first_violation": rep.first_violation,
         },
-        "b_squared": [str(x) for x in sys_.b2[: args.n_max]],
-        "gamma_squared": [str(x) for x in sys_.g2[: args.n_max + 1]],
+        "b_squared": [str(x) for x in sys_.b2],
+        "gamma_squared": [str(x) for x in sys_.g2],
         "special_family": sys_.is_family,
     }
     if sys_.is_family:
@@ -168,7 +178,7 @@ def cmd_table(args) -> int:
     seq = build_sequence(args, args.n_max)
     sys_ = PolynomialSystem(seq)
     rows = []
-    for n in range(args.n_max + 1):  # a seed file may store more values
+    for n in range(args.n_max + 1):
         core = sys_.monic[n]
         rows.append({
             "n": n,
@@ -203,30 +213,20 @@ def cmd_classify(args) -> int:
         lines.append(f"v1: {v1}")
         lines.append(f"v2: {v2}")
     _emit(args, "\n".join(lines) + "\n")
-    if reduced != fam:
-        _sys.stderr.write(
-            json.dumps({"failed": ["classify_reduced disagrees with is_special_family"]}) + "\n"
-        )
-        return 1
-    return 0
+    failed = [] if reduced == fam else ["classify_reduced disagrees with is_special_family"]
+    return _exit_code(failed)
 
 
 def cmd_spectrum(args) -> int:
-    length = max(args.n_max, args.dim)
-    seq = build_sequence(args, length)
-    sys_ = PolynomialSystem(seq)
+    sys_ = PolynomialSystem(build_sequence(args, args.dim))
     ops = osc_mod.build_operators(sys_, dim=args.dim)
     rep = osc_mod.spectrum_report(ops, sys_)
     lines = ["n,lambda_matrix,lambda_formula,deviation"]
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    if not rep.within_rounding:
-        _sys.stderr.write(
-            json.dumps({"failed": [f"spectrum deviation exceeds {_ROUNDING} on a row"]}) + "\n"
-        )
-        return 1
-    return 0
+    failed = [] if rep.within_rounding else [f"spectrum deviation exceeds {_ROUNDING} on a row"]
+    return _exit_code(failed)
 
 
 def cmd_ode(args) -> int:
@@ -254,10 +254,7 @@ def cmd_ode(args) -> int:
         "passed": worst < tol,
     }
     _emit(args, json.dumps(payload, indent=2) + "\n")
-    if not payload["passed"]:
-        _sys.stderr.write(json.dumps({"failed": [f"ode residual exceeds {_ODE_BOUND}"]}) + "\n")
-        return 1
-    return 0
+    return _exit_code([] if payload["passed"] else [f"ode residual exceeds {_ODE_BOUND}"])
 
 
 def _ode_grid() -> list[float]:
@@ -281,11 +278,7 @@ def cmd_verify(args) -> int:
         for row in rep.deviation:
             lines.append(",".join(_fmt_real(v) for v in row))
         _emit(args, "\n".join(lines) + "\n")
-        failed = _gram_failures(rep)
-        if failed:
-            _sys.stderr.write(json.dumps({"failed": failed}) + "\n")
-            return 1
-        return 0
+        return _exit_code(_gram_failures(rep))
 
     checks = []
 
@@ -340,12 +333,7 @@ def cmd_verify(args) -> int:
     payload = {"family": args.family, "n_max": n_max, "dim": args.dim,
                "checks": checks, "all_passed": all_pass}
     _emit(args, json.dumps(payload, indent=2) + "\n")
-    if not all_pass:
-        _sys.stderr.write(
-            json.dumps({"failed": [c["name"] for c in checks if not c["passed"]]}) + "\n"
-        )
-        return 1
-    return 0
+    return _exit_code([c["name"] for c in checks if not c["passed"]])
 
 
 def _gram_failures(rep: measure_mod.OrthonormalityReport) -> list[str]:
@@ -376,7 +364,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn) -> argparse.ArgumentParser:
+    def command(name: str, fn, n_max: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="hermite")
         p.add_argument("--gamma", type=_rational, default=None, help="weight exponent (rational)")
@@ -384,7 +372,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--v1", type=_rational, default=None)
         p.add_argument("--v2", type=_rational, default=None)
         p.add_argument("--b0-squared", dest="b0_squared", type=_rational, default=None)
-        p.add_argument("--n-max", dest="n_max", type=int, default=12)
+        if n_max:  # spectrum's rows depend on --dim alone
+            p.add_argument("--n-max", dest="n_max", type=int, default=12)
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--seed-file", dest="seed_file", default=None,
                        help="JSON governing sequence for --family custom-file")
@@ -404,10 +393,9 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--orthonormality", action="store_true",
                         help="print the Gram deviation matrix as CSV")
     command("ode", cmd_ode)
-    add_dim(command("spectrum", cmd_spectrum))
+    add_dim(command("spectrum", cmd_spectrum, n_max=False))
     command("classify", cmd_classify)
-    epsilons = command("epsilons", cmd_epsilons)
-    epsilons.add_argument("-K", dest="K", type=int, default=None, help="epsilon horizon")
+    command("epsilons", cmd_epsilons)
     return parser
 
 
@@ -421,7 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
-    if args.n_max < 2:
+    if getattr(args, "n_max", 2) < 2:
         _sys.stderr.write("error: --n-max must be >= 2\n")
         return 2
     # --dim leaves at least one interior row n < dim - MARGIN

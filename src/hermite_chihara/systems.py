@@ -39,7 +39,6 @@ __all__ = [
     "UnsupportedSystemError",
     "alpha_nested",
     "alpha_closed",
-    "alpha_table_entry",
     "DecompositionReport",
     "PolynomialSystem",
 ]
@@ -55,7 +54,7 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
         alpha_{2m-1,n-1} = sum_{k1=2m-1}^{n-1} [k1] sum_{k2=2m-3}^{k1-2} [k2] ...
 
     m = 0 returns 0, the sentinel value of the defining display (the value used
-    as the m = 0 entry of the coefficient table is 1; see alpha_table_entry).
+    as the m = 0 entry of the coefficient table is 1; see alpha_closed).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -81,26 +80,19 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
 def alpha_closed(
     values: Sequence[Fraction], brackets: Sequence[Fraction], m: int, n: int
 ) -> Fraction:
-    """Closed form  [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!)."""
-    if n < 1 or not 0 <= m <= n // 2:
-        raise ValueError(f"need n >= 1 and 0 <= m <= n//2, got m={m}, n={n}")
+    """Closed form  [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!).
+
+    At m = 0 it is 1, the coefficient-table convention (monic leading term)
+    that the explicit polynomial formula and the p = 1 case of the alpha
+    recurrence require, P_0 = 1 included."""
+    if not 0 <= m <= n // 2:
+        raise ValueError(f"need 0 <= m <= n//2, got m={m}, n={n}")
 
     def fact(j: int) -> Fraction:  # (v_{j-1})! = v_0 ... v_{j-1}
         return math.prod(values[:j], start=Fraction(1))
 
     dfact = math.prod(brackets[1 : 2 * m : 2], start=Fraction(1))
     return dfact * fact(n) / (fact(2 * m) * fact(n - 2 * m))
-
-
-def alpha_table_entry(
-    values: Sequence[Fraction], brackets: Sequence[Fraction], m: int, n: int
-) -> Fraction:
-    """Coefficient-table value: 1 at m = 0 (monic leading term), closed form
-    otherwise.  This is the convention the explicit polynomial formula and the
-    p = 1 case of the alpha recurrence require."""
-    if m == 0:
-        return Fraction(1)
-    return alpha_closed(values, brackets, m, n)
 
 
 def _ldexp_float(q: Fraction, e: int) -> float:

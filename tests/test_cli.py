@@ -28,7 +28,9 @@ def run_cli(capsys, *argv):
 
 class TestEpsilons:
     def test_classical_gamma1(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilons", "--family", "classical", "--gamma", "1", "-K", "6")
+        code, out, _ = run_cli(
+            capsys, "epsilons", "--family", "classical", "--gamma", "1", "--n-max", "6"
+        )
         assert code == 0
         assert out.splitlines() == [
             "1",
@@ -41,7 +43,7 @@ class TestEpsilons:
         ]
 
     def test_hermite_order(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilons", "--family", "hermite", "-K", "5")
+        code, out, _ = run_cli(capsys, "epsilons", "--family", "hermite", "--n-max", "5")
         assert code == 0
         assert out.splitlines()[-1] == "order: 1"
 
@@ -266,7 +268,7 @@ class TestBuildAndSeedFile:
         assert err == 'error: a seed file holds one JSON object {"values": [...], "b0_squared": ...}\n'
 
     def test_seed_file_longer_than_n_max(self, capsys, tmp_path):
-        # build and table print the rows n <= --n-max whatever the file stores
+        # build and table read v_0..v_{n-max} whatever the file stores
         seed = tmp_path / "seed.json"
         seed.write_text(GoverningSequence(tuple(F(n + 1) for n in range(21)), F(1, 2)).to_json())
         custom = ("--family", "custom-file", "--seed-file", str(seed), "--n-max", "6")
@@ -276,9 +278,29 @@ class TestBuildAndSeedFile:
         code, out, _ = run_cli(capsys, "build", *custom)
         assert code == 0
         payload = json.loads(out)
-        assert len(payload["governing_sequence"]["values"]) == 21
+        assert payload["governing_sequence"]["values"] == [str(n + 1) for n in range(7)]
         assert payload["n_max"] == 6
         assert (len(payload["b_squared"]), len(payload["gamma_squared"])) == (6, 7)
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "--n-max", "9"),
+        ("table", "--n-max", "9"),
+        ("verify", "--n-max", "9", "--dim", "9"),
+        ("ode", "--n-max", "9"),
+        ("classify", "--n-max", "9"),
+        ("epsilons", "--n-max", "9"),
+        ("spectrum", "--dim", "9"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_reads_only_the_prefix(self, capsys, tmp_path, argv):
+        # Hermite through v_9, then v_10 = 12 (Hermite has 11), which none of
+        # these commands reads: each prints the bytes of --family hermite
+        seed = tmp_path / "seed.json"
+        values = [F(n + 1) for n in range(10)] + [F(12)]
+        seed.write_text(GoverningSequence(tuple(values), F(1, 2)).to_json())
+        code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
+        assert (code, err) == (0, "")
+        out = out.replace('"family": "custom-file"', '"family": "hermite"')
+        assert out == run_cli(capsys, *argv, "--family", "hermite")[1]
 
     @pytest.mark.parametrize(
         "flags, b0_squared",
@@ -491,7 +513,7 @@ class TestUnconvergedQuadrature:
 
 class TestSpectrumCommand:
     def test_csv_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20", "--n-max", "8")
+        code, out, _ = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,lambda_matrix,lambda_formula,deviation"
@@ -539,14 +561,6 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", "--family", "order2", "--v1", "3/2", "--n-max", "12")
         assert code == 2
         assert "nondecreasing" in err
-
-
-class TestEpsilonHorizon:
-    @pytest.mark.parametrize("K", ["0", "-3"])
-    def test_horizon_below_one_is_an_input_error(self, capsys, K):
-        code, out, err = run_cli(capsys, "epsilons", "--family", "hermite", "-K", K)
-        assert code == 2 and out == ""
-        assert f"K={K} must be in [1, " in err
 
 
 def bench_workload():
@@ -627,25 +641,27 @@ def child_env(**overrides):
 class TestFlagScope:
     """A subcommand accepts only the flags it reads."""
 
-    SCOPED = {"--format": {"table"}, "-K": {"epsilons"}, "--dim": {"verify", "spectrum"}}
+    COMMANDS = ("build", "table", "verify", "ode", "spectrum", "classify", "epsilons")
+    SCOPED = {"--format": {"table"}, "--dim": {"verify", "spectrum"},
+              "--n-max": set(COMMANDS) - {"spectrum"}}
 
     @pytest.mark.parametrize("argv", [
         ("build", "--format", "json"),
         ("classify", "-K", "5"),
         ("table", "--dim", "5"),
+        ("epsilons", "-K", "5"),
+        ("spectrum", "--n-max", "8"),
     ])
     def test_ignored_flag_is_a_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
-    @pytest.mark.parametrize(
-        "command", ["build", "table", "verify", "ode", "spectrum", "classify", "epsilons"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_scoped_flags_only_where_read(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0
-        listed = set(re.findall(r"(?<![\w-])(--format|-K|--dim)\b", out))
+        listed = set(re.findall(r"(?<![\w-])(--format|-K|--dim|--n-max)\b", out))
         assert listed == {flag for flag, owners in self.SCOPED.items() if command in owners}
 
 

@@ -14,7 +14,6 @@ from hermite_chihara import (
     UnsupportedSystemError,
     alpha_closed,
     alpha_nested,
-    alpha_table_entry,
     bracket_table,
     epsilons_from_sequence,
     seq_classical,
@@ -77,7 +76,7 @@ class TestAlpha:
         # the defining display pins the m = 0 nested value to 0 ...
         assert alpha_nested(br, 0, 5) == 0
         # ... while the coefficient table needs 1 there (monic leading term)
-        assert alpha_table_entry(seq.values, br, 0, 5) == 1
+        assert all(alpha_closed(seq.values, br, 0, n) == 1 for n in range(9))
 
     def test_classical_gamma1_m1_n2(self):
         seq = seq_classical(1, 8)
@@ -195,7 +194,7 @@ def _explicit_core(sys, n):
     of x^{n-2m} is (-b0^2)^m alpha_{2m-1,n-1}, alpha in the table convention."""
     coeffs = [F(0)] * (n + 1)
     for m in range(n // 2 + 1):
-        coeffs[n - 2 * m] = (-sys.seq.b0_squared) ** m * alpha_table_entry(
+        coeffs[n - 2 * m] = (-sys.seq.b0_squared) ** m * alpha_closed(
             sys.values, sys.brackets, m, n)
     return Poly(coeffs)
 
