@@ -48,7 +48,6 @@ FAMILY_FLAGS = {
 }
 _ROUNDING = f"{osc_mod.ROUNDING_BOUND:g} eps |lambda_n|"  # their per-row bound, in words
 _GRAM_BOUND = "1e-8"  # the orthonormality check's bound on the Gram deviation, as printed
-_ODE_BOUND = "1e-9"  # the ode report's bound on the residual, as printed
 
 
 def _fmt_real(x: float) -> str:
@@ -141,7 +140,8 @@ def _exit_code(failed: list[str]) -> int:
 
 
 def cmd_epsilons(args) -> int:
-    seq = build_sequence(args, args.n_max)
+    # eps_k reads v_0..v_{k-1}, so eps_1..eps_{n_max} read v_0..v_{n_max-1}
+    seq = build_sequence(args, args.n_max - 1)
     op = epsilons_from_sequence(seq, K=args.n_max)
     lines = [str(e) for e in op.epsilons]
     lines.append(f"order: {op.order()}")
@@ -229,48 +229,31 @@ def cmd_spectrum(args) -> int:
     return _exit_code(failed)
 
 
+def _ode_detail(first_failure: int | None, n_max: int) -> str:
+    if first_failure is None:
+        return f"exact polynomial identity for every n <= {n_max}"
+    return f"exact polynomial identity fails first at n = {first_failure}"
+
+
 def cmd_ode(args) -> int:
-    seq = build_sequence(args, max(args.n_max, 3))
-    sys_ = PolynomialSystem(seq)
+    sys_ = PolynomialSystem(build_sequence(args, max(args.n_max, 3)))
     if not sys_.is_family:
         raise InputError("ode requires a special-family system")
     g, a = sys_.weight_parameters()
-    tol = float(_ODE_BOUND)
-    grid = _ode_grid()
-    rows = []
-    worst = 0.0
-    for n in range(args.n_max + 1):
-        r = max(abs(sys_.ode_residual(n, x)) for x in grid)
-        worst = max(worst, r)
-        rows.append({"n": n, "max_abs_residual": _fmt_real(r)})
-    payload = {
-        "family": args.family,
-        "gamma": str(g),
-        "alpha": str(a),
-        "grid_points": len(grid),
-        "tolerance": tol,
-        "residuals": rows,
-        "max_abs_residual": _fmt_real(worst),
-        "passed": worst < tol,
-    }
+    first = sys_.first_ode_failure(args.n_max)
+    payload = {"family": args.family, "gamma": str(g), "alpha": str(a), "n_max": args.n_max,
+               "first_failure": first, "passed": first is None}
     _emit(args, json.dumps(payload, indent=2) + "\n")
-    return _exit_code([] if payload["passed"] else [f"ode residual exceeds {_ODE_BOUND}"])
-
-
-def _ode_grid() -> list[float]:
-    half = [0.1 + 4.9 * k / 24 for k in range(25)]
-    return [-x for x in half] + half
+    return _exit_code([] if first is None else [_ode_detail(first, args.n_max)])
 
 
 def cmd_verify(args) -> int:
-    length = max(args.n_max, args.dim)
-    seq = build_sequence(args, length)
-    sys_ = PolynomialSystem(seq)
     n_max = args.n_max
     gram_n = min(n_max, 12)
-    interior = args.dim - osc_mod.MARGIN
 
     if args.orthonormality:
+        # the Gram reads psi_0..psi_{gram_n} and no operator
+        sys_ = PolynomialSystem(build_sequence(args, n_max))
         if not sys_.is_family:
             raise InputError("orthonormality verification requires a special-family system")
         rep = measure_mod.orthonormality_check(sys_, gram_n)
@@ -280,6 +263,9 @@ def cmd_verify(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return _exit_code(_gram_failures(rep))
 
+    seq = build_sequence(args, max(n_max, args.dim))
+    sys_ = PolynomialSystem(seq)
+    interior = args.dim - osc_mod.MARGIN
     checks = []
 
     def record(name: str, passed: bool, detail: str, status: str | None = None) -> None:
@@ -294,8 +280,9 @@ def cmd_verify(args) -> int:
     record("validate", rep.ok, f"monotone={rep.monotone} first_violation={rep.first_violation}")
 
     if rep.ok:
-        worst = max(sys_.lowering_residual(n) for n in range(1, n_max + 1))
-        record("lowering", worst == 0, f"max residual {worst} (exact)")
+        bad = sys_.first_lowering_failure(n_max)
+        record("lowering", bad is None, "max residual 0 (exact)" if bad is None
+               else f"nonzero residual first at n = {bad} (exact)")
         routes = sys_.first_route_mismatch(n_max) is None
         record("route_equivalence", routes, "recurrence vs explicit coefficients, exact")
     else:
@@ -313,11 +300,8 @@ def cmd_verify(args) -> int:
            f"bound {_ROUNDING} per row")
 
     if sys_.is_family:
-        first_bad = next((n for n in range(n_max + 1) if not sys_.ode_bracket(n).is_zero()), None)
-        if first_bad is None:
-            record("ode", True, f"exact polynomial identity for every n <= {n_max}")
-        else:
-            record("ode", False, f"exact polynomial identity fails first at n = {first_bad}")
+        first = sys_.first_ode_failure(n_max)
+        record("ode", first is None, _ode_detail(first, n_max))
         orep = measure_mod.orthonormality_check(sys_, gram_n)
         detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
         if not orep.converged:

@@ -115,9 +115,6 @@ class Poly:
             pw *= w
         return Fraction(acc, self.den * w**self.degree)
 
-    def max_abs_coeff(self) -> Fraction:
-        return Fraction(max(map(abs, self.nums), default=0), self.den)
-
 
 def _settle(p: Poly, nums: Sequence[int], den: int) -> None:
     """Store nums/den on p in canonical form: trailing zeros dropped, then one

@@ -160,8 +160,8 @@ class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
     Immutable once built, except that the derivation operator ``op`` is built
-    the first time it is read (only the lowering and decomposition checks read
-    it); all query methods are pure.
+    the first time it is read (only the reduced decompositions read it; the
+    lowering check reads v alone); all query methods are pure.
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -294,13 +294,23 @@ class PolynomialSystem:
 
     # -- identity checks ---------------------------------------------------
 
-    def lowering_residual(self, n: int) -> Fraction:
-        """Max |coefficient| of D P_n - v_{n-1} P_{n-1}; exactly 0 for valid
-        systems (this is the lowering rule with the radical cleared)."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"need 1 <= n <= {self.n_max}")
-        res = self.op.apply(self.monic[n]) - self.monic[n - 1].scale(self.values[n - 1])
-        return res.max_abs_coeff()
+    def first_lowering_failure(self, n_hi: int) -> int | None:
+        """The first 1 <= n <= n_hi at which D P_n = v_{n-1} P_{n-1} (the
+        lowering rule, radical cleared) fails, or None.  As D x^k = v_{k-1}
+        x^{k-1}, cores of degrees n and n - 1 obey it iff v_{k-1} c_k(P_n) =
+        v_{n-1} c_{k-1}(P_{n-1}) for k = 1..n: over w_i = L v_i, L the common
+        denominator of v_0..v_{n_hi-1}, an integer cross-multiplication of the
+        cores' numerators, with no Poly arithmetic and no derivation operator."""
+        self._check_n(n_hi)
+        w, _ = common_denominator(self.values[:n_hi])
+        for n in range(1, n_hi + 1):
+            cur, prev = self.monic[n], self.monic[n - 1]
+            lhs, rhs = prev.den, w[n - 1] * cur.den
+            if cur.degree != n or prev.degree != n - 1 or any(
+                w[k] * a * lhs != b * rhs for k, (a, b) in enumerate(zip(cur.nums[1:], prev.nums))
+            ):
+                return n
+        return None
 
     def _core_expansion(self, p: Poly, indices: Sequence[int]) -> list[Fraction]:
         """Coefficients of p over the monic cores P_idx, idx in the given
@@ -436,6 +446,11 @@ class PolynomialSystem:
             raise ValueError("the equation has a regular singular point at x = 0")
         X = Fraction(x)
         return _over_sqrt(self.ode_bracket(n, gamma, alpha)(X) / X, self.norm2[n])
+
+    def first_ode_failure(self, n_hi: int) -> int | None:
+        """The first n <= n_hi whose ode_bracket is not the zero polynomial, or None."""
+        self._check_n(n_hi)
+        return next((n for n in range(n_hi + 1) if not self.ode_bracket(n).is_zero()), None)
 
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.n_max:

@@ -7,7 +7,7 @@ operation re-normalized.  The tests compare the kernel against them.
 
 - ``FractionPoly``: a dense tuple of Fractions;
 - ``monic_cores``: P_{n+1} = x P_n - b_{n-1}^2 P_{n-1} on FractionPoly;
-- ``lowering_residual``, ``decompose_b1bar``, ``derivative_core_expansion``,
+- ``lowering_remainder``, ``decompose_b1bar``, ``derivative_core_expansion``,
   ``derivative_decomposition_c2``: the eliminations on FractionPoly;
 - ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
 - ``ode_bracket_composed``: the bracket polynomial composed from derivative,
@@ -83,9 +83,6 @@ class FractionPoly:
             acc = acc * x + c
         return acc
 
-    def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
-
 
 def monic_cores(b2, n_max: int) -> list[FractionPoly]:
     monic = [FractionPoly((1,)), FractionPoly((0, 1))]
@@ -105,10 +102,11 @@ def _eliminate(rem: FractionPoly, cores, indices) -> tuple[list[Fraction], Fract
     return out, rem
 
 
-def lowering_residual(values, cores, n: int) -> Fraction:
+def lowering_remainder(values, cores, n: int) -> FractionPoly:
+    """D P_n - v_{n-1} P_{n-1}, zero where the lowering rule holds."""
     p = cores[n]
     applied = FractionPoly(tuple(c * values[k - 1] for k, c in enumerate(p.coeffs) if k >= 1))
-    return (applied - cores[n - 1].scale(values[n - 1])).max_abs_coeff()
+    return applied - cores[n - 1].scale(values[n - 1])
 
 
 def decompose_b1bar(values, cores, n: int):

@@ -188,12 +188,12 @@ FAMILY_ARGS = TABLE_FAMILIES["family"] + ["--n-max", "40"]
 
 
 class TestLazyOperator:
-    """Only lowering and decomposition read the derivation operator, so no
-    other command builds it."""
+    """Only the reduced decompositions read the derivation operator, so no
+    command but classify (and epsilons, which prints it) builds it."""
 
-    @pytest.mark.parametrize(
-        "argv", [["table", "--format", "csv"], ["table", "--format", "json"], ["build"]]
-    )
+    @pytest.mark.parametrize("argv", [
+        ["table", "--format", "csv"], ["table", "--format", "json"], ["build"], ["verify"], ["ode"],
+    ])
     def test_table_and_build_never_build_it(self, capsys, monkeypatch, argv):
         want = run_cli(capsys, *argv, *FAMILY_ARGS)
 
@@ -204,15 +204,15 @@ class TestLazyOperator:
         assert want[0] == 0
         assert run_cli(capsys, *argv, *FAMILY_ARGS) == want
 
-    def test_a_bad_epsilon_is_an_input_error_in_verify(self, capsys, monkeypatch):
+    def test_a_bad_epsilon_is_an_input_error_in_classify(self, capsys, monkeypatch):
         def off_by_one_at_k(seq, K=None):
             eps = epsilons_from_sequence(seq, K).epsilons
             return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
 
         monkeypatch.setattr(hermite_chihara.systems, "epsilons_from_sequence", off_by_one_at_k)
-        code, out, err = run_cli(capsys, "verify", *FAMILY_ARGS, "--dim", "44")
+        code, out, err = run_cli(capsys, "classify", *FAMILY_ARGS)
         assert (code, out) == (2, "")
-        assert err.startswith("error: epsilons give D x^45 = ")
+        assert err.startswith("error: epsilons give D x^41 = ")
 
 
 class TestBuildAndSeedFile:
@@ -286,6 +286,7 @@ class TestBuildAndSeedFile:
         ("build", "--n-max", "9"),
         ("table", "--n-max", "9"),
         ("verify", "--n-max", "9", "--dim", "9"),
+        pytest.param(("verify", "--n-max", "9", "--orthonormality"), id="verify-orthonormality"),
         ("ode", "--n-max", "9"),
         ("classify", "--n-max", "9"),
         ("epsilons", "--n-max", "9"),
@@ -300,6 +301,15 @@ class TestBuildAndSeedFile:
         code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
         assert (code, err) == (0, "")
         out = out.replace('"family": "custom-file"', '"family": "hermite"')
+        assert out == run_cli(capsys, *argv, "--family", "hermite")[1]
+
+    def test_epsilons_reads_one_value_less_than_n_max(self, capsys, tmp_path):
+        # eps_1..eps_6 read v_0..v_5, the six values this file stores
+        seed = tmp_path / "seed.json"
+        seed.write_text(GoverningSequence(tuple(F(n + 1) for n in range(6)), F(1, 2)).to_json())
+        argv = ("epsilons", "--n-max", "6")
+        code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
+        assert (code, err) == (0, "")
         assert out == run_cli(capsys, *argv, "--family", "hermite")[1]
 
     @pytest.mark.parametrize(
@@ -396,9 +406,9 @@ class TestCheckStatus:
         ode = {c["name"]: c for c in checks}["ode"]
         assert ode["detail"] == "exact polynomial identity for every n <= 20"
 
-    def test_nonzero_ode_bracket_fails_verify(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["verify", "ode"])
+    def test_nonzero_ode_bracket_fails_verify(self, capsys, monkeypatch, command):
         from hermite_chihara.derivation import Poly
-        from hermite_chihara.systems import PolynomialSystem
 
         bracket = PolynomialSystem.ode_bracket
 
@@ -407,14 +417,42 @@ class TestCheckStatus:
             return p + Poly([F(1, 10**30)]) if n >= 3 else p
 
         monkeypatch.setattr(PolynomialSystem, "ode_bracket", off_from_3)
+        extra = ("--dim", "12") if command == "verify" else ()
         code, out, err = run_cli(
-            capsys, "verify", "--family", "classical", "--gamma", "1", "--n-max", "6", "--dim", "12"
+            capsys, command, "--family", "classical", "--gamma", "1", "--n-max", "6", *extra
         )
         assert code == 1
+        detail = "exact polynomial identity fails first at n = 3"
+        failed = json.loads(err.splitlines()[-1])["failed"]
+        if command == "ode":
+            payload = json.loads(out)
+            assert (payload["first_failure"], payload["passed"]) == (3, False)
+            assert failed == [detail]
+            return
         ode = {c["name"]: c for c in json.loads(out)["checks"]}["ode"]
-        assert (ode["status"], ode["passed"]) == ("fail", False)
-        assert ode["detail"].endswith("fails first at n = 3")
-        assert json.loads(err.splitlines()[-1])["failed"] == ["ode"]
+        assert (ode["status"], ode["passed"], ode["detail"]) == ("fail", False, detail)
+        assert failed == ["ode"]
+
+    def test_lowering_names_the_first_failing_n(self, capsys, monkeypatch):
+        argv = ("verify", "--family", "classical", "--gamma", "1", "--n-max", "20", "--dim", "24")
+
+        def lowering(out):
+            return {c["name"]: c for c in json.loads(out)["checks"]}["lowering"]
+
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and lowering(out)["detail"] == "max residual 0 (exact)"
+        init = PolynomialSystem.__init__
+
+        def scaled_at_17(self, seq):
+            init(self, seq)
+            self.monic[17] = self.monic[17].scale(1 + F(1, 10**9))
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", scaled_at_17)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        low = lowering(out)
+        assert (low["status"], low["detail"]) == ("fail", "nonzero residual first at n = 17 (exact)")
+        assert "lowering" in json.loads(err.splitlines()[-1])["failed"]
 
     def test_square_lowering_fails_on_any_residual(self, capsys, monkeypatch):
         # the report is exact, 0.0 when every column holds: a core off by a
@@ -528,10 +566,8 @@ class TestOdeCommand:
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "ode", "--family", "classical", "--gamma", "1", "--n-max", "10")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["passed"] is True
-        assert payload["alpha"] == "1" and payload["gamma"] == "1"
-        assert len(payload["residuals"]) == 11
+        assert json.loads(out) == {"family": "classical", "gamma": "1", "alpha": "1",
+                                   "n_max": 10, "first_failure": None, "passed": True}
 
     def test_non_family_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "ode", "--family", "order2", "--v1", "3", "--n-max", "6")

@@ -310,8 +310,7 @@ class TestPsiEval:
 class TestLowering:
     def test_exact_zero_residual(self, reference_systems):
         for sys in reference_systems.values():
-            for n in range(1, 26):
-                assert sys.lowering_residual(n) == 0
+            assert sys.first_lowering_failure(25) is None
 
     def test_n1_reduces_to_gamma1(self, classical1_sys):
         # D psi_1 = (v0/b0) psi_0 in scaled form: D P_1 = v_0 P_0
@@ -326,11 +325,21 @@ class TestLowering:
     def test_incompatible_sequence_fails_lowering(self):
         values = (F(1), F(1), F(2), F(5), F(8), F(11), F(14))
         sys = PolynomialSystem(GoverningSequence(values, F(1)))
-        assert any(sys.lowering_residual(n) != 0 for n in range(1, 7))
+        assert sys.first_lowering_failure(6) == 5
+
+    @pytest.mark.parametrize("kind", ["scaled", "even", "odd", "degree"])
+    def test_a_defect_fails_at_its_row(self, kind):
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
+        core = sys.monic[17]
+        sys.monic[17] = (core.scale(1 + F(1, 10**9)) if kind == "scaled"
+                         else corrupt_core(core, 17, kind))
+        assert sys.first_lowering_failure(24) == 17
+        assert sys.first_lowering_failure(16) is None
 
 
 class TestLazyOperator:
-    """D is built the first time ``op`` is read, and once per system."""
+    """D is built the first time ``op`` is read, and once per system; only the
+    reduced decompositions read it, the lowering and ODE scans never."""
 
     @pytest.fixture
     def eps_calls(self, monkeypatch):
@@ -348,24 +357,26 @@ class TestLazyOperator:
         sys.psi_coeffs_via_alpha(30)
         sys.ode_bracket(30)
         sys.derivative_decomposition(30)
+        assert sys.first_lowering_failure(30) is None and sys.first_ode_failure(30) is None
         assert "op" not in vars(sys) and eps_calls == []
 
     def test_built_once_across_every_lowering_check(self, eps_calls):
         sys = PolynomialSystem(seq_classical(F(1, 3), 30))
-        assert all(sys.lowering_residual(n) == 0 for n in range(1, sys.n_max + 1))
-        sys.decompose_b1bar(sys.n_max)
+        assert sys.first_lowering_failure(sys.n_max) is None and eps_calls == []
+        assert sys.classify_reduced() is True
         assert eps_calls == [sys.n_max + 1]
         assert vars(sys)["op"].k_max == sys.n_max + 1
 
-    def test_a_bad_epsilon_raises_at_the_first_lowering_check(self, monkeypatch):
+    def test_a_bad_epsilon_raises_at_the_first_decomposition(self, monkeypatch):
         def off_by_one_at_k(seq, K=None):
             eps = epsilons_from_sequence(seq, K).epsilons
             return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
 
         monkeypatch.setattr(systems_mod, "epsilons_from_sequence", off_by_one_at_k)
         sys = PolynomialSystem(seq_hermite(12))
+        assert sys.first_lowering_failure(12) is None  # reads v alone
         with pytest.raises(ValueError, match=r"epsilons give D x\^13"):
-            sys.lowering_residual(1)
+            sys.decompose_b1bar(2)
 
 
 class TestCompatiblePropagation:
@@ -395,8 +406,7 @@ class TestCompatiblePropagation:
             sys = PolynomialSystem(seq)
         except ValueError:
             return  # degenerate brackets (e.g. constant sequence)
-        for n in range(1, 11):
-            assert sys.lowering_residual(n) == 0
+        assert sys.first_lowering_failure(10) is None
         for n in range(0, 11):
             assert sys.monic[n] == sys.psi_coeffs_via_alpha(n)
 
@@ -722,8 +732,10 @@ class TestFractionReference:
 
     def test_eliminations(self, reference_pairs):
         for sys, cores in reference_pairs.values():
+            first = next((n for n in range(1, 41)
+                          if not ref.lowering_remainder(sys.values, cores, n).is_zero()), None)
+            assert sys.first_lowering_failure(40) == first
             for n in range(2, 41):
-                assert sys.lowering_residual(n) == ref.lowering_residual(sys.values, cores, n)
                 rep = sys.decompose_b1bar(n)
                 got = (rep.delta_scaled, rep.beta_scaled, rep.tail_scaled, rep.support)
                 assert got == ref.decompose_b1bar(sys.values, cores, n)
