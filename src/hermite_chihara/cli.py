@@ -202,9 +202,9 @@ def cmd_table(args) -> int:
 
 def cmd_classify(args) -> int:
     seq = build_sequence(args, max(args.n_max, 3))
-    reduced = PolynomialSystem(seq).classify_reduced(args.n_max)
-    # the decompositions at n <= n_max read v_0..v_{n_max-1}, so membership is
-    # judged on that prefix (at least the 3 entries the family shape needs)
+    reduced = PolynomialSystem(seq).first_reduced_failure(args.n_max) is None
+    # the reduced relation at n <= n_max reads v_0..v_{n_max-1}, so membership
+    # is judged on that prefix (at least the 3 entries the family shape needs)
     prefix = GoverningSequence(seq.values[: max(args.n_max, 3)], seq.b0_squared)
     fam, params = is_special_family(prefix)
     lines = [f"reduced: {str(reduced).lower()}", f"special_family: {str(fam).lower()}"]
@@ -213,7 +213,7 @@ def cmd_classify(args) -> int:
         lines.append(f"v1: {v1}")
         lines.append(f"v2: {v2}")
     _emit(args, "\n".join(lines) + "\n")
-    failed = [] if reduced == fam else ["classify_reduced disagrees with is_special_family"]
+    failed = [] if reduced == fam else ["the reduced relation disagrees with is_special_family"]
     return _exit_code(failed)
 
 

@@ -9,6 +9,7 @@ rational, every identity of interest (lowering rule, coefficient formulas,
 reduced decompositions) becomes an exact statement about rational polynomials:
 
     lowering   D P_n = v_{n-1} P_{n-1}
+    reduced    U P_n = u_n x P_{n-1} + beta_n P_{n-2}  (U x^m = (v_{m-1} - m) x^m; family only)
     explicit   coeff of x^{n-2m} in P_n  =  (-1)^m b0^{2m} alpha_{2m-1,n-1}
 
 Floating point enters only at evaluation boundaries.
@@ -19,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .derivation import DerivationOperator, Poly, epsilons_from_sequence
+from .derivation import Poly
 from .governing import (
     GoverningSequence,
     bracket_table,
@@ -159,9 +160,7 @@ class DecompositionReport:
 class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
-    Immutable once built, except that the derivation operator ``op`` is built
-    the first time it is read (only the reduced decompositions read it; the
-    lowering check reads v alone); all query methods are pure.
+    Immutable once built; all query methods are pure.
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -188,12 +187,6 @@ class PolynomialSystem:
         if is_special_family(seq)[0]:
             v2 = seq.values[2]
             self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
-
-    @cached_property
-    def op(self) -> DerivationOperator:
-        """The derivation operator D with eps_1..eps_{n_max+1}; its forward
-        check runs here, so a bad eps raises ValueError at the first read."""
-        return epsilons_from_sequence(self.seq, K=self.n_max + 1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -326,35 +319,50 @@ class PolynomialSystem:
             raise RuntimeError("triangular elimination left a remainder")
         return out
 
+    def _upper_remainder(self, n: int, w: Sequence[int]) -> tuple[int, list[int]]:
+        """(L u_n, the numerators of R = U P_n - u_n x P_{n-1} over L den(P_n)
+        den(P_{n-1})), for w[i] = L v_i, i < n.  U, the degree-preserving part
+        of D, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the series
+        x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
+        cur, prev = self.monic[n], self.monic[n - 1]
+        u = [0, *(w[m - 1] - m * w[0] for m in range(1, n + 1))]
+        return u[n], [um * a * prev.den - u[n] * b * cur.den
+                      for um, a, b in zip(u, cur.nums, (0, *prev.nums), strict=True)]
+
+    def first_reduced_failure(self, n_hi: int) -> int | None:
+        """The first 2 <= n <= n_hi at which U P_n leaves span{x P_{n-1}, P_{n-2}}
+        (the decomposition is not reduced), or None.  For cores of degrees n, n - 1
+        and n - 2 that is R != beta P_{n-2}, beta = [x^{n-2}] R (_upper_remainder):
+        r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, with no elimination."""
+        self._check_n(n_hi)
+        w, _ = common_denominator(self.values[:n_hi])
+        for n in range(2, n_hi + 1):
+            if any(self.monic[k].degree != k for k in (n, n - 1, n - 2)):
+                return n
+            r, low = self._upper_remainder(n, w)[1], self.monic[n - 2]
+            if any(a * low.den != r[n - 2] * b for a, b in zip(r, (*low.nums, 0, 0))):
+                return n
+        return None
+
     def decompose_b1bar(self, n: int) -> DecompositionReport:
-        """Expand (degree-preserving part of D) psi_n over
-        {x psi_{n-1}, psi_{n-2}, psi_{n-4}, ...} by exact degree elimination."""
+        """Expand U psi_n (U the degree-preserving part of D) over {x psi_{n-1},
+        psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
         if not 2 <= n <= self.n_max:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
-        upper = self.op.apply_upper_part(self.monic[n])
-        delta_scaled = upper.coeff(n)
-        rem = upper - self.monic[n - 1].shift(1).scale(delta_scaled)
+        w, L = common_denominator(self.values[:n])
+        un, nums = self._upper_remainder(n, w)
+        delta_scaled = Fraction(un, L)
+        rem = Poly.from_numerators(nums, L * self.monic[n].den * self.monic[n - 1].den)
         indices = range(n - 2, -1, -2)
         beta_scaled, *rest = self._core_expansion(rem, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(
-            n=n,
-            support=tuple(support),
+            n=n, support=tuple(support), reduced=not tail,
             delta_bar=float(delta_scaled) / self.b_float[n - 1],
             beta_bar=float(beta_scaled) / (self.b_float[n - 1] * self.b_float[n - 2]),
-            reduced=not tail,
-            delta_scaled=delta_scaled,
-            beta_scaled=beta_scaled,
-            tail_scaled=tail,
+            delta_scaled=delta_scaled, beta_scaled=beta_scaled, tail_scaled=tail,
         )
-
-    def classify_reduced(self, n_hi: int | None = None) -> bool:
-        """True iff the decomposition stays within two lowering steps for all
-        2 <= n <= n_hi.  Coincides with the special-family shape."""
-        if n_hi is None:
-            n_hi = self.n_max
-        return all(self.decompose_b1bar(n).reduced for n in range(2, n_hi + 1))
 
     def derivative_core_expansion(self, n: int) -> list[Fraction]:
         """Exact coefficients e_j with P_n' = sum_j e_j P_{n-1-2j}."""

@@ -229,12 +229,14 @@ def test_criterion_10_classification_round_trip():
     ]
     for seq in family_cases:
         assert is_special_family(seq)[0] is True
-        assert PolynomialSystem(seq).classify_reduced(10) is True
+        assert PolynomialSystem(seq).first_reduced_failure(10) is None
+    firsts = []
     for seq in non_family_cases:
         assert is_special_family(seq)[0] is False
-        assert PolynomialSystem(seq).classify_reduced(10) is False
-    _pass(10, "classify_reduced(n_max=10) agrees with the family shape on 10 sequences "
-              "(5 family, 5 non-family)", t0)
+        firsts.append(PolynomialSystem(seq).first_reduced_failure(10))
+        assert firsts[-1] is not None
+    _pass(10, "first_reduced_failure(n_max=10) is None on the 5 family sequences and "
+              f"{firsts} on the 5 non-family ones", t0)
 
 
 def test_criterion_11_moments():

@@ -188,31 +188,36 @@ FAMILY_ARGS = TABLE_FAMILIES["family"] + ["--n-max", "40"]
 
 
 class TestLazyOperator:
-    """Only the reduced decompositions read the derivation operator, so no
-    command but classify (and epsilons, which prints it) builds it."""
+    """Only epsilons, which prints it, builds the derivation operator; every
+    other command reads v alone, classify included."""
 
     @pytest.mark.parametrize("argv", [
         ["table", "--format", "csv"], ["table", "--format", "json"], ["build"], ["verify"], ["ode"],
+        ["classify"], ["verify", "--orthonormality"], ["spectrum"],
     ])
     def test_table_and_build_never_build_it(self, capsys, monkeypatch, argv):
-        want = run_cli(capsys, *argv, *FAMILY_ARGS)
+        # spectrum takes no --n-max
+        args = [*argv, *(TABLE_FAMILIES["family"] if argv == ["spectrum"] else FAMILY_ARGS)]
+        want = run_cli(capsys, *args)
 
-        def unreachable(seq, K=None):
-            raise RuntimeError("the derivation operator was built")
+        def unreachable(op):
+            raise RuntimeError("a derivation operator was built")
 
-        monkeypatch.setattr(hermite_chihara.systems, "epsilons_from_sequence", unreachable)
+        monkeypatch.setattr(DerivationOperator, "__post_init__", unreachable)
         assert want[0] == 0
-        assert run_cli(capsys, *argv, *FAMILY_ARGS) == want
+        assert run_cli(capsys, *args) == want
+        with pytest.raises(RuntimeError, match="operator was built"):
+            run_cli(capsys, "epsilons", *FAMILY_ARGS)
 
-    def test_a_bad_epsilon_is_an_input_error_in_classify(self, capsys, monkeypatch):
+    def test_a_bad_epsilon_is_an_input_error_in_epsilons(self, capsys, monkeypatch):
         def off_by_one_at_k(seq, K=None):
             eps = epsilons_from_sequence(seq, K).epsilons
             return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
 
-        monkeypatch.setattr(hermite_chihara.systems, "epsilons_from_sequence", off_by_one_at_k)
-        code, out, err = run_cli(capsys, "classify", *FAMILY_ARGS)
+        monkeypatch.setattr(hermite_chihara.cli, "epsilons_from_sequence", off_by_one_at_k)
+        code, out, err = run_cli(capsys, "epsilons", *FAMILY_ARGS)
         assert (code, out) == (2, "")
-        assert err.startswith("error: epsilons give D x^41 = ")
+        assert err.startswith("error: epsilons give D x^40 = ")
 
 
 class TestBuildAndSeedFile:

@@ -24,6 +24,7 @@ from hermite_chihara import (
 )
 from hermite_chihara import systems as systems_mod
 from hermite_chihara.derivation import Poly
+from hermite_chihara.governing import common_denominator
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
@@ -314,7 +315,7 @@ class TestLowering:
 
     def test_n1_reduces_to_gamma1(self, classical1_sys):
         # D psi_1 = (v0/b0) psi_0 in scaled form: D P_1 = v_0 P_0
-        op = classical1_sys.op
+        op = epsilons_from_sequence(classical1_sys.seq)
         applied = op.apply(classical1_sys.monic[1])
         assert applied.coeffs == (1,)
 
@@ -329,54 +330,35 @@ class TestLowering:
 
     @pytest.mark.parametrize("kind", ["scaled", "even", "odd", "degree"])
     def test_a_defect_fails_at_its_row(self, kind):
+        # both exact scans over the cores; u_16 and u_17 are nonzero here, so
+        # the reduced relation sees a scaled core too (on Hermite U = 0)
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
+        assert sys.values[15] != 16 and sys.values[16] != 17
         core = sys.monic[17]
         sys.monic[17] = (core.scale(1 + F(1, 10**9)) if kind == "scaled"
                          else corrupt_core(core, 17, kind))
-        assert sys.first_lowering_failure(24) == 17
-        assert sys.first_lowering_failure(16) is None
+        for scan in (sys.first_lowering_failure, sys.first_reduced_failure):
+            assert scan(24) == 17
+            assert scan(16) is None
 
 
 class TestLazyOperator:
-    """D is built the first time ``op`` is read, and once per system; only the
-    reduced decompositions read it, the lowering and ODE scans never."""
+    """A system builds no derivation operator: the lowering, reduced and ODE
+    scans and the decompositions read v alone."""
 
-    @pytest.fixture
-    def eps_calls(self, monkeypatch):
-        calls = []
+    def test_a_fresh_system_has_no_operator(self, monkeypatch):
+        def unreachable(op):
+            raise RuntimeError("a derivation operator was built")
 
-        def counted(seq, K=None):
-            calls.append(K)
-            return epsilons_from_sequence(seq, K)
-
-        monkeypatch.setattr(systems_mod, "epsilons_from_sequence", counted)
-        return calls
-
-    def test_a_fresh_system_has_no_operator(self, eps_calls):
+        monkeypatch.setattr(DerivationOperator, "__post_init__", unreachable)
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 30))
         sys.psi_coeffs_via_alpha(30)
         sys.ode_bracket(30)
         sys.derivative_decomposition(30)
+        sys.decompose_b1bar(30)
         assert sys.first_lowering_failure(30) is None and sys.first_ode_failure(30) is None
-        assert "op" not in vars(sys) and eps_calls == []
-
-    def test_built_once_across_every_lowering_check(self, eps_calls):
-        sys = PolynomialSystem(seq_classical(F(1, 3), 30))
-        assert sys.first_lowering_failure(sys.n_max) is None and eps_calls == []
-        assert sys.classify_reduced() is True
-        assert eps_calls == [sys.n_max + 1]
-        assert vars(sys)["op"].k_max == sys.n_max + 1
-
-    def test_a_bad_epsilon_raises_at_the_first_decomposition(self, monkeypatch):
-        def off_by_one_at_k(seq, K=None):
-            eps = epsilons_from_sequence(seq, K).epsilons
-            return DerivationOperator(eps[:-1] + (eps[-1] + 1,), seq.values)
-
-        monkeypatch.setattr(systems_mod, "epsilons_from_sequence", off_by_one_at_k)
-        sys = PolynomialSystem(seq_hermite(12))
-        assert sys.first_lowering_failure(12) is None  # reads v alone
-        with pytest.raises(ValueError, match=r"epsilons give D x\^13"):
-            sys.decompose_b1bar(2)
+        assert sys.first_reduced_failure(30) is None
+        assert not hasattr(sys, "op")
 
 
 class TestCompatiblePropagation:
@@ -415,7 +397,7 @@ class TestCompatiblePropagation:
         from hermite_chihara import is_special_family
 
         assert is_special_family(seq) == (False, None)
-        assert PolynomialSystem(seq).classify_reduced(10) is False
+        assert PolynomialSystem(seq).first_reduced_failure(10) == 4
 
 
 def validate_ok(seq):
@@ -449,7 +431,8 @@ class TestGammaCrossRelations:
     def test_eps_sum_relation(self, reference_systems):
         # b0 (sqrt([2])/2) gamma_2 = eps_1 + eps_2, all positive here
         for sys in reference_systems.values():
-            s = sys.op.eps(1) + sys.op.eps(2)
+            op = epsilons_from_sequence(sys.seq, K=2)
+            s = op.eps(1) + op.eps(2)
             assert s > 0
             lhs_sq = sys.seq.b0_squared * sys.brackets[2] / 4 * sys.g2[2]
             assert lhs_sq == s**2
@@ -459,10 +442,11 @@ class TestDecomposition:
     def test_delta_is_a_n_2_scaled(self, reference_systems):
         # delta_bar b_{n-1} = A_n(2) = v_{n-1} - n, exactly, for every system
         for sys in reference_systems.values():
+            op = epsilons_from_sequence(sys.seq)
             for n in range(2, 16):
                 rep = sys.decompose_b1bar(n)
                 assert rep.delta_scaled == sys.values[n - 1] - n
-                assert rep.delta_scaled == sys.op.a_coefficient(n, 2)
+                assert rep.delta_scaled == op.a_coefficient(n, 2)
 
     def test_even_beta_vanishes(self, reference_systems):
         for sys in reference_systems.values():
@@ -499,10 +483,31 @@ class TestDecomposition:
         assert first_bad == 4
         assert 0 in sys.decompose_b1bar(4).support  # a psi_{n-4} term appears
 
-    def test_classify_matches_family_shape(self, reference_systems):
+    def test_classify_matches_family_shape(self):
+        # the scan and the decompositions name the same first non-reduced n:
+        # none on the family systems, 4 on the order2 and order3 ones
+        N = 40
+        family = [seq_hermite(N), seq_classical(1, N), seq_family(1, 5, F(1), N),
+                  seq_family(F(2, 3), F(5, 3), F(3, 7), N), seq_family(4, 5, F(1), N),
+                  seq_classical(F(1, 3), N), seq_classical(F(-1, 2), N)]
+        other = [seq_order2(3, N), seq_order2(F(5, 2), N),
+                 seq_order3(F(7, 3), F(17, 3), N), seq_order3(8, 30, N)]
+        for seq, want in [*((s, None) for s in family), *((s, 4) for s in other)]:
+            sys = PolynomialSystem(seq)
+            first = next((n for n in range(2, N + 1) if not sys.decompose_b1bar(n).reduced), None)
+            assert sys.first_reduced_failure(N) == first == want
+
+    def test_remainder_is_the_operator_upper_part(self, reference_systems):
+        # the scan's U P_n (its remainder plus u_n x P_{n-1}) is the operator's
         for sys in reference_systems.values():
-            assert sys.classify_reduced(12) is True
-        assert PolynomialSystem(seq_order2(3, 12)).classify_reduced(10) is False
+            op = epsilons_from_sequence(sys.seq)
+            w, L = common_denominator(sys.values[:16])
+            for n in range(2, 17):
+                un, nums = sys._upper_remainder(n, w)
+                cur, prev = sys.monic[n], sys.monic[n - 1]
+                upper = Poly.from_numerators(nums, L * cur.den * prev.den)
+                upper += prev.shift(1).scale(F(un, L))
+                assert upper == op.apply_upper_part(cur)
 
     def test_reduced_means_no_tail(self, reference_systems):
         systems = [*reference_systems.values(), PolynomialSystem(seq_order2(3, 16))]
@@ -515,7 +520,8 @@ class TestDecomposition:
 
 class TestCorruptCore:
     """Every expansion over the cores runs one triangular elimination; a core
-    off by a relative 1e-9 leaves a remainder there, which raises."""
+    off by a relative 1e-9 leaves a remainder there, which raises.  The
+    reduced scan eliminates nothing: it names the core's index instead."""
 
     @pytest.fixture
     def corrupt_sys(self):
@@ -526,11 +532,15 @@ class TestCorruptCore:
     @pytest.mark.parametrize("call", [
         lambda sys: sys.derivative_core_expansion(21),
         lambda sys: sys.derivative_decomposition(21),
-        lambda sys: sys.classify_reduced(),
-    ], ids=["derivative_core_expansion", "derivative_decomposition", "classify_reduced"])
+        lambda sys: sys.decompose_b1bar(20),
+    ], ids=["derivative_core_expansion", "derivative_decomposition", "decompose_b1bar"])
     def test_remainder_raises(self, corrupt_sys, call):
         with pytest.raises(RuntimeError, match="remainder"):
             call(corrupt_sys)
+
+    def test_the_reduced_scan_names_the_corrupt_index(self, corrupt_sys):
+        assert corrupt_sys.first_reduced_failure(19) is None
+        assert corrupt_sys.first_reduced_failure(40) == 20
 
 
 class TestDerivativeDecomposition:
@@ -735,6 +745,9 @@ class TestFractionReference:
             first = next((n for n in range(1, 41)
                           if not ref.lowering_remainder(sys.values, cores, n).is_zero()), None)
             assert sys.first_lowering_failure(40) == first
+            first = next((n for n in range(2, 41)
+                          if ref.decompose_b1bar(sys.values, cores, n)[2]), None)
+            assert sys.first_reduced_failure(40) == first
             for n in range(2, 41):
                 rep = sys.decompose_b1bar(n)
                 got = (rep.delta_scaled, rep.beta_scaled, rep.tail_scaled, rep.support)
