@@ -384,8 +384,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HC_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR),
+    # a level name gives its int; any other value (BASIC_FORMAT too) a string
+    level = logging.getLevelName(os.environ.get("HC_LOG", "error").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
     try:

@@ -10,14 +10,14 @@ Each operator checks the forward identity once, when it is built; after that
 D is applied by the monomial rule alone.
 
 Polynomials are dense tuples of integer numerators over one shared
-denominator (index = power of x), so their arithmetic runs in integers.
+denominator (index = power of x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import factorial, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .governing import GoverningSequence, as_fraction, common_denominator
@@ -38,7 +38,7 @@ class Poly:
     The form is canonical -- den > 0, gcd(den, *nums) == 1, no trailing zero
     numerators, and the zero polynomial has none at all -- so == and hash
     compare structure.  ``coeffs`` gives the coefficients as lowest-terms
-    Fractions."""
+    Fractions.  Poly only stores and evaluates: the checks compute on nums."""
 
     nums: tuple[int, ...]
     den: int
@@ -63,43 +63,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.nums):
-            return Fraction(self.nums[k], self.den)
-        return Fraction(0)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the lcm of the two denominators."""
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (sign * (den // other.den)) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return Poly.from_numerators(a, den)
-
-    def scale(self, c) -> "Poly":
-        c = as_fraction(c)
-        return Poly.from_numerators([a * c.numerator for a in self.nums], self.den * c.denominator)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly.from_numerators((0,) * k + self.nums, self.den)
-
-    def derivative(self, order: int = 1) -> "Poly":
-        return Poly.from_numerators(
-            [a * perm(k, order) for k, a in enumerate(self.nums)][order:], self.den
-        )
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation in integers at a rational x; a float x

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Sequence
 
@@ -305,16 +305,20 @@ class PolynomialSystem:
                 return n
         return None
 
-    def _core_expansion(self, p: Poly, indices: Sequence[int]) -> list[Fraction]:
-        """Coefficients of p over the monic cores P_idx, idx in the given
-        descending order, by triangular elimination: P_idx is monic of degree
-        idx, so its coefficient is that of x^idx in what is left of p."""
-        out = []
+    def _core_expansion(self, nums: Sequence[int], den: int,
+                        indices: Sequence[int]) -> list[Fraction]:
+        """Coefficients of nums / den (x^0 first) over the monic cores P_idx, idx in
+        the given descending order, by triangular elimination in integers: P_idx is
+        monic of degree idx, so r / den(p) is its coefficient, r the x^idx numerator
+        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx)."""
+        p, out = Poly.from_numerators(nums, den), []
         for idx in indices:
-            c = p.coeff(idx)
-            out.append(c)
-            if c != 0:
-                p = p - self.monic[idx].scale(c)
+            r = p.nums[idx] if idx < len(p.nums) else 0
+            out.append(Fraction(r, p.den))
+            if r:
+                core = self.monic[idx]
+                p = Poly.from_numerators([a * core.den - r * c for a, c in zip_longest(
+                    p.nums, core.nums, fillvalue=0)], p.den * core.den)
         if not p.is_zero():
             raise RuntimeError("triangular elimination left a remainder")
         return out
@@ -352,9 +356,9 @@ class PolynomialSystem:
         w, L = common_denominator(self.values[:n])
         un, nums = self._upper_remainder(n, w)
         delta_scaled = Fraction(un, L)
-        rem = Poly.from_numerators(nums, L * self.monic[n].den * self.monic[n - 1].den)
         indices = range(n - 2, -1, -2)
-        beta_scaled, *rest = self._core_expansion(rem, indices)
+        beta_scaled, *rest = self._core_expansion(
+            nums, L * self.monic[n].den * self.monic[n - 1].den, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(
@@ -367,7 +371,9 @@ class PolynomialSystem:
     def derivative_core_expansion(self, n: int) -> list[Fraction]:
         """Exact coefficients e_j with P_n' = sum_j e_j P_{n-1-2j}."""
         self._check_n(n)
-        return self._core_expansion(self.monic[n].derivative(), range(n - 1, -1, -2))
+        core = self.monic[n]
+        return self._core_expansion(
+            [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, range(n - 1, -1, -2))
 
     def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
         """psi_n' = sum c_k psi_k with float c_k from the exact expansion."""
@@ -390,9 +396,12 @@ class PolynomialSystem:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
         if not self.is_family:
             raise UnsupportedSystemError("two-term derivative decomposition needs a family system")
-        # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}
-        s = self.monic[n].derivative().shift(1) - self.monic[n - 1].shift(1).scale(n)
-        (c2_scaled,) = self._core_expansion(s, (n - 2,))
+        # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}; its x^k numerator
+        # over den(P_n) den(P_{n-1}) is k c_k(P_n) den(P_{n-1}) - n c_{k-1}(P_{n-1}) den(P_n)
+        cur, prev = self.monic[n], self.monic[n - 1]
+        s = [k * a * prev.den - n * b * cur.den
+             for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
+        (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
         c_prev = n / self.b_float[n - 1]
         c_over_x = float(c2_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
         return c_prev, c_over_x

@@ -23,10 +23,14 @@ def plain(f):
 
 
 def corrupt_core(core, n, kind, j=0):
-    """The core P_n with one defect the route check must see: an even-slot
-    numerator scaled by 1 + 1e-9, a nonzero odd slot, or the wrong degree."""
+    """The core P_n with one defect the route check must see: the whole core or
+    an even-slot numerator scaled by 1 + 1e-9, a nonzero odd slot, or the
+    wrong degree."""
     nums, den = list(core.nums), core.den
-    if kind == "even":
+    if kind == "scaled":
+        nums = [a * (10**9 + 1) for a in nums]
+        den *= 10**9
+    elif kind == "even":
         k = n - 2 * (j % (n // 2 + 1))
         nums = [a * 10**9 + (a if i == k else 0) for i, a in enumerate(nums)]
         den *= 10**9

@@ -10,8 +10,8 @@ operation re-normalized.  The tests compare the kernel against them.
 - ``lowering_remainder``, ``decompose_b1bar``, ``derivative_core_expansion``,
   ``derivative_decomposition_c2``: the eliminations on FractionPoly;
 - ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
-- ``ode_bracket_composed``: the bracket polynomial composed from derivative,
-  shift, scale and sum;
+- ``ode_bracket_composed``: the bracket polynomial composed on FractionPoly
+  from derivative, shift, scale and sum;
 - ``validate``: the compatibility identity and monotonicity on Fractions;
 - ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n]));
 - ``fraction_str``, ``coeff_strings``: a rational as ``str(Fraction)`` prints
@@ -148,7 +148,7 @@ def ode_bracket(core: FractionPoly, n: int, x, gamma, alpha) -> Fraction:
 
 def ode_bracket_composed(p, n: int, gamma, alpha):
     """x^2 P'' + (gamma x - 2 alpha x^3) P' + (2 alpha n x^2 - theta_n) P as a
-    polynomial of p's own type (the package's Poly or FractionPoly)."""
+    FractionPoly, for a FractionPoly p."""
     g, a = Fraction(gamma), Fraction(alpha)
     theta = g if n % 2 == 1 else Fraction(0)
     dp = p.derivative()
@@ -188,4 +188,4 @@ def fraction_str(p: int, q: int) -> str:
 
 def coeff_strings(core) -> list[str]:
     """The table strings of a monic core: str of each lowest-terms coefficient."""
-    return [str(core.coeff(k)) for k in range(core.degree + 1)]
+    return [str(c) for c in core.coeffs]

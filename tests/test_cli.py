@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 import hermite_chihara
 from conftest import corrupt_core
-from hermite_chihara import DerivationOperator, PolynomialSystem, epsilons_from_sequence
+from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
 from hermite_chihara.cli import _ratio_str, build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence
 
@@ -413,13 +413,11 @@ class TestCheckStatus:
 
     @pytest.mark.parametrize("command", ["verify", "ode"])
     def test_nonzero_ode_bracket_fails_verify(self, capsys, monkeypatch, command):
-        from hermite_chihara.derivation import Poly
-
         bracket = PolynomialSystem.ode_bracket
 
         def off_from_3(self, n, gamma=None, alpha=None):
             p = bracket(self, n, gamma, alpha)
-            return p + Poly([F(1, 10**30)]) if n >= 3 else p
+            return Poly([p(0) + F(1, 10**30), *p.coeffs[1:]]) if n >= 3 else p
 
         monkeypatch.setattr(PolynomialSystem, "ode_bracket", off_from_3)
         extra = ("--dim", "12") if command == "verify" else ()
@@ -450,7 +448,7 @@ class TestCheckStatus:
 
         def scaled_at_17(self, seq):
             init(self, seq)
-            self.monic[17] = self.monic[17].scale(1 + F(1, 10**9))
+            self.monic[17] = corrupt_core(self.monic[17], 17, "scaled")
 
         monkeypatch.setattr(PolynomialSystem, "__init__", scaled_at_17)
         code, out, err = run_cli(capsys, *argv)
@@ -466,7 +464,7 @@ class TestCheckStatus:
 
         def perturbed_init(self, seq):
             init(self, seq)
-            self.monic[20] = self.monic[20].scale(1 + F(1, 10**15))
+            self.monic[20] = Poly([c * (1 + F(1, 10**15)) for c in self.monic[20].coeffs])
 
         monkeypatch.setattr(PolynomialSystem, "__init__", perturbed_init)
         # n_max = 12 keeps core 20 out of every other check
@@ -716,6 +714,17 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert '"all_passed": true' in proc.stdout, proc.stderr
         assert "check lowering: pass" in proc.stderr  # HC_LOG=info emits check logs
+
+    @pytest.mark.parametrize("value", ["basic_format", "no_such_level"])
+    def test_a_log_value_that_names_no_level_keeps_the_error_level(self, value):
+        # logging.BASIC_FORMAT is a module attribute, but a format string and no level
+        argv = [sys.executable, "-m", "hermite_chihara.cli", "classify", "--n-max", "6"]
+        unset = child_env()
+        unset.pop("HC_LOG", None)
+        base, proc = [subprocess.run(argv, capture_output=True, env=env)
+                      for env in (unset, child_env(HC_LOG=value))]
+        assert (base.returncode, proc.returncode) == (0, 0), proc.stderr
+        assert proc.stdout == base.stdout and proc.stderr == b""
 
     def test_classify_subprocess(self):
         proc = subprocess.run(

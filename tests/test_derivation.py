@@ -33,9 +33,9 @@ SERIES_OPERATORS = {
 }
 
 
-def series(op, p: Poly, k_min: int, power_offset: int) -> Poly:
+def series(op, p: FractionPoly, k_min: int, power_offset: int) -> FractionPoly:
     """sum_{k >= k_min} eps_k x^{k + power_offset} p^{(k)}, term by term."""
-    out = Poly([])
+    out = FractionPoly(())
     for k in range(k_min, p.degree + 1):
         out = out + p.derivative(k).shift(k + power_offset).scale(op.eps(k))
     return out
@@ -46,20 +46,6 @@ class TestPoly:
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
         assert Poly([]).degree == -1
         assert Poly([0]).is_zero()
-
-    def test_arithmetic(self):
-        p = Poly([1, 0, 3])
-        q = Poly([0, 2])
-        assert (p + q).coeffs == (1, 2, 3)
-        assert (p - p).is_zero()
-        assert p.scale(F(1, 3)).coeffs == (F(1, 3), 0, 1)
-        assert q.shift(2).coeffs == (0, 0, 0, 2)
-
-    def test_derivative(self):
-        p = Poly([5, 4, 3, 2])  # 5 + 4x + 3x^2 + 2x^3
-        assert p.derivative().coeffs == (4, 6, 6)
-        assert p.derivative(2).coeffs == (6, 12)
-        assert p.derivative(5).is_zero()
 
     def test_eval(self):
         p = Poly([1, -2, 1])
@@ -78,35 +64,25 @@ def assert_canonical(p: Poly) -> None:
 
 
 class TestAgainstFractionReference:
-    """The integer kernel against the Fraction-tuple polynomial it replaced:
-    the same lowest-terms coefficients from every operation, in canonical
-    form, and the same value at Fraction points."""
+    """The integer storage against the Fraction-tuple polynomial it replaced:
+    the same lowest-terms coefficients in canonical form, the same value at
+    Fraction points, and the same equality."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         a=coeff_lists,
         b=coeff_lists,
-        c=st.fractions(min_value=F(-9), max_value=F(9), max_denominator=7),
-        k=st.integers(min_value=0, max_value=3),
+        k=st.integers(min_value=1, max_value=12),
         x=st.fractions(min_value=F(-4), max_value=F(4), max_denominator=12),
     )
-    def test_operations(self, a, b, c, k, x):
+    def test_operations(self, a, b, k, x):
         p, q, rp, rq = Poly(a), Poly(b), FractionPoly(a), FractionPoly(b)
-        pairs = (
-            (p, rp),
-            (p + q, rp + rq),
-            (p - q, rp - rq),
-            (p.scale(c), rp.scale(c)),
-            (p.shift(k), rp.shift(k)),
-            (p.derivative(k), rp.derivative(k)),
-        )
-        for new, ref in pairs:
-            assert_canonical(new)
-            assert new.coeffs == ref.coeffs
-            assert new.degree == ref.degree
-            assert [new.coeff(j) for j in range(-1, len(a) + 2)] == [
-                ref.coeff(j) for j in range(-1, len(a) + 2)
-            ]
+        # numerators with a common factor k reduce to the same canonical form
+        scaled = Poly.from_numerators([k * c for c in p.nums], k * p.den)
+        assert_canonical(p)
+        assert_canonical(scaled)
+        assert scaled == p and p.coeffs == rp.coeffs
+        assert p.degree == rp.degree
         assert p(x) == rp(x)
         assert (p == q) == (rp == rq)
 
@@ -198,9 +174,10 @@ class TestApply:
     @given(a=coeff_lists, b=coeff_lists, ca=st.fractions(max_denominator=5), cb=st.fractions(max_denominator=5))
     def test_linearity(self, a, b, ca, cb):
         op = epsilons_from_sequence(seq_classical(F(3, 2), 12))
-        p, q = Poly(a), Poly(b)
-        combo = p.scale(ca) + q.scale(cb)
-        assert op.apply(combo) == op.apply(p).scale(ca) + op.apply(q).scale(cb)
+        combo = FractionPoly(a).scale(ca) + FractionPoly(b).scale(cb)
+        parts = [FractionPoly(op.apply(Poly(c)).coeffs) for c in (a, b)]
+        want = parts[0].scale(ca) + parts[1].scale(cb)
+        assert op.apply(Poly(combo.coeffs)).coeffs == want.coeffs
 
 
 class TestSeriesReference:
@@ -217,9 +194,9 @@ class TestSeriesReference:
     )
     def test_apply_and_upper_part_match_the_series(self, name, coeffs):
         op = SERIES_OPERATORS[name]
-        p = Poly(coeffs)
-        assert op.apply(p) == series(op, p, 1, -1)
-        assert op.apply_upper_part(p) == series(op, p, 2, 0)
+        p, rp = Poly(coeffs), FractionPoly(coeffs)
+        assert op.apply(p).coeffs == series(op, rp, 1, -1).coeffs
+        assert op.apply_upper_part(p).coeffs == series(op, rp, 2, 0).coeffs
 
     def test_perturbed_epsilon_fails_at_construction(self):
         op = epsilons_from_sequence(seq_classical(F(3, 2), 8))

@@ -24,6 +24,8 @@ from hermite_chihara import (
 from hermite_chihara.cli import main
 from hermite_chihara.oscillator import MARGIN, ROUNDING_BOUND
 
+from conftest import corrupt_core
+
 DIM = 40
 SQRT2 = math.sqrt(2.0)
 
@@ -319,9 +321,9 @@ class TestSquareLowering:
             square_lowering_report(ops, sys)
 
 
-def perturb_core(sys, n=20, factor=1 + F(1, 10**9)):
-    """Scale the monic core P_n of a built system by factor, in place."""
-    sys.monic[n] = sys.monic[n].scale(factor)
+def perturb_core(sys, n=20):
+    """Scale the monic core P_n of a built system by 1 + 1e-9, in place."""
+    sys.monic[n] = corrupt_core(sys.monic[n], n, "scaled")
 
 
 class TestPerturbedCore:

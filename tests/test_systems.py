@@ -24,7 +24,7 @@ from hermite_chihara import (
 )
 from hermite_chihara import systems as systems_mod
 from hermite_chihara.derivation import Poly
-from hermite_chihara.governing import common_denominator
+from hermite_chihara.governing import common_denominator, is_special_family
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
@@ -150,9 +150,9 @@ class TestPsiConstruction:
 
     def test_parity(self, family15_sys):
         core = family15_sys.monic[5]
-        assert all(core.coeff(k) == 0 for k in (0, 2, 4))
+        assert all(core.coeffs[k] == 0 for k in (0, 2, 4))
         even = family15_sys.monic[8]
-        assert all(even.coeff(k) == 0 for k in (1, 3, 5, 7))
+        assert all(even.coeffs[k] == 0 for k in (1, 3, 5, 7))
 
     def test_route_equivalence_exact(self, reference_systems):
         for sys in reference_systems.values():
@@ -334,9 +334,7 @@ class TestLowering:
         # the reduced relation sees a scaled core too (on Hermite U = 0)
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
         assert sys.values[15] != 16 and sys.values[16] != 17
-        core = sys.monic[17]
-        sys.monic[17] = (core.scale(1 + F(1, 10**9)) if kind == "scaled"
-                         else corrupt_core(core, 17, kind))
+        sys.monic[17] = corrupt_core(sys.monic[17], 17, kind)
         for scan in (sys.first_lowering_failure, sys.first_reduced_failure):
             assert scan(24) == 17
             assert scan(16) is None
@@ -484,18 +482,34 @@ class TestDecomposition:
         assert 0 in sys.decompose_b1bar(4).support  # a psi_{n-4} term appears
 
     def test_classify_matches_family_shape(self):
-        # the scan and the decompositions name the same first non-reduced n:
-        # none on the family systems, 4 on the order2 and order3 ones
+        # the scan to N, the decompositions and is_special_family on v_0..v_{N-1}
+        # (what the scan reads) agree: none fails on the family systems, and n = 4
+        # on the order2 and order3 ones.  n = 4 is where they could first disagree:
+        # a family prefix v_0..v_2 with v_3 != 2 v_1 (v_4 only keeps [4] > 0)
         N = 40
-        family = [seq_hermite(N), seq_classical(1, N), seq_family(1, 5, F(1), N),
-                  seq_family(F(2, 3), F(5, 3), F(3, 7), N), seq_family(4, 5, F(1), N),
-                  seq_classical(F(1, 3), N), seq_classical(F(-1, 2), N)]
+        family = [seq_hermite(N), seq_hermite(N, 10**5), seq_classical(1, N),
+                  seq_family(1, 5, F(1), N), seq_family(F(2, 3), F(5, 3), F(3, 7), N),
+                  seq_family(4, 5, F(1), N), seq_classical(F(1, 3), N), seq_classical(F(-1, 2), N)]
         other = [seq_order2(3, N), seq_order2(F(5, 2), N),
                  seq_order3(F(7, 3), F(17, 3), N), seq_order3(8, 30, N)]
-        for seq, want in [*((s, None) for s in family), *((s, 4) for s in other)]:
-            sys = PolynomialSystem(seq)
-            first = next((n for n in range(2, N + 1) if not sys.decompose_b1bar(n).reduced), None)
-            assert sys.first_reduced_failure(N) == first == want
+        prefixes = [(GoverningSequence((1, v1, v2, v3, 2 * v2 - 1), F(1)),
+                     None if v3 == 2 * v1 else 4)
+                    for v1, v2 in ((F(2, 3), F(5, 3)), (F(4), F(5)), (F(1), F(3)))
+                    for v3 in (2 * v1, 2 * v1 - F(1, 10**9), 2 * v1 + F(1, 7), 3 * v1)]
+        cases = [*((s, None) for s in family), *((s, 4) for s in other), *prefixes]
+        for seq, want in cases:
+            sys, top = PolynomialSystem(seq), min(N, seq.n_max)
+            reports = [sys.decompose_b1bar(n) for n in range(2, top + 1)]
+            first = next((r.n for r in reports if not r.reduced), None)
+            assert sys.first_reduced_failure(top) == first == want
+            prefix = GoverningSequence(seq.values[:top], seq.b0_squared)
+            assert is_special_family(prefix)[0] == (want is None)
+            if sys.is_family:
+                # U P_n = v_{n-1} x P_{n-1} - x P_n' by the lowering rule, so the
+                # P_{n-2} term of x P_n' - n x P_{n-1} is -beta
+                for r in reports:
+                    assert sys.derivative_decomposition(r.n) == (
+                        r.n / sys.b_float[r.n - 1], -r.beta_bar)
 
     def test_remainder_is_the_operator_upper_part(self, reference_systems):
         # the scan's U P_n (its remainder plus u_n x P_{n-1}) is the operator's
@@ -505,9 +519,9 @@ class TestDecomposition:
             for n in range(2, 17):
                 un, nums = sys._upper_remainder(n, w)
                 cur, prev = sys.monic[n], sys.monic[n - 1]
-                upper = Poly.from_numerators(nums, L * cur.den * prev.den)
-                upper += prev.shift(1).scale(F(un, L))
-                assert upper == op.apply_upper_part(cur)
+                upper = ref.FractionPoly(Poly.from_numerators(nums, L * cur.den * prev.den).coeffs)
+                upper += ref.FractionPoly(prev.coeffs).shift(1).scale(F(un, L))
+                assert upper.coeffs == op.apply_upper_part(cur).coeffs
 
     def test_reduced_means_no_tail(self, reference_systems):
         systems = [*reference_systems.values(), PolynomialSystem(seq_order2(3, 16))]
@@ -526,7 +540,7 @@ class TestCorruptCore:
     @pytest.fixture
     def corrupt_sys(self):
         sys = PolynomialSystem(seq_classical(1, 40))
-        sys.monic[20] = sys.monic[20].scale(1 + F(1, 10**9))
+        sys.monic[20] = corrupt_core(sys.monic[20], 20, "scaled")
         return sys
 
     @pytest.mark.parametrize("call", [
@@ -690,7 +704,8 @@ class TestOdeBracket:
         for kw in ({}, *self.mismatches(sys)):
             g, a = kw.get("gamma", gamma), kw.get("alpha", alpha)
             for n in range(65):
-                assert sys.ode_bracket(n, **kw) == ref.ode_bracket_composed(sys.monic[n], n, g, a)
+                want = ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs), n, g, a)
+                assert sys.ode_bracket(n, **kw).coeffs == want.coeffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -708,8 +723,8 @@ def test_ode_bracket_equals_the_composition_reference(v1, v2, b0sq, n, dg, da):
     sys = PolynomialSystem(seq_family(v1, v2, b0sq, 30))
     gamma, alpha = sys.weight_parameters()
     for g, a in ((gamma, alpha), (gamma + dg, alpha + da)):
-        want = ref.ode_bracket_composed(sys.monic[n], n, g, a)
-        assert sys.ode_bracket(n, gamma=g, alpha=a) == want
+        want = ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs), n, g, a)
+        assert sys.ode_bracket(n, gamma=g, alpha=a).coeffs == want.coeffs
 
 
 REFERENCE_SEQUENCES = {
