@@ -16,6 +16,7 @@ import functools
 import json
 import logging
 import os
+import re
 import sys as _sys
 from fractions import Fraction
 from math import gcd
@@ -213,6 +214,7 @@ def cmd_classify(args) -> int:
         lines.append(f"v1: {v1}")
         lines.append(f"v2: {v2}")
     _emit(args, "\n".join(lines) + "\n")
+    # cross-checks the paper's theorem that a system is reduced iff it is in the family
     failed = [] if reduced == fam else ["the reduced relation disagrees with is_special_family"]
     return _exit_code(failed)
 
@@ -247,22 +249,19 @@ def cmd_ode(args) -> int:
     return _exit_code([] if first is None else [_ode_detail(first, args.n_max)])
 
 
+def cmd_gram(args) -> int:
+    # the Gram of psi_0..psi_{n_max} reads v_0..v_{n_max} and no operator
+    sys_ = PolynomialSystem(build_sequence(args, args.n_max))
+    if not sys_.is_family:
+        raise InputError("orthonormality verification requires a special-family system")
+    rep = measure_mod.orthonormality_check(sys_, args.n_max)
+    _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rep.deviation))
+    return _exit_code(_gram_failures(rep))
+
+
 def cmd_verify(args) -> int:
     n_max = args.n_max
     gram_n = min(n_max, 12)
-
-    if args.orthonormality:
-        # the Gram reads psi_0..psi_{gram_n} and no operator
-        sys_ = PolynomialSystem(build_sequence(args, n_max))
-        if not sys_.is_family:
-            raise InputError("orthonormality verification requires a special-family system")
-        rep = measure_mod.orthonormality_check(sys_, gram_n)
-        lines = []
-        for row in rep.deviation:
-            lines.append(",".join(_fmt_real(v) for v in row))
-        _emit(args, "\n".join(lines) + "\n")
-        return _exit_code(_gram_failures(rep))
-
     seq = build_sequence(args, max(n_max, args.dim))
     sys_ = PolynomialSystem(seq)
     interior = args.dim - osc_mod.MARGIN
@@ -350,6 +349,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def command(name: str, fn, n_max: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
+        # argparse's own pattern (3.10, 3.11) knows only -N and -N.N: -1/2 would be an option
+        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
         p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="hermite")
         p.add_argument("--gamma", type=_rational, default=None, help="weight exponent (rational)")
         p.add_argument("--alpha", type=_rational, default=None, help="Gaussian rate (rational)")
@@ -372,10 +373,8 @@ def make_parser() -> argparse.ArgumentParser:
     command("build", cmd_build)
     table = command("table", cmd_table)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify = command("verify", cmd_verify)
-    add_dim(verify)
-    verify.add_argument("--orthonormality", action="store_true",
-                        help="print the Gram deviation matrix as CSV")
+    add_dim(command("verify", cmd_verify))
+    command("gram", cmd_gram)
     command("ode", cmd_ode)
     add_dim(command("spectrum", cmd_spectrum, n_max=False))
     command("classify", cmd_classify)

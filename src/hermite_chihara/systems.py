@@ -406,15 +406,6 @@ class PolynomialSystem:
         c_over_x = float(c2_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
         return c_prev, c_over_x
 
-    def _ode_parameters(self, gamma, alpha) -> tuple[Fraction, Fraction]:
-        """(gamma, alpha) of the second-order equation: the system's weight
-        parameters unless overridden (a mismatched equation, for negative
-        controls); defined for special-family systems."""
-        default_g, default_a = self.weight_parameters()
-        g = default_g if gamma is None else Fraction(gamma)
-        a = default_a if alpha is None else Fraction(alpha)
-        return g, a
-
     def ode_bracket(self, n: int, gamma=None, alpha=None) -> Poly:
         """The second-order equation applied to the monic core, as an exact
         polynomial:
@@ -435,7 +426,8 @@ class PolynomialSystem:
         c_{n-1} = 0 by parity, and n - k + 2 = 0 at k = n + 2.
         """
         self._check_n(n)
-        g, a = self._ode_parameters(gamma, alpha)
+        g, a = self.weight_parameters()
+        g, a = Fraction(g if gamma is None else gamma), Fraction(a if alpha is None else alpha)
         theta = g if n % 2 == 1 else Fraction(0)
         (gi, ai, ti), G = common_denominator((g, a, theta))
         core = self.monic[n]

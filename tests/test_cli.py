@@ -1,3 +1,4 @@
+import argparse
 import copy
 import importlib.util
 import json
@@ -67,6 +68,16 @@ class TestClassify:
         assert "reduced: true" in lines
         assert "special_family: true" in lines
         assert "v1: 4" in lines and "v2: 5" in lines
+
+    def test_a_disagreement_of_the_two_routes_exits_1(self, capsys, monkeypatch):
+        # the reduced relation and the family shape agree by the paper's theorem;
+        # a scan that fails at n = 4 on a family system reaches the cross-check
+        argv = ("classify", "--family", "family", "--v2", "5", "--n-max", "10")
+        monkeypatch.setattr(PolynomialSystem, "first_reduced_failure", lambda self, n_hi: 4)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == ["reduced: false", "special_family: true", "v1: 4", "v2: 5"]
+        assert json.loads(err) == {"failed": ["the reduced relation disagrees with is_special_family"]}
 
 
     @pytest.mark.parametrize("argv", [
@@ -193,7 +204,7 @@ class TestLazyOperator:
 
     @pytest.mark.parametrize("argv", [
         ["table", "--format", "csv"], ["table", "--format", "json"], ["build"], ["verify"], ["ode"],
-        ["classify"], ["verify", "--orthonormality"], ["spectrum"],
+        ["classify"], ["gram"], ["spectrum"],
     ])
     def test_table_and_build_never_build_it(self, capsys, monkeypatch, argv):
         # spectrum takes no --n-max
@@ -291,7 +302,7 @@ class TestBuildAndSeedFile:
         ("build", "--n-max", "9"),
         ("table", "--n-max", "9"),
         ("verify", "--n-max", "9", "--dim", "9"),
-        pytest.param(("verify", "--n-max", "9", "--orthonormality"), id="verify-orthonormality"),
+        ("gram", "--n-max", "9"),
         ("ode", "--n-max", "9"),
         ("classify", "--n-max", "9"),
         ("epsilons", "--n-max", "9"),
@@ -369,16 +380,34 @@ class TestVerify:
         assert code == 1
         assert json.loads(err.splitlines()[-1])["failed"]
 
-    def test_orthonormality_matrix_output(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--family", "hermite", "--n-max", "8", "--dim", "12",
-            "--orthonormality",
-        )
+
+class TestGram:
+    def test_matrix_output(self, capsys):
+        code, out, _ = run_cli(capsys, "gram", "--family", "hermite", "--n-max", "8")
         assert code == 0
         rows = out.splitlines()
         assert len(rows) == 9
         assert all(len(r.split(",")) == 9 for r in rows)
         assert max(abs(float(v)) for r in rows for v in r.split(",")) < 1e-8
+
+    def test_n_max_is_read_past_12(self, capsys):
+        code, out, err = run_cli(capsys, "gram", "--family", "family", "--v2", "5", "--n-max", "20")
+        assert (code, err) == (0, "")
+        assert [len(r.split(",")) for r in out.splitlines()] == [21] * 21
+
+    def test_verify_reports_the_largest_entry_up_to_12(self, capsys):
+        # verify's orthonormality check reads the Gram that gram prints at n_max 12
+        argv = ("--family", "classical", "--gamma", "1/3")
+        _, out, _ = run_cli(capsys, "gram", *argv, "--n-max", "12")
+        largest = max(abs(float(v)) for r in out.splitlines() for v in r.split(","))
+        _, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "16")
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
+        assert check["detail"] == f"max deviation {largest:.3e} for i, j <= 12"
+
+    def test_a_non_family_system_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: orthonormality verification requires a special-family system\n"
 
 
 class TestCheckStatus:
@@ -543,9 +572,7 @@ class TestUnconvergedQuadrature:
         assert json.loads(err.splitlines()[-1])["failed"] == ["orthonormality"]
 
     def test_orthonormality_matrix_fails(self, capsys, short_quadrature):
-        code, out, err = run_cli(
-            capsys, "verify", "--family", "hermite", "--n-max", "4", "--orthonormality"
-        )
+        code, out, err = run_cli(capsys, "gram", "--family", "hermite", "--n-max", "4")
         assert code == 1
         assert len(out.splitlines()) == 5  # the matrix is still printed
         (reason,) = json.loads(err.splitlines()[-1])["failed"]
@@ -656,6 +683,20 @@ class TestFamilyFlags:
         assert code == 2 and out == ""
         assert err == f"error: --alpha must be positive, got {alpha}\n"
 
+    @pytest.mark.parametrize("alpha", ["-2", "-2/3"])
+    def test_a_negative_value_after_a_space_is_a_value(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, "build", "--family", "classical", "--gamma", "1", "--alpha", alpha
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --alpha must be positive, got {alpha}\n"
+
+    def test_a_negative_ratio_parses_as_with_an_equals_sign(self, capsys):
+        argv = ("table", "--family", "classical", "--n-max", "3")
+        spaced = run_cli(capsys, *argv, "--gamma", "-1/2")
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert spaced == run_cli(capsys, *argv, "--gamma=-1/2")
+
     def test_every_flag_set_of_the_benchmark_is_accepted(self):
         wl = bench_workload()
         jobs = [job for w in wl.WORKLOADS for seed in (1, 2, 3) for job in wl.job_list(w, seed, 1)]
@@ -680,9 +721,10 @@ def child_env(**overrides):
 class TestFlagScope:
     """A subcommand accepts only the flags it reads."""
 
-    COMMANDS = ("build", "table", "verify", "ode", "spectrum", "classify", "epsilons")
+    COMMANDS = tuple(next(action for action in make_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)).choices)
     SCOPED = {"--format": {"table"}, "--dim": {"verify", "spectrum"},
-              "--n-max": set(COMMANDS) - {"spectrum"}}
+              "--n-max": set(COMMANDS) - {"spectrum"}, "-K": set(), "--orthonormality": set()}
 
     @pytest.mark.parametrize("argv", [
         ("build", "--format", "json"),
@@ -690,6 +732,8 @@ class TestFlagScope:
         ("table", "--dim", "5"),
         ("epsilons", "-K", "5"),
         ("spectrum", "--n-max", "8"),
+        ("verify", "--orthonormality"),
+        ("gram", "--dim", "5"),
     ])
     def test_ignored_flag_is_a_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -700,8 +744,14 @@ class TestFlagScope:
     def test_help_lists_scoped_flags_only_where_read(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0
-        listed = set(re.findall(r"(?<![\w-])(--format|-K|--dim|--n-max)\b", out))
+        listed = set(re.findall(rf"(?<![\w-])({'|'.join(self.SCOPED)})\b", out))
         assert listed == {flag for flag, owners in self.SCOPED.items() if command in owners}
+
+    def test_every_command_has_a_readme_example(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        examples = {line.split()[1] for line in readme.read_text().splitlines()
+                    if line.startswith("hcpoly ")}
+        assert set(self.COMMANDS) <= examples
 
 
 class TestSubprocessEntry:
@@ -751,7 +801,7 @@ class TestParserReuse:
 
     RUNS = {
         "table_json_then_csv": [("table", "--format", "json"), ("table",)],
-        "gram_then_checks": [("verify", "--orthonormality"), ("verify",)],
+        "gram_then_checks": [("gram",), ("verify",)],
         "usage_error_then_valid": [("verify", "--n-max", "x"), ("classify", "--n-max", "6")],
         "help_then_valid": [("--help",), ("verify", "--help"), ("build", "--n-max", "4")],
     }
