@@ -349,8 +349,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def command(name: str, fn, n_max: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
-        # argparse's own pattern (3.10, 3.11) knows only -N and -N.N: -1/2 would be an option
-        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        # argparse's own pattern (3.10, 3.11) would take -1/2, -1. or -1e-1 for an option
+        p._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.I)
         p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="hermite")
         p.add_argument("--gamma", type=_rational, default=None, help="weight exponent (rational)")
         p.add_argument("--alpha", type=_rational, default=None, help="Gaussian rate (rational)")

@@ -8,7 +8,8 @@ derives the bracket symbols
     [0] = 0,  [1] = 1,  [n] = v_{n-1} (v_n - v_{n-2}) / v_1,
 
 the squared recurrence coefficients b_{n-1}^2 = b0^2 [n], and the squared
-lowering factors gamma_n^2 = v_{n-1}^2 / b_{n-1}^2.  All arithmetic is exact.
+lowering factors gamma_n^2 = v_{n-1}^2 / b_{n-1}^2.  The sequence tests read the
+step-2 differences d_n = v_n - v_{n-2}, d_1 = v_1.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -153,24 +154,22 @@ def validate(seq: GoverningSequence) -> ValidationReport:
 
     for all n >= 2 and 1 <= p <= n/2 in the stored range, with v_{-1} = 0
     (which makes the p = 1 case vacuous).  Returns the first violated (n, p).
+
+    The case p = 2 at n >= 4 reads v_1 d_n = (v_3 - v_1) d_{n-2}, and it implies
+    every other p: if it holds up to n, then with r = d_3/v_1, e = d_{n-2p+2}
+    and S_j = 1 + r + ... + r^{j-1}, v_{2p-1} = v_1 S_p, v_{2p-3} = v_1 S_{p-1},
+    v_{n-2} - v_{n-2p} = e S_{p-1} and v_n - v_{n-2p} = e S_p, so both sides of
+    case p equal v_1 S_p S_{p-1} e (no division by r).  Hence the first
+    violation in (n, p) order is (n, 2) at the first n where case p = 2 fails.
     """
     if len(seq) < 3:
         raise ValueError("validate needs at least 3 sequence entries")
-    # both conditions are homogeneous (the identity of degree 2), so they are
-    # checked on the integers L v_i, with L the common denominator
+    # both conditions are homogeneous, so they are checked on the integers
+    # L v_i, with L the common denominator
     w, _ = common_denominator(seq.values)
-    v = w + [0]  # v[-1] = 0 stands for v_{-1}
     monotone = all(a <= b for a, b in zip(w, w[1:]))
-    first = None
-    for n in range(2, len(seq)):
-        for p in range(1, n // 2 + 1):
-            lhs = v[n - 2] * v[2 * p - 1] + v[2 * p - 3] * v[n - 2 * p]
-            rhs = v[n] * v[2 * p - 3] + v[2 * p - 1] * v[n - 2 * p]
-            if lhs != rhs:
-                first = (n, p)
-                break
-        if first is not None:
-            break
+    first = next(((n, 2) for n in range(4, len(w))
+                  if w[1] * (w[n] - w[n - 2]) != (w[3] - w[1]) * (w[n - 2] - w[n - 4])), None)
     return ValidationReport(monotone=monotone, compatible=first is None, first_violation=first)
 
 
@@ -215,16 +214,14 @@ def seq_classical(gamma, N: int = DEFAULT_N) -> GoverningSequence:
 
         v_n = (gamma+n+1)/(gamma+1)  (n even),   (n+1)/(gamma+1)  (n odd),
 
-    with b0^2 = (gamma+1)/2.  Not monotone for gamma > 1, but compatible.
+    with b0^2 = (gamma+1)/2: the special family at v1 = 2/(gamma+1), v2 = 1 + v1.
+    Not monotone for gamma > 1, but compatible.
     """
     gamma = as_fraction(gamma)
     if gamma <= -1:
         raise ValueError("gamma must be > -1")
-    values = tuple(
-        (gamma + n + 1) / (gamma + 1) if n % 2 == 0 else Fraction(n + 1) / (gamma + 1)
-        for n in range(N + 1)
-    )
-    return GoverningSequence(values, (gamma + 1) / 2)
+    v1 = 2 / (gamma + 1)
+    return seq_family(v1, 1 + v1, (gamma + 1) / 2, N)
 
 
 def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningSequence:
@@ -276,16 +273,11 @@ def gamma_squares(seq: GoverningSequence, b2: Sequence[Fraction]) -> list[Fracti
 
 def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fraction] | None]:
     """Whether the stored prefix obeys v_{2p+1} = (p+1) v1 and
-    v_{2m} = m v2 - (m-1) exactly; returns the recovered (v1, v2) when it does."""
+    v_{2m} = m v2 - (m-1) exactly, that is d_n = v1 for odd n >= 3 and
+    d_n = v2 - 1 for even n >= 4; returns the recovered (v1, v2) when it does."""
     if len(seq) < 3:
         raise ValueError("need at least 3 entries to decide the family shape")
-    v1 = seq.values[1]
-    v2 = seq.values[2]
-    for n in range(len(seq)):
-        if n % 2 == 1:
-            expect = (n // 2 + 1) * v1
-        else:
-            expect = (n // 2) * v2 - (n // 2 - 1)
-        if seq.values[n] != expect:
-            return False, None
-    return True, (v1, v2)
+    v = seq.values
+    if any(v[n] - v[n - 2] != (v[1] if n % 2 else v[2] - 1) for n in range(3, len(v))):
+        return False, None
+    return True, (v[1], v[2])

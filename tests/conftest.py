@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hermite_chihara import PolynomialSystem, seq_classical, seq_family, seq_hermite
+from hermite_chihara import (
+    GoverningSequence,
+    PolynomialSystem,
+    seq_classical,
+    seq_family,
+    seq_hermite,
+)
 from hermite_chihara.derivation import Poly
 
 # the fixed pointwise grid: 50 deterministic points in [-5, 5] \ {0}
@@ -42,6 +48,16 @@ def corrupt_core(core, n, kind, j=0):
     else:  # degree: x^{n+2} added; every slot of degree <= n is untouched
         nums += [0, den]
     return Poly.from_numerators(nums, den)
+
+
+def propagated_compatible_sequence(v1, v2, v3, N):
+    """Non-family sequence satisfying the compatibility identity, generated by
+    propagating the (n, p=2) relation from a free (v1, v2, v3) seed."""
+    v = [F(1), F(v1), F(v2), F(v3)]
+    while len(v) <= N:
+        n = len(v)
+        v.append((v[n - 2] * v[3] + v[1] * v[n - 4] - v[3] * v[n - 4]) / v[1])
+    return GoverningSequence(tuple(v), F(1, 2))
 
 
 @pytest.fixture(scope="session")

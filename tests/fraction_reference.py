@@ -12,7 +12,8 @@ operation re-normalized.  The tests compare the kernel against them.
 - ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
 - ``ode_bracket_composed``: the bracket polynomial composed on FractionPoly
   from derivative, shift, scale and sum;
-- ``validate``: the compatibility identity and monotonicity on Fractions;
+- ``validate``: monotonicity, and the compatibility identity by the nested
+  scan over every (n, p), on Fractions;
 - ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n]));
 - ``fraction_str``, ``coeff_strings``: a rational as ``str(Fraction)`` prints
   it, and the ``hcpoly table`` strings of a monic core built that way.

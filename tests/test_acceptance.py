@@ -9,7 +9,6 @@ from math import factorial
 import numpy as np
 
 from hermite_chihara import (
-    GoverningSequence,
     PolynomialSystem,
     alpha_closed,
     alpha_nested,
@@ -32,7 +31,7 @@ from hermite_chihara import (
 )
 from hermite_chihara.oscillator import MARGIN
 from hermite_chihara.quadrature import integrate_split_at_zero
-from conftest import POINT_GRID, plain
+from conftest import POINT_GRID, plain, propagated_compatible_sequence
 
 DIM = 40
 
@@ -48,16 +47,6 @@ def _pass(num, detail, t0=None, budget=None):
 def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
     v1 = F(2) / (gamma + 1)
     return PolynomialSystem(seq_family(v1, 1 + v1, b0_squared=(gamma + 1) / (2 * alpha), N=N))
-
-
-def propagated_compatible_sequence(v1, v2, v3, N):
-    """Non-family sequence satisfying the compatibility identity, generated by
-    propagating the (n, p=2) relation from a free (v1, v2, v3) seed."""
-    v = [F(1), F(v1), F(v2), F(v3)]
-    while len(v) <= N:
-        n = len(v)
-        v.append((v[n - 2] * v[3] + v[1] * v[n - 4] - v[3] * v[n - 4]) / v[1])
-    return GoverningSequence(tuple(v), F(1, 2))
 
 
 def test_criterion_01_epsilon_closed_form():

@@ -692,10 +692,15 @@ class TestFamilyFlags:
         assert err == f"error: --alpha must be positive, got {alpha}\n"
 
     def test_a_negative_ratio_parses_as_with_an_equals_sign(self, capsys):
+        # every negative form that Fraction reads: p/q, decimals and exponents;
+        # gamma <= -1 is refused by the family, in the same bytes either way
         argv = ("table", "--family", "classical", "--n-max", "3")
-        spaced = run_cli(capsys, *argv, "--gamma", "-1/2")
-        assert spaced[0] == 0 and spaced[2] == ""
-        assert spaced == run_cli(capsys, *argv, "--gamma=-1/2")
+        for gamma in ("-1/2", "-1e-1", "-5E-1", "-1.", "-1.5", "-.5", "-2"):
+            spaced = run_cli(capsys, *argv, "--gamma", gamma)
+            assert "expected one argument" not in spaced[2]
+            if F(gamma) > -1:
+                assert spaced[0] == 0 and spaced[2] == ""
+            assert spaced == run_cli(capsys, *argv, f"--gamma={gamma}")
 
     def test_every_flag_set_of_the_benchmark_is_accepted(self):
         wl = bench_workload()

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermite_chihara import (
@@ -18,21 +18,10 @@ from hermite_chihara import (
     seq_order3,
     validate,
 )
+from conftest import propagated_compatible_sequence
 from fraction_reference import validate as validate_fractions
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
-
-
-def first_violation_oracle(values):
-    """Independent scan of the compatibility identity (v_{-1} = 0)."""
-    v = lambda i: F(0) if i == -1 else values[i]
-    for n in range(2, len(values)):
-        for p in range(1, n // 2 + 1):
-            lhs = v(n - 2) * v(2 * p - 1) + v(2 * p - 3) * v(n - 2 * p)
-            rhs = v(n) * v(2 * p - 3) + v(2 * p - 1) * v(n - 2 * p)
-            if lhs != rhs:
-                return (n, p)
-    return None
 
 
 class TestConstructors:
@@ -73,6 +62,16 @@ class TestConstructors:
         assert seq.values == (1, 1, 2, 2, 3, 3)
         # v1 = 2/(gamma+1) = 1 = 1/b0^2
         assert seq.values[1] == 1 == 1 / seq.b0_squared
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 40])
+    def test_classical_closed_form(self, N):
+        # v_n = (gamma+n+1)/(gamma+1) for even n, (n+1)/(gamma+1) for odd n
+        for gamma in (F(k, 4) for k in range(-3, 33)):
+            seq = seq_classical(gamma, N)
+            assert seq.values == tuple(
+                (gamma + n + 1 if n % 2 == 0 else n + 1) / (gamma + 1) for n in range(N + 1)
+            )
+            assert seq.b0_squared == (gamma + 1) / 2
 
     def test_classical_rejects_gamma(self):
         with pytest.raises(ValueError):
@@ -128,10 +127,9 @@ class TestValidate:
     def test_first_violation_witness(self):
         # brute-force oracle: smallest v3 for which {1,1,2,v3,v3+3} first
         # breaks the identity at (4,2); every v3 with v3+3 != v3(v2-1)+1 does
-        values = (F(1), F(1), F(2), F(5), F(8))
-        oracle = first_violation_oracle(values)
-        assert oracle == (4, 2)
-        rep = validate(GoverningSequence(values, F(1)))
+        seq = GoverningSequence((F(1), F(1), F(2), F(5), F(8)), F(1))
+        assert validate_fractions(seq).first_violation == (4, 2)
+        rep = validate(seq)
         assert not rep.ok
         assert rep.first_violation == (4, 2)
 
@@ -139,7 +137,7 @@ class TestValidate:
         rep = validate(seq_order2(3, 8))
         assert rep.monotone
         assert not rep.compatible
-        assert rep.first_violation == first_violation_oracle(seq_order2(3, 8).values)
+        assert rep.first_violation == validate_fractions(seq_order2(3, 8)).first_violation
 
     @settings(max_examples=25, deadline=None)
     @given(v1=rationals, v2=rationals, n=st.integers(min_value=4, max_value=14))
@@ -155,29 +153,39 @@ class TestValidate:
         assert validate(seq_classical(gamma, 12)).ok
 
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        kind=st.sampled_from(["family", "classical", "order2", "free"]),
+        kind=st.sampled_from(["family", "classical", "order2", "free", "propagated"]),
         a=rationals,
         b=rationals,
+        r=st.fractions(min_value=F(-1, 2), max_value=F(2), max_denominator=6),
         index=st.integers(min_value=1, max_value=14),
         bump=st.fractions(min_value=F(-1, 2), max_value=F(3), max_denominator=7),
     )
-    def test_integer_check_matches_fraction_reference(self, kind, a, b, index, bump):
+    # the propagated kind at v3 = v1 (r = 0) and at v1 < v3 < 2 v1 (0 < r < 1)
+    @example(kind="propagated", a=F(2), b=F(3), r=F(0), index=9, bump=F(1, 7))
+    @example(kind="propagated", a=F(3, 2), b=F(5, 2), r=F(1, 3), index=6, bump=F(2))
+    @example(kind="propagated", a=F(5), b=F(2), r=F(4, 5), index=14, bump=F(-1, 2))
+    def test_integer_check_matches_fraction_reference(self, kind, a, b, r, index, bump):
         # compatible sequences, then one entry bumped, so the first violation
-        # (and monotonicity) moves around the range
+        # (and monotonicity) moves around the range; the propagated kind has
+        # the ratio r = (v3 - v1)/v1 of its step-2 differences free, where the
+        # family and classical kinds have r = 1
         lo, hi = min(a, b), max(a, b)
         build = {
             "family": lambda: seq_family(lo, hi, F(1), 14),
             "classical": lambda: seq_classical(a - 1, 14),
             "order2": lambda: seq_order2(a + 1, 14),
             "free": lambda: GoverningSequence((F(1), a, b, *(a + b * k for k in range(12))), F(1)),
+            "propagated": lambda: propagated_compatible_sequence(a, b, a * (1 + r), 14),
         }
         values = list(build[kind]().values)
         for bumped in (values, [*values[:index], values[index] + bump, *values[index + 1:]]):
             assume(min(bumped) > 0)
             seq = GoverningSequence(tuple(bumped), F(1, 3))
-            assert validate(seq) == validate_fractions(seq)
+            rep = validate(seq)
+            assert rep == validate_fractions(seq)
+            assert rep.first_violation is None or rep.first_violation[1] == 2
 
 
 class TestDerivedTables:
@@ -287,6 +295,32 @@ class TestSpecialFamily:
         long = seq_family(v1, v2, F(1), n_long)
         short = GoverningSequence(long.values[: n_short + 1], long.b0_squared)
         assert is_special_family(short) == is_special_family(long)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v1=rationals,
+        v2=rationals,
+        N=st.integers(min_value=2, max_value=14),
+        index=st.integers(min_value=0, max_value=14),
+        bump=st.fractions(min_value=F(-1, 2), max_value=F(3), max_denominator=7),
+    )
+    def test_shape_matches_closed_form(self, v1, v2, N, index, bump):
+        # family prefixes, one entry bumped (index 0 leaves them as they are):
+        # the shape holds iff v_{2p+1} = (p+1) v1 and v_{2m} = m v2 - (m-1)
+        # with the stored v1, v2
+        if v1 > v2:
+            v1, v2 = v2, v1
+        values = list(seq_family(v1, v2, F(1), N).values)
+        if 0 < index <= N:
+            values[index] += bump
+        assume(min(values) > 0)
+        seq = GoverningSequence(tuple(values), F(1))
+        u1, u2 = values[1], values[2]
+        shape = all(
+            values[n] == ((n // 2 + 1) * u1 if n % 2 else (n // 2) * u2 - (n // 2 - 1))
+            for n in range(N + 1)
+        )
+        assert is_special_family(seq) == ((True, (u1, u2)) if shape else (False, None))
 
 
 class TestJson:
