@@ -383,6 +383,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one hcpoly command with the interpreter's int-string limit (3.10.7 and
+    later) lifted, and restored after: exact values print at any length."""
+    if not hasattr(_sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        _sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     # a level name gives its int; any other value (BASIC_FORMAT too) a string
     level = logging.getLevelName(os.environ.get("HC_LOG", "error").upper())
     logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR,

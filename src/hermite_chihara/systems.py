@@ -10,7 +10,8 @@ reduced decompositions) becomes an exact statement about rational polynomials:
 
     lowering   D P_n = v_{n-1} P_{n-1}
     reduced    U P_n = u_n x P_{n-1} + beta_n P_{n-2}  (U x^m = (v_{m-1} - m) x^m; family only)
-    explicit   coeff of x^{n-2m} in P_n  =  (-1)^m b0^{2m} alpha_{2m-1,n-1}
+    explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
+               c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
 Floating point enters only at evaluation boundaries.
 """
@@ -20,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, zip_longest
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -171,17 +171,15 @@ class PolynomialSystem:
         self.brackets = bracket_table(seq)
         self.b2 = [seq.b0_squared * br for br in self.brackets[1:]]  # b2[i] = b_i^2 = b0^2 [i+1]
         self.g2 = gamma_squares(seq, self.b2)  # g2[n] = gamma_n^2
-        self.b_float = [math.sqrt(float(x)) for x in self.b2]
+        self._w, self._L = common_denominator(seq.values)  # _w[i] = L v_i, for the exact scans
 
-        norm2 = [Fraction(1)]
-        for n in range(1, n_max + 1):
-            norm2.append(norm2[-1] * self.b2[n - 1])
-        self.norm2 = norm2
+        self.norm2 = norm2 = [Fraction(1)]  # norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2
+        for b2 in self.b2:
+            norm2.append(norm2[-1] * b2)
 
-        monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
+        self.monic = monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         for n in range(1, n_max):
             monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
-        self.monic = monic
 
         self._weight = None
         if is_special_family(seq)[0]:
@@ -189,6 +187,11 @@ class PolynomialSystem:
             self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
 
     # -- basic accessors ---------------------------------------------------
+
+    @cached_property
+    def b_float(self) -> list[float]:
+        """b_i in floats, for the float boundary alone: exact paths run at any b0^2."""
+        return [math.sqrt(float(x)) for x in self.b2]
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -207,58 +210,42 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
-    def _explicit_rows(self, n_hi: int):
-        """The explicit coefficient formula in integers, for n <= n_hi.  The
-        coefficient of x^{n-2m} in P_n is
-
-            (-b0^2)^m [2m-1]!! (v_{n-1})! / ((v_{2m-1})! (v_{n-2m-1})!)
-              = (-p)^m Dn_m V_n / (q^m Dd_m V_2m V_{n-2m}),
-
-        with b0^2 = p/q, [1][3]...[2m-1] = Dn_m / Dd_m, and V_j = prod_{i<j} L v_i,
-        L the common denominator of v_0..v_{n_hi-1} (its powers cancel).  The
-        prefix-product tables are built once; the returned row(n) gives the
-        pairs (numerator, denominator > 0) for m = 0..n//2, unreduced."""
-        w, _ = common_denominator(self.values[:n_hi])
-        V = list(accumulate(w, mul, initial=1))
-        half = n_hi // 2
-        odd = self.brackets[1 : 2 * half : 2]  # [1], [3], ..., [2 half - 1]
-        b0 = self.seq.b0_squared
-        num = list(accumulate((-b0.numerator * br.numerator for br in odd), mul, initial=1))
-        den = list(accumulate((b0.denominator * br.denominator for br in odd), mul, initial=1))
-
-        def row(n: int) -> list[tuple[int, int]]:
-            return [(num[m] * V[n], den[m] * V[2 * m] * V[n - 2 * m]) for m in range(n // 2 + 1)]
-
-        return row
+    def _explicit_ratio(self, n: int, m: int) -> tuple[int, int]:
+        """Integers (num, den > 0), num / den = c_{n,m+1} / c_{n,m} for 0 <= m < n//2 (module
+        docstring), over b0^2 = p/q and v_i = w_i / L: the L^2 cancels."""
+        w, b0, br = self._w, self.seq.b0_squared, self.brackets[2 * m + 1]
+        return (-b0.numerator * br.numerator * w[n - 2 * m - 1] * w[n - 2 * m - 2],
+                b0.denominator * br.denominator * w[2 * m] * w[2 * m + 1])
 
     def psi_coeffs_via_alpha(self, n: int) -> Poly:
         """The monic core P_n from the explicit coefficient formula: the
-        coefficient of x^{n-2m} is (-1)^m b0^{2m} alpha_{2m-1,n-1}, with the
-        alphas in closed form (alpha_nested is the defining display), from the
-        integer tables of the route check (first_route_mismatch).  Then
-        psi_n = P_n / sqrt(norm2[n]), as for the recurrence's core monic[n]."""
+        coefficient of x^{n-2m} is (-1)^m b0^{2m} alpha_{2m-1,n-1} (alpha_nested
+        is the defining display), from c_{n,0} = 1 by the route check's ratios.
+        Then psi_n = P_n / sqrt(norm2[n]), as for the recurrence's core monic[n]."""
         self._check_n(n)
         coeffs = [Fraction(0)] * (n + 1)
-        for m, (num, den) in enumerate(self._explicit_rows(n)(n)):
-            coeffs[n - 2 * m] = Fraction(num, den)
+        coeffs[n] = c = Fraction(1)
+        for m in range(n // 2):
+            coeffs[n - 2 * m - 2] = c = c * Fraction(*self._explicit_ratio(n, m))
         return Poly(coeffs)
 
     def first_route_mismatch(self, n_hi: int) -> int | None:
         """The first n <= n_hi whose recurrence core monic[n] differs from the
-        explicit formula's polynomial (psi_coeffs_via_alpha(n)), or None.
-
-        A core agrees when it has degree n, zeros in every slot of the other
-        parity, and each coefficient of x^{n-2m} equal to the formula's, which
-        is tested by integer cross-multiplication with no gcd and no Fraction."""
+        explicit formula's polynomial (psi_coeffs_via_alpha(n)), or None.  A core
+        agrees when it has degree n, zeros in every slot of the other parity,
+        leading coefficient 1 and each neighbouring pair in the formula's ratio,
+        c_{n,m+1} den = num c_{n,m} (_explicit_ratio; den > 0 fixes c_{n,m+1}):
+        a core numerator times a small integer on each side, no gcd, no Fraction."""
         self._check_n(n_hi)
-        row = self._explicit_rows(n_hi)
         for n in range(n_hi + 1):
             core = self.monic[n]
-            if core.degree != n or any(core.nums[(n + 1) % 2 :: 2]):
+            nums = core.nums
+            if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den:
                 return n
-            if any(core.nums[n - 2 * m] * den != core.den * num
-                   for m, (num, den) in enumerate(row(n))):
-                return n
+            for m in range(n // 2):
+                num, den = self._explicit_ratio(n, m)
+                if nums[n - 2 * m - 2] * den != num * nums[n - 2 * m]:
+                    return n
         return None
 
     def psi_eval(self, n: int, x):
@@ -292,10 +279,10 @@ class PolynomialSystem:
         lowering rule, radical cleared) fails, or None.  As D x^k = v_{k-1}
         x^{k-1}, cores of degrees n and n - 1 obey it iff v_{k-1} c_k(P_n) =
         v_{n-1} c_{k-1}(P_{n-1}) for k = 1..n: over w_i = L v_i, L the common
-        denominator of v_0..v_{n_hi-1}, an integer cross-multiplication of the
+        denominator of the stored values, an integer cross-multiplication of the
         cores' numerators, with no Poly arithmetic and no derivation operator."""
         self._check_n(n_hi)
-        w, _ = common_denominator(self.values[:n_hi])
+        w = self._w
         for n in range(1, n_hi + 1):
             cur, prev = self.monic[n], self.monic[n - 1]
             lhs, rhs = prev.den, w[n - 1] * cur.den
@@ -323,12 +310,12 @@ class PolynomialSystem:
             raise RuntimeError("triangular elimination left a remainder")
         return out
 
-    def _upper_remainder(self, n: int, w: Sequence[int]) -> tuple[int, list[int]]:
+    def _upper_remainder(self, n: int) -> tuple[int, list[int]]:
         """(L u_n, the numerators of R = U P_n - u_n x P_{n-1} over L den(P_n)
-        den(P_{n-1})), for w[i] = L v_i, i < n.  U, the degree-preserving part
+        den(P_{n-1})), from w_i = L v_i, i < n.  U, the degree-preserving part
         of D, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the series
         x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
-        cur, prev = self.monic[n], self.monic[n - 1]
+        cur, prev, w = self.monic[n], self.monic[n - 1], self._w
         u = [0, *(w[m - 1] - m * w[0] for m in range(1, n + 1))]
         return u[n], [um * a * prev.den - u[n] * b * cur.den
                       for um, a, b in zip(u, cur.nums, (0, *prev.nums), strict=True)]
@@ -339,11 +326,10 @@ class PolynomialSystem:
         and n - 2 that is R != beta P_{n-2}, beta = [x^{n-2}] R (_upper_remainder):
         r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, with no elimination."""
         self._check_n(n_hi)
-        w, _ = common_denominator(self.values[:n_hi])
         for n in range(2, n_hi + 1):
             if any(self.monic[k].degree != k for k in (n, n - 1, n - 2)):
                 return n
-            r, low = self._upper_remainder(n, w)[1], self.monic[n - 2]
+            r, low = self._upper_remainder(n)[1], self.monic[n - 2]
             if any(a * low.den != r[n - 2] * b for a, b in zip(r, (*low.nums, 0, 0))):
                 return n
         return None
@@ -353,12 +339,11 @@ class PolynomialSystem:
         psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
         if not 2 <= n <= self.n_max:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
-        w, L = common_denominator(self.values[:n])
-        un, nums = self._upper_remainder(n, w)
-        delta_scaled = Fraction(un, L)
+        un, nums = self._upper_remainder(n)
+        delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
         beta_scaled, *rest = self._core_expansion(
-            nums, L * self.monic[n].den * self.monic[n - 1].den, indices)
+            nums, self._L * self.monic[n].den * self.monic[n - 1].den, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(

@@ -510,7 +510,7 @@ class TestCheckStatus:
 
 class TestRouteEquivalence:
     """verify's route check fails on a defect of one recurrence core, or of the
-    explicit formula's tables alone."""
+    explicit formula alone."""
 
     ARGV = ("verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
             "--b0-squared", "3/7", "--n-max", "12", "--dim", "16")
@@ -533,15 +533,17 @@ class TestRouteEquivalence:
         monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
         assert "route_equivalence" in self.route(capsys)
 
-    def test_b0_squared_changed_in_the_explicit_tables_only(self, capsys, monkeypatch):
-        explicit = PolynomialSystem._explicit_rows
+    def test_b0_squared_changed_in_the_explicit_formula_only(self, capsys, monkeypatch):
+        # the scan runs on a shallow copy: the recurrence cores are the system's,
+        # and only the formula's ratios read the perturbed b0^2
+        scan = PolynomialSystem.first_route_mismatch
 
         def off_b0(self, n_hi):
             shadow = copy.copy(self)
             shadow.seq = GoverningSequence(self.values, self.seq.b0_squared * (1 + F(1, 10**9)))
-            return explicit(shadow, n_hi)
+            return scan(shadow, n_hi)
 
-        monkeypatch.setattr(PolynomialSystem, "_explicit_rows", off_b0)
+        monkeypatch.setattr(PolynomialSystem, "first_route_mismatch", off_b0)
         assert self.route(capsys) == ["route_equivalence"]
 
 
@@ -627,6 +629,43 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", "--family", "order2", "--v1", "3/2", "--n-max", "12")
         assert code == 2
         assert "nondecreasing" in err
+
+
+_E400 = str(10**400)
+_LIMIT = 640  # a low int-string limit, set for the test's duration
+
+
+class TestExactValuesOfAnyLength:
+    """The exact commands read no float, so they run at a b0^2 outside the
+    float range, and they print exact values of any length, whatever the
+    interpreter's int-string limit; main restores that limit when it returns.
+    The family is Hermite unless a case names another."""
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param((cmd, "--b0-squared", b0), id=f"{cmd}-{name}")
+          for cmd in ("build", "table", "classify", "ode", "epsilons")
+          for name, b0 in (("1e400", _E400), ("1e-400", "1/" + _E400))),
+        pytest.param(("table", "--family", "order3", "--v1", "7/3", "--v2", "17/3",
+                      "--b0-squared", "8/3", "--n-max", "385"), id="table-order3-385"),
+        pytest.param(("table", "--b0-squared", "1/" + _E400, "--n-max", "11"),
+                     id="table-1e-400-11"),
+        pytest.param(("build", "--b0-squared", "1" * 5000 + "/7", "--n-max", "2"),
+                     id="build-long-flag"),
+    ])
+    def test_exits_0_and_restores_the_limit(self, capsys, tmp_path, argv):
+        has_limit = hasattr(sys, "set_int_max_str_digits")  # 3.10.7 and later
+        if has_limit:
+            before = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(_LIMIT)
+        try:
+            code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "out"))
+            if has_limit:
+                assert sys.get_int_max_str_digits() == _LIMIT
+        finally:
+            if has_limit:
+                sys.set_int_max_str_digits(before)
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "out").stat().st_size > 0
 
 
 def bench_workload():

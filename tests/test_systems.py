@@ -24,7 +24,7 @@ from hermite_chihara import (
 )
 from hermite_chihara import systems as systems_mod
 from hermite_chihara.derivation import Poly
-from hermite_chihara.governing import common_denominator, is_special_family
+from hermite_chihara.governing import is_special_family
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
@@ -230,11 +230,14 @@ class TestRouteCheck:
         assert sys.first_route_mismatch(sys.n_max) == first
 
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 300])
     def test_each_defect_fails_at_its_row(self, kind, n):
-        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
-        sys.monic[n] = corrupt_core(sys.monic[n], n, kind)
-        assert sys.first_route_mismatch(24) == n
+        # n = 300: cores with numerators of several hundred digits; from n = 7 on,
+        # the even and odd defects sit in an interior slot (j = n // 4)
+        N = max(24, n + 20)
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), N))
+        sys.monic[n] = corrupt_core(sys.monic[n], n, kind, n // 4)
+        assert sys.first_route_mismatch(N) == n
         if n:
             assert sys.first_route_mismatch(n - 1) is None
 
@@ -515,9 +518,9 @@ class TestDecomposition:
         # the scan's U P_n (its remainder plus u_n x P_{n-1}) is the operator's
         for sys in reference_systems.values():
             op = epsilons_from_sequence(sys.seq)
-            w, L = common_denominator(sys.values[:16])
+            L = sys._L
             for n in range(2, 17):
-                un, nums = sys._upper_remainder(n, w)
+                un, nums = sys._upper_remainder(n)
                 cur, prev = sys.monic[n], sys.monic[n - 1]
                 upper = ref.FractionPoly(Poly.from_numerators(nums, L * cur.den * prev.den).coeffs)
                 upper += ref.FractionPoly(prev.coeffs).shift(1).scale(F(un, L))
