@@ -125,7 +125,12 @@ class OrthonormalityReport:
 
 
 def _integration_radius(n_max: int, alpha: float) -> float:
-    return max(10.0, 3.0 * math.sqrt(max(n_max, 1) / alpha) + 5.0)
+    """The weight's width is about 1/sqrt(alpha): above alpha = 1 the radius
+    is the alpha = 1 radius on that scale, so a narrow weight is not lost
+    between the nodes of a panel 10 wide."""
+    n = max(n_max, 1)
+    unit = max(10.0, 3.0 * math.sqrt(n) + 5.0)
+    return min(max(10.0, 3.0 * math.sqrt(n / alpha) + 5.0), unit / math.sqrt(alpha))
 
 
 def gram_deviation(

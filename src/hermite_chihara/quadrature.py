@@ -6,7 +6,8 @@ p x q block of integrals of u_i v_j.  A Gram matrix is one such block, with
 u = (weight * psi) and v = psi; a plain vector integrand y is the pair
 (y, a column of ones).  Each panel applies both rules to the nodewise outer
 products in one matrix product, so the 61 x p x q products are never formed.
-Panels are bisected greedily by estimated error; the error estimate
+The panel with the largest estimated error is bisected, and the error total
+is re-summed over the panels after each split; the error estimate
 max |K61 - G30| over the block is conservative for smooth integrands, which
 is what drives the splitting toward weight-function cusps.
 """
@@ -132,35 +133,22 @@ def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate the bilinear integrand f (see the module docstring) over
     [-radius, radius], starting from the two panels split at 0, where a weight
     has its cusp.  Returns (integral, error_estimate); the integral is the
-    p x q block of the factors' shapes (61, p) and (61, q).  The error
-    estimate exceeds tol only when MAX_PANELS panels did not meet it.
+    p x q block of the factors' shapes (61, p) and (61, q), and the error
+    estimate is the sum of the final panels' errors.  It exceeds tol only when
+    MAX_PANELS panels did not meet it.
     """
     (v1, e1), (v2, e2) = _panel(f, -radius, 0.0), _panel(f, 0.0, radius)
-    total = v1 + v2
+    total, err = v1 + v2, e1 + e2
     heap = [(-e1, 0, -radius, 0.0, v1), (-e2, 1, 0.0, radius, v2)]
     heapq.heapify(heap)
     counter = 2
-    # A running error total keeps each split O(log panels).  It drifts by
-    # rounding, so it is re-anchored on a fresh sum over the heap whenever it
-    # has halved since the last anchor, and only a fresh sum may end the loop.
-    total_err = anchor = _heap_error(heap)
-    while total_err > tol and len(heap) < MAX_PANELS:
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        if -neg_err <= 0.0:
-            heapq.heappush(heap, (neg_err, counter, a, b, val))
-            break
+    while err > tol and len(heap) < MAX_PANELS:
+        _, _, a, b, val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         v1, e1 = _panel(f, a, mid)
         v2, e2 = _panel(f, mid, b)
         total = total - val + v1 + v2
         heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
-        total_err += neg_err + e1 + e2
-        if total_err <= tol or total_err <= 0.5 * anchor:
-            total_err = anchor = _heap_error(heap)
-    return total, _heap_error(heap)
-
-
-def _heap_error(heap) -> float:
-    """Sum of the panel error estimates, recomputed from the heap."""
-    return -sum(item[0] for item in heap)
+        err = -sum(item[0] for item in heap)
+    return total, err

@@ -404,6 +404,15 @@ class TestGram:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
         assert check["detail"] == f"max deviation {largest:.3e} for i, j <= 12"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("b0_squared", ["1/1000000", "1/1000000000000"])
+    @pytest.mark.parametrize("command", ["gram", "verify"])
+    def test_a_narrow_weight_passes(self, capsys, command, b0_squared):
+        # the weight's width is about b0, so the Gram integrates on that scale
+        code, _, err = run_cli(capsys, command, "--family", "hermite",
+                               "--b0-squared", b0_squared, "--n-max", "12")
+        assert (code, err) == (0, "")
+
     def test_a_non_family_system_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
         assert (code, out) == (2, "")

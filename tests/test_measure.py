@@ -123,8 +123,9 @@ class TestOrthonormality:
             seq_classical(1, 104),
             seq_family(F(2, 3), F(5, 3), F(3, 7), 104),
             seq_classical(F(-1, 2), 104),  # singular weight: |x|^{-1/2}
+            seq_hermite(104, b0_squared=F(1, 10**12)),  # narrow weight: alpha = 5e11
         ],
-        ids=["hermite", "classical-1", "family", "classical-singular"],
+        ids=["hermite", "classical-1", "family", "classical-singular", "hermite-narrow"],
     )
     def test_converged_at_n100(self, seq):
         sys = PolynomialSystem(seq)
@@ -157,6 +158,18 @@ class TestOrthonormality:
         assert len(calls) - want_calls == want_calls
         assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
+
+    @pytest.mark.parametrize("n_max", [1, 12, 100])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
+    def test_integration_radius_on_the_weight_scale(self, n_max, alpha):
+        # below alpha = 1 the radius is max(10, 3 sqrt(n/alpha) + 5); above,
+        # it is never more than the alpha = 1 radius over sqrt(alpha)
+        unscaled = max(10.0, 3.0 * math.sqrt(n_max / alpha) + 5.0)
+        radius = measure._integration_radius(n_max, alpha)
+        if alpha <= 1.0:
+            assert radius == unscaled
+        else:
+            assert radius <= measure._integration_radius(n_max, 1.0) / math.sqrt(alpha)
 
     def test_wrong_alpha_is_visible_at_n100(self):
         sys = PolynomialSystem(seq_classical(1, 104))
@@ -223,7 +236,8 @@ def dense_panel(f, a, b):
 def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=_panel):
     """The adaptive bisection of integrate_split_at_zero from any breakpoints,
     with the error total re-summed over every panel after each split: the
-    reference for the running total.  Also returns the panel count."""
+    reference for the engine, which starts from the split at 0.  Also returns
+    the panel count."""
     heap, counter, total = [], 0, None
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         val, err = panel(f, a, b)
@@ -253,10 +267,11 @@ class TestQuadratureEngine:
     )
     def test_running_error_total_matches_fresh_sums(self, amplitude, tol, monkeypatch):
         # a tall spike over a unit background, with tol near the rounding of
-        # the panel errors: a running total that is not re-summed when it has
-        # halved drifts by more than tol and, at (3e10, 1e-8) and (1e13, 1e-7),
-        # splits on to MAX_PANELS where the fresh sums stop at 22 and 577
-        # panels.  Which cases drift depends on the panel product's rounding.
+        # the panel errors: an error total updated by adding and subtracting
+        # panel errors drifts by more than tol and, at (3e10, 1e-8) and
+        # (1e13, 1e-7), splits on to MAX_PANELS where the fresh sums stop at
+        # 22 and 577 panels.  Which cases drift depends on the panel product's
+        # rounding.
         @plain
         def f(x):
             return amplitude * np.exp(-(((x - 0.3) / 1e-3) ** 2)) + np.cos(x)
@@ -278,13 +293,14 @@ class TestQuadratureEngine:
         # panels with chosen error estimates: [-1, 0] at 1e16, its halves at
         # `half` and theirs at 0; [0, 1] at `small`, and each half of a panel
         # there at a quarter of its parent's.  The float spacing is 2 at 1e16,
-        # so splitting [-1, 0] leaves a running total off by one:
+        # so an error total updated by subtracting 1e16 after splitting
+        # [-1, 0] is off by one:
         # - 1e16 + 3 rounds up: the total reads 4 where the panels hold 3, over
-        #   tol 3.5; the halving re-anchor must catch it;
+        #   tol 3.5, and would split on;
         # - 1e16 + 1 rounds down: it reads 0 where they hold 1, under tol 0.5;
-        # - with halves at 3e15 it reads 6e15 = tol where they hold 6e15 + 1,
-        #   without having halved.
-        # Only a fresh sum may end the loop.
+        # - with halves at 3e15 it reads 6e15 = tol where they hold 6e15 + 1.
+        # A fresh sum over the panels after every split stops where the
+        # reference does.
         def fake(f, a, b):
             if b > 0.0:
                 return np.zeros((1, 1)), small * (b - a) ** 2
