@@ -138,9 +138,9 @@ def gram_deviation(
 ) -> OrthonormalityReport:
     """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive
     panel quadrature split at the origin.  The integrand is bilinear: its
-    factors are the weighted table (w psi_i) and the table (psi_j) at a
-    panel's nodes, one psi_eval_table call per panel, and the quadrature
-    contracts them into the d x d block directly."""
+    factors are the weighted table (w psi_i) and the table (psi_j) at the
+    nodes of both halves of a split, one psi_eval_table call per split, and
+    the quadrature contracts each panel's rows into the d x d block directly."""
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 

@@ -1,13 +1,14 @@
 """Adaptive Gauss-Kronrod (G30/K61) panel integration of bilinear integrands.
 
-The integrand is given by two factors: f(x), with x the 61 nodes of a panel,
-returns a pair (u, v) of shapes (61, p) and (61, q), and the integral is the
-p x q block of integrals of u_i v_j.  A Gram matrix is one such block, with
-u = (weight * psi) and v = psi; a plain vector integrand y is the pair
-(y, a column of ones).  Each panel applies both rules to the nodewise outer
-products in one matrix product, so the 61 x p x q products are never formed.
-The panel with the largest estimated error is bisected, and the error total
-is re-summed over the panels after each split; the error estimate
+The integrand is given by two factors: f(x), with x the 61 nodes of each of
+two adjacent panels, returns a row-aligned pair (u, v) of shapes (122, p) and
+(122, q), and the integral is the p x q block of integrals of u_i v_j.  A Gram
+matrix is one such block, with u = (weight * psi) and v = psi; a plain vector
+integrand y is the pair (y, a column of ones).  Each panel applies both rules
+to its 61 rows of the nodewise outer products in one matrix product, so the
+61 x p x q products are never formed.  The panel with the largest estimated
+error is bisected, with one call of f on both halves' nodes, and the error
+total is re-summed over the panels after each split; the error estimate
 max |K61 - G30| over the block is conservative for smooth integrands, which
 is what drives the splitting toward weight-function cusps.
 """
@@ -118,35 +119,41 @@ _WGAUSS[1:60:2] = np.concatenate([_WG, _WG[::-1]])
 _RULES = np.stack([_WK, _WGAUSS])  # one product applies both rules
 
 
-def _panel(f: Callable, a: float, b: float):
-    """The K61 block over [a, b] of the integrand's pair of factors, and its
-    error estimate max |K61 - G30|.  The block owns its data, so a panel kept
-    in the heap does not keep the G30 block alive."""
-    half = 0.5 * (b - a)
-    u, v = f(0.5 * (a + b) + half * _NODES)
+def _rule(half: float, u: np.ndarray, v: np.ndarray):
+    """The K61 block of one panel's factor blocks u (61, p) and v (61, q),
+    half its width, and its error estimate max |K61 - G30|.  The block owns
+    its data, so a panel kept in the heap does not keep the G30 block alive."""
     # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
     k, g = (half * _RULES[:, None, :] * u.T) @ v
     return k.copy(), float(np.max(np.abs(k - g)))
+
+
+def _halves(f: Callable, a: float, b: float):
+    """The midpoint of [a, b] and the (block, error) pairs of [a, mid] and
+    [mid, b], from one call of f on both panels' nodes."""
+    mid = 0.5 * (a + b)
+    h1, h2 = 0.5 * (mid - a), 0.5 * (b - mid)
+    u, v = f(np.concatenate([0.5 * (a + mid) + h1 * _NODES, 0.5 * (mid + b) + h2 * _NODES]))
+    return mid, _rule(h1, u[:61], v[:61]), _rule(h2, u[61:], v[61:])
 
 
 def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate the bilinear integrand f (see the module docstring) over
     [-radius, radius], starting from the two panels split at 0, where a weight
     has its cusp.  Returns (integral, error_estimate); the integral is the
-    p x q block of the factors' shapes (61, p) and (61, q), and the error
+    p x q block of the factors' shapes (122, p) and (122, q), and the error
     estimate is the sum of the final panels' errors.  It exceeds tol only when
-    MAX_PANELS panels did not meet it.
+    MAX_PANELS panels did not meet it.  f is called once for the two initial
+    panels and once per split.
     """
-    (v1, e1), (v2, e2) = _panel(f, -radius, 0.0), _panel(f, 0.0, radius)
+    _, (v1, e1), (v2, e2) = _halves(f, -radius, radius)
     total, err = v1 + v2, e1 + e2
     heap = [(-e1, 0, -radius, 0.0, v1), (-e2, 1, 0.0, radius, v2)]
     heapq.heapify(heap)
     counter = 2
     while err > tol and len(heap) < MAX_PANELS:
         _, _, a, b, val = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
+        mid, (v1, e1), (v2, e2) = _halves(f, a, b)
         total = total - val + v1 + v2
         heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1

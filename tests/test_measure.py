@@ -21,7 +21,7 @@ from hermite_chihara import (
     spec_for_system,
 )
 from hermite_chihara import measure, quadrature
-from hermite_chihara.quadrature import _panel, integrate_split_at_zero
+from hermite_chihara.quadrature import _halves, _rule, integrate_split_at_zero
 from conftest import plain
 
 
@@ -139,7 +139,8 @@ class TestOrthonormality:
     )
     def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
         # the Gram by the 61 x d^2 nodal products and the same adaptive
-        # splitting, with the table evaluated as often
+        # splitting, one table per panel: the engine evaluates it half as
+        # often, once per split on both halves' nodes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
         calls = []
@@ -155,9 +156,35 @@ class TestOrthonormality:
                                             panel=dense_panel)
         want_calls = len(calls)
         rep = gram_deviation(sys, spec, 100)
-        assert len(calls) - want_calls == want_calls
+        assert 2 * (len(calls) - want_calls) == want_calls
         assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "seq,spec",
+        [
+            (seq_hermite(104, b0_squared=F(1, 2)), None),
+            (seq_classical(1, 104), None),
+            (seq_classical(F(-1, 2), 104), None),
+            (seq_classical(1, 104), MeasureSpec(F(1), F(2))),  # a mismatched weight
+        ],
+        ids=["hermite", "classical-1", "classical-singular", "mismatched"],
+    )
+    def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec):
+        # the engine evaluates the integrand once per split, on both halves'
+        # nodes; the reference once per panel, with the same rule
+        sys = PolynomialSystem(seq)
+        spec = spec or spec_for_system(sys)
+
+        def integrand(x):
+            t = sys.psi_eval_table(x, 100)
+            return t * spec.weight(x)[:, None], t
+
+        radius = measure._integration_radius(100, float(spec.alpha))
+        gram, err, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
+        rep = gram_deviation(sys, spec, 100)
+        assert rep.deviation.tobytes() == np.abs(gram - np.eye(101)).tobytes()
+        assert rep.quadrature_error == err
 
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
@@ -225,7 +252,7 @@ class TestOrthonormality:
 def dense_panel(f, a, b):
     """The panel rule on the explicit nodewise outer products of f's pair of
     factors: the 61 x p x q array u_i v_j, contracted with both rules.  The
-    reference for _panel's one rule-weighted product."""
+    reference for _rule's one rule-weighted product."""
     half = 0.5 * (b - a)
     u, v = f(0.5 * (a + b) + half * quadrature._NODES)
     y = (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
@@ -233,11 +260,19 @@ def dense_panel(f, a, b):
     return k.reshape(u.shape[1], v.shape[1]), float(np.max(np.abs(k - g)))
 
 
-def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=_panel):
+def one_panel(f, a, b):
+    """The rule on one panel [a, b], with f called on its 61 nodes alone: the
+    per-panel reference for the engine, which calls f once per split."""
+    half = 0.5 * (b - a)
+    u, v = f(0.5 * (a + b) + half * quadrature._NODES)
+    return quadrature._rule(half, u, v)
+
+
+def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=one_panel):
     """The adaptive bisection of integrate_split_at_zero from any breakpoints,
-    with the error total re-summed over every panel after each split: the
-    reference for the engine, which starts from the split at 0.  Also returns
-    the panel count."""
+    with the error total re-summed over every panel after each split and f
+    called once per panel: the reference for the engine, which starts from the
+    split at 0 and calls f once per split.  Also returns the panel count."""
     heap, counter, total = [], 0, None
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         val, err = panel(f, a, b)
@@ -265,7 +300,7 @@ class TestQuadratureEngine:
         "amplitude,tol",
         [(1e10, 1e-8), (1e12, 1e-8), (1e12, 1e-6), (3e10, 1e-8), (1e13, 1e-7)],
     )
-    def test_running_error_total_matches_fresh_sums(self, amplitude, tol, monkeypatch):
+    def test_running_error_total_matches_fresh_sums(self, amplitude, tol):
         # a tall spike over a unit background, with tol near the rounding of
         # the panel errors: an error total updated by adding and subtracting
         # panel errors drifts by more than tol and, at (3e10, 1e-8) and
@@ -278,11 +313,11 @@ class TestQuadratureEngine:
 
         want, want_err, panels = integrate_fresh_sums(f, [-1.0, 0.0, 1.0], tol)
         assert want_err <= tol and panels < 4000
-        calls = []
-        monkeypatch.setattr(quadrature, "_panel", lambda *a: calls.append(a) or _panel(*a))
-        got, err = integrate_split_at_zero(f, 1.0, tol=tol)
+        sizes = []
+        got, err = integrate_split_at_zero(lambda x: sizes.append(x.size) or f(x), 1.0, tol=tol)
         assert got.tobytes() == want.tobytes() and err == want_err  # bit for bit
-        assert len(calls) == 2 * panels - 2  # two initial panels, two per split
+        # one call for the two initial panels and one per split, on both halves
+        assert sizes == [122] * (panels - 1)
 
     @pytest.mark.parametrize(
         "small,half,tol",
@@ -301,26 +336,51 @@ class TestQuadratureEngine:
         # - with halves at 3e15 it reads 6e15 = tol where they hold 6e15 + 1.
         # A fresh sum over the panels after every split stops where the
         # reference does.
-        def fake(f, a, b):
-            if b > 0.0:
-                return np.zeros((1, 1)), small * (b - a) ** 2
-            return np.zeros((1, 1)), {1.0: 1e16, 0.5: half}.get(b - a, 0.0)
+        # The rule sees a panel through its half width and its nodes (the
+        # integrand's factors here), all of one sign on either side of 0.
+        def fake(h, u, v):
+            if u[0, 0] > 0.0:
+                return np.zeros((1, 1)), small * (2 * h) ** 2
+            return np.zeros((1, 1)), {1.0: 1e16, 0.5: half}.get(2 * h, 0.0)
 
-        want, want_err, panels = integrate_fresh_sums(None, [-1.0, 0.0, 1.0], tol, panel=fake)
-        assert want_err <= tol
+        def nodes(x):
+            calls.append(x.size)
+            return x[:, None], x[:, None]
+
+        monkeypatch.setattr(quadrature, "_rule", fake)
         calls = []
-        monkeypatch.setattr(quadrature, "_panel", lambda *a: calls.append(a) or fake(*a))
-        _, err = integrate_split_at_zero(None, 1.0, tol=tol)
+        want, want_err, panels = integrate_fresh_sums(nodes, [-1.0, 0.0, 1.0], tol)
+        assert want_err <= tol and calls == [61] * (2 * panels - 2)
+        calls = []
+        _, err = integrate_split_at_zero(nodes, 1.0, tol=tol)
         assert err == want_err
-        assert len(calls) == 2 * panels - 2  # two initial panels, two per split
+        assert calls == [122] * (panels - 1)  # two initial panels, then one call per split
+
+    def test_each_call_holds_both_halves_nodes(self):
+        # the engine's k-th integrand call holds the nodes of the reference's
+        # calls 2k and 2k + 1, bit for bit: first the two panels split at 0,
+        # then the two halves of each split panel
+        @plain
+        def f(x):
+            return np.abs(x) ** 0.3 * np.exp(-x * x)
+
+        want, got = [], []
+        integrate_fresh_sums(lambda x: want.append(x) or f(x), [-5.0, 0.0, 5.0], 1e-12)
+        integrate_split_at_zero(lambda x: got.append(x) or f(x), 5.0, tol=1e-12)
+        assert len(got) > 1 and len(want) == 2 * len(got)
+        for k, x in enumerate(got):
+            assert x.shape == (122,)
+            assert x[:61].tobytes() == want[2 * k].tobytes()
+            assert x[61:].tobytes() == want[2 * k + 1].tobytes()
 
     def test_panel_block_owns_its_data(self):
         # a panel kept in the heap holds its K61 block alone, not a view into
         # the product that also holds the G30 block
         rng = np.random.default_rng(5)
-        u, v = rng.standard_normal((61, 4)), rng.standard_normal((61, 3))
-        k, _ = _panel(lambda x: (u, v), -1.0, 1.0)
-        assert k.base is None and k.flags.owndata
+        u, v = rng.standard_normal((122, 4)), rng.standard_normal((122, 3))
+        _, (k1, _), (k2, _) = _halves(lambda x: (u, v), -1.0, 1.0)
+        for k in (k1, k2):
+            assert k.base is None and k.flags.owndata
 
     @pytest.mark.parametrize("tol,max_panels", [(1e-6, 4000), (1e-12, 4000), (1e-300, 600)])
     def test_vector_integrand_matches_fresh_sums(self, tol, max_panels, monkeypatch):
@@ -340,7 +400,7 @@ class TestQuadratureEngine:
         rng = np.random.default_rng(11)
         u, v = rng.standard_normal((61, 7)), rng.standard_normal((61, 5))
         a, b = -0.7, 2.3
-        k, err = _panel(lambda x: (u, v), a, b)
+        k, err = _rule(0.5 * (b - a), u, v)
         want, want_err = dense_panel(lambda x: (u, v), a, b)
         scale, _ = dense_panel(lambda x: (np.abs(u), np.abs(v)), a, b)
         assert k.shape == (7, 5)
