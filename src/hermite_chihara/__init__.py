@@ -22,6 +22,7 @@ from .governing import (
 from .derivation import DerivationOperator, OrderVerdict, Poly, epsilons_from_sequence
 from .systems import (
     DecompositionReport,
+    FloatRangeError,
     PolynomialSystem,
     UnsupportedSystemError,
     alpha_closed,

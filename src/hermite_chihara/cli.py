@@ -6,7 +6,8 @@ produce identical bytes.  Rationals cross the boundary as "p/q" strings; reals
 are printed with 17 significant digits.
 
 Exit codes: 0 all requested checks pass, 1 some check failed (a JSON failure
-report is printed), 2 input error.
+report is printed; a float check on a system whose b^2 or alpha has no float
+in the float range fails so), 2 input error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .governing import (
     seq_order3,
     validate,
 )
-from .systems import PolynomialSystem, UnsupportedSystemError
+from .systems import FloatRangeError, PolynomialSystem, UnsupportedSystemError
 
 log = logging.getLogger("hermite_chihara.cli")
 
@@ -418,6 +419,9 @@ def _main(argv) -> int:
     except (InputError, ValueError, UnsupportedSystemError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
+    except FloatRangeError as exc:
+        # a float check cannot run on this valid system: it fails
+        return _exit_code([str(exc)])
 
 
 if __name__ == "__main__":

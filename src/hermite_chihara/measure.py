@@ -15,7 +15,7 @@ import numpy as np
 
 from .governing import as_fraction
 from .quadrature import integrate_split_at_zero
-from .systems import PolynomialSystem
+from .systems import PolynomialSystem, _range_float
 
 __all__ = [
     "MeasureSpec",
@@ -139,16 +139,21 @@ def gram_deviation(
     """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive
     panel quadrature split at the origin.  The integrand is bilinear: its
     factors are the weighted table (w psi_i) and the table (psi_j) at the
-    nodes of both halves of a split, one psi_eval_table call per split, and
-    the quadrature contracts each panel's rows into the d x d block directly."""
+    nodes of all the halves a round of splits makes, one psi_eval_table call
+    per round, and the quadrature contracts each panel's rows into the d x d
+    block directly.  FloatRangeError when alpha or a b^2 has no float in
+    FLOAT_RANGE."""
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 
     def integrand(x):
+        # row-major factors: a column-major table (a row-per-psi_m fill,
+        # transposed) sends the rule's product to an OpenBLAS kernel that
+        # rounds the Gram differently on two threads than on one
         table = sys.psi_eval_table(x, n_max)
         return table * spec.weight(x)[:, None], table
 
-    radius = _integration_radius(n_max, float(spec.alpha))
+    radius = _integration_radius(n_max, _range_float(spec.alpha, "alpha"))
     gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(

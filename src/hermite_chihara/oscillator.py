@@ -26,7 +26,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .systems import PolynomialSystem, UnsupportedSystemError, _over_sqrt
+from .systems import PolynomialSystem, UnsupportedSystemError, _over_sqrt, _range_float
 
 __all__ = [
     "OperatorSet",
@@ -81,7 +81,7 @@ def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
 
 def _b2_diagonals(sys: PolynomialSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """B(N+I) and B(N) on rows n < k: b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
-    shift = np.array([float(x) for x in sys.b2[:k]])
+    shift = np.array(sys.b2_float[:k])
     return shift, np.concatenate(([0.0], shift[:-1]))
 
 
@@ -138,7 +138,8 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     classical_dev = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
-        lam_cl = np.array([(2.0 * n + float(gamma) + 1.0) / float(alpha) for n in range(k)])
+        g, a = float(gamma), _range_float(alpha, "alpha")
+        lam_cl = (2.0 * np.arange(k) + g + 1.0) / a
         classical_dev = float(np.max(np.abs(lam_matrix - lam_cl)))
     return SpectrumReport(
         rows=rows, max_deviation=float(np.max(deviation)), off_diagonal=0.0,

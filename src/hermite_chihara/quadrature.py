@@ -1,28 +1,31 @@
 """Adaptive Gauss-Kronrod (G30/K61) panel integration of bilinear integrands.
 
 The integrand is given by two factors: f(x), with x the 61 nodes of each of
-two adjacent panels, returns a row-aligned pair (u, v) of shapes (122, p) and
-(122, q), and the integral is the p x q block of integrals of u_i v_j.  A Gram
-matrix is one such block, with u = (weight * psi) and v = psi; a plain vector
-integrand y is the pair (y, a column of ones).  Each panel applies both rules
-to its 61 rows of the nodewise outer products in one matrix product, so the
-61 x p x q products are never formed.  The panel with the largest estimated
-error is bisected, with one call of f on both halves' nodes, and the error
-total is re-summed over the panels after each split; the error estimate
-max |K61 - G30| over the block is conservative for smooth integrands, which
-is what drives the splitting toward weight-function cusps.
+2k panels, returns a row-aligned pair (u, v) of shapes (2k x 61, p) and
+(2k x 61, q), and the integral is the p x q block of integrals of u_i v_j.  A
+Gram matrix is one such block, with u = (weight * psi) and v = psi; a plain
+vector integrand y is the pair (y, a column of ones).  Each panel applies both
+rules to its 61 rows of the nodewise outer products in one matrix product, so
+the 61 x p x q products are never formed.  The panels are bisected in rounds,
+the batch rule of SciPy's quad_vec: a round takes the panels with the largest
+estimated errors, the fewest whose removal leaves errors that sum to at most
+the tolerance (at least one, at most ROUND_PANELS), and evaluates all their
+halves with one call of f; the error total is re-summed over the panels after
+each round.  The error estimate max |K61 - G30| over the block is
+conservative for smooth integrands, which is what drives the splitting
+toward weight-function cusps.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["MAX_PANELS", "integrate_split_at_zero"]
+__all__ = ["MAX_PANELS", "ROUND_PANELS", "integrate_split_at_zero"]
 
 MAX_PANELS = 4000  # the panel count at which the bisection stops short of tol
+ROUND_PANELS = 64  # the most panels one round splits, with one call of the integrand
 
 # QUADPACK dqk61 tables (Piessens et al., 1983): the 31 non-negative
 # abscissae of the 61-point Kronrod rule, descending, with the 30-point Gauss
@@ -122,40 +125,58 @@ _RULES = np.stack([_WK, _WGAUSS])  # one product applies both rules
 def _rule(half: float, u: np.ndarray, v: np.ndarray):
     """The K61 block of one panel's factor blocks u (61, p) and v (61, q),
     half its width, and its error estimate max |K61 - G30|.  The block owns
-    its data, so a panel kept in the heap does not keep the G30 block alive."""
+    its data, so a panel kept for the next round does not keep the G30 block alive."""
     # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
     k, g = (half * _RULES[:, None, :] * u.T) @ v
     return k.copy(), float(np.max(np.abs(k - g)))
 
 
-def _halves(f: Callable, a: float, b: float):
-    """The midpoint of [a, b] and the (block, error) pairs of [a, mid] and
-    [mid, b], from one call of f on both panels' nodes."""
-    mid = 0.5 * (a + b)
-    h1, h2 = 0.5 * (mid - a), 0.5 * (b - mid)
-    u, v = f(np.concatenate([0.5 * (a + mid) + h1 * _NODES, 0.5 * (mid + b) + h2 * _NODES]))
-    return mid, _rule(h1, u[:61], v[:61]), _rule(h2, u[61:], v[61:])
+def _halves(f: Callable, panels, index: int):
+    """The halves of each panel (a, b) in panels, left then right, as
+    (a, b, block, error, index) entries numbered from index on: one call of f
+    on all their nodes, then the rule on each half's 61 rows."""
+    ends = []
+    for a, b in panels:
+        mid = 0.5 * (a + b)
+        ends += [(a, mid), (mid, b)]
+    lo, hi = np.array(ends).T
+    half = 0.5 * (hi - lo)
+    u, v = f((0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel())
+    return [(a, b, *_rule(h, u[61 * i : 61 * i + 61], v[61 * i : 61 * i + 61]), index + i)
+            for i, ((a, b), h) in enumerate(zip(ends, half.tolist()))]
+
+
+def _round_size(errors, tol: float, cap: int) -> int:
+    """The fewest of the descending errors, at least 1 and at most cap, whose
+    removal leaves errors that sum to at most tol.  Each left sum is a fresh
+    sum, from the smallest error up."""
+    left = 0.0
+    for k in range(len(errors) - 1, 0, -1):
+        left += errors[k]  # the sum of errors[k:]
+        if left > tol:
+            return min(k + 1, cap)
+    return 1
 
 
 def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate the bilinear integrand f (see the module docstring) over
     [-radius, radius], starting from the two panels split at 0, where a weight
     has its cusp.  Returns (integral, error_estimate); the integral is the
-    p x q block of the factors' shapes (122, p) and (122, q), and the error
-    estimate is the sum of the final panels' errors.  It exceeds tol only when
-    MAX_PANELS panels did not meet it.  f is called once for the two initial
-    panels and once per split.
+    p x q block of the factors' shapes (2k x 61, p) and (2k x 61, q), and the
+    error estimate is the sum of the final panels' errors.  It exceeds tol only
+    when MAX_PANELS panels did not meet it.  f is called once for the two
+    initial panels and once per round.
     """
-    _, (v1, e1), (v2, e2) = _halves(f, -radius, radius)
-    total, err = v1 + v2, e1 + e2
-    heap = [(-e1, 0, -radius, 0.0, v1), (-e2, 1, 0.0, radius, v2)]
-    heapq.heapify(heap)
-    counter = 2
-    while err > tol and len(heap) < MAX_PANELS:
-        _, _, a, b, val = heapq.heappop(heap)
-        mid, (v1, e1), (v2, e2) = _halves(f, a, b)
-        total = total - val + v1 + v2
-        heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
-        err = -sum(item[0] for item in heap)
-    return total, err
+    panels = _halves(f, [(-radius, radius)], 0)  # in order of position
+    made, err = 2, sum(p[3] for p in panels)
+    while err > tol and len(panels) < MAX_PANELS:
+        # heap order: the largest error first, then the panel made first
+        ranked = sorted(panels, key=lambda p: (-p[3], p[4]))
+        cap = min(ROUND_PANELS, MAX_PANELS - len(panels))
+        split = ranked[: _round_size([p[3] for p in ranked], tol, cap)]
+        halves = _halves(f, [p[:2] for p in split], made)
+        made += len(halves)
+        pairs = {p[4]: halves[2 * i : 2 * i + 2] for i, p in enumerate(split)}
+        panels = [h for p in panels for h in pairs.get(p[4], (p,))]
+        err = sum(p[3] for p in panels)
+    return sum(p[2] for p in panels), err

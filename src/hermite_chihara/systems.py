@@ -13,7 +13,9 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
-Floating point enters only at evaluation boundaries.
+Floating point enters only at evaluation boundaries, which read b^2 (b2_float)
+and the weight's alpha as floats in FLOAT_RANGE and raise FloatRangeError
+where one has none.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .governing import (
 )
 
 __all__ = [
+    "FLOAT_RANGE",
+    "FloatRangeError",
     "UnsupportedSystemError",
     "alpha_nested",
     "alpha_closed",
@@ -47,6 +51,30 @@ __all__ = [
 
 class UnsupportedSystemError(ValueError):
     """Operation requires a special-family system and this one is not."""
+
+
+# the floats the float boundary reads b^2 and alpha as: normal, with room for
+# the levels lambda_n = 2 (b_{n-1}^2 + b_n^2) below the largest float
+FLOAT_RANGE = (2.0**-1022, 2.0**1020)
+
+
+class FloatRangeError(ArithmeticError):
+    """A value the float boundary reads has no float in FLOAT_RANGE."""
+
+    def __init__(self, name: str):
+        super().__init__(f"{name} outside the float range [2^-1022, 2^1020]")
+
+
+def _range_float(x: Fraction, name: str) -> float:
+    """The positive rational x as a float, or FloatRangeError(name) when its
+    float is not in FLOAT_RANGE."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise FloatRangeError(name) from None
+    if not FLOAT_RANGE[0] <= f <= FLOAT_RANGE[1]:
+        raise FloatRangeError(name)
+    return f
 
 
 def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
@@ -189,9 +217,15 @@ class PolynomialSystem:
     # -- basic accessors ---------------------------------------------------
 
     @cached_property
+    def b2_float(self) -> list[float]:
+        """b_i^2 in floats, for the float boundary alone: exact paths run at any
+        b0^2.  FloatRangeError when one of them has no float in FLOAT_RANGE."""
+        return [_range_float(x, "b^2") for x in self.b2]
+
+    @cached_property
     def b_float(self) -> list[float]:
-        """b_i in floats, for the float boundary alone: exact paths run at any b0^2."""
-        return [math.sqrt(float(x)) for x in self.b2]
+        """b_i in floats, the square roots of b2_float."""
+        return [math.sqrt(x) for x in self.b2_float]
 
     @property
     def values(self) -> tuple[Fraction, ...]:

@@ -677,6 +677,26 @@ class TestExactValuesOfAnyLength:
         assert (tmp_path / "out").stat().st_size > 0
 
 
+class TestFloatRange:
+    """A float check on a valid system whose b^2 or alpha has no float in
+    systems.FLOAT_RANGE cannot run, so it fails: exit 1 with the JSON failure
+    report, which names the float range, and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("verify", "--b0-squared", _E400), id="verify-1e400"),
+        pytest.param(("verify", "--b0-squared", "1/" + _E400), id="verify-1e-400"),
+        pytest.param(("spectrum", "--family", "classical", "--gamma", "1", "--alpha",
+                      "1/" + _E400), id="spectrum-alpha-1e-400"),
+        pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
+        pytest.param(("gram", "--b0-squared", "1/" + _E400), id="gram-1e-400"),
+    ])
+    def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        (failed,) = json.loads(err)["failed"]
+        assert re.fullmatch(r"(b\^2|alpha) outside the float range \[2\^-1022, 2\^1020\]", failed)
+
+
 def bench_workload():
     """bench/workload.py, the module that defines the benchmark's jobs."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
@@ -769,6 +789,18 @@ def child_env(**overrides):
     package_root = str(Path(hermite_chihara.__file__).resolve().parent.parent)
     search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, **overrides, "PYTHONPATH": search_path}
+
+
+class TestBlasThreads:
+    def test_gram_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # the Gram is one BLAS product per panel; each must round alike on one
+        # thread and on two (the quadrature's factor layout decides the kernel)
+        argv = [sys.executable, "-m", "hermite_chihara.cli", "gram", "--family", "classical",
+                "--gamma", "-1/2", "--n-max", "100"]
+        outs = [subprocess.run(argv, env=child_env(OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, text=True, timeout=120, check=True).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0].count("\n") == 101
 
 
 class TestFlagScope:

@@ -138,9 +138,9 @@ class TestOrthonormality:
         ids=["hermite", "classical-1", "classical-singular"],
     )
     def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
-        # the Gram by the 61 x d^2 nodal products and the same adaptive
-        # splitting, one table per panel: the engine evaluates it half as
-        # often, once per split on both halves' nodes
+        # the Gram by the 61 x d^2 nodal products and the same rounds of
+        # splits, one table per panel: the engine evaluates it once per round,
+        # on all the round's halves' nodes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
         calls = []
@@ -152,11 +152,14 @@ class TestOrthonormality:
             return t * spec.weight(x)[:, None], t
 
         radius = measure._integration_radius(100, float(spec.alpha))
-        gram, err, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11,
-                                            panel=dense_panel)
-        want_calls = len(calls)
+        gram, err, panels, rounds = integrate_fresh_sums(
+            integrand, [-radius, 0.0, radius], 1e-11, panel=dense_panel)
+        assert len(calls) == panels + sum(rounds)  # one table per panel made
+        del calls[:]
         rep = gram_deviation(sys, spec, 100)
-        assert 2 * (len(calls) - want_calls) == want_calls
+        # one table per round, the initial two panels included, on their halves' nodes
+        assert len(calls) == 1 + len(rounds)
+        assert sum(x.size for x, _ in calls) == 122 * (panels - 1)
         assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
 
@@ -171,8 +174,8 @@ class TestOrthonormality:
         ids=["hermite", "classical-1", "classical-singular", "mismatched"],
     )
     def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec):
-        # the engine evaluates the integrand once per split, on both halves'
-        # nodes; the reference once per panel, with the same rule
+        # the engine evaluates the integrand once per round, on all its
+        # halves' nodes; the reference once per panel, with the same rule
         sys = PolynomialSystem(seq)
         spec = spec or spec_for_system(sys)
 
@@ -181,7 +184,7 @@ class TestOrthonormality:
             return t * spec.weight(x)[:, None], t
 
         radius = measure._integration_radius(100, float(spec.alpha))
-        gram, err, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
+        gram, err, _, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
         rep = gram_deviation(sys, spec, 100)
         assert rep.deviation.tobytes() == np.abs(gram - np.eye(101)).tobytes()
         assert rep.quadrature_error == err
@@ -228,6 +231,20 @@ class TestOrthonormality:
         assert rep.tolerance == 1e-300
         assert rep.converged is False
 
+    def test_rounds_bound_the_tables_of_a_gram_run_to_max_panels(self, monkeypatch):
+        # every integrand call holds the halves of at most ROUND_PANELS panels,
+        # 2 x 64 x 61 = 7 808 nodes.  Without that bound a round could take up
+        # to 2 000 panels here, and one call's 244 000 x 101 table alone would
+        # be 197 MB, beside the 326 MB of the 4 000 kept 101 x 101 blocks
+        sys = PolynomialSystem(seq_classical(1, 104))
+        sizes = []
+        table = sys.psi_eval_table
+        monkeypatch.setattr(sys, "psi_eval_table", lambda x, n: sizes.append(x.size) or table(x, n))
+        rep = gram_deviation(sys, spec_for_system(sys), 100, tol=1e-300)
+        assert max(sizes) <= 2 * quadrature.ROUND_PANELS * 61 == 7808
+        assert sum(sizes) == 122 * (quadrature.MAX_PANELS - 1)  # it ends at MAX_PANELS
+        assert rep.converged is False
+
     def test_gram_is_symmetric(self):
         sys = PolynomialSystem(seq_classical(2, 14))
         spec = spec_for_system(sys)
@@ -262,37 +279,49 @@ def dense_panel(f, a, b):
 
 def one_panel(f, a, b):
     """The rule on one panel [a, b], with f called on its 61 nodes alone: the
-    per-panel reference for the engine, which calls f once per split."""
+    per-panel reference for the engine, which calls f once per round."""
     half = 0.5 * (b - a)
     u, v = f(0.5 * (a + b) + half * quadrature._NODES)
     return quadrature._rule(half, u, v)
 
 
-def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=one_panel):
-    """The adaptive bisection of integrate_split_at_zero from any breakpoints,
-    with the error total re-summed over every panel after each split and f
-    called once per panel: the reference for the engine, which starts from the
-    split at 0 and calls f once per split.  Also returns the panel count."""
-    heap, counter, total = [], 0, None
+def integrate_fresh_sums(f, breakpoints, tol, max_panels=4000, panel=one_panel,
+                         round_panels=64):
+    """The rounds of integrate_split_at_zero from any breakpoints, on a heap,
+    with f called once per panel: the reference for the engine, which starts
+    from the split at 0 and calls f once per round.  While the panel errors
+    sum to more than tol and fewer than max_panels panels exist, a round pops
+    the largest errors in heap order (error, then creation) until the errors
+    left in the heap sum to at most tol, at least one panel and at most
+    round_panels, never past max_panels panels; then it splits each popped
+    panel, left half first, in pop order.  Every error sum is a fresh one: the
+    errors left from the smallest up, the panel total in order of position.
+    The integral is the sum of the final panels' blocks in order of position.
+    Returns it, the error total, the panel count and each round's pop count."""
+    heap, counter, rounds = [], 0, []
+
+    def by_position():
+        return sorted((a, b, -neg_err, val) for neg_err, _, a, b, val in heap)
+
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         val, err = panel(f, a, b)
-        total = val if total is None else total + val
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
-    total_err = -sum(item[0] for item in heap)
+    total_err = sum(e for _, _, e, _ in by_position())
     while total_err > tol and len(heap) < max_panels:
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        if -neg_err <= 0.0:
-            heapq.heappush(heap, (neg_err, counter, a, b, val))
-            break
-        mid = 0.5 * (a + b)
-        v1, e1 = panel(f, a, mid)
-        v2, e2 = panel(f, mid, b)
-        total = total - val + v1 + v2
-        heapq.heappush(heap, (-e1, counter, a, mid, v1)); counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2)); counter += 1
-        total_err = -sum(item[0] for item in heap)
-    return total, total_err, len(heap)
+        cap = min(round_panels, max_panels - len(heap))
+        popped = [heapq.heappop(heap)]
+        while len(popped) < cap and sum(sorted(-item[0] for item in heap)) > tol:
+            popped.append(heapq.heappop(heap))
+        rounds.append(len(popped))
+        for _, _, a, b, _ in popped:
+            mid = 0.5 * (a + b)
+            for lo, hi in ((a, mid), (mid, b)):
+                val, err = panel(f, lo, hi)
+                heapq.heappush(heap, (-err, counter, lo, hi, val))
+                counter += 1
+        total_err = sum(e for _, _, e, _ in by_position())
+    return sum(val for _, _, _, val in by_position()), total_err, len(heap), rounds
 
 
 class TestQuadratureEngine:
@@ -304,20 +333,21 @@ class TestQuadratureEngine:
         # a tall spike over a unit background, with tol near the rounding of
         # the panel errors: an error total updated by adding and subtracting
         # panel errors drifts by more than tol and, at (3e10, 1e-8) and
-        # (1e13, 1e-7), splits on to MAX_PANELS where the fresh sums stop at
-        # 22 and 577 panels.  Which cases drift depends on the panel product's
-        # rounding.
+        # (1e13, 1e-7), split on to MAX_PANELS one panel at a time, where the
+        # fresh sums stopped at 22 and 577 panels (23 and 577 in rounds).
+        # Which cases drift depends on the panel product's rounding.
         @plain
         def f(x):
             return amplitude * np.exp(-(((x - 0.3) / 1e-3) ** 2)) + np.cos(x)
 
-        want, want_err, panels = integrate_fresh_sums(f, [-1.0, 0.0, 1.0], tol)
+        want, want_err, panels, rounds = integrate_fresh_sums(f, [-1.0, 0.0, 1.0], tol)
         assert want_err <= tol and panels < 4000
         sizes = []
         got, err = integrate_split_at_zero(lambda x: sizes.append(x.size) or f(x), 1.0, tol=tol)
         assert got.tobytes() == want.tobytes() and err == want_err  # bit for bit
-        # one call for the two initial panels and one per split, on both halves
-        assert sizes == [122] * (panels - 1)
+        # one call for the two initial panels and one per round, on all its halves
+        assert len(sizes) == 1 + len(rounds)
+        assert sum(sizes) == 122 * (panels - 1)
 
     @pytest.mark.parametrize(
         "small,half,tol",
@@ -349,37 +379,81 @@ class TestQuadratureEngine:
 
         monkeypatch.setattr(quadrature, "_rule", fake)
         calls = []
-        want, want_err, panels = integrate_fresh_sums(nodes, [-1.0, 0.0, 1.0], tol)
+        want, want_err, panels, rounds = integrate_fresh_sums(nodes, [-1.0, 0.0, 1.0], tol)
         assert want_err <= tol and calls == [61] * (2 * panels - 2)
         calls = []
         _, err = integrate_split_at_zero(nodes, 1.0, tol=tol)
         assert err == want_err
-        assert calls == [122] * (panels - 1)  # two initial panels, then one call per split
+        # two initial panels, then one call per round
+        assert len(calls) == 1 + len(rounds)
+        assert sum(calls) == 122 * (panels - 1)
+
+    @pytest.mark.parametrize("tol,round_panels,max_panels,want", [
+        (6.0, 64, 4000, [[-0.75]]),  # popping 5 leaves 3 + 2 + 1 = 6
+        (5.5, 64, 4000, [[-0.75, -0.25]]),  # ... more than 5.5; popping 3 too leaves 3
+        (3.0, 64, 4000, [[-0.75, -0.25]]),
+        (2.5, 64, 4000, [[-0.75, -0.25, 0.25]]),
+        (0.5, 64, 4000, [[-0.75, -0.25, 0.25, 0.75]]),
+        (0.5, 2, 4000, [[-0.75, -0.25], [0.25, 0.75]]),  # at most ROUND_PANELS a round
+        (0.5, 64, 6, [[-0.75, -0.25]]),  # never past MAX_PANELS
+    ])
+    def test_a_round_pops_the_minimal_largest_error_prefix(
+            self, tol, round_panels, max_panels, want, monkeypatch):
+        # chosen error estimates: 8 on each initial panel, so the first round
+        # splits both; on their halves, centred at -0.75, -0.25, 0.25 and 0.75,
+        # errors 5, 3, 2 and 1; 0 on every narrower panel.  A round pops the
+        # largest errors until those left sum to at most tol, and no more.
+        errors = {-0.75: 5.0, -0.25: 3.0, 0.25: 2.0, 0.75: 1.0}
+
+        def fake(h, u, v):  # node 30 is the panel's centre
+            return np.zeros((1, 1)), {1.0: 8.0, 0.5: errors.get(u[30, 0])}.get(2 * h) or 0.0
+
+        def nodes(x):
+            calls.append(x)
+            return x[:, None], x[:, None]
+
+        monkeypatch.setattr(quadrature, "_rule", fake)
+        monkeypatch.setattr(quadrature, "ROUND_PANELS", round_panels)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+        calls = []
+        _, err = integrate_split_at_zero(nodes, 1.0, tol=tol)
+        # the centres of the panels each call split, from its halves' centres
+        centres = [list((x[30::122] + x[91::122]) / 2) for x in calls]
+        assert centres[:2] == [[0.0], [-0.5, 0.5]] and centres[2:] == want
+        left = [e for c, e in errors.items() if not any(c in w for w in want)]
+        assert err == sum(left)
+        calls = []
+        _, want_err, _, rounds = integrate_fresh_sums(nodes, [-1.0, 0.0, 1.0], tol, max_panels,
+                                                      round_panels=round_panels)
+        assert rounds == [2] + [len(w) for w in want] and want_err == err
 
     def test_each_call_holds_both_halves_nodes(self):
-        # the engine's k-th integrand call holds the nodes of the reference's
-        # calls 2k and 2k + 1, bit for bit: first the two panels split at 0,
-        # then the two halves of each split panel
+        # the engine's calls hold, bit for bit, the reference's per-panel node
+        # arrays concatenated round by round: first the two panels split at 0,
+        # then both halves of each panel the round splits, in pop order
         @plain
         def f(x):
             return np.abs(x) ** 0.3 * np.exp(-x * x)
 
         want, got = [], []
-        integrate_fresh_sums(lambda x: want.append(x) or f(x), [-5.0, 0.0, 5.0], 1e-12)
+        _, _, _, rounds = integrate_fresh_sums(
+            lambda x: want.append(x) or f(x), [-5.0, 0.0, 5.0], 1e-12)
         integrate_split_at_zero(lambda x: got.append(x) or f(x), 5.0, tol=1e-12)
-        assert len(got) > 1 and len(want) == 2 * len(got)
-        for k, x in enumerate(got):
-            assert x.shape == (122,)
-            assert x[:61].tobytes() == want[2 * k].tobytes()
-            assert x[61:].tobytes() == want[2 * k + 1].tobytes()
+        assert len(got) == 1 + len(rounds) > 2 and max(rounds) > 1
+        starts = np.cumsum([0, 2] + [2 * k for k in rounds])
+        for x, lo, hi in zip(got, starts[:-1], starts[1:]):
+            assert x.tobytes() == np.concatenate(want[lo:hi]).tobytes()
+        assert starts[-1] == len(want)
 
     def test_panel_block_owns_its_data(self):
-        # a panel kept in the heap holds its K61 block alone, not a view into
-        # the product that also holds the G30 block
+        # a panel kept for the next round holds its K61 block alone, not a view
+        # into the product that also holds the G30 block
         rng = np.random.default_rng(5)
-        u, v = rng.standard_normal((122, 4)), rng.standard_normal((122, 3))
-        _, (k1, _), (k2, _) = _halves(lambda x: (u, v), -1.0, 1.0)
-        for k in (k1, k2):
+        u, v = rng.standard_normal((244, 4)), rng.standard_normal((244, 3))
+        halves = _halves(lambda x: (u, v), [(-1.0, 0.0), (0.0, 1.0)], 0)
+        assert [(a, b, i) for a, b, _, _, i in halves] == [
+            (-1.0, -0.5, 0), (-0.5, 0.0, 1), (0.0, 0.5, 2), (0.5, 1.0, 3)]
+        for _, _, k, _, _ in halves:
             assert k.base is None and k.flags.owndata
 
     @pytest.mark.parametrize("tol,max_panels", [(1e-6, 4000), (1e-12, 4000), (1e-300, 600)])
@@ -388,7 +462,7 @@ class TestQuadratureEngine:
         def f(x):
             return np.stack([np.abs(x) ** 0.3 * np.exp(-x * x), np.cos(5 * x)], axis=1)
 
-        want, want_err, _ = integrate_fresh_sums(f, [-5.0, 0.0, 5.0], tol, max_panels)
+        want, want_err, _, _ = integrate_fresh_sums(f, [-5.0, 0.0, 5.0], tol, max_panels)
         monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
         got, err = integrate_split_at_zero(f, 5.0, tol=tol)
         assert got.tobytes() == want.tobytes() and err == want_err

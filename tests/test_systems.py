@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hermite_chihara import (
     DerivationOperator,
+    FloatRangeError,
     GoverningSequence,
     PolynomialSystem,
     UnsupportedSystemError,
@@ -309,6 +310,22 @@ class TestPsiEval:
         for j, x in enumerate(xs):
             for n in range(9):
                 assert table[j, n] == pytest.approx(family15_sys.psi_eval(n, x), rel=1e-13, abs=1e-13)
+
+
+    def test_float_coefficients_convert_each_b2_once(self, reference_systems):
+        for sys in reference_systems.values():
+            assert [x.hex() for x in sys.b2_float] == [float(x).hex() for x in sys.b2]
+            assert [x.hex() for x in sys.b_float] == [math.sqrt(float(x)).hex() for x in sys.b2]
+
+    @pytest.mark.parametrize("b0_squared", [
+        F(10**400), F(1, 10**400),  # float() overflows; it rounds to 0
+        F(2**1020), F(1, 2**1023),  # b_1^2 = 2 b0^2 past the top; b_0^2 subnormal
+    ])
+    def test_b2_outside_the_float_range_raises_on_first_use(self, b0_squared):
+        sys = PolynomialSystem(seq_hermite(8, b0_squared=b0_squared))
+        assert sys.b2[0] == b0_squared  # the exact fields are built
+        with pytest.raises(FloatRangeError, match=r"b\^2 outside the float range"):
+            sys.b_float
 
 
 class TestLowering:
