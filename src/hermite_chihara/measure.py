@@ -15,7 +15,7 @@ import numpy as np
 
 from .governing import as_fraction
 from .quadrature import integrate_split_at_zero
-from .systems import PolynomialSystem, _range_float
+from .systems import FloatRangeError, PolynomialSystem, _range_float
 
 __all__ = [
     "MeasureSpec",
@@ -49,17 +49,23 @@ class MeasureSpec:
     def weight(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         g, a = float(self.gamma), float(self.alpha)
-        return normalization(g, a) * np.abs(x) ** g * np.exp(-a * x * x)
+        r = math.sqrt(a)  # on the weight's scale 1/r: no alpha^{(gamma+1)/2} is formed
+        return normalization(g, 1.0) * r * np.abs(r * x) ** g * np.exp(-a * x * x)
 
 
 def normalization(gamma: float, alpha: float) -> float:
     """C with integral of C |x|^gamma exp(-alpha x^2) over R equal to 1:
-    C = alpha^{(gamma+1)/2} / Gamma((gamma+1)/2)."""
+    C = alpha^{(gamma+1)/2} / Gamma((gamma+1)/2); FloatRangeError when the
+    Gamma value has no float."""
     if gamma <= -1:
         raise ValueError("gamma must be > -1")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return alpha ** ((gamma + 1.0) / 2.0) / math.gamma((gamma + 1.0) / 2.0)
+    try:
+        gamma_value = math.gamma((gamma + 1.0) / 2.0)
+    except OverflowError:
+        raise FloatRangeError("Gamma((gamma+1)/2)") from None
+    return alpha ** ((gamma + 1.0) / 2.0) / gamma_value
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
@@ -125,12 +131,9 @@ class OrthonormalityReport:
 
 
 def _integration_radius(n_max: int, alpha: float) -> float:
-    """The weight's width is about 1/sqrt(alpha): above alpha = 1 the radius
-    is the alpha = 1 radius on that scale, so a narrow weight is not lost
-    between the nodes of a panel 10 wide."""
-    n = max(n_max, 1)
-    unit = max(10.0, 3.0 * math.sqrt(n) + 5.0)
-    return min(max(10.0, 3.0 * math.sqrt(n / alpha) + 5.0), unit / math.sqrt(alpha))
+    """The alpha = 1 radius on the weight's scale 1/sqrt(alpha), at every
+    alpha: the panel layout does not depend on alpha."""
+    return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0) / math.sqrt(alpha)
 
 
 def gram_deviation(
@@ -142,7 +145,7 @@ def gram_deviation(
     nodes of all the halves a round of splits makes, one psi_eval_table call
     per round, and the quadrature contracts each panel's rows into the d x d
     block directly.  FloatRangeError when alpha or a b^2 has no float in
-    FLOAT_RANGE."""
+    FLOAT_RANGE, or Gamma((gamma+1)/2) has no float."""
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 

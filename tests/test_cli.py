@@ -689,12 +689,14 @@ class TestFloatRange:
                       "1/" + _E400), id="spectrum-alpha-1e-400"),
         pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
         pytest.param(("gram", "--b0-squared", "1/" + _E400), id="gram-1e-400"),
+        pytest.param(("gram", "--family", "classical", "--gamma", "400"), id="gram-gamma-400"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         (failed,) = json.loads(err)["failed"]
-        assert re.fullmatch(r"(b\^2|alpha) outside the float range \[2\^-1022, 2\^1020\]", failed)
+        assert re.fullmatch(r"(b\^2|alpha|Gamma\(\(gamma\+1\)/2\)) outside the float range "
+                            r"\[2\^-1022, 2\^1020\]", failed)
 
 
 def bench_workload():
@@ -837,6 +839,44 @@ class TestFlagScope:
         examples = {line.split()[1] for line in readme.read_text().splitlines()
                     if line.startswith("hcpoly ")}
         assert set(self.COMMANDS) <= examples
+
+
+# the edge settings of the weight family: b0^2 and alpha with no float, a
+# weight 1e-80 wide, and gamma near -1 and far above 1
+EDGE_SETTINGS = {
+    "b0-squared-1e400": ("--b0-squared", _E400),
+    "b0-squared-1e-400": ("--b0-squared", "1/" + _E400),
+    "alpha-1e-400": ("--family", "classical", "--gamma", "1", "--alpha", "1/" + _E400),
+    "alpha-1e160": ("--family", "classical", "--gamma", "3", "--alpha", "1e160"),
+    "family-b0-squared-1e-160": ("--family", "family", "--v2", "3/2", "--b0-squared", "1e-160"),
+    "gamma-99/100": ("--family", "classical", "--gamma", "-99/100"),
+    "gamma-400": ("--family", "classical", "--gamma", "400"),
+    "gamma-1000": ("--family", "classical", "--gamma", "1000"),
+}
+
+
+class TestEdgeMatrix:
+    """Every subcommand at every edge setting exits 0, exits 1 with the JSON
+    failure report as the last line of stderr, or exits 2 with an error
+    message; none ends in a traceback.  Warnings print and do not raise
+    (PYTHONWARNINGS=default): at gamma = -99/100 the Gram's weight overflows
+    near the origin, with a RuntimeWarning and a failed orthonormality check
+    on an orthonormal system, which the closed-form Gauss rule of ROADMAP
+    item 2b removes."""
+
+    @pytest.mark.parametrize("command", TestFlagScope.COMMANDS)
+    @pytest.mark.parametrize("setting", list(EDGE_SETTINGS.values()), ids=list(EDGE_SETTINGS))
+    def test_exits_0_1_or_2_without_a_traceback(self, command, setting):
+        proc = subprocess.run([sys.executable, "-m", "hermite_chihara.cli", command, *setting],
+                              capture_output=True, text=True, timeout=120,
+                              env=child_env(PYTHONWARNINGS="default"))
+        assert "Traceback" not in proc.stderr, proc.stderr
+        last = proc.stderr.rstrip("\n").rpartition("\n")[2]
+        if proc.returncode == 1:
+            assert json.loads(last)["failed"], proc.stderr
+        else:
+            assert proc.returncode in (0, 2), proc.stderr
+            assert proc.returncode == 0 or last.startswith("error: "), proc.stderr
 
 
 class TestSubprocessEntry:

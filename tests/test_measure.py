@@ -44,12 +44,23 @@ class TestNormalization:
         assert normalization(2, 1) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
 
     def test_total_mass_is_one(self):
-        for g, a in ((F(0), F(1)), (F(1, 2), F(2)), (F(2), F(1, 2)), (F(-1, 2), F(1))):
+        for g, a in ((F(0), F(1)), (F(1, 2), F(2)), (F(2), F(1, 2)), (F(-1, 2), F(1)),
+                     (F(3), F(10**160)), (F(0), F(1, 10**12))):
             spec = MeasureSpec(g, a)
             val, err = integrate_split_at_zero(
                 plain(spec.weight), 12.0 / math.sqrt(float(a)), tol=1e-12
             )
             assert abs(val.item() - 1.0) < 1e-10
+
+    def test_weight_is_finite_where_alpha_power_overflows(self):
+        # alpha^{(gamma+1)/2} = 1e320 has no float; on the weight's scale
+        # 1e-80 every factor has one: C |x|^3 e^{-alpha x^2} = 1e80 t^3 e^{-t^2}
+        # at x = t 1e-80
+        spec = MeasureSpec(F(3), F(10**160))
+        t = np.arange(-3.0, 4.0)
+        w = spec.weight(t * 1e-80)
+        assert np.all(np.isfinite(w)) and w[3] == 0.0
+        assert w == pytest.approx(1e80 * np.abs(t) ** 3 * np.exp(-t * t), rel=1e-14)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
@@ -192,14 +203,31 @@ class TestOrthonormality:
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
     def test_integration_radius_on_the_weight_scale(self, n_max, alpha):
-        # below alpha = 1 the radius is max(10, 3 sqrt(n/alpha) + 5); above,
-        # it is never more than the alpha = 1 radius over sqrt(alpha)
-        unscaled = max(10.0, 3.0 * math.sqrt(n_max / alpha) + 5.0)
+        # at every alpha, the alpha = 1 radius over sqrt(alpha), bit for bit
         radius = measure._integration_radius(n_max, alpha)
-        if alpha <= 1.0:
-            assert radius == unscaled
-        else:
-            assert radius <= measure._integration_radius(n_max, 1.0) / math.sqrt(alpha)
+        assert radius == measure._integration_radius(n_max, 1.0) / math.sqrt(alpha)
+
+    @pytest.mark.parametrize("n_max", [12, 100])
+    @pytest.mark.parametrize("family", ["hermite", "family-4-5"])
+    def test_gram_does_not_depend_on_b0_squared(self, family, n_max):
+        # b0^2 sets only the weight's scale: on that scale every b0^2 gives
+        # the same panels, so the same integrand calls, and the same Gram to
+        # rounding
+        calls, devs = [], []
+        for b0_squared in (F(1, 10**12), F(1, 2), F(10**6), F(10**100)):
+            if family == "hermite":
+                sys = PolynomialSystem(seq_hermite(n_max, b0_squared=b0_squared))
+            else:
+                sys = PolynomialSystem(seq_family(4, 5, b0_squared, n_max))
+            sizes = []
+            table = sys.psi_eval_table
+            sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
+            rep = orthonormality_check(sys, n_max)
+            assert rep.converged
+            calls.append(sizes)
+            devs.append(rep.deviation)
+        assert all(sizes == calls[0] for sizes in calls)
+        assert all(np.max(np.abs(dev - devs[0])) <= 1e-14 for dev in devs)
 
     def test_wrong_alpha_is_visible_at_n100(self):
         sys = PolynomialSystem(seq_classical(1, 104))
