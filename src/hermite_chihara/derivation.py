@@ -81,10 +81,11 @@ class Poly:
 
 def _settle(p: Poly, nums: Sequence[int], den: int) -> None:
     """Store nums/den on p in canonical form: trailing zeros dropped, then one
-    division by gcd(den, *nums)."""
+    division by gcd(den, *nums).  An all-zero list (a satisfied identity) is
+    dropped whole."""
     if den <= 0:
         raise ValueError(f"the shared denominator must be positive, got {den}")
-    n = len(nums)
+    n = len(nums) if any(nums) else 0
     while n and not nums[n - 1]:
         n -= 1
     g = gcd(den, *nums[:n])

@@ -50,22 +50,22 @@ class MeasureSpec:
         x = np.asarray(x, dtype=float)
         g, a = float(self.gamma), float(self.alpha)
         r = math.sqrt(a)  # on the weight's scale 1/r: no alpha^{(gamma+1)/2} is formed
-        return normalization(g, 1.0) * r * np.abs(r * x) ** g * np.exp(-a * x * x)
+        return normalization(g) * r * np.abs(r * x) ** g * np.exp(-a * x * x)
 
 
-def normalization(gamma: float, alpha: float) -> float:
-    """C with integral of C |x|^gamma exp(-alpha x^2) over R equal to 1:
-    C = alpha^{(gamma+1)/2} / Gamma((gamma+1)/2); FloatRangeError when the
-    Gamma value has no float."""
+def normalization(gamma: float) -> float:
+    """C with integral of C |x|^gamma exp(-x^2) over R equal to 1:
+    C = 1 / Gamma((gamma+1)/2); FloatRangeError when the Gamma value has no
+    float.  At another alpha the weight is C sqrt(alpha) |sqrt(alpha) x|^gamma
+    exp(-alpha x^2), formed on its scale (MeasureSpec.weight), so no
+    alpha^{(gamma+1)/2} is formed."""
     if gamma <= -1:
         raise ValueError("gamma must be > -1")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     try:
         gamma_value = math.gamma((gamma + 1.0) / 2.0)
     except OverflowError:
         raise FloatRangeError("Gamma((gamma+1)/2)") from None
-    return alpha ** ((gamma + 1.0) / 2.0) / gamma_value
+    return 1.0 / gamma_value
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:

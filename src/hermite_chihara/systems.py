@@ -161,6 +161,15 @@ def _next_monic(cur: Poly, prev: Poly, b2: Fraction) -> Poly:
     return Poly.from_numerators(out, den)
 
 
+def _parities(s: int, *slots: Sequence[int]) -> tuple[int, ...]:
+    """The slot parities an exact kernel reads: s, as P_n(-x) = (-1)^n P_n(x) for
+    an even weight, and 1 - s where an aligned slot list is nonzero there."""
+    for x in slots:
+        if any(x[1 - s :: 2]):
+            return s, 1 - s
+    return (s,)
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Expansion of the degree-preserving operator part applied to psi_n over
@@ -209,10 +218,11 @@ class PolynomialSystem:
         for n in range(1, n_max):
             monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
 
-        self._weight = None
+        self._weight = self._weight_nums = None
         if is_special_family(seq)[0]:
             v2 = seq.values[2]
             self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
+            self._weight_nums = common_denominator(self._weight)  # for ode_bracket
 
     # -- basic accessors ---------------------------------------------------
 
@@ -244,12 +254,13 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
-    def _explicit_ratio(self, n: int, m: int) -> tuple[int, int]:
-        """Integers (num, den > 0), num / den = c_{n,m+1} / c_{n,m} for 0 <= m < n//2 (module
+    def _explicit_ratios(self, n: int) -> list[tuple[int, int]]:
+        """Integers (num, den > 0), num / den = c_{n,m+1} / c_{n,m}, for m = 0..n//2 - 1 (module
         docstring), over b0^2 = p/q and v_i = w_i / L: the L^2 cancels."""
-        w, b0, br = self._w, self.seq.b0_squared, self.brackets[2 * m + 1]
-        return (-b0.numerator * br.numerator * w[n - 2 * m - 1] * w[n - 2 * m - 2],
-                b0.denominator * br.denominator * w[2 * m] * w[2 * m + 1])
+        w, p, q = self._w, -self.seq.b0_squared.numerator, self.seq.b0_squared.denominator
+        return [(p * br.numerator * w[n - 2 * m - 1] * w[n - 2 * m - 2],
+                 q * br.denominator * w[2 * m] * w[2 * m + 1])
+                for m, br in enumerate(self.brackets[1:n:2])]
 
     def psi_coeffs_via_alpha(self, n: int) -> Poly:
         """The monic core P_n from the explicit coefficient formula: the
@@ -259,8 +270,8 @@ class PolynomialSystem:
         self._check_n(n)
         coeffs = [Fraction(0)] * (n + 1)
         coeffs[n] = c = Fraction(1)
-        for m in range(n // 2):
-            coeffs[n - 2 * m - 2] = c = c * Fraction(*self._explicit_ratio(n, m))
+        for m, ratio in enumerate(self._explicit_ratios(n)):
+            coeffs[n - 2 * m - 2] = c = c * Fraction(*ratio)
         return Poly(coeffs)
 
     def first_route_mismatch(self, n_hi: int) -> int | None:
@@ -268,18 +279,17 @@ class PolynomialSystem:
         explicit formula's polynomial (psi_coeffs_via_alpha(n)), or None.  A core
         agrees when it has degree n, zeros in every slot of the other parity,
         leading coefficient 1 and each neighbouring pair in the formula's ratio,
-        c_{n,m+1} den = num c_{n,m} (_explicit_ratio; den > 0 fixes c_{n,m+1}):
+        c_{n,m+1} den = num c_{n,m} (_explicit_ratios; den > 0 fixes c_{n,m+1}):
         a core numerator times a small integer on each side, no gcd, no Fraction."""
         self._check_n(n_hi)
         for n in range(n_hi + 1):
             core = self.monic[n]
             nums = core.nums
-            if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den:
+            if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den or any(
+                lo * den != num * hi for (num, den), lo, hi in
+                zip(self._explicit_ratios(n), nums[n - 2 :: -2], nums[n::-2])
+            ):
                 return n
-            for m in range(n // 2):
-                num, den = self._explicit_ratio(n, m)
-                if nums[n - 2 * m - 2] * den != num * nums[n - 2 * m]:
-                    return n
         return None
 
     def psi_eval(self, n: int, x):
@@ -314,15 +324,18 @@ class PolynomialSystem:
         x^{k-1}, cores of degrees n and n - 1 obey it iff v_{k-1} c_k(P_n) =
         v_{n-1} c_{k-1}(P_{n-1}) for k = 1..n: over w_i = L v_i, L the common
         denominator of the stored values, an integer cross-multiplication of the
-        cores' numerators, with no Poly arithmetic and no derivation operator."""
+        cores' numerators with no Poly arithmetic and no derivation operator, on the
+        slots k = n - 1 (mod 2) (_parities) and over gcd(den(P_n), den(P_{n-1}))."""
         self._check_n(n_hi)
         w = self._w
         for n in range(1, n_hi + 1):
             cur, prev = self.monic[n], self.monic[n - 1]
-            lhs, rhs = prev.den, w[n - 1] * cur.den
-            if cur.degree != n or prev.degree != n - 1 or any(
-                w[k] * a * lhs != b * rhs for k, (a, b) in enumerate(zip(cur.nums[1:], prev.nums))
-            ):
+            if cur.degree != n or prev.degree != n - 1:
+                return n
+            g = math.gcd(cur.den, prev.den)
+            lhs, rhs, top = prev.den // g, w[n - 1] * (cur.den // g), cur.nums[1:]
+            if any(a * (w[k] * lhs) != b * rhs for t in _parities((n - 1) % 2, top, prev.nums)
+                   for k, a, b in zip(range(t, n, 2), top[t::2], prev.nums[t::2])):
                 return n
         return None
 
@@ -344,27 +357,36 @@ class PolynomialSystem:
             raise RuntimeError("triangular elimination left a remainder")
         return out
 
-    def _upper_remainder(self, n: int) -> tuple[int, list[int]]:
-        """(L u_n, the numerators of R = U P_n - u_n x P_{n-1} over L den(P_n)
-        den(P_{n-1})), from w_i = L v_i, i < n.  U, the degree-preserving part
-        of D, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the series
-        x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
+    def _upper_remainder(self, n: int) -> tuple[int, list[int], int]:
+        """(L u_n, the numerators of R = U P_n - u_n x P_{n-1} and their denominator
+        L lcm(den(P_n), den(P_{n-1})), each a numerator times a small cofactor on the
+        slots of n's parity (_parities)), from w_i = L v_i, i < n.  U, D's degree-
+        preserving part, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the
+        series x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
         cur, prev, w = self.monic[n], self.monic[n - 1], self._w
-        u = [0, *(w[m - 1] - m * w[0] for m in range(1, n + 1))]
-        return u[n], [um * a * prev.den - u[n] * b * cur.den
-                      for um, a, b in zip(u, cur.nums, (0, *prev.nums), strict=True)]
+        g, un = math.gcd(cur.den, prev.den), w[n - 1] - n * w[0]
+        sa, sb = prev.den // g, cur.den // g * un
+        shifted, wd, r = (0, *prev.nums), (0, *w[:n]), [0] * (n + 1)  # u_k = wd[k] - k w_0
+        for t in _parities(n % 2, cur.nums, shifted):
+            r[t::2] = [a * ((v - k * w[0]) * sa) - b * sb for k, v, a, b in zip(
+                range(t, n + 1, 2), wd[t::2], cur.nums[t::2], shifted[t::2], strict=True)]
+        return un, r, self._L * cur.den * sa
 
     def first_reduced_failure(self, n_hi: int) -> int | None:
         """The first 2 <= n <= n_hi at which U P_n leaves span{x P_{n-1}, P_{n-2}}
         (the decomposition is not reduced), or None.  For cores of degrees n, n - 1
         and n - 2 that is R != beta P_{n-2}, beta = [x^{n-2}] R (_upper_remainder):
-        r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, with no elimination."""
+        r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, both sides over
+        gcd(r_{n-2}, den(P_{n-2})), on the slots of n's parity (_parities)."""
         self._check_n(n_hi)
         for n in range(2, n_hi + 1):
             if any(self.monic[k].degree != k for k in (n, n - 1, n - 2)):
                 return n
             r, low = self._upper_remainder(n)[1], self.monic[n - 2]
-            if any(a * low.den != r[n - 2] * b for a, b in zip(r, (*low.nums, 0, 0))):
+            h = math.gcd(r[n - 2], low.den)
+            dl, rl, c = low.den // h, r[n - 2] // h, (*low.nums, 0, 0)
+            if any(a * dl != rl * b for t in _parities(n % 2, r, c)
+                   for a, b in zip(r[t::2], c[t::2])):
                 return n
         return None
 
@@ -373,11 +395,10 @@ class PolynomialSystem:
         psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
         if not 2 <= n <= self.n_max:
             raise ValueError(f"need 2 <= n <= {self.n_max}")
-        un, nums = self._upper_remainder(n)
+        un, nums, den = self._upper_remainder(n)
         delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
-        beta_scaled, *rest = self._core_expansion(
-            nums, self._L * self.monic[n].den * self.monic[n - 1].den, indices)
+        beta_scaled, *rest = self._core_expansion(nums, den, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(
@@ -440,20 +461,21 @@ class PolynomialSystem:
 
             [x^k] = (k(k-1) + gamma k - theta_n) c_k + 2 alpha (n - k + 2) c_{k-2},
 
-        c_k those of P_n, in integers over den(P_n) times the common
-        denominator of (gamma, alpha, theta_n).  Only k <= n can be nonzero:
-        c_{n-1} = 0 by parity, and n - k + 2 = 0 at k = n + 2.
+        c_k those of P_n, in integers over den(P_n) times the small common
+        denominator of (gamma, alpha), which theta_n in {gamma, 0} shares, on the
+        slots k = n (mod 2) up to k = deg + 2 (_parities); at degree n, n - k + 2
+        = 0 leaves only k <= n nonzero.
         """
         self._check_n(n)
         g, a = self.weight_parameters()
-        g, a = Fraction(g if gamma is None else gamma), Fraction(a if alpha is None else alpha)
-        theta = g if n % 2 == 1 else Fraction(0)
-        (gi, ai, ti), G = common_denominator((g, a, theta))
-        core = self.monic[n]
-        out = [
-            (k * (k - 1) * G + gi * k - ti) * c + 2 * ai * (n - k + 2) * c2
-            for k, (c, c2) in enumerate(zip(core.nums, (0, 0, *core.nums)))
-        ]
+        (gi, ai), G = self._weight_nums if gamma is None and alpha is None else common_denominator(
+            (Fraction(g if gamma is None else gamma), Fraction(a if alpha is None else alpha)))
+        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self.monic[n]
+        out = [0] * (len(core.nums) + 2)
+        for t in _parities(n % 2, core.nums):
+            c = core.nums[t::2]
+            out[t::2] = [(k * ((k - 1) * G + gi) - ti) * ck + (n + 2 - k) * ai2 * c2
+                         for k, ck, c2 in zip(range(t, len(out), 2), (*c, 0), (0, *c))]
         return Poly.from_numerators(out, core.den * G)
 
     def ode_residual(self, n: int, x, gamma=None, alpha=None) -> float:
@@ -466,14 +488,18 @@ class PolynomialSystem:
         normalization rounds, without converting nu_n^2 itself (it passes the
         float range near n = 200).  So a family system reads exactly 0, and a
         mismatched equation is free of the cancellation a naive float
-        evaluation suffers at large |x| and n.  (gamma, alpha) default to the
-        system's weight parameters; overriding them probes a mismatched
-        equation (negative controls).
+        evaluation suffers at large |x| and n; a zero bracket reads +0.0 before
+        x or nu_n is converted.  (gamma, alpha) default to the system's weight
+        parameters; overriding them probes a mismatched equation (negative
+        controls).
         """
         if float(x) == 0.0:
             raise ValueError("the equation has a regular singular point at x = 0")
+        bracket = self.ode_bracket(n, gamma, alpha)
+        if bracket.is_zero():
+            return 0.0
         X = Fraction(x)
-        return _over_sqrt(self.ode_bracket(n, gamma, alpha)(X) / X, self.norm2[n])
+        return _over_sqrt(bracket(X) / X, self.norm2[n])
 
     def first_ode_failure(self, n_hi: int) -> int | None:
         """The first n <= n_hi whose ode_bracket is not the zero polynomial, or None."""

@@ -14,6 +14,10 @@ operation re-normalized.  The tests compare the kernel against them.
   from derivative, shift, scale and sum;
 - ``validate``: monotonicity, and the compatibility identity by the nested
   scan over every (n, p), on Fractions;
+- ``lowering_scan``, ``reduced_scan``, ``square_lowering_figure``,
+  ``ode_bracket_slots``: the integer scans on every slot of the cores, each
+  cross-multiplication over the full denominators, as they ran before the
+  kernel read only the slots of the cores' parity with small cofactors;
 - ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n]));
 - ``fraction_str``, ``coeff_strings``: a rational as ``str(Fraction)`` prints
   it, and the ``hcpoly table`` strings of a monic core built that way.
@@ -24,8 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from hermite_chihara.governing import ValidationReport
+from hermite_chihara.derivation import Poly
+from hermite_chihara.governing import ValidationReport, common_denominator
+from hermite_chihara.systems import _over_sqrt
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,73 @@ def ode_bracket_composed(p, n: int, gamma, alpha):
         + p.shift(2).scale(2 * a * n)
         - p.scale(theta)
     )
+
+
+def lowering_scan(sys, n_hi: int) -> int | None:
+    """first_lowering_failure on every slot: v_{k-1} c_k(P_n) = v_{n-1}
+    c_{k-1}(P_{n-1}), k = 1..n, over w_i = L v_i and both core denominators."""
+    w = sys._w
+    for n in range(1, n_hi + 1):
+        cur, prev = sys.monic[n], sys.monic[n - 1]
+        lhs, rhs = prev.den, w[n - 1] * cur.den
+        if cur.degree != n or prev.degree != n - 1 or any(
+            w[k] * a * lhs != b * rhs for k, (a, b) in enumerate(zip(cur.nums[1:], prev.nums))
+        ):
+            return n
+    return None
+
+
+def upper_remainder(sys, n: int) -> list[int]:
+    """The numerators of R = U P_n - u_n x P_{n-1} over L den(P_n) den(P_{n-1}),
+    on every slot."""
+    cur, prev, w = sys.monic[n], sys.monic[n - 1], sys._w
+    u = [0, *(w[m - 1] - m * w[0] for m in range(1, n + 1))]
+    return [um * a * prev.den - u[n] * b * cur.den
+            for um, a, b in zip(u, cur.nums, (0, *prev.nums), strict=True)]
+
+
+def reduced_scan(sys, n_hi: int) -> int | None:
+    """first_reduced_failure on every slot: r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2})."""
+    for n in range(2, n_hi + 1):
+        if any(sys.monic[k].degree != k for k in (n, n - 1, n - 2)):
+            return n
+        r, low = upper_remainder(sys, n), sys.monic[n - 2]
+        if any(a * low.den != r[n - 2] * b for a, b in zip(r, (*low.nums, 0, 0))):
+            return n
+    return None
+
+
+def square_lowering_figure(sys, k: int) -> float:
+    """square_lowering_report's figure on the columns 2 <= n < k, every slot, r
+    a lowest-terms Fraction."""
+    c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+    worst = 0.0
+    for n in range(2, k):
+        p, q = sys.monic[n], sys.monic[n - 2]
+        r = 2 * sys.b2[n - 1] * sys.b2[n - 2] / c1
+        sp, sq = q.den * r.denominator, p.den * r.numerator
+        gap = max(
+            abs((j - n) * a * sp - c * sq)
+            for j, (a, c) in enumerate(zip_longest(p.nums, q.nums, fillvalue=0))
+        )
+        if gap:
+            worst = max(worst, _over_sqrt(Fraction(gap, p.den * sp), sys.norm2[n]))
+    return worst
+
+
+def ode_bracket_slots(core, n: int, gamma, alpha) -> Poly:
+    """The bracket of a Poly core by the two-term relation on every slot
+    k <= deg + 2, over den(P_n) times the common denominator of (gamma, alpha,
+    theta_n)."""
+    g, a = Fraction(gamma), Fraction(alpha)
+    theta = g if n % 2 == 1 else Fraction(0)
+    (gi, ai, ti), G = common_denominator((g, a, theta))
+    c = (*core.nums, 0, 0)
+    out = [
+        (k * (k - 1) * G + gi * k - ti) * ck + 2 * ai * (n - k + 2) * c2
+        for k, (ck, c2) in enumerate(zip(c, (0, 0, *c)))
+    ]
+    return Poly.from_numerators(out, core.den * G)
 
 
 def validate(seq) -> ValidationReport:

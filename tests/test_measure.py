@@ -32,16 +32,25 @@ def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
 
 
 class TestNormalization:
+    """normalization(gamma) is the constant at alpha = 1; a weight at any other
+    alpha is formed on its own scale, so no alpha^{(gamma+1)/2} is taken."""
+
     def test_gaussian(self):
-        assert normalization(0, 1) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
+        assert normalization(0) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
 
     def test_gamma1(self):
         # int |x| e^{-x^2} dx = 1
-        assert normalization(1, 1) == pytest.approx(1.0, rel=1e-13)
+        assert normalization(1) == pytest.approx(1.0, rel=1e-13)
 
     def test_gamma2(self):
         # int x^2 e^{-x^2} dx = sqrt(pi)/2
-        assert normalization(2, 1) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
+        assert normalization(2) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
+
+    def test_takes_no_alpha(self):
+        # an alpha argument once gave a bare OverflowError at alpha = 1e160
+        # (alpha^2 = 1e320) and 0.0 at alpha = 1e-200
+        with pytest.raises(TypeError):
+            normalization(3, 1e160)
 
     def test_total_mass_is_one(self):
         for g, a in ((F(0), F(1)), (F(1, 2), F(2)), (F(2), F(1, 2)), (F(-1, 2), F(1)),
@@ -64,11 +73,11 @@ class TestNormalization:
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
-            normalization(-1, 1)
-        with pytest.raises(ValueError):
-            normalization(0, 0)
+            normalization(-1)
         with pytest.raises(ValueError):
             MeasureSpec(F(-2), F(1))
+        with pytest.raises(ValueError):
+            MeasureSpec(F(0), F(0))
 
 
 class TestMoments:

@@ -537,9 +537,10 @@ class TestDecomposition:
             op = epsilons_from_sequence(sys.seq)
             L = sys._L
             for n in range(2, 17):
-                un, nums = sys._upper_remainder(n)
+                un, nums, den = sys._upper_remainder(n)
                 cur, prev = sys.monic[n], sys.monic[n - 1]
-                upper = ref.FractionPoly(Poly.from_numerators(nums, L * cur.den * prev.den).coeffs)
+                assert den == L * math.lcm(cur.den, prev.den)
+                upper = ref.FractionPoly(Poly.from_numerators(nums, den).coeffs)
                 upper += ref.FractionPoly(prev.coeffs).shift(1).scale(F(un, L))
                 assert upper.coeffs == op.apply_upper_part(cur).coeffs
 
