@@ -7,7 +7,8 @@ are printed with 17 significant digits.
 
 Exit codes: 0 all requested checks pass, 1 some check failed (a JSON failure
 report is printed; a float check on a system whose b^2 or alpha has no float
-in the float range fails so), 2 input error.
+in the float range fails so, and verify still runs and prints its exact
+checks), 2 input error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from . import oscillator as osc_mod
 from .derivation import epsilons_from_sequence
 from .governing import (
     GoverningSequence,
+    b_squares,
+    bracket_table,
+    family_weight,
+    gamma_squares,
     is_special_family,
     seq_classical,
     seq_family,
@@ -153,8 +158,9 @@ def cmd_epsilons(args) -> int:
 
 def cmd_build(args) -> int:
     seq = build_sequence(args, args.n_max)
-    sys_ = PolynomialSystem(seq)
+    b2 = b_squares(seq, bracket_table(seq))
     rep = validate(seq)
+    weight = family_weight(seq)
     payload = {
         "family": args.family,
         "n_max": args.n_max,
@@ -165,13 +171,12 @@ def cmd_build(args) -> int:
             "compatible": rep.compatible,
             "first_violation": rep.first_violation,
         },
-        "b_squared": [str(x) for x in sys_.b2],
-        "gamma_squared": [str(x) for x in sys_.g2],
-        "special_family": sys_.is_family,
+        "b_squared": [str(x) for x in b2],
+        "gamma_squared": [str(x) for x in gamma_squares(seq, b2)],
+        "special_family": weight is not None,
     }
-    if sys_.is_family:
-        g, a = sys_.weight_parameters()
-        payload["weight"] = {"gamma": str(g), "alpha": str(a)}
+    if weight is not None:
+        payload["weight"] = {"gamma": str(weight[0]), "alpha": str(weight[1])}
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -289,27 +294,46 @@ def cmd_verify(args) -> int:
         record("lowering", False, "skipped: sequence not compatible", "skipped")
         record("route_equivalence", False, "skipped: sequence not compatible", "skipped")
 
-    ops = osc_mod.build_operators(sys_, dim=args.dim)
-    crep = osc_mod.commutator_report(ops, sys_)
-    record("commutator", crep.within_rounding,
-           f"max deviation {crep.max_deviation:.3e} on rows n < {interior}, "
-           f"bound {_ROUNDING} per row")
-    srep = osc_mod.spectrum_report(ops, sys_)
-    record("spectrum", srep.within_rounding,
-           f"max deviation {srep.max_deviation:.3e} on rows n < {interior}, "
-           f"bound {_ROUNDING} per row")
+    try:
+        ops = osc_mod.build_operators(sys_, dim=args.dim)
+    except FloatRangeError as exc:
+        ops = exc
 
-    if sys_.is_family:
-        first = sys_.first_ode_failure(n_max)
-        record("ode", first is None, _ode_detail(first, n_max))
+    def float_check(name: str, run) -> None:
+        # run() gives (passed, detail); where a value the check reads has no
+        # float in the float range (ops is that error for the band's b^2),
+        # the check fails and its detail names the range
+        try:
+            if isinstance(ops, FloatRangeError):
+                raise ops
+            passed, detail = run()
+        except FloatRangeError as exc:
+            passed, detail = False, str(exc)
+        record(name, passed, detail)
+
+    def band(report) -> tuple[bool, str]:
+        rep = report(ops, sys_)
+        return rep.within_rounding, (f"max deviation {rep.max_deviation:.3e} on rows n < "
+                                     f"{interior}, bound {_ROUNDING} per row")
+
+    def gram() -> tuple[bool, str]:
         orep = measure_mod.orthonormality_check(sys_, gram_n)
         detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
         if not orep.converged:
             detail += f"; {_unconverged(orep)}"
-        record("orthonormality", not _gram_failures(orep), detail)
+        return not _gram_failures(orep), detail
+
+    def square_lowering() -> tuple[bool, str]:
         sq = osc_mod.square_lowering_report(ops, sys_)
-        record("square_lowering", sq == 0.0,
-               f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}")
+        return sq == 0.0, f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}"
+
+    float_check("commutator", lambda: band(osc_mod.commutator_report))
+    float_check("spectrum", lambda: band(osc_mod.spectrum_report))
+    if sys_.is_family:
+        first = sys_.first_ode_failure(n_max)
+        record("ode", first is None, _ode_detail(first, n_max))
+        float_check("orthonormality", gram)
+        float_check("square_lowering", square_lowering)
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
 

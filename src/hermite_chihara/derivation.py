@@ -122,15 +122,16 @@ class DerivationOperator:
     def __post_init__(self):
         if self.k_max > len(self.values):
             raise ValueError(f"K={self.k_max} epsilons need at least {self.k_max} values")
-        # k! eps_k over one common denominator, so the sums run in integers
+        # den k! eps_k are the forward differences at 0 of den sum_k C(n,k) k! eps_k
+        # (Newton), so d[k] += d[k+1] for k <= K - n steps d[0] to its value at n
         num, den = common_denominator(e * factorial(k) for k, e in enumerate(self.epsilons, 1))
-        binom = [1]  # row n of Pascal's triangle, C(n, 0..n)
+        vnum, vden = common_denominator(self.values[: self.k_max])
+        d = [0, *num]
         for n in range(1, self.k_max + 1):
-            binom = [1, *(a + b for a, b in zip(binom, binom[1:])), 1]
-            series = Fraction(sum(c * a for c, a in zip(binom[1:], num)), den)
-            if series != self.values[n - 1]:
+            d = [a + b for a, b in zip(d, d[1:])]
+            if d[0] * vden != vnum[n - 1] * den:
                 raise ValueError(
-                    f"epsilons give D x^{n} = {series} x^{n - 1}, "
+                    f"epsilons give D x^{n} = {Fraction(d[0], den)} x^{n - 1}, "
                     f"but v_{n - 1} = {self.values[n - 1]}"
                 )
 
@@ -191,8 +192,8 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
         raise ValueError(f"K={K} must be in [1, {len(seq)}], the stored sequence length")
     # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
     # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k
-    nums, den = common_denominator(seq.values[:K])
-    f = [0, *nums]
+    den = seq.den
+    f = [0, *seq.nums[:K]]
     eps = []
     for k in range(1, K + 1):
         f = [b - a for a, b in zip(f, f[1:])]

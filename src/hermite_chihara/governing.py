@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -33,7 +33,9 @@ __all__ = [
     "seq_classical",
     "seq_family",
     "bracket_table",
+    "b_squares",
     "gamma_squares",
+    "family_weight",
     "is_special_family",
 ]
 
@@ -45,7 +47,9 @@ class ConstructionError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction to Fraction; reject floats (exactness)."""
+    """Coerce int/str/Fraction to Fraction, a Fraction as it is; reject floats (exactness)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"expected exact rational, got float {x!r}")
     return Fraction(x)
@@ -71,10 +75,12 @@ def _json_rational(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GoverningSequence:
-    """Finite prefix of a governing sequence plus the b0 scale (squared)."""
+    """Finite prefix of a governing sequence plus the b0 scale (squared); v_i = nums[i] / den."""
 
     values: tuple[Fraction, ...]
     b0_squared: Fraction
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
@@ -83,10 +89,13 @@ class GoverningSequence:
             raise ValueError("governing sequence is empty")
         if self.values[0] != 1:
             raise ValueError(f"v_0 must be 1, got {self.values[0]}")
-        if any(v <= 0 for v in self.values):
+        if any(v.numerator <= 0 for v in self.values):
             raise ValueError("governing sequence values must be strictly positive")
-        if self.b0_squared <= 0:
+        if self.b0_squared.numerator <= 0:
             raise ValueError("b0_squared must be positive")
+        nums, den = common_denominator(self.values)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -165,8 +174,8 @@ def validate(seq: GoverningSequence) -> ValidationReport:
     if len(seq) < 3:
         raise ValueError("validate needs at least 3 sequence entries")
     # both conditions are homogeneous, so they are checked on the integers
-    # L v_i, with L the common denominator
-    w, _ = common_denominator(seq.values)
+    # w_i = L v_i, with L the common denominator
+    w = seq.nums
     monotone = all(a <= b for a, b in zip(w, w[1:]))
     first = next(((n, 2) for n in range(4, len(w))
                   if w[1] * (w[n] - w[n - 2]) != (w[3] - w[1]) * (w[n - 2] - w[n - 4])), None)
@@ -185,28 +194,24 @@ def seq_order2(v1, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSe
     v1 = as_fraction(v1)
     if v1 < 1:
         raise ValueError("v1 must be >= 1")
-    values = [Fraction(1)]
-    for n in range(1, N + 1):
-        values.append(comb(n + 1, 2) * v1 - n * n + 1)
-    _require_admissible(values, "seq_order2")
-    return GoverningSequence(tuple(values), as_fraction(b0_squared))
+    p, q = v1.numerator, v1.denominator
+    nums = [q] + [comb(n + 1, 2) * p - (n * n - 1) * q for n in range(1, N + 1)]
+    return _admissible(nums, q, "seq_order2", b0_squared)
 
 
 def seq_order3(v1, v2, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSequence:
     """Two-parameter order-3 family; v_1 is taken verbatim, n >= 2 from the
-    cubic binomial formula."""
+    cubic binomial formula (each halved product has an even factor)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
     if not 1 <= v1 <= v2:
         raise ValueError("need 1 <= v1 <= v2")
-    values = [Fraction(1), v1]
-    for n in range(2, N + 1):
-        values.append(
-            comb(n + 1, 3) * v2
-            - Fraction((n + 1) * n * (n - 2), 2) * v1
-            + Fraction((n + 1) * (n - 1) * (n - 2), 2)
-        )
-    _require_admissible(values, "seq_order3")
-    return GoverningSequence(tuple(values), as_fraction(b0_squared))
+    (a1, a2), den = common_denominator((v1, v2))
+    nums = [den, a1] + [
+        comb(n + 1, 3) * a2 - (n + 1) * n * (n - 2) // 2 * a1
+        + (n + 1) * (n - 1) * (n - 2) // 2 * den
+        for n in range(2, N + 1)
+    ]
+    return _admissible(nums, den, "seq_order3", b0_squared)
 
 
 def seq_classical(gamma, N: int = DEFAULT_N) -> GoverningSequence:
@@ -233,51 +238,72 @@ def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningS
     v1, v2 = as_fraction(v1), as_fraction(v2)
     if not 0 < v1 <= v2:
         raise ValueError("need 0 < v1 <= v2")
+    p1, q1, p2, q2 = v1.numerator, v1.denominator, v2.numerator, v2.denominator
     values = tuple(
-        (n // 2 + 1) * v1 if n % 2 == 1 else (n // 2) * v2 - (n // 2 - 1)
+        Fraction((n // 2 + 1) * p1, q1) if n % 2 == 1 else Fraction(n // 2 * (p2 - q2) + q2, q2)
         for n in range(N + 1)
     )
     return GoverningSequence(values, as_fraction(b0_squared))
 
 
-def _require_admissible(values: Sequence[Fraction], name: str) -> None:
-    for i in range(len(values) - 1):
-        if values[i] <= 0 or values[i] > values[i + 1]:
+def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> GoverningSequence:
+    """The sequence v_i = nums[i] / den (den > 0), once positive and nondecreasing."""
+    for i in range(len(nums) - 1):
+        if nums[i] <= 0 or nums[i] > nums[i + 1]:
             raise ConstructionError(
                 f"{name}: result not positive nondecreasing at index {i}: "
-                f"{values[i]} -> {values[i + 1]}"
+                f"{Fraction(nums[i], den)} -> {Fraction(nums[i + 1], den)}"
             )
+    return GoverningSequence(tuple(Fraction(a, den) for a in nums), as_fraction(b0_squared))
 
 
 def bracket_table(seq: GoverningSequence) -> list[Fraction]:
-    """[0..N] bracket symbols.  Raises if some [n], n >= 1, is not positive
-    (the sequence then generates no orthonormal system)."""
-    v = seq.value
-    out = [Fraction(0), Fraction(1)]
-    for n in range(2, len(seq)):
-        br = v(n - 1) * (v(n) - v(n - 2)) / v(1)
-        if br <= 0:
-            raise ValueError(f"bracket [{n}] = {br} is not positive; no orthonormal system")
-        out.append(br)
-    if len(seq) == 1:
-        return out[:1]
+    """[0..N] bracket symbols, [n] = w_{n-1} (w_n - w_{n-2}) / (L w_1) over w_i = L v_i.
+    Raises if some [n], n >= 1, is not positive (then no orthonormal system)."""
+    w = (0, *seq.nums)  # w[i + 1] = L v_i
+    den = seq.den * w[2] if len(seq) > 1 else 1
+    out = [Fraction(0)]
+    for n in range(1, len(seq)):
+        a = w[n] * (w[n + 1] - w[n - 1])
+        if a <= 0:
+            raise ValueError(f"bracket [{n}] = {Fraction(a, den)} is not positive; "
+                             "no orthonormal system")
+        out.append(Fraction(a, den))
     return out
+
+
+def b_squares(seq: GoverningSequence, brackets: Sequence[Fraction]) -> list[Fraction]:
+    """Squared recurrence coefficients, entry i = b_i^2 = b0^2 [i+1] for
+    i = 0..N-1, from the sequence's brackets (bracket_table)."""
+    p, q = seq.b0_squared.numerator, seq.b0_squared.denominator
+    return [Fraction(p * b.numerator, q * b.denominator) for b in brackets[1:]]
 
 
 def gamma_squares(seq: GoverningSequence, b2: Sequence[Fraction]) -> list[Fraction]:
     """Squared lowering factors, entry n = gamma_n^2 = v_{n-1}^2 / b_{n-1}^2
     for n = 1..N (entry 0 is 0), from the sequence's squared recurrence
-    coefficients b2, entry i = b_i^2 = b0^2 [i+1] (PolynomialSystem.b2)."""
-    return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
+    coefficients b2 (b_squares), over w_i = L v_i."""
+    return [Fraction(0)] + [Fraction(a * a * b.denominator, seq.den**2 * b.numerator)
+                            for a, b in zip(seq.nums, b2)]
 
 
 def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fraction] | None]:
     """Whether the stored prefix obeys v_{2p+1} = (p+1) v1 and
     v_{2m} = m v2 - (m-1) exactly, that is d_n = v1 for odd n >= 3 and
-    d_n = v2 - 1 for even n >= 4; returns the recovered (v1, v2) when it does."""
+    d_n = v2 - 1 for even n >= 4; returns the recovered (v1, v2) when it does.
+    Read on w_i = L v_i: w_n - w_{n-2} = w_1 or w_2 - L."""
     if len(seq) < 3:
         raise ValueError("need at least 3 entries to decide the family shape")
-    v = seq.values
-    if any(v[n] - v[n - 2] != (v[1] if n % 2 else v[2] - 1) for n in range(3, len(v))):
+    w, steps = seq.nums, (seq.nums[2] - seq.den, seq.nums[1])
+    if any(w[n] - w[n - 2] != steps[n % 2] for n in range(3, len(w))):
         return False, None
-    return True, (v[1], v[2])
+    return True, seq.values[1:3]
+
+
+def family_weight(seq: GoverningSequence) -> tuple[Fraction, Fraction] | None:
+    """(gamma, alpha) of the weight C |x|^gamma exp(-alpha x^2) of a special-
+    family sequence (v2 > 1 where its brackets are positive), else None."""
+    if not is_special_family(seq)[0]:
+        return None
+    v2 = seq.values[2]
+    return (3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1))

@@ -32,10 +32,11 @@ import numpy as np
 from .derivation import Poly
 from .governing import (
     GoverningSequence,
+    b_squares,
     bracket_table,
     common_denominator,
+    family_weight,
     gamma_squares,
-    is_special_family,
 )
 
 __all__ = [
@@ -206,9 +207,9 @@ class PolynomialSystem:
         self.seq = seq
         self.n_max = n_max = seq.n_max
         self.brackets = bracket_table(seq)
-        self.b2 = [seq.b0_squared * br for br in self.brackets[1:]]  # b2[i] = b_i^2 = b0^2 [i+1]
+        self.b2 = b_squares(seq, self.brackets)  # b2[i] = b_i^2 = b0^2 [i+1]
         self.g2 = gamma_squares(seq, self.b2)  # g2[n] = gamma_n^2
-        self._w, self._L = common_denominator(seq.values)  # _w[i] = L v_i, for the exact scans
+        self._w, self._L = seq.nums, seq.den  # _w[i] = L v_i, for the exact scans
 
         self.norm2 = norm2 = [Fraction(1)]  # norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2
         for b2 in self.b2:
@@ -218,11 +219,8 @@ class PolynomialSystem:
         for n in range(1, n_max):
             monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
 
-        self._weight = self._weight_nums = None
-        if is_special_family(seq)[0]:
-            v2 = seq.values[2]
-            self._weight = ((3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1)))
-            self._weight_nums = common_denominator(self._weight)  # for ode_bracket
+        self._weight = family_weight(seq)
+        self._weight_nums = None if self._weight is None else common_denominator(self._weight)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -254,13 +252,18 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
-    def _explicit_ratios(self, n: int) -> list[tuple[int, int]]:
-        """Integers (num, den > 0), num / den = c_{n,m+1} / c_{n,m}, for m = 0..n//2 - 1 (module
-        docstring), over b0^2 = p/q and v_i = w_i / L: the L^2 cancels."""
-        w, p, q = self._w, -self.seq.b0_squared.numerator, self.seq.b0_squared.denominator
-        return [(p * br.numerator * w[n - 2 * m - 1] * w[n - 2 * m - 2],
-                 q * br.denominator * w[2 * m] * w[2 * m + 1])
-                for m, br in enumerate(self.brackets[1:n:2])]
+    def _explicit_ratios(self, n_hi: int) -> tuple[list[int], list[int], list[int]]:
+        """Integer tables (a, d, t) with c_{n,m+1} / c_{n,m} = a[m] t[n - 2m] / d[m] and
+        d[m] > 0, for 2m + 2 <= n <= n_hi (module docstring).  Over b0^2 = p/q and
+        w_i = L v_i, [2m+1] = w_{2m} (w_{2m+1} - w_{2m-1}) / (L w_1), so w_{2m} and L^2
+        cancel: a[m] = -p (w_{2m+1} - w_{2m-1}), d[m] = q L w_1 w_{2m+1} and
+        t[j] = w_{j-1} w_{j-2}.  The denominator reads m alone, the numerator m and n - 2m."""
+        w = (0, *self._w)  # w[i + 1] = L v_i, with v_{-1} = 0
+        p, q = self.seq.b0_squared.numerator, self.seq.b0_squared.denominator
+        qlw1 = q * self._L * w[2]
+        a = [-p * (w[2 * m + 2] - w[2 * m]) for m in range(n_hi // 2)]
+        d = [qlw1 * w[2 * m + 2] for m in range(n_hi // 2)]
+        return a, d, [0, 0] + [w[j] * w[j - 1] for j in range(2, n_hi + 1)]
 
     def psi_coeffs_via_alpha(self, n: int) -> Poly:
         """The monic core P_n from the explicit coefficient formula: the
@@ -268,10 +271,11 @@ class PolynomialSystem:
         is the defining display), from c_{n,0} = 1 by the route check's ratios.
         Then psi_n = P_n / sqrt(norm2[n]), as for the recurrence's core monic[n]."""
         self._check_n(n)
+        a, d, t = self._explicit_ratios(n)
         coeffs = [Fraction(0)] * (n + 1)
         coeffs[n] = c = Fraction(1)
-        for m, ratio in enumerate(self._explicit_ratios(n)):
-            coeffs[n - 2 * m - 2] = c = c * Fraction(*ratio)
+        for m in range(n // 2):
+            coeffs[n - 2 * m - 2] = c = c * Fraction(a[m] * t[n - 2 * m], d[m])
         return Poly(coeffs)
 
     def first_route_mismatch(self, n_hi: int) -> int | None:
@@ -279,15 +283,17 @@ class PolynomialSystem:
         explicit formula's polynomial (psi_coeffs_via_alpha(n)), or None.  A core
         agrees when it has degree n, zeros in every slot of the other parity,
         leading coefficient 1 and each neighbouring pair in the formula's ratio,
-        c_{n,m+1} den = num c_{n,m} (_explicit_ratios; den > 0 fixes c_{n,m+1}):
-        a core numerator times a small integer on each side, no gcd, no Fraction."""
+        c_{n,m+1} d[m] = a[m] t[n - 2m] c_{n,m} (_explicit_ratios, built once per
+        scan; d[m] > 0 fixes c_{n,m+1}): a core numerator times small integers on
+        each side, no gcd, no Fraction."""
         self._check_n(n_hi)
+        a, d, t = self._explicit_ratios(n_hi)
         for n in range(n_hi + 1):
             core = self.monic[n]
             nums = core.nums
             if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den or any(
-                lo * den != num * hi for (num, den), lo, hi in
-                zip(self._explicit_ratios(n), nums[n - 2 :: -2], nums[n::-2])
+                lo * dm != am * tj * hi for am, dm, tj, lo, hi in
+                zip(a, d, t[n:1:-2], nums[n - 2 :: -2], nums[n::-2])
             ):
                 return n
         return None

@@ -20,7 +20,15 @@ operation re-normalized.  The tests compare the kernel against them.
   kernel read only the slots of the cores' parity with small cofactors;
 - ``derivative_in_basis``: float(e) * sqrt(float(norm2[idx] / norm2[n]));
 - ``fraction_str``, ``coeff_strings``: a rational as ``str(Fraction)`` prints
-  it, and the ``hcpoly table`` strings of a monic core built that way.
+  it, and the ``hcpoly table`` strings of a monic core built that way;
+- ``bracket_table``, ``b_squares``, ``gamma_squares``, ``is_special_family``,
+  ``family_weight``: the sequence's tables by Fraction arithmetic on v;
+- ``seq_order2``, ``seq_order3``, ``seq_family``: the constructors' values by
+  Fraction arithmetic on the parameters;
+- ``forward_check``: the epsilons' forward identity by Pascal's rows, a
+  Fraction per n;
+- ``route_scan``: the first n whose core differs from the explicit formula's
+  coefficients, each a lowest-terms Fraction chained from c_{n,0} = 1.
 """
 
 from __future__ import annotations
@@ -29,9 +37,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import comb, factorial
 
 from hermite_chihara.derivation import Poly
-from hermite_chihara.governing import ValidationReport, common_denominator
+from hermite_chihara.governing import (
+    ConstructionError,
+    GoverningSequence,
+    ValidationReport,
+    as_fraction,
+    common_denominator,
+)
 from hermite_chihara.systems import _over_sqrt
 
 
@@ -264,3 +279,117 @@ def fraction_str(p: int, q: int) -> str:
 def coeff_strings(core) -> list[str]:
     """The table strings of a monic core: str of each lowest-terms coefficient."""
     return [str(c) for c in core.coeffs]
+
+
+def bracket_table(seq) -> list[Fraction]:
+    v = seq.value
+    out = [Fraction(0), Fraction(1)]
+    for n in range(2, len(seq)):
+        br = v(n - 1) * (v(n) - v(n - 2)) / v(1)
+        if br <= 0:
+            raise ValueError(f"bracket [{n}] = {br} is not positive; no orthonormal system")
+        out.append(br)
+    if len(seq) == 1:
+        return out[:1]
+    return out
+
+
+def b_squares(seq, brackets) -> list[Fraction]:
+    return [seq.b0_squared * br for br in brackets[1:]]
+
+
+def gamma_squares(seq, b2) -> list[Fraction]:
+    return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
+
+
+def is_special_family(seq):
+    if len(seq) < 3:
+        raise ValueError("need at least 3 entries to decide the family shape")
+    v = seq.values
+    if any(v[n] - v[n - 2] != (v[1] if n % 2 else v[2] - 1) for n in range(3, len(v))):
+        return False, None
+    return True, (v[1], v[2])
+
+
+def family_weight(seq):
+    if not is_special_family(seq)[0]:
+        return None
+    v2 = seq.values[2]
+    return (3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1))
+
+
+def _require_admissible(values, name: str) -> None:
+    for i in range(len(values) - 1):
+        if values[i] <= 0 or values[i] > values[i + 1]:
+            raise ConstructionError(
+                f"{name}: result not positive nondecreasing at index {i}: "
+                f"{values[i]} -> {values[i + 1]}"
+            )
+
+
+def seq_order2(v1, N: int, b0_squared=Fraction(1, 2)):
+    v1 = as_fraction(v1)
+    if v1 < 1:
+        raise ValueError("v1 must be >= 1")
+    values = [Fraction(1)]
+    for n in range(1, N + 1):
+        values.append(comb(n + 1, 2) * v1 - n * n + 1)
+    _require_admissible(values, "seq_order2")
+    return GoverningSequence(tuple(values), as_fraction(b0_squared))
+
+
+def seq_order3(v1, v2, N: int, b0_squared=Fraction(1, 2)):
+    v1, v2 = as_fraction(v1), as_fraction(v2)
+    if not 1 <= v1 <= v2:
+        raise ValueError("need 1 <= v1 <= v2")
+    values = [Fraction(1), v1]
+    for n in range(2, N + 1):
+        values.append(
+            comb(n + 1, 3) * v2
+            - Fraction((n + 1) * n * (n - 2), 2) * v1
+            + Fraction((n + 1) * (n - 1) * (n - 2), 2)
+        )
+    _require_admissible(values, "seq_order3")
+    return GoverningSequence(tuple(values), as_fraction(b0_squared))
+
+
+def seq_family(v1, v2, b0_squared, N: int):
+    v1, v2 = as_fraction(v1), as_fraction(v2)
+    if not 0 < v1 <= v2:
+        raise ValueError("need 0 < v1 <= v2")
+    values = tuple(
+        (n // 2 + 1) * v1 if n % 2 == 1 else (n // 2) * v2 - (n // 2 - 1)
+        for n in range(N + 1)
+    )
+    return GoverningSequence(values, as_fraction(b0_squared))
+
+
+def forward_check(epsilons, values) -> None:
+    """Raise DerivationOperator's ValueError at the first n <= K where
+    sum_{k<=n} C(n,k) k! eps_k != v_{n-1}, by row n of Pascal's triangle."""
+    num, den = common_denominator(e * factorial(k) for k, e in enumerate(epsilons, 1))
+    binom = [1]
+    for n in range(1, len(epsilons) + 1):
+        binom = [1, *(a + b for a, b in zip(binom, binom[1:])), 1]
+        series = Fraction(sum(c * a for c, a in zip(binom[1:], num)), den)
+        if series != values[n - 1]:
+            raise ValueError(
+                f"epsilons give D x^{n} = {series} x^{n - 1}, but v_{n - 1} = {values[n - 1]}"
+            )
+
+
+def route_scan(sys, n_hi: int) -> int | None:
+    """The first n <= n_hi whose core's coefficients differ from the explicit
+    formula's, c_{n,0} = 1 and c_{n,m+1} = c_{n,m} (-b0^2 [2m+1] v_{n-2m-1}
+    v_{n-2m-2} / (v_{2m} v_{2m+1})), over bracket_table above."""
+    v, br = sys.values, bracket_table(sys.seq)
+    for n in range(n_hi + 1):
+        want, c = [Fraction(0)] * (n + 1), Fraction(1)
+        want[n] = c
+        for m in range(n // 2):
+            c *= -sys.seq.b0_squared * br[2 * m + 1] * v[n - 2 * m - 1] * v[n - 2 * m - 2] / (
+                v[2 * m] * v[2 * m + 1])
+            want[n - 2 * m - 2] = c
+        if sys.monic[n].coeffs != FractionPoly(tuple(want)).coeffs:
+            return n
+    return None

@@ -252,6 +252,36 @@ class TestBuildAndSeedFile:
         assert code == 0
         assert table_seeded == table_direct
 
+    @pytest.mark.parametrize("flags", [
+        ("--family", "hermite"),
+        ("--family", "classical", "--gamma", "-1/2", "--alpha", "3"),
+        ("--family", "family", "--v1", "2/3", "--v2", "5/3", "--b0-squared", "3/7"),
+        ("--family", "order2", "--v1", "3"),
+        ("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--b0-squared", "8/3"),
+    ], ids=["hermite", "classical", "family", "order2", "order3"])
+    def test_builds_no_polynomial_system(self, capsys, monkeypatch, flags):
+        # build prints a system's b^2, gamma^2 and weight from the sequence
+        # alone: its bytes are those a PolynomialSystem's tables give
+        argv = ("build", *flags, "--n-max", "40")
+        seq = build_sequence(make_parser().parse_args(argv), 40)
+        system, rep = PolynomialSystem(seq), hermite_chihara.validate(seq)
+        want = {"family": flags[1], "n_max": 40, "governing_sequence": seq.to_json_dict(),
+                "validation": {"ok": rep.ok, "monotone": rep.monotone,
+                               "compatible": rep.compatible,
+                               "first_violation": rep.first_violation},
+                "b_squared": [str(x) for x in system.b2],
+                "gamma_squared": [str(x) for x in system.g2],
+                "special_family": system.is_family}
+        if system.is_family:
+            g, a = system.weight_parameters()
+            want["weight"] = {"gamma": str(g), "alpha": str(a)}
+
+        def no_system(seq):
+            raise AssertionError("build constructed a PolynomialSystem")
+
+        monkeypatch.setattr(hermite_chihara.cli, "PolynomialSystem", no_system)
+        assert run_cli(capsys, *argv) == (0, json.dumps(want, indent=2) + "\n", "")
+
     def test_seed_file_parses_rationals(self, tmp_path, capsys):
         seed = tmp_path / "seed.json"
         seed.write_text(json.dumps({"values": ["1", "3/2", "2"], "b0_squared": "1/2"}))
@@ -680,11 +710,10 @@ class TestExactValuesOfAnyLength:
 class TestFloatRange:
     """A float check on a valid system whose b^2 or alpha has no float in
     systems.FLOAT_RANGE cannot run, so it fails: exit 1 with the JSON failure
-    report, which names the float range, and nothing on stdout."""
+    report, which names the float range, and nothing on stdout.  verify still
+    runs its exact checks and prints its check list."""
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(("verify", "--b0-squared", _E400), id="verify-1e400"),
-        pytest.param(("verify", "--b0-squared", "1/" + _E400), id="verify-1e-400"),
         pytest.param(("spectrum", "--family", "classical", "--gamma", "1", "--alpha",
                       "1/" + _E400), id="spectrum-alpha-1e-400"),
         pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
@@ -697,6 +726,34 @@ class TestFloatRange:
         (failed,) = json.loads(err)["failed"]
         assert re.fullmatch(r"(b\^2|alpha|Gamma\(\(gamma\+1\)/2\)) outside the float range "
                             r"\[2\^-1022, 2\^1020\]", failed)
+
+    @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
+    def test_verify_prints_its_check_list(self, capsys, b0):
+        # the exact checks run and pass; each float check fails, naming the range
+        code, out, err = run_cli(capsys, "verify", "--b0-squared", b0)
+        report = json.loads(out)
+        assert code == 1 and report["all_passed"] is False
+        exact = ("validate", "lowering", "route_equivalence", "ode")
+        floats = ("commutator", "spectrum", "orthonormality", "square_lowering")
+        assert [c["name"] for c in report["checks"]] == [*exact[:3], *floats[:2], exact[3],
+                                                        *floats[2:]]
+        for c in report["checks"]:
+            if c["name"] in exact:
+                assert (c["status"], c["passed"]) == ("pass", True)
+            else:
+                assert (c["status"], c["passed"]) == ("fail", False)
+                assert c["detail"] == "b^2 outside the float range [2^-1022, 2^1020]"
+        assert json.loads(err) == {"failed": list(floats)}
+
+    def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
+        # Gamma((gamma+1)/2) has no float at gamma = 400; the band checks run
+        code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "400",
+                                 "--n-max", "8")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1 and json.loads(err) == {"failed": ["orthonormality"]}
+        assert checks["orthonormality"]["detail"] == (
+            "Gamma((gamma+1)/2) outside the float range [2^-1022, 2^1020]")
+        assert all(c["passed"] for name, c in checks.items() if name != "orthonormality")
 
 
 def bench_workload():

@@ -15,6 +15,7 @@ from hermite_chihara import (
     seq_order2,
     seq_order3,
 )
+import fraction_reference as ref
 from fraction_reference import FractionPoly
 
 coeff_lists = st.lists(
@@ -205,6 +206,33 @@ class TestSeriesReference:
             eps[k - 1] += F(1, 10**9)
             with pytest.raises(ValueError, match=f"D x\\^{k} "):
                 DerivationOperator(epsilons=tuple(eps), values=op.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["classical", "family", "order2", "order3", "hermite"]),
+        K=st.integers(1, 40),
+        at=st.integers(1, 40),
+        delta=st.fractions(min_value=F(-3), max_value=F(3), max_denominator=10**6),
+        extra=st.integers(0, 3),
+    )
+    def test_corrupted_epsilon_fails_as_by_pascal_rows(self, name, K, at, delta, extra):
+        # the additions route and the Pascal-row route name the same first n
+        # with the same message, or both pass (delta = 0)
+        seq = {"classical": seq_classical(F(3, 2), 44), "hermite": seq_hermite(44),
+               "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 44),
+               "order2": seq_order2(3, 44), "order3": seq_order3(F(7, 3), F(17, 3), 44)}[name]
+        op = epsilons_from_sequence(seq, K=K)
+        eps = list(op.epsilons)
+        eps[(at - 1) % K] += delta
+        values = seq.values[: K + extra]
+        try:
+            ref.forward_check(eps, values)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                DerivationOperator(epsilons=tuple(eps), values=values)
+            assert str(got.value) == str(exc)
+        else:
+            assert DerivationOperator(epsilons=tuple(eps), values=values).epsilons == tuple(eps)
 
     def test_too_few_values_fail_at_construction(self):
         op = epsilons_from_sequence(seq_hermite(5))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from hermite_chihara import (
     ConstructionError,
     GoverningSequence,
@@ -20,6 +21,7 @@ from hermite_chihara import (
 )
 from conftest import propagated_compatible_sequence
 from fraction_reference import validate as validate_fractions
+from hermite_chihara.governing import b_squares, family_weight
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
 
@@ -351,3 +353,90 @@ class TestJson:
     def test_any_other_shape_is_refused(self, text):
         with pytest.raises(ValueError, match="one JSON object"):
             GoverningSequence.from_json(text)
+
+
+_positive = st.fractions(min_value=F(1, 7), max_value=F(9), max_denominator=7)
+
+
+@st.composite
+def _prefixes(draw):
+    """A positive rational prefix v_0 = 1, v_1..v_n: free values (most have a
+    bracket that is not positive), positive steps (every bracket positive),
+    or the family's shape with at most one value bumped."""
+    n, kind = draw(st.integers(0, 30)), draw(st.sampled_from(["free", "steps", "family"]))
+    if kind == "free":
+        values = [F(1)] + draw(st.lists(_positive, min_size=n, max_size=n))
+    elif kind == "steps":
+        values = [F(1)]
+        for step in draw(st.lists(_positive, min_size=n, max_size=n)):
+            values.append(values[-1] + step)
+    else:
+        v1, v2 = sorted(draw(st.lists(_positive, min_size=2, max_size=2)))
+        values = [(i // 2 + 1) * v1 if i % 2 else i // 2 * v2 - (i // 2 - 1) for i in range(n + 1)]
+        assume(min(values) > 0)  # v_{2m} = m v2 - (m - 1) turns negative for v2 < 1
+        if n and draw(st.booleans()):
+            values[draw(st.integers(1, n))] += draw(_positive)
+    return GoverningSequence(tuple(values), draw(_positive))
+
+
+def _outcome(make, *args):
+    """make(*args)'s values and b0^2, or the type and text of what it raised."""
+    try:
+        seq = make(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is F for v in seq.values)
+    assert [F(a, seq.den) for a in seq.nums] == list(seq.values)
+    return seq.values, seq.b0_squared
+
+
+class TestAgainstFractionRoutes:
+    """The integer routes over w = L v against the Fraction routes on v."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seq=_prefixes())
+    def test_tables_and_family_test(self, seq):
+        try:
+            want = ref.bracket_table(seq)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                bracket_table(seq)
+            assert str(got.value) == str(exc)
+            return
+        brackets = bracket_table(seq)
+        b2, want_b2 = b_squares(seq, brackets), ref.b_squares(seq, want)
+        assert brackets == want and b2 == want_b2
+        assert gamma_squares(seq, b2) == ref.gamma_squares(seq, want_b2)
+        if len(seq) >= 3:
+            assert is_special_family(seq) == ref.is_special_family(seq)
+            assert family_weight(seq) == ref.family_weight(seq)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v1=st.fractions(min_value=F(-1), max_value=F(6), max_denominator=12),
+           v2=st.fractions(min_value=F(-1), max_value=F(40), max_denominator=12),
+           b0=_positive, N=st.integers(1, 40))
+    def test_constructors(self, v1, v2, b0, N):
+        # equal values, or the same error with the same text
+        assert _outcome(seq_order2, v1, N, b0) == _outcome(ref.seq_order2, v1, N, b0)
+        assert _outcome(seq_order3, v1, v2, N, b0) == _outcome(ref.seq_order3, v1, v2, N, b0)
+        assert _outcome(seq_family, v1, v2, b0, N) == _outcome(ref.seq_family, v1, v2, b0, N)
+
+    def test_values_are_not_coerced_again(self):
+        # a Fraction value is kept as it is; ints and strings become Fractions
+        values = (F(1), F(3, 2), F(5, 2))
+        seq = GoverningSequence(values, F(1, 2))
+        assert all(a is b for a, b in zip(seq.values, values))
+        assert GoverningSequence((1, "3/2", F(5, 2)), "1/2") == seq
+        assert (seq.nums, seq.den) == ((2, 3, 5), 2)
+
+    @pytest.mark.parametrize("values, b0, message", [
+        ((), 1, "governing sequence is empty"),
+        ((F(2), F(3)), 1, "v_0 must be 1, got 2"),
+        ((F(1), F(0)), 1, "strictly positive"),
+        ((F(1), F(-1, 3), F(2)), 1, "strictly positive"),
+        ((F(1), F(2)), F(0), "b0_squared must be positive"),
+        ((F(1), F(2)), F(-1, 2), "b0_squared must be positive"),
+    ])
+    def test_checks_read_numerators(self, values, b0, message):
+        with pytest.raises(ValueError, match=message):
+            GoverningSequence(values, b0)

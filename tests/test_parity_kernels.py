@@ -3,10 +3,13 @@
 P_n has the parity of n, so the lowering, reduced, square-lowering and ODE
 kernels compute and compare only the slots of that parity, with the cores'
 denominators divided by their gcd, and read the other slots only where a core
-is nonzero there.  The routes in tests/fraction_reference.py read every slot
-over the full denominators.  On every kind of corrupted core -- a defect in a
-slot of either parity, the wrong degree, or the whole core scaled -- both
-must give the same first failing n, the same bracket and the same figure.
+is nonzero there.  The route scan compares each neighbouring pair of a core's
+coefficients with the explicit formula's ratio, from integer tables.  The
+routes in tests/fraction_reference.py read every slot over the full
+denominators, and the route scan's builds each coefficient as a Fraction.  On
+every kind of corrupted core -- a defect in a slot of either parity, the wrong
+degree, or the whole core scaled -- both must give the same first failing n,
+the same bracket and the same figure.
 """
 
 from fractions import Fraction as F
@@ -41,6 +44,7 @@ def assert_kernels_agree(sys):
     """Each scan against its full-slot route over the whole system; on a family
     system also every bracket, the ODE scan and square lowering at dim n_max."""
     N = sys.n_max
+    assert sys.first_route_mismatch(N) == ref.route_scan(sys, N)
     assert sys.first_lowering_failure(N) == ref.lowering_scan(sys, N)
     assert sys.first_reduced_failure(N) == ref.reduced_scan(sys, N)
     if not sys.is_family:
@@ -81,6 +85,7 @@ class TestCorruptedCores:
         # ODE is linear, so it holds for a scaled core
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), self.N))
         sys.monic[17] = corrupt_core(sys.monic[17], 17, kind, 3)
+        assert sys.first_route_mismatch(self.N) == 17
         assert sys.first_lowering_failure(self.N) == 17
         assert sys.first_reduced_failure(self.N) == 17
         assert sys.first_ode_failure(self.N) == (None if kind == "scaled" else 17)
