@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .governing import as_fraction
+from .governing import as_fraction, common_denominator
 from .quadrature import integrate_split_at_zero
 from .systems import FloatRangeError, PolynomialSystem, _range_float
 
@@ -89,25 +89,21 @@ def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
 def jacobi_moment(b2: Sequence[Fraction], k: int) -> Fraction:
     """mu_k = (J^k)_{00} for the Jacobi matrix with off-diagonal b_i, computed
     exactly as a closed-walk sum in the monic basis (x P_j = P_{j+1} +
-    b_{j-1}^2 P_{j-1}), which keeps every amplitude rational."""
+    b_{j-1}^2 P_{j-1}), fraction-free: with b_i^2 = B_i / L over the common
+    denominator L, the amplitudes A_j = amp_j L^{(k-j)/2} after k steps are
+    integers; an up-step adds A_j to A_{j+1}, a down-step A_j B_{j-1} to A_{j-1},
+    and mu_k = A_0 / L^{k/2}."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = k // 2 + 1
     if len(b2) < size:
         raise ValueError(f"need at least {size} squared coefficients for k={k}")
-    amp = [Fraction(0)] * (size + 1)
-    amp[0] = Fraction(1)
+    B, L = common_denominator(b2[:size])
+    amp = [1] + [0] * size
     for _ in range(k):
-        nxt = [Fraction(0)] * (size + 1)
-        for j in range(size):
-            if amp[j] == 0:
-                continue
-            if j + 1 <= size:
-                nxt[j + 1] += amp[j]
-            if j >= 1:
-                nxt[j - 1] += amp[j] * b2[j - 1]
-        amp = nxt
-    return amp[0]
+        amp = [(amp[j - 1] if j else 0) + (amp[j + 1] * B[j] if j < size else 0)
+               for j in range(size + 1)]
+    return Fraction(amp[0], L ** (k // 2))
 
 
 def spec_for_system(sys: PolynomialSystem) -> MeasureSpec:

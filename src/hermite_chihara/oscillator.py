@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
-from .systems import PolynomialSystem, UnsupportedSystemError, _over_sqrt, _parities, _range_float
+from .systems import PolynomialSystem, _range_float
 
 __all__ = [
     "OperatorSet",
@@ -149,34 +147,10 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
 
 
 def square_lowering_report(ops: OperatorSet, sys: PolynomialSystem) -> float:
-    """Deviation of X d/dx - N = (a-)^2 / c1, c1 = b0^2 (v2 - 1), on the
-    columns 2 <= n < dim - MARGIN.  On the monic cores it reads
-
-        x P_n' - n P_n = r P_{n-2},   r = 2 b_{n-1}^2 b_{n-2}^2 / c1,
-
-    that is (k - n) c_k(P_n) = r c_k(P_{n-2}) for every k, checked exactly by
-    cross-multiplying the integer numerators: 0.0 when every column holds,
-    else the largest residual coefficient in units of psi_n.  With r an unreduced
-    integer pair and the cores' denominators over their gcd, each product is a
-    numerator times a small integer, on n's parity (_parities).  Family only."""
-    if not sys.is_family:
-        raise UnsupportedSystemError("square-lowering identity holds for family systems")
-    k = ops.dim - MARGIN
-    inv_c1 = 1 / (sys.seq.b0_squared * (sys.values[2] - 1))  # its denominator is > 0
-    worst = 0.0
-    for n in range(2, k):
-        p, q, b1, b2 = sys.monic[n], sys.monic[n - 2], sys.b2[n - 1], sys.b2[n - 2]
-        g = math.gcd(p.den, q.den)
-        # the residual coefficients times den(P_n) sp, for r = rn / rd: sp = den(P_{n-2}) rd / g
-        sp = q.den // g * b1.denominator * b2.denominator * inv_c1.denominator
-        sq = p.den // g * 2 * b1.numerator * b2.numerator * inv_c1.numerator
-        gap = max(
-            abs((t + 2 * i - n) * a * sp - c * sq) for t in _parities(n % 2, p.nums, q.nums)
-            for i, (a, c) in enumerate(zip_longest(p.nums[t::2], q.nums[t::2], fillvalue=0))
-        )
-        if gap:
-            worst = max(worst, _over_sqrt(Fraction(gap, p.den * sp), sys.norm2[n]))
-    return worst
+    """Deviation of X d/dx - N = (a-)^2 / c1 on the columns 2 <= n < dim - MARGIN,
+    checked exactly on the monic cores (PolynomialSystem.square_lowering_deviation):
+    0.0 when every column holds.  Family only."""
+    return sys.square_lowering_deviation(ops.dim - MARGIN - 1)
 
 
 def hamiltonian_mixed_form_deviation(ops: OperatorSet) -> float:

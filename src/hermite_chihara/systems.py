@@ -13,9 +13,12 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
-Floating point enters only at evaluation boundaries, which read b^2 (b2_float)
-and the weight's alpha as floats in FLOAT_RANGE and raise FloatRangeError
-where one has none.
+Floating point enters only at evaluation boundaries.  A psi-scaled figure of
+an exact coefficient (the decompositions, the derivative expansion, the ODE
+residual, the square-lowering deviation) crosses once, through _over_sqrt, from
+the exact b^2 and nu_n^2, so it has a float at any b0^2.  The float tables
+(psi_eval_table, the operator band) read b^2 (b2_float) and the weight's alpha
+as floats in FLOAT_RANGE and raise FloatRangeError where one has none.
 """
 
 from __future__ import annotations
@@ -131,22 +134,19 @@ def _ldexp_float(q: Fraction, e: int) -> float:
     return (num << e) / den if e >= 0 else num / (den << -e)
 
 
-def _sqrt_parts(q: Fraction) -> tuple[float, int]:
-    """(s, t) with sqrt(q) = s * 2^t and s near 1, for rational q > 0.
-
-    Scaling by an even power of two commutes with rounding and with the square
-    root, so s * 2^t is the correctly rounded sqrt(float(q)) wherever float(q)
-    exists, and s stays finite for q far beyond the float range."""
-    t = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-    return math.sqrt(_ldexp_float(q, -2 * t)), t
-
-
 def _over_sqrt(c: Fraction, q: Fraction) -> float:
-    """c / sqrt(q) in floating point without converting q itself; equal to
+    """c / sqrt(q) in floating point, the one crossing from an exact coefficient
+    to its psi-scaled float.  c and q are scaled near 1 by 2^{-k} and 2^{-2t},
+    which commute with rounding and with the square root, so the value equals
     float(c) / sqrt(float(q)) bit for bit wherever that neither overflows nor
-    underflows."""
-    s, t = _sqrt_parts(q)
-    return _ldexp_float(c, -t) / s
+    underflows, and c and q may lie far beyond the float range.  FloatRangeError
+    where c / sqrt(q) has no float."""
+    k = c.numerator.bit_length() - c.denominator.bit_length()
+    t = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(_ldexp_float(c, -k) / math.sqrt(_ldexp_float(q, -2 * t)), k - t)
+    except OverflowError:
+        raise FloatRangeError("psi-scaled value") from None
 
 
 def _next_monic(cur: Poly, prev: Poly, b2: Fraction) -> Poly:
@@ -232,7 +232,8 @@ class PolynomialSystem:
 
     @cached_property
     def b_float(self) -> list[float]:
-        """b_i in floats, the square roots of b2_float."""
+        """b_i in floats, the square roots of b2_float: psi_eval_table's and the
+        operator band's alone."""
         return [math.sqrt(x) for x in self.b2_float]
 
     @property
@@ -298,20 +299,9 @@ class PolynomialSystem:
                 return n
         return None
 
-    def psi_eval(self, n: int, x):
-        """Forward three-term recurrence evaluation (float; x scalar or array)."""
-        self._check_n(n)
-        x = np.asarray(x, dtype=float)
-        p_prev = np.ones_like(x)
-        if n == 0:
-            return p_prev if p_prev.ndim else float(p_prev)
-        p_cur = x / self.b_float[0]
-        for m in range(1, n):
-            p_prev, p_cur = p_cur, (x * p_cur - self.b_float[m - 1] * p_prev) / self.b_float[m]
-        return p_cur if p_cur.ndim else float(p_cur)
-
     def psi_eval_table(self, x: np.ndarray, n_hi: int) -> np.ndarray:
-        """Matrix [len(x), n_hi+1] of psi_0..psi_{n_hi} at the nodes x."""
+        """Matrix [len(x), n_hi+1] of psi_0..psi_{n_hi} at the nodes x, by the
+        forward three-term recurrence: the one float evaluation of psi."""
         self._check_n(n_hi)
         x = np.asarray(x, dtype=float)
         out = np.empty((x.size, n_hi + 1))
@@ -344,6 +334,35 @@ class PolynomialSystem:
                    for k, a, b in zip(range(t, n, 2), top[t::2], prev.nums[t::2])):
                 return n
         return None
+
+    def square_lowering_deviation(self, n_hi: int) -> float:
+        """Deviation of X d/dx - N = (a-)^2 / c1, c1 = 1 / alpha (the weight's),
+        on the columns 2 <= n <= n_hi.  On the monic cores it reads
+
+            x P_n' - n P_n = r P_{n-2},   r = 2 alpha b_{n-1}^2 b_{n-2}^2,
+
+        that is (k - n) c_k(P_n) = r c_k(P_{n-2}) for every k, checked exactly by
+        cross-multiplying the integer numerators: 0.0 when every column holds,
+        else the largest residual coefficient in units of psi_n (_over_sqrt).
+        With r an unreduced integer pair and the cores' denominators over their
+        gcd, each product is a numerator times a small integer, on n's parity
+        (_parities).  Family only."""
+        alpha = self.weight_parameters()[1]
+        self._check_n(n_hi)
+        worst = 0.0
+        for n in range(2, n_hi + 1):
+            p, q, b1, b2 = self.monic[n], self.monic[n - 2], self.b2[n - 1], self.b2[n - 2]
+            g = math.gcd(p.den, q.den)
+            # the residual coefficients times den(P_n) sp, for r = rn / rd: sp = den(P_{n-2}) rd / g
+            sp = q.den // g * b1.denominator * b2.denominator * alpha.denominator
+            sq = p.den // g * 2 * b1.numerator * b2.numerator * alpha.numerator
+            gap = max(
+                abs((t + 2 * i - n) * a * sp - c * sq) for t in _parities(n % 2, p.nums, q.nums)
+                for i, (a, c) in enumerate(zip_longest(p.nums[t::2], q.nums[t::2], fillvalue=0))
+            )
+            if gap:
+                worst = max(worst, _over_sqrt(Fraction(gap, p.den * sp), self.norm2[n]))
+        return worst
 
     def _core_expansion(self, nums: Sequence[int], den: int,
                         indices: Sequence[int]) -> list[Fraction]:
@@ -409,8 +428,8 @@ class PolynomialSystem:
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         return DecompositionReport(
             n=n, support=tuple(support), reduced=not tail,
-            delta_bar=float(delta_scaled) / self.b_float[n - 1],
-            beta_bar=float(beta_scaled) / (self.b_float[n - 1] * self.b_float[n - 2]),
+            delta_bar=_over_sqrt(delta_scaled, self.b2[n - 1]),
+            beta_bar=_over_sqrt(beta_scaled, self.b2[n - 1] * self.b2[n - 2]),
             delta_scaled=delta_scaled, beta_scaled=beta_scaled, tail_scaled=tail,
         )
 
@@ -422,18 +441,9 @@ class PolynomialSystem:
             [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, range(n - 1, -1, -2))
 
     def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
-        """psi_n' = sum c_k psi_k with float c_k from the exact expansion."""
-        expansion = self.derivative_core_expansion(n)
-        out = []
-        for j, e in enumerate(expansion):
-            idx = n - 1 - 2 * j
-            if e != 0:
-                # e sqrt(norm2[idx] / norm2[n]) with e and the root both scaled
-                # near 1 by powers of two, so neither underflows nor overflows
-                s, t = _sqrt_parts(self.norm2[idx] / self.norm2[n])
-                k = e.numerator.bit_length() - e.denominator.bit_length()
-                out.append((idx, math.ldexp(_ldexp_float(e, -k) * s, k + t)))
-        return out
+        """psi_n' = sum c_k psi_k, c_k = e_k nu_k / nu_n from the exact expansion."""
+        return [(idx, _over_sqrt(e, self.norm2[n] / self.norm2[idx]))
+                for idx, e in zip(range(n - 1, -1, -2), self.derivative_core_expansion(n)) if e]
 
     def derivative_decomposition(self, n: int) -> tuple[float, float]:
         """Coefficients (c_prev, c_over_x) of psi_n' = c_prev psi_{n-1}
@@ -448,9 +458,7 @@ class PolynomialSystem:
         s = [k * a * prev.den - n * b * cur.den
              for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
         (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
-        c_prev = n / self.b_float[n - 1]
-        c_over_x = float(c2_scaled) / (self.b_float[n - 1] * self.b_float[n - 2])
-        return c_prev, c_over_x
+        return _over_sqrt(n, self.b2[n - 1]), _over_sqrt(c2_scaled, self.b2[n - 1] * self.b2[n - 2])
 
     def ode_bracket(self, n: int, gamma=None, alpha=None) -> Poly:
         """The second-order equation applied to the monic core, as an exact

@@ -268,7 +268,7 @@ def derivative_in_basis(expansion, norm2, n: int) -> list[tuple[int, float]]:
     for j, e in enumerate(expansion):
         idx = n - 1 - 2 * j
         if e != 0:
-            out.append((idx, float(e) * math.sqrt(float(norm2[idx] / norm2[n]))))
+            out.append((idx, float(e) / math.sqrt(float(norm2[n] / norm2[idx]))))
     return out
 
 

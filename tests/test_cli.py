@@ -4,8 +4,10 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -729,21 +731,43 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
     def test_verify_prints_its_check_list(self, capsys, b0):
-        # the exact checks run and pass; each float check fails, naming the range
+        # the exact checks run and pass, square lowering on the cores too; each
+        # float check fails, naming the range
         code, out, err = run_cli(capsys, "verify", "--b0-squared", b0)
         report = json.loads(out)
         assert code == 1 and report["all_passed"] is False
-        exact = ("validate", "lowering", "route_equivalence", "ode")
-        floats = ("commutator", "spectrum", "orthonormality", "square_lowering")
+        exact = ("validate", "lowering", "route_equivalence", "ode", "square_lowering")
+        floats = ("commutator", "spectrum", "orthonormality")
         assert [c["name"] for c in report["checks"]] == [*exact[:3], *floats[:2], exact[3],
-                                                        *floats[2:]]
+                                                        floats[2], exact[4]]
         for c in report["checks"]:
             if c["name"] in exact:
                 assert (c["status"], c["passed"]) == ("pass", True)
             else:
                 assert (c["status"], c["passed"]) == ("fail", False)
                 assert c["detail"] == "b^2 outside the float range [2^-1022, 2^1020]"
+        assert report["checks"][-1]["detail"] == (
+            "max deviation 0.000e+00, exact on columns 2 <= n < 36")
         assert json.loads(err) == {"failed": list(floats)}
+
+    def test_square_lowering_residual_without_a_float(self, capsys, monkeypatch):
+        # a core off by 1e-9 at b0^2 = 10^-400: the exact check fails, and its
+        # figure in psi units (x^k scales as b0^-k) has no float, which the
+        # check's detail names; verify still prints its check list
+        init = PolynomialSystem.__init__
+
+        def scaled_at_20(self, seq):
+            init(self, seq)
+            self.monic[20] = corrupt_core(self.monic[20], 20, "scaled")
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", scaled_at_20)
+        code, out, err = run_cli(capsys, "verify", "--family", "family", "--v1", "2/3", "--v2",
+                                 "5/3", "--b0-squared", "1/" + _E400, "--n-max", "12")
+        square = {c["name"]: c for c in json.loads(out)["checks"]}["square_lowering"]
+        assert code == 1 and (square["status"], square["detail"]) == (
+            "fail", "psi-scaled value outside the float range [2^-1022, 2^1020]")
+        assert json.loads(err) == {"failed": ["commutator", "spectrum", "orthonormality",
+                                              "square_lowering"]}
 
     def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
         # Gamma((gamma+1)/2) has no float at gamma = 400; the band checks run
@@ -896,6 +920,18 @@ class TestFlagScope:
         examples = {line.split()[1] for line in readme.read_text().splitlines()
                     if line.startswith("hcpoly ")}
         assert set(self.COMMANDS) <= examples
+
+    def test_every_readme_line_exits_0_in_process(self, capsys):
+        # each README line that starts with "hcpoly ", in order in this process
+        # (the parser is shared), exits 0 with a RuntimeWarning raised as an error
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines() if line.startswith("hcpoly ")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for line in lines:
+                code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+                assert (code, err) == (0, ""), line
+                assert out, line
 
 
 # the edge settings of the weight family: b0^2 and alpha with no float, a

@@ -263,26 +263,30 @@ class TestRouteCheck:
 
 
 class TestPsiEval:
+    """psi_n(x) from the float recurrence, column n of psi_eval_table."""
+
     def test_psi0_is_one(self, hermite_sys):
-        assert hermite_sys.psi_eval(0, 3.7) == 1.0
+        assert hermite_sys.psi_eval_table([3.7], 0)[0, 0] == 1.0
 
     def test_psi1_at_2(self, classical1_sys):
         b0 = math.sqrt(float(classical1_sys.seq.b0_squared))
-        assert classical1_sys.psi_eval(1, 2.0) == pytest.approx(2.0 / b0, rel=1e-14)
+        assert classical1_sys.psi_eval_table([2.0], 1)[0, 1] == pytest.approx(2.0 / b0, rel=1e-14)
 
     def test_classical_psi2_at_zero(self, classical1_sys):
         # x = 0 in the recurrence at n = 1: psi_2(0) = -b0/b1
         b = classical1_sys.b_float
-        assert classical1_sys.psi_eval(2, 0.0) == pytest.approx(-b[0] / b[1], rel=1e-14)
+        psi2 = classical1_sys.psi_eval_table([0.0], 2)[0, 2]
+        assert psi2 == pytest.approx(-b[0] / b[1], rel=1e-14)
 
     def test_recurrence_matches_horner(self, reference_systems):
+        # every column of the table against the exact core by Horner's rule
         xs = np.linspace(-10.0, 10.0, 41)
         for sys in reference_systems.values():
+            table = sys.psi_eval_table(xs, 30)
             for n in range(0, 31):
                 horner = np.array([_over_sqrt(sys.monic[n](F(x)), sys.norm2[n]) for x in xs])
-                recur = np.array([sys.psi_eval(n, x) for x in xs])
                 scale = max(1.0, float(np.max(np.abs(horner))))
-                assert np.max(np.abs(horner - recur)) <= 1e-12 * scale
+                assert np.max(np.abs(horner - table[:, n])) <= 1e-12 * scale
 
     def test_normalization_matches_plain_float_where_it_fits(self):
         # _over_sqrt never converts norm^2 itself, yet where float(norm^2)
@@ -301,16 +305,19 @@ class TestPsiEval:
         assert q > F(10) ** 309  # float() of it overflows
         assert 0.0 < _over_sqrt(F(1), q) < math.inf  # 1 / nu_200
         assert all(math.isfinite(_over_sqrt(c, q)) for c in core.coeffs)
-        for x in (-2.5, 0.5, 4.0):
-            assert _over_sqrt(core(F(x)), q) == pytest.approx(sys.psi_eval(200, x), rel=1e-9)
+        xs = (-2.5, 0.5, 4.0)
+        for x, recur in zip(xs, sys.psi_eval_table(xs, 200)[:, 200]):
+            assert _over_sqrt(core(F(x)), q) == pytest.approx(recur, rel=1e-9)
 
-    def test_eval_table_matches_scalar(self, family15_sys):
-        xs = np.array([-2.0, 0.5, 3.25])
-        table = family15_sys.psi_eval_table(xs, 8)
-        for j, x in enumerate(xs):
-            for n in range(9):
-                assert table[j, n] == pytest.approx(family15_sys.psi_eval(n, x), rel=1e-13, abs=1e-13)
-
+    def test_over_sqrt_without_a_float_raises(self):
+        # c / sqrt(q) past the largest float, in the integer division or in the
+        # float quotient, is a FloatRangeError, not an OverflowError or inf
+        for c, q in ((F(10**400), F(1)), (F(1), F(1, 10**700)), (F(17 * 10**307), F(5, 7))):
+            with pytest.raises(FloatRangeError, match="psi-scaled value outside the float range"):
+                _over_sqrt(c, q)
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(1, 10**800), 8))
+        with pytest.raises(FloatRangeError):
+            sys.ode_residual(7, 0.5, gamma=1)
 
     def test_float_coefficients_convert_each_b2_once(self, reference_systems):
         for sys in reference_systems.values():
@@ -552,6 +559,32 @@ class TestDecomposition:
                 assert rep.reduced == (not rep.tail_scaled)
                 assert set(rep.support) - {n - 1, n - 2} == set(rep.tail_scaled)
 
+    @pytest.mark.parametrize("b0_squared", [F(10**400), F(1, 10**400)], ids=["1e400", "1e-400"])
+    def test_outside_the_float_range(self, b0_squared):
+        # the decompositions read the exact b^2, not b_float, which has no float
+        # here.  beta_bar = beta_scaled / (b_{n-1} b_{n-2}) does not depend on
+        # b0^2: against its exact square it is as close at 10^400 and 10^-400 as
+        # at 3/7, though the bits can differ by an ulp (c and q round at other
+        # mantissas).
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), b0_squared, 40))
+        at = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 40))
+        with pytest.raises(FloatRangeError):
+            sys.b_float
+        for n in range(2, 41):
+            rep, want = sys.decompose_b1bar(n), at.decompose_b1bar(n)
+            q = sys.b2[n - 1] * sys.b2[n - 2]
+            assert math.isfinite(rep.delta_bar) and rep.delta_bar != 0.0
+            assert (rep.beta_bar == 0.0) == (want.beta_bar == 0.0) == (n % 2 == 0)
+            if rep.beta_bar:
+                exact = rep.beta_scaled**2 / q
+                assert exact == want.beta_scaled**2 / (at.b2[n - 1] * at.b2[n - 2])
+                for beta in (rep.beta_bar, want.beta_bar):
+                    assert abs(float(F(beta) ** 2 / exact - 1)) < 1e-15
+            c_prev, c_over_x = sys.derivative_decomposition(n)
+            assert math.isfinite(c_prev) and c_over_x == -rep.beta_bar
+            coeffs = sys.derivative_in_basis(n)
+            assert coeffs and all(math.isfinite(c) and c != 0.0 for _, c in coeffs)
+
 
 class TestCorruptCore:
     """Every expansion over the cores runs one triangular elimination; a core
@@ -606,12 +639,13 @@ class TestDerivativeDecomposition:
 
     def test_pointwise_residual(self, classical1_sys):
         sys = classical1_sys
+        table = sys.psi_eval_table(POINT_GRID, 12)
         for n in range(2, 13):
             c_prev, c_over_x = sys.derivative_decomposition(n)
             dcoeffs = np.array([_over_sqrt(c, sys.norm2[n]) for c in sys.monic[n].coeffs])
-            for x in POINT_GRID:
+            for x, row in zip(POINT_GRID, table):
                 dpsi = float(np.polyval((dcoeffs[1:] * np.arange(1, n + 1))[::-1], x))
-                res = dpsi - c_prev * sys.psi_eval(n - 1, x) - c_over_x * sys.psi_eval(n - 2, x) / x
+                res = dpsi - c_prev * row[n - 1] - c_over_x * row[n - 2] / x
                 assert abs(res) < 1e-10
 
     def test_x_term_relates_to_beta(self, family15_sys):
@@ -792,7 +826,7 @@ class TestFractionReference:
                 if sys.is_family:
                     _, c_over_x = sys.derivative_decomposition(n)
                     c2 = ref.derivative_decomposition_c2(cores, n)
-                    assert c_over_x == float(c2) / (sys.b_float[n - 1] * sys.b_float[n - 2])
+                    assert c_over_x == float(c2) / math.sqrt(float(sys.b2[n - 1] * sys.b2[n - 2]))
 
     @pytest.mark.parametrize("name", ["hermite", "classical_1_3", "family"])
     def test_ode_residual_bit_identical(self, reference_pairs, name):
