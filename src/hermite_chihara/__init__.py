@@ -34,7 +34,6 @@ from .oscillator import (
     SpectrumReport,
     build_operators,
     commutator_report,
-    hamiltonian_mixed_form_deviation,
     spectrum_report,
     square_lowering_report,
 )

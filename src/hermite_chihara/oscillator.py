@@ -9,12 +9,11 @@ realization holds only the off-diagonal b_0..b_{dim-2}:
     H    = a- a+ + a+ a-    (diagonal: (sqrt2 b_n)^2 + (sqrt2 b_{n-1})^2)
 
 The creation operator maps the last basis vector out of the truncated space, so
-the commutator, the spectrum and the mixed form of H are checked only on the
-interior rows n < dim - MARGIN.  The commutator and spectrum rows compare the
-band with its own b^2, so they can differ only by rounding, which grows with
-the level lambda_n = (sqrt2 b_n)^2 + (sqrt2 b_{n-1})^2; each row is judged
-against ROUNDING_BOUND eps lambda_n.  Square lowering is checked as an exact
-identity on the monic cores.
+the commutator and the spectrum are checked only on the interior rows
+n < dim - MARGIN.  Their rows compare the band with its own b^2, so they can
+differ only by rounding, which grows with the level lambda_n = (sqrt2 b_n)^2 +
+(sqrt2 b_{n-1})^2; each row is judged against ROUNDING_BOUND eps lambda_n.
+Square lowering is checked as an exact identity on the monic cores.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "commutator_report",
     "spectrum_report",
     "square_lowering_report",
-    "hamiltonian_mixed_form_deviation",
     "CommutatorReport",
     "SpectrumReport",
 ]
@@ -63,24 +61,23 @@ def build_operators(sys: PolynomialSystem, dim: int = 40) -> OperatorSet:
     return OperatorSet(dim=dim, b=np.array(sys.b_float[: dim - 1], dtype=float))
 
 
-def _ladder_diagonals(ops: OperatorSet, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of a- a+ and a+ a- on rows n < k: (sqrt2 b_n)^2 and
-    (sqrt2 b_{n-1})^2, with b_{-1} = 0."""
+def _diagonals(ops: OperatorSet, sys: PolynomialSystem) -> tuple[int, np.ndarray, np.ndarray,
+                                                                  np.ndarray, np.ndarray]:
+    """The interior row count k = dim - MARGIN and, on the rows n < k, the
+    diagonals of a- a+ and a+ a-, (sqrt2 b_n)^2 and (sqrt2 b_{n-1})^2, and of
+    B(N+I) and B(N), b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
+    k = ops.dim - MARGIN
     s = SQRT2 * ops.b[:k]
     up = s * s
-    return up, np.concatenate(([0.0], up[:-1]))
+    shift = np.array(sys.b2_float[:k])
+    return (k, up, np.concatenate(([0.0], up[:-1])),
+            shift, np.concatenate(([0.0], shift[:-1])))
 
 
 def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
     """Whether every row's deviation is at most ROUNDING_BOUND eps lambda_n
     (lambda_n > 0, as b_0^2 > 0)."""
     return bool(np.all(deviation <= ROUNDING_BOUND * np.finfo(float).eps * lam))
-
-
-def _b2_diagonals(sys: PolynomialSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """B(N+I) and B(N) on rows n < k: b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
-    shift = np.array(sys.b2_float[:k])
-    return shift, np.concatenate(([0.0], shift[:-1]))
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,8 @@ def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorRepo
     """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; classical
     systems (alpha = 1) are additionally compared with (gamma+1) I - 2 Theta,
     Theta = 2 B(N) - N.  Both sides are diagonal."""
-    k = ops.dim - MARGIN
-    up, down = _ladder_diagonals(ops, k)
+    k, up, down, b2_shift, b2 = _diagonals(ops, sys)
     comm = up - down
-    b2_shift, b2 = _b2_diagonals(sys, k)
     deviation = np.abs(comm - 2.0 * (b2_shift - b2))
     classical_dev = None
     if sys.is_family:
@@ -124,10 +119,8 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     """H psi_n = lambda_n psi_n with lambda_n = 2(b_{n-1}^2 + b_n^2), checked on
     interior indices; for family systems also against (2n + gamma + 1)/alpha.
     H is diagonal by its band structure, so off_diagonal is 0.0."""
-    k = ops.dim - MARGIN
-    up, down = _ladder_diagonals(ops, k)
+    k, up, down, b2_shift, b2 = _diagonals(ops, sys)
     lam_matrix = up + down
-    b2_shift, b2 = _b2_diagonals(sys, k)
     lam_formula = 2.0 * b2 + 2.0 * b2_shift
     deviation = np.abs(lam_matrix - lam_formula)
     rows = [
@@ -152,18 +145,3 @@ def square_lowering_report(ops: OperatorSet, sys: PolynomialSystem) -> float:
     0.0 when every column holds.  Family only."""
     return sys.square_lowering_deviation(ops.dim - MARGIN - 1)
 
-
-def hamiltonian_mixed_form_deviation(ops: OperatorSet) -> float:
-    """Max interior deviation of H = X^2 + P^2 realized over the reals as
-    H = X^2 - (-iP)^2.  Both squares are pentadiagonal: their first
-    off-diagonals vanish, and so does the lower second off-diagonal of the
-    difference (both give b_n b_{n+1} there), which leaves the diagonal and
-    the upper second off-diagonal."""
-    k = ops.dim - MARGIN
-    b = ops.b[:k]
-    p = SQRT2 * (SQRT2 * b) - b  # upper band of -iP
-    pair = b * b + b * p  # what rows n and n+1 each take from the pair (n, n+1)
-    diag = pair + np.concatenate(([0.0], pair[:-1]))
-    up, down = _ladder_diagonals(ops, k)
-    second = (b[:-1] * b[1:] - p[:-1] * p[1:])[: k - 2]  # entries (n, n+2), n + 2 < k
-    return float(max(np.max(np.abs(up + down - diag)), np.max(np.abs(second), initial=0.0)))

@@ -732,7 +732,7 @@ class TestFloatRange:
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
     def test_verify_prints_its_check_list(self, capsys, b0):
         # the exact checks run and pass, square lowering on the cores too; each
-        # float check fails, naming the range
+        # float check fails, naming the first value it reads and the range
         code, out, err = run_cli(capsys, "verify", "--b0-squared", b0)
         report = json.loads(out)
         assert code == 1 and report["all_passed"] is False
@@ -745,7 +745,8 @@ class TestFloatRange:
                 assert (c["status"], c["passed"]) == ("pass", True)
             else:
                 assert (c["status"], c["passed"]) == ("fail", False)
-                assert c["detail"] == "b^2 outside the float range [2^-1022, 2^1020]"
+                first = "alpha" if c["name"] == "orthonormality" else "b^2"
+                assert c["detail"] == f"{first} outside the float range [2^-1022, 2^1020]"
         assert report["checks"][-1]["detail"] == (
             "max deviation 0.000e+00, exact on columns 2 <= n < 36")
         assert json.loads(err) == {"failed": list(floats)}

@@ -13,7 +13,6 @@ from hermite_chihara import (
     UnsupportedSystemError,
     build_operators,
     commutator_report,
-    hamiltonian_mixed_form_deviation,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -65,10 +64,10 @@ def dense_b(sys, dim):
 
 
 def dense_reports(sys, dim):
-    """The commutator and spectrum reports and the mixed-form deviation by
-    dense matrix products on the interior block; a row is within rounding
-    when its deviation is at most ROUNDING_BOUND eps times H's diagonal."""
-    X, a_minus, a_plus, p_skew = dense_operators(sys, dim)
+    """The commutator and spectrum reports by dense matrix products on the
+    interior block; a row is within rounding when its deviation is at most
+    ROUNDING_BOUND eps times H's diagonal."""
+    _, a_minus, a_plus, _ = dense_operators(sys, dim)
     B, B_shift = dense_b(sys, dim)
     num = np.diag(np.arange(dim, dtype=float))
     k = dim - MARGIN
@@ -104,8 +103,7 @@ def dense_reports(sys, dim):
         classical_deviation=spec_classical,
         within_rounding=within_rounding(lam - lam_formula),
     )
-    mixed = interior_max(H - (X @ X - p_skew @ p_skew))
-    return commutator, spectrum, mixed
+    return commutator, spectrum
 
 
 class TestDenseReference:
@@ -127,10 +125,9 @@ class TestDenseReference:
     def test_band_equals_dense(self, systems, name, dim):
         sys = systems[name]
         ops = build_operators(sys, dim)
-        commutator, spectrum, mixed = dense_reports(sys, dim)
+        commutator, spectrum = dense_reports(sys, dim)
         assert commutator_report(ops, sys) == commutator
         assert spectrum_report(ops, sys) == spectrum
-        assert hamiltonian_mixed_form_deviation(ops) == pytest.approx(mixed, abs=1e-10)
 
 
 # -- structure -------------------------------------------------------------------
@@ -199,7 +196,8 @@ class TestStructure:
 
 class TestMarginGuard:
     """An operator set needs dim > MARGIN, one interior row n < dim - MARGIN;
-    the CLI needs --dim >= MARGIN + 1."""
+    the CLI needs --dim >= MARGIN + 1.  Square lowering reads the columns
+    2 <= n < dim - MARGIN, so verify skips it, and fails, below --dim MARGIN + 3."""
 
     @pytest.mark.parametrize("dim", [1, MARGIN])
     def test_operator_set_rejects_dim(self, dim):
@@ -212,7 +210,27 @@ class TestMarginGuard:
         assert [row[0] for row in spectrum_report(ops, sys).rows] == [0]
         assert commutator_report(ops, sys).within_rounding
         assert square_lowering_report(ops, sys) == 0.0
-        assert hamiltonian_mixed_form_deviation(ops) < 1e-15
+
+    @pytest.mark.parametrize("dim", [MARGIN + 1, MARGIN + 2])
+    def test_verify_skips_square_lowering_without_a_column(self, capsys, dim):
+        code = main(["verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
+                     "--dim", str(dim)])
+        captured = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert code == 1
+        assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["square_lowering"]}
+        assert (checks["square_lowering"]["status"], checks["square_lowering"]["passed"]) == (
+            "skipped", False)
+        assert checks["square_lowering"]["detail"] == (
+            f"skipped: no column 2 <= n < {dim - MARGIN}; --dim {MARGIN + 3} reads the first")
+
+    def test_verify_reads_one_square_lowering_column(self, capsys):
+        code = main(["verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
+                     "--dim", str(MARGIN + 3)])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 0
+        assert (checks["square_lowering"]["status"], checks["square_lowering"]["detail"]) == (
+            "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 3")
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("dim", ["3", "4"])
@@ -418,18 +436,10 @@ class TestHamiltonian:
         assert rep.off_diagonal < 1e-10
 
     def test_position_momentum_form(self, classical2_ops):
-        # H = X^2 + P^2 over the reals: H = X@X - p_skew@p_skew
-        sys, ops = classical2_ops
-        assert hamiltonian_mixed_form_deviation(ops) < 1e-10
+        # -iP is real and skew-symmetric, so P is Hermitian
+        sys, _ = classical2_ops
         p_skew = dense_operators(sys, DIM)[3]
         assert np.allclose(p_skew, -p_skew.T, atol=1e-15)
-
-    def test_mixed_form_reads_the_second_off_diagonal(self):
-        # on a band of ones the diagonal rounds exactly, so the figure comes
-        # from the upper second off-diagonal: 1 - p^2 with the momentum band
-        # p = sqrt2 (sqrt2 1) - 1 = 1 + 4.4e-16 in floats
-        ops = OperatorSet(dim=12, b=np.ones(11))
-        assert hamiltonian_mixed_form_deviation(ops) > 0.0
 
     def test_doubling_dim_keeps_noise_scale(self):
         sys = PolynomialSystem(seq_classical(1, 100))
