@@ -40,7 +40,7 @@ from .governing import (
     seq_order3,
     validate,
 )
-from .systems import FloatRangeError, PolynomialSystem, UnsupportedSystemError
+from .systems import FloatRangeError, PolynomialSystem, UnsupportedSystemError, _parities
 
 log = logging.getLogger("hermite_chihara.cli")
 
@@ -181,29 +181,30 @@ def cmd_build(args) -> int:
     return 0
 
 
+# table layouts (head, row, coefficient separator, row separator, tail); the JSON
+# one prints json.dumps({"rows": rows}, indent=2) + "\n", whose values need no escapes
+_TABLE_LAYOUTS = {
+    "csv": ("n,b_squared,gamma_squared,norm_squared,monic_coeffs\n", "{},{},{},{},{}", ";",
+            "\n", "\n"),
+    "json": ('{\n  "rows": [\n', '    {{\n      "n": {},\n      "b_squared": "{}",\n      '
+             '"gamma_squared": "{}",\n      "norm_squared": "{}",\n      "monic_coeffs": [\n'
+             '        "{}"\n      ]\n    }}', '",\n        "', ",\n", "\n  ]\n}\n"),
+}
+
+
 def cmd_table(args) -> int:
-    seq = build_sequence(args, args.n_max)
-    sys_ = PolynomialSystem(seq)
-    rows = []
-    for n in range(args.n_max + 1):
-        core = sys_.monic[n]
-        rows.append({
-            "n": n,
-            "b_squared": str(sys_.b2[n - 1] if n >= 1 else Fraction(0)),
-            "gamma_squared": str(sys_.g2[n]),
-            "norm_squared": str(sys_.norm2[n]),
-            "monic_coeffs": [_ratio_str(a, core.den) for a in core.nums],
-        })
-    if args.format == "json":
-        _emit(args, json.dumps({"rows": rows}, indent=2) + "\n")
-        return 0
-    lines = ["n,b_squared,gamma_squared,norm_squared,monic_coeffs"]
-    for r in rows:
-        lines.append(
-            f"{r['n']},{r['b_squared']},{r['gamma_squared']},{r['norm_squared']},"
-            + ";".join(r["monic_coeffs"])
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    sys_ = PolynomialSystem(build_sequence(args, args.n_max))
+    head, row, sep, row_sep, tail = _TABLE_LAYOUTS[args.format]
+    parts = [head]  # each row's text, formed as soon as its values exist
+    for n, core in enumerate(sys_.monic):
+        coeffs = ["0"] * len(core.nums)  # the slots _parities skips are zero
+        for t in _parities(n % 2, core.nums):
+            coeffs[t::2] = [_ratio_str(a, core.den) for a in core.nums[t::2]]
+        b2 = sys_.b2[n - 1] if n else 0
+        text = row.format(n, str(b2), str(sys_.g2[n]), str(sys_.norm2[n]), sep.join(coeffs))
+        parts += (text, row_sep)
+    parts[-1] = tail  # in place of the separator after the last row
+    _emit(args, "".join(parts))
     return 0
 
 

@@ -142,6 +142,8 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
 def square_lowering_report(ops: OperatorSet, sys: PolynomialSystem) -> float:
     """Deviation of X d/dx - N = (a-)^2 / c1 on the columns 2 <= n < dim - MARGIN,
     checked exactly on the monic cores (PolynomialSystem.square_lowering_deviation):
-    0.0 when every column holds.  Family only."""
+    0.0 when every column holds.  Family only; dim MARGIN + 3 reads the first column."""
+    if ops.dim - MARGIN <= 2:
+        raise ValueError(f"dim must be >= {MARGIN + 3} for a column 2 <= n < dim - {MARGIN}")
     return sys.square_lowering_deviation(ops.dim - MARGIN - 1)
 

@@ -346,9 +346,11 @@ class PolynomialSystem:
         else the largest residual coefficient in units of psi_n (_over_sqrt).
         With r an unreduced integer pair and the cores' denominators over their
         gcd, each product is a numerator times a small integer, on n's parity
-        (_parities).  Family only."""
+        (_parities).  Family only; n_hi >= 2 reads the first column."""
         alpha = self.weight_parameters()[1]
         self._check_n(n_hi)
+        if n_hi < 2:
+            raise ValueError(f"square lowering reads the columns 2 <= n <= n_hi: got n_hi = {n_hi}")
         worst = 0.0
         for n in range(2, n_hi + 1):
             p, q, b1, b2 = self.monic[n], self.monic[n - 2], self.b2[n - 1], self.b2[n - 2]

@@ -172,19 +172,54 @@ class TestTableStrings:
             "4,2,8,3/2,3/4;0;-3;0;1\n"
         )
 
-    @pytest.mark.parametrize("name", list(TABLE_FAMILIES))
-    def test_every_coefficient_to_n_256(self, capsys, name):
-        argv = ["table", *TABLE_FAMILIES[name], "--n-max", "256"]
+    # each family at n_max 256 (the case named after the family) and at n_max 2
+    @pytest.mark.parametrize("name, n_max", [
+        *(pytest.param(name, 256, id=name) for name in TABLE_FAMILIES),
+        *(pytest.param(name, 2, id=f"{name}-n2") for name in TABLE_FAMILIES),
+    ])
+    def test_every_coefficient_to_n_256(self, capsys, name, n_max):
+        argv = ["table", *TABLE_FAMILIES[name], "--n-max", str(n_max)]
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        got = [row["monic_coeffs"] for row in json.loads(out)["rows"]]
-        system = PolynomialSystem(build_sequence(make_parser().parse_args(argv), 256))
+        rows = json.loads(out)["rows"]
+        # json.dumps's layout at indent 2, and the CSV holds the same rows
+        assert out == json.dumps({"rows": rows}, indent=2) + "\n"
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out_csv == "n,b_squared,gamma_squared,norm_squared,monic_coeffs\n" + "".join(
+            f"{r['n']},{r['b_squared']},{r['gamma_squared']},{r['norm_squared']},"
+            + ";".join(r["monic_coeffs"]) + "\n"
+            for r in rows
+        )
+        got = [row["monic_coeffs"] for row in rows]
+        system = PolynomialSystem(build_sequence(make_parser().parse_args(argv), n_max))
         assert got == [ref.coeff_strings(core) for core in system.monic]
+        if n_max == 2:
+            return
         # zero, negative, integer and non-integer coefficients all occur
         flat = [c for row in got for c in row]
         assert "0" in flat and any(c.startswith("-") for c in flat)
         assert any("/" in c for c in flat)
         assert any(c not in ("0", "1") and "/" not in c for c in flat)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_a_core_off_its_parity_prints_every_slot(self, capsys, monkeypatch, n):
+        # the table formats only P_n's parity slots where the others are zero,
+        # as they are on every system the constructor builds; a nonzero slot
+        # of the other parity still prints
+        init, cores = PolynomialSystem.__init__, []
+
+        def corrupted_init(self, seq):
+            init(self, seq)
+            self.monic[n] = corrupt_core(self.monic[n], n, "odd")
+            cores[:] = self.monic
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", corrupted_init)
+        code, out, _ = run_cli(capsys, "table", *TABLE_FAMILIES["family"], "--n-max", "9",
+                               "--format", "json")
+        assert code == 0
+        got = [row["monic_coeffs"] for row in json.loads(out)["rows"]]
+        assert got == [ref.coeff_strings(core) for core in cores]
 
     @pytest.mark.parametrize(
         "p, q", [(0, 1), (0, 9), (5, 1), (-5, 1), (12, 4), (-12, 4), (6, 4), (-6, 4), (1, 3)]

@@ -197,7 +197,8 @@ class TestStructure:
 class TestMarginGuard:
     """An operator set needs dim > MARGIN, one interior row n < dim - MARGIN;
     the CLI needs --dim >= MARGIN + 1.  Square lowering reads the columns
-    2 <= n < dim - MARGIN, so verify skips it, and fails, below --dim MARGIN + 3."""
+    2 <= n < dim - MARGIN, so below dim MARGIN + 3 it raises, and verify skips
+    it, and fails."""
 
     @pytest.mark.parametrize("dim", [1, MARGIN])
     def test_operator_set_rejects_dim(self, dim):
@@ -209,7 +210,11 @@ class TestMarginGuard:
         ops = build_operators(sys, MARGIN + 1)
         assert [row[0] for row in spectrum_report(ops, sys).rows] == [0]
         assert commutator_report(ops, sys).within_rounding
-        assert square_lowering_report(ops, sys) == 0.0
+        with pytest.raises(ValueError, match=f"dim must be >= {MARGIN + 3}"):
+            square_lowering_report(ops, sys)
+        with pytest.raises(ValueError, match="n_hi = 1"):
+            sys.square_lowering_deviation(1)
+        assert square_lowering_report(build_operators(sys, MARGIN + 3), sys) == 0.0
 
     @pytest.mark.parametrize("dim", [MARGIN + 1, MARGIN + 2])
     def test_verify_skips_square_lowering_without_a_column(self, capsys, dim):

@@ -47,18 +47,24 @@ def assert_kernels_agree(sys):
     assert sys.first_route_mismatch(N) == ref.route_scan(sys, N)
     assert sys.first_lowering_failure(N) == ref.lowering_scan(sys, N)
     assert sys.first_reduced_failure(N) == ref.reduced_scan(sys, N)
+    ops = build_operators(sys, N)
+    if N < MARGIN + 3:  # no column 2 <= n < N - MARGIN to read
+        with pytest.raises(ValueError, match=f"dim must be >= {MARGIN + 3}"):
+            square_lowering_report(ops, sys)
+    elif not sys.is_family:
+        with pytest.raises(UnsupportedSystemError):
+            square_lowering_report(ops, sys)
+    else:
+        figure = square_lowering_report(ops, sys)
+        assert figure.hex() == ref.square_lowering_figure(sys, N - MARGIN).hex()
     if not sys.is_family:
         with pytest.raises(UnsupportedSystemError):
             sys.ode_bracket(N)
-        with pytest.raises(UnsupportedSystemError):
-            square_lowering_report(build_operators(sys, N), sys)
         return
     g, a = sys.weight_parameters()
     for n in range(N + 1):
         assert sys.ode_bracket(n) == ref.ode_bracket_slots(sys.monic[n], n, g, a)
     assert sys.first_ode_failure(N) == first_ode_failure(sys, N)
-    figure = square_lowering_report(build_operators(sys, N), sys)
-    assert figure.hex() == ref.square_lowering_figure(sys, N - MARGIN).hex()
 
 
 class TestCorruptedCores:
