@@ -40,18 +40,19 @@ from .governing import (
     seq_order3,
     validate,
 )
-from .systems import FloatRangeError, PolynomialSystem, UnsupportedSystemError, _parities
+from .systems import FloatRangeError, PolynomialSystem, _parities
 
 log = logging.getLogger("hermite_chihara.cli")
 
-# the family flags (by argparse dest) each family reads; it rejects the others
+# each family's flags (by argparse dest): those it reads, and those of them it
+# requires; it rejects the others
 FAMILY_FLAGS = {
-    "hermite": ("b0_squared",),
-    "classical": ("gamma", "alpha"),
-    "family": ("v1", "v2", "b0_squared"),
-    "order2": ("v1", "b0_squared"),
-    "order3": ("v1", "v2", "b0_squared"),
-    "custom-file": ("seed_file",),
+    "hermite": (("b0_squared",), ()),
+    "classical": (("gamma", "alpha"), ("gamma",)),
+    "family": (("v1", "v2", "b0_squared"), ("v2",)),
+    "order2": (("v1", "b0_squared"), ("v1",)),
+    "order3": (("v1", "v2", "b0_squared"), ("v1", "v2")),
+    "custom-file": (("seed_file",), ("seed_file",)),
 }
 _ROUNDING = f"{osc_mod.ROUNDING_BOUND:g} eps |lambda_n|"  # their per-row bound, in words
 _GRAM_BOUND = "1e-8"  # the orthonormality check's bound on the Gram deviation, as printed
@@ -80,22 +81,26 @@ class InputError(Exception):
     """Bad parameters; maps to exit code 2."""
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def build_sequence(args, length: int) -> GoverningSequence:
     """v_0..v_length of the chosen family, and its b0^2.  This is all of the
     sequence a command reads: a seed file may store more values, and the rest
     is neither read nor judged."""
     fam = args.family
+    reads, requires = FAMILY_FLAGS[fam]
     for dest in ("gamma", "alpha", "v1", "v2", "b0_squared", "seed_file"):
-        if getattr(args, dest) is not None and dest not in FAMILY_FLAGS[fam]:
-            flag = "--" + dest.replace("_", "-")
-            raise InputError(f"--family {fam} does not read {flag}")
+        if getattr(args, dest) is not None and dest not in reads:
+            raise InputError(f"--family {fam} does not read {_flag(dest)}")
+    if any(getattr(args, dest) is None for dest in requires):
+        raise InputError(f"--family {fam} requires {' and '.join(map(_flag, requires))}")
     # b0^2 is passed only when given; each constructor holds its own default
     b0 = {} if args.b0_squared is None else {"b0_squared": args.b0_squared}
     if fam == "hermite":
         return seq_hermite(length, **b0)
     if fam == "classical":
-        if args.gamma is None:
-            raise InputError("--family classical requires --gamma")
         if args.alpha is not None and args.alpha <= 0:
             raise InputError(f"--alpha must be positive, got {args.alpha}")
         seq = seq_classical(args.gamma, length)
@@ -105,29 +110,18 @@ def build_sequence(args, length: int) -> GoverningSequence:
             seq = GoverningSequence(seq.values, b0sq)
         return seq
     if fam == "family":
-        if args.v2 is None:
-            raise InputError("--family family requires --v2")
         v1 = args.v1 if args.v1 is not None else args.v2 - 1
         return seq_family(v1, args.v2, N=length, **b0)
     if fam == "order2":
-        if args.v1 is None:
-            raise InputError("--family order2 requires --v1")
         return seq_order2(args.v1, N=length, **b0)
     if fam == "order3":
-        if args.v1 is None or args.v2 is None:
-            raise InputError("--family order3 requires --v1 and --v2")
         return seq_order3(args.v1, args.v2, N=length, **b0)
-    if fam == "custom-file":
-        if args.seed_file is None:
-            raise InputError("--family custom-file requires --seed-file")
-        with open(args.seed_file) as fh:
-            seq = GoverningSequence.from_json(fh.read())
-        if seq.n_max < length:
-            raise InputError(
-                f"seed file stores {seq.n_max + 1} values; need at least {length + 1}"
-            )
-        return GoverningSequence(seq.values[: length + 1], seq.b0_squared)
-    raise InputError(f"unknown family {fam!r}")
+    # custom-file: the file's v_0..v_length
+    with open(args.seed_file) as fh:
+        seq = GoverningSequence.from_json(fh.read())
+    if seq.n_max < length:
+        raise InputError(f"seed file stores {seq.n_max + 1} values; need at least {length + 1}")
+    return GoverningSequence(seq.values[: length + 1], seq.b0_squared)
 
 
 def _emit(args, text: str) -> None:
@@ -289,8 +283,9 @@ def cmd_verify(args) -> int:
         bad = sys_.first_lowering_failure(n_max)
         record("lowering", bad is None, "max residual 0 (exact)" if bad is None
                else f"nonzero residual first at n = {bad} (exact)")
-        routes = sys_.first_route_mismatch(n_max) is None
-        record("route_equivalence", routes, "recurrence vs explicit coefficients, exact")
+        bad = sys_.first_route_mismatch(n_max)
+        record("route_equivalence", bad is None, "recurrence vs explicit coefficients, exact"
+               + ("" if bad is None else f", fails first at n = {bad}"))
     else:
         record("lowering", False, "skipped: sequence not compatible", "skipped")
         record("route_equivalence", False, "skipped: sequence not compatible", "skipped")
@@ -439,7 +434,7 @@ def _main(argv) -> int:
         return 2
     try:
         return args.func(args)
-    except (InputError, ValueError, UnsupportedSystemError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
     except FloatRangeError as exc:

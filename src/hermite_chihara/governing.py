@@ -116,13 +116,11 @@ class GoverningSequence:
             "b0_squared": str(self.b0_squared),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
-    def from_json_dict(cls, data: dict) -> "GoverningSequence":
+    def from_json(cls, text: str) -> "GoverningSequence":
         """The sequence of a seed file's object {"values": [...], "b0_squared": ...}.
         Raises ValueError on any other shape."""
+        data = json.loads(text)
         if not (isinstance(data, dict) and isinstance(data.get("values"), list)
                 and "b0_squared" in data):
             raise ValueError('a seed file holds one JSON object '
@@ -131,10 +129,6 @@ class GoverningSequence:
             values=tuple(_json_rational(x) for x in data["values"]),
             b0_squared=_json_rational(data["b0_squared"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GoverningSequence":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -83,23 +83,23 @@ def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class CommutatorReport:
     max_deviation: float
-    classical_deviation: float | None  # vs (gamma+1) I - 2 Theta, alpha = 1 systems
+    classical_deviation: float | None  # vs Wigner's (1 + gamma (-1)^n)/alpha for family systems
     within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
 
 
 def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorReport:
-    """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; classical
-    systems (alpha = 1) are additionally compared with (gamma+1) I - 2 Theta,
-    Theta = 2 B(N) - N.  Both sides are diagonal."""
+    """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; family systems
+    are also compared with Wigner's deformed relation (I + gamma R)/alpha, R the
+    parity (-1)^n.  Both sides are diagonal."""
     k, up, down, b2_shift, b2 = _diagonals(ops, sys)
     comm = up - down
     deviation = np.abs(comm - 2.0 * (b2_shift - b2))
     classical_dev = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
-        if alpha == 1:
-            theta = 2.0 * b2 - np.arange(k)
-            classical_dev = float(np.max(np.abs(comm - ((float(gamma) + 1.0) - 2.0 * theta))))
+        g, a = float(gamma), _range_float(alpha, "alpha")
+        wigner = np.where(np.arange(k) % 2, 1.0 - g, 1.0 + g) / a
+        classical_dev = float(np.max(np.abs(comm - wigner)))
     return CommutatorReport(
         max_deviation=float(np.max(deviation)), classical_deviation=classical_dev,
         within_rounding=_within_rounding(deviation, up + down),

@@ -237,10 +237,6 @@ class PolynomialSystem:
         return [math.sqrt(x) for x in self.b2_float]
 
     @property
-    def values(self) -> tuple[Fraction, ...]:
-        return self.seq.values
-
-    @property
     def is_family(self) -> bool:
         return self._weight is not None
 
@@ -420,8 +416,7 @@ class PolynomialSystem:
     def decompose_b1bar(self, n: int) -> DecompositionReport:
         """Expand U psi_n (U the degree-preserving part of D) over {x psi_{n-1},
         psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"need 2 <= n <= {self.n_max}")
+        self._check_n(n, 2)
         un, nums, den = self._upper_remainder(n)
         delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
@@ -450,8 +445,7 @@ class PolynomialSystem:
     def derivative_decomposition(self, n: int) -> tuple[float, float]:
         """Coefficients (c_prev, c_over_x) of psi_n' = c_prev psi_{n-1}
         + c_over_x psi_{n-2} / x; exists exactly for family systems."""
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"need 2 <= n <= {self.n_max}")
+        self._check_n(n, 2)
         if not self.is_family:
             raise UnsupportedSystemError("two-term derivative decomposition needs a family system")
         # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}; its x^k numerator
@@ -462,16 +456,15 @@ class PolynomialSystem:
         (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
         return _over_sqrt(n, self.b2[n - 1]), _over_sqrt(c2_scaled, self.b2[n - 1] * self.b2[n - 2])
 
-    def ode_bracket(self, n: int, gamma=None, alpha=None) -> Poly:
-        """The second-order equation applied to the monic core, as an exact
-        polynomial:
+    def ode_bracket(self, n: int) -> Poly:
+        """The second-order equation of the system's weight applied to the monic
+        core, as an exact polynomial:
 
             x^2 P'' + (gamma x - 2 alpha x^3) P' + (2 alpha n x^2 - theta_n) P,
 
-        theta_n = gamma for odd n and 0 for even n.  It is the zero polynomial
-        for every n when (gamma, alpha) are the weight parameters of a special
-        family, so the equation holds for all x, not only on a grid.  (gamma,
-        alpha) default and override as in ode_residual.
+        (gamma, alpha) the weight parameters and theta_n = gamma for odd n and 0
+        for even n.  It is the zero polynomial for every n of a special family, so
+        the equation holds for all x, not only on a grid.
 
         Built in one pass from the two-term relation for its coefficients,
 
@@ -483,9 +476,8 @@ class PolynomialSystem:
         = 0 leaves only k <= n nonzero.
         """
         self._check_n(n)
-        g, a = self.weight_parameters()
-        (gi, ai), G = self._weight_nums if gamma is None and alpha is None else common_denominator(
-            (Fraction(g if gamma is None else gamma), Fraction(a if alpha is None else alpha)))
+        self.weight_parameters()  # family only
+        (gi, ai), G = self._weight_nums
         ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self.monic[n]
         out = [0] * (len(core.nums) + 2)
         for t in _parities(n % 2, core.nums):
@@ -494,24 +486,22 @@ class PolynomialSystem:
                          for k, ck, c2 in zip(range(t, len(out), 2), (*c, 0), (0, *c))]
         return Poly.from_numerators(out, core.den * G)
 
-    def ode_residual(self, n: int, x, gamma=None, alpha=None) -> float:
-        """Left side of the second-order equation
+    def ode_residual(self, n: int, x) -> float:
+        """Left side of the second-order equation of the system's weight
 
             x psi'' + (gamma - 2 alpha x^2) psi' + (2 alpha n x - theta_n/x) psi
 
-        at x != 0, which is ode_bracket(n)(x) / (x nu_n).  The bracket is
-        evaluated exactly (a float x converts exactly) and only the 1/nu_n
-        normalization rounds, without converting nu_n^2 itself (it passes the
-        float range near n = 200).  So a family system reads exactly 0, and a
-        mismatched equation is free of the cancellation a naive float
-        evaluation suffers at large |x| and n; a zero bracket reads +0.0 before
-        x or nu_n is converted.  (gamma, alpha) default to the system's weight
-        parameters; overriding them probes a mismatched equation (negative
-        controls).
+        at x != 0, which is ode_bracket(n)(x) / (x nu_n).  A family system reads
+        exactly 0: the bracket is the zero polynomial, and it reads +0.0 before x
+        or nu_n is converted.  A nonzero bracket (a defective core) is evaluated
+        exactly (a float x converts exactly) and only the 1/nu_n normalization
+        rounds, without converting nu_n^2 itself (it passes the float range near
+        n = 200), so it is free of the cancellation a naive float evaluation
+        suffers at large |x| and n.
         """
         if float(x) == 0.0:
             raise ValueError("the equation has a regular singular point at x = 0")
-        bracket = self.ode_bracket(n, gamma, alpha)
+        bracket = self.ode_bracket(n)
         if bracket.is_zero():
             return 0.0
         X = Fraction(x)
@@ -522,6 +512,6 @@ class PolynomialSystem:
         self._check_n(n_hi)
         return next((n for n in range(n_hi + 1) if not self.ode_bracket(n).is_zero()), None)
 
-    def _check_n(self, n: int) -> None:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n must be in [0, {self.n_max}]")
+    def _check_n(self, n: int, lo: int = 0) -> None:
+        if not lo <= n <= self.n_max:
+            raise ValueError(f"n must be in [{lo}, {self.n_max}]")

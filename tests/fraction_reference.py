@@ -221,7 +221,7 @@ def reduced_scan(sys, n_hi: int) -> int | None:
 def square_lowering_figure(sys, k: int) -> float:
     """square_lowering_report's figure on the columns 2 <= n < k, every slot, r
     a lowest-terms Fraction."""
-    c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+    c1 = sys.seq.b0_squared * (sys.seq.values[2] - 1)
     worst = 0.0
     for n in range(2, k):
         p, q = sys.monic[n], sys.monic[n - 2]
@@ -382,7 +382,7 @@ def route_scan(sys, n_hi: int) -> int | None:
     """The first n <= n_hi whose core's coefficients differ from the explicit
     formula's, c_{n,0} = 1 and c_{n,m+1} = c_{n,m} (-b0^2 [2m+1] v_{n-2m-1}
     v_{n-2m-2} / (v_{2m} v_{2m+1})), over bracket_table above."""
-    v, br = sys.values, bracket_table(sys.seq)
+    v, br = sys.seq.values, bracket_table(sys.seq)
     for n in range(n_hi + 1):
         want, c = [Fraction(0)] * (n + 1), Fraction(1)
         want[n] = c

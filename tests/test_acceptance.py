@@ -6,8 +6,6 @@ import time
 from fractions import Fraction as F
 from math import factorial
 
-import numpy as np
-
 from hermite_chihara import (
     PolynomialSystem,
     alpha_closed,
@@ -31,6 +29,8 @@ from hermite_chihara import (
 )
 from hermite_chihara.oscillator import MARGIN
 from hermite_chihara.quadrature import integrate_split_at_zero
+from hermite_chihara.systems import _over_sqrt
+import fraction_reference as ref
 from conftest import POINT_GRID, plain, propagated_compatible_sequence
 
 DIM = 40
@@ -89,12 +89,12 @@ def test_criterion_03_alpha_equivalence():
         for n in range(1, 21):
             for m in range(1, n // 2 + 1):
                 assert alpha_nested(sys.brackets, m, n) == alpha_closed(
-                    sys.values, sys.brackets, m, n
+                    sys.seq.values, sys.brackets, m, n
                 )
     hermite = systems[0]
     for n in range(1, 21):
         for m in range(1, n // 2 + 1):
-            assert alpha_closed(hermite.values, hermite.brackets, m, n) == F(
+            assert alpha_closed(hermite.seq.values, hermite.brackets, m, n) == F(
                 factorial(n), 2**m * factorial(m) * factorial(n - 2 * m)
             )
     _pass(3, "nested == closed coefficients exact, n <= 20, three systems; "
@@ -147,12 +147,8 @@ def test_criterion_07_oscillator_identities():
         assert crep.max_deviation < 1e-10, name
         srep = spectrum_report(ops, sys)
         assert srep.max_deviation < 1e-10 and srep.off_diagonal < 1e-10, name
-        gamma, alpha = sys.weight_parameters()
-        if alpha == 1:
-            assert crep.classical_deviation is not None and crep.classical_deviation < 1e-10
-            lam = np.array([row[1] for row in srep.rows])
-            expect = 2 * np.arange(DIM - MARGIN) + float(gamma) + 1
-            assert np.max(np.abs(lam - expect)) < 1e-10
+        # Wigner's [a-, a+] = (I + gamma R)/alpha and the levels (2n + gamma + 1)/alpha
+        assert crep.classical_deviation < 1e-10 and srep.classical_deviation < 1e-10, name
         worst_comm = max(worst_comm, crep.max_deviation)
         worst_spec = max(worst_spec, srep.max_deviation)
     _pass(7, f"dim-40/margin-4 commutator and spectrum identities < 1e-10 on rows "
@@ -165,7 +161,7 @@ def test_criterion_08_square_lowering():
     worst = 0.0
     for gamma in (0, 1, 2):
         sys = PolynomialSystem(seq_classical(gamma, 64))
-        assert sys.seq.b0_squared * (sys.values[2] - 1) == 1  # c1 = 1
+        assert sys.seq.b0_squared * (sys.seq.values[2] - 1) == 1  # c1 = 1
         dev = square_lowering_report(build_operators(sys, DIM), sys)
         worst = max(worst, dev)
         assert dev < 1e-10
@@ -187,11 +183,13 @@ def test_criterion_09_ode():
             for x in POINT_GRID:
                 worst = max(worst, abs(sys.ode_residual(n, x)))
     assert worst < 1e-9
-    # negative control: a 5% perturbation of alpha must fail by > 1e-3
+    # negative control: the equation at a 5% larger alpha must fail by > 1e-3,
+    # evaluated on the Fraction route and scaled as ode_residual scales
     sys = PolynomialSystem(seq_classical(1, 16))
-    _, alpha = sys.weight_parameters()
+    gamma, alpha = sys.weight_parameters()
     bad = max(
-        abs(sys.ode_residual(n, x, alpha=float(alpha) * 1.05))
+        abs(_over_sqrt(ref.ode_bracket(ref.FractionPoly(sys.monic[n].coeffs), n, x, gamma,
+                                       float(alpha) * 1.05), sys.norm2[n]))
         for n in range(16)
         for x in POINT_GRID
     )

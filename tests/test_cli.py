@@ -2,6 +2,7 @@ import argparse
 import copy
 import importlib.util
 import json
+import math
 import os
 import re
 import shlex
@@ -19,8 +20,13 @@ import fraction_reference as ref
 import hermite_chihara
 from conftest import corrupt_core
 from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
-from hermite_chihara.cli import _ratio_str, build_sequence, main, make_parser
+from hermite_chihara.cli import FAMILY_FLAGS, _ratio_str, build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence
+
+
+def seed_text(values) -> str:
+    """A seed file holding the sequence values with b0^2 = 1/2."""
+    return json.dumps(GoverningSequence(values, F(1, 2)).to_json_dict())
 
 
 def run_cli(capsys, *argv):
@@ -98,7 +104,7 @@ class TestClassify:
         # Hermite through v_9, then v_10 = 12 (Hermite has 11)
         values = [F(n + 1) for n in range(10)] + [F(12)]
         seed = tmp_path / "seed.json"
-        seed.write_text(GoverningSequence(tuple(values), F(1, 2)).to_json())
+        seed.write_text(seed_text(values))
         code, out, err = run_cli(capsys, "classify", "--family", "custom-file",
                                  "--seed-file", str(seed), "--n-max", "9")
         assert (code, err) == (0, "")
@@ -353,7 +359,7 @@ class TestBuildAndSeedFile:
     def test_seed_file_longer_than_n_max(self, capsys, tmp_path):
         # build and table read v_0..v_{n-max} whatever the file stores
         seed = tmp_path / "seed.json"
-        seed.write_text(GoverningSequence(tuple(F(n + 1) for n in range(21)), F(1, 2)).to_json())
+        seed.write_text(seed_text(F(n + 1) for n in range(21)))
         custom = ("--family", "custom-file", "--seed-file", str(seed), "--n-max", "6")
         code, table_seeded, _ = run_cli(capsys, "table", *custom)
         assert code == 0
@@ -380,7 +386,7 @@ class TestBuildAndSeedFile:
         # these commands reads: each prints the bytes of --family hermite
         seed = tmp_path / "seed.json"
         values = [F(n + 1) for n in range(10)] + [F(12)]
-        seed.write_text(GoverningSequence(tuple(values), F(1, 2)).to_json())
+        seed.write_text(seed_text(values))
         code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
         assert (code, err) == (0, "")
         out = out.replace('"family": "custom-file"', '"family": "hermite"')
@@ -389,11 +395,14 @@ class TestBuildAndSeedFile:
     def test_epsilons_reads_one_value_less_than_n_max(self, capsys, tmp_path):
         # eps_1..eps_6 read v_0..v_5, the six values this file stores
         seed = tmp_path / "seed.json"
-        seed.write_text(GoverningSequence(tuple(F(n + 1) for n in range(6)), F(1, 2)).to_json())
+        seed.write_text(seed_text(F(n + 1) for n in range(6)))
         argv = ("epsilons", "--n-max", "6")
         code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *argv, "--family", "hermite")[1]
+        # table at the same --n-max reads v_6, which the file does not store
+        assert run_cli(capsys, "table", "--n-max", "6", "--family", "custom-file", "--seed-file",
+                       str(seed)) == (2, "", "error: seed file stores 6 values; need at least 7\n")
 
     @pytest.mark.parametrize(
         "flags, b0_squared",
@@ -439,7 +448,7 @@ class TestVerify:
         values = [F(n + 1) for n in range(13)]
         values[6] += 1  # breaks the compatibility identity
         seed = tmp_path / "bad.json"
-        seed.write_text(GoverningSequence(tuple(values), F(1, 2)).to_json())
+        seed.write_text(seed_text(values))
         code, out, err = run_cli(
             capsys, "verify", "--family", "custom-file", "--seed-file", str(seed),
             "--n-max", "8", "--dim", "12",
@@ -479,6 +488,33 @@ class TestGram:
         code, _, err = run_cli(capsys, command, "--family", "hermite",
                                "--b0-squared", b0_squared, "--n-max", "12")
         assert (code, err) == (0, "")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1.5, math.nan], ids=["scaled", "nan"])
+    @pytest.mark.parametrize("command", ["gram", "verify"])
+    def test_a_deviation_past_the_bound_fails(self, capsys, monkeypatch, command, factor):
+        # psi_2 scaled by 1.5 on the quadrature's nodes: <psi_2, psi_2> = 2.25;
+        # a NaN deviation fails too
+        table = PolynomialSystem.psi_eval_table
+
+        def scaled(self, x, n_hi):
+            out = table(self, x, n_hi)
+            out[:, 2] *= factor
+            return out
+
+        monkeypatch.setattr(PolynomialSystem, "psi_eval_table", scaled)
+        code, out, err = run_cli(capsys, command, "--family", "hermite", "--n-max", "4")
+        failed = json.loads(err.splitlines()[-1])["failed"]
+        assert code == 1
+        if command == "gram":
+            assert failed[0] == "orthonormality deviation >= 1e-8"
+            assert out.splitlines()[2].split(",")[2] == ("nan" if math.isnan(factor) else
+                                                         "1.2499999999999996")
+            return
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
+        assert (check["status"], failed) == ("fail", ["orthonormality"])
+        assert check["detail"].startswith("max deviation nan" if math.isnan(factor) else
+                                          "max deviation 1.250e+00")
 
     def test_a_non_family_system_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
@@ -520,8 +556,8 @@ class TestCheckStatus:
     def test_nonzero_ode_bracket_fails_verify(self, capsys, monkeypatch, command):
         bracket = PolynomialSystem.ode_bracket
 
-        def off_from_3(self, n, gamma=None, alpha=None):
-            p = bracket(self, n, gamma, alpha)
+        def off_from_3(self, n):
+            p = bracket(self, n)
             return Poly([p(0) + F(1, 10**30), *p.coeffs[1:]]) if n >= 3 else p
 
         monkeypatch.setattr(PolynomialSystem, "ode_bracket", off_from_3)
@@ -592,11 +628,17 @@ class TestRouteEquivalence:
             "--b0-squared", "3/7", "--n-max", "12", "--dim", "16")
 
     def route(self, capsys):
+        """The route check's detail and the failed check names."""
         code, out, err = run_cli(capsys, *self.ARGV)
         assert code == 1
         route = {c["name"]: c for c in json.loads(out)["checks"]}["route_equivalence"]
         assert (route["status"], route["passed"]) == ("fail", False)
-        return json.loads(err.splitlines()[-1])["failed"]
+        return route["detail"], json.loads(err.splitlines()[-1])["failed"]
+
+    def test_the_passing_detail(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        route = {c["name"]: c for c in json.loads(out)["checks"]}["route_equivalence"]
+        assert (code, route["detail"]) == (0, "recurrence vs explicit coefficients, exact")
 
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
     def test_a_corrupt_core_fails(self, capsys, monkeypatch, kind):
@@ -607,7 +649,9 @@ class TestRouteEquivalence:
             self.monic[6] = corrupt_core(self.monic[6], 6, kind)
 
         monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
-        assert "route_equivalence" in self.route(capsys)
+        detail, failed = self.route(capsys)
+        assert detail == "recurrence vs explicit coefficients, exact, fails first at n = 6"
+        assert "route_equivalence" in failed
 
     def test_b0_squared_changed_in_the_explicit_formula_only(self, capsys, monkeypatch):
         # the scan runs on a shallow copy: the recurrence cores are the system's,
@@ -616,11 +660,11 @@ class TestRouteEquivalence:
 
         def off_b0(self, n_hi):
             shadow = copy.copy(self)
-            shadow.seq = GoverningSequence(self.values, self.seq.b0_squared * (1 + F(1, 10**9)))
+            shadow.seq = GoverningSequence(self.seq.values, self.seq.b0_squared * (1 + F(1, 10**9)))
             return scan(shadow, n_hi)
 
         monkeypatch.setattr(PolynomialSystem, "first_route_mismatch", off_b0)
-        assert self.route(capsys) == ["route_equivalence"]
+        assert self.route(capsys)[1] == ["route_equivalence"]
 
 
 class TestUnconvergedQuadrature:
@@ -826,8 +870,8 @@ def bench_workload():
     return module
 
 
-# the family flags each family reads, the flags each one needs, and one value
-# for every family flag
+# the family flags each family reads, the flags each one needs, how its
+# "requires" message names them, and one value for every family flag
 FAMILY_READS = {
     "hermite": {"--b0-squared"},
     "classical": {"--gamma", "--alpha"},
@@ -844,6 +888,8 @@ FAMILY_NEEDS = {
     "order3": ("--v1", "2", "--v2", "3"),
     "custom-file": ("--seed-file", "seed.json"),
 }
+FAMILY_REQUIRES = {"classical": "--gamma", "family": "--v2", "order2": "--v1",
+                   "order3": "--v1 and --v2", "custom-file": "--seed-file"}
 FLAG_VALUE = {"--gamma": "1", "--alpha": "2", "--v1": "3", "--v2": "5", "--b0-squared": "5",
               "--seed-file": "seed.json"}
 
@@ -861,6 +907,18 @@ class TestFamilyFlags:
         )
         assert code == 2 and out == ""
         assert f"--family {family} does not read {flag}" in err
+
+    @pytest.mark.parametrize("family", FAMILY_FLAGS)
+    def test_a_missing_required_flag_is_an_input_error(self, capsys, family):
+        # with none of the flags the family needs, and order3 with one of its two
+        needs = FAMILY_NEEDS[family]
+        for given in ((), *(needs[i : i + 2] for i in range(0, len(needs), 2) if len(needs) > 2)):
+            code, out, err = run_cli(capsys, "build", "--family", family, *given)
+            if family == "hermite":
+                assert (code, err) == (0, "")
+                continue
+            assert (code, out) == (2, "")
+            assert err == f"error: --family {family} requires {FAMILY_REQUIRES[family]}\n"
 
     @pytest.mark.parametrize("alpha", ["0", "-2"])
     def test_non_positive_alpha_is_an_input_error(self, capsys, alpha):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,8 @@ class TestConstructors:
         assert seq_hermite(3).values == (1, 2, 3, 4)
         assert seq_hermite(1).values == (1, 2)
         assert seq_hermite(5).b0_squared == F(1, 2)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            seq_hermite(0)
 
     def test_hermite_validates(self):
         assert validate(seq_hermite(20)).ok
@@ -112,8 +115,11 @@ class TestConstructors:
 
 class TestValidate:
     def test_needs_three_entries(self):
+        # as does the family shape
         with pytest.raises(ValueError):
             validate(GoverningSequence((F(1), F(2)), F(1)))
+        with pytest.raises(ValueError, match="at least 3 entries"):
+            is_special_family(GoverningSequence((F(1), F(2)), F(1)))
 
     def test_hermite_identity_at_4_2(self):
         # direct substitution: 3*4 + 2*1 = 5*2 + 4*1 = 14
@@ -328,7 +334,7 @@ class TestSpecialFamily:
 class TestJson:
     def test_round_trip(self):
         seq = seq_classical(F(5, 3), 9)
-        again = GoverningSequence.from_json(seq.to_json())
+        again = GoverningSequence.from_json(json.dumps(seq.to_json_dict()))
         assert again == seq
 
     def test_schema_shape(self):

@@ -113,6 +113,11 @@ class TestMoments:
         sys = PolynomialSystem(seq_hermite(4))
         with pytest.raises(ValueError):
             jacobi_moment(sys.b2[:2], 10)
+        # and a moment order k >= 0, as the closed form does
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            jacobi_moment(sys.b2, -1)
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            moment_closed(MeasureSpec(F(0), F(1)), -2)
 
     def test_scipy_cross_check(self):
         # mu_{2n} = Gamma(n + (g+1)/2) / (Gamma((g+1)/2) a^n)
@@ -260,6 +265,9 @@ class TestOrthonormality:
         rep = gram_deviation(sys, spec_for_system(sys), 4)
         assert rep.tolerance == 1e-11
         assert rep.converged and rep.quadrature_error <= rep.tolerance
+        # psi_9 is past the system's n_max
+        with pytest.raises(ValueError, match="system built to n_max=8"):
+            gram_deviation(sys, spec_for_system(sys), 9)
 
     def test_quadrature_stopped_short_is_not_converged(self):
         # no panel count reaches 1e-300: the quadrature stops at MAX_PANELS

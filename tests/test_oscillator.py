@@ -65,11 +65,11 @@ def dense_b(sys, dim):
 
 def dense_reports(sys, dim):
     """The commutator and spectrum reports by dense matrix products on the
-    interior block; a row is within rounding when its deviation is at most
-    ROUNDING_BOUND eps times H's diagonal."""
+    interior block, a family system's commutator also against Wigner's
+    (I + gamma R)/alpha, R = diag((-1)^n) the parity; a row is within rounding
+    when its deviation is at most ROUNDING_BOUND eps times H's diagonal."""
     _, a_minus, a_plus, _ = dense_operators(sys, dim)
     B, B_shift = dense_b(sys, dim)
-    num = np.diag(np.arange(dim, dtype=float))
     k = dim - MARGIN
 
     def interior_max(mat):
@@ -82,9 +82,8 @@ def dense_reports(sys, dim):
     comm_classical = spec_classical = None
     if sys.is_family:
         gamma, alpha = sys.weight_parameters()
-        if alpha == 1:
-            target = (float(gamma) + 1.0) * np.eye(dim) - 2.0 * (2.0 * B - num)
-            comm_classical = interior_max(comm - target)
+        parity = np.diag((-1.0) ** np.arange(dim))
+        comm_classical = interior_max(comm - (np.eye(dim) + float(gamma) * parity) / float(alpha))
         lam_cl = np.array([(2.0 * n + float(gamma) + 1.0) / float(alpha) for n in range(k)])
         spec_classical = float(np.max(np.abs(lam - lam_cl)))
 
@@ -181,7 +180,7 @@ class TestStructure:
         # Delta = 2 B(N) / c1 - N is 0 on even n and gamma~ on odd n
         sys = PolynomialSystem(seq_family(4, 5, F(1), 64))
         gamma_tilde = sys.weight_parameters()[0]
-        c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+        c1 = sys.seq.b0_squared * (sys.seq.values[2] - 1)
         for n in range(0, 65):
             delta = 2 * (sys.b2[n - 1] if n >= 1 else 0) / c1 - n
             assert delta == (gamma_tilde if n % 2 == 1 else 0), n
@@ -263,6 +262,20 @@ class TestCommutator:
             comm = 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0))
             assert comm == (3 if n % 2 == 0 else -1), n
 
+    @pytest.mark.parametrize("seq", [
+        seq_family(F(2, 3), F(5, 3), F(3, 7), 64), seq_family(4, 5, F(1), 64),
+        seq_classical(F(1, 3), 64), seq_hermite(64, F(3)),
+    ], ids=["family (2/3, 5/3, 3/7)", "family (4, 5, 1)", "classical gamma=1/3", "hermite 3"])
+    def test_wigner_relation(self, seq):
+        # [a-, a+] = (I + gamma R)/alpha, R = (-1)^N: exact on the b^2, and the
+        # band's figure on every family system, alpha = 1 or not
+        sys = PolynomialSystem(seq)
+        gamma, alpha = sys.weight_parameters()
+        for n in range(64):
+            comm = 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0))
+            assert comm == (1 + gamma * (-1) ** n) / alpha, n
+        assert commutator_report(build_operators(sys, DIM), sys).classical_deviation < 1e-12
+
     def test_off_diagonal_interior_zero(self, classical2_ops):
         # [a-, a+] is diagonal, which is what lets the reports read its band
         sys, _ = classical2_ops
@@ -313,7 +326,7 @@ class TestSquareLowering:
     def test_classical_cases(self):
         for gamma in (0, 1, 2):
             sys = PolynomialSystem(seq_classical(gamma, 64))
-            c1 = sys.seq.b0_squared * (sys.values[2] - 1)
+            c1 = sys.seq.b0_squared * (sys.seq.values[2] - 1)
             assert c1 == 1
             ops = build_operators(sys, DIM)
             assert square_lowering_report(ops, sys) == 0.0
@@ -329,7 +342,7 @@ class TestSquareLowering:
         # psi_{n-2} component of X psi_n' takes b_{n-3} from psi_{n-3} and
         # b_{n-2} from psi_{n-1}
         sys = PolynomialSystem(seq_hermite(64))
-        assert sys.seq.b0_squared * (sys.values[2] - 1) == 1
+        assert sys.seq.b0_squared * (sys.seq.values[2] - 1) == 1
         b = sys.b_float
         for n in range(2, DIM - MARGIN):
             d = dict(sys.derivative_in_basis(n))

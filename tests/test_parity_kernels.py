@@ -157,18 +157,22 @@ def test_random_systems_agree_with_the_full_slot_routes(draw, kind, at, j):
 ], ids=["hermite", "classical_1", "family"])
 def test_ode_residual_bit_identical(seq):
     # the residual against the Fraction route (three Horner passes over P, P'
-    # and P'', then the one rounding of the normalization), at the weight's
-    # (gamma, alpha), a shifted gamma, a shifted alpha and a float alpha
+    # and P'', then the one rounding of the normalization), on the reference
+    # cores and on a core with a defect of each kind
     sys = PolynomialSystem(seq)
     cores = ref.monic_cores(sys.b2, 100)
     g, a = sys.weight_parameters()
     for n in (0, 1, 2, 3, 17, 64, 100):
         for x in POINT_GRID:
-            for kw, (gw, aw) in (({}, (g, a)), ({"gamma": g + F(1, 3)}, (g + F(1, 3), a)),
-                                 ({"alpha": a * F(21, 20)}, (g, a * F(21, 20))),
-                                 ({"alpha": float(a) * 1.05}, (g, float(a) * 1.05))):
-                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, gw, aw), sys.norm2[n])
-                assert sys.ode_residual(n, x, **kw).hex() == want.hex()
+            want = _over_sqrt(ref.ode_bracket(cores[n], n, x, g, a), sys.norm2[n])
+            assert sys.ode_residual(n, x).hex() == want.hex()
+        for kind in KINDS:
+            bad = PolynomialSystem(seq)
+            bad.monic[n] = corrupt_core(sys.monic[n], n, kind, n)
+            core = ref.FractionPoly(bad.monic[n].coeffs)
+            for x in POINT_GRID:
+                want = _over_sqrt(ref.ode_bracket(core, n, x, g, a), sys.norm2[n])
+                assert bad.ode_residual(n, x).hex() == want.hex()
 
 
 def test_ode_residual_of_a_family_system_is_zero_at_n200():

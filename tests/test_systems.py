@@ -102,15 +102,19 @@ class TestAlpha:
             for n in range(1, 15):
                 for m in range(1, n // 2 + 1):
                     nested = alpha_nested(sys.brackets, m, n)
-                    closed = alpha_closed(sys.values, sys.brackets, m, n)
+                    closed = alpha_closed(sys.seq.values, sys.brackets, m, n)
                     assert nested == closed == alpha_brute(sys.brackets, m, n)
 
     def test_range_guards(self):
-        br = bracket_table(seq_hermite(8))
+        seq = seq_hermite(8)
+        br = bracket_table(seq)
         with pytest.raises(ValueError):
             alpha_nested(br, 3, 4)
         with pytest.raises(ValueError):
             alpha_nested(br, 1, 0)
+        for m, n in ((3, 4), (-1, 4)):  # the closed form reads 0 <= m <= n/2
+            with pytest.raises(ValueError, match="need 0 <= m <= n//2"):
+                alpha_closed(seq.values, br, m, n)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -163,6 +167,11 @@ class TestPsiConstruction:
     def test_n_range_guard(self, hermite_sys):
         with pytest.raises(ValueError):
             hermite_sys.psi_coeffs_via_alpha(31)
+        # the decompositions read P_{n-2}: 2 <= n <= n_max
+        for decomposition in (hermite_sys.decompose_b1bar, hermite_sys.derivative_decomposition):
+            for n in (1, 31):
+                with pytest.raises(ValueError, match=r"n must be in \[2, 30\]"):
+                    decomposition(n)
 
     def test_two_entry_sequence_is_rejected_up_front(self):
         with pytest.raises(ValueError, match=r"needs v_0, v_1 and v_2; got 2 entries"):
@@ -197,7 +206,7 @@ def _explicit_core(sys, n):
     coeffs = [F(0)] * (n + 1)
     for m in range(n // 2 + 1):
         coeffs[n - 2 * m] = (-sys.seq.b0_squared) ** m * alpha_closed(
-            sys.values, sys.brackets, m, n)
+            sys.seq.values, sys.brackets, m, n)
     return Poly(coeffs)
 
 
@@ -244,7 +253,7 @@ class TestRouteCheck:
 
     def test_b0_squared_changed_in_the_formula_only(self):
         sys = PolynomialSystem(seq_hermite(12))
-        sys.seq = GoverningSequence(sys.values, sys.seq.b0_squared * (1 + F(1, 10**9)))
+        sys.seq = GoverningSequence(sys.seq.values, sys.seq.b0_squared * (1 + F(1, 10**9)))
         assert sys.first_route_mismatch(12) == 2  # P_0 and P_1 carry no b0^2
 
     @settings(max_examples=60, deadline=None)
@@ -315,9 +324,11 @@ class TestPsiEval:
         for c, q in ((F(10**400), F(1)), (F(1), F(1, 10**700)), (F(17 * 10**307), F(5, 7))):
             with pytest.raises(FloatRangeError, match="psi-scaled value outside the float range"):
                 _over_sqrt(c, q)
+        # a residual of order 1 over nu_7 ~ 10^-2800: an x^9 term added to P_7
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(1, 10**800), 8))
+        sys.monic[7] = corrupt_core(sys.monic[7], 7, "degree")
         with pytest.raises(FloatRangeError):
-            sys.ode_residual(7, 0.5, gamma=1)
+            sys.ode_residual(7, 0.5)
 
     def test_float_coefficients_convert_each_b2_once(self, reference_systems):
         for sys in reference_systems.values():
@@ -360,7 +371,7 @@ class TestLowering:
         # both exact scans over the cores; u_16 and u_17 are nonzero here, so
         # the reduced relation sees a scaled core too (on Hermite U = 0)
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 24))
-        assert sys.values[15] != 16 and sys.values[16] != 17
+        assert sys.seq.values[15] != 16 and sys.seq.values[16] != 17
         sys.monic[17] = corrupt_core(sys.monic[17], 17, kind)
         for scan in (sys.first_lowering_failure, sys.first_reduced_failure):
             assert scan(24) == 17
@@ -440,7 +451,7 @@ class TestGammaCrossRelations:
                 dfact = F(1)
                 for j in range(1, p + 1):
                     dfact *= sys.brackets[2 * j - 1]
-                coeff = alpha_closed(sys.values, sys.brackets, p, 2 * p + 1) / dfact
+                coeff = alpha_closed(sys.seq.values, sys.brackets, p, 2 * p + 1) / dfact
                 assert lhs_sq == coeff**2 * sys.g2[1]
 
     def test_even_relation(self, reference_systems):
@@ -448,8 +459,8 @@ class TestGammaCrossRelations:
         for sys in reference_systems.values():
             for p in range(1, 7):
                 lhs_sq = sys.g2[2 * p + 2] * sys.brackets[2 * p + 2]
-                ratio = alpha_closed(sys.values, sys.brackets, p, 2 * p + 2) / alpha_closed(
-                    sys.values, sys.brackets, p, 2 * p + 1
+                ratio = alpha_closed(sys.seq.values, sys.brackets, p, 2 * p + 2) / alpha_closed(
+                    sys.seq.values, sys.brackets, p, 2 * p + 1
                 )
                 assert lhs_sq == ratio**2 * sys.brackets[2] * sys.g2[2]
 
@@ -470,7 +481,7 @@ class TestDecomposition:
             op = epsilons_from_sequence(sys.seq)
             for n in range(2, 16):
                 rep = sys.decompose_b1bar(n)
-                assert rep.delta_scaled == sys.values[n - 1] - n
+                assert rep.delta_scaled == sys.seq.values[n - 1] - n
                 assert rep.delta_scaled == op.a_coefficient(n, 2)
 
     def test_even_beta_vanishes(self, reference_systems):
@@ -618,8 +629,8 @@ class TestDerivativeDecomposition:
         for n in range(2, 16):
             rep = sys.decompose_b1bar(n)
             # gamma_n b_{n-1} = v_{n-1} exactly:
-            assert sys.g2[n] * sys.b2[n - 1] == sys.values[n - 1] ** 2
-            assert sys.values[n - 1] - rep.delta_scaled == n
+            assert sys.g2[n] * sys.b2[n - 1] == sys.seq.values[n - 1] ** 2
+            assert sys.seq.values[n - 1] - rep.delta_scaled == n
 
     def test_classical_coefficients(self, classical1_sys):
         sys = classical1_sys
@@ -669,7 +680,7 @@ class TestOde:
 
     def test_weight_parameters_are_computed_once(self):
         sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 16))
-        v2, b0sq = sys.values[2], sys.seq.b0_squared
+        v2, b0sq = sys.seq.values[2], sys.seq.b0_squared
         assert sys.weight_parameters() == ((3 - v2) / (v2 - 1), 1 / (b0sq * (v2 - 1)))
         assert sys.weight_parameters() is sys.weight_parameters()
 
@@ -711,9 +722,13 @@ class TestOde:
             sys.ode_bracket(3)
 
     def test_perturbed_alpha_fails(self, classical1_sys):
-        gamma, alpha = classical1_sys.weight_parameters()
+        # the system's psi_n against the equation of a 5% larger alpha, on the
+        # Fraction route, scaled as ode_residual scales
+        sys = classical1_sys
+        gamma, alpha = sys.weight_parameters()
         worst = max(
-            abs(classical1_sys.ode_residual(n, x, alpha=float(alpha) * 1.05))
+            abs(_over_sqrt(ref.ode_bracket(ref.FractionPoly(sys.monic[n].coeffs), n, x, gamma,
+                                           float(alpha) * 1.05), sys.norm2[n]))
             for n in range(16)
             for x in POINT_GRID
         )
@@ -736,31 +751,33 @@ def ode_systems():
 class TestOdeBracket:
     """The second-order equation as an exact polynomial identity."""
 
-    @staticmethod
-    def mismatches(sys):
-        gamma, alpha = sys.weight_parameters()
-        return {"alpha": float(alpha) * 1.05}, {"gamma": gamma + F(1, 3)}
-
     def test_zero_polynomial_for_every_n(self, ode_systems, name):
         sys = ode_systems[name]
         assert [n for n in range(65) if not sys.ode_bracket(n).is_zero()] == []
 
     def test_mismatched_parameters_leave_a_nonzero_bracket(self, ode_systems, name):
-        # n = 0 and 1 solve the equation for every (gamma, alpha)
-        sys = ode_systems[name]
-        for kw in self.mismatches(sys):
-            assert all(not sys.ode_bracket(n, **kw).is_zero() for n in range(2, 65))
-
-    def test_equals_the_composition_reference(self, ode_systems, name):
-        # the two-term coefficient relation against the bracket composed from
-        # derivative, shift, scale and sum
+        # the equation names the weight: on the Fraction route, the cores of the
+        # system leave a nonzero bracket at a 5% larger alpha and at gamma + 1/3,
+        # except that n = 0 and 1 solve the equation for every (gamma, alpha)
         sys = ode_systems[name]
         gamma, alpha = sys.weight_parameters()
-        for kw in ({}, *self.mismatches(sys)):
-            g, a = kw.get("gamma", gamma), kw.get("alpha", alpha)
+        for g, a in ((gamma, float(alpha) * 1.05), (gamma + F(1, 3), alpha)):
+            assert all(not ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs),
+                                                    n, g, a).is_zero() for n in range(2, 65))
+
+    def test_equals_the_composition_reference(self, name):
+        # the two-term coefficient relation against the bracket composed from
+        # derivative, shift, scale and sum, on the system's cores and on
+        # corrupted ones (the zero bracket and nonzero ones)
+        for kind in (None, "even", "odd", "degree"):
+            sys = PolynomialSystem(ODE_SEQUENCES[name])
+            gamma, alpha = sys.weight_parameters()
             for n in range(65):
-                want = ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs), n, g, a)
-                assert sys.ode_bracket(n, **kw).coeffs == want.coeffs
+                if kind is not None:
+                    sys.monic[n] = corrupt_core(sys.monic[n], n, kind, n)
+                want = ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs), n,
+                                                gamma, alpha)
+                assert sys.ode_bracket(n).coeffs == want.coeffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -769,17 +786,18 @@ class TestOdeBracket:
     v2=st.fractions(F(5, 4), F(5), max_denominator=4),
     b0sq=st.fractions(F(1, 4), F(3), max_denominator=4),
     n=st.integers(0, 30),
-    dg=st.fractions(-1, 1, max_denominator=4),
-    da=st.fractions(-1, 1, max_denominator=4),
+    kind=st.sampled_from(["even", "odd", "degree"]),
+    j=st.integers(0, 20),
 )
-def test_ode_bracket_equals_the_composition_reference(v1, v2, b0sq, n, dg, da):
-    # random family parameters, with the weight's (gamma, alpha) and shifted ones
+def test_ode_bracket_equals_the_composition_reference(v1, v2, b0sq, n, kind, j):
+    # random family parameters, on the system's core P_n and on a corrupted one
     assume(v1 <= v2)
     sys = PolynomialSystem(seq_family(v1, v2, b0sq, 30))
     gamma, alpha = sys.weight_parameters()
-    for g, a in ((gamma, alpha), (gamma + dg, alpha + da)):
-        want = ref.ode_bracket_composed(ref.FractionPoly(sys.monic[n].coeffs), n, g, a)
-        assert sys.ode_bracket(n, gamma=g, alpha=a).coeffs == want.coeffs
+    for core in (sys.monic[n], corrupt_core(sys.monic[n], n, kind, j)):
+        sys.monic[n] = core
+        want = ref.ode_bracket_composed(ref.FractionPoly(core.coeffs), n, gamma, alpha)
+        assert sys.ode_bracket(n).coeffs == want.coeffs
 
 
 REFERENCE_SEQUENCES = {
@@ -813,15 +831,15 @@ class TestFractionReference:
     def test_eliminations(self, reference_pairs):
         for sys, cores in reference_pairs.values():
             first = next((n for n in range(1, 41)
-                          if not ref.lowering_remainder(sys.values, cores, n).is_zero()), None)
+                          if not ref.lowering_remainder(sys.seq.values, cores, n).is_zero()), None)
             assert sys.first_lowering_failure(40) == first
             first = next((n for n in range(2, 41)
-                          if ref.decompose_b1bar(sys.values, cores, n)[2]), None)
+                          if ref.decompose_b1bar(sys.seq.values, cores, n)[2]), None)
             assert sys.first_reduced_failure(40) == first
             for n in range(2, 41):
                 rep = sys.decompose_b1bar(n)
                 got = (rep.delta_scaled, rep.beta_scaled, rep.tail_scaled, rep.support)
-                assert got == ref.decompose_b1bar(sys.values, cores, n)
+                assert got == ref.decompose_b1bar(sys.seq.values, cores, n)
                 assert sys.derivative_core_expansion(n) == ref.derivative_core_expansion(cores, n)
                 if sys.is_family:
                     _, c_over_x = sys.derivative_decomposition(n)
@@ -830,25 +848,19 @@ class TestFractionReference:
 
     @pytest.mark.parametrize("name", ["hermite", "classical_1_3", "family"])
     def test_ode_residual_bit_identical(self, reference_pairs, name):
+        # on the reference cores, and on a system whose core n has a defect of
+        # one of three kinds, each against the Fraction route on that core
         sys, cores = reference_pairs[name]
         gamma, alpha = sys.weight_parameters()
-        mismatched = (gamma + F(1, 3), alpha * F(21, 20))
+        bad = PolynomialSystem(sys.seq)
         for n in range(0, 61, 3):
+            bad.monic[n] = corrupt_core(sys.monic[n], n, ("even", "odd", "degree")[n % 3], n)
             for x in POINT_GRID[::2]:
                 want = _over_sqrt(ref.ode_bracket(cores[n], n, x, gamma, alpha), sys.norm2[n])
                 assert sys.ode_residual(n, x).hex() == want.hex()
-                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, *mismatched), sys.norm2[n])
-                assert sys.ode_residual(n, x, *mismatched).hex() == want.hex()
-
-    def test_ode_residual_with_a_float_alpha(self, classical1_sys):
-        # the negative control passes alpha as a float; it converts exactly
-        cores = ref.monic_cores(classical1_sys.b2, 15)
-        gamma, alpha = classical1_sys.weight_parameters()
-        a = float(alpha) * 1.05
-        for n in (3, 8, 15):
-            for x in (-4.5, 0.1, 2.3):
-                want = _over_sqrt(ref.ode_bracket(cores[n], n, x, gamma, a), classical1_sys.norm2[n])
-                assert classical1_sys.ode_residual(n, x, alpha=a) == want
+                want = _over_sqrt(ref.ode_bracket(ref.FractionPoly(bad.monic[n].coeffs), n, x,
+                                                  gamma, alpha), sys.norm2[n])
+                assert bad.ode_residual(n, x).hex() == want.hex()
 
     def test_normalized_evaluation_bit_identical(self, reference_pairs):
         # psi_n(x) = P_n(x) / nu_n: the core by the integer Horner rule, then
