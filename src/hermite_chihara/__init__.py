@@ -46,7 +46,6 @@ from .measure import (
     jacobi_moment,
     moment_closed,
     normalization,
-    orthonormality_check,
     spec_for_system,
 )
 

@@ -255,7 +255,7 @@ def cmd_gram(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, args.n_max))
     if not sys_.is_family:
         raise InputError("orthonormality verification requires a special-family system")
-    rep = measure_mod.orthonormality_check(sys_, args.n_max)
+    rep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), args.n_max)
     _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rep.deviation))
     return _exit_code(_gram_failures(rep))
 
@@ -268,45 +268,42 @@ def cmd_verify(args) -> int:
     interior = args.dim - osc_mod.MARGIN
     checks = []
 
-    def record(name: str, passed: bool, detail: str, status: str | None = None) -> None:
-        # a skipped check is not passed (the exit code counts it as a failure)
-        # but its status says it did not run
-        if status is None:
+    def check(name: str, run, skip: str | None = None) -> None:
+        # run() gives (passed, detail).  A skipped check is not passed (the exit code
+        # counts it as a failure) but its status says it did not run; a value the check
+        # reads with no float in the float range fails it, the detail naming that value
+        if skip is not None:
+            status, detail = "skipped", skip
+        else:
+            try:
+                passed, detail = run()
+            except FloatRangeError as exc:
+                passed, detail = False, str(exc)
             status = "pass" if passed else "fail"
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
-        checks.append({"name": name, "status": status, "passed": bool(passed), "detail": detail})
+        checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
-    rep = validate(seq)
-    record("validate", rep.ok, f"monotone={rep.monotone} first_violation={rep.first_violation}")
-
-    if rep.ok:
+    def lowering() -> tuple[bool, str]:
         bad = sys_.first_lowering_failure(n_max)
-        record("lowering", bad is None, "max residual 0 (exact)" if bad is None
-               else f"nonzero residual first at n = {bad} (exact)")
-        bad = sys_.first_route_mismatch(n_max)
-        record("route_equivalence", bad is None, "recurrence vs explicit coefficients, exact"
-               + ("" if bad is None else f", fails first at n = {bad}"))
-    else:
-        record("lowering", False, "skipped: sequence not compatible", "skipped")
-        record("route_equivalence", False, "skipped: sequence not compatible", "skipped")
+        return bad is None, ("max residual 0 (exact)" if bad is None
+                             else f"nonzero residual first at n = {bad} (exact)")
 
-    def float_check(name: str, run) -> None:
-        # run() gives (passed, detail); where a value the check reads has no
-        # float in the float range, the check fails and its detail names the
-        # first such value and the range
-        try:
-            passed, detail = run()
-        except FloatRangeError as exc:
-            passed, detail = False, str(exc)
-        record(name, passed, detail)
+    def route_equivalence() -> tuple[bool, str]:
+        bad = sys_.first_route_mismatch(n_max)
+        return bad is None, ("recurrence vs explicit coefficients, exact"
+                             + ("" if bad is None else f", fails first at n = {bad}"))
 
     def band(report) -> tuple[bool, str]:
         rep = report(osc_mod.build_operators(sys_, dim=args.dim), sys_)
         return rep.within_rounding, (f"max deviation {rep.max_deviation:.3e} on rows n < "
                                      f"{interior}, bound {_ROUNDING} per row")
 
+    def ode() -> tuple[bool, str]:
+        first = sys_.first_ode_failure(n_max)
+        return first is None, _ode_detail(first, n_max)
+
     def gram() -> tuple[bool, str]:
-        orep = measure_mod.orthonormality_check(sys_, gram_n)
+        orep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), gram_n)
         detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
         if not orep.converged:
             detail += f"; {_unconverged(orep)}"
@@ -317,17 +314,19 @@ def cmd_verify(args) -> int:
         sq = sys_.square_lowering_deviation(interior - 1)
         return sq == 0.0, f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}"
 
-    float_check("commutator", lambda: band(osc_mod.commutator_report))
-    float_check("spectrum", lambda: band(osc_mod.spectrum_report))
+    rep = validate(seq)
+    check("validate", lambda: (rep.ok, f"monotone={rep.monotone} "
+                                       f"first_violation={rep.first_violation}"))
+    incompatible = None if rep.ok else "skipped: sequence not compatible"
+    check("lowering", lowering, incompatible)
+    check("route_equivalence", route_equivalence, incompatible)
+    check("commutator", lambda: band(osc_mod.commutator_report))
+    check("spectrum", lambda: band(osc_mod.spectrum_report))
     if sys_.is_family:
-        first = sys_.first_ode_failure(n_max)
-        record("ode", first is None, _ode_detail(first, n_max))
-        float_check("orthonormality", gram)
-        if interior > 2:
-            float_check("square_lowering", square_lowering)
-        else:
-            record("square_lowering", False, f"skipped: no column 2 <= n < {interior}; "
-                   f"--dim {osc_mod.MARGIN + 3} reads the first", "skipped")
+        check("ode", ode)
+        check("orthonormality", gram)
+        check("square_lowering", square_lowering, None if interior > 2 else
+              f"skipped: no column 2 <= n < {interior}; --dim {osc_mod.MARGIN + 3} reads the first")
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
 

@@ -1,8 +1,8 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2): normalization,
-moments (three independent routes), Gram matrices by adaptive quadrature of
-the bilinear integrand (w psi_i) psi_j, and the Carleman determinacy
-heuristic.  gram_deviation takes any weight (a mismatched one is a negative
-control); orthonormality_check takes the system's own."""
+moments (two exact routes: the closed form and the Jacobi walk), Gram
+matrices by adaptive quadrature of the bilinear integrand (w psi_i) psi_j,
+and the Carleman determinacy heuristic.  gram_deviation takes any weight: the
+system's own (spec_for_system) or a mismatched one (a negative control)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "spec_for_system",
     "OrthonormalityReport",
     "gram_deviation",
-    "orthonormality_check",
     "DeterminacyReport",
     "carleman_determinacy",
 ]
@@ -114,7 +113,6 @@ def spec_for_system(sys: PolynomialSystem) -> MeasureSpec:
 
 @dataclass(frozen=True)
 class OrthonormalityReport:
-    n_max: int
     max_deviation: float
     deviation: np.ndarray  # |<psi_i, psi_j> - delta_ij|
     quadrature_error: float
@@ -156,7 +154,6 @@ def gram_deviation(
     gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(
-        n_max=n_max,
         max_deviation=float(dev.max()),
         deviation=dev,
         quadrature_error=float(err),
@@ -164,15 +161,8 @@ def gram_deviation(
     )
 
 
-def orthonormality_check(sys: PolynomialSystem, n_max: int) -> OrthonormalityReport:
-    """Gram deviation report of psi_0..psi_{n_max} against the weight of the
-    family system sys (spec_for_system)."""
-    return gram_deviation(sys, spec_for_system(sys), n_max)
-
-
 @dataclass(frozen=True)
 class DeterminacyReport:
-    n_terms: int
     partial_sum: float
     growth_exponent: float
     verdict: str  # "divergent (determinate)" | "inconclusive within horizon"
@@ -203,5 +193,5 @@ def carleman_determinacy(b_values: Sequence[float]) -> DeterminacyReport:
         else "inconclusive within horizon"
     )
     return DeterminacyReport(
-        n_terms=len(b), partial_sum=partial, growth_exponent=float(slope), verdict=verdict
+        partial_sum=partial, growth_exponent=float(slope), verdict=verdict
     )

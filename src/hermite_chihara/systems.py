@@ -430,17 +430,15 @@ class PolynomialSystem:
             delta_scaled=delta_scaled, beta_scaled=beta_scaled, tail_scaled=tail,
         )
 
-    def derivative_core_expansion(self, n: int) -> list[Fraction]:
-        """Exact coefficients e_j with P_n' = sum_j e_j P_{n-1-2j}."""
+    def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
+        """psi_n' = sum c_k psi_k, c_k = e_k nu_k / nu_n from the exact P_n' = sum e_k P_k."""
         self._check_n(n)
         core = self.monic[n]
-        return self._core_expansion(
-            [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, range(n - 1, -1, -2))
-
-    def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
-        """psi_n' = sum c_k psi_k, c_k = e_k nu_k / nu_n from the exact expansion."""
+        indices = range(n - 1, -1, -2)
+        expansion = self._core_expansion(
+            [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, indices)
         return [(idx, _over_sqrt(e, self.norm2[n] / self.norm2[idx]))
-                for idx, e in zip(range(n - 1, -1, -2), self.derivative_core_expansion(n)) if e]
+                for idx, e in zip(indices, expansion) if e]
 
     def derivative_decomposition(self, n: int) -> tuple[float, float]:
         """Coefficients (c_prev, c_over_x) of psi_n' = c_prev psi_{n-1}

@@ -7,8 +7,11 @@ operation re-normalized.  The tests compare the kernel against them.
 
 - ``FractionPoly``: a dense tuple of Fractions;
 - ``monic_cores``: P_{n+1} = x P_n - b_{n-1}^2 P_{n-1} on FractionPoly;
-- ``lowering_remainder``, ``decompose_b1bar``, ``derivative_core_expansion``,
-  ``derivative_decomposition_c2``: the eliminations on FractionPoly;
+- ``lowering_remainder``, ``decompose_b1bar``, ``derivative_decomposition_c2``:
+  the eliminations on FractionPoly;
+- ``derivative_core_expansion``: the exact e_j with P_n' = sum_j e_j P_{n-1-2j},
+  by elimination on FractionPoly, the reference expansion for the package's
+  ``derivative_in_basis`` (through ``derivative_in_basis`` below);
 - ``ode_bracket``: three Fraction Horner passes over P, P' and P'';
 - ``ode_bracket_composed``: the bracket polynomial composed on FractionPoly
   from derivative, shift, scale and sum;

@@ -2,6 +2,7 @@ import argparse
 import copy
 import importlib.util
 import json
+import logging
 import math
 import os
 import re
@@ -858,6 +859,54 @@ class TestFloatRange:
         assert checks["orthonormality"]["detail"] == (
             "Gamma((gamma+1)/2) outside the float range [2^-1022, 2^1020]")
         assert all(c["passed"] for name, c in checks.items() if name != "orthonormality")
+
+
+
+_INCOMPATIBLE = "skipped: sequence not compatible"
+_NO_FLOAT = "{} outside the float range [2^-1022, 2^1020]"
+
+
+class TestCheckLog:
+    """verify writes one INFO line "check <name>: <status> (<detail>)" per
+    check, in the order of its check list; a failing check's status reads
+    FAIL.  A detail given as None is a measured figure, read from the list."""
+
+    @pytest.mark.parametrize("argv,expected,after", [
+        (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"),
+         [("validate", "FAIL", "monotone=True first_violation=(4, 2)"),
+          ("lowering", "skipped", _INCOMPATIBLE), ("route_equivalence", "skipped", _INCOMPATIBLE),
+          ("commutator", "pass", None), ("spectrum", "pass", None)],
+         ["non-family system: ode/orthonormality/square-lowering not applicable"]),
+        (("--n-max", "2", "--dim", "5"),
+         [("validate", "pass", "monotone=True first_violation=None"),
+          ("lowering", "pass", "max residual 0 (exact)"),
+          ("route_equivalence", "pass", "recurrence vs explicit coefficients, exact"),
+          ("commutator", "pass", None), ("spectrum", "pass", None),
+          ("ode", "pass", "exact polynomial identity for every n <= 2"),
+          ("orthonormality", "pass", None),
+          ("square_lowering", "skipped",
+           "skipped: no column 2 <= n < 1; --dim 7 reads the first")], []),
+        (("--b0-squared", _E400),
+         [("validate", "pass", "monotone=True first_violation=None"),
+          ("lowering", "pass", "max residual 0 (exact)"),
+          ("route_equivalence", "pass", "recurrence vs explicit coefficients, exact"),
+          ("commutator", "FAIL", _NO_FLOAT.format("b^2")),
+          ("spectrum", "FAIL", _NO_FLOAT.format("b^2")),
+          ("ode", "pass", "exact polynomial identity for every n <= 12"),
+          ("orthonormality", "FAIL", _NO_FLOAT.format("alpha")),
+          ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36")],
+         []),
+    ], ids=["order2-incompatible", "no-square-lowering-column", "b0-squared-1e400"])
+    def test_one_line_per_check(self, capsys, caplog, argv, expected, after):
+        caplog.set_level(logging.INFO, logger="hermite_chihara.cli")
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [name for name, _, _ in expected]
+        want = [f"check {name}: {status} ({c['detail'] if detail is None else detail})"
+                for (name, status, detail), c in zip(expected, checks)]
+        lines = [r.getMessage() for r in caplog.records if r.name == "hermite_chihara.cli"]
+        assert lines == want + after
 
 
 def bench_workload():

@@ -14,7 +14,6 @@ from hermite_chihara import (
     jacobi_moment,
     moment_closed,
     normalization,
-    orthonormality_check,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -132,13 +131,13 @@ class TestOrthonormality:
     def test_hermite(self):
         sys = PolynomialSystem(seq_hermite(16))
         assert sys.weight_parameters() == (0, 1)
-        rep = orthonormality_check(sys, 12)
+        rep = gram_deviation(sys, spec_for_system(sys), 12)
         assert rep.max_deviation < 1e-8
 
     def test_classical_gamma1(self):
         sys = PolynomialSystem(seq_classical(1, 16))
         assert sys.weight_parameters() == (1, 1)
-        rep = orthonormality_check(sys, 12)
+        rep = gram_deviation(sys, spec_for_system(sys), 12)
         assert rep.max_deviation < 1e-8
 
     @pytest.mark.parametrize(
@@ -154,7 +153,7 @@ class TestOrthonormality:
     )
     def test_converged_at_n100(self, seq):
         sys = PolynomialSystem(seq)
-        rep = orthonormality_check(sys, 100)
+        rep = gram_deviation(sys, spec_for_system(sys), 100)
         assert rep.converged and rep.max_deviation < 1e-8
 
     @pytest.mark.parametrize(
@@ -236,7 +235,7 @@ class TestOrthonormality:
             sizes = []
             table = sys.psi_eval_table
             sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
-            rep = orthonormality_check(sys, n_max)
+            rep = gram_deviation(sys, spec_for_system(sys), n_max)
             assert rep.converged
             calls.append(sizes)
             devs.append(rep.deviation)
@@ -257,7 +256,7 @@ class TestOrthonormality:
         sys = PolynomialSystem(seq_family(4, 5, F(1), 16))
         spec = spec_for_system(sys)
         assert (spec.gamma, spec.alpha) == (F(-1, 2), F(1, 4))
-        rep = orthonormality_check(sys, 10)
+        rep = gram_deviation(sys, spec_for_system(sys), 10)
         assert rep.max_deviation < 1e-8
 
     def test_converged_quadrature_reports_its_tolerance(self):

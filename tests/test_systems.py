@@ -172,6 +172,10 @@ class TestPsiConstruction:
             for n in (1, 31):
                 with pytest.raises(ValueError, match=r"n must be in \[2, 30\]"):
                     decomposition(n)
+        # the expansion of psi_n' reads P_n alone: 0 <= n <= n_max
+        for n in (-1, 31):
+            with pytest.raises(ValueError, match=r"n must be in \[0, 30\]"):
+                hermite_sys.derivative_in_basis(n)
 
     def test_two_entry_sequence_is_rejected_up_front(self):
         with pytest.raises(ValueError, match=r"needs v_0, v_1 and v_2; got 2 entries"):
@@ -609,10 +613,10 @@ class TestCorruptCore:
         return sys
 
     @pytest.mark.parametrize("call", [
-        lambda sys: sys.derivative_core_expansion(21),
+        lambda sys: sys.derivative_in_basis(21),
         lambda sys: sys.derivative_decomposition(21),
         lambda sys: sys.decompose_b1bar(20),
-    ], ids=["derivative_core_expansion", "derivative_decomposition", "decompose_b1bar"])
+    ], ids=["derivative_in_basis", "derivative_decomposition", "decompose_b1bar"])
     def test_remainder_raises(self, corrupt_sys, call):
         with pytest.raises(RuntimeError, match="remainder"):
             call(corrupt_sys)
@@ -840,7 +844,9 @@ class TestFractionReference:
                 rep = sys.decompose_b1bar(n)
                 got = (rep.delta_scaled, rep.beta_scaled, rep.tail_scaled, rep.support)
                 assert got == ref.decompose_b1bar(sys.seq.values, cores, n)
-                assert sys.derivative_core_expansion(n) == ref.derivative_core_expansion(cores, n)
+                expansion = ref.derivative_core_expansion(cores, n)
+                want = ref.derivative_in_basis(expansion, sys.norm2, n)
+                assert sys.derivative_in_basis(n) == want
                 if sys.is_family:
                     _, c_over_x = sys.derivative_decomposition(n)
                     c2 = ref.derivative_decomposition_c2(cores, n)
@@ -878,8 +884,9 @@ class TestDerivativeInBasis:
                                      seq_family(F(7, 3), F(11, 3), F(8, 3), 60)])
     def test_bit_identical_where_the_plain_formula_fits(self, seq):
         sys = PolynomialSystem(seq)
+        cores = ref.monic_cores(sys.b2, sys.n_max)
         for n in range(1, 61):
-            want = ref.derivative_in_basis(sys.derivative_core_expansion(n), sys.norm2, n)
+            want = ref.derivative_in_basis(ref.derivative_core_expansion(cores, n), sys.norm2, n)
             assert sys.derivative_in_basis(n) == want
 
     @pytest.mark.parametrize("seq,n", [
@@ -892,7 +899,7 @@ class TestDerivativeInBasis:
         # the plain formula returns 0.0 for half these coefficients at the
         # first n of each sequence and raises OverflowError at the second
         sys = PolynomialSystem(seq)
-        expansion = sys.derivative_core_expansion(n)
+        expansion = ref.derivative_core_expansion(ref.monic_cores(sys.b2, n), n)
         got = sys.derivative_in_basis(n)
         nonzero = [(n - 1 - 2 * j, e) for j, e in enumerate(expansion) if e != 0]
         assert [idx for idx, _ in got] == [idx for idx, _ in nonzero]
