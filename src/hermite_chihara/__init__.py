@@ -45,7 +45,6 @@ from .measure import (
     gram_deviation,
     jacobi_moment,
     moment_closed,
-    normalization,
     spec_for_system,
 )
 

@@ -1,7 +1,7 @@
-"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2): normalization,
-moments (two exact routes: the closed form and the Jacobi walk), Gram
-matrices by adaptive quadrature of the bilinear integrand (w psi_i) psi_j,
-and the Carleman determinacy heuristic.  gram_deviation takes any weight: the
+"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
+MeasureSpec.weight, moments (two exact routes: closed form, Jacobi walk), Gram
+matrices by adaptive quadrature of the bilinear integrand (w psi_i) psi_j, and
+the Carleman determinacy heuristic.  gram_deviation takes any weight: the
 system's own (spec_for_system) or a mismatched one (a negative control)."""
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import numpy as np
 
 from .governing import as_fraction, common_denominator
 from .quadrature import integrate_split_at_zero
-from .systems import FloatRangeError, PolynomialSystem, _range_float
+from .systems import FloatRangeError, PolynomialSystem, _weight_floats
 
 __all__ = [
     "MeasureSpec",
-    "normalization",
     "moment_closed",
     "jacobi_moment",
     "spec_for_system",
@@ -46,25 +45,17 @@ class MeasureSpec:
             raise ValueError("alpha must be > 0")
 
     def weight(self, x: np.ndarray) -> np.ndarray:
+        """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
+        C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
+        is formed.  FloatRangeError when gamma, alpha or the Gamma value has no float."""
         x = np.asarray(x, dtype=float)
-        g, a = float(self.gamma), float(self.alpha)
-        r = math.sqrt(a)  # on the weight's scale 1/r: no alpha^{(gamma+1)/2} is formed
-        return normalization(g) * r * np.abs(r * x) ** g * np.exp(-a * x * x)
-
-
-def normalization(gamma: float) -> float:
-    """C with integral of C |x|^gamma exp(-x^2) over R equal to 1:
-    C = 1 / Gamma((gamma+1)/2); FloatRangeError when the Gamma value has no
-    float.  At another alpha the weight is C sqrt(alpha) |sqrt(alpha) x|^gamma
-    exp(-alpha x^2), formed on its scale (MeasureSpec.weight), so no
-    alpha^{(gamma+1)/2} is formed."""
-    if gamma <= -1:
-        raise ValueError("gamma must be > -1")
-    try:
-        gamma_value = math.gamma((gamma + 1.0) / 2.0)
-    except OverflowError:
-        raise FloatRangeError("Gamma((gamma+1)/2)") from None
-    return 1.0 / gamma_value
+        g, a = _weight_floats(self.gamma, self.alpha)
+        try:
+            c = 1.0 / math.gamma((g + 1.0) / 2.0)
+        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
+            raise FloatRangeError("Gamma((gamma+1)/2)") from None
+        r = math.sqrt(a)
+        return c * r * np.abs(r * x) ** g * np.exp(-a * x * x)
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
@@ -138,8 +129,8 @@ def gram_deviation(
     factors are the weighted table (w psi_i) and the table (psi_j) at the
     nodes of all the halves a round of splits makes, one psi_eval_table call
     per round, and the quadrature contracts each panel's rows into the d x d
-    block directly.  FloatRangeError when alpha or a b^2 has no float in
-    FLOAT_RANGE, or Gamma((gamma+1)/2) has no float."""
+    block directly.  FloatRangeError when gamma, alpha or a b^2 has no float
+    (in FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 
@@ -150,7 +141,7 @@ def gram_deviation(
         table = sys.psi_eval_table(x, n_max)
         return table * spec.weight(x)[:, None], table
 
-    radius = _integration_radius(n_max, _range_float(spec.alpha, "alpha"))
+    radius = _integration_radius(n_max, _weight_floats(spec.gamma, spec.alpha)[1])
     gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import PolynomialSystem, _range_float
+from .systems import PolynomialSystem, _weight_floats
 
 __all__ = [
     "OperatorSet",
@@ -96,8 +96,7 @@ def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorRepo
     deviation = np.abs(comm - 2.0 * (b2_shift - b2))
     classical_dev = None
     if sys.is_family:
-        gamma, alpha = sys.weight_parameters()
-        g, a = float(gamma), _range_float(alpha, "alpha")
+        g, a = _weight_floats(*sys.weight_parameters())
         wigner = np.where(np.arange(k) % 2, 1.0 - g, 1.0 + g) / a
         classical_dev = float(np.max(np.abs(comm - wigner)))
     return CommutatorReport(
@@ -128,8 +127,7 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     ]
     classical_dev = None
     if sys.is_family:
-        gamma, alpha = sys.weight_parameters()
-        g, a = float(gamma), _range_float(alpha, "alpha")
+        g, a = _weight_floats(*sys.weight_parameters())
         lam_cl = (2.0 * np.arange(k) + g + 1.0) / a
         classical_dev = float(np.max(np.abs(lam_matrix - lam_cl)))
     return SpectrumReport(

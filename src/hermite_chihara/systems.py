@@ -17,8 +17,8 @@ Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
 residual, the square-lowering deviation) crosses once, through _over_sqrt, from
 the exact b^2 and nu_n^2, so it has a float at any b0^2.  The float tables
-(psi_eval_table, the operator band) read b^2 (b2_float) and the weight's alpha
-as floats in FLOAT_RANGE and raise FloatRangeError where one has none.
+(psi_eval_table, the operator band) read b^2 (b2_float), the weight and its closed
+forms (gamma, alpha) (_weight_floats), with FloatRangeError where one has no float.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ def _range_float(x: Fraction, name: str) -> float:
     if not FLOAT_RANGE[0] <= f <= FLOAT_RANGE[1]:
         raise FloatRangeError(name)
     return f
+
+
+def _weight_floats(gamma: Fraction, alpha: Fraction) -> tuple[float, float]:
+    """The weight's exact (gamma, alpha) as floats, the one place they cross."""
+    try:
+        g = float(gamma)
+    except OverflowError:
+        raise FloatRangeError("gamma") from None
+    return g, _range_float(alpha, "alpha")
 
 
 def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
@@ -497,7 +506,7 @@ class PolynomialSystem:
         n = 200), so it is free of the cancellation a naive float evaluation
         suffers at large |x| and n.
         """
-        if float(x) == 0.0:
+        if x == 0:
             raise ValueError("the equation has a regular singular point at x = 0")
         bracket = self.ode_bracket(n)
         if bracket.is_zero():

@@ -791,9 +791,12 @@ class TestExactValuesOfAnyLength:
 
 class TestFloatRange:
     """A float check on a valid system whose b^2 or alpha has no float in
-    systems.FLOAT_RANGE cannot run, so it fails: exit 1 with the JSON failure
-    report, which names the float range, and nothing on stdout.  verify still
-    runs its exact checks and prints its check list."""
+    systems.FLOAT_RANGE, or whose gamma has no float, cannot run, so it fails:
+    exit 1 with the JSON failure report, which names the float range, and
+    nothing on stdout.  verify still runs its exact checks and prints its
+    check list."""
+
+    GAMMA_1E400 = ("--family", "classical", "--gamma", "1e400", "--alpha", "1e300")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(("spectrum", "--family", "classical", "--gamma", "1", "--alpha",
@@ -801,12 +804,14 @@ class TestFloatRange:
         pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
         pytest.param(("gram", "--b0-squared", "1/" + _E400), id="gram-1e-400"),
         pytest.param(("gram", "--family", "classical", "--gamma", "400"), id="gram-gamma-400"),
+        pytest.param(("spectrum", *GAMMA_1E400), id="spectrum-gamma-1e400"),
+        pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         (failed,) = json.loads(err)["failed"]
-        assert re.fullmatch(r"(b\^2|alpha|Gamma\(\(gamma\+1\)/2\)) outside the float range "
+        assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)) outside the float range "
                             r"\[2\^-1022, 2\^1020\]", failed)
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
@@ -860,6 +865,19 @@ class TestFloatRange:
             "Gamma((gamma+1)/2) outside the float range [2^-1022, 2^1020]")
         assert all(c["passed"] for name, c in checks.items() if name != "orthonormality")
 
+    def test_verify_fails_the_float_checks_where_gamma_has_no_float(self, capsys):
+        # every b^2 has a float; the weight's gamma has none, and each float
+        # check that reads it fails, naming it; the exact checks pass
+        code, out, err = run_cli(capsys, "verify", *self.GAMMA_1E400, "--n-max", "8")
+        floats = ["commutator", "spectrum", "orthonormality"]
+        checks = json.loads(out)["checks"]
+        assert code == 1 and json.loads(err) == {"failed": floats}
+        for c in checks:
+            if c["name"] in floats:
+                assert (c["status"], c["detail"]) == ("fail", _NO_FLOAT.format("gamma"))
+            else:
+                assert c["status"] == "pass", c
+        assert len(checks) == 8
 
 
 _INCOMPATIBLE = "skipped: sequence not compatible"
@@ -1077,8 +1095,8 @@ class TestFlagScope:
                 assert out, line
 
 
-# the edge settings of the weight family: b0^2 and alpha with no float, a
-# weight 1e-80 wide, and gamma near -1 and far above 1
+# the edge settings of the weight family: b0^2, alpha and gamma with no float,
+# a weight 1e-80 wide, and gamma near -1 and far above 1
 EDGE_SETTINGS = {
     "b0-squared-1e400": ("--b0-squared", _E400),
     "b0-squared-1e-400": ("--b0-squared", "1/" + _E400),
@@ -1088,6 +1106,7 @@ EDGE_SETTINGS = {
     "gamma-99/100": ("--family", "classical", "--gamma", "-99/100"),
     "gamma-400": ("--family", "classical", "--gamma", "400"),
     "gamma-1000": ("--family", "classical", "--gamma", "1000"),
+    "gamma-1e400": TestFloatRange.GAMMA_1E400,
 }
 
 

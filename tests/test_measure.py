@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 import scipy.special
 
 from hermite_chihara import (
+    FloatRangeError,
     MeasureSpec,
     PolynomialSystem,
     carleman_determinacy,
     gram_deviation,
     jacobi_moment,
     moment_closed,
-    normalization,
     seq_classical,
     seq_family,
     seq_hermite,
@@ -31,25 +32,22 @@ def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
 
 
 class TestNormalization:
-    """normalization(gamma) is the constant at alpha = 1; a weight at any other
-    alpha is formed on its own scale, so no alpha^{(gamma+1)/2} is taken."""
+    """The constant C = 1/Gamma((gamma+1)/2), read from the weight at alpha = 1
+    (C at x = 0 for gamma = 0, C/e at x = 1); a weight at any other alpha is
+    formed on its own scale, so no alpha^{(gamma+1)/2} is taken."""
 
     def test_gaussian(self):
-        assert normalization(0) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
+        w = MeasureSpec(F(0), F(1)).weight(0.0)
+        assert w == pytest.approx(1 / math.sqrt(math.pi), rel=1e-13)
 
     def test_gamma1(self):
         # int |x| e^{-x^2} dx = 1
-        assert normalization(1) == pytest.approx(1.0, rel=1e-13)
+        assert math.e * MeasureSpec(F(1), F(1)).weight(1.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_gamma2(self):
         # int x^2 e^{-x^2} dx = sqrt(pi)/2
-        assert normalization(2) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
-
-    def test_takes_no_alpha(self):
-        # an alpha argument once gave a bare OverflowError at alpha = 1e160
-        # (alpha^2 = 1e320) and 0.0 at alpha = 1e-200
-        with pytest.raises(TypeError):
-            normalization(3, 1e160)
+        w = MeasureSpec(F(2), F(1)).weight(1.0)
+        assert math.e * w == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
 
     def test_total_mass_is_one(self):
         for g, a in ((F(0), F(1)), (F(1, 2), F(2)), (F(2), F(1, 2)), (F(-1, 2), F(1)),
@@ -72,11 +70,19 @@ class TestNormalization:
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
-            normalization(-1)
-        with pytest.raises(ValueError):
             MeasureSpec(F(-2), F(1))
         with pytest.raises(ValueError):
             MeasureSpec(F(0), F(0))
+
+    def test_weight_parameters_without_a_float_raise(self):
+        # alpha = 10^-400 once read as 0.0 and the weight as zeros; gamma =
+        # 10^400 once ended in a bare OverflowError; at gamma = -1 + 10^-20,
+        # whose float is -1, Gamma((gamma+1)/2) is read at its pole
+        x = np.array([-1.0, 0.5, 2.0])
+        for g, a, name in ((F(3), F(1, 10**400), "alpha"), (F(10**400), F(1), "gamma"),
+                           (F(-1) + F(1, 10**20), F(1), "Gamma((gamma+1)/2)")):
+            with pytest.raises(FloatRangeError, match=rf"^{re.escape(name)} outside the float range"):
+                MeasureSpec(g, a).weight(x)
 
 
 class TestMoments:

@@ -715,8 +715,15 @@ class TestOde:
             assert math.isfinite(worst) and worst < 1e-9
 
     def test_zero_is_rejected(self, classical1_sys):
-        with pytest.raises(ValueError):
-            classical1_sys.ode_residual(3, 0.0)
+        for x in (0, 0.0, np.float64(0.0), F(0)):
+            with pytest.raises(ValueError, match="regular singular point"):
+                classical1_sys.ode_residual(3, x)
+
+    def test_exact_x_without_a_float(self, classical1_sys):
+        # the singular point is tested on the exact x: 10^-400 is not 0, and
+        # 10^400 has no float, yet a family system's bracket reads 0 at both
+        for x in (F(1, 10**400), F(10**400)):
+            assert classical1_sys.ode_residual(3, x) == 0.0
 
     def test_non_family_rejected(self):
         sys = PolynomialSystem(seq_order2(3, 8))
