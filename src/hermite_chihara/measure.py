@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .governing import as_fraction, common_denominator
 from .quadrature import integrate_split_at_zero
 from .systems import FloatRangeError, PolynomialSystem, _weight_floats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MeasureSpec",
@@ -48,6 +49,8 @@ class MeasureSpec:
         """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
         C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
         is formed.  FloatRangeError when gamma, alpha or the Gamma value has no float."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         g, a = _weight_floats(self.gamma, self.alpha)
         try:
@@ -131,6 +134,8 @@ def gram_deviation(
     per round, and the quadrature contracts each panel's rows into the d x d
     block directly.  FloatRangeError when gamma, alpha or a b^2 has no float
     (in FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
+    import numpy as np
+
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 
@@ -168,6 +173,8 @@ def carleman_determinacy(b_values: Sequence[float]) -> DeterminacyReport:
     b_n = O(n^p) with p <= 1; the verdict is an explicitly finite-horizon
     heuristic, never a convergence claim.
     """
+    import numpy as np
+
     b = [float(x) for x in b_values]
     if len(b) < 8:
         raise ValueError("need at least 8 coefficients for a meaningful fit")

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .systems import PolynomialSystem, _weight_floats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OperatorSet",
@@ -56,6 +58,8 @@ class OperatorSet:
 def build_operators(sys: PolynomialSystem, dim: int = 40) -> OperatorSet:
     """Realize the operator set on the first dim basis vectors.  Needs the
     system built at least to n_max = dim (b_{dim-1}^2 uses v_dim)."""
+    import numpy as np
+
     if sys.n_max < dim:
         raise ValueError(f"system built to n_max={sys.n_max}; need >= dim={dim}")
     return OperatorSet(dim=dim, b=np.array(sys.b_float[: dim - 1], dtype=float))
@@ -66,6 +70,8 @@ def _diagonals(ops: OperatorSet, sys: PolynomialSystem) -> tuple[int, np.ndarray
     """The interior row count k = dim - MARGIN and, on the rows n < k, the
     diagonals of a- a+ and a+ a-, (sqrt2 b_n)^2 and (sqrt2 b_{n-1})^2, and of
     B(N+I) and B(N), b_n^2 and b_{n-1}^2, with b_{-1} = 0."""
+    import numpy as np
+
     k = ops.dim - MARGIN
     s = SQRT2 * ops.b[:k]
     up = s * s
@@ -76,8 +82,8 @@ def _diagonals(ops: OperatorSet, sys: PolynomialSystem) -> tuple[int, np.ndarray
 
 def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
     """Whether every row's deviation is at most ROUNDING_BOUND eps lambda_n
-    (lambda_n > 0, as b_0^2 > 0)."""
-    return bool(np.all(deviation <= ROUNDING_BOUND * np.finfo(float).eps * lam))
+    (lambda_n > 0, as b_0^2 > 0); eps is math.ulp(1.0)."""
+    return bool((deviation <= ROUNDING_BOUND * math.ulp(1.0) * lam).all())
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,8 @@ def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorRepo
     """[a-, a+] against 2(B(N+I) - B(N)) on interior indices; family systems
     are also compared with Wigner's deformed relation (I + gamma R)/alpha, R the
     parity (-1)^n.  Both sides are diagonal."""
+    import numpy as np
+
     k, up, down, b2_shift, b2 = _diagonals(ops, sys)
     comm = up - down
     deviation = np.abs(comm - 2.0 * (b2_shift - b2))
@@ -118,6 +126,8 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     """H psi_n = lambda_n psi_n with lambda_n = 2(b_{n-1}^2 + b_n^2), checked on
     interior indices; for family systems also against (2n + gamma + 1)/alpha.
     H is diagonal by its band structure, so off_diagonal is 0.0."""
+    import numpy as np
+
     k, up, down, b2_shift, b2 = _diagonals(ops, sys)
     lam_matrix = up + down
     lam_formula = 2.0 * b2 + 2.0 * b2_shift

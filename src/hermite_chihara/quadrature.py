@@ -18,9 +18,11 @@ toward weight-function cusps.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["MAX_PANELS", "ROUND_PANELS", "integrate_split_at_zero"]
 
@@ -31,7 +33,7 @@ ROUND_PANELS = 64  # the most panels one round splits, with one call of the inte
 # abscissae of the 61-point Kronrod rule, descending, with the 30-point Gauss
 # abscissae at odd positions; the Kronrod weights of those abscissae; the
 # Gauss weights of _XGK[1], _XGK[3], ..., _XGK[29]
-_XGK = np.array([
+_XGK = (
     0.999484410050490637571325895705811,
     0.996893484074649540271630050918695,
     0.991630996870404594858628366109486,
@@ -63,8 +65,8 @@ _XGK = np.array([
     0.102806937966737030147096751318001,
     0.051471842555317695833025213166723,
     0.000000000000000000000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.001389013698677007624551591226760,
     0.003890461127099884051267201844516,
     0.006630703915931292173319826369750,
@@ -96,8 +98,8 @@ _WGK = np.array([
     0.051221547849258772170656282604944,
     0.051426128537459025933862879215781,
     0.051494729429451567558340433647099,
-])
-_WG = np.array([
+)
+_WG = (
     0.007968192496166605615465883474674,
     0.018466468311090959142302131912047,
     0.028784707883323369349719179611292,
@@ -113,13 +115,22 @@ _WG = np.array([
     0.099593420586795267062780282103569,
     0.101762389748405504596428952168554,
     0.102852652893558840341285636705415,
-])
+)
 
-_NODES = np.concatenate([-_XGK[:30], _XGK[30:], _XGK[29::-1]])  # ascending, 61 nodes
-_WK = np.concatenate([_WGK[:30], _WGK[30:], _WGK[29::-1]])
-_WGAUSS = np.zeros(61)
-_WGAUSS[1:60:2] = np.concatenate([_WG, _WG[::-1]])
-_RULES = np.stack([_WK, _WGAUSS])  # one product applies both rules
+
+@cache
+def _tables():
+    """The 61 nodes, ascending, and the (2, 61) rule weights, K61 then G30 (zero
+    at the Kronrod-only nodes), so one product applies both rules: read-only
+    arrays, built from the tables above once per process, on first use."""
+    import numpy as np
+
+    nodes = np.array([-x for x in _XGK[:30]] + list(_XGK[30:] + _XGK[29::-1]))
+    gauss = np.zeros(61)
+    gauss[1:60:2] = _WG + _WG[::-1]
+    rules = np.array([_WGK + _WGK[29::-1], gauss])
+    nodes.flags.writeable = rules.flags.writeable = False
+    return nodes, rules
 
 
 def _rule(half: float, u: np.ndarray, v: np.ndarray):
@@ -127,21 +138,23 @@ def _rule(half: float, u: np.ndarray, v: np.ndarray):
     half its width, and its error estimate max |K61 - G30|.  The block owns
     its data, so a panel kept for the next round does not keep the G30 block alive."""
     # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
-    k, g = (half * _RULES[:, None, :] * u.T) @ v
-    return k.copy(), float(np.max(np.abs(k - g)))
+    k, g = (half * _tables()[1][:, None, :] * u.T) @ v
+    return k.copy(), float(abs(k - g).max())
 
 
 def _halves(f: Callable, panels, index: int):
     """The halves of each panel (a, b) in panels, left then right, as
     (a, b, block, error, index) entries numbered from index on: one call of f
     on all their nodes, then the rule on each half's 61 rows."""
+    import numpy as np
+
     ends = []
     for a, b in panels:
         mid = 0.5 * (a + b)
         ends += [(a, mid), (mid, b)]
     lo, hi = np.array(ends).T
     half = 0.5 * (hi - lo)
-    u, v = f((0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel())
+    u, v = f((0.5 * (lo + hi)[:, None] + half[:, None] * _tables()[0]).ravel())
     return [(a, b, *_rule(h, u[61 * i : 61 * i + 61], v[61 * i : 61 * i + 61]), index + i)
             for i, ((a, b), h) in enumerate(zip(ends, half.tolist()))]
 

@@ -18,7 +18,11 @@ an exact coefficient (the decompositions, the derivative expansion, the ODE
 residual, the square-lowering deviation) crosses once, through _over_sqrt, from
 the exact b^2 and nu_n^2, so it has a float at any b0^2.  The float tables
 (psi_eval_table, the operator band) read b^2 (b2_float), the weight and its closed
-forms (gamma, alpha) (_weight_floats), with FloatRangeError where one has no float.
+forms (gamma, alpha) (_weight_floats), with FloatRangeError where one has no float,
+and where a psi value overflows.  numpy is imported only at that boundary, inside
+each function that builds or reads a float array (psi_eval_table here, the weight,
+the Gram and the Carleman fit in measure, the operator band in oscillator, the
+panels in quadrature), so a process that evaluates no float never loads it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .derivation import Poly
 from .governing import (
@@ -41,6 +43,9 @@ from .governing import (
     family_weight,
     gamma_squares,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FLOAT_RANGE",
@@ -306,15 +311,23 @@ class PolynomialSystem:
 
     def psi_eval_table(self, x: np.ndarray, n_hi: int) -> np.ndarray:
         """Matrix [len(x), n_hi+1] of psi_0..psi_{n_hi} at the nodes x, by the
-        forward three-term recurrence: the one float evaluation of psi."""
+        forward three-term recurrence: the one float evaluation of psi.
+        FloatRangeError when a value overflows (or, after an overflow, is NaN)."""
+        import numpy as np
+
         self._check_n(n_hi)
         x = np.asarray(x, dtype=float)
         out = np.empty((x.size, n_hi + 1))
         out[:, 0] = 1.0
-        if n_hi >= 1:
-            out[:, 1] = x / self.b_float[0]
-        for m in range(1, n_hi):
-            out[:, m + 1] = (x * out[:, m] - self.b_float[m - 1] * out[:, m - 1]) / self.b_float[m]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if n_hi >= 1:
+                    out[:, 1] = x / self.b_float[0]
+                for m in range(1, n_hi):
+                    out[:, m + 1] = ((x * out[:, m] - self.b_float[m - 1] * out[:, m - 1])
+                                     / self.b_float[m])
+        except FloatingPointError:
+            raise FloatRangeError("psi value") from None
         return out
 
     # -- identity checks ---------------------------------------------------

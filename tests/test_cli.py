@@ -806,13 +806,15 @@ class TestFloatRange:
         pytest.param(("gram", "--family", "classical", "--gamma", "400"), id="gram-gamma-400"),
         pytest.param(("spectrum", *GAMMA_1E400), id="spectrum-gamma-1e400"),
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
+        # psi_400 overflows near the integration radius, 65
+        pytest.param(("gram", "--n-max", "400"), id="gram-psi-n-400"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         (failed,) = json.loads(err)["failed"]
-        assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)) outside the float range "
-                            r"\[2\^-1022, 2\^1020\]", failed)
+        assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)|psi value) "
+                            r"outside the float range \[2\^-1022, 2\^1020\]", failed)
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
     def test_verify_prints_its_check_list(self, capsys, b0):
@@ -1172,6 +1174,43 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "epsilons" in proc.stdout, proc.stderr
+
+
+class TestNumpyAtTheFloatBoundary:
+    """numpy loads where a command first evaluates a float, never at import:
+    the exact commands and a usage error run without it, and verify loads it.
+    In a fresh interpreter, as this test run has already imported numpy."""
+
+    EXACT = [  # (argv, exit code)
+        (["build"], 0),
+        (["table", "--format", "csv"], 0),
+        (["table", "--format", "json"], 0),
+        (["epsilons"], 0),
+        (["classify"], 0),
+        (["ode"], 0),
+        (["verify", "--n-max", "x"], 2),
+    ]
+    SCRIPT = """
+import contextlib, io, json, sys
+import hermite_chihara
+from hermite_chihara.cli import main
+print(json.dumps(["import", None, "numpy" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+"""
+
+    def test_exact_commands_load_no_numpy(self):
+        argvs = [argv for argv, _ in self.EXACT] + [["verify", "--n-max", "8", "--dim", "12"]]
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            ["import", None, False],
+            *([argv[0], code, False] for argv, code in self.EXACT),
+            ["verify", 0, True],
+        ]
 
 
 class TestParserReuse:

@@ -321,9 +321,10 @@ def dense_panel(f, a, b):
     factors: the 61 x p x q array u_i v_j, contracted with both rules.  The
     reference for _rule's one rule-weighted product."""
     half = 0.5 * (b - a)
-    u, v = f(0.5 * (a + b) + half * quadrature._NODES)
+    nodes, rules = quadrature._tables()
+    u, v = f(0.5 * (a + b) + half * nodes)
     y = (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
-    k, g = half * (quadrature._RULES @ y)
+    k, g = half * (rules @ y)
     return k.reshape(u.shape[1], v.shape[1]), float(np.max(np.abs(k - g)))
 
 
@@ -331,7 +332,7 @@ def one_panel(f, a, b):
     """The rule on one panel [a, b], with f called on its 61 nodes alone: the
     per-panel reference for the engine, which calls f once per round."""
     half = 0.5 * (b - a)
-    u, v = f(0.5 * (a + b) + half * quadrature._NODES)
+    u, v = f(0.5 * (a + b) + half * quadrature._tables()[0])
     return quadrature._rule(half, u, v)
 
 
@@ -533,16 +534,17 @@ class TestQuadratureEngine:
 
     def test_rule_constants_by_exactness(self):
         # K61 integrates x^k over [-1, 1] exactly for k <= 91, G30 for k <= 59
-        gauss = quadrature._WGAUSS != 0
-        for weights, nodes, degree in (
-            (quadrature._WK, quadrature._NODES, 91),
-            (quadrature._WGAUSS[gauss], quadrature._NODES[gauss], 59),
+        nodes, (kronrod, gauss_weights) = quadrature._tables()
+        gauss = gauss_weights != 0
+        for weights, x, degree in (
+            (kronrod, nodes, 91),
+            (gauss_weights[gauss], nodes[gauss], 59),
         ):
             for k in range(degree + 1):
                 want = 0.0 if k % 2 else 2.0 / (k + 1)
-                assert abs(weights @ nodes**k - want) < 1e-14, (len(nodes), k)
+                assert abs(weights @ x**k - want) < 1e-14, (len(x), k)
             assert np.all(weights > 0)
-        nodes = quadrature._NODES
+        assert quadrature._tables() is quadrature._tables()  # built once per process
         assert nodes.shape == (61,) and np.all(np.diff(nodes) > 0)
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 61, 2))
