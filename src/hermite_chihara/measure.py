@@ -48,7 +48,9 @@ class MeasureSpec:
     def weight(self, x: np.ndarray) -> np.ndarray:
         """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
         C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
-        is formed.  FloatRangeError when gamma, alpha or the Gamma value has no float."""
+        is formed.  FloatRangeError when gamma, alpha or the Gamma value has no float,
+        where a weight value overflows (or, after an overflow, is NaN), and at the
+        pole x = 0 of a gamma < 0."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
@@ -58,7 +60,11 @@ class MeasureSpec:
         except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
             raise FloatRangeError("Gamma((gamma+1)/2)") from None
         r = math.sqrt(a)
-        return c * r * np.abs(r * x) ** g * np.exp(-a * x * x)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return c * r * np.abs(r * x) ** g * np.exp(-a * x * x)
+        except FloatingPointError:
+            raise FloatRangeError("weight value") from None
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
@@ -118,10 +124,23 @@ class OrthonormalityReport:
         return self.quadrature_error <= self.tolerance
 
 
-def _integration_radius(n_max: int, alpha: float) -> float:
+def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
     """The alpha = 1 radius on the weight's scale 1/sqrt(alpha), at every
-    alpha: the panel layout does not depend on alpha."""
-    return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0) / math.sqrt(alpha)
+    alpha: the panel layout does not depend on alpha.  At alpha = 1 it is the
+    larger of max(10, 3 sqrt(n) + 5) and sqrt(t) + 3 t^{1/4} + 6, t = s + n
+    with s = (gamma + 1)/2: the integrand's mass lies near x^2 = t, which a
+    large gamma moves past the first.  The second never passes the |x| at which
+    the weight's factor C sqrt(alpha) |sqrt(alpha) x|^gamma, formed before
+    exp(-alpha x^2), reaches 2^1020: growing the radius for gamma makes no
+    weight value overflow that the first radius left finite."""
+    s = (gamma + 1.0) / 2.0
+    t = s + n_max
+    reach = math.sqrt(t) + 3.0 * t**0.25 + 6.0
+    if gamma > 0:
+        room = 1020.0 * math.log(2.0) - max(0.0, 0.5 * math.log(alpha) - math.lgamma(s))
+        if gamma * math.log(reach) > room:  # room: log 2^1020 / max(1, C sqrt(alpha))
+            reach = math.exp(room / gamma)
+    return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0, reach) / math.sqrt(alpha)
 
 
 def gram_deviation(
@@ -146,7 +165,7 @@ def gram_deviation(
         table = sys.psi_eval_table(x, n_max)
         return table * spec.weight(x)[:, None], table
 
-    radius = _integration_radius(n_max, _weight_floats(spec.gamma, spec.alpha)[1])
+    radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
     gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(

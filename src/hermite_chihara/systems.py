@@ -13,6 +13,12 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
+The cores are built where they are read: the constructor forms b^2, gamma^2,
+nu^2 and the weight, and its core list starts as [P_0, P_1].  Each exact reader
+grows that one list by the recurrence up to the largest n it reads (_cores), and
+monic is the whole list, P_0..P_{n_max}.  A command that reads only b^2 and the
+weight (gram, spectrum, the operator band) builds no core.
+
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
 residual, the square-lowering deviation) crosses once, through _over_sqrt, from
@@ -212,14 +218,15 @@ class DecompositionReport:
 class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
-    Immutable once built; all query methods are pure.
+    Its values are fixed once built, and every query returns the same result
+    whenever it is made: only the core list grows, on first read (_cores).
     """
 
     def __init__(self, seq: GoverningSequence):
         if len(seq) < 3:
             raise ValueError(f"a polynomial system needs v_0, v_1 and v_2; got {len(seq)} entries")
         self.seq = seq
-        self.n_max = n_max = seq.n_max
+        self.n_max = seq.n_max
         self.brackets = bracket_table(seq)
         self.b2 = b_squares(seq, self.brackets)  # b2[i] = b_i^2 = b0^2 [i+1]
         self.g2 = gamma_squares(seq, self.b2)  # g2[n] = gamma_n^2
@@ -229,10 +236,7 @@ class PolynomialSystem:
         for b2 in self.b2:
             norm2.append(norm2[-1] * b2)
 
-        self.monic = monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
-        for n in range(1, n_max):
-            monic.append(_next_monic(monic[n], monic[n - 1], self.b2[n - 1]))
-
+        self._monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         self._weight = family_weight(seq)
         self._weight_nums = None if self._weight is None else common_denominator(self._weight)
 
@@ -262,6 +266,21 @@ class PolynomialSystem:
         return self._weight
 
     # -- polynomials -------------------------------------------------------
+
+    def _cores(self, n_hi: int) -> list[Poly]:
+        """The one list of monic cores, grown by the recurrence to hold P_0..P_{n_hi}
+        and returned whole: each public reader calls it once, with the largest n it
+        reads, and then indexes the list; the helpers it calls (_upper_remainder,
+        _core_expansion) index the list it grew."""
+        cores, b2 = self._monic, self.b2
+        for n in range(len(cores) - 1, n_hi):
+            cores.append(_next_monic(cores[n], cores[n - 1], b2[n - 1]))
+        return cores
+
+    @property
+    def monic(self) -> list[Poly]:
+        """The monic cores P_0..P_{n_max}, all of them: the list the scans read."""
+        return self._cores(self.n_max)
 
     def _explicit_ratios(self, n_hi: int) -> tuple[list[int], list[int], list[int]]:
         """Integer tables (a, d, t) with c_{n,m+1} / c_{n,m} = a[m] t[n - 2m] / d[m] and
@@ -299,8 +318,9 @@ class PolynomialSystem:
         each side, no gcd, no Fraction."""
         self._check_n(n_hi)
         a, d, t = self._explicit_ratios(n_hi)
+        cores = self._cores(n_hi)
         for n in range(n_hi + 1):
-            core = self.monic[n]
+            core = cores[n]
             nums = core.nums
             if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den or any(
                 lo * dm != am * tj * hi for am, dm, tj, lo, hi in
@@ -341,9 +361,9 @@ class PolynomialSystem:
         cores' numerators with no Poly arithmetic and no derivation operator, on the
         slots k = n - 1 (mod 2) (_parities) and over gcd(den(P_n), den(P_{n-1}))."""
         self._check_n(n_hi)
-        w = self._w
+        w, cores = self._w, self._cores(n_hi)
         for n in range(1, n_hi + 1):
-            cur, prev = self.monic[n], self.monic[n - 1]
+            cur, prev = cores[n], cores[n - 1]
             if cur.degree != n or prev.degree != n - 1:
                 return n
             g = math.gcd(cur.den, prev.den)
@@ -369,9 +389,9 @@ class PolynomialSystem:
         self._check_n(n_hi)
         if n_hi < 2:
             raise ValueError(f"square lowering reads the columns 2 <= n <= n_hi: got n_hi = {n_hi}")
-        worst = 0.0
+        worst, cores = 0.0, self._cores(n_hi)
         for n in range(2, n_hi + 1):
-            p, q, b1, b2 = self.monic[n], self.monic[n - 2], self.b2[n - 1], self.b2[n - 2]
+            p, q, b1, b2 = cores[n], cores[n - 2], self.b2[n - 1], self.b2[n - 2]
             g = math.gcd(p.den, q.den)
             # the residual coefficients times den(P_n) sp, for r = rn / rd: sp = den(P_{n-2}) rd / g
             sp = q.den // g * b1.denominator * b2.denominator * alpha.denominator
@@ -389,13 +409,14 @@ class PolynomialSystem:
         """Coefficients of nums / den (x^0 first) over the monic cores P_idx, idx in
         the given descending order, by triangular elimination in integers: P_idx is
         monic of degree idx, so r / den(p) is its coefficient, r the x^idx numerator
-        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx)."""
-        p, out = Poly.from_numerators(nums, den), []
+        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx).
+        The caller has grown the core list past every idx (_cores)."""
+        p, out, cores = Poly.from_numerators(nums, den), [], self._monic
         for idx in indices:
             r = p.nums[idx] if idx < len(p.nums) else 0
             out.append(Fraction(r, p.den))
             if r:
-                core = self.monic[idx]
+                core = cores[idx]
                 p = Poly.from_numerators([a * core.den - r * c for a, c in zip_longest(
                     p.nums, core.nums, fillvalue=0)], p.den * core.den)
         if not p.is_zero():
@@ -407,8 +428,9 @@ class PolynomialSystem:
         L lcm(den(P_n), den(P_{n-1})), each a numerator times a small cofactor on the
         slots of n's parity (_parities)), from w_i = L v_i, i < n.  U, D's degree-
         preserving part, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the
-        series x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
-        cur, prev, w = self.monic[n], self.monic[n - 1], self._w
+        series x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part).
+        The caller has grown the core list to P_n (_cores)."""
+        cur, prev, w = self._monic[n], self._monic[n - 1], self._w
         g, un = math.gcd(cur.den, prev.den), w[n - 1] - n * w[0]
         sa, sb = prev.den // g, cur.den // g * un
         shifted, wd, r = (0, *prev.nums), (0, *w[:n]), [0] * (n + 1)  # u_k = wd[k] - k w_0
@@ -424,10 +446,11 @@ class PolynomialSystem:
         r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, both sides over
         gcd(r_{n-2}, den(P_{n-2})), on the slots of n's parity (_parities)."""
         self._check_n(n_hi)
+        cores = self._cores(n_hi)
         for n in range(2, n_hi + 1):
-            if any(self.monic[k].degree != k for k in (n, n - 1, n - 2)):
+            if any(cores[k].degree != k for k in (n, n - 1, n - 2)):
                 return n
-            r, low = self._upper_remainder(n)[1], self.monic[n - 2]
+            r, low = self._upper_remainder(n)[1], cores[n - 2]
             h = math.gcd(r[n - 2], low.den)
             dl, rl, c = low.den // h, r[n - 2] // h, (*low.nums, 0, 0)
             if any(a * dl != rl * b for t in _parities(n % 2, r, c)
@@ -439,6 +462,7 @@ class PolynomialSystem:
         """Expand U psi_n (U the degree-preserving part of D) over {x psi_{n-1},
         psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
         self._check_n(n, 2)
+        self._cores(n)
         un, nums, den = self._upper_remainder(n)
         delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
@@ -455,7 +479,7 @@ class PolynomialSystem:
     def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
         """psi_n' = sum c_k psi_k, c_k = e_k nu_k / nu_n from the exact P_n' = sum e_k P_k."""
         self._check_n(n)
-        core = self.monic[n]
+        core = self._cores(n)[n]
         indices = range(n - 1, -1, -2)
         expansion = self._core_expansion(
             [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, indices)
@@ -470,7 +494,8 @@ class PolynomialSystem:
             raise UnsupportedSystemError("two-term derivative decomposition needs a family system")
         # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}; its x^k numerator
         # over den(P_n) den(P_{n-1}) is k c_k(P_n) den(P_{n-1}) - n c_{k-1}(P_{n-1}) den(P_n)
-        cur, prev = self.monic[n], self.monic[n - 1]
+        cores = self._cores(n)
+        cur, prev = cores[n], cores[n - 1]
         s = [k * a * prev.den - n * b * cur.den
              for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
         (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
@@ -498,7 +523,7 @@ class PolynomialSystem:
         self._check_n(n)
         self.weight_parameters()  # family only
         (gi, ai), G = self._weight_nums
-        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self.monic[n]
+        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self._cores(n)[n]
         out = [0] * (len(core.nums) + 2)
         for t in _parities(n % 2, core.nums):
             c = core.nums[t::2]

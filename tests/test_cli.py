@@ -517,6 +517,19 @@ class TestGram:
         assert check["detail"].startswith("max deviation nan" if math.isnan(factor) else
                                           "max deviation 1.250e+00")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma, n_max", [("200", "8"), ("212", "50"), ("215", "20")])
+    def test_a_large_gamma_passes(self, capsys, gamma, n_max):
+        # at gamma = 200 the weight's mass sits near |x| = sqrt((gamma + 1)/2), past
+        # the radius max(10, 3 sqrt(n) + 5) at n = 8; the radius reads gamma, and
+        # the Gram is within the bound (a radius of 13.5 gave 9.7e-6, converged).
+        # At gamma = 212, n = 50 and gamma = 215, n = 20 the gamma term stops where
+        # |x|^gamma reaches 2^1020, so no weight value overflows
+        code, out, err = run_cli(capsys, "gram", "--family", "classical", "--gamma", gamma,
+                                 "--n-max", n_max)
+        assert (code, err) == (0, "")
+        assert max(abs(float(v)) for r in out.splitlines() for v in r.split(",")) < 1e-8
+
     def test_a_non_family_system_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
         assert (code, out) == (2, "")
@@ -808,12 +821,15 @@ class TestFloatRange:
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
         # psi_400 overflows near the integration radius, 65
         pytest.param(("gram", "--n-max", "400"), id="gram-psi-n-400"),
+        # |x|^-0.99 overflows on the panels the quadrature bisects next to the origin
+        pytest.param(("gram", "--family", "classical", "--gamma", "-99/100", "--n-max", "12"),
+                     id="gram-weight-gamma-minus-0.99"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         (failed,) = json.loads(err)["failed"]
-        assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)|psi value) "
+        assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)|psi value|weight value) "
                             r"outside the float range \[2\^-1022, 2\^1020\]", failed)
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])

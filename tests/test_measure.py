@@ -85,6 +85,14 @@ class TestNormalization:
                 MeasureSpec(g, a).weight(x)
 
 
+    def test_a_weight_value_without_a_float_raises(self):
+        # |x|^-1/2 at its pole x = 0, and |x|^300 past 2^1024 at x = 20 (e^-400
+        # would leave a float, but the power is formed first)
+        for g, x in ((F(-1, 2), 0.0), (F(300), 20.0)):
+            with pytest.raises(FloatRangeError, match=r"^weight value outside the float range"):
+                MeasureSpec(g, F(1)).weight(np.array([1.0, x]))
+
+
 class TestMoments:
     def test_odd_vanish(self):
         spec = MeasureSpec(F(3, 2), F(2))
@@ -181,7 +189,7 @@ class TestOrthonormality:
             t = sys.psi_eval_table(x, 100)
             return t * spec.weight(x)[:, None], t
 
-        radius = measure._integration_radius(100, float(spec.alpha))
+        radius = measure._integration_radius(100, float(spec.gamma), float(spec.alpha))
         gram, err, panels, rounds = integrate_fresh_sums(
             integrand, [-radius, 0.0, radius], 1e-11, panel=dense_panel)
         assert len(calls) == panels + sum(rounds)  # one table per panel made
@@ -213,7 +221,7 @@ class TestOrthonormality:
             t = sys.psi_eval_table(x, 100)
             return t * spec.weight(x)[:, None], t
 
-        radius = measure._integration_radius(100, float(spec.alpha))
+        radius = measure._integration_radius(100, float(spec.gamma), float(spec.alpha))
         gram, err, _, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
         rep = gram_deviation(sys, spec, 100)
         assert rep.deviation.tobytes() == np.abs(gram - np.eye(101)).tobytes()
@@ -223,8 +231,31 @@ class TestOrthonormality:
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
     def test_integration_radius_on_the_weight_scale(self, n_max, alpha):
         # at every alpha, the alpha = 1 radius over sqrt(alpha), bit for bit
-        radius = measure._integration_radius(n_max, alpha)
-        assert radius == measure._integration_radius(n_max, 1.0) / math.sqrt(alpha)
+        for gamma in (0.0, 200.0):
+            radius = measure._integration_radius(n_max, gamma, alpha)
+            assert radius == measure._integration_radius(n_max, gamma, 1.0) / math.sqrt(alpha)
+
+    def test_integration_radius_grows_only_where_the_mass_lies_past_it(self):
+        # max(10, 3 sqrt(n) + 5) wherever gamma <= 2 at n >= 20 (every Gram of the
+        # float-boundary benchmark) and at gamma = -1/2, n = 100; at gamma = 200
+        # the weight's mass lies near |x| = 10, past that radius at n = 8
+        def gamma_blind(n):
+            return max(10.0, 3.0 * math.sqrt(n) + 5.0)
+
+        for n in (20, 50, 100):
+            for gamma in (-0.5, 0.0, 1.0, 2.0):
+                assert measure._integration_radius(n, gamma, 1.0) == gamma_blind(n)
+        assert measure._integration_radius(8, 200.0, 1.0) > 10.0 + gamma_blind(8)
+
+    @pytest.mark.parametrize("gamma, n_max", [(212.0, 50), (215.0, 20), (260.0, 8)])
+    def test_integration_radius_stops_where_the_weight_would_overflow(self, gamma, n_max):
+        # sqrt(t) + 3 t^{1/4} + 6 would take |x|^gamma past the largest float
+        # here (29.1^212, 27.4^215, 24.6^260); the radius stops where it is 2^1020
+        radius = measure._integration_radius(n_max, gamma, 1.0)
+        t = (gamma + 1.0) / 2.0 + n_max
+        assert radius < math.sqrt(t) + 3.0 * t**0.25 + 6.0
+        assert radius == pytest.approx(2.0 ** (1020.0 / gamma), rel=1e-15)
+        assert radius >= max(10.0, 3.0 * math.sqrt(n_max) + 5.0)
 
     @pytest.mark.parametrize("n_max", [12, 100])
     @pytest.mark.parametrize("family", ["hermite", "family-4-5"])

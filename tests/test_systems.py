@@ -401,6 +401,104 @@ class TestLazyOperator:
         assert not hasattr(sys, "op")
 
 
+# each exact reader at n, whose largest core index read is n
+CORE_READERS = {
+    "ode_residual": lambda sys, n: sys.ode_residual(n, 0.5),
+    "first_ode_failure": lambda sys, n: sys.first_ode_failure(n),
+    "first_route_mismatch": lambda sys, n: sys.first_route_mismatch(n),
+    "first_lowering_failure": lambda sys, n: sys.first_lowering_failure(n),
+    "first_reduced_failure": lambda sys, n: sys.first_reduced_failure(n),
+    "square_lowering_deviation": lambda sys, n: sys.square_lowering_deviation(n),
+    "decompose_b1bar": lambda sys, n: sys.decompose_b1bar(n),
+    "derivative_in_basis": lambda sys, n: sys.derivative_in_basis(n),
+    "derivative_decomposition": lambda sys, n: sys.derivative_decomposition(n),
+}
+
+
+class TestCoresOnFirstRead:
+    """The cores are built where they are read: a fresh system holds P_0 and
+    P_1, each exact reader grows the one core list to the largest n it reads,
+    and monic is that list, P_0..P_{n_max}.  The float boundary reads no core."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The index of every core the recurrence builds, in order."""
+        indices, step = [], systems_mod._next_monic
+
+        def counted(cur, prev, b2):
+            indices.append(len(cur.nums))  # cur is P_{n-1}, with n numerators
+            return step(cur, prev, b2)
+
+        monkeypatch.setattr(systems_mod, "_next_monic", counted)
+        return indices
+
+    def test_the_float_boundary_builds_no_core(self, built):
+        from hermite_chihara import measure, oscillator
+
+        sys = PolynomialSystem(seq_classical(F(1, 3), 60))
+        ops = oscillator.build_operators(sys, dim=60)
+        oscillator.commutator_report(ops, sys)
+        oscillator.spectrum_report(ops, sys)
+        measure.gram_deviation(sys, measure.spec_for_system(sys), 12)
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--family", "classical", "--gamma", "1/3", "--dim", "60"),
+        ("gram", "--family", "classical", "--gamma", "1/3", "--n-max", "12"),
+    ], ids=["spectrum", "gram"])
+    def test_spectrum_and_gram_build_no_core(self, built, capsys, argv):
+        from hermite_chihara.cli import main
+
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert built == []
+
+    @pytest.mark.parametrize("name", list(CORE_READERS))
+    @pytest.mark.parametrize("n", [3, 17, 40])
+    def test_a_reader_builds_each_core_once_up_to_its_n(self, built, name, n):
+        read = CORE_READERS[name]
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 60))
+        read(sys, n)
+        assert built == list(range(2, n + 1)) and len(sys._monic) == n + 1
+        read(sys, n)
+        read(sys, n - 1)
+        assert built == list(range(2, n + 1))
+
+    def test_ode_residual_grows_the_list_to_n_plus_1(self):
+        sys = PolynomialSystem(seq_classical(1, 100))
+        for n in (1, 9, 64, 100):
+            sys.ode_residual(n, 0.5)
+            assert len(sys._monic) == n + 1
+
+    def test_monic_is_the_one_list_the_readers_grow(self, built):
+        N = 60
+        sys = PolynomialSystem(seq_classical(F(1, 3), N))
+        sys.first_route_mismatch(20)
+        cores = sys.monic
+        assert sys.monic is cores and sys._cores(N) is cores and len(cores) == N + 1
+        assert sys.first_lowering_failure(N) is None and sys.monic is cores
+        assert built == list(range(2, N + 1))
+        assert [p.coeffs for p in cores] == [p.coeffs for p in ref.monic_cores(sys.b2, N)]
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
+    @pytest.mark.parametrize("partial", [0, 10, 19, 20, 30])
+    def test_a_core_corrupted_after_a_partial_read_fails_at_its_n(self, kind, partial):
+        # the scans grow the list to 10, 19, ... before monic is read and P_20
+        # corrupted in it: every scan still fails first at 20, as when the
+        # constructor built every core
+        N, n = 40, 20
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), N))
+        if partial:
+            assert sys.first_route_mismatch(partial) is None
+            assert sys.first_ode_failure(partial) is None
+        sys.monic[n] = corrupt_core(sys.monic[n], n, kind, n // 4)
+        assert sys.first_route_mismatch(N) == n and sys.first_route_mismatch(n - 1) is None
+        assert sys.first_lowering_failure(N) == n
+        assert sys.first_reduced_failure(N) == n
+        assert sys.first_ode_failure(N) == n
+        assert sys.square_lowering_deviation(n - 1) == 0.0 < sys.square_lowering_deviation(N)
+
+
 class TestCompatiblePropagation:
     """The compatibility identity at p = 2 propagates a free (v1, v2, v3) seed
     to a full sequence; the result satisfies the identity at every (n, p) and
@@ -557,10 +655,10 @@ class TestDecomposition:
         # the scan's U P_n (its remainder plus u_n x P_{n-1}) is the operator's
         for sys in reference_systems.values():
             op = epsilons_from_sequence(sys.seq)
-            L = sys._L
+            L, cores = sys._L, sys.monic  # _upper_remainder reads the cores its caller grew
             for n in range(2, 17):
                 un, nums, den = sys._upper_remainder(n)
-                cur, prev = sys.monic[n], sys.monic[n - 1]
+                cur, prev = cores[n], cores[n - 1]
                 assert den == L * math.lcm(cur.den, prev.den)
                 upper = ref.FractionPoly(Poly.from_numerators(nums, den).coeffs)
                 upper += ref.FractionPoly(prev.coeffs).shift(1).scale(F(un, L))
