@@ -220,6 +220,32 @@ def cmd_classify(args) -> int:
     return _exit_code(failed)
 
 
+# one verdict function per kind of check, each (passed, detail): verify's check
+# list and the single-check commands share its wording, and each detail names
+# the range it covered and its bound
+def _exact(first_failure: int | None, n_max: int) -> tuple[bool, str]:
+    """A first-failure scan of an exact identity over n <= n_max."""
+    if first_failure is None:
+        return True, f"exact polynomial identity for every n <= {n_max}"
+    return False, f"exact polynomial identity fails first at n = {first_failure}"
+
+
+def _band(report, interior: int) -> tuple[bool, str]:
+    """A band report (commutator or spectrum) on the rows n < interior."""
+    return report.within_rounding, (f"max deviation {report.max_deviation:.3e} on rows n < "
+                                    f"{interior}, bound {_ROUNDING} per row")
+
+
+def _gram(report: measure_mod.OrthonormalityReport, n: int) -> tuple[bool, str]:
+    """The Gram of psi_0..psi_n: it fails on a deviation not below the bound (a
+    NaN included), or on a quadrature that stopped short of its tolerance."""
+    detail = f"max deviation {report.max_deviation:.3e} for i, j <= {n}, bound {_GRAM_BOUND}"
+    if not report.converged:
+        detail += (f"; quadrature error {report.quadrature_error:.3e} exceeds its tolerance "
+                   f"{report.tolerance:.0e}; the Gram matrix is not converged")
+    return report.max_deviation < float(_GRAM_BOUND) and report.converged, detail
+
+
 def cmd_spectrum(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, args.dim))
     ops = osc_mod.build_operators(sys_, dim=args.dim)
@@ -228,14 +254,8 @@ def cmd_spectrum(args) -> int:
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    failed = [] if rep.within_rounding else [f"spectrum deviation exceeds {_ROUNDING} on a row"]
-    return _exit_code(failed)
-
-
-def _ode_detail(first_failure: int | None, n_max: int) -> str:
-    if first_failure is None:
-        return f"exact polynomial identity for every n <= {n_max}"
-    return f"exact polynomial identity fails first at n = {first_failure}"
+    passed, detail = _band(rep, args.dim - osc_mod.MARGIN)
+    return _exit_code([] if passed else [detail])
 
 
 def cmd_ode(args) -> int:
@@ -247,7 +267,8 @@ def cmd_ode(args) -> int:
     payload = {"family": args.family, "gamma": str(g), "alpha": str(a), "n_max": args.n_max,
                "first_failure": first, "passed": first is None}
     _emit(args, json.dumps(payload, indent=2) + "\n")
-    return _exit_code([] if first is None else [_ode_detail(first, args.n_max)])
+    passed, detail = _exact(first, args.n_max)
+    return _exit_code([] if passed else [detail])
 
 
 def cmd_gram(args) -> int:
@@ -257,7 +278,8 @@ def cmd_gram(args) -> int:
         raise InputError("orthonormality verification requires a special-family system")
     rep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), args.n_max)
     _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rep.deviation))
-    return _exit_code(_gram_failures(rep))
+    passed, detail = _gram(rep, args.n_max)
+    return _exit_code([] if passed else [detail])
 
 
 def cmd_verify(args) -> int:
@@ -283,31 +305,8 @@ def cmd_verify(args) -> int:
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
-    def lowering() -> tuple[bool, str]:
-        bad = sys_.first_lowering_failure(n_max)
-        return bad is None, ("max residual 0 (exact)" if bad is None
-                             else f"nonzero residual first at n = {bad} (exact)")
-
-    def route_equivalence() -> tuple[bool, str]:
-        bad = sys_.first_route_mismatch(n_max)
-        return bad is None, ("recurrence vs explicit coefficients, exact"
-                             + ("" if bad is None else f", fails first at n = {bad}"))
-
     def band(report) -> tuple[bool, str]:
-        rep = report(osc_mod.build_operators(sys_, dim=args.dim), sys_)
-        return rep.within_rounding, (f"max deviation {rep.max_deviation:.3e} on rows n < "
-                                     f"{interior}, bound {_ROUNDING} per row")
-
-    def ode() -> tuple[bool, str]:
-        first = sys_.first_ode_failure(n_max)
-        return first is None, _ode_detail(first, n_max)
-
-    def gram() -> tuple[bool, str]:
-        orep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), gram_n)
-        detail = f"max deviation {orep.max_deviation:.3e} for i, j <= {gram_n}"
-        if not orep.converged:
-            detail += f"; {_unconverged(orep)}"
-        return not _gram_failures(orep), detail
+        return _band(report(osc_mod.build_operators(sys_, dim=args.dim), sys_), interior)
 
     def square_lowering() -> tuple[bool, str]:
         # exact on the cores; only a nonzero residual's figure crosses to float
@@ -315,16 +314,18 @@ def cmd_verify(args) -> int:
         return sq == 0.0, f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}"
 
     rep = validate(seq)
-    check("validate", lambda: (rep.ok, f"monotone={rep.monotone} "
-                                       f"first_violation={rep.first_violation}"))
+    check("validate", lambda: (rep.ok, f"monotone={rep.monotone} first_violation="
+                                       f"{rep.first_violation} on v_0..v_{seq.n_max}"))
     incompatible = None if rep.ok else "skipped: sequence not compatible"
-    check("lowering", lowering, incompatible)
-    check("route_equivalence", route_equivalence, incompatible)
+    check("lowering", lambda: _exact(sys_.first_lowering_failure(n_max), n_max), incompatible)
+    check("route_equivalence", lambda: _exact(sys_.first_route_mismatch(n_max), n_max),
+          incompatible)
     check("commutator", lambda: band(osc_mod.commutator_report))
     check("spectrum", lambda: band(osc_mod.spectrum_report))
     if sys_.is_family:
-        check("ode", ode)
-        check("orthonormality", gram)
+        check("ode", lambda: _exact(sys_.first_ode_failure(n_max), n_max))
+        check("orthonormality", lambda: _gram(
+            measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), gram_n), gram_n))
         check("square_lowering", square_lowering, None if interior > 2 else
               f"skipped: no column 2 <= n < {interior}; --dim {osc_mod.MARGIN + 3} reads the first")
     else:
@@ -335,22 +336,6 @@ def cmd_verify(args) -> int:
                "checks": checks, "all_passed": all_pass}
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return _exit_code([c["name"] for c in checks if not c["passed"]])
-
-
-def _gram_failures(rep: measure_mod.OrthonormalityReport) -> list[str]:
-    """What fails the orthonormality check: a deviation not below the bound
-    (a NaN included), or a quadrature that stopped short of its tolerance."""
-    failed = []
-    if not rep.max_deviation < float(_GRAM_BOUND):
-        failed.append(f"orthonormality deviation >= {_GRAM_BOUND}")
-    if not rep.converged:
-        failed.append(_unconverged(rep))
-    return failed
-
-
-def _unconverged(rep: measure_mod.OrthonormalityReport) -> str:
-    return (f"quadrature error {rep.quadrature_error:.3e} exceeds its tolerance "
-            f"{rep.tolerance:.0e}; the Gram matrix is not converged")
 
 
 @functools.cache

@@ -104,12 +104,6 @@ class GoverningSequence:
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def value(self, i: int) -> Fraction:
-        """v_i, with the v_{-1} = 0 convention used throughout."""
-        if i == -1:
-            return Fraction(0)
-        return self.values[i]
-
     def to_json_dict(self) -> dict:
         return {
             "values": [str(v) for v in self.values],

@@ -254,8 +254,13 @@ def ode_bracket_slots(core, n: int, gamma, alpha) -> Poly:
     return Poly.from_numerators(out, core.den * G)
 
 
+def v_of(seq):
+    """i -> v_i of seq, with the convention v_{-1} = 0."""
+    return lambda i: Fraction(0) if i == -1 else seq.values[i]
+
+
 def validate(seq) -> ValidationReport:
-    v = seq.value
+    v = v_of(seq)
     monotone = all(seq.values[i] <= seq.values[i + 1] for i in range(seq.n_max))
     for n in range(2, len(seq)):
         for p in range(1, n // 2 + 1):
@@ -285,7 +290,7 @@ def coeff_strings(core) -> list[str]:
 
 
 def bracket_table(seq) -> list[Fraction]:
-    v = seq.value
+    v = v_of(seq)
     out = [Fraction(0), Fraction(1)]
     for n in range(2, len(seq)):
         br = v(n - 1) * (v(n) - v(n - 2)) / v(1)

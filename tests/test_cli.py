@@ -479,7 +479,7 @@ class TestGram:
         largest = max(abs(float(v)) for r in out.splitlines() for v in r.split(","))
         _, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "16")
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
-        assert check["detail"] == f"max deviation {largest:.3e} for i, j <= 12"
+        assert check["detail"] == f"max deviation {largest:.3e} for i, j <= 12, bound 1e-8"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("b0_squared", ["1/1000000", "1/1000000000000"])
@@ -506,16 +506,19 @@ class TestGram:
         monkeypatch.setattr(PolynomialSystem, "psi_eval_table", scaled)
         code, out, err = run_cli(capsys, command, "--family", "hermite", "--n-max", "4")
         failed = json.loads(err.splitlines()[-1])["failed"]
+        # a NaN deviation leaves a NaN quadrature error too, which the detail names
+        detail = ("max deviation nan for i, j <= 4, bound 1e-8; quadrature error nan exceeds its "
+                  "tolerance 1e-11; the Gram matrix is not converged" if math.isnan(factor) else
+                  "max deviation 1.250e+00 for i, j <= 4, bound 1e-8")
         assert code == 1
         if command == "gram":
-            assert failed[0] == "orthonormality deviation >= 1e-8"
+            assert failed == [detail]
             assert out.splitlines()[2].split(",")[2] == ("nan" if math.isnan(factor) else
                                                          "1.2499999999999996")
             return
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
         assert (check["status"], failed) == ("fail", ["orthonormality"])
-        assert check["detail"].startswith("max deviation nan" if math.isnan(factor) else
-                                          "max deviation 1.250e+00")
+        assert check["detail"] == detail
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma, n_max", [("200", "8"), ("212", "50"), ("215", "20")])
@@ -598,7 +601,7 @@ class TestCheckStatus:
             return {c["name"]: c for c in json.loads(out)["checks"]}["lowering"]
 
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and lowering(out)["detail"] == "max residual 0 (exact)"
+        assert code == 0 and lowering(out)["detail"] == "exact polynomial identity for every n <= 20"
         init = PolynomialSystem.__init__
 
         def scaled_at_17(self, seq):
@@ -609,7 +612,8 @@ class TestCheckStatus:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         low = lowering(out)
-        assert (low["status"], low["detail"]) == ("fail", "nonzero residual first at n = 17 (exact)")
+        assert (low["status"], low["detail"]) == (
+            "fail", "exact polynomial identity fails first at n = 17")
         assert "lowering" in json.loads(err.splitlines()[-1])["failed"]
 
     def test_square_lowering_fails_on_any_residual(self, capsys, monkeypatch):
@@ -652,7 +656,7 @@ class TestRouteEquivalence:
     def test_the_passing_detail(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGV)
         route = {c["name"]: c for c in json.loads(out)["checks"]}["route_equivalence"]
-        assert (code, route["detail"]) == (0, "recurrence vs explicit coefficients, exact")
+        assert (code, route["detail"]) == (0, "exact polynomial identity for every n <= 12")
 
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
     def test_a_corrupt_core_fails(self, capsys, monkeypatch, kind):
@@ -664,7 +668,7 @@ class TestRouteEquivalence:
 
         monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
         detail, failed = self.route(capsys)
-        assert detail == "recurrence vs explicit coefficients, exact, fails first at n = 6"
+        assert detail == "exact polynomial identity fails first at n = 6"
         assert "route_equivalence" in failed
 
     def test_b0_squared_changed_in_the_explicit_formula_only(self, capsys, monkeypatch):
@@ -726,6 +730,20 @@ class TestSpectrumCommand:
         assert n == "0"
         assert float(lam_m) == pytest.approx(1.0, abs=1e-12)
         assert float(lam_f) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_failed_band_reports_verify_s_detail(self, capsys, monkeypatch):
+        # a row past its rounding bound fails the command, and its failure report
+        # is the detail of verify's spectrum check at the same --dim
+        from hermite_chihara import oscillator
+
+        monkeypatch.setattr(oscillator, "_within_rounding", lambda deviation, lam: False)
+        code, out, err = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
+        largest = max(float(line.split(",")[3]) for line in out.splitlines()[1:])
+        detail = f"max deviation {largest:.3e} on rows n < 16, bound 8 eps |lambda_n| per row"
+        assert (code, json.loads(err)) == (1, {"failed": [detail]})
+        code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--dim", "20")
+        spectrum = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum"]
+        assert (code, spectrum["status"], spectrum["detail"]) == (1, "fail", detail)
 
 
 class TestOdeCommand:
@@ -909,23 +927,23 @@ class TestCheckLog:
 
     @pytest.mark.parametrize("argv,expected,after", [
         (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"),
-         [("validate", "FAIL", "monotone=True first_violation=(4, 2)"),
+         [("validate", "FAIL", "monotone=True first_violation=(4, 2) on v_0..v_12"),
           ("lowering", "skipped", _INCOMPATIBLE), ("route_equivalence", "skipped", _INCOMPATIBLE),
           ("commutator", "pass", None), ("spectrum", "pass", None)],
          ["non-family system: ode/orthonormality/square-lowering not applicable"]),
         (("--n-max", "2", "--dim", "5"),
-         [("validate", "pass", "monotone=True first_violation=None"),
-          ("lowering", "pass", "max residual 0 (exact)"),
-          ("route_equivalence", "pass", "recurrence vs explicit coefficients, exact"),
+         [("validate", "pass", "monotone=True first_violation=None on v_0..v_5"),
+          ("lowering", "pass", "exact polynomial identity for every n <= 2"),
+          ("route_equivalence", "pass", "exact polynomial identity for every n <= 2"),
           ("commutator", "pass", None), ("spectrum", "pass", None),
           ("ode", "pass", "exact polynomial identity for every n <= 2"),
           ("orthonormality", "pass", None),
           ("square_lowering", "skipped",
            "skipped: no column 2 <= n < 1; --dim 7 reads the first")], []),
         (("--b0-squared", _E400),
-         [("validate", "pass", "monotone=True first_violation=None"),
-          ("lowering", "pass", "max residual 0 (exact)"),
-          ("route_equivalence", "pass", "recurrence vs explicit coefficients, exact"),
+         [("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
+          ("lowering", "pass", "exact polynomial identity for every n <= 12"),
+          ("route_equivalence", "pass", "exact polynomial identity for every n <= 12"),
           ("commutator", "FAIL", _NO_FLOAT.format("b^2")),
           ("spectrum", "FAIL", _NO_FLOAT.format("b^2")),
           ("ode", "pass", "exact polynomial identity for every n <= 12"),
@@ -1100,6 +1118,11 @@ class TestFlagScope:
                     if line.startswith("hcpoly ")}
         assert set(self.COMMANDS) <= examples
 
+    # how a check's detail names its range: the n it covered, or the first failing
+    # n, the band's rows, the Gram's entries, square lowering's columns, or the
+    # sequence prefix that validate judged
+    RANGES = ("n <=", "fails first at n =", "rows n <", "i, j <=", "columns", "v_0..v_")
+
     def test_every_readme_line_exits_0_in_process(self, capsys):
         # each README line that starts with "hcpoly ", in order in this process
         # (the parser is shared), exits 0 with a RuntimeWarning raised as an error
@@ -1111,6 +1134,9 @@ class TestFlagScope:
                 code, out, err = run_cli(capsys, *shlex.split(line)[1:])
                 assert (code, err) == (0, ""), line
                 assert out, line
+                # each check verify runs names the range it covered in its detail
+                for c in json.loads(out)["checks"] if line.startswith("hcpoly verify ") else ():
+                    assert any(r in c["detail"] for r in self.RANGES), (line, c)
 
 
 # the edge settings of the weight family: b0^2, alpha and gamma with no float,
@@ -1131,18 +1157,15 @@ EDGE_SETTINGS = {
 class TestEdgeMatrix:
     """Every subcommand at every edge setting exits 0, exits 1 with the JSON
     failure report as the last line of stderr, or exits 2 with an error
-    message; none ends in a traceback.  Warnings print and do not raise
-    (PYTHONWARNINGS=default): at gamma = -99/100 the Gram's weight overflows
-    near the origin, with a RuntimeWarning and a failed orthonormality check
-    on an orthonormal system, which the closed-form Gauss rule of ROADMAP
-    item 2b removes."""
+    message; none ends in a traceback, and none raises a RuntimeWarning
+    (PYTHONWARNINGS=error::RuntimeWarning)."""
 
     @pytest.mark.parametrize("command", TestFlagScope.COMMANDS)
     @pytest.mark.parametrize("setting", list(EDGE_SETTINGS.values()), ids=list(EDGE_SETTINGS))
     def test_exits_0_1_or_2_without_a_traceback(self, command, setting):
         proc = subprocess.run([sys.executable, "-m", "hermite_chihara.cli", command, *setting],
                               capture_output=True, text=True, timeout=120,
-                              env=child_env(PYTHONWARNINGS="default"))
+                              env=child_env(PYTHONWARNINGS="error::RuntimeWarning"))
         assert "Traceback" not in proc.stderr, proc.stderr
         last = proc.stderr.rstrip("\n").rpartition("\n")[2]
         if proc.returncode == 1:

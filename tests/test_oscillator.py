@@ -24,6 +24,7 @@ from hermite_chihara.cli import main
 from hermite_chihara.oscillator import MARGIN, ROUNDING_BOUND
 
 from conftest import corrupt_core
+from fraction_reference import v_of
 
 DIM = 40
 SQRT2 = math.sqrt(2.0)
@@ -151,7 +152,7 @@ class TestStructure:
         # the band entry sqrt2 b_{n-1} of a- is gamma_n f_n, with f_1 = sqrt2 b0^2
         # and f_n = sqrt2 b0^2 (v_n - v_{n-2}) / v_1
         sys, ops = classical2_ops
-        v, b0sq = sys.seq.value, float(sys.seq.b0_squared)
+        v, b0sq = v_of(sys.seq), float(sys.seq.b0_squared)
         assert ops.b[0] / math.sqrt(float(sys.g2[1])) == pytest.approx(b0sq, rel=1e-15)
         for n in range(2, DIM):
             f = SQRT2 * b0sq * float((v(n) - v(n - 2)) / v(1))
@@ -164,7 +165,7 @@ class TestStructure:
         for seq in (seq_classical(2, 64), seq_hermite(64),
                     seq_family(F(2, 3), F(5, 3), F(3, 7), 64), seq_order2(3, 64)):
             sys = PolynomialSystem(seq)
-            v, b0sq = seq.value, seq.b0_squared
+            v, b0sq = v_of(seq), seq.b0_squared
             for n in range(1, 65):
                 f_squared = 2 * b0sq**2 * (v(n) - v(n - 2)) ** 2 / v(1) ** 2
                 assert sys.g2[n] * f_squared == 2 * sys.b2[n - 1], (seq, n)
@@ -314,7 +315,7 @@ class TestSpectrum:
         rep = spectrum_report(ops, sys)
         assert rep.max_deviation < 1e-10
         # v-form of the levels, with v_{-1} = 0
-        v = sys.seq.value
+        v = v_of(sys.seq)
         b0sq = sys.seq.b0_squared
         for n in range(1, DIM - MARGIN):
             vm2 = v(n - 2) if n >= 2 else F(0)
