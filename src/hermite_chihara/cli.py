@@ -231,9 +231,11 @@ def _exact(first_failure: int | None, n_max: int) -> tuple[bool, str]:
 
 
 def _band(report, interior: int) -> tuple[bool, str]:
-    """A band report (commutator or spectrum) on the rows n < interior."""
-    return report.within_rounding, (f"max deviation {report.max_deviation:.3e} on rows n < "
-                                    f"{interior}, bound {_ROUNDING} per row")
+    """A band report (commutator or spectrum) on the rows n < interior: its
+    figure is the largest row deviation in units of eps |lambda_n|, the unit of
+    the per-row bound."""
+    return report.within_rounding, (f"max deviation {report.max_ratio:.3g} eps |lambda_n| on "
+                                    f"rows n < {interior}, bound {_ROUNDING} per row")
 
 
 def _gram(report: measure_mod.OrthonormalityReport, n: int) -> tuple[bool, str]:
@@ -277,7 +279,8 @@ def cmd_gram(args) -> int:
     if not sys_.is_family:
         raise InputError("orthonormality verification requires a special-family system")
     rep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), args.n_max)
-    _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rep.deviation))
+    rows = rep.deviation.tolist()
+    _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rows))
     passed, detail = _gram(rep, args.n_max)
     return _exit_code([] if passed else [detail])
 

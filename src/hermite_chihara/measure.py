@@ -159,9 +159,10 @@ def gram_deviation(
         raise ValueError(f"system built to n_max={sys.n_max}")
 
     def integrand(x):
-        # row-major factors: a column-major table (a row-per-psi_m fill,
-        # transposed) sends the rule's product to an OpenBLAS kernel that
-        # rounds the Gram differently on two threads than on one
+        # row-major factors (psi_eval_table copies its row-per-psi_m fill into
+        # one): a column-major table (that fill, only transposed) sends the
+        # rule's product to an OpenBLAS kernel that rounds the Gram
+        # differently on two threads than on one
         table = sys.psi_eval_table(x, n_max)
         return table * spec.weight(x)[:, None], table
 

@@ -12,7 +12,8 @@ The creation operator maps the last basis vector out of the truncated space, so
 the commutator and the spectrum are checked only on the interior rows
 n < dim - MARGIN.  Their rows compare the band with its own b^2, so they can
 differ only by rounding, which grows with the level lambda_n = (sqrt2 b_n)^2 +
-(sqrt2 b_{n-1})^2; each row is judged against ROUNDING_BOUND eps lambda_n.
+(sqrt2 b_{n-1})^2; each row is judged against ROUNDING_BOUND eps lambda_n, and
+the reports carry the largest deviation / (eps lambda_n), the figure it gates.
 Square lowering is checked as an exact identity on the monic cores.
 """
 
@@ -86,11 +87,18 @@ def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
     return bool((deviation <= ROUNDING_BOUND * math.ulp(1.0) * lam).all())
 
 
+def _max_ratio(deviation: np.ndarray, lam: np.ndarray) -> float:
+    """The largest deviation / (eps lambda_n) over the rows: the figure that
+    ROUNDING_BOUND gates, as printed (the verdict is _within_rounding's)."""
+    return float((deviation / lam).max()) / math.ulp(1.0)
+
+
 @dataclass(frozen=True)
 class CommutatorReport:
     max_deviation: float
     classical_deviation: float | None  # vs Wigner's (1 + gamma (-1)^n)/alpha for family systems
     within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
+    max_ratio: float  # the largest row deviation / (eps lambda_n)
 
 
 def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorReport:
@@ -107,9 +115,10 @@ def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorRepo
         g, a = _weight_floats(*sys.weight_parameters())
         wigner = np.where(np.arange(k) % 2, 1.0 - g, 1.0 + g) / a
         classical_dev = float(np.max(np.abs(comm - wigner)))
+    lam = up + down
     return CommutatorReport(
         max_deviation=float(np.max(deviation)), classical_deviation=classical_dev,
-        within_rounding=_within_rounding(deviation, up + down),
+        within_rounding=_within_rounding(deviation, lam), max_ratio=_max_ratio(deviation, lam),
     )
 
 
@@ -120,6 +129,7 @@ class SpectrumReport:
     off_diagonal: float
     classical_deviation: float | None  # vs (2n + gamma + 1)/alpha for family systems
     within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
+    max_ratio: float  # the largest row deviation / (eps lambda_n)
 
 
 def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
@@ -132,9 +142,7 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
     lam_matrix = up + down
     lam_formula = 2.0 * b2 + 2.0 * b2_shift
     deviation = np.abs(lam_matrix - lam_formula)
-    rows = [
-        (n, float(lam_matrix[n]), float(lam_formula[n]), float(deviation[n])) for n in range(k)
-    ]
+    rows = list(zip(range(k), lam_matrix.tolist(), lam_formula.tolist(), deviation.tolist()))
     classical_dev = None
     if sys.is_family:
         g, a = _weight_floats(*sys.weight_parameters())
@@ -144,6 +152,7 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
         rows=rows, max_deviation=float(np.max(deviation)), off_diagonal=0.0,
         classical_deviation=classical_dev,
         within_rounding=_within_rounding(deviation, lam_matrix),
+        max_ratio=_max_ratio(deviation, lam_matrix),
     )
 
 

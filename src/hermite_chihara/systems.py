@@ -331,24 +331,33 @@ class PolynomialSystem:
 
     def psi_eval_table(self, x: np.ndarray, n_hi: int) -> np.ndarray:
         """Matrix [len(x), n_hi+1] of psi_0..psi_{n_hi} at the nodes x, by the
-        forward three-term recurrence: the one float evaluation of psi.
+        forward three-term recurrence: the one float evaluation of psi.  The
+        recurrence fills one contiguous row per psi_m in place, each step
+        psi_{m+1} = (x psi_m - b_{m-1} psi_{m-1}) / b_m in that operation order
+        with no temporary but one scratch row, and the rows are returned
+        transposed into a row-major (C-contiguous) copy: the factor layout whose
+        Gram product rounds alike on one BLAS thread and on two (gram_deviation).
         FloatRangeError when a value overflows (or, after an overflow, is NaN)."""
         import numpy as np
 
         self._check_n(n_hi)
         x = np.asarray(x, dtype=float)
-        out = np.empty((x.size, n_hi + 1))
-        out[:, 0] = 1.0
+        buf = np.empty((n_hi + 1, x.size))
+        buf[0] = 1.0
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if n_hi >= 1:
-                    out[:, 1] = x / self.b_float[0]
-                for m in range(1, n_hi):
-                    out[:, m + 1] = ((x * out[:, m] - self.b_float[m - 1] * out[:, m - 1])
-                                     / self.b_float[m])
+                    b, rows, scratch = self.b_float, list(buf), np.empty(x.size)
+                    np.divide(x, b[0], out=rows[1])
+                    for m in range(1, n_hi):
+                        nxt = rows[m + 1]
+                        np.multiply(x, rows[m], out=nxt)
+                        np.multiply(b[m - 1], rows[m - 1], out=scratch)
+                        np.subtract(nxt, scratch, out=nxt)
+                        np.divide(nxt, b[m], out=nxt)
         except FloatingPointError:
             raise FloatRangeError("psi value") from None
-        return out
+        return buf.T.copy()
 
     # -- identity checks ---------------------------------------------------
 

@@ -31,7 +31,10 @@ operation re-normalized.  The tests compare the kernel against them.
 - ``forward_check``: the epsilons' forward identity by Pascal's rows, a
   Fraction per n;
 - ``route_scan``: the first n whose core differs from the explicit formula's
-  coefficients, each a lowest-terms Fraction chained from c_{n,0} = 1.
+  coefficients, each a lowest-terms Fraction chained from c_{n,0} = 1;
+- ``psi_table``: the one float reference, psi_0..psi_n at each node by the
+  three-term recurrence in plain Python floats, in the operation order of the
+  package's ``psi_eval_table``, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -401,3 +404,19 @@ def route_scan(sys, n_hi: int) -> int | None:
         if sys.monic[n].coeffs != FractionPoly(tuple(want)).coeffs:
             return n
     return None
+
+
+def psi_table(b2, xs, n_hi: int) -> list[list[float]]:
+    """One row per node x: psi_0..psi_{n_hi} by psi_{m+1} = (x psi_m - b_{m-1}
+    psi_{m-1}) / b_m, each step fl(x psi_m), fl(b_{m-1} psi_{m-1}), their
+    difference and the division by b_m, with b_m = sqrt(float(b_m^2))."""
+    b = [math.sqrt(float(v)) for v in b2[:n_hi]]
+    rows = []
+    for x in map(float, xs):
+        row = [1.0]
+        if n_hi >= 1:
+            row.append(x / b[0])
+        for m in range(1, n_hi):
+            row.append((x * row[m] - b[m - 1] * row[m - 1]) / b[m])
+        rows.append(row)
+    return rows

@@ -731,6 +731,21 @@ class TestSpectrumCommand:
         assert float(lam_m) == pytest.approx(1.0, abs=1e-12)
         assert float(lam_f) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("argv, rows", [
+        (("--family", "hermite", "--dim", "20"), 16),
+        (("--family", "hermite", "--b0-squared", "1000000000000", "--dim", "20"), 16),
+        (("--family", "classical", "--gamma", "1/3", "--dim", "400"), 396),
+    ])
+    def test_a_passing_band_prints_a_figure_within_its_bound(self, capsys, argv, rows):
+        # the figure is in the unit of the per-row bound, so a pass prints at most
+        # 8 whatever the levels' size (at b0^2 = 1e12 a row deviates by up to 0.016)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "12")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("commutator", "spectrum"):
+            figure = re.fullmatch(rf"max deviation (\S+) eps \|lambda_n\| on rows n < {rows}, "
+                                  r"bound 8 eps \|lambda_n\| per row", checks[name]["detail"])[1]
+            assert checks[name]["status"] == "pass" and 0.0 <= float(figure) <= 8.0
+
     def test_a_failed_band_reports_verify_s_detail(self, capsys, monkeypatch):
         # a row past its rounding bound fails the command, and its failure report
         # is the detail of verify's spectrum check at the same --dim
@@ -738,8 +753,11 @@ class TestSpectrumCommand:
 
         monkeypatch.setattr(oscillator, "_within_rounding", lambda deviation, lam: False)
         code, out, err = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
-        largest = max(float(line.split(",")[3]) for line in out.splitlines()[1:])
-        detail = f"max deviation {largest:.3e} on rows n < 16, bound 8 eps |lambda_n| per row"
+        # the figure is the largest row deviation in units of eps lambda_n
+        largest = max(float(dev) / float(lam) for _, lam, _, dev in
+                      (line.split(",") for line in out.splitlines()[1:])) / 2.0**-52
+        detail = (f"max deviation {largest:.3g} eps |lambda_n| on rows n < 16, "
+                  "bound 8 eps |lambda_n| per row")
         assert (code, json.loads(err)) == (1, {"failed": [detail]})
         code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--dim", "20")
         spectrum = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum"]
@@ -1074,7 +1092,8 @@ def child_env(**overrides):
 class TestBlasThreads:
     def test_gram_bytes_do_not_depend_on_the_blas_thread_count(self):
         # the Gram is one BLAS product per panel; each must round alike on one
-        # thread and on two (the quadrature's factor layout decides the kernel)
+        # thread and on two (the quadrature's factor layout decides the kernel:
+        # psi_eval_table's table must stay row-major, which this test pins)
         argv = [sys.executable, "-m", "hermite_chihara.cli", "gram", "--family", "classical",
                 "--gamma", "-1/2", "--n-max", "100"]
         outs = [subprocess.run(argv, env=child_env(OPENBLAS_NUM_THREADS=threads),

@@ -68,7 +68,8 @@ def dense_reports(sys, dim):
     """The commutator and spectrum reports by dense matrix products on the
     interior block, a family system's commutator also against Wigner's
     (I + gamma R)/alpha, R = diag((-1)^n) the parity; a row is within rounding
-    when its deviation is at most ROUNDING_BOUND eps times H's diagonal."""
+    when its deviation is at most ROUNDING_BOUND eps times H's diagonal, and its
+    ratio is its deviation over eps times that diagonal."""
     _, a_minus, a_plus, _ = dense_operators(sys, dim)
     B, B_shift = dense_b(sys, dim)
     k = dim - MARGIN
@@ -91,9 +92,13 @@ def dense_reports(sys, dim):
     def within_rounding(rows):
         return bool(np.all(np.abs(rows) <= ROUNDING_BOUND * np.finfo(float).eps * lam))
 
+    def max_ratio(rows):
+        return max(abs(r) / v for r, v in zip(rows.tolist(), lam.tolist())) / np.finfo(float).eps
+
+    comm_rows = np.diag(comm - 2.0 * (B_shift - B))[:k]
     commutator = CommutatorReport(
         interior_max(comm - 2.0 * (B_shift - B)), comm_classical,
-        within_rounding(np.diag(comm - 2.0 * (B_shift - B))[:k]),
+        within_rounding(comm_rows), max_ratio(comm_rows),
     )
     spectrum = SpectrumReport(
         rows=[(n, float(lam[n]), float(lam_formula[n]), float(abs(lam[n] - lam_formula[n])))
@@ -102,6 +107,7 @@ def dense_reports(sys, dim):
         off_diagonal=interior_max(H - np.diag(np.diag(H))),
         classical_deviation=spec_classical,
         within_rounding=within_rounding(lam - lam_formula),
+        max_ratio=max_ratio(lam - lam_formula),
     )
     return commutator, spectrum
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 from math import factorial
 
@@ -348,6 +349,45 @@ class TestPsiEval:
         assert sys.b2[0] == b0_squared  # the exact fields are built
         with pytest.raises(FloatRangeError, match=r"b\^2 outside the float range"):
             sys.b_float
+
+
+class TestPsiTableKernel:
+    """psi_eval_table's in-place recurrence against the plain-float one
+    (fraction_reference.psi_table), bit for bit, on the node counts the Gram
+    reads: one node, one panel's 61 and a round's largest 16 panels, 976."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return {
+            "hermite": PolynomialSystem(seq_hermite(100)),
+            "classical 1/3": PolynomialSystem(seq_classical(F(1, 3), 100)),
+            "family (2/3, 5/3, 3/7)": PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 100)),
+        }
+
+    @pytest.mark.parametrize("nodes", [1, 61, 976])
+    @pytest.mark.parametrize("n_hi", [0, 1, 2, 12, 100])
+    @pytest.mark.parametrize("name", ["hermite", "classical 1/3", "family (2/3, 5/3, 3/7)"])
+    def test_equals_the_plain_float_recurrence(self, systems, name, n_hi, nodes):
+        sys = systems[name]
+        # the Gram's radius at n = 100 is 35 on the weight's scale
+        xs = np.random.default_rng(nodes).uniform(-35.0, 35.0, nodes)
+        table = sys.psi_eval_table(xs, n_hi)
+        assert table.shape == (nodes, n_hi + 1) and table.flags.c_contiguous
+        expect = np.array(ref.psi_table(sys.b2, xs, n_hi))
+        assert np.array_equal(table.view(np.int64), expect.view(np.int64))
+
+    def test_psi_0_alone_reads_no_float_b(self):
+        sys = PolynomialSystem(seq_hermite(8, b0_squared=F(10**400)))
+        assert sys.psi_eval_table([0.5, 2.0], 0).tolist() == [[1.0], [1.0]]
+        with pytest.raises(FloatRangeError, match=r"b\^2 outside the float range"):
+            sys.psi_eval_table([0.5, 2.0], 1)
+
+    def test_an_overflow_is_a_float_range_error_without_a_warning(self, hermite_sys):
+        # x psi_1 ~ 1e400 overflows in the first step of the loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match=r"^psi value outside the float range"):
+                hermite_sys.psi_eval_table([1e200], 2)
 
 
 class TestLowering:
