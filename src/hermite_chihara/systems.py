@@ -17,7 +17,8 @@ The cores are built where they are read: the constructor forms b^2, gamma^2,
 nu^2 and the weight, and its core list starts as [P_0, P_1].  Each exact reader
 grows that one list by the recurrence up to the largest n it reads (_cores), and
 monic is the whole list, P_0..P_{n_max}.  A command that reads only b^2 and the
-weight (gram, spectrum, the operator band) builds no core.
+weight (gram, spectrum, the operator band) builds no core.  _ode_proved records
+each core whose ODE bracket was proved zero, so a grid of residuals builds it once.
 
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
@@ -219,7 +220,8 @@ class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
     Its values are fixed once built, and every query returns the same result
-    whenever it is made: only the core list grows, on first read (_cores).
+    whenever it is made: only the core list grows, on first read (_cores), and
+    the record of the cores whose ODE bracket was proved zero (_ode_proved).
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -237,6 +239,7 @@ class PolynomialSystem:
             norm2.append(norm2[-1] * b2)
 
         self._monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
+        self._ode_proved: dict[int, Poly] = {}  # n -> the core whose bracket is zero
         self._weight = family_weight(seq)
         self._weight_nums = None if self._weight is None else common_denominator(self._weight)
 
@@ -545,18 +548,21 @@ class PolynomialSystem:
 
             x psi'' + (gamma - 2 alpha x^2) psi' + (2 alpha n x - theta_n/x) psi
 
-        at x != 0, which is ode_bracket(n)(x) / (x nu_n).  A family system reads
-        exactly 0: the bracket is the zero polynomial, and it reads +0.0 before x
-        or nu_n is converted.  A nonzero bracket (a defective core) is evaluated
-        exactly (a float x converts exactly) and only the 1/nu_n normalization
-        rounds, without converting nu_n^2 itself (it passes the float range near
-        n = 200), so it is free of the cancellation a naive float evaluation
-        suffers at large |x| and n.
+        at a finite x != 0, which is ode_bracket(n)(x) / (x nu_n).  A family system
+        reads exactly 0: the bracket is the zero polynomial, proved once per core
+        (_ode_defect), and it reads +0.0 before x or nu_n is converted.  A nonzero
+        bracket (a defective core) is evaluated exactly (a float x converts
+        exactly; NaN and the infinities are rejected) and only the 1/nu_n
+        normalization rounds, without converting nu_n^2 itself (it passes the
+        float range near n = 200), so it is free of the cancellation a naive
+        float evaluation suffers at large |x| and n.
         """
         if x == 0:
             raise ValueError("the equation has a regular singular point at x = 0")
-        bracket = self.ode_bracket(n)
-        if bracket.is_zero():
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"x must be finite; got {x}")
+        bracket = self._ode_defect(n)
+        if bracket is None:
             return 0.0
         X = Fraction(x)
         return _over_sqrt(bracket(X) / X, self.norm2[n])
@@ -564,7 +570,20 @@ class PolynomialSystem:
     def first_ode_failure(self, n_hi: int) -> int | None:
         """The first n <= n_hi whose ode_bracket is not the zero polynomial, or None."""
         self._check_n(n_hi)
-        return next((n for n in range(n_hi + 1) if not self.ode_bracket(n).is_zero()), None)
+        return next((n for n in range(n_hi + 1) if self._ode_defect(n) is not None), None)
+
+    def _ode_defect(self, n: int) -> Poly | None:
+        """ode_bracket(n) if it is not the zero polynomial, else None; a zero
+        bracket is built once per core object (_ode_proved)."""
+        self._check_n(n)
+        self.weight_parameters()  # family only
+        core = self._cores(n)[n]
+        if self._ode_proved.get(n) is not core:
+            bracket = self.ode_bracket(n)
+            if not bracket.is_zero():
+                return bracket
+            self._ode_proved[n] = core
+        return None
 
     def _check_n(self, n: int, lo: int = 0) -> None:
         if not lo <= n <= self.n_max:

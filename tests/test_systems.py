@@ -883,6 +883,86 @@ class TestOde:
         )
         assert worst > 1e-3
 
+    @pytest.mark.parametrize("kind", [None, "odd", "degree"])
+    def test_a_non_finite_x_is_rejected(self, kind):
+        # on the zero bracket and on a defective core's alike
+        sys = PolynomialSystem(seq_classical(1, 16))
+        if kind is not None:
+            sys.monic[3] = corrupt_core(sys.monic[3], 3, kind)
+        for x in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")):
+            with pytest.raises(ValueError, match="x must be finite"):
+                sys.ode_residual(3, x)
+
+    @pytest.mark.parametrize("seq, n, error, match", [
+        (seq_classical(1, 16), 17, ValueError, r"n must be in \[0, 16\]"),
+        (seq_classical(1, 16), -1, ValueError, r"n must be in \[0, 16\]"),
+        (seq_order2(3, 16), 17, ValueError, r"n must be in \[0, 16\]"),
+        (seq_order2(3, 16), 3, UnsupportedSystemError, "only for family systems"),
+    ], ids=["above", "negative", "non-family-above", "non-family"])
+    def test_a_rejected_call_reads_no_core(self, seq, n, error, match):
+        sys = PolynomialSystem(seq)
+        with pytest.raises(error, match=match):
+            sys.ode_residual(n, 0.5)
+        with pytest.raises(error, match=match):
+            sys.first_ode_failure(n)
+        assert len(sys._monic) == 2 and sys._ode_proved == {}
+
+    @pytest.fixture
+    def bracket_builds(self, monkeypatch):
+        """The n of every ode_bracket built, in order."""
+        ns, build = [], PolynomialSystem.ode_bracket
+
+        def counted(self, n):
+            ns.append(n)
+            return build(self, n)
+
+        monkeypatch.setattr(PolynomialSystem, "ode_bracket", counted)
+        return ns
+
+    @pytest.mark.parametrize("seq", [seq_hermite(64), seq_classical(F(1, 3), 64),
+                                     seq_family(F(2, 3), F(5, 3), F(3, 7), 64)],
+                             ids=["hermite", "classical_1_3", "family"])
+    @pytest.mark.parametrize("n", [0, 1, 16, 64])
+    def test_a_grid_builds_the_bracket_once(self, bracket_builds, seq, n):
+        sys = PolynomialSystem(seq)
+        core, (g, a) = ref.monic_cores(sys.b2, n)[n], sys.weight_parameters()
+        for x in POINT_GRID:
+            want = _over_sqrt(ref.ode_bracket(core, n, x, g, a), sys.norm2[n])
+            assert sys.ode_residual(n, x).hex() == want.hex()
+        assert bracket_builds == [n]
+
+    def test_a_scan_proves_every_bracket_it_reads(self, bracket_builds):
+        N = 40
+        sys = PolynomialSystem(seq_classical(F(1, 3), N))
+        assert sys.first_ode_failure(30) is None
+        assert bracket_builds == list(range(31))
+        for n in range(31):
+            assert [sys.ode_residual(n, x) for x in POINT_GRID] == [0.0] * len(POINT_GRID)
+        assert sys.first_ode_failure(30) is None
+        assert bracket_builds == list(range(31))
+        assert sys.first_ode_failure(N) is None
+        assert bracket_builds == list(range(N + 1))
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "degree", "scaled"])
+    def test_a_swapped_core_is_proved_again(self, bracket_builds, kind):
+        # a defective core's bracket is built on every call and reads the same
+        # value each time; a scaled core solves the (linear) equation, so its
+        # zero bracket is proved once, as the core it replaced was
+        N = 40
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), N))
+        g, a = sys.weight_parameters()
+        assert sys.ode_residual(17, 1.3) == 0.0 and sys.first_ode_failure(N) is None
+        sys.monic[17] = corrupt_core(sys.monic[17], 17, kind, 3)
+        core = ref.FractionPoly(sys.monic[17].coeffs)
+        want = [_over_sqrt(ref.ode_bracket(core, 17, x, g, a), sys.norm2[17]).hex()
+                for x in POINT_GRID]
+        assert (set(want) == {(0.0).hex()}) == (kind == "scaled")
+        for _ in range(2):
+            assert [sys.ode_residual(17, x).hex() for x in POINT_GRID] == want
+        assert sys.first_ode_failure(N) == (None if kind == "scaled" else 17)
+        rebuilt = 1 if kind == "scaled" else 2 * len(POINT_GRID) + 1
+        assert bracket_builds.count(17) == 1 + rebuilt
+
 
 ODE_SEQUENCES = {
     "classical_1": seq_classical(1, 64),
