@@ -20,6 +20,7 @@ import logging
 import os
 import re
 import sys as _sys
+from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -28,10 +29,6 @@ from . import oscillator as osc_mod
 from .derivation import epsilons_from_sequence
 from .governing import (
     GoverningSequence,
-    b_squares,
-    bracket_table,
-    family_weight,
-    gamma_squares,
     is_special_family,
     seq_classical,
     seq_family,
@@ -77,10 +74,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q': {text!r}") from exc
 
 
-class InputError(Exception):
-    """Bad parameters; maps to exit code 2."""
-
-
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
@@ -93,16 +86,16 @@ def build_sequence(args, length: int) -> GoverningSequence:
     reads, requires = FAMILY_FLAGS[fam]
     for dest in ("gamma", "alpha", "v1", "v2", "b0_squared", "seed_file"):
         if getattr(args, dest) is not None and dest not in reads:
-            raise InputError(f"--family {fam} does not read {_flag(dest)}")
+            raise ValueError(f"--family {fam} does not read {_flag(dest)}")
     if any(getattr(args, dest) is None for dest in requires):
-        raise InputError(f"--family {fam} requires {' and '.join(map(_flag, requires))}")
+        raise ValueError(f"--family {fam} requires {' and '.join(map(_flag, requires))}")
     # b0^2 is passed only when given; each constructor holds its own default
     b0 = {} if args.b0_squared is None else {"b0_squared": args.b0_squared}
     if fam == "hermite":
         return seq_hermite(length, **b0)
     if fam == "classical":
         if args.alpha is not None and args.alpha <= 0:
-            raise InputError(f"--alpha must be positive, got {args.alpha}")
+            raise ValueError(f"--alpha must be positive, got {args.alpha}")
         seq = seq_classical(args.gamma, length)
         if args.alpha is not None and args.alpha != 1:
             # alpha rescales the weight; the sequence is unchanged, b0 is not
@@ -120,7 +113,7 @@ def build_sequence(args, length: int) -> GoverningSequence:
     with open(args.seed_file) as fh:
         seq = GoverningSequence.from_json(fh.read())
     if seq.n_max < length:
-        raise InputError(f"seed file stores {seq.n_max + 1} values; need at least {length + 1}")
+        raise ValueError(f"seed file stores {seq.n_max + 1} values; need at least {length + 1}")
     return GoverningSequence(seq.values[: length + 1], seq.b0_squared)
 
 
@@ -152,25 +145,20 @@ def cmd_epsilons(args) -> int:
 
 def cmd_build(args) -> int:
     seq = build_sequence(args, args.n_max)
-    b2 = b_squares(seq, bracket_table(seq))
+    sys_ = PolynomialSystem(seq)  # its b^2 and gamma^2 tables; no core is built
     rep = validate(seq)
-    weight = family_weight(seq)
     payload = {
         "family": args.family,
         "n_max": args.n_max,
         "governing_sequence": seq.to_json_dict(),
-        "validation": {
-            "ok": rep.ok,
-            "monotone": rep.monotone,
-            "compatible": rep.compatible,
-            "first_violation": rep.first_violation,
-        },
-        "b_squared": [str(x) for x in b2],
-        "gamma_squared": [str(x) for x in gamma_squares(seq, b2)],
-        "special_family": weight is not None,
+        "validation": {"ok": rep.ok, **asdict(rep)},
+        "b_squared": [str(x) for x in sys_.b2],
+        "gamma_squared": [str(x) for x in sys_.g2],
+        "special_family": sys_.is_family,
     }
-    if weight is not None:
-        payload["weight"] = {"gamma": str(weight[0]), "alpha": str(weight[1])}
+    if sys_.is_family:
+        g, a = sys_.weight_parameters()
+        payload["weight"] = {"gamma": str(g), "alpha": str(a)}
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -263,7 +251,7 @@ def cmd_spectrum(args) -> int:
 def cmd_ode(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, max(args.n_max, 3)))
     if not sys_.is_family:
-        raise InputError("ode requires a special-family system")
+        raise ValueError("ode requires a special-family system")
     g, a = sys_.weight_parameters()
     first = sys_.first_ode_failure(args.n_max)
     payload = {"family": args.family, "gamma": str(g), "alpha": str(a), "n_max": args.n_max,
@@ -277,7 +265,7 @@ def cmd_gram(args) -> int:
     # the Gram of psi_0..psi_{n_max} reads v_0..v_{n_max} and no operator
     sys_ = PolynomialSystem(build_sequence(args, args.n_max))
     if not sys_.is_family:
-        raise InputError("orthonormality verification requires a special-family system")
+        raise ValueError("orthonormality verification requires a special-family system")
     rep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), args.n_max)
     rows = rep.deviation.tolist()
     _emit(args, "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in rows))
@@ -412,16 +400,14 @@ def _main(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
-    if getattr(args, "n_max", 2) < 2:
-        _sys.stderr.write("error: --n-max must be >= 2\n")
-        return 2
-    # --dim leaves at least one interior row n < dim - MARGIN
-    if getattr(args, "dim", osc_mod.MARGIN + 1) <= osc_mod.MARGIN:
-        _sys.stderr.write(f"error: --dim must be >= {osc_mod.MARGIN + 1}\n")
-        return 2
     try:
+        if getattr(args, "n_max", 2) < 2:
+            raise ValueError("--n-max must be >= 2")
+        # --dim leaves at least one interior row n < dim - MARGIN
+        if getattr(args, "dim", osc_mod.MARGIN + 1) <= osc_mod.MARGIN:
+            raise ValueError(f"--dim must be >= {osc_mod.MARGIN + 1}")
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
     except FloatRangeError as exc:

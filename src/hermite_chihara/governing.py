@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,10 +48,15 @@ class ConstructionError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction to Fraction, a Fraction as it is; reject floats (exactness)."""
+    """Coerce an integer (through int), a rational (through its int numerator and
+    denominator) or a string to Fraction, a Fraction as it is; reject floats."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, numbers.Real):  # float, and numpy's floats of every width
         raise TypeError(f"expected exact rational, got float {x!r}")
     return Fraction(x)
 
@@ -174,7 +180,7 @@ def seq_hermite(N: int, b0_squared=Fraction(1, 2)) -> GoverningSequence:
     """v_n = n + 1.  The unique order-1 sequence; b0^2 defaults to 1/2."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return GoverningSequence(tuple(Fraction(n + 1) for n in range(N + 1)), as_fraction(b0_squared))
+    return GoverningSequence(tuple(Fraction(n + 1) for n in range(N + 1)), b0_squared)
 
 
 def seq_order2(v1, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSequence:
@@ -231,7 +237,7 @@ def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningS
         Fraction((n // 2 + 1) * p1, q1) if n % 2 == 1 else Fraction(n // 2 * (p2 - q2) + q2, q2)
         for n in range(N + 1)
     )
-    return GoverningSequence(values, as_fraction(b0_squared))
+    return GoverningSequence(values, b0_squared)
 
 
 def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> GoverningSequence:
@@ -242,7 +248,7 @@ def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> Governi
                 f"{name}: result not positive nondecreasing at index {i}: "
                 f"{Fraction(nums[i], den)} -> {Fraction(nums[i + 1], den)}"
             )
-    return GoverningSequence(tuple(Fraction(a, den) for a in nums), as_fraction(b0_squared))
+    return GoverningSequence(tuple(Fraction(a, den) for a in nums), b0_squared)
 
 
 def bracket_table(seq: GoverningSequence) -> list[Fraction]:

@@ -13,12 +13,12 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
-The cores are built where they are read: the constructor forms b^2, gamma^2,
-nu^2 and the weight, and its core list starts as [P_0, P_1].  Each exact reader
-grows that one list by the recurrence up to the largest n it reads (_cores), and
-monic is the whole list, P_0..P_{n_max}.  A command that reads only b^2 and the
-weight (gram, spectrum, the operator band) builds no core.  _ode_proved records
-each core whose ODE bracket was proved zero, so a grid of residuals builds it once.
+Each table is formed where it is read: the constructor forms b^2 and the
+weight, and gamma^2, nu^2 and the cores come on first read.  Each exact reader
+grows the one core list, [P_0, P_1] at first, to the largest n it reads
+(_cores), and monic is P_0..P_{n_max}; build, gram, spectrum and the operator
+band build no core.  _ode_proved records each core whose ODE bracket was proved
+zero, so a grid of residuals builds it once.
 
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
@@ -35,15 +35,18 @@ panels in quadrature), so a process that evaluates no float never loads it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .derivation import Poly
 from .governing import (
     GoverningSequence,
+    as_fraction,
     b_squares,
     bracket_table,
     common_denominator,
@@ -220,8 +223,8 @@ class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
     Its values are fixed once built, and every query returns the same result
-    whenever it is made: only the core list grows, on first read (_cores), and
-    the record of the cores whose ODE bracket was proved zero (_ode_proved).
+    whenever it is made: g2, norm2, the float tables and the core list (_cores)
+    are formed on first read, and _ode_proved records each zero ODE bracket.
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -231,19 +234,23 @@ class PolynomialSystem:
         self.n_max = seq.n_max
         self.brackets = bracket_table(seq)
         self.b2 = b_squares(seq, self.brackets)  # b2[i] = b_i^2 = b0^2 [i+1]
-        self.g2 = gamma_squares(seq, self.b2)  # g2[n] = gamma_n^2
         self._w, self._L = seq.nums, seq.den  # _w[i] = L v_i, for the exact scans
-
-        self.norm2 = norm2 = [Fraction(1)]  # norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2
-        for b2 in self.b2:
-            norm2.append(norm2[-1] * b2)
-
         self._monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         self._ode_proved: dict[int, Poly] = {}  # n -> the core whose bracket is zero
         self._weight = family_weight(seq)
         self._weight_nums = None if self._weight is None else common_denominator(self._weight)
 
     # -- basic accessors ---------------------------------------------------
+
+    @cached_property
+    def g2(self) -> list[Fraction]:
+        """g2[n] = gamma_n^2, the squared lowering factors (gamma_squares)."""
+        return gamma_squares(self.seq, self.b2)
+
+    @cached_property
+    def norm2(self) -> list[Fraction]:
+        """norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2, n = 0..n_max."""
+        return list(accumulate(self.b2, mul, initial=Fraction(1)))
 
     @cached_property
     def b2_float(self) -> list[float]:
@@ -548,18 +555,20 @@ class PolynomialSystem:
 
             x psi'' + (gamma - 2 alpha x^2) psi' + (2 alpha n x - theta_n/x) psi
 
-        at a finite x != 0, which is ode_bracket(n)(x) / (x nu_n).  A family system
-        reads exactly 0: the bracket is the zero polynomial, proved once per core
-        (_ode_defect), and it reads +0.0 before x or nu_n is converted.  A nonzero
-        bracket (a defective core) is evaluated exactly (a float x converts
-        exactly; NaN and the infinities are rejected) and only the 1/nu_n
-        normalization rounds, without converting nu_n^2 itself (it passes the
-        float range near n = 200), so it is free of the cancellation a naive
+        at a finite x != 0, which is ode_bracket(n)(x) / (x nu_n).  x converts
+        once, a rational (numpy's integers too) to a Fraction and any other real
+        to a float, and NaN and the infinities are rejected.  A family system
+        reads +0.0: its bracket is the zero polynomial, proved once per core
+        (_ode_defect).  A nonzero bracket (a defective core) is evaluated exactly
+        and only the 1/nu_n normalization rounds, without converting nu_n^2 (it
+        passes the float range near n = 200), free of the cancellation a naive
         float evaluation suffers at large |x| and n.
         """
+        if type(x) is not float:
+            x = as_fraction(x) if isinstance(x, numbers.Rational) else float(x)
         if x == 0:
             raise ValueError("the equation has a regular singular point at x = 0")
-        if isinstance(x, float) and not math.isfinite(x):
+        if type(x) is float and not math.isfinite(x):
             raise ValueError(f"x must be finite; got {x}")
         bracket = self._ode_defect(n)
         if bracket is None:

@@ -303,9 +303,9 @@ class TestBuildAndSeedFile:
         ("--family", "order2", "--v1", "3"),
         ("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--b0-squared", "8/3"),
     ], ids=["hermite", "classical", "family", "order2", "order3"])
-    def test_builds_no_polynomial_system(self, capsys, monkeypatch, flags):
-        # build prints a system's b^2, gamma^2 and weight from the sequence
-        # alone: its bytes are those a PolynomialSystem's tables give
+    def test_builds_no_core(self, capsys, monkeypatch, flags):
+        # build prints a system's b^2, gamma^2 and weight, tables formed from
+        # the sequence alone: the recurrence builds no core past P_1
         argv = ("build", *flags, "--n-max", "40")
         seq = build_sequence(make_parser().parse_args(argv), 40)
         system, rep = PolynomialSystem(seq), hermite_chihara.validate(seq)
@@ -320,10 +320,10 @@ class TestBuildAndSeedFile:
             g, a = system.weight_parameters()
             want["weight"] = {"gamma": str(g), "alpha": str(a)}
 
-        def no_system(seq):
-            raise AssertionError("build constructed a PolynomialSystem")
+        def no_core(cur, prev, b2):
+            raise AssertionError("build built a core")
 
-        monkeypatch.setattr(hermite_chihara.cli, "PolynomialSystem", no_system)
+        monkeypatch.setattr(hermite_chihara.systems, "_next_monic", no_core)
         assert run_cli(capsys, *argv) == (0, json.dumps(want, indent=2) + "\n", "")
 
     def test_seed_file_parses_rationals(self, tmp_path, capsys):
@@ -1269,6 +1269,26 @@ for argv in json.loads(sys.argv[1]):
             *([argv[0], code, False] for argv, code in self.EXACT),
             ["verify", 0, True],
         ]
+
+
+class TestPackageSurface:
+    """The package re-exports its five modules' __all__: each public name is
+    listed once, in its own module, and the package holds no other name but
+    its submodules and __version__."""
+
+    MODULES = ("governing", "derivation", "systems", "oscillator", "measure")
+
+    def test_the_namespace_is_the_union_of_the_modules_all(self):
+        lists = [sys.modules[f"hermite_chihara.{m}"].__all__ for m in self.MODULES]
+        names = [name for names in lists for name in names]
+        assert len(names) == len(set(names))
+        public = {k: v for k, v in vars(hermite_chihara).items() if not k.startswith("_")}
+        submodules = {k for k, v in public.items() if v is sys.modules.get(f"hermite_chihara.{k}")}
+        assert set(public) - submodules == set(names)
+        assert set(self.MODULES) <= submodules
+        for m, names in zip(self.MODULES, lists):
+            assert all(public[k] is getattr(sys.modules[f"hermite_chihara.{m}"], k) for k in names)
+        assert hermite_chihara.__version__ == "0.1.0"
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from hermite_chihara import (
     ConstructionError,
     GoverningSequence,
     PolynomialSystem,
+    b_squares,
     bracket_table,
+    family_weight,
     gamma_squares,
     is_special_family,
     seq_classical,
@@ -22,7 +25,7 @@ from hermite_chihara import (
 )
 from conftest import propagated_compatible_sequence
 from fraction_reference import validate as validate_fractions
-from hermite_chihara.governing import b_squares, family_weight
+from hermite_chihara.governing import as_fraction
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
 
@@ -111,6 +114,29 @@ class TestConstructors:
             GoverningSequence((), F(1))
         with pytest.raises(TypeError):
             GoverningSequence((F(1), 2.5), F(1))
+
+
+class TestExactInput:
+    """as_fraction takes an integer through int and a rational through its int
+    numerator and denominator, so no fixed-width numpy integer reaches the exact
+    layer, and it rejects every float."""
+
+    @pytest.mark.parametrize("t", [np.int8, np.int32, np.int64, np.uint16])
+    def test_a_numpy_integer_becomes_a_python_int(self, t):
+        x = as_fraction(t(3))
+        assert x == 3 and type(x.numerator) is int and type(x.denominator) is int
+
+    @pytest.mark.parametrize("x", [np.float16(1), np.float32(0.5), np.float64(2), 0.5])
+    def test_a_float_of_any_width_is_rejected(self, x):
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            as_fraction(x)
+
+    def test_numpy_parameters_build_the_python_int_system(self):
+        # the numpy numerators overflowed int64 at P_60, with only a RuntimeWarning
+        want = PolynomialSystem(seq_family(2, 3, 1, 60))
+        got = PolynomialSystem(seq_family(np.int64(2), np.int64(3), np.int64(1), 60))
+        assert got.seq == want.seq and got.monic[60] == want.monic[60]
+        assert got.monic[40](np.int64(3)) == want.monic[40](3)
 
 
 class TestValidate:

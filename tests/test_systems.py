@@ -183,9 +183,9 @@ class TestPsiConstruction:
             PolynomialSystem(GoverningSequence((F(1), F(2)), F(1)))
 
     def test_one_bracket_pass_per_system(self, monkeypatch):
-        # the constructor hands its b^2 table to gamma_squares, so the bracket
-        # table is built once; gamma_squares is still called through the name
-        # systems binds, once per system
+        # the constructor builds the bracket table once; gamma^2 is formed from
+        # its b^2 table on the first read of g2, through the name systems binds,
+        # once per system
         from hermite_chihara import governing
 
         calls = {"bracket_table": 0, "gamma_squares": 0}
@@ -200,9 +200,11 @@ class TestPsiConstruction:
         monkeypatch.setattr(governing, "bracket_table", brackets)
         monkeypatch.setattr(systems_mod, "bracket_table", brackets)
         monkeypatch.setattr(systems_mod, "gamma_squares", counted(governing.gamma_squares))
-        for seq in (seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)):
-            PolynomialSystem(seq)
-        assert calls == {"bracket_table": 2, "gamma_squares": 2}
+        for k, seq in enumerate((seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)), 1):
+            sys = PolynomialSystem(seq)
+            assert calls == {"bracket_table": k, "gamma_squares": k - 1}
+            assert sys.g2 is sys.g2 and sys.g2 == ref.gamma_squares(seq, sys.b2)
+            assert calls == {"bracket_table": k, "gamma_squares": k}
 
 
 def _explicit_core(sys, n):
@@ -503,6 +505,34 @@ class TestCoresOnFirstRead:
         read(sys, n)
         read(sys, n - 1)
         assert built == list(range(2, n + 1))
+
+    def test_a_fresh_system_holds_no_derived_table(self):
+        sys = PolynomialSystem(seq_classical(F(1, 3), 30))
+        assert not {"g2", "norm2", "b2_float", "b_float"} & set(vars(sys))
+        assert sys.norm2 == [math.prod(sys.b2[:n], start=F(1)) for n in range(31)]
+        assert "norm2" in vars(sys) and "g2" not in vars(sys)
+
+    @pytest.mark.parametrize("argv, calls", [
+        (("verify", "--family", "classical", "--gamma", "1/3", "--n-max", "12", "--dim", "20"), 0),
+        (("classify", "--family", "order3", "--v1", "7/3", "--v2", "17/3", "--n-max", "12"), 0),
+        (("gram", "--family", "classical", "--gamma", "1/3", "--n-max", "8"), 0),
+        (("spectrum", "--family", "classical", "--gamma", "1/3", "--dim", "20"), 0),
+        (("table", "--family", "order3", "--v1", "7/3", "--v2", "17/3", "--n-max", "12"), 1),
+        (("build", "--family", "order3", "--v1", "7/3", "--v2", "17/3", "--n-max", "12"), 1),
+    ], ids=["verify", "classify", "gram", "spectrum", "table", "build"])
+    def test_gamma_squared_is_formed_where_it_is_read(self, monkeypatch, capsys, argv, calls):
+        from hermite_chihara.cli import main
+
+        counted, original = [], systems_mod.gamma_squares
+
+        def gamma_squares(*args):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(systems_mod, "gamma_squares", gamma_squares)
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(counted) == calls
 
     def test_ode_residual_grows_the_list_to_n_plus_1(self):
         sys = PolynomialSystem(seq_classical(1, 100))
@@ -889,9 +919,22 @@ class TestOde:
         sys = PolynomialSystem(seq_classical(1, 16))
         if kind is not None:
             sys.monic[3] = corrupt_core(sys.monic[3], 3, kind)
-        for x in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")):
+        for x in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"),
+                  np.float32("nan"), np.float32("-inf"), np.float16("inf"), np.float16("nan")):
             with pytest.raises(ValueError, match="x must be finite"):
                 sys.ode_residual(3, x)
+
+    @pytest.mark.parametrize("t", [np.float16, np.float32, np.float64, np.int32, np.int64],
+                             ids=lambda t: t.__name__)
+    def test_a_numpy_scalar_reads_as_its_python_number(self, t):
+        # x converts once: numpy's integers through int, its floats through float
+        sys, bad = PolynomialSystem(seq_classical(1, 16)), PolynomialSystem(seq_classical(1, 16))
+        bad.monic[3] = corrupt_core(bad.monic[3], 3, "odd")
+        py = int if issubclass(t, np.integer) else float
+        xs = [t(k) for k in (-3, 1, 2, 5)] if py is int else [t(x) for x in POINT_GRID]
+        for x in xs:
+            assert sys.ode_residual(3, x).hex() == (0.0).hex()
+            assert bad.ode_residual(3, x).hex() == bad.ode_residual(3, py(x)).hex()
 
     @pytest.mark.parametrize("seq, n, error, match", [
         (seq_classical(1, 16), 17, ValueError, r"n must be in \[0, 16\]"),
