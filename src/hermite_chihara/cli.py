@@ -79,9 +79,9 @@ def _flag(dest: str) -> str:
 
 
 def build_sequence(args, length: int) -> GoverningSequence:
-    """v_0..v_length of the chosen family, and its b0^2.  This is all of the
-    sequence a command reads: a seed file may store more values, and the rest
-    is neither read nor judged."""
+    """v_0..v_length of the chosen family, and its b0^2, formed by one
+    constructor call.  This is all of the sequence a command reads: a seed file
+    may store more values, and the rest is neither converted nor judged."""
     fam = args.family
     reads, requires = FAMILY_FLAGS[fam]
     for dest in ("gamma", "alpha", "v1", "v2", "b0_squared", "seed_file"):
@@ -96,12 +96,7 @@ def build_sequence(args, length: int) -> GoverningSequence:
     if fam == "classical":
         if args.alpha is not None and args.alpha <= 0:
             raise ValueError(f"--alpha must be positive, got {args.alpha}")
-        seq = seq_classical(args.gamma, length)
-        if args.alpha is not None and args.alpha != 1:
-            # alpha rescales the weight; the sequence is unchanged, b0 is not
-            b0sq = (args.gamma + 1) / (2 * args.alpha)
-            seq = GoverningSequence(seq.values, b0sq)
-        return seq
+        return seq_classical(args.gamma, length, 1 if args.alpha is None else args.alpha)
     if fam == "family":
         v1 = args.v1 if args.v1 is not None else args.v2 - 1
         return seq_family(v1, args.v2, N=length, **b0)
@@ -109,12 +104,8 @@ def build_sequence(args, length: int) -> GoverningSequence:
         return seq_order2(args.v1, N=length, **b0)
     if fam == "order3":
         return seq_order3(args.v1, args.v2, N=length, **b0)
-    # custom-file: the file's v_0..v_length
-    with open(args.seed_file) as fh:
-        seq = GoverningSequence.from_json(fh.read())
-    if seq.n_max < length:
-        raise ValueError(f"seed file stores {seq.n_max + 1} values; need at least {length + 1}")
-    return GoverningSequence(seq.values[: length + 1], seq.b0_squared)
+    with open(args.seed_file) as fh:  # custom-file
+        return GoverningSequence.from_json(fh.read(), length)
 
 
 def _emit(args, text: str) -> None:
@@ -296,8 +287,10 @@ def cmd_verify(args) -> int:
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
+    # one band for both checks; a FloatRangeError is not cached, so each check fails on it
+    operators = functools.cache(lambda: osc_mod.build_operators(sys_, dim=args.dim))
     def band(report) -> tuple[bool, str]:
-        return _band(report(osc_mod.build_operators(sys_, dim=args.dim), sys_), interior)
+        return _band(report(operators(), sys_), interior)
 
     def square_lowering() -> tuple[bool, str]:
         # exact on the cores; only a nonzero residual's figure crosses to float

@@ -49,8 +49,8 @@ class ConstructionError(ValueError):
 
 def as_fraction(x) -> Fraction:
     """Coerce an integer (through int), a rational (through its int numerator and
-    denominator) or a string to Fraction, a Fraction as it is; reject floats."""
-    if type(x) is Fraction:
+    denominator) or a string to Fraction, a Fraction of ints as it is; reject floats."""
+    if type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int:
         return x
     if isinstance(x, numbers.Integral):
         return Fraction(int(x))
@@ -117,18 +117,20 @@ class GoverningSequence:
         }
 
     @classmethod
-    def from_json(cls, text: str) -> "GoverningSequence":
-        """The sequence of a seed file's object {"values": [...], "b0_squared": ...}.
-        Raises ValueError on any other shape."""
+    def from_json(cls, text: str, n_max: int | None = None) -> "GoverningSequence":
+        """The sequence of a seed file's object {"values": [...], "b0_squared": ...},
+        cut to v_0..v_{n_max} when n_max is given: later values are neither converted
+        nor judged.  ValueError on any other shape, or on fewer than n_max + 1 values."""
         data = json.loads(text)
         if not (isinstance(data, dict) and isinstance(data.get("values"), list)
                 and "b0_squared" in data):
             raise ValueError('a seed file holds one JSON object '
                              '{"values": [...], "b0_squared": ...}')
-        return cls(
-            values=tuple(_json_rational(x) for x in data["values"]),
-            b0_squared=_json_rational(data["b0_squared"]),
-        )
+        values = data["values"][: None if n_max is None else n_max + 1]
+        seq = cls(tuple(map(_json_rational, values)), _json_rational(data["b0_squared"]))
+        if n_max is not None and seq.n_max < n_max:
+            raise ValueError(f"seed file stores {len(seq)} values; need at least {n_max + 1}")
+        return seq
 
 
 @dataclass(frozen=True)
@@ -208,19 +210,21 @@ def seq_order3(v1, v2, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> Governi
     return _admissible(nums, den, "seq_order3", b0_squared)
 
 
-def seq_classical(gamma, N: int = DEFAULT_N) -> GoverningSequence:
-    """Sequence of the classical weight |x|^gamma exp(-x^2):
+def seq_classical(gamma, N: int = DEFAULT_N, alpha=1) -> GoverningSequence:
+    """Sequence of the classical weight |x|^gamma exp(-alpha x^2):
 
         v_n = (gamma+n+1)/(gamma+1)  (n even),   (n+1)/(gamma+1)  (n odd),
 
-    with b0^2 = (gamma+1)/2: the special family at v1 = 2/(gamma+1), v2 = 1 + v1.
-    Not monotone for gamma > 1, but compatible.
+    with b0^2 = (gamma+1)/(2 alpha): the special family at v1 = 2/(gamma+1),
+    v2 = 1 + v1.  Not monotone for gamma > 1, but compatible.
     """
-    gamma = as_fraction(gamma)
+    gamma, alpha = as_fraction(gamma), as_fraction(alpha)
     if gamma <= -1:
         raise ValueError("gamma must be > -1")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
     v1 = 2 / (gamma + 1)
-    return seq_family(v1, 1 + v1, (gamma + 1) / 2, N)
+    return seq_family(v1, 1 + v1, (gamma + 1) / (2 * alpha), N)
 
 
 def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningSequence:

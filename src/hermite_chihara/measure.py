@@ -48,12 +48,14 @@ class MeasureSpec:
     def weight(self, x: np.ndarray) -> np.ndarray:
         """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
         C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
-        is formed.  FloatRangeError when gamma, alpha or the Gamma value has no float,
-        where a weight value overflows (or, after an overflow, is NaN), and at the
-        pole x = 0 of a gamma < 0."""
+        is formed.  ValueError where an x is not finite; FloatRangeError when gamma,
+        alpha or the Gamma value has no float, where a weight value overflows (or,
+        after an overflow, is NaN), and at the pole x = 0 of a gamma < 0."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
         g, a = _weight_floats(self.gamma, self.alpha)
         try:
             c = 1.0 / math.gamma((g + 1.0) / 2.0)

@@ -81,15 +81,10 @@ def _diagonals(ops: OperatorSet, sys: PolynomialSystem) -> tuple[int, np.ndarray
             shift, np.concatenate(([0.0], shift[:-1])))
 
 
-def _within_rounding(deviation: np.ndarray, lam: np.ndarray) -> bool:
-    """Whether every row's deviation is at most ROUNDING_BOUND eps lambda_n
-    (lambda_n > 0, as b_0^2 > 0); eps is math.ulp(1.0)."""
-    return bool((deviation <= ROUNDING_BOUND * math.ulp(1.0) * lam).all())
-
-
 def _max_ratio(deviation: np.ndarray, lam: np.ndarray) -> float:
-    """The largest deviation / (eps lambda_n) over the rows: the figure that
-    ROUNDING_BOUND gates, as printed (the verdict is _within_rounding's)."""
+    """The largest deviation / (eps lambda_n) over the rows (lambda_n > 0, as
+    b_0^2 > 0; eps is math.ulp(1.0)): the printed figure, and the one the
+    verdict max_ratio <= ROUNDING_BOUND reads (NaN fails it)."""
     return float((deviation / lam).max()) / math.ulp(1.0)
 
 
@@ -97,7 +92,7 @@ def _max_ratio(deviation: np.ndarray, lam: np.ndarray) -> float:
 class CommutatorReport:
     max_deviation: float
     classical_deviation: float | None  # vs Wigner's (1 + gamma (-1)^n)/alpha for family systems
-    within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
+    within_rounding: bool  # max_ratio <= ROUNDING_BOUND: every row within its bound
     max_ratio: float  # the largest row deviation / (eps lambda_n)
 
 
@@ -115,10 +110,10 @@ def commutator_report(ops: OperatorSet, sys: PolynomialSystem) -> CommutatorRepo
         g, a = _weight_floats(*sys.weight_parameters())
         wigner = np.where(np.arange(k) % 2, 1.0 - g, 1.0 + g) / a
         classical_dev = float(np.max(np.abs(comm - wigner)))
-    lam = up + down
+    ratio = _max_ratio(deviation, up + down)
     return CommutatorReport(
         max_deviation=float(np.max(deviation)), classical_deviation=classical_dev,
-        within_rounding=_within_rounding(deviation, lam), max_ratio=_max_ratio(deviation, lam),
+        within_rounding=ratio <= ROUNDING_BOUND, max_ratio=ratio,
     )
 
 
@@ -128,7 +123,7 @@ class SpectrumReport:
     max_deviation: float
     off_diagonal: float
     classical_deviation: float | None  # vs (2n + gamma + 1)/alpha for family systems
-    within_rounding: bool  # every row's deviation <= ROUNDING_BOUND eps lambda_n
+    within_rounding: bool  # max_ratio <= ROUNDING_BOUND: every row within its bound
     max_ratio: float  # the largest row deviation / (eps lambda_n)
 
 
@@ -148,11 +143,11 @@ def spectrum_report(ops: OperatorSet, sys: PolynomialSystem) -> SpectrumReport:
         g, a = _weight_floats(*sys.weight_parameters())
         lam_cl = (2.0 * np.arange(k) + g + 1.0) / a
         classical_dev = float(np.max(np.abs(lam_matrix - lam_cl)))
+    ratio = _max_ratio(deviation, lam_matrix)
     return SpectrumReport(
         rows=rows, max_deviation=float(np.max(deviation)), off_diagonal=0.0,
-        classical_deviation=classical_dev,
-        within_rounding=_within_rounding(deviation, lam_matrix),
-        max_ratio=_max_ratio(deviation, lam_matrix),
+        classical_deviation=classical_dev, within_rounding=ratio <= ROUNDING_BOUND,
+        max_ratio=ratio,
     )
 
 

@@ -120,6 +120,8 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
     if not 1 <= m <= n // 2:
         raise ValueError(f"need 1 <= m <= n//2, got m={m}, n={n}")
     brackets = tuple(brackets)
+    if n > len(brackets):  # the outer sum reads [n-1]
+        raise ValueError(f"n = {n} reads past the {len(brackets)} brackets given")
 
     @lru_cache(maxsize=None)
     def inner(levels: int, upper: int) -> Fraction:
@@ -144,6 +146,9 @@ def alpha_closed(
     recurrence require, P_0 = 1 included."""
     if not 0 <= m <= n // 2:
         raise ValueError(f"need 0 <= m <= n//2, got m={m}, n={n}")
+    if n > min(len(values), len(brackets)):  # (v_{n-1})! reads v_{n-1}, [2m-1]!! [n-1]
+        raise ValueError(f"n = {n} reads past the {len(values)} values and "
+                         f"{len(brackets)} brackets given")
 
     def fact(j: int) -> Fraction:  # (v_{j-1})! = v_0 ... v_{j-1}
         return math.prod(values[:j], start=Fraction(1))
@@ -347,11 +352,14 @@ class PolynomialSystem:
         with no temporary but one scratch row, and the rows are returned
         transposed into a row-major (C-contiguous) copy: the factor layout whose
         Gram product rounds alike on one BLAS thread and on two (gram_deviation).
-        FloatRangeError when a value overflows (or, after an overflow, is NaN)."""
+        ValueError where an x is not finite; FloatRangeError when a value
+        overflows (or, after an overflow, is NaN)."""
         import numpy as np
 
         self._check_n(n_hi)
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
         buf = np.empty((n_hi + 1, x.size))
         buf[0] = 1.0
         try:

@@ -383,15 +383,18 @@ class TestBuildAndSeedFile:
         ("spectrum", "--dim", "9"),
     ], ids=lambda argv: argv[0])
     def test_every_command_reads_only_the_prefix(self, capsys, tmp_path, argv):
-        # Hermite through v_9, then v_10 = 12 (Hermite has 11), which none of
-        # these commands reads: each prints the bytes of --family hermite
+        # Hermite through v_9, then a v_10 that none of these commands reads: 12
+        # (Hermite has 11), or one no sequence may hold, which is neither converted
+        # nor judged.  Each prints the bytes of --family hermite
+        want = run_cli(capsys, *argv, "--family", "hermite")[1]
         seed = tmp_path / "seed.json"
-        values = [F(n + 1) for n in range(10)] + [F(12)]
-        seed.write_text(seed_text(values))
-        code, out, err = run_cli(capsys, *argv, "--family", "custom-file", "--seed-file", str(seed))
-        assert (code, err) == (0, "")
-        out = out.replace('"family": "custom-file"', '"family": "hermite"')
-        assert out == run_cli(capsys, *argv, "--family", "hermite")[1]
+        for late in ("12", "-5", "0", "x"):
+            seed.write_text(json.dumps({"values": [str(n + 1) for n in range(10)] + [late],
+                                        "b0_squared": "1/2"}))
+            code, out, err = run_cli(capsys, *argv, "--family", "custom-file",
+                                     "--seed-file", str(seed))
+            assert (code, err) == (0, "")
+            assert out.replace('"family": "custom-file"', '"family": "hermite"') == want
 
     def test_epsilons_reads_one_value_less_than_n_max(self, capsys, tmp_path):
         # eps_1..eps_6 read v_0..v_5, the six values this file stores
@@ -444,6 +447,17 @@ class TestVerify:
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
+
+    def test_one_operator_band_per_run(self, capsys, monkeypatch):
+        # the commutator and spectrum checks read the same band, built once
+        from hermite_chihara import oscillator
+
+        calls = []
+        build = oscillator.build_operators
+        monkeypatch.setattr(oscillator, "build_operators",
+                            lambda *a, **k: calls.append(a) or build(*a, **k))
+        code, _, _ = run_cli(capsys, "verify", "--family", "family", "--v2", "5", "--n-max", "8")
+        assert (code, len(calls)) == (0, 1)
 
     def test_incompatible_seed_fails(self, capsys, tmp_path):
         values = [F(n + 1) for n in range(13)]
@@ -751,7 +765,10 @@ class TestSpectrumCommand:
         # is the detail of verify's spectrum check at the same --dim
         from hermite_chihara import oscillator
 
-        monkeypatch.setattr(oscillator, "_within_rounding", lambda deviation, lam: False)
+        # the verdict reads max_ratio <= ROUNDING_BOUND; Hermite's rows read 2 eps at
+        # dim 20, so a bound of 1 fails both band checks.  The detail's "bound 8" is
+        # the text the CLI formed at import
+        monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
         code, out, err = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
         # the figure is the largest row deviation in units of eps lambda_n
         largest = max(float(dev) / float(lam) for _, lam, _, dev in
@@ -1048,6 +1065,19 @@ class TestFamilyFlags:
         )
         assert code == 2 and out == ""
         assert err == f"error: --alpha must be positive, got {alpha}\n"
+
+    def test_classical_alpha_forms_one_sequence(self, capsys, monkeypatch):
+        # seq_classical sets b0^2 = (gamma + 1)/(2 alpha) itself: no second sequence
+        made = []
+        post_init = GoverningSequence.__post_init__
+        monkeypatch.setattr(GoverningSequence, "__post_init__",
+                            lambda seq: made.append(seq) or post_init(seq))
+        code, out, _ = run_cli(capsys, "build", "--family", "classical", "--gamma", "1",
+                               "--alpha", "2", "--n-max", "8")
+        payload = json.loads(out)
+        assert (code, len(made)) == (0, 1)
+        assert payload["governing_sequence"]["b0_squared"] == "1/2"
+        assert payload["weight"] == {"gamma": "1", "alpha": "2"}
 
     @pytest.mark.parametrize("alpha", ["-2", "-2/3"])
     def test_a_negative_value_after_a_space_is_a_value(self, capsys, alpha):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -64,6 +65,17 @@ class TestConstructors:
     def test_classical_gamma0_is_hermite(self):
         assert seq_classical(0, 12).values == seq_hermite(12).values
         assert seq_classical(0, 12).b0_squared == F(1, 2)
+
+    def test_classical_alpha_sets_b0_alone(self):
+        # b0^2 = (gamma + 1)/(2 alpha), and the weight reads alpha back
+        seq = seq_classical(F(1, 3), 12, F(3, 2))
+        assert seq.values == seq_classical(F(1, 3), 12).values and seq.b0_squared == F(4, 9)
+        assert family_weight(seq) == (F(1, 3), F(3, 2))
+
+    @pytest.mark.parametrize("alpha", [0, -1, F(-1, 2)])
+    def test_classical_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be > 0$"):
+            seq_classical(1, 10, alpha)
 
     def test_classical_gamma1(self):
         seq = seq_classical(1, 5)
@@ -137,6 +149,18 @@ class TestExactInput:
         got = PolynomialSystem(seq_family(np.int64(2), np.int64(3), np.int64(1), 60))
         assert got.seq == want.seq and got.monic[60] == want.monic[60]
         assert got.monic[40](np.int64(3)) == want.monic[40](3)
+
+    def test_a_fraction_of_numpy_integers_is_rebuilt_through_int(self):
+        # Fraction(np.int64(2), np.int64(1)) keeps np.int64 terms, which overflowed
+        # at P_60 with only a RuntimeWarning
+        x = as_fraction(F(np.int64(2), np.int64(1)))
+        assert x == 2 and type(x.numerator) is int and type(x.denominator) is int
+        want = PolynomialSystem(seq_family(2, 3, 1, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PolynomialSystem(seq_family(F(np.int64(2), np.int64(1)),
+                                              F(np.int64(3), np.int64(1)), 1, 60))
+            assert got.seq == want.seq and got.monic[60] == want.monic[60]
 
 
 class TestValidate:
@@ -385,6 +409,21 @@ class TestJson:
     def test_any_other_shape_is_refused(self, text):
         with pytest.raises(ValueError, match="one JSON object"):
             GoverningSequence.from_json(text)
+        with pytest.raises(ValueError, match="one JSON object"):
+            GoverningSequence.from_json(text, 0)
+
+    @pytest.mark.parametrize("late", ["-5", "0", '"x"', "0.5", '"1/0"', "null"])
+    def test_values_past_n_max_are_neither_converted_nor_judged(self, late):
+        text = f'{{"values": ["1", "2", "3", {late}], "b0_squared": "1/2"}}'
+        assert GoverningSequence.from_json(text, 2) == seq_hermite(2)
+        with pytest.raises(ValueError):
+            GoverningSequence.from_json(text)
+
+    def test_a_short_file_names_its_length(self):
+        text = '{"values": ["1", "2", "3"], "b0_squared": "1/2"}'
+        assert GoverningSequence.from_json(text, 2) == seq_hermite(2)
+        with pytest.raises(ValueError, match=r"^seed file stores 3 values; need at least 5$"):
+            GoverningSequence.from_json(text, 4)
 
 
 _positive = st.fractions(min_value=F(1, 7), max_value=F(9), max_denominator=7)

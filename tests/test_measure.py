@@ -58,6 +58,12 @@ class TestNormalization:
             )
             assert abs(val.item() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_x_is_rejected(self, x):
+        # not a NaN, or a FloatRangeError naming a weight value
+        with pytest.raises(ValueError, match=r"^x must be finite$"):
+            MeasureSpec(F(1), F(1)).weight(np.array([1.0, x]))
+
     def test_weight_is_finite_where_alpha_power_overflows(self):
         # alpha^{(gamma+1)/2} = 1e320 has no float; on the weight's scale
         # 1e-80 every factor has one: C |x|^3 e^{-alpha x^2} = 1e80 t^3 e^{-t^2}

@@ -117,6 +117,19 @@ class TestAlpha:
             with pytest.raises(ValueError, match="need 0 <= m <= n//2"):
                 alpha_closed(seq.values, br, m, n)
 
+    def test_n_past_the_tables_is_refused(self):
+        # v_0..v_6 and [0]..[6]: n reads v_{n-1} and [n-1], so n = 8 reads past
+        # both, and n = 7 still agrees with the brute sum
+        seq = seq_hermite(6)
+        br = bracket_table(seq)
+        with pytest.raises(ValueError, match=r"^n = 8 reads past the 7 values and 7 brackets"):
+            alpha_closed(seq.values, br, 1, 8)
+        with pytest.raises(ValueError, match=r"^n = 8 reads past the 7 brackets given$"):
+            alpha_nested(br, 1, 8)
+        for m in range(1, 4):
+            assert alpha_closed(seq.values, br, m, 7) == alpha_nested(br, m, 7) \
+                == alpha_brute(br, m, 7)
+
     @settings(max_examples=30, deadline=None)
     @given(
         brackets=st.lists(
@@ -283,6 +296,13 @@ class TestPsiEval:
 
     def test_psi0_is_one(self, hermite_sys):
         assert hermite_sys.psi_eval_table([3.7], 0)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("x, n_hi", [(math.nan, 5), (math.inf, 1), (math.inf, 5),
+                                         (-math.inf, 0)])
+    def test_a_non_finite_x_is_rejected(self, hermite_sys, x, n_hi):
+        # not a NaN row, an inf, or a FloatRangeError naming a psi value
+        with pytest.raises(ValueError, match=r"^x must be finite$"):
+            hermite_sys.psi_eval_table(np.array([0.5, x]), n_hi)
 
     def test_psi1_at_2(self, classical1_sys):
         b0 = math.sqrt(float(classical1_sys.seq.b0_squared))
