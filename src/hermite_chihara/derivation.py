@@ -6,6 +6,11 @@ are the binomial inverse transform of the governing sequence,
 
     k! eps_k = sum_{j=1}^{k} (-1)^{k-j} C(k,j) v_{j-1}.
 
+The transform stops at the first difference row that is all zero: every later
+row is zero too, so every later eps is 0.  At order r (eps_k = 0 for k > r)
+it costs O(K r) integer additions, and so does the forward check, which
+carries the zeros past r implicitly; at infinite order both cost O(K^2).
+
 Each operator checks the forward identity once, when it is built; after that
 D is applied by the monomial rule alone.
 
@@ -106,29 +111,57 @@ class OrderVerdict(NamedTuple):
         return f"infinite within horizon K={self.horizon}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DerivationOperator:
     """eps_1..eps_K plus the source values v_0..; both exact.
 
-    Construction checks that the series reproduces the monomial rule,
-    sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for every n <= K, and raises
-    ValueError otherwise.  Both sides are linear, so on polynomials of degree
-    <= K the series and the monomial rule agree everywhere.
+    Integers (numpy's too, through int) are stored as Fractions and floats are
+    refused with TypeError.  Construction checks that the series reproduces
+    the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for every n <= K,
+    and raises ValueError otherwise.  Both sides are linear, so on polynomials
+    of degree <= K the series and the monomial rule agree everywhere.
     """
 
     epsilons: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
+    def __init__(self, epsilons: Iterable, values: Iterable):
+        object.__setattr__(self, "epsilons", tuple(map(as_fraction, epsilons)))
+        object.__setattr__(self, "values", tuple(map(as_fraction, values)))
+        self.__post_init__()
+
+    @classmethod
+    def _of_fractions(cls, epsilons: tuple[Fraction, ...], values: tuple[Fraction, ...]):
+        """The operator of tuples of Fractions of ints, checked as any other
+        but with no entry converted again."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "epsilons", epsilons)
+        object.__setattr__(op, "values", values)
+        op.__post_init__()
+        return op
+
     def __post_init__(self):
-        if self.k_max > len(self.values):
-            raise ValueError(f"K={self.k_max} epsilons need at least {self.k_max} values")
+        """The forward check, which every construction runs on stored Fractions."""
+        K = self.k_max
+        if K > len(self.values):
+            raise ValueError(f"K={K} epsilons need at least {K} values")
         # den k! eps_k are the forward differences at 0 of den sum_k C(n,k) k! eps_k
-        # (Newton), so d[k] += d[k+1] for k <= K - n steps d[0] to its value at n
-        num, den = common_denominator(e * factorial(k) for k, e in enumerate(self.epsilons, 1))
-        vnum, vden = common_denominator(self.values[: self.k_max])
+        # (Newton), so d[k] += d[k+1] steps d[0] to its value at n.  Only
+        # eps_1..eps_r enter: the differences past r are zero, so d[r] stays
+        # as it is, and the table keeps the K - n + 1 entries that steps up to K read
+        r = _last_nonzero(self.epsilons)
+        scaled, fact = [], 1
+        for k, e in enumerate(self.epsilons[:r], 1):
+            fact *= k
+            scaled.append(e * fact if e else e)
+        num, den = common_denominator(scaled)
+        vnum, vden = common_denominator(self.values[:K])
         d = [0, *num]
-        for n in range(1, self.k_max + 1):
+        for n in range(1, K + 1):
+            top = d[-1]
             d = [a + b for a, b in zip(d, d[1:])]
+            if len(d) < K - n + 1:
+                d.append(top)
             if d[0] * vden != vnum[n - 1] * den:
                 raise ValueError(
                     f"epsilons give D x^{n} = {Fraction(d[0], den)} x^{n - 1}, "
@@ -166,10 +199,7 @@ class DerivationOperator:
 
     def order(self) -> OrderVerdict:
         """Smallest k with eps_j = 0 exactly for all k < j <= K."""
-        last_nonzero = 0
-        for k in range(1, self.k_max + 1):
-            if self.eps(k) != 0:
-                last_nonzero = k
+        last_nonzero = _last_nonzero(self.epsilons)
         if last_nonzero == self.k_max and self.k_max > 1:
             return OrderVerdict(finite=False, order=None, horizon=self.k_max)
         return OrderVerdict(finite=True, order=max(last_nonzero, 1), horizon=self.k_max)
@@ -191,11 +221,24 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
     if not 1 <= K <= len(seq):
         raise ValueError(f"K={K} must be in [1, {len(seq)}], the stored sequence length")
     # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
-    # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k
+    # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k.  A row
+    # of zeros (f[0] = 0 is read first) ends the table: every later eps is 0
     den = seq.den
     f = [0, *seq.nums[:K]]
-    eps = []
+    eps, fact = [], 1
     for k in range(1, K + 1):
         f = [b - a for a, b in zip(f, f[1:])]
-        eps.append(Fraction(f[0], den * factorial(k)))
-    return DerivationOperator(epsilons=tuple(eps), values=seq.values)
+        fact *= k
+        eps.append(Fraction(f[0], den * fact))
+        if not f[0] and not any(f):
+            break
+    eps += [Fraction(0)] * (K - len(eps))
+    return DerivationOperator._of_fractions(tuple(eps), seq.values)
+
+
+def _last_nonzero(epsilons: Sequence[Fraction]) -> int:
+    """The largest k with eps_k != 0, or 0 when every eps is 0."""
+    r = len(epsilons)
+    while r and not epsilons[r - 1]:
+        r -= 1
+    return r

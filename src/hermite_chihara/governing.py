@@ -79,29 +79,52 @@ def _json_rational(x) -> Fraction:
     raise ValueError(f"seed-file entry {x!r} is not an integer or a 'p/q' string with q > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GoverningSequence:
-    """Finite prefix of a governing sequence plus the b0 scale (squared); v_i = nums[i] / den."""
+    """Finite prefix of a governing sequence plus the b0 scale (squared); v_i = nums[i] / den.
+
+    The values are converted as ``as_fraction`` does; the constructors, which
+    form them from integers, hand over the integers and skip the conversion.
+    Every sequence passes the same checks, in ``__post_init__``."""
 
     values: tuple[Fraction, ...]
     b0_squared: Fraction
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(repr=False, compare=False)
+    den: int = field(repr=False, compare=False)
+
+    def __init__(self, values: Iterable, b0_squared):
+        values = tuple(as_fraction(v) for v in values)
+        self._store(values, *common_denominator(values), as_fraction(b0_squared))
+
+    @classmethod
+    def _of_numerators(cls, nums: Sequence[int], den: int, b0_squared) -> "GoverningSequence":
+        """v_i = nums[i] / den for Python ints nums and den > 0, each value formed
+        once from its integers."""
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [a // g for a in nums], den // g
+        seq = object.__new__(cls)
+        seq._store(tuple(Fraction(a, den) for a in nums), nums, den, as_fraction(b0_squared))
+        return seq
+
+    def _store(self, values: tuple[Fraction, ...], nums: Sequence[int], den: int,
+               b0_squared: Fraction) -> None:
+        """Store v = nums / den, den the lcm of the values' denominators, and check it."""
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "b0_squared", b0_squared)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-        object.__setattr__(self, "b0_squared", as_fraction(self.b0_squared))
         if not self.values:
             raise ValueError("governing sequence is empty")
         if self.values[0] != 1:
             raise ValueError(f"v_0 must be 1, got {self.values[0]}")
-        if any(v.numerator <= 0 for v in self.values):
+        if min(self.nums) <= 0:
             raise ValueError("governing sequence values must be strictly positive")
         if self.b0_squared.numerator <= 0:
             raise ValueError("b0_squared must be positive")
-        nums, den = common_denominator(self.values)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -182,7 +205,7 @@ def seq_hermite(N: int, b0_squared=Fraction(1, 2)) -> GoverningSequence:
     """v_n = n + 1.  The unique order-1 sequence; b0^2 defaults to 1/2."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return GoverningSequence(tuple(Fraction(n + 1) for n in range(N + 1)), b0_squared)
+    return GoverningSequence._of_numerators(range(1, N + 2), 1, b0_squared)
 
 
 def seq_order2(v1, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSequence:
@@ -236,12 +259,10 @@ def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningS
     v1, v2 = as_fraction(v1), as_fraction(v2)
     if not 0 < v1 <= v2:
         raise ValueError("need 0 < v1 <= v2")
-    p1, q1, p2, q2 = v1.numerator, v1.denominator, v2.numerator, v2.denominator
-    values = tuple(
-        Fraction((n // 2 + 1) * p1, q1) if n % 2 == 1 else Fraction(n // 2 * (p2 - q2) + q2, q2)
-        for n in range(N + 1)
-    )
-    return GoverningSequence(values, b0_squared)
+    (a1, a2), den = common_denominator((v1, v2))
+    # L v_{2p+1} = (p+1) a1 and L v_{2m} = m (a2 - L) + L over L = den
+    nums = [(n // 2 + 1) * a1 if n % 2 else n // 2 * (a2 - den) + den for n in range(N + 1)]
+    return GoverningSequence._of_numerators(nums, den, b0_squared)
 
 
 def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> GoverningSequence:
@@ -252,7 +273,7 @@ def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> Governi
                 f"{name}: result not positive nondecreasing at index {i}: "
                 f"{Fraction(nums[i], den)} -> {Fraction(nums[i + 1], den)}"
             )
-    return GoverningSequence(tuple(Fraction(a, den) for a in nums), b0_squared)
+    return GoverningSequence._of_numerators(nums, den, b0_squared)
 
 
 def bracket_table(seq: GoverningSequence) -> list[Fraction]:

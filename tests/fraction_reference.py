@@ -28,6 +28,7 @@ operation re-normalized.  The tests compare the kernel against them.
   ``family_weight``: the sequence's tables by Fraction arithmetic on v;
 - ``seq_order2``, ``seq_order3``, ``seq_family``: the constructors' values by
   Fraction arithmetic on the parameters;
+- ``epsilons``: eps_1..eps_K by the binomial sums, a Fraction per term;
 - ``forward_check``: the epsilons' forward identity by Pascal's rows, a
   Fraction per n;
 - ``route_scan``: the first n whose core differs from the explicit formula's
@@ -373,6 +374,15 @@ def seq_family(v1, v2, b0_squared, N: int):
         for n in range(N + 1)
     )
     return GoverningSequence(values, as_fraction(b0_squared))
+
+
+def epsilons(values, K: int) -> list[Fraction]:
+    """eps_1..eps_K from k! eps_k = sum_{j=1}^{k} (-1)^{k-j} C(k,j) v_{j-1}."""
+    return [
+        sum(((-1) ** (k - j) * comb(k, j) * values[j - 1] for j in range(1, k + 1)), Fraction(0))
+        / factorial(k)
+        for k in range(1, K + 1)
+    ]
 
 
 def forward_check(epsilons, values) -> None:

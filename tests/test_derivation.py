@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermite_chihara.derivation as derivation
 from hermite_chihara import (
     DerivationOperator,
+    OrderVerdict,
     Poly,
     epsilons_from_sequence,
     seq_classical,
@@ -31,6 +34,20 @@ SERIES_OPERATORS = {
         ("order2", seq_order2(3, K_SERIES)),
         ("order3", seq_order3(8, 30, K_SERIES)),
     )
+}
+
+
+# name: (the sequence v_0..v_N, the operator's order r)
+FINITE = {
+    "hermite": (seq_hermite, 1),
+    "order2": (lambda N: seq_order2(3, N), 2),
+    "order3": (lambda N: seq_order3(F(7, 3), F(17, 3), N), 3),
+    "order3 at (2, 3)": (lambda N: seq_order3(2, 3, N), 1),
+}
+CORRUPTIBLE = {
+    **{name: make(304) for name, (make, _) in FINITE.items()},
+    "classical": seq_classical(F(3, 2), 44),
+    "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 44),
 }
 
 
@@ -144,6 +161,102 @@ class TestEpsilons:
             epsilons_from_sequence(seq_hermite(4), K=K)
 
 
+class TestFiniteOrder:
+    """At order r the transform stops at its first zero row and the forward
+    check carries the zeros past r: the same epsilons and verdicts, the same
+    errors, and work that grows with r, not with K."""
+
+    @pytest.mark.parametrize("horizon", ["r", "r + 1", 64, 2000])
+    @pytest.mark.parametrize("name", FINITE)
+    def test_epsilons_and_order(self, name, horizon):
+        make, r = FINITE[name]
+        K = {"r": r, "r + 1": r + 1}.get(horizon, horizon)
+        seq = make(max(K, 64))
+        want = ref.epsilons(seq.values, min(K, 64))
+        assert not any(want[r:]) and want[r - 1] != 0
+        op = epsilons_from_sequence(seq, K=K)
+        assert op.epsilons == (*want, *[0] * (K - len(want)))
+        # eps_K != 0 reads as infinite within the horizon, unless K = 1
+        finite = K > r or K == 1
+        assert op.order() == OrderVerdict(finite, r if finite else None, K)
+
+    @pytest.mark.parametrize("name", FINITE)
+    def test_work_grows_with_the_order(self, name, monkeypatch):
+        # counted, not timed: the transform forms one Fraction per difference
+        # row up to the first zero row (r + 1 of them) and one shared zero, and
+        # the forward check scales only eps_1..eps_r by k!
+        make, r = FINITE[name]
+        seq, fractions, terms = make(2000), [], []
+        real_denominator = derivation.common_denominator
+
+        def fraction(*args):
+            fractions.append(args)
+            return F(*args)
+
+        def common_denominator(fracs):
+            terms.append(list(fracs))
+            return real_denominator(terms[-1])
+
+        monkeypatch.setattr(derivation, "Fraction", fraction)
+        monkeypatch.setattr(derivation, "common_denominator", common_denominator)
+        op = epsilons_from_sequence(seq, K=2000)
+        assert op.order() == OrderVerdict(True, r, 2000)
+        assert len(fractions) == r + 2
+        assert len(terms[0]) == r
+
+    @pytest.mark.parametrize("where", ["r + 1", "K"])
+    @pytest.mark.parametrize("name", FINITE)
+    def test_an_epsilon_past_the_order_is_rejected(self, name, where):
+        make, r = FINITE[name]
+        K = 300
+        seq = make(K)
+        eps = list(epsilons_from_sequence(seq, K=K).epsilons)
+        k = r + 1 if where == "r + 1" else K
+        eps[k - 1] = F(-1, 7)
+        with pytest.raises(ValueError) as want:
+            ref.forward_check(eps, seq.values)
+        with pytest.raises(ValueError) as got:
+            DerivationOperator(eps, seq.values)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"epsilons give D x^{k} = ")
+
+    @pytest.mark.parametrize("seq", [seq_classical(F(1, 3), 256),
+                                     seq_family(F(2, 3), F(5, 3), F(3, 7), 256)],
+                             ids=["classical 1/3", "family (2/3, 5/3, 3/7)"])
+    def test_infinite_order_gives_the_binomial_sums(self, seq):
+        op = epsilons_from_sequence(seq, K=256)
+        assert list(op.epsilons) == ref.epsilons(seq.values, 256)
+        assert op.order() == OrderVerdict(False, None, 256)
+
+
+class TestExactInput:
+    """The operator stores Fractions of ints whatever exact input it is given,
+    and refuses floats, as as_fraction does."""
+
+    def test_integers_become_fractions(self):
+        op = DerivationOperator((1, 0), (1, 2))
+        a = op.a_coefficient(2, 1)
+        assert a == 2 and type(a) is F
+        assert all(type(x) is F for x in (*op.epsilons, *op.values))
+
+    def test_numpy_integers_become_fractions_of_int(self):
+        op = DerivationOperator(np.array([1, 0], dtype=np.int64), (np.int32(1), np.int64(2)))
+        for x in (*op.epsilons, *op.values):
+            assert type(x) is F and type(x.numerator) is int and type(x.denominator) is int
+        assert type(op.a_coefficient(2, 1)) is F
+        assert op == DerivationOperator((1, 0), (1, 2))
+
+    @pytest.mark.parametrize("eps, values", [
+        ((1.0, 0), (1, 2)),
+        ((1, np.float64(0)), (1, 2)),
+        ((1, 0), (1, 2.0)),
+        ((1, 0), (1, np.float32(2))),
+    ])
+    def test_a_float_is_refused(self, eps, values):
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            DerivationOperator(eps, values)
+
+
 class TestApply:
     def test_annihilates_constants(self):
         op = epsilons_from_sequence(seq_hermite(6))
@@ -209,18 +322,19 @@ class TestSeriesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        name=st.sampled_from(["classical", "family", "order2", "order3", "hermite"]),
-        K=st.integers(1, 40),
-        at=st.integers(1, 40),
+        name=st.sampled_from(sorted(CORRUPTIBLE)),
+        K=st.integers(1, 300),
+        at=st.integers(1, 300),
         delta=st.fractions(min_value=F(-3), max_value=F(3), max_denominator=10**6),
         extra=st.integers(0, 3),
     )
     def test_corrupted_epsilon_fails_as_by_pascal_rows(self, name, K, at, delta, extra):
         # the additions route and the Pascal-row route name the same first n
-        # with the same message, or both pass (delta = 0)
-        seq = {"classical": seq_classical(F(3, 2), 44), "hermite": seq_hermite(44),
-               "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 44),
-               "order2": seq_order2(3, 44), "order3": seq_order3(F(7, 3), F(17, 3), 44)}[name]
+        # with the same message, or both pass (delta = 0); the finite-order
+        # names reach K = 300, far past their order, the others K = 40
+        seq = CORRUPTIBLE[name]
+        if name not in FINITE:
+            K = (K - 1) % 40 + 1
         op = epsilons_from_sequence(seq, K=K)
         eps = list(op.epsilons)
         eps[(at - 1) % K] += delta

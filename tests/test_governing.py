@@ -26,7 +26,8 @@ from hermite_chihara import (
 )
 from conftest import propagated_compatible_sequence
 from fraction_reference import validate as validate_fractions
-from hermite_chihara.governing import as_fraction
+import hermite_chihara.governing as governing
+from hermite_chihara.governing import as_fraction, common_denominator
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
 
@@ -457,7 +458,9 @@ def _outcome(make, *args):
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
     assert all(type(v) is F for v in seq.values)
-    assert [F(a, seq.den) for a in seq.nums] == list(seq.values)
+    assert all(type(a) is int for a in seq.nums)
+    # den is the lcm of the values' denominators, however the values were formed
+    assert (list(seq.nums), seq.den) == common_denominator(seq.values)
     return seq.values, seq.b0_squared
 
 
@@ -491,6 +494,24 @@ class TestAgainstFractionRoutes:
         assert _outcome(seq_order2, v1, N, b0) == _outcome(ref.seq_order2, v1, N, b0)
         assert _outcome(seq_order3, v1, v2, N, b0) == _outcome(ref.seq_order3, v1, v2, N, b0)
         assert _outcome(seq_family, v1, v2, b0, N) == _outcome(ref.seq_family, v1, v2, b0, N)
+
+    @pytest.mark.parametrize("make, conversions", [
+        (lambda N: seq_hermite(N), 1),
+        (lambda N: seq_order2(F(9, 2), N), 2),
+        (lambda N: seq_order3(F(7, 3), F(17, 3), N, F(8, 3)), 3),
+        (lambda N: seq_family(F(2, 3), F(5, 3), F(3, 7), N), 3),
+        (lambda N: seq_classical(F(1, 3), N, 2), 5),
+    ])
+    def test_constructors_form_each_value_once(self, make, conversions, monkeypatch):
+        # the constructors hand over their integers: only the parameters pass
+        # through as_fraction, and the sequence is the one its values give
+        calls = []
+        monkeypatch.setattr(governing, "as_fraction", lambda x: calls.append(x) or as_fraction(x))
+        seq = make(200)
+        assert len(calls) == conversions
+        monkeypatch.undo()
+        direct = GoverningSequence(seq.values, seq.b0_squared)
+        assert seq == direct and (seq.nums, seq.den) == (direct.nums, direct.den)
 
     def test_values_are_not_coerced_again(self):
         # a Fraction value is kept as it is; ints and strings become Fractions
