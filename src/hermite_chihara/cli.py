@@ -186,8 +186,8 @@ def cmd_classify(args) -> int:
     reduced = PolynomialSystem(seq).first_reduced_failure(args.n_max) is None
     # the reduced relation at n <= n_max reads v_0..v_{n_max-1}, so membership
     # is judged on that prefix (at least the 3 entries the family shape needs)
-    prefix = GoverningSequence(seq.values[: max(args.n_max, 3)], seq.b0_squared)
-    fam, params = is_special_family(prefix)
+    fam, params = is_special_family(GoverningSequence._of_numerators(
+        seq.nums[: max(args.n_max, 3)], seq.den, seq.b0_squared))
     lines = [f"reduced: {str(reduced).lower()}", f"special_family: {str(fam).lower()}"]
     if fam:
         v1, v2 = params

@@ -11,8 +11,8 @@ row is zero too, so every later eps is 0.  At order r (eps_k = 0 for k > r)
 it costs O(K r) integer additions, and so does the forward check, which
 carries the zeros past r implicitly; at infinite order both cost O(K^2).
 
-Each operator checks the forward identity once, when it is built; after that
-D is applied by the monomial rule alone.
+Each operator checks the forward identity once, when it is built, on integer
+rows it keeps; after that D is applied by the monomial rule alone.
 
 Polynomials are dense tuples of integer numerators over one shared
 denominator (index = power of x).
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .governing import GoverningSequence, as_fraction, common_denominator
@@ -116,32 +118,34 @@ class DerivationOperator:
     """eps_1..eps_K plus the source values v_0..; both exact.
 
     Integers (numpy's too, through int) are stored as Fractions and floats are
-    refused with TypeError.  Construction checks that the series reproduces
-    the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for every n <= K,
-    and raises ValueError otherwise.  Both sides are linear, so on polynomials
-    of degree <= K the series and the monomial rule agree everywhere.
+    refused with TypeError.  Beside them it keeps two integer rows, formed once:
+    den k! eps_k for k <= r, r the last k with eps_k != 0, and the values over a
+    common denominator, which D reads.  Construction checks on them that the
+    series reproduces the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1},
+    for every n <= K, and raises ValueError otherwise.  Both sides are linear,
+    so on polynomials of degree <= K the series and the monomial rule agree.
     """
 
     epsilons: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __init__(self, epsilons: Iterable, values: Iterable):
-        object.__setattr__(self, "epsilons", tuple(map(as_fraction, epsilons)))
-        object.__setattr__(self, "values", tuple(map(as_fraction, values)))
+        epsilons, values = tuple(map(as_fraction, epsilons)), tuple(map(as_fraction, values))
+        r = max((k for k, e in enumerate(epsilons, 1) if e), default=0)
+        scaled = [e * f for e, f in zip(epsilons, accumulate(range(1, r + 1), mul))]  # k! eps_k
+        self._store(epsilons, values, common_denominator(scaled), common_denominator(values))
+
+    def _store(self, epsilons: tuple[Fraction, ...], values: tuple[Fraction, ...],
+               scaled: tuple[Sequence[int], int], row: tuple[Sequence[int], int]) -> None:
+        """Store the operator with its two integer rows, and run the forward check."""
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_row", row)
         self.__post_init__()
 
-    @classmethod
-    def _of_fractions(cls, epsilons: tuple[Fraction, ...], values: tuple[Fraction, ...]):
-        """The operator of tuples of Fractions of ints, checked as any other
-        but with no entry converted again."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "epsilons", epsilons)
-        object.__setattr__(op, "values", values)
-        op.__post_init__()
-        return op
-
     def __post_init__(self):
-        """The forward check, which every construction runs on stored Fractions."""
+        """The forward check, which every construction runs on the integer rows."""
         K = self.k_max
         if K > len(self.values):
             raise ValueError(f"K={K} epsilons need at least {K} values")
@@ -149,13 +153,7 @@ class DerivationOperator:
         # (Newton), so d[k] += d[k+1] steps d[0] to its value at n.  Only
         # eps_1..eps_r enter: the differences past r are zero, so d[r] stays
         # as it is, and the table keeps the K - n + 1 entries that steps up to K read
-        r = _last_nonzero(self.epsilons)
-        scaled, fact = [], 1
-        for k, e in enumerate(self.epsilons[:r], 1):
-            fact *= k
-            scaled.append(e * fact if e else e)
-        num, den = common_denominator(scaled)
-        vnum, vden = common_denominator(self.values[:K])
+        (num, den), (vnum, vden) = self._scaled, self._row
         d = [0, *num]
         for n in range(1, K + 1):
             top = d[-1]
@@ -178,7 +176,7 @@ class DerivationOperator:
     def apply(self, p: Poly) -> Poly:
         """D p by the linear extension of D x^n = v_{n-1} x^{n-1}."""
         self._check_degree(p)
-        v, vden = common_denominator(self.values[: max(p.degree, 0)])
+        v, vden = self._row
         return Poly.from_numerators([a * b for a, b in zip(p.nums[1:], v)], p.den * vden)
 
     def apply_upper_part(self, p: Poly) -> Poly:
@@ -187,7 +185,7 @@ class DerivationOperator:
         It is diagonal: x^m -> A_m(2) x^m with A_m(2) = v_{m-1} - m eps_1, the
         full series x D x^m = v_{m-1} x^m less its k = 1 term (eps_1 = v_0)."""
         self._check_degree(p)
-        v, vden = common_denominator(self.values[: max(p.degree, 0)])
+        v, vden = self._row
         return Poly.from_numerators(
             [0] + [a * (v[m - 1] - m * v[0]) for m, a in enumerate(p.nums[1:], 1)],
             p.den * vden,
@@ -199,7 +197,7 @@ class DerivationOperator:
 
     def order(self) -> OrderVerdict:
         """Smallest k with eps_j = 0 exactly for all k < j <= K."""
-        last_nonzero = _last_nonzero(self.epsilons)
+        last_nonzero = len(self._scaled[0])  # one entry per k <= r
         if last_nonzero == self.k_max and self.k_max > 1:
             return OrderVerdict(finite=False, order=None, horizon=self.k_max)
         return OrderVerdict(finite=True, order=max(last_nonzero, 1), horizon=self.k_max)
@@ -222,23 +220,20 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
         raise ValueError(f"K={K} must be in [1, {len(seq)}], the stored sequence length")
     # f[j] = den * v_{j-1} for j = 0..K, in integers; the k-th forward
     # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k.  A row
-    # of zeros (f[0] = 0 is read first) ends the table: every later eps is 0
+    # of zeros (f[0] = 0 is read first) ends the table: every later eps is 0,
+    # and the f[0] before it is not 0 (else that row was zero), so scaled ends at r
     den = seq.den
     f = [0, *seq.nums[:K]]
-    eps, fact = [], 1
+    scaled, eps, fact = [], [], 1
     for k in range(1, K + 1):
         f = [b - a for a, b in zip(f, f[1:])]
-        fact *= k
-        eps.append(Fraction(f[0], den * fact))
         if not f[0] and not any(f):
             break
+        fact *= k
+        scaled.append(f[0])
+        eps.append(Fraction(f[0], den * fact))
     eps += [Fraction(0)] * (K - len(eps))
-    return DerivationOperator._of_fractions(tuple(eps), seq.values)
+    op = object.__new__(DerivationOperator)
+    op._store(tuple(eps), seq.values, (scaled, den), (seq.nums, den))
+    return op
 
-
-def _last_nonzero(epsilons: Sequence[Fraction]) -> int:
-    """The largest k with eps_k != 0, or 0 when every eps is 0."""
-    r = len(epsilons)
-    while r and not epsilons[r - 1]:
-        r -= 1
-    return r

@@ -18,8 +18,9 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -83,55 +84,55 @@ def _json_rational(x) -> Fraction:
 class GoverningSequence:
     """Finite prefix of a governing sequence plus the b0 scale (squared); v_i = nums[i] / den.
 
-    The values are converted as ``as_fraction`` does; the constructors, which
-    form them from integers, hand over the integers and skip the conversion.
+    Held as nums over den, the lcm of the values' denominators; ``values`` is formed
+    on first read, or kept from the public constructor's ``as_fraction`` conversion.
     Every sequence passes the same checks, in ``__post_init__``."""
 
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     b0_squared: Fraction
-    nums: tuple[int, ...] = field(repr=False, compare=False)
-    den: int = field(repr=False, compare=False)
 
     def __init__(self, values: Iterable, b0_squared):
-        values = tuple(as_fraction(v) for v in values)
-        self._store(values, *common_denominator(values), as_fraction(b0_squared))
+        values = self.__dict__["values"] = tuple(as_fraction(v) for v in values)
+        self._store(*common_denominator(values), as_fraction(b0_squared))
 
     @classmethod
     def _of_numerators(cls, nums: Sequence[int], den: int, b0_squared) -> "GoverningSequence":
-        """v_i = nums[i] / den for Python ints nums and den > 0, each value formed
-        once from its integers."""
+        """v_i = nums[i] / den for Python ints nums and den > 0, reduced by one gcd."""
         g = math.gcd(den, *nums)
         if g > 1:
             nums, den = [a // g for a in nums], den // g
         seq = object.__new__(cls)
-        seq._store(tuple(Fraction(a, den) for a in nums), nums, den, as_fraction(b0_squared))
+        seq._store(nums, den, as_fraction(b0_squared))
         return seq
 
-    def _store(self, values: tuple[Fraction, ...], nums: Sequence[int], den: int,
-               b0_squared: Fraction) -> None:
+    def _store(self, nums: Sequence[int], den: int, b0_squared: Fraction) -> None:
         """Store v = nums / den, den the lcm of the values' denominators, and check it."""
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "b0_squared", b0_squared)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "b0_squared", b0_squared)
         self.__post_init__()
 
     def __post_init__(self):
-        if not self.values:
+        if not self.nums:
             raise ValueError("governing sequence is empty")
-        if self.values[0] != 1:
-            raise ValueError(f"v_0 must be 1, got {self.values[0]}")
+        if self.nums[0] != self.den:
+            raise ValueError(f"v_0 must be 1, got {Fraction(self.nums[0], self.den)}")
         if min(self.nums) <= 0:
             raise ValueError("governing sequence values must be strictly positive")
         if self.b0_squared.numerator <= 0:
             raise ValueError("b0_squared must be positive")
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     @property
     def n_max(self) -> int:
-        return len(self.values) - 1
+        return len(self.nums) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,15 +202,21 @@ def validate(seq: GoverningSequence) -> ValidationReport:
     return ValidationReport(monotone=monotone, compatible=first is None, first_violation=first)
 
 
-def seq_hermite(N: int, b0_squared=Fraction(1, 2)) -> GoverningSequence:
-    """v_n = n + 1.  The unique order-1 sequence; b0^2 defaults to 1/2."""
+def _check_length(N: int) -> None:
+    """Every constructor returns v_0..v_N, N + 1 values, for N >= 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
+
+
+def seq_hermite(N: int, b0_squared=Fraction(1, 2)) -> GoverningSequence:
+    """v_n = n + 1.  The unique order-1 sequence; b0^2 defaults to 1/2."""
+    _check_length(N)
     return GoverningSequence._of_numerators(range(1, N + 2), 1, b0_squared)
 
 
 def seq_order2(v1, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSequence:
     """One-parameter order-2 family: v_n = C(n+1,2) v1 - n^2 + 1 for n >= 1."""
+    _check_length(N)
     v1 = as_fraction(v1)
     if v1 < 1:
         raise ValueError("v1 must be >= 1")
@@ -221,6 +228,7 @@ def seq_order2(v1, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSe
 def seq_order3(v1, v2, N: int = DEFAULT_N, b0_squared=Fraction(1, 2)) -> GoverningSequence:
     """Two-parameter order-3 family; v_1 is taken verbatim, n >= 2 from the
     cubic binomial formula (each halved product has an even factor)."""
+    _check_length(N)
     v1, v2 = as_fraction(v1), as_fraction(v2)
     if not 1 <= v1 <= v2:
         raise ValueError("need 1 <= v1 <= v2")
@@ -256,6 +264,7 @@ def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningS
     The lower bound on v1 is relaxed to v1 > 0 (the classical systems with
     gamma > 1 sit at v1 = 2/(gamma+1) < 1).  b0 enters only as a scale.
     """
+    _check_length(N)
     v1, v2 = as_fraction(v1), as_fraction(v2)
     if not 0 < v1 <= v2:
         raise ValueError("need 0 < v1 <= v2")
@@ -316,13 +325,15 @@ def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fra
     w, steps = seq.nums, (seq.nums[2] - seq.den, seq.nums[1])
     if any(w[n] - w[n - 2] != steps[n % 2] for n in range(3, len(w))):
         return False, None
-    return True, seq.values[1:3]
+    return True, (Fraction(w[1], seq.den), Fraction(w[2], seq.den))
 
 
 def family_weight(seq: GoverningSequence) -> tuple[Fraction, Fraction] | None:
-    """(gamma, alpha) of the weight C |x|^gamma exp(-alpha x^2) of a special-
-    family sequence (v2 > 1 where its brackets are positive), else None."""
+    """(gamma, alpha) of the weight C |x|^gamma exp(-alpha x^2) of a special-family
+    sequence, else None; raises, as bracket_table does, where [2] = v2 - 1 <= 0."""
     if not is_special_family(seq)[0]:
         return None
-    v2 = seq.values[2]
+    v2 = Fraction(seq.nums[2], seq.den)
+    if v2 <= 1:
+        raise ValueError(f"bracket [2] = {v2 - 1} is not positive; no orthonormal system")
     return (3 - v2) / (v2 - 1), 1 / (seq.b0_squared * (v2 - 1))

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import importlib.util
 import json
 import logging
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 import hermite_chihara
+import hermite_chihara.governing as governing
 from conftest import corrupt_core
 from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
 from hermite_chihara.cli import FAMILY_FLAGS, _ratio_str, build_sequence, main, make_parser
@@ -101,6 +103,22 @@ class TestClassify:
         lines = dict(line.split(": ") for line in out.splitlines())
         assert lines["reduced"] == lines["special_family"] == "true"
 
+    def test_membership_converts_no_value(self, capsys, monkeypatch):
+        # the family shape is read on the sequence's own integers: only the
+        # parameters pass through as_fraction (v1, v2 and b0^2, and b0^2 again
+        # for the prefix), whatever n_max
+        counts = []
+        for n_max in ("10", "40"):
+            calls = []
+            monkeypatch.setattr(governing, "as_fraction",
+                                lambda x, real=governing.as_fraction: calls.append(x) or real(x))
+            code, _, _ = run_cli(capsys, "classify", "--family", "family", "--v2", "5",
+                                 "--n-max", n_max)
+            monkeypatch.undo()
+            assert code == 0
+            counts.append(len(calls))
+        assert counts == [4, 4]
+
     def test_a_seed_file_longer_than_n_max(self, capsys, tmp_path):
         # Hermite through v_9, then v_10 = 12 (Hermite has 11)
         values = [F(n + 1) for n in range(10)] + [F(12)]
@@ -111,6 +129,51 @@ class TestClassify:
         assert (code, err) == (0, "")
         lines = dict(line.split(": ") for line in out.splitlines())
         assert lines["reduced"] == lines["special_family"] == "true"
+
+
+class TestReadmeExactCommands:
+    """Every README line of an exact command prints the bytes recorded here.
+    The float commands (verify, gram, spectrum) are left out: their 17-digit
+    figures depend on the platform's libm and BLAS."""
+
+    DIGESTS = {
+        "hcpoly epsilons --family classical --gamma 1 --n-max 6":
+            "b710fd84cee421b592ee0bdead7d617b214369e61c119e0ea08440986bab08aa",
+        "hcpoly epsilons --family classical --gamma 1/3 --n-max 256":
+            "8475f35182a656842a7140c8d031bf7c4cad7a6356a971a38892ba9f1b023264",
+        "hcpoly epsilons --family order3 --v1 7/3 --v2 17/3 --n-max 256":
+            "7c284aa3012abc9807aed92588fcc1abe6e35f7056562649fe2a835c2a9397b8",
+        "hcpoly table --family hermite --n-max 4":
+            "22102961c80873a2700365c06a4d1fb8b4658039e7b2521de64d26cdb312ac94",
+        "hcpoly table --family order3 --v1 7/3 --v2 17/3 --b0-squared 8/3 --n-max 100":
+            "41e1d9c891e59a6ca8618321d0b1b678227b2a8cda3a3b1a176a45fb1ba8f031",
+        "hcpoly table --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 40 --format json":
+            "be804f4ea9e81365dc2ff7d2e293b741bceecad75a9a6b8cd788c40c20d0a6ff",
+        "hcpoly ode --family family --v2 5 --b0-squared 1 --n-max 15":
+            "04c06af61797ea123750c0ab69b63802a2df6e7bbb341ae92e1d170c92e0d4b5",
+        "hcpoly classify --family order2 --v1 3 --n-max 10":
+            "34a19e69a35c39b90c7f3db12db87fb11be48dfb021a8b6b7a4c54172e193164",
+        "hcpoly classify --family family --v2 5 --n-max 40":
+            "0c1f26f51ebc77edf4ec100e15f30137986c454cd9f6ae9926dbdab19c943d01",
+        "hcpoly build --family classical --gamma 1 --n-max 8":
+            "54bdec29a4a0773872283beb3068193e702089bce75d126919b71cd31f61e094",
+        "hcpoly build --family order2 --v1 3 --n-max 8":
+            "56abdd1f8a8ec8de59c778c59b78b225bb563f516dbbd2b48991fc9fc485bb2a",
+        "hcpoly build --family order3 --v1 7/3 --v2 17/3 --b0-squared 8/3 --n-max 256":
+            "020bd41c2df4ade41aefb8e78434a1ad991136f0854bc49b2dd99504c1323cd5",
+    }
+    LINES = [line for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+             if re.match(r"hcpoly (epsilons|table|ode|classify|build) ", line)]
+
+    def test_every_line_is_known(self):
+        assert len(self.LINES) == len(set(self.LINES)) == 12
+        assert set(self.LINES) == set(self.DIGESTS)
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_line_prints_its_bytes(self, capsys, line):
+        code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[line]
 
 
 class TestTable:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -182,27 +183,25 @@ class TestFiniteOrder:
 
     @pytest.mark.parametrize("name", FINITE)
     def test_work_grows_with_the_order(self, name, monkeypatch):
-        # counted, not timed: the transform forms one Fraction per difference
-        # row up to the first zero row (r + 1 of them) and one shared zero, and
-        # the forward check scales only eps_1..eps_r by k!
+        # counted, not timed: the transform forms one Fraction per nonzero
+        # difference row (r of them) and one shared zero, forms no common
+        # denominator (the sequence's integers and its own row are handed over),
+        # and the forward check steps a table over r scaled integers
         make, r = FINITE[name]
         seq, fractions, terms = make(2000), [], []
-        real_denominator = derivation.common_denominator
 
         def fraction(*args):
             fractions.append(args)
             return F(*args)
 
-        def common_denominator(fracs):
-            terms.append(list(fracs))
-            return real_denominator(terms[-1])
-
         monkeypatch.setattr(derivation, "Fraction", fraction)
-        monkeypatch.setattr(derivation, "common_denominator", common_denominator)
+        monkeypatch.setattr(derivation, "common_denominator", terms.append)
         op = epsilons_from_sequence(seq, K=2000)
         assert op.order() == OrderVerdict(True, r, 2000)
-        assert len(fractions) == r + 2
-        assert len(terms[0]) == r
+        assert len(fractions) == r + 1
+        assert terms == []
+        scaled, den = op._scaled
+        assert len(scaled) == r and den == seq.den
 
     @pytest.mark.parametrize("where", ["r + 1", "K"])
     @pytest.mark.parametrize("name", FINITE)
@@ -227,6 +226,35 @@ class TestFiniteOrder:
         op = epsilons_from_sequence(seq, K=256)
         assert list(op.epsilons) == ref.epsilons(seq.values, 256)
         assert op.order() == OrderVerdict(False, None, 256)
+
+
+class TestTwoConstructors:
+    """epsilons_from_sequence hands the operator its own difference row and the
+    sequence's integers; the public constructor forms both rows from the
+    Fractions.  The two give the same operator and the same D."""
+
+    # name: (the sequence, its horizons K: 1, the order r where it is finite, 64, 256)
+    SEQUENCES = {
+        "hermite": (seq_hermite(256), (1, 64, 256)),
+        "order2": (seq_order2(3, 256), (1, 2, 64, 256)),
+        "order3": (seq_order3(F(7, 3), F(17, 3), 256), (1, 3, 64, 256)),
+        "classical 1/3": (seq_classical(F(1, 3), 256), (1, 64, 256)),
+        "family (2/3, 5/3, 3/7)": (seq_family(F(2, 3), F(5, 3), F(3, 7), 256), (1, 64, 256)),
+    }
+
+    @pytest.mark.parametrize("name, K", [(name, K) for name, (_, horizons) in SEQUENCES.items()
+                                         for K in horizons])
+    def test_same_operator_and_same_d(self, name, K):
+        seq = self.SEQUENCES[name][0]
+        op = epsilons_from_sequence(seq, K=K)
+        public = DerivationOperator(op.epsilons, seq.values)
+        assert public == op and hash(public) == hash(op)
+        rng = random.Random(K)
+        for degree in sorted({0, 1, K // 2, K}):
+            nums = [rng.randint(-99, 99) for _ in range(degree)] + [rng.randint(1, 99)]
+            p = Poly.from_numerators(nums, rng.randint(1, 50))
+            assert public.apply(p) == op.apply(p)
+            assert public.apply_upper_part(p) == op.apply_upper_part(p)
 
 
 class TestExactInput:

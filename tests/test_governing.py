@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -84,7 +85,7 @@ class TestConstructors:
         # v1 = 2/(gamma+1) = 1 = 1/b0^2
         assert seq.values[1] == 1 == 1 / seq.b0_squared
 
-    @pytest.mark.parametrize("N", [0, 1, 2, 40])
+    @pytest.mark.parametrize("N", [1, 2, 5, 40])
     def test_classical_closed_form(self, N):
         # v_n = (gamma+n+1)/(gamma+1) for even n, (n+1)/(gamma+1) for odd n
         for gamma in (F(k, 4) for k in range(-3, 33)):
@@ -127,6 +128,30 @@ class TestConstructors:
             GoverningSequence((), F(1))
         with pytest.raises(TypeError):
             GoverningSequence((F(1), 2.5), F(1))
+
+
+class TestLength:
+    """Every constructor returns v_0..v_N for N >= 1 and refuses a smaller N."""
+
+    MAKE = {
+        "hermite": seq_hermite,
+        "order2": lambda N: seq_order2(3, N),
+        "order3": lambda N: seq_order3(F(7, 3), F(17, 3), N),
+        "family": lambda N: seq_family(F(2, 3), F(5, 3), F(3, 7), N),
+        "classical": lambda N: seq_classical(F(1, 3), N),
+    }
+
+    @pytest.mark.parametrize("N", [-2, 0])
+    @pytest.mark.parametrize("name", MAKE)
+    def test_below_one_is_refused(self, name, N):
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            self.MAKE[name](N)
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    @pytest.mark.parametrize("name", MAKE)
+    def test_n_plus_one_values(self, name, N):
+        seq = self.MAKE[name](N)
+        assert len(seq) == len(seq.values) == N + 1 and seq.n_max == N
 
 
 class TestExactInput:
@@ -382,6 +407,31 @@ class TestSpecialFamily:
         assert is_special_family(seq) == ((True, (u1, u2)) if shape else (False, None))
 
 
+class TestFamilyWeight:
+    @pytest.mark.parametrize("v2, bracket", [(F(1), "0"), (F(3, 4), "-1/4")])
+    def test_no_weight_where_bracket_2_is_not_positive(self, v2, bracket):
+        # a family-shaped prefix with v2 <= 1 has [2] = v2 - 1 <= 0, so no
+        # orthonormal system and no weight; bracket_table says the same
+        seq = seq_family(F(1, 2), v2, 1, 3)
+        message = f"bracket [2] = {bracket} is not positive; no orthonormal system"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family_weight(seq)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bracket_table(seq)
+
+    @pytest.mark.parametrize("seq, weight", [
+        (seq_hermite(20), (F(0), F(1))),
+        (seq_classical(F(1, 3), 20), (F(1, 3), F(1))),
+        (seq_classical(F(-1, 2), 20, 3), (F(-1, 2), F(3))),
+        (seq_classical(5, 20, F(2, 7)), (F(5), F(2, 7))),
+        (seq_family(F(2, 3), F(5, 3), F(3, 7), 20), (F(2), F(7, 2))),
+        (seq_family(4, 5, 1, 20), (F(-1, 2), F(1, 4))),
+    ])
+    def test_family_systems_keep_their_weights(self, seq, weight):
+        assert family_weight(seq) == ref.family_weight(seq) == weight
+        assert PolynomialSystem(seq).weight_parameters() == weight
+
+
 class TestJson:
     def test_round_trip(self):
         seq = seq_classical(F(5, 3), 9)
@@ -512,6 +562,22 @@ class TestAgainstFractionRoutes:
         monkeypatch.undo()
         direct = GoverningSequence(seq.values, seq.b0_squared)
         assert seq == direct and (seq.nums, seq.den) == (direct.nums, direct.den)
+
+    def test_values_are_formed_on_first_read(self, monkeypatch):
+        # the constructors hand over integers and form no value Fraction; the
+        # first read of values forms them, and the sequence equals, and hashes
+        # as, the one built from those values.  The parameters are Fractions of
+        # ints, which as_fraction returns as they are
+        formed = []
+        monkeypatch.setattr(governing, "as_fraction", lambda x: x)
+        monkeypatch.setattr(governing, "Fraction", lambda *a: formed.append(a) or F(*a))
+        seq = seq_family(F(2, 3), F(5, 3), F(3, 7), 256)
+        assert formed == [] and "values" not in vars(seq)
+        values = seq.values
+        assert len(formed) == 257 and seq.values is values
+        monkeypatch.undo()
+        direct = GoverningSequence(values, F(3, 7))
+        assert direct.values == values and direct == seq and hash(direct) == hash(seq)
 
     def test_values_are_not_coerced_again(self):
         # a Fraction value is kept as it is; ints and strings become Fractions
