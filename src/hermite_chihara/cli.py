@@ -60,7 +60,8 @@ def _fmt_real(x: float) -> str:
 
 
 def _ratio_str(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, by one gcd and without a Fraction."""
+    """str(Fraction(p, q)) for q > 0, by one gcd and without a Fraction: the one
+    route from an exact table's integers to its text."""
     if not p:
         return "0"
     g = gcd(p, q)
@@ -136,15 +137,17 @@ def cmd_epsilons(args) -> int:
 
 def cmd_build(args) -> int:
     seq = build_sequence(args, args.n_max)
-    sys_ = PolynomialSystem(seq)  # its b^2 and gamma^2 tables; no core is built
+    sys_ = PolynomialSystem(seq)  # its b^2 and gamma^2 integers; no core is built
     rep = validate(seq)
+    b2, den = sys_.b2_row
     payload = {
         "family": args.family,
         "n_max": args.n_max,
-        "governing_sequence": seq.to_json_dict(),
+        "governing_sequence": {"values": [_ratio_str(a, seq.den) for a in seq.nums],
+                               "b0_squared": str(seq.b0_squared)},
         "validation": {"ok": rep.ok, **asdict(rep)},
-        "b_squared": [str(x) for x in sys_.b2],
-        "gamma_squared": [str(x) for x in sys_.g2],
+        "b_squared": [_ratio_str(a, den) for a in b2],
+        "gamma_squared": [_ratio_str(a, b) for a, b in sys_.g2_pairs],
         "special_family": sys_.is_family,
     }
     if sys_.is_family:
@@ -168,13 +171,14 @@ _TABLE_LAYOUTS = {
 def cmd_table(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, args.n_max))
     head, row, sep, row_sep, tail = _TABLE_LAYOUTS[args.format]
+    (b2, den), g2 = sys_.b2_row, sys_.g2_pairs
     parts = [head]  # each row's text, formed as soon as its values exist
     for n, core in enumerate(sys_.monic):
         coeffs = ["0"] * len(core.nums)  # the slots _parities skips are zero
         for t in _parities(n % 2, core.nums):
             coeffs[t::2] = [_ratio_str(a, core.den) for a in core.nums[t::2]]
-        b2 = sys_.b2[n - 1] if n else 0
-        text = row.format(n, str(b2), str(sys_.g2[n]), str(sys_.norm2[n]), sep.join(coeffs))
+        text = row.format(n, _ratio_str(b2[n - 1], den) if n else "0", _ratio_str(*g2[n]),
+                          str(sys_.norm2[n]), sep.join(coeffs))
         parts += (text, row_sep)
     parts[-1] = tail  # in place of the separator after the last row
     _emit(args, "".join(parts))

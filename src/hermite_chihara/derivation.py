@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import factorial, gcd
 from operator import mul
@@ -120,26 +121,29 @@ class DerivationOperator:
     Integers (numpy's too, through int) are stored as Fractions and floats are
     refused with TypeError.  Beside them it keeps two integer rows, formed once:
     den k! eps_k for k <= r, r the last k with eps_k != 0, and the values over a
-    common denominator, which D reads.  Construction checks on them that the
-    series reproduces the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1},
-    for every n <= K, and raises ValueError otherwise.  Both sides are linear,
-    so on polynomials of degree <= K the series and the monomial rule agree.
+    common denominator (_row), which D reads.  ``values`` is formed from _row on
+    first read, or kept from the public constructor's conversion; equality and
+    hash compare eps and _row.  Construction checks on the rows that the series
+    reproduces the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for
+    every n <= K, and raises ValueError otherwise.  Both sides are linear, so
+    on polynomials of degree <= K the series and the monomial rule agree.
     """
 
     epsilons: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    _row: tuple[tuple[int, ...], int]
 
     def __init__(self, epsilons: Iterable, values: Iterable):
         epsilons, values = tuple(map(as_fraction, epsilons)), tuple(map(as_fraction, values))
         r = max((k for k, e in enumerate(epsilons, 1) if e), default=0)
         scaled = [e * f for e, f in zip(epsilons, accumulate(range(1, r + 1), mul))]  # k! eps_k
-        self._store(epsilons, values, common_denominator(scaled), common_denominator(values))
+        nums, den = common_denominator(values)
+        self.__dict__["values"] = values
+        self._store(epsilons, common_denominator(scaled), (tuple(nums), den))
 
-    def _store(self, epsilons: tuple[Fraction, ...], values: tuple[Fraction, ...],
-               scaled: tuple[Sequence[int], int], row: tuple[Sequence[int], int]) -> None:
+    def _store(self, epsilons: tuple[Fraction, ...], scaled: tuple[Sequence[int], int],
+               row: tuple[tuple[int, ...], int]) -> None:
         """Store the operator with its two integer rows, and run the forward check."""
         object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_row", row)
         self.__post_init__()
@@ -147,13 +151,13 @@ class DerivationOperator:
     def __post_init__(self):
         """The forward check, which every construction runs on the integer rows."""
         K = self.k_max
-        if K > len(self.values):
+        (num, den), (vnum, vden) = self._scaled, self._row
+        if K > len(vnum):
             raise ValueError(f"K={K} epsilons need at least {K} values")
         # den k! eps_k are the forward differences at 0 of den sum_k C(n,k) k! eps_k
         # (Newton), so d[k] += d[k+1] steps d[0] to its value at n.  Only
         # eps_1..eps_r enter: the differences past r are zero, so d[r] stays
         # as it is, and the table keeps the K - n + 1 entries that steps up to K read
-        (num, den), (vnum, vden) = self._scaled, self._row
         d = [0, *num]
         for n in range(1, K + 1):
             top = d[-1]
@@ -163,8 +167,13 @@ class DerivationOperator:
             if d[0] * vden != vnum[n - 1] * den:
                 raise ValueError(
                     f"epsilons give D x^{n} = {Fraction(d[0], den)} x^{n - 1}, "
-                    f"but v_{n - 1} = {self.values[n - 1]}"
+                    f"but v_{n - 1} = {Fraction(vnum[n - 1], vden)}"
                 )
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        vnum, vden = self._row
+        return tuple(Fraction(a, vden) for a in vnum)
 
     @property
     def k_max(self) -> int:
@@ -234,6 +243,6 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
         eps.append(Fraction(f[0], den * fact))
     eps += [Fraction(0)] * (K - len(eps))
     op = object.__new__(DerivationOperator)
-    op._store(tuple(eps), seq.values, (scaled, den), (seq.nums, den))
+    op._store(tuple(eps), (scaled, den), (seq.nums, den))
     return op
 

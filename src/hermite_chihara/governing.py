@@ -8,8 +8,11 @@ derives the bracket symbols
     [0] = 0,  [1] = 1,  [n] = v_{n-1} (v_n - v_{n-2}) / v_1,
 
 the squared recurrence coefficients b_{n-1}^2 = b0^2 [n], and the squared
-lowering factors gamma_n^2 = v_{n-1}^2 / b_{n-1}^2.  The sequence tests read the
-step-2 differences d_n = v_n - v_{n-2}, d_1 = v_1.  All arithmetic is exact.
+lowering factors gamma_n^2 = v_{n-1}^2 / b_{n-1}^2.  The sequence tests and
+the tables read the step-2 differences d_n = v_n - v_{n-2}, d_1 = v_1, on the
+integers w_i = L v_i: b^2 is one integer row over one denominator and gamma^2
+a list of integer pairs, and only the brackets are Fractions.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -133,12 +136,6 @@ class GoverningSequence:
     @property
     def n_max(self) -> int:
         return len(self.nums) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": [str(v) for v in self.values],
-            "b0_squared": str(self.b0_squared),
-        }
 
     @classmethod
     def from_json(cls, text: str, n_max: int | None = None) -> "GoverningSequence":
@@ -285,34 +282,47 @@ def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> Governi
     return GoverningSequence._of_numerators(nums, den, b0_squared)
 
 
+def _steps(seq: GoverningSequence) -> list[int]:
+    """d_n = w_n - w_{n-2} for n = 1..N over w_i = L v_i (w_{-1} = 0, so d_1 = w_1),
+    the pass every table reads.  As w_{n-1} > 0, [n] = w_{n-1} d_n / (L w_1) is
+    positive iff d_n is: raises at the first n where it is not (then no
+    orthonormal system)."""
+    w = seq.nums
+    d = [b - a for a, b in zip((0, *w), w[1:])]
+    if d and min(d) <= 0:
+        n = next(n for n, x in enumerate(d, 1) if x <= 0)
+        raise ValueError(f"bracket [{n}] = {Fraction(w[n - 1] * d[n - 1], seq.den * w[1])} "
+                         "is not positive; no orthonormal system")
+    return d
+
+
 def bracket_table(seq: GoverningSequence) -> list[Fraction]:
-    """[0..N] bracket symbols, [n] = w_{n-1} (w_n - w_{n-2}) / (L w_1) over w_i = L v_i.
-    Raises if some [n], n >= 1, is not positive (then no orthonormal system)."""
-    w = (0, *seq.nums)  # w[i + 1] = L v_i
-    den = seq.den * w[2] if len(seq) > 1 else 1
-    out = [Fraction(0)]
-    for n in range(1, len(seq)):
-        a = w[n] * (w[n + 1] - w[n - 1])
-        if a <= 0:
-            raise ValueError(f"bracket [{n}] = {Fraction(a, den)} is not positive; "
-                             "no orthonormal system")
-        out.append(Fraction(a, den))
-    return out
+    """[0..N] bracket symbols, [n] = w_{n-1} d_n / (L w_1) (_steps, which raises
+    where one is not positive)."""
+    w, d = seq.nums, _steps(seq)
+    den = seq.den * w[1] if d else 1
+    return [Fraction(0)] + [Fraction(a * x, den) for a, x in zip(w, d)]
 
 
-def b_squares(seq: GoverningSequence, brackets: Sequence[Fraction]) -> list[Fraction]:
-    """Squared recurrence coefficients, entry i = b_i^2 = b0^2 [i+1] for
-    i = 0..N-1, from the sequence's brackets (bracket_table)."""
+def b_squares(seq: GoverningSequence) -> tuple[list[int], int]:
+    """Squared recurrence coefficients b_i^2 = b0^2 [i+1], i = 0..N-1, as one
+    integer row over one denominator: (nums, M) with b_i^2 = nums[i] / M,
+    nums[i] = p w_i d_{i+1} and M = q L w_1 over b0^2 = p/q (_steps, which
+    raises where a bracket is not positive)."""
+    w, d = seq.nums, _steps(seq)
     p, q = seq.b0_squared.numerator, seq.b0_squared.denominator
-    return [Fraction(p * b.numerator, q * b.denominator) for b in brackets[1:]]
+    return [p * a * x for a, x in zip(w, d)], q * seq.den * (w[1] if d else 1)
 
 
-def gamma_squares(seq: GoverningSequence, b2: Sequence[Fraction]) -> list[Fraction]:
-    """Squared lowering factors, entry n = gamma_n^2 = v_{n-1}^2 / b_{n-1}^2
-    for n = 1..N (entry 0 is 0), from the sequence's squared recurrence
-    coefficients b2 (b_squares), over w_i = L v_i."""
-    return [Fraction(0)] + [Fraction(a * a * b.denominator, seq.den**2 * b.numerator)
-                            for a, b in zip(seq.nums, b2)]
+def gamma_squares(seq: GoverningSequence) -> list[tuple[int, int]]:
+    """Squared lowering factors gamma_n^2 = v_{n-1}^2 / b_{n-1}^2, n = 0..N, as
+    integer pairs (num, den), den > 0: gamma_n^2 = q w_1 w_{n-1} / (L p d_n) over
+    b0^2 = p/q, and (0, 1) at n = 0 (_steps, which raises where a bracket is
+    not positive)."""
+    w, d = seq.nums, _steps(seq)
+    p, q = seq.b0_squared.numerator, seq.b0_squared.denominator
+    qw1, lp = q * (w[1] if d else 1), seq.den * p
+    return [(0, 1)] + [(qw1 * a, lp * x) for a, x in zip(w, d)]
 
 
 def is_special_family(seq: GoverningSequence) -> tuple[bool, tuple[Fraction, Fraction] | None]:

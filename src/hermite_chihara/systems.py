@@ -13,8 +13,11 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
-Each table is formed where it is read: the constructor forms b^2 and the
-weight, and gamma^2, nu^2 and the cores come on first read.  Each exact reader
+Each table is formed where it is read.  The constructor forms b^2 as one
+integer row over one denominator (b2_row, whose pass runs the bracket check)
+and the weight.  gamma^2 as integer pairs (g2_pairs), the Fraction views of
+b^2, gamma^2 and the brackets (b2, g2, brackets), nu^2 and the cores come on
+first read; build and table print b2_row and g2_pairs.  Each exact reader
 grows the one core list, [P_0, P_1] at first, to the largest n it reads
 (_cores), and monic is P_0..P_{n_max}; build, gram, spectrum and the operator
 band build no core.  _ode_proved records each core whose ODE bracket was proved
@@ -228,8 +231,10 @@ class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
     Its values are fixed once built, and every query returns the same result
-    whenever it is made: g2, norm2, the float tables and the core list (_cores)
-    are formed on first read, and _ode_proved records each zero ODE bracket.
+    whenever it is made: b2_row is formed by the constructor; g2_pairs, the
+    Fraction views b2, g2 and brackets, norm2, the float tables and the core
+    list (_cores) are formed on first read, and _ode_proved records each zero
+    ODE bracket.
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -237,8 +242,7 @@ class PolynomialSystem:
             raise ValueError(f"a polynomial system needs v_0, v_1 and v_2; got {len(seq)} entries")
         self.seq = seq
         self.n_max = seq.n_max
-        self.brackets = bracket_table(seq)
-        self.b2 = b_squares(seq, self.brackets)  # b2[i] = b_i^2 = b0^2 [i+1]
+        self.b2_row = b_squares(seq)  # b_i^2 = b2_row[0][i] / b2_row[1], the bracket check
         self._w, self._L = seq.nums, seq.den  # _w[i] = L v_i, for the exact scans
         self._monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
         self._ode_proved: dict[int, Poly] = {}  # n -> the core whose bracket is zero
@@ -248,9 +252,25 @@ class PolynomialSystem:
     # -- basic accessors ---------------------------------------------------
 
     @cached_property
+    def b2(self) -> list[Fraction]:
+        """b2[i] = b_i^2 = b0^2 [i+1], i = 0..n_max-1, the Fractions of b2_row."""
+        nums, den = self.b2_row
+        return [Fraction(a, den) for a in nums]
+
+    @cached_property
+    def brackets(self) -> list[Fraction]:
+        """brackets[n] = [n], n = 0..n_max (bracket_table)."""
+        return bracket_table(self.seq)
+
+    @cached_property
+    def g2_pairs(self) -> list[tuple[int, int]]:
+        """g2_pairs[n] = (num, den) with gamma_n^2 = num / den, den > 0 (gamma_squares)."""
+        return gamma_squares(self.seq)
+
+    @cached_property
     def g2(self) -> list[Fraction]:
-        """g2[n] = gamma_n^2, the squared lowering factors (gamma_squares)."""
-        return gamma_squares(self.seq, self.b2)
+        """g2[n] = gamma_n^2, the squared lowering factors: the Fractions of g2_pairs."""
+        return [Fraction(a, b) for a, b in self.g2_pairs]
 
     @cached_property
     def norm2(self) -> list[Fraction]:

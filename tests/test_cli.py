@@ -27,9 +27,9 @@ from hermite_chihara.cli import FAMILY_FLAGS, _ratio_str, build_sequence, main, 
 from hermite_chihara.governing import GoverningSequence
 
 
-def seed_text(values) -> str:
-    """A seed file holding the sequence values with b0^2 = 1/2."""
-    return json.dumps(GoverningSequence(values, F(1, 2)).to_json_dict())
+def seed_text(values, b0_squared="1/2") -> str:
+    """A seed file holding the sequence values and b0^2 (1/2 unless given)."""
+    return json.dumps({"values": [str(F(v)) for v in values], "b0_squared": b0_squared})
 
 
 def run_cli(capsys, *argv):
@@ -161,12 +161,14 @@ class TestReadmeExactCommands:
             "56abdd1f8a8ec8de59c778c59b78b225bb563f516dbbd2b48991fc9fc485bb2a",
         "hcpoly build --family order3 --v1 7/3 --v2 17/3 --b0-squared 8/3 --n-max 256":
             "020bd41c2df4ade41aefb8e78434a1ad991136f0854bc49b2dd99504c1323cd5",
+        "hcpoly build --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 64":
+            "ed6305cf683e9174af121a628ae422a93a6eabee2a68d41fb38677d97844d9ce",
     }
     LINES = [line for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
              if re.match(r"hcpoly (epsilons|table|ode|classify|build) ", line)]
 
     def test_every_line_is_known(self):
-        assert len(self.LINES) == len(set(self.LINES)) == 12
+        assert len(self.LINES) == len(set(self.LINES)) == 13
         assert set(self.LINES) == set(self.DIGESTS)
 
     @pytest.mark.parametrize("line", LINES)
@@ -302,6 +304,79 @@ class TestTableStrings:
         assert _ratio_str(p, q) == ref.fraction_str(p, q)
 
 
+def off_family_values(N: int) -> list[F]:
+    """v_0..v_N off every family, with unequal steps d_n > 0 over several
+    denominators, so every bracket is positive."""
+    v = [F(1), F(3, 2)]
+    for n in range(2, N + 1):
+        v.append(v[n - 2] + F(n % 5 + 1, n % 7 + 2))
+    return v
+
+
+class TestTablesFromIntegers:
+    """build prints v, b^2 and gamma^2, and table each row's b^2 and gamma^2,
+    from the sequence's integers, as str() prints the Fraction routes' tables
+    (tests/fraction_reference.py)."""
+
+    @pytest.mark.parametrize("n_max", [2, 3, 64, 256])
+    @pytest.mark.parametrize("name", [*TABLE_FAMILIES, "seed-file"])
+    def test_build_and_table_strings(self, capsys, tmp_path, name, n_max):
+        flags = TABLE_FAMILIES.get(name)
+        if flags is None:
+            seed = tmp_path / "seed.json"
+            seed.write_text(seed_text(off_family_values(256), "5/11"))
+            flags = ["--family", "custom-file", "--seed-file", str(seed)]
+        flags = [*flags, "--n-max", str(n_max)]
+        seq = build_sequence(make_parser().parse_args(["build", *flags]), n_max)
+        b2 = ref.b_squares(seq, ref.bracket_table(seq))
+        g2 = ref.gamma_squares(seq, b2)
+        code, out, _ = run_cli(capsys, "build", *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["governing_sequence"] == {"values": [str(v) for v in seq.values],
+                                                 "b0_squared": str(seq.b0_squared)}
+        assert payload["b_squared"] == [str(x) for x in b2]
+        assert payload["gamma_squared"] == [str(x) for x in g2]
+        code, out, _ = run_cli(capsys, "table", *flags)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0"] + [str(x) for x in b2]
+        assert [row[2] for row in rows] == [str(x) for x in g2]
+
+    @pytest.mark.parametrize("values, message", [
+        (["1", "3/2", "1/2", "5", "6", "7", "8", "9", "10"], "bracket [2] = -1/2"),
+        (["1", "2", "3", "4", "5", "7/2", "8", "3", "10"], "bracket [5] = -5/4"),
+    ], ids=["n2", "n5"])
+    @pytest.mark.parametrize("command", ["build", "table", "classify"])
+    def test_a_nonpositive_bracket_keeps_its_message(self, capsys, tmp_path, values, message,
+                                                     command):
+        # the first n whose bracket is not positive, in the Fraction route's words
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"values": values, "b0_squared": "1/2"}))
+        with pytest.raises(ValueError) as want:
+            ref.bracket_table(GoverningSequence(values, F(1, 2)))
+        assert str(want.value) == f"{message} is not positive; no orthonormal system"
+        code, out, err = run_cli(capsys, command, "--family", "custom-file",
+                                 "--seed-file", str(seed), "--n-max", "8")
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
+
+    def test_build_forms_no_fraction_view(self, capsys, monkeypatch):
+        # b2, g2 and brackets, and the sequence's values, are Fractions formed on
+        # first read, and build reads none of them
+        systems, init = [], PolynomialSystem.__init__
+
+        def recorded(self, seq):
+            init(self, seq)
+            systems.append(self)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
+        code, _, _ = run_cli(capsys, "build", *TABLE_FAMILIES["family"], "--n-max", "64")
+        assert code == 0
+        (system,) = systems
+        assert not {"b2", "g2", "brackets"} & set(vars(system))
+        assert "values" not in vars(system.seq)
+
+
 FAMILY_ARGS = TABLE_FAMILIES["family"] + ["--n-max", "40"]
 
 
@@ -326,6 +401,19 @@ class TestLazyOperator:
         assert run_cli(capsys, *args) == want
         with pytest.raises(RuntimeError, match="operator was built"):
             run_cli(capsys, "epsilons", *FAMILY_ARGS)
+
+    def test_epsilons_forms_no_value_fraction(self, capsys, monkeypatch):
+        # the transform and the forward check read the sequence's integers, and
+        # the operator keeps them as its value row
+        want = run_cli(capsys, "epsilons", *FAMILY_ARGS)
+
+        def unformed(self):
+            raise AssertionError("a value Fraction was formed")
+
+        monkeypatch.setattr(GoverningSequence, "values", property(unformed))
+        monkeypatch.setattr(DerivationOperator, "values", property(unformed))
+        assert want[0] == 0
+        assert run_cli(capsys, "epsilons", *FAMILY_ARGS) == want
 
     def test_a_bad_epsilon_is_an_input_error_in_epsilons(self, capsys, monkeypatch):
         def off_by_one_at_k(seq, K=None):
@@ -372,12 +460,15 @@ class TestBuildAndSeedFile:
         argv = ("build", *flags, "--n-max", "40")
         seq = build_sequence(make_parser().parse_args(argv), 40)
         system, rep = PolynomialSystem(seq), hermite_chihara.validate(seq)
-        want = {"family": flags[1], "n_max": 40, "governing_sequence": seq.to_json_dict(),
+        b2 = ref.b_squares(seq, ref.bracket_table(seq))
+        want = {"family": flags[1], "n_max": 40,
+                "governing_sequence": {"values": [str(v) for v in seq.values],
+                                       "b0_squared": str(seq.b0_squared)},
                 "validation": {"ok": rep.ok, "monotone": rep.monotone,
                                "compatible": rep.compatible,
                                "first_violation": rep.first_violation},
-                "b_squared": [str(x) for x in system.b2],
-                "gamma_squared": [str(x) for x in system.g2],
+                "b_squared": [str(x) for x in b2],
+                "gamma_squared": [str(x) for x in ref.gamma_squares(seq, b2)],
                 "special_family": system.is_family}
         if system.is_family:
             g, a = system.weight_parameters()

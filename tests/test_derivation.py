@@ -249,6 +249,8 @@ class TestTwoConstructors:
         op = epsilons_from_sequence(seq, K=K)
         public = DerivationOperator(op.epsilons, seq.values)
         assert public == op and hash(public) == hash(op)
+        # the operator's values are formed from its row on first read
+        assert "values" not in vars(op) and op.values == public.values == seq.values
         rng = random.Random(K)
         for degree in sorted({0, 1, K // 2, K}):
             nums = [rng.randint(-99, 99) for _ in range(degree)] + [rng.randint(1, 99)]

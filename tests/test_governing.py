@@ -28,6 +28,7 @@ from hermite_chihara import (
 from conftest import propagated_compatible_sequence
 from fraction_reference import validate as validate_fractions
 import hermite_chihara.governing as governing
+from hermite_chihara.cli import main
 from hermite_chihara.governing import as_fraction, common_denominator
 
 rationals = st.fractions(min_value=F(1), max_value=F(8), max_denominator=6)
@@ -302,7 +303,7 @@ class TestDerivedTables:
 
     def test_hermite_gamma_squared(self):
         seq = seq_hermite(12)
-        g2 = gamma_squares(seq, PolynomialSystem(seq).b2)
+        g2 = PolynomialSystem(seq).g2
         assert g2[1:] == [F(2 * n) for n in range(1, 13)]
 
     def test_float_conveniences(self):
@@ -315,12 +316,12 @@ class TestDerivedTables:
 
     def test_gamma1_is_inverse_b0(self):
         for seq in (seq_hermite(6), seq_classical(5, 6), seq_family(2, 7, F(3), 6)):
-            assert gamma_squares(seq, PolynomialSystem(seq).b2)[1] == 1 / seq.b0_squared
+            assert PolynomialSystem(seq).g2[1] == 1 / seq.b0_squared
 
     def test_classical_gamma_closed_form(self):
         gamma = F(1)
         seq = seq_classical(gamma, 12)
-        g2 = gamma_squares(seq, PolynomialSystem(seq).b2)
+        g2 = PolynomialSystem(seq).g2
         for n in range(1, 13):
             num = 2 * n if n % 2 == 0 else 2 * (n + gamma)
             assert g2[n] == F(num) / (gamma + 1) ** 2
@@ -336,15 +337,15 @@ class TestDerivedTables:
             v1, v2 = v2, v1
         assume(v2 > 1)  # v2 = 1 degenerates to zero brackets (no system)
         seq = seq_family(v1, v2, b0sq, 12)
-        b2 = PolynomialSystem(seq).b2
-        g2 = gamma_squares(seq, b2)
+        sys = PolynomialSystem(seq)
+        b2, g2 = sys.b2, sys.g2
         for n in range(1, 13):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
 
     def test_roundtrip_on_incompatible_sequence_too(self):
         seq = seq_order2(3, 10)
-        b2 = PolynomialSystem(seq).b2
-        g2 = gamma_squares(seq, b2)
+        sys = PolynomialSystem(seq)
+        b2, g2 = sys.b2, sys.g2
         for n in range(1, 11):
             assert g2[n] * b2[n - 1] == seq.values[n - 1] ** 2
 
@@ -433,14 +434,16 @@ class TestFamilyWeight:
 
 
 class TestJson:
-    def test_round_trip(self):
-        seq = seq_classical(F(5, 3), 9)
-        again = GoverningSequence.from_json(json.dumps(seq.to_json_dict()))
-        assert again == seq
+    def test_round_trip(self, capsys):
+        # build prints a seed file's object as its governing_sequence block
+        assert main(["build", "--family", "classical", "--gamma", "5/3", "--n-max", "9"]) == 0
+        block = json.loads(capsys.readouterr().out)["governing_sequence"]
+        assert GoverningSequence.from_json(json.dumps(block)) == seq_classical(F(5, 3), 9)
 
-    def test_schema_shape(self):
-        d = seq_hermite(2).to_json_dict()
-        assert d == {"values": ["1", "2", "3"], "b0_squared": "1/2"}
+    def test_schema_shape(self, capsys):
+        assert main(["build", "--n-max", "2"]) == 0
+        block = json.loads(capsys.readouterr().out)["governing_sequence"]
+        assert block == {"values": ["1", "2", "3"], "b0_squared": "1/2"}
 
     def test_entries_are_integers_or_p_over_q_strings(self):
         seq = GoverningSequence.from_json('{"values": [1, "3/2", "+4", "5/10"], "b0_squared": 2}')
@@ -520,17 +523,26 @@ class TestAgainstFractionRoutes:
     @settings(max_examples=300, deadline=None)
     @given(seq=_prefixes())
     def test_tables_and_family_test(self, seq):
+        # each table is one integer pass over w that runs the bracket check: b^2
+        # one row over M = q L w_1 and gamma^2 pairs with positive denominators,
+        # equal to the Fraction routes on v; a bracket that is not positive
+        # raises the same text from every table
+        tables = (bracket_table, b_squares, gamma_squares)
         try:
             want = ref.bracket_table(seq)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                bracket_table(seq)
-            assert str(got.value) == str(exc)
+            for table in tables:
+                with pytest.raises(ValueError) as got:
+                    table(seq)
+                assert str(got.value) == str(exc)
             return
-        brackets = bracket_table(seq)
-        b2, want_b2 = b_squares(seq, brackets), ref.b_squares(seq, want)
-        assert brackets == want and b2 == want_b2
-        assert gamma_squares(seq, b2) == ref.gamma_squares(seq, want_b2)
+        want_b2 = ref.b_squares(seq, want)
+        (nums, den), pairs = b_squares(seq), gamma_squares(seq)
+        assert bracket_table(seq) == want
+        assert den == seq.b0_squared.denominator * seq.den * (seq.nums[1] if len(seq) > 1 else 1)
+        assert all(type(a) is int for a in nums) and [F(a, den) for a in nums] == want_b2
+        assert all(type(a) is type(b) is int and b > 0 for a, b in pairs)
+        assert [F(a, b) for a, b in pairs] == ref.gamma_squares(seq, want_b2)
         if len(seq) >= 3:
             assert is_special_family(seq) == ref.is_special_family(seq)
             assert family_weight(seq) == ref.family_weight(seq)

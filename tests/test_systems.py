@@ -196,28 +196,36 @@ class TestPsiConstruction:
             PolynomialSystem(GoverningSequence((F(1), F(2)), F(1)))
 
     def test_one_bracket_pass_per_system(self, monkeypatch):
-        # the constructor builds the bracket table once; gamma^2 is formed from
-        # its b^2 table on the first read of g2, through the name systems binds,
-        # once per system
+        # each table is one pass over w (governing._steps, which runs the bracket
+        # check), once per system, through the names systems binds: the
+        # constructor forms b^2's integer row, and the first read of gamma^2's
+        # pairs or of the brackets forms that table; the Fraction views b2 and g2
+        # read the integers already formed
         from hermite_chihara import governing
 
-        calls = {"bracket_table": 0, "gamma_squares": 0}
+        calls = {}
 
-        def counted(fn):
+        def counted(module, name):
+            fn = getattr(governing, name)
+
             def wrapper(*args):
-                calls[fn.__name__] += 1
+                calls[name] = calls.get(name, 0) + 1
                 return fn(*args)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        brackets = counted(governing.bracket_table)
-        monkeypatch.setattr(governing, "bracket_table", brackets)
-        monkeypatch.setattr(systems_mod, "bracket_table", brackets)
-        monkeypatch.setattr(systems_mod, "gamma_squares", counted(governing.gamma_squares))
-        for k, seq in enumerate((seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)), 1):
+        counted(governing, "_steps")
+        for name in ("b_squares", "gamma_squares", "bracket_table"):
+            counted(systems_mod, name)
+        for seq in (seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)):
+            calls.clear()
             sys = PolynomialSystem(seq)
-            assert calls == {"bracket_table": k, "gamma_squares": k - 1}
+            assert calls == {"b_squares": 1, "_steps": 1}
+            want = ref.bracket_table(seq)
+            assert sys.b2 is sys.b2 and sys.b2 == ref.b_squares(seq, want)
             assert sys.g2 is sys.g2 and sys.g2 == ref.gamma_squares(seq, sys.b2)
-            assert calls == {"bracket_table": k, "gamma_squares": k}
+            assert sys.g2_pairs is sys.g2_pairs
+            assert sys.brackets is sys.brackets and sys.brackets == want
+            assert calls == {"b_squares": 1, "gamma_squares": 1, "bracket_table": 1, "_steps": 3}
 
 
 def _explicit_core(sys, n):
@@ -528,9 +536,10 @@ class TestCoresOnFirstRead:
 
     def test_a_fresh_system_holds_no_derived_table(self):
         sys = PolynomialSystem(seq_classical(F(1, 3), 30))
-        assert not {"g2", "norm2", "b2_float", "b_float"} & set(vars(sys))
+        fresh = {"b2", "brackets", "g2_pairs", "g2", "norm2", "b2_float", "b_float"}
+        assert not fresh & set(vars(sys))
         assert sys.norm2 == [math.prod(sys.b2[:n], start=F(1)) for n in range(31)]
-        assert "norm2" in vars(sys) and "g2" not in vars(sys)
+        assert {"norm2", "b2"} <= set(vars(sys)) and "g2" not in vars(sys)
 
     @pytest.mark.parametrize("argv, calls", [
         (("verify", "--family", "classical", "--gamma", "1/3", "--n-max", "12", "--dim", "20"), 0),
@@ -541,6 +550,8 @@ class TestCoresOnFirstRead:
         (("build", "--family", "order3", "--v1", "7/3", "--v2", "17/3", "--n-max", "12"), 1),
     ], ids=["verify", "classify", "gram", "spectrum", "table", "build"])
     def test_gamma_squared_is_formed_where_it_is_read(self, monkeypatch, capsys, argv, calls):
+        # table and build print gamma^2's integer pairs, formed once; no command
+        # forms the g2 Fractions
         from hermite_chihara.cli import main
 
         counted, original = [], systems_mod.gamma_squares
@@ -549,7 +560,11 @@ class TestCoresOnFirstRead:
             counted.append(args)
             return original(*args)
 
+        def unformed(self):
+            raise AssertionError("the g2 Fractions were formed")
+
         monkeypatch.setattr(systems_mod, "gamma_squares", gamma_squares)
+        monkeypatch.setattr(PolynomialSystem, "g2", property(unformed))
         assert main(list(argv)) == 0
         capsys.readouterr()
         assert len(counted) == calls
