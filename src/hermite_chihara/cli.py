@@ -20,7 +20,6 @@ import logging
 import os
 import re
 import sys as _sys
-from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -129,10 +128,44 @@ def cmd_epsilons(args) -> int:
     # eps_k reads v_0..v_{k-1}, so eps_1..eps_{n_max} read v_0..v_{n_max-1}
     seq = build_sequence(args, args.n_max - 1)
     op = epsilons_from_sequence(seq, K=args.n_max)
-    lines = [str(e) for e in op.epsilons]
-    lines.append(f"order: {op.order()}")
+    # every eps past a finite order is 0
+    verdict = op.order()
+    r = verdict.order if verdict.finite else args.n_max
+    lines = [*map(str, op.epsilons[:r]), *["0"] * (args.n_max - r), f"order: {verdict}"]
     _emit(args, "\n".join(lines) + "\n")
     return 0
+
+
+# build's layout: json.dumps(payload, indent=2) + "\n", whose values need no
+# escapes; first_violation is null or an [n, p] list, and weight is printed for
+# a family system alone
+_BUILD_LAYOUT = """\
+{{
+  "family": "{family}",
+  "n_max": {n_max},
+  "governing_sequence": {{
+    "values": [
+      "{values}"
+    ],
+    "b0_squared": "{b0_squared}"
+  }},
+  "validation": {{
+    "ok": {ok},
+    "monotone": {monotone},
+    "compatible": {compatible},
+    "first_violation": {violation}
+  }},
+  "b_squared": [
+    "{b_squared}"
+  ],
+  "gamma_squared": [
+    "{gamma_squared}"
+  ],
+  "special_family": {special}{weight}
+}}
+"""
+_VIOLATION = "[\n      {},\n      {}\n    ]"
+_WEIGHT = ',\n  "weight": {{\n    "gamma": "{}",\n    "alpha": "{}"\n  }}'
 
 
 def cmd_build(args) -> int:
@@ -140,20 +173,16 @@ def cmd_build(args) -> int:
     sys_ = PolynomialSystem(seq)  # its b^2 and gamma^2 integers; no core is built
     rep = validate(seq)
     b2, den = sys_.b2_row
-    payload = {
-        "family": args.family,
-        "n_max": args.n_max,
-        "governing_sequence": {"values": [_ratio_str(a, seq.den) for a in seq.nums],
-                               "b0_squared": str(seq.b0_squared)},
-        "validation": {"ok": rep.ok, **asdict(rep)},
-        "b_squared": [_ratio_str(a, den) for a in b2],
-        "gamma_squared": [_ratio_str(a, b) for a, b in sys_.g2_pairs],
-        "special_family": sys_.is_family,
-    }
-    if sys_.is_family:
-        g, a = sys_.weight_parameters()
-        payload["weight"] = {"gamma": str(g), "alpha": str(a)}
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, _BUILD_LAYOUT.format(
+        family=args.family, n_max=args.n_max,
+        values='",\n      "'.join([_ratio_str(a, seq.den) for a in seq.nums]),
+        b0_squared=seq.b0_squared, ok=str(rep.ok).lower(), monotone=str(rep.monotone).lower(),
+        compatible=str(rep.compatible).lower(),
+        violation="null" if rep.first_violation is None else _VIOLATION.format(*rep.first_violation),
+        b_squared='",\n    "'.join([_ratio_str(a, den) for a in b2]),
+        gamma_squared='",\n    "'.join([_ratio_str(a, b) for a, b in sys_.g2_pairs]),
+        special=str(sys_.is_family).lower(),
+        weight=_WEIGHT.format(*sys_.weight_parameters()) if sys_.is_family else ""))
     return 0
 
 

@@ -8,11 +8,13 @@ are the binomial inverse transform of the governing sequence,
 
 The transform stops at the first difference row that is all zero: every later
 row is zero too, so every later eps is 0.  At order r (eps_k = 0 for k > r)
-it costs O(K r) integer additions, and so does the forward check, which
-carries the zeros past r implicitly; at infinite order both cost O(K^2).
+it costs O(K r) integer additions; at infinite order, O(K^2).
 
 Each operator checks the forward identity once, when it is built, on integer
-rows it keeps; after that D is applied by the monomial rule alone.
+rows it keeps: den k! eps_k are the forward differences at 0 of
+f(n) = den sum_k C(n,k) k! eps_k (Newton), so f(0..K) is formed from the top
+difference down by r cumulative sums, again O(K r) additions, and compared with
+v_0..v_{K-1} in one pass.  After that D is applied by the monomial rule alone.
 
 Polynomials are dense tuples of integer numerators over one shared
 denominator (index = power of x).
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, gcd
-from operator import mul
+from operator import eq, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .governing import GoverningSequence, as_fraction, common_denominator
@@ -135,10 +137,11 @@ class DerivationOperator:
     def __init__(self, epsilons: Iterable, values: Iterable):
         epsilons, values = tuple(map(as_fraction, epsilons)), tuple(map(as_fraction, values))
         r = max((k for k, e in enumerate(epsilons, 1) if e), default=0)
-        scaled = [e * f for e, f in zip(epsilons, accumulate(range(1, r + 1), mul))]  # k! eps_k
-        nums, den = common_denominator(values)
+        nums, den = common_denominator(epsilons[:r])
+        scaled = list(map(mul, nums, accumulate(range(1, r + 1), mul)))  # den k! eps_k
+        vnums, vden = common_denominator(values)
         self.__dict__["values"] = values
-        self._store(epsilons, common_denominator(scaled), (tuple(nums), den))
+        self._store(epsilons, (scaled, den), (tuple(vnums), vden))
 
     def _store(self, epsilons: tuple[Fraction, ...], scaled: tuple[Sequence[int], int],
                row: tuple[tuple[int, ...], int]) -> None:
@@ -154,21 +157,23 @@ class DerivationOperator:
         (num, den), (vnum, vden) = self._scaled, self._row
         if K > len(vnum):
             raise ValueError(f"K={K} epsilons need at least {K} values")
-        # den k! eps_k are the forward differences at 0 of den sum_k C(n,k) k! eps_k
-        # (Newton), so d[k] += d[k+1] steps d[0] to its value at n.  Only
-        # eps_1..eps_r enter: the differences past r are zero, so d[r] stays
-        # as it is, and the table keeps the K - n + 1 entries that steps up to K read
-        d = [0, *num]
-        for n in range(1, K + 1):
-            top = d[-1]
-            d = [a + b for a, b in zip(d, d[1:])]
-            if len(d) < K - n + 1:
-                d.append(top)
-            if d[0] * vden != vnum[n - 1] * den:
-                raise ValueError(
-                    f"epsilons give D x^{n} = {Fraction(d[0], den)} x^{n - 1}, "
-                    f"but v_{n - 1} = {Fraction(vnum[n - 1], vden)}"
-                )
+        # den k! eps_k are the forward differences at 0 of f(n) = den sum_k C(n,k)
+        # k! eps_k (Newton).  Level k holds the k-th differences at n = 0..K - k:
+        # level r is constant (the differences past r are zero), and each level
+        # below it is its cumulative sum from den k! eps_k, so level 0 is f(0..K)
+        *lower, top = 0, *num  # den k! eps_k at k = 0..r-1, and at k = r (0 when r = 0)
+        level = [top] * (K - len(num) + 1)
+        for s in reversed(lower):
+            level = list(accumulate(level, initial=s))
+        f, v = level[1:], list(vnum[:K])
+        if den != vden:  # f / den against v / vden, crosswise
+            f, v = list(map(mul, f, repeat(vden))), list(map(mul, v, repeat(den)))
+        if f != v:
+            n = list(map(eq, f, v)).index(False) + 1
+            raise ValueError(
+                f"epsilons give D x^{n} = {Fraction(level[n], den)} x^{n - 1}, "
+                f"but v_{n - 1} = {Fraction(vnum[n - 1], vden)}"
+            )
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -235,7 +240,7 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
     f = [0, *seq.nums[:K]]
     scaled, eps, fact = [], [], 1
     for k in range(1, K + 1):
-        f = [b - a for a, b in zip(f, f[1:])]
+        f = list(map(sub, f[1:], f))
         if not f[0] and not any(f):
             break
         fact *= k

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,13 +273,16 @@ def seq_family(v1, v2, b0_squared=Fraction(1), N: int = DEFAULT_N) -> GoverningS
 
 
 def _admissible(nums: Sequence[int], den: int, name: str, b0_squared) -> GoverningSequence:
-    """The sequence v_i = nums[i] / den (den > 0), once positive and nondecreasing."""
-    for i in range(len(nums) - 1):
-        if nums[i] <= 0 or nums[i] > nums[i + 1]:
-            raise ConstructionError(
-                f"{name}: result not positive nondecreasing at index {i}: "
-                f"{Fraction(nums[i], den)} -> {Fraction(nums[i + 1], den)}"
-            )
+    """The sequence v_i = nums[i] / den (den > 0), once positive and nondecreasing.
+    nums[0] = den, so a nondecreasing row is positive, and the first index where
+    it decreases is the first that is not positive nondecreasing."""
+    ok = list(map(operator.le, nums, nums[1:]))
+    if not all(ok):
+        i = ok.index(False)
+        raise ConstructionError(
+            f"{name}: result not positive nondecreasing at index {i}: "
+            f"{Fraction(nums[i], den)} -> {Fraction(nums[i + 1], den)}"
+        )
     return GoverningSequence._of_numerators(nums, den, b0_squared)
 
 

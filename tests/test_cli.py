@@ -59,6 +59,19 @@ class TestEpsilons:
         assert code == 0
         assert out.splitlines()[-1] == "order: 1"
 
+    @pytest.mark.parametrize("K", [2, 3, 64, 256])
+    @pytest.mark.parametrize("family", ["hermite", "classical_1_3", "family", "order2", "order3"])
+    def test_prints_the_binomial_sums(self, capsys, family, K):
+        # str of each eps by the binomial sums, the zeros past a finite order
+        # included, and the order: the last k with eps_k != 0, or infinite where
+        # that is K (K >= 2 here)
+        argv = ("epsilons", *TABLE_FAMILIES[family], "--n-max", str(K))
+        seq = build_sequence(make_parser().parse_args(argv), K - 1)
+        eps = ref.epsilons(seq.values, K)
+        r = max(k for k, e in enumerate(eps, 1) if e)
+        order = f"infinite within horizon K={K}" if r == K else str(r)
+        assert run_cli(capsys, *argv) == (0, "".join(f"{e}\n" for e in eps) + f"order: {order}\n", "")
+
 
 class TestClassify:
     def test_order2_not_reduced(self, capsys):
@@ -447,21 +460,34 @@ class TestBuildAndSeedFile:
         assert code == 0
         assert table_seeded == table_direct
 
-    @pytest.mark.parametrize("flags", [
-        ("--family", "hermite"),
-        ("--family", "classical", "--gamma", "-1/2", "--alpha", "3"),
-        ("--family", "family", "--v1", "2/3", "--v2", "5/3", "--b0-squared", "3/7"),
-        ("--family", "order2", "--v1", "3"),
-        ("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--b0-squared", "8/3"),
-    ], ids=["hermite", "classical", "family", "order2", "order3"])
-    def test_builds_no_core(self, capsys, monkeypatch, flags):
+    # flags, or a seed file's sequence: one incompatible, so that first_violation
+    # is printed as [n, 2], and one family-shaped, so that the weight is printed
+    BUILDS = {
+        "hermite": ("--family", "hermite"),
+        "classical": ("--family", "classical", "--gamma", "-1/2", "--alpha", "3"),
+        "family": ("--family", "family", "--v1", "2/3", "--v2", "5/3", "--b0-squared", "3/7"),
+        "order2": ("--family", "order2", "--v1", "3"),
+        "order3": ("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--b0-squared", "8/3"),
+        "incompatible seed": ref.seq_order2(3, 256).values,
+        "family seed": ref.seq_family(F(2, 3), F(5, 3), F(3, 7), 256).values,
+    }
+
+    @pytest.mark.parametrize("n_max", [2, 3, 40, 256])
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_builds_no_core(self, capsys, monkeypatch, tmp_path, name, n_max):
         # build prints a system's b^2, gamma^2 and weight, tables formed from
-        # the sequence alone: the recurrence builds no core past P_1
-        argv = ("build", *flags, "--n-max", "40")
-        seq = build_sequence(make_parser().parse_args(argv), 40)
+        # the sequence alone: the recurrence builds no core past P_1.  Its
+        # layout is json.dumps's at indent 2, byte for byte
+        flags = self.BUILDS[name]
+        if name.endswith("seed"):
+            seed = tmp_path / "seed.json"
+            seed.write_text(seed_text(flags, "3/7"))
+            flags = ("--family", "custom-file", "--seed-file", str(seed))
+        argv = ("build", *flags, "--n-max", str(n_max))
+        seq = build_sequence(make_parser().parse_args(argv), n_max)
         system, rep = PolynomialSystem(seq), hermite_chihara.validate(seq)
         b2 = ref.b_squares(seq, ref.bracket_table(seq))
-        want = {"family": flags[1], "n_max": 40,
+        want = {"family": flags[1], "n_max": n_max,
                 "governing_sequence": {"values": [str(v) for v in seq.values],
                                        "b0_squared": str(seq.b0_squared)},
                 "validation": {"ok": rep.ok, "monotone": rep.monotone,
@@ -473,6 +499,10 @@ class TestBuildAndSeedFile:
         if system.is_family:
             g, a = system.weight_parameters()
             want["weight"] = {"gamma": str(g), "alpha": str(a)}
+        if name == "incompatible seed" and n_max >= 4:
+            assert rep.first_violation == (4, 2)
+        if name == "family seed":
+            assert want["weight"] == {"gamma": "2", "alpha": "7/2"}
 
         def no_core(cur, prev, b2):
             raise AssertionError("build built a core")

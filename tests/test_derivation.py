@@ -47,9 +47,23 @@ FINITE = {
 }
 CORRUPTIBLE = {
     **{name: make(304) for name, (make, _) in FINITE.items()},
-    "classical": seq_classical(F(3, 2), 44),
-    "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 44),
+    "classical": seq_classical(F(3, 2), 260),
+    "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 260),
 }
+
+
+def check_as_reference(eps, values) -> str | None:
+    """The public constructor's forward check against the Pascal-row reference:
+    the same message, returned, or both pass (None)."""
+    try:
+        ref.forward_check(eps, values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            DerivationOperator(eps, values)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert DerivationOperator(eps, values).epsilons == tuple(eps)
+    return None
 
 
 def series(op, p: FractionPoly, k_min: int, power_offset: int) -> FractionPoly:
@@ -186,20 +200,29 @@ class TestFiniteOrder:
         # counted, not timed: the transform forms one Fraction per nonzero
         # difference row (r of them) and one shared zero, forms no common
         # denominator (the sequence's integers and its own row are handed over),
-        # and the forward check steps a table over r scaled integers
+        # and the forward check is r cumulative sums over n = 0..K, one per
+        # difference level below r, with no step per n
         make, r = FINITE[name]
-        seq, fractions, terms = make(2000), [], []
+        seq, fractions, terms, passes = make(2000), [], [], []
 
         def fraction(*args):
             fractions.append(args)
             return F(*args)
 
+        def accumulate(iterable, *args, **kwargs):
+            passes.append(len(iterable))
+            return derivation_accumulate(iterable, *args, **kwargs)
+
+        derivation_accumulate = derivation.accumulate
         monkeypatch.setattr(derivation, "Fraction", fraction)
         monkeypatch.setattr(derivation, "common_denominator", terms.append)
+        monkeypatch.setattr(derivation, "accumulate", accumulate)
         op = epsilons_from_sequence(seq, K=2000)
         assert op.order() == OrderVerdict(True, r, 2000)
         assert len(fractions) == r + 1
         assert terms == []
+        # level k holds the k-th differences at n = 0..K - k
+        assert passes == list(range(2000 - r + 1, 2001))
         scaled, den = op._scaled
         assert len(scaled) == r and den == seq.den
 
@@ -212,12 +235,7 @@ class TestFiniteOrder:
         eps = list(epsilons_from_sequence(seq, K=K).epsilons)
         k = r + 1 if where == "r + 1" else K
         eps[k - 1] = F(-1, 7)
-        with pytest.raises(ValueError) as want:
-            ref.forward_check(eps, seq.values)
-        with pytest.raises(ValueError) as got:
-            DerivationOperator(eps, seq.values)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(f"epsilons give D x^{k} = ")
+        assert check_as_reference(eps, seq.values).startswith(f"epsilons give D x^{k} = ")
 
     @pytest.mark.parametrize("seq", [seq_classical(F(1, 3), 256),
                                      seq_family(F(2, 3), F(5, 3), F(3, 7), 256)],
@@ -257,6 +275,74 @@ class TestTwoConstructors:
             p = Poly.from_numerators(nums, rng.randint(1, 50))
             assert public.apply(p) == op.apply(p)
             assert public.apply_upper_part(p) == op.apply_upper_part(p)
+
+
+    @pytest.mark.parametrize("name", ["classical 1/3", "family (2/3, 5/3, 3/7)"])
+    def test_public_constructor_scales_in_integers(self, name, monkeypatch):
+        # at infinite order the public constructor forms k! eps_k as integers,
+        # one common denominator over eps_1..eps_r and no Fraction product;
+        # its scaled row is epsilons_from_sequence's over another denominator
+        seq = self.SEQUENCES[name][0]
+        op = epsilons_from_sequence(seq, K=256)
+
+        def product(*args):
+            raise AssertionError("a Fraction product was formed")
+
+        monkeypatch.setattr(F, "__mul__", product)
+        monkeypatch.setattr(F, "__rmul__", product)
+        public = DerivationOperator(op.epsilons, seq.values)
+        monkeypatch.undo()
+        assert public == op and public.order() == op.order()
+        (got, got_den), (want, want_den) = public._scaled, op._scaled
+        assert len(got) == len(want) == 256
+        assert [a * want_den for a in got] == [b * got_den for b in want]
+
+
+class TestForwardCheckEdges:
+    """The forward check at the edges of its level table: no level (r = 0),
+    one value (K = 1), every level (r = K), and a corrupted eps at n = 1, at
+    r + 1 and at K, each failing at the Pascal-row reference's first n with
+    its message, or passing where the reference passes."""
+
+    SEQUENCES = {
+        **{name: make(260) for name, (make, _) in FINITE.items()},
+        "classical 1/3": seq_classical(F(1, 3), 260),
+        "family (2/3, 5/3, 3/7)": seq_family(F(2, 3), F(5, 3), F(3, 7), 260),
+    }
+
+    @pytest.mark.parametrize("K", [1, 2, 64, 256])
+    def test_all_zero_epsilons_fail_at_1(self, K):
+        values = seq_classical(F(1, 3), 260).values
+        message = check_as_reference([F(0)] * K, values[:K])
+        assert message == "epsilons give D x^1 = 0 x^0, but v_0 = 1"
+        assert DerivationOperator([F(0)] * K, [0] * K).order() == OrderVerdict(True, 1, K)
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_one_value(self, name):
+        values = self.SEQUENCES[name].values
+        assert check_as_reference([values[0]], values[:1]) is None
+        message = check_as_reference([values[0] + F(1, 3)], values[:1])
+        assert message == "epsilons give D x^1 = 4/3 x^0, but v_0 = 1"
+
+    def test_every_level(self):
+        # classical 1/3 has eps_K != 0 at K = 256: r = K, and the table has
+        # every level from K down to 0
+        seq = self.SEQUENCES["classical 1/3"]
+        op = epsilons_from_sequence(seq, K=256)
+        assert len(op._scaled[0]) == 256
+        assert check_as_reference(list(op.epsilons), seq.values[:256]) is None
+
+    # at infinite order r = K, and no eps lies past the order
+    @pytest.mark.parametrize("name, at", [(name, at) for name in SEQUENCES
+                                          for at in ("1", "r + 1", "K")
+                                          if name in FINITE or at != "r + 1"])
+    def test_a_corrupted_epsilon(self, name, at):
+        seq, K = self.SEQUENCES[name], 256
+        eps = list(epsilons_from_sequence(seq, K=K).epsilons)
+        n = {"1": 1, "r + 1": FINITE.get(name, (None, K))[1] + 1, "K": K}[at]
+        eps[n - 1] += F(-2, 9)
+        message = check_as_reference(eps, seq.values[:K + 1])
+        assert message.startswith(f"epsilons give D x^{n} = ")
 
 
 class TestExactInput:
@@ -359,24 +445,16 @@ class TestSeriesReference:
         extra=st.integers(0, 3),
     )
     def test_corrupted_epsilon_fails_as_by_pascal_rows(self, name, K, at, delta, extra):
-        # the additions route and the Pascal-row route name the same first n
-        # with the same message, or both pass (delta = 0); the finite-order
-        # names reach K = 300, far past their order, the others K = 40
+        # the cumulative-sums route and the Pascal-row route name the same
+        # first n with the same message, or both pass (delta = 0); the
+        # finite-order names reach K = 300, far past their order, the others K = 256
         seq = CORRUPTIBLE[name]
         if name not in FINITE:
-            K = (K - 1) % 40 + 1
+            K = (K - 1) % 256 + 1
         op = epsilons_from_sequence(seq, K=K)
         eps = list(op.epsilons)
         eps[(at - 1) % K] += delta
-        values = seq.values[: K + extra]
-        try:
-            ref.forward_check(eps, values)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                DerivationOperator(epsilons=tuple(eps), values=values)
-            assert str(got.value) == str(exc)
-        else:
-            assert DerivationOperator(epsilons=tuple(eps), values=values).epsilons == tuple(eps)
+        check_as_reference(eps, seq.values[: K + extra])
 
     def test_too_few_values_fail_at_construction(self):
         op = epsilons_from_sequence(seq_hermite(5))

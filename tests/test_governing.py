@@ -52,9 +52,19 @@ class TestConstructors:
     def test_order2_squares(self):
         assert seq_order2(4, 3).values == (1, 4, 9, 16)
 
-    def test_order2_rejects_non_monotone(self):
-        with pytest.raises(ConstructionError):
-            seq_order2(F(3, 2), 10)
+    @pytest.mark.parametrize("make, want_make", [
+        (lambda: seq_order2(F(3, 2), 10), lambda: ref.seq_order2(F(3, 2), 10)),
+        (lambda: seq_order3(5, 5, 10), lambda: ref.seq_order3(5, 5, 10)),
+        (lambda: seq_order3(3, F(23, 4), 40), lambda: ref.seq_order3(3, F(23, 4), 40)),
+    ], ids=["order2 3/2", "order3 (5, 5)", "order3 (3, 23/4)"])
+    def test_order2_rejects_non_monotone(self, make, want_make):
+        # the first index that is not positive nondecreasing, with the Fraction
+        # reference's message
+        with pytest.raises(ConstructionError) as want:
+            want_make()
+        with pytest.raises(ConstructionError) as got:
+            make()
+        assert str(got.value) == str(want.value)
 
     def test_order3_cubes(self):
         seq = seq_order3(8, 27, 6)
