@@ -153,10 +153,13 @@ def gram_deviation(
     factors are the weighted table (w psi_i) and the table (psi_j) at the
     nodes of all the halves a round of splits makes, one psi_eval_table call
     per round, and the quadrature contracts each panel's rows into the d x d
-    block directly.  FloatRangeError when gamma, alpha or a b^2 has no float
-    (in FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
+    block directly.  ValueError for an n_max outside [0, sys.n_max];
+    FloatRangeError when gamma, alpha or a b^2 has no float (in FLOAT_RANGE
+    for alpha and b^2), or Gamma((gamma+1)/2) has none."""
     import numpy as np
 
+    if n_max < 0:
+        raise ValueError(f"n_max must be in [0, {sys.n_max}]; got {n_max}")
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
 
@@ -171,12 +174,8 @@ def gram_deviation(
     radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
     gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
-    return OrthonormalityReport(
-        max_deviation=float(dev.max()),
-        deviation=dev,
-        quadrature_error=float(err),
-        tolerance=tol,
-    )
+    return OrthonormalityReport(max_deviation=float(dev.max()), deviation=dev,
+                                quadrature_error=float(err), tolerance=tol)
 
 
 @dataclass(frozen=True)
@@ -193,25 +192,21 @@ def carleman_determinacy(b_values: Sequence[float]) -> DeterminacyReport:
 
     The sum diverges (and the moment problem is determinate) whenever
     b_n = O(n^p) with p <= 1; the verdict is an explicitly finite-horizon
-    heuristic, never a convergence claim.
+    heuristic, never a convergence claim.  ValueError for fewer than 8
+    coefficients or one that is not positive and finite.
     """
     import numpy as np
 
     b = [float(x) for x in b_values]
     if len(b) < 8:
         raise ValueError("need at least 8 coefficients for a meaningful fit")
-    if any(x <= 0 for x in b):
-        raise ValueError("recurrence coefficients must be positive")
+    if not all(0 < x < math.inf for x in b):  # NaN fails both comparisons
+        raise ValueError("recurrence coefficients must be positive and finite")
     partial = sum(1.0 / x for x in b)
     n0 = max(2, len(b) // 4)
     ns = np.arange(n0, len(b), dtype=float)
     logs = np.log(np.array(b[n0:]))
     slope, _ = np.polyfit(np.log(ns), logs, 1)
-    verdict = (
-        "divergent (determinate)"
-        if slope <= DeterminacyReport.EXPONENT_LIMIT
-        else "inconclusive within horizon"
-    )
-    return DeterminacyReport(
-        partial_sum=partial, growth_exponent=float(slope), verdict=verdict
-    )
+    verdict = ("divergent (determinate)" if slope <= DeterminacyReport.EXPONENT_LIMIT
+               else "inconclusive within horizon")
+    return DeterminacyReport(partial_sum=partial, growth_exponent=float(slope), verdict=verdict)

@@ -13,15 +13,21 @@ reduced decompositions) becomes an exact statement about rational polynomials:
     explicit   c_{n,m} = coeff of x^{n-2m} in P_n = (-1)^m b0^{2m} alpha_{2m-1,n-1}: c_{n,0} = 1,
                c_{n,m+1} / c_{n,m} = -b0^2 [2m+1] v_{n-2m-1} v_{n-2m-2} / (v_{2m} v_{2m+1})
 
+The lowering and route scans cross-check validate by an independent route: for
+any v the ratio telescopes to c_{n+1,m} / c_{n,m} = v_n / v_{n-2m}, the lowering
+rule coefficientwise, and the recurrence for P_{n+1} on the explicit coefficients
+reduces to validate's case (n, m+1), (v_{2m+1} - v_{2m-1}) (v_n - v_{n-2m-2}) =
+v_{2m+1} (v_n - v_{n-2}), so both first fail at validate's first violating n + 1.
+
 Each table is formed where it is read.  The constructor forms b^2 as one
 integer row over one denominator (b2_row, whose pass runs the bracket check)
-and the weight.  gamma^2 as integer pairs (g2_pairs), the Fraction views of
-b^2, gamma^2 and the brackets (b2, g2, brackets), nu^2 and the cores come on
-first read; build and table print b2_row and g2_pairs.  Each exact reader
-grows the one core list, [P_0, P_1] at first, to the largest n it reads
-(_cores), and monic is P_0..P_{n_max}; build, gram, spectrum and the operator
-band build no core.  _ode_proved records each core whose ODE bracket was proved
-zero, so a grid of residuals builds it once.
+and the weight; gamma^2's integer pairs (g2_pairs), the Fraction views b2, g2
+and brackets, and nu^2 come on first read, and build and table print b2_row and
+g2_pairs.  _core(n) alone grows the one core list, [P_0, P_1] at first, by the
+recurrence as far as the core a reader asks for when it reads it, so a scan
+that fails at k builds nothing past P_k, and build, gram, spectrum and the
+operator band build none; monic is P_0..P_{n_max}.  _ode_proved records each
+core whose ODE bracket was proved zero, so a grid of residuals builds it once.
 
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
@@ -232,9 +238,9 @@ class PolynomialSystem:
 
     Its values are fixed once built, and every query returns the same result
     whenever it is made: b2_row is formed by the constructor; g2_pairs, the
-    Fraction views b2, g2 and brackets, norm2, the float tables and the core
-    list (_cores) are formed on first read, and _ode_proved records each zero
-    ODE bracket.
+    Fraction views b2, g2 and brackets, norm2 and the float tables are formed on
+    first read, each core when it is read (_core), and _ode_proved records each
+    zero ODE bracket.
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -302,20 +308,20 @@ class PolynomialSystem:
 
     # -- polynomials -------------------------------------------------------
 
-    def _cores(self, n_hi: int) -> list[Poly]:
-        """The one list of monic cores, grown by the recurrence to hold P_0..P_{n_hi}
-        and returned whole: each public reader calls it once, with the largest n it
-        reads, and then indexes the list; the helpers it calls (_upper_remainder,
-        _core_expansion) index the list it grew."""
-        cores, b2 = self._monic, self.b2
-        for n in range(len(cores) - 1, n_hi):
-            cores.append(_next_monic(cores[n], cores[n - 1], b2[n - 1]))
-        return cores
+    def _core(self, n: int) -> Poly:
+        """The monic core P_n, the one list of cores grown by the recurrence as far
+        as n: every reader asks for each core when it reads it, so a scan that
+        stops at n builds nothing past P_n."""
+        cores = self._monic
+        for k in range(len(cores) - 1, n):
+            cores.append(_next_monic(cores[k], cores[k - 1], self.b2[k - 1]))
+        return cores[n]
 
     @property
     def monic(self) -> list[Poly]:
-        """The monic cores P_0..P_{n_max}, all of them: the list the scans read."""
-        return self._cores(self.n_max)
+        """The monic cores P_0..P_{n_max}, all of them: the list _core grows."""
+        self._core(self.n_max)
+        return self._monic
 
     def _explicit_ratios(self, n_hi: int) -> tuple[list[int], list[int], list[int]]:
         """Integer tables (a, d, t) with c_{n,m+1} / c_{n,m} = a[m] t[n - 2m] / d[m] and
@@ -353,9 +359,8 @@ class PolynomialSystem:
         each side, no gcd, no Fraction."""
         self._check_n(n_hi)
         a, d, t = self._explicit_ratios(n_hi)
-        cores = self._cores(n_hi)
         for n in range(n_hi + 1):
-            core = cores[n]
+            core = self._core(n)
             nums = core.nums
             if core.degree != n or any(nums[(n + 1) % 2 :: 2]) or nums[n] != core.den or any(
                 lo * dm != am * tj * hi for am, dm, tj, lo, hi in
@@ -408,9 +413,9 @@ class PolynomialSystem:
         cores' numerators with no Poly arithmetic and no derivation operator, on the
         slots k = n - 1 (mod 2) (_parities) and over gcd(den(P_n), den(P_{n-1}))."""
         self._check_n(n_hi)
-        w, cores = self._w, self._cores(n_hi)
+        w, cores = self._w, self._monic
         for n in range(1, n_hi + 1):
-            cur, prev = cores[n], cores[n - 1]
+            cur, prev = self._core(n), cores[n - 1]
             if cur.degree != n or prev.degree != n - 1:
                 return n
             g = math.gcd(cur.den, prev.den)
@@ -436,9 +441,9 @@ class PolynomialSystem:
         self._check_n(n_hi)
         if n_hi < 2:
             raise ValueError(f"square lowering reads the columns 2 <= n <= n_hi: got n_hi = {n_hi}")
-        worst, cores = 0.0, self._cores(n_hi)
+        worst, cores = 0.0, self._monic
         for n in range(2, n_hi + 1):
-            p, q, b1, b2 = cores[n], cores[n - 2], self.b2[n - 1], self.b2[n - 2]
+            p, q, b1, b2 = self._core(n), cores[n - 2], self.b2[n - 1], self.b2[n - 2]
             g = math.gcd(p.den, q.den)
             # the residual coefficients times den(P_n) sp, for r = rn / rd: sp = den(P_{n-2}) rd / g
             sp = q.den // g * b1.denominator * b2.denominator * alpha.denominator
@@ -456,14 +461,13 @@ class PolynomialSystem:
         """Coefficients of nums / den (x^0 first) over the monic cores P_idx, idx in
         the given descending order, by triangular elimination in integers: P_idx is
         monic of degree idx, so r / den(p) is its coefficient, r the x^idx numerator
-        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx).
-        The caller has grown the core list past every idx (_cores)."""
-        p, out, cores = Poly.from_numerators(nums, den), [], self._monic
+        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx)."""
+        p, out = Poly.from_numerators(nums, den), []
         for idx in indices:
             r = p.nums[idx] if idx < len(p.nums) else 0
             out.append(Fraction(r, p.den))
             if r:
-                core = cores[idx]
+                core = self._core(idx)
                 p = Poly.from_numerators([a * core.den - r * c for a, c in zip_longest(
                     p.nums, core.nums, fillvalue=0)], p.den * core.den)
         if not p.is_zero():
@@ -475,9 +479,8 @@ class PolynomialSystem:
         L lcm(den(P_n), den(P_{n-1})), each a numerator times a small cofactor on the
         slots of n's parity (_parities)), from w_i = L v_i, i < n.  U, D's degree-
         preserving part, is diagonal: U x^m = u_m x^m, u_m = v_{m-1} - m v_0, the
-        series x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part).
-        The caller has grown the core list to P_n (_cores)."""
-        cur, prev, w = self._monic[n], self._monic[n - 1], self._w
+        series x D x^m = v_{m-1} x^m less its eps_1 = v_0 term (apply_upper_part)."""
+        cur, prev, w = self._core(n), self._core(n - 1), self._w
         g, un = math.gcd(cur.den, prev.den), w[n - 1] - n * w[0]
         sa, sb = prev.den // g, cur.den // g * un
         shifted, wd, r = (0, *prev.nums), (0, *w[:n]), [0] * (n + 1)  # u_k = wd[k] - k w_0
@@ -493,9 +496,9 @@ class PolynomialSystem:
         r_k den(P_{n-2}) = r_{n-2} c_k(P_{n-2}) in integers, both sides over
         gcd(r_{n-2}, den(P_{n-2})), on the slots of n's parity (_parities)."""
         self._check_n(n_hi)
-        cores = self._cores(n_hi)
+        cores = self._monic
         for n in range(2, n_hi + 1):
-            if any(cores[k].degree != k for k in (n, n - 1, n - 2)):
+            if self._core(n).degree != n or any(cores[k].degree != k for k in (n - 1, n - 2)):
                 return n
             r, low = self._upper_remainder(n)[1], cores[n - 2]
             h = math.gcd(r[n - 2], low.den)
@@ -509,7 +512,6 @@ class PolynomialSystem:
         """Expand U psi_n (U the degree-preserving part of D) over {x psi_{n-1},
         psi_{n-2}, psi_{n-4}, ...}: delta is u_n, and R by exact elimination."""
         self._check_n(n, 2)
-        self._cores(n)
         un, nums, den = self._upper_remainder(n)
         delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
@@ -526,7 +528,7 @@ class PolynomialSystem:
     def derivative_in_basis(self, n: int) -> list[tuple[int, float]]:
         """psi_n' = sum c_k psi_k, c_k = e_k nu_k / nu_n from the exact P_n' = sum e_k P_k."""
         self._check_n(n)
-        core = self._cores(n)[n]
+        core = self._core(n)
         indices = range(n - 1, -1, -2)
         expansion = self._core_expansion(
             [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, indices)
@@ -541,8 +543,7 @@ class PolynomialSystem:
             raise UnsupportedSystemError("two-term derivative decomposition needs a family system")
         # x P_n' - n x P_{n-1} is an exact multiple of P_{n-2}; its x^k numerator
         # over den(P_n) den(P_{n-1}) is k c_k(P_n) den(P_{n-1}) - n c_{k-1}(P_{n-1}) den(P_n)
-        cores = self._cores(n)
-        cur, prev = cores[n], cores[n - 1]
+        cur, prev = self._core(n), self._core(n - 1)
         s = [k * a * prev.den - n * b * cur.den
              for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
         (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
@@ -570,7 +571,7 @@ class PolynomialSystem:
         self._check_n(n)
         self.weight_parameters()  # family only
         (gi, ai), G = self._weight_nums
-        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self._cores(n)[n]
+        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self._core(n)
         out = [0] * (len(core.nums) + 2)
         for t in _parities(n % 2, core.nums):
             c = core.nums[t::2]
@@ -614,7 +615,7 @@ class PolynomialSystem:
         bracket is built once per core object (_ode_proved)."""
         self._check_n(n)
         self.weight_parameters()  # family only
-        core = self._cores(n)[n]
+        core = self._core(n)
         if self._ode_proved.get(n) is not core:
             bracket = self.ode_bracket(n)
             if not bracket.is_zero():

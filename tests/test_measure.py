@@ -311,6 +311,17 @@ class TestOrthonormality:
         with pytest.raises(ValueError, match="system built to n_max=8"):
             gram_deviation(sys, spec_for_system(sys), 9)
 
+    @pytest.mark.parametrize("n_max", [-1, -9])
+    def test_a_negative_n_max_is_rejected_before_any_float_work(self, monkeypatch, n_max):
+        sys = PolynomialSystem(seq_hermite(8))
+
+        def no_radius(*args):
+            raise AssertionError("the integration radius was formed")
+
+        monkeypatch.setattr(measure, "_integration_radius", no_radius)
+        with pytest.raises(ValueError, match=rf"^n_max must be in \[0, 8\]; got {n_max}$"):
+            gram_deviation(sys, spec_for_system(sys), n_max)
+
     def test_quadrature_stopped_short_is_not_converged(self):
         # no panel count reaches 1e-300: the quadrature stops at MAX_PANELS
         sys = PolynomialSystem(seq_hermite(4))
@@ -626,3 +637,10 @@ class TestCarleman:
             carleman_determinacy([1.0, 2.0])
         with pytest.raises(ValueError):
             carleman_determinacy([1.0] * 10 + [-1.0] * 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coefficient_is_rejected(self, bad):
+        # as psi_eval_table rejects a non-finite node: no partial sum of nan or 0.0
+        for b in ([bad] * 10, [1.0] * 9 + [bad]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                carleman_determinacy(b)

@@ -23,6 +23,7 @@ from hermite_chihara import (
     seq_hermite,
     seq_order2,
     seq_order3,
+    validate,
 )
 from hermite_chihara import systems as systems_mod
 from hermite_chihara.derivation import Poly
@@ -30,7 +31,7 @@ from hermite_chihara.governing import is_special_family
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
-from conftest import POINT_GRID, corrupt_core
+from conftest import POINT_GRID, corrupt_core, propagated_compatible_sequence
 
 
 def alpha_brute(brackets, m, n):
@@ -487,8 +488,9 @@ CORE_READERS = {
 
 class TestCoresOnFirstRead:
     """The cores are built where they are read: a fresh system holds P_0 and
-    P_1, each exact reader grows the one core list to the largest n it reads,
-    and monic is that list, P_0..P_{n_max}.  The float boundary reads no core."""
+    P_1, each exact reader asks _core for each core as it reads it, so a scan
+    builds nothing past its first failure, and monic is the list _core grows,
+    P_0..P_{n_max}.  The float boundary reads no core."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -580,10 +582,23 @@ class TestCoresOnFirstRead:
         sys = PolynomialSystem(seq_classical(F(1, 3), N))
         sys.first_route_mismatch(20)
         cores = sys.monic
-        assert sys.monic is cores and sys._cores(N) is cores and len(cores) == N + 1
+        assert sys.monic is cores and sys._core(N) is cores[N] and len(cores) == N + 1
         assert sys.first_lowering_failure(N) is None and sys.monic is cores
         assert built == list(range(2, N + 1))
         assert [p.coeffs for p in cores] == [p.coeffs for p in ref.monic_cores(sys.b2, N)]
+
+    @pytest.mark.parametrize("scan", [
+        "first_lowering_failure", "first_route_mismatch", "first_reduced_failure"])
+    def test_a_scan_builds_nothing_past_its_first_failure(self, built, scan):
+        k = getattr(PolynomialSystem(seq_order2(3, 40)), scan)(40)
+        assert k is not None and built == list(range(2, k + 1))
+
+    def test_classify_builds_cores_up_to_its_first_non_reduced_n(self, built, capsys):
+        from hermite_chihara.cli import main
+
+        assert main(["classify", "--family", "order2", "--v1", "7/3", "--n-max", "40"]) == 0
+        assert capsys.readouterr().out.startswith("reduced: false\n")
+        assert built == [2, 3, 4]
 
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
     @pytest.mark.parametrize("partial", [0, 10, 19, 20, 30])
@@ -634,6 +649,34 @@ class TestCompatiblePropagation:
         assert sys.first_lowering_failure(10) is None
         for n in range(0, 11):
             assert sys.monic[n] == sys.psi_coeffs_via_alpha(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v1=st.fractions(min_value=F(1, 4), max_value=F(6), max_denominator=5),
+        d2=st.fractions(min_value=F(1, 5), max_value=F(6), max_denominator=5),
+        d3=st.fractions(min_value=F(1, 5), max_value=F(6), max_denominator=5),
+        N=st.integers(4, 24), bump=st.none() | st.tuples(st.integers(1, 24), st.integers(1, 10**6)),
+    )
+    def test_the_core_scans_fail_one_past_validate(self, v1, d2, d3, N, bump):
+        # the lowering rule and the explicit formula reduce to validate's
+        # identity (systems module docstring): on a compatible prefix, or one with
+        # a value scaled by 1 + 1/k, both scans fail first at validate's first
+        # violating n + 1 when that is within N, and not at all otherwise; the
+        # seed's steps v2 - v0 and v3 - v1 are positive, as every bracket needs
+        seq = propagated_compatible_sequence(v1, 1 + d2, v1 + d3, N)
+        if bump is not None:
+            i, k = bump[0] % N + 1, bump[1]
+            values = list(seq.values)
+            values[i] *= 1 + F(1, k)
+            seq = GoverningSequence(tuple(values), seq.b0_squared)
+        try:
+            sys = PolynomialSystem(seq)
+        except ValueError:
+            assume(False)  # a bracket that is not positive
+        first = validate(seq).first_violation
+        want = first[0] + 1 if first is not None and first[0] + 1 <= N else None
+        assert sys.first_lowering_failure(N) == want
+        assert sys.first_route_mismatch(N) == want
 
     def test_generic_seed_is_not_family(self):
         seq = self.propagate(2, 3, 5, 10)
