@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import factorial, gcd
+from math import comb, gcd
 from operator import eq, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -120,43 +120,44 @@ class OrderVerdict(NamedTuple):
 class DerivationOperator:
     """eps_1..eps_K plus the source values v_0..; both exact.
 
-    Integers (numpy's too, through int) are stored as Fractions and floats are
-    refused with TypeError.  Beside them it keeps two integer rows, formed once:
-    den k! eps_k for k <= r, r the last k with eps_k != 0, and the values over a
-    common denominator (_row), which D reads.  ``values`` is formed from _row on
-    first read, or kept from the public constructor's conversion; equality and
-    hash compare eps and _row.  Construction checks on the rows that the series
-    reproduces the monomial rule, sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for
-    every n <= K, and raises ValueError otherwise.  Both sides are linear, so
-    on polynomials of degree <= K the series and the monomial rule agree.
+    Integers (numpy's too, through int) are read as as_fraction reads them and
+    floats are refused with TypeError.  It stores K and two integer rows, each
+    formed once: den k! eps_k for k <= r, r the last k with eps_k != 0, over its
+    gcd, and the values over their common denominator (_row), which D reads;
+    ``epsilons`` and ``values`` are views formed on first read.  Equality and
+    hash compare K and the rows, that is eps and the values.  Construction
+    checks on the rows that the series reproduces the monomial rule,
+    sum_{k<=n} C(n,k) k! eps_k = v_{n-1}, for every n <= K, and raises
+    ValueError otherwise.  Both sides are linear, so on polynomials of degree
+    <= K the series and the monomial rule agree.
     """
 
-    epsilons: tuple[Fraction, ...]
+    k_max: int
+    _scaled: tuple[tuple[int, ...], int]
     _row: tuple[tuple[int, ...], int]
 
     def __init__(self, epsilons: Iterable, values: Iterable):
-        epsilons, values = tuple(map(as_fraction, epsilons)), tuple(map(as_fraction, values))
+        epsilons = list(map(as_fraction, epsilons))
         r = max((k for k, e in enumerate(epsilons, 1) if e), default=0)
         nums, den = common_denominator(epsilons[:r])
         scaled = list(map(mul, nums, accumulate(range(1, r + 1), mul)))  # den k! eps_k
-        vnums, vden = common_denominator(values)
-        self.__dict__["values"] = values
-        self._store(epsilons, (scaled, den), (tuple(vnums), vden))
+        self._store(len(epsilons), scaled, den, common_denominator(map(as_fraction, values)))
 
-    def _store(self, epsilons: tuple[Fraction, ...], scaled: tuple[Sequence[int], int],
-               row: tuple[tuple[int, ...], int]) -> None:
-        """Store the operator with its two integer rows, and run the forward check."""
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_row", row)
+    def _store(self, K: int, scaled: Sequence[int], den: int, row: tuple[Sequence[int], int]):
+        """Store K, the row den k! eps_k over its gcd and the value row; check them."""
+        g = gcd(den, *scaled)
+        object.__setattr__(self, "k_max", K)
+        object.__setattr__(self, "_scaled", (tuple(a // g for a in scaled), den // g))
+        object.__setattr__(self, "_row", (tuple(row[0]), row[1]))
         self.__post_init__()
 
     def __post_init__(self):
         """The forward check, which every construction runs on the integer rows."""
         K = self.k_max
         (num, den), (vnum, vden) = self._scaled, self._row
-        if K > len(vnum):
-            raise ValueError(f"K={K} epsilons need at least {K} values")
+        if not 1 <= K <= len(vnum):
+            raise ValueError(f"K={K} epsilons need at least {K} values" if K else
+                             "an operator needs at least one epsilon (K >= 1)")
         # den k! eps_k are the forward differences at 0 of f(n) = den sum_k C(n,k)
         # k! eps_k (Newton).  Level k holds the k-th differences at n = 0..K - k:
         # level r is constant (the differences past r are zero), and each level
@@ -176,13 +177,16 @@ class DerivationOperator:
             )
 
     @cached_property
+    def epsilons(self) -> tuple[Fraction, ...]:
+        """eps_k = num[k-1] / (den k!) for k <= r, then K - r zeros."""
+        num, den = self._scaled
+        dens = map(mul, accumulate(range(1, len(num) + 1), mul), repeat(den))
+        return (*map(Fraction, num, dens), *[Fraction(0)] * (self.k_max - len(num)))
+
+    @cached_property
     def values(self) -> tuple[Fraction, ...]:
         vnum, vden = self._row
         return tuple(Fraction(a, vden) for a in vnum)
-
-    @property
-    def k_max(self) -> int:
-        return len(self.epsilons)
 
     def eps(self, k: int) -> Fraction:
         return self.epsilons[k - 1]
@@ -217,12 +221,11 @@ class DerivationOperator:
         return OrderVerdict(finite=True, order=max(last_nonzero, 1), horizon=self.k_max)
 
     def a_coefficient(self, s: int, m: int) -> Fraction:
-        """A_s(m) = s! sum_{k=m}^{s} eps_k / (s-k)!"""
+        """A_s(m) = s! sum_{k=m}^{s} eps_k / (s-k)! = sum_k C(s,k) k! eps_k, on the eps row."""
         if not 1 <= m <= s <= self.k_max:
             raise ValueError(f"need 1 <= m <= s <= K={self.k_max}, got s={s}, m={m}")
-        return factorial(s) * sum(
-            (self.eps(k) / factorial(s - k) for k in range(m, s + 1)), Fraction(0)
-        )
+        num, den = self._scaled
+        return Fraction(sum(comb(s, k) * a for k, a in enumerate(num[m - 1 : s], m)), den)
 
 
 def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> DerivationOperator:
@@ -236,18 +239,13 @@ def epsilons_from_sequence(seq: GoverningSequence, K: int | None = None) -> Deri
     # difference at 0 is sum_j (-1)^{k-j} C(k,j) f[j] = den * k! eps_k.  A row
     # of zeros (f[0] = 0 is read first) ends the table: every later eps is 0,
     # and the f[0] before it is not 0 (else that row was zero), so scaled ends at r
-    den = seq.den
     f = [0, *seq.nums[:K]]
-    scaled, eps, fact = [], [], 1
-    for k in range(1, K + 1):
+    scaled = []
+    for _ in range(K):
         f = list(map(sub, f[1:], f))
         if not f[0] and not any(f):
             break
-        fact *= k
         scaled.append(f[0])
-        eps.append(Fraction(f[0], den * fact))
-    eps += [Fraction(0)] * (K - len(eps))
     op = object.__new__(DerivationOperator)
-    op._store(tuple(eps), (scaled, den), (seq.nums, den))
+    op._store(K, scaled, seq.den, (seq.nums, seq.den))
     return op
-

@@ -88,33 +88,31 @@ def _json_rational(x) -> Fraction:
 class GoverningSequence:
     """Finite prefix of a governing sequence plus the b0 scale (squared); v_i = nums[i] / den.
 
-    Held as nums over den, the lcm of the values' denominators; ``values`` is formed
-    on first read, or kept from the public constructor's ``as_fraction`` conversion.
-    Every sequence passes the same checks, in ``__post_init__``."""
+    Held as nums over den, the lcm of the values' denominators; ``values`` is a
+    Fraction view formed on first read.  Every sequence passes the same checks,
+    in ``__post_init__``."""
 
     nums: tuple[int, ...]
     den: int
     b0_squared: Fraction
 
     def __init__(self, values: Iterable, b0_squared):
-        values = self.__dict__["values"] = tuple(as_fraction(v) for v in values)
-        self._store(*common_denominator(values), as_fraction(b0_squared))
+        self._store(*common_denominator(map(as_fraction, values)), b0_squared)
 
     @classmethod
     def _of_numerators(cls, nums: Sequence[int], den: int, b0_squared) -> "GoverningSequence":
-        """v_i = nums[i] / den for Python ints nums and den > 0, reduced by one gcd."""
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums, den = [a // g for a in nums], den // g
+        """v_i = nums[i] / den for Python ints nums and den > 0."""
         seq = object.__new__(cls)
-        seq._store(nums, den, as_fraction(b0_squared))
+        seq._store(nums, den, b0_squared)
         return seq
 
-    def _store(self, nums: Sequence[int], den: int, b0_squared: Fraction) -> None:
-        """Store v = nums / den, den the lcm of the values' denominators, and check it."""
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "b0_squared", b0_squared)
+    def _store(self, nums: Sequence[int], den: int, b0_squared) -> None:
+        """Store v = nums / den over their gcd, so that den is the lcm of the values'
+        denominators, and check it."""
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(a // g for a in nums) if g > 1 else tuple(nums))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "b0_squared", as_fraction(b0_squared))
         self.__post_init__()
 
     def __post_init__(self):

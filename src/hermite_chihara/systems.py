@@ -19,11 +19,13 @@ rule coefficientwise, and the recurrence for P_{n+1} on the explicit coefficient
 reduces to validate's case (n, m+1), (v_{2m+1} - v_{2m-1}) (v_n - v_{n-2m-2}) =
 v_{2m+1} (v_n - v_{n-2}), so both first fail at validate's first violating n + 1.
 
-Each table is formed where it is read.  The constructor forms b^2 as one
-integer row over one denominator (b2_row, whose pass runs the bracket check)
-and the weight; gamma^2's integer pairs (g2_pairs), the Fraction views b2, g2
-and brackets, and nu^2 come on first read, and build and table print b2_row and
-g2_pairs.  _core(n) alone grows the one core list, [P_0, P_1] at first, by the
+The exact layer has one storage rule: each integer row is stored once, and
+every Fraction is a view formed from it on first read (the sequence's values,
+the operator's epsilons and values, and here b2, g2 and brackets).  The
+constructor forms b^2 as one integer row over one denominator (b2_row, whose
+pass runs the bracket check) and the weight; gamma^2's integer pairs (g2_pairs)
+and nu^2 come on first read, and build and table print b2_row and g2_pairs.
+_core(n) alone grows the one core list, [P_0, P_1] at first, from b2_row by the
 recurrence as far as the core a reader asks for when it reads it, so a scan
 that fails at k builds nothing past P_k, and build, gram, spectrum and the
 operator band build none; monic is P_0..P_{n_max}.  _ode_proved records each
@@ -187,12 +189,13 @@ def _over_sqrt(c: Fraction, q: Fraction) -> float:
         raise FloatRangeError("psi-scaled value") from None
 
 
-def _next_monic(cur: Poly, prev: Poly, b2: Fraction) -> Poly:
-    """x cur - b2 prev over the lcm of the two terms' denominators.  The cores
-    alternate in parity, so only the slots of the new parity are computed."""
-    prev_den = prev.den * b2.denominator
+def _next_monic(cur: Poly, prev: Poly, b2: tuple[int, int]) -> Poly:
+    """x cur - (b2[0] / b2[1]) prev over the lcm of the two terms' denominators, b2
+    in lowest terms.  The cores alternate in parity: only the new parity's slots are formed."""
+    g = math.gcd(*b2)
+    prev_den = prev.den * (b2[1] // g)
     den = math.lcm(cur.den, prev_den)
-    sa, sb = den // cur.den, den // prev_den * b2.numerator
+    sa, sb = den // cur.den, den // prev_den * (b2[0] // g)
     s = len(cur.nums) % 2  # parity of the new degree
     out = [0] * (len(cur.nums) + 1)
     shifted = (0, *cur.nums)
@@ -312,9 +315,9 @@ class PolynomialSystem:
         """The monic core P_n, the one list of cores grown by the recurrence as far
         as n: every reader asks for each core when it reads it, so a scan that
         stops at n builds nothing past P_n."""
-        cores = self._monic
+        cores, (b2, den) = self._monic, self.b2_row
         for k in range(len(cores) - 1, n):
-            cores.append(_next_monic(cores[k], cores[k - 1], self.b2[k - 1]))
+            cores.append(_next_monic(cores[k], cores[k - 1], (b2[k - 1], den)))
         return cores[n]
 
     @property

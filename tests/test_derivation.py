@@ -20,6 +20,7 @@ from hermite_chihara import (
     seq_order3,
 )
 import fraction_reference as ref
+from conftest import propagated_compatible_sequence
 from fraction_reference import FractionPoly
 
 coeff_lists = st.lists(
@@ -175,6 +176,12 @@ class TestEpsilons:
         with pytest.raises(ValueError, match=rf"K={K} must be in \[1, 5\]"):
             epsilons_from_sequence(seq_hermite(4), K=K)
 
+    @pytest.mark.parametrize("values", [seq_hermite(4).values, ()], ids=["values", "none"])
+    def test_an_empty_epsilon_list_is_refused(self, values):
+        # K = 0 has no order to report, as epsilons_from_sequence refuses K < 1
+        with pytest.raises(ValueError, match=r"at least one epsilon \(K >= 1\)"):
+            DerivationOperator([], values)
+
 
 class TestFiniteOrder:
     """At order r the transform stops at its first zero row and the forward
@@ -197,11 +204,12 @@ class TestFiniteOrder:
 
     @pytest.mark.parametrize("name", FINITE)
     def test_work_grows_with_the_order(self, name, monkeypatch):
-        # counted, not timed: the transform forms one Fraction per nonzero
-        # difference row (r of them) and one shared zero, forms no common
+        # counted, not timed: construction forms no Fraction and no common
         # denominator (the sequence's integers and its own row are handed over),
         # and the forward check is r cumulative sums over n = 0..K, one per
-        # difference level below r, with no step per n
+        # difference level below r, with no step per n.  The first read of
+        # epsilons forms one Fraction per nonzero difference row (r of them)
+        # and one shared zero
         make, r = FINITE[name]
         seq, fractions, terms, passes = make(2000), [], [], []
 
@@ -219,12 +227,14 @@ class TestFiniteOrder:
         monkeypatch.setattr(derivation, "accumulate", accumulate)
         op = epsilons_from_sequence(seq, K=2000)
         assert op.order() == OrderVerdict(True, r, 2000)
-        assert len(fractions) == r + 1
+        assert fractions == [] and "epsilons" not in vars(op)
         assert terms == []
         # level k holds the k-th differences at n = 0..K - k
         assert passes == list(range(2000 - r + 1, 2001))
         scaled, den = op._scaled
-        assert len(scaled) == r and den == seq.den
+        assert len(scaled) == r and seq.den % den == 0
+        eps = op.epsilons
+        assert len(fractions) == r + 1 and op.epsilons is eps and len(eps) == 2000
 
     @pytest.mark.parametrize("where", ["r + 1", "K"])
     @pytest.mark.parametrize("name", FINITE)
@@ -276,6 +286,29 @@ class TestTwoConstructors:
             assert public.apply(p) == op.apply(p)
             assert public.apply_upper_part(p) == op.apply_upper_part(p)
 
+    @pytest.mark.parametrize("K", [1, 2, 64, 256])
+    @pytest.mark.parametrize("name", [*SEQUENCES, "propagated r = 2", "propagated r = 1/4"])
+    def test_either_constructor_stores_only_integers(self, name, K, monkeypatch):
+        # both constructors store K and the two integer rows, and form no eps
+        # and no value Fraction; the operators are equal, and hash alike, and
+        # their eps and values are views formed on first read.  The propagated
+        # sequences are compatible off the family, at d_3 / v_1 = 2 and 1/4
+        seq = self.SEQUENCES[name][0] if name in self.SEQUENCES else {
+            "propagated r = 2": lambda: propagated_compatible_sequence(2, 3, 6, 256),
+            "propagated r = 1/4": lambda: propagated_compatible_sequence(4, 3, 5, 256),
+        }[name]()
+        op = epsilons_from_sequence(seq, K=K)
+        epsilons, values = op.epsilons, op.values
+
+        def fraction(*args):
+            raise AssertionError("construction formed a Fraction")
+
+        monkeypatch.setattr(derivation, "Fraction", fraction)
+        public = DerivationOperator(epsilons, values)
+        monkeypatch.undo()
+        assert not {"epsilons", "values"} & set(vars(public))
+        assert public == op and hash(public) == hash(op) and public._scaled == op._scaled
+        assert public.epsilons == epsilons and public.values == values == seq.values
 
     @pytest.mark.parametrize("name", ["classical 1/3", "family (2/3, 5/3, 3/7)"])
     def test_public_constructor_scales_in_integers(self, name, monkeypatch):

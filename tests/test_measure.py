@@ -18,6 +18,7 @@ from hermite_chihara import (
     seq_classical,
     seq_family,
     seq_hermite,
+    seq_order3,
     spec_for_system,
 )
 from hermite_chihara import measure, quadrature
@@ -137,6 +138,19 @@ class TestMoments:
             jacobi_moment(sys.b2, -1)
         with pytest.raises(ValueError, match="moment order must be >= 0"):
             moment_closed(MeasureSpec(F(0), F(1)), -2)
+
+    def test_the_walk_reads_k_over_2_coefficients(self):
+        # a closed walk of k steps reads b_0^2..b_{k/2-1}^2 and no more
+        assert jacobi_moment([F(1, 2)], 2) == F(1, 2)
+        assert jacobi_moment([], 0) == 1 and jacobi_moment([], 1) == 0
+        for seq in (seq_classical(F(1, 3), 16), seq_family(F(2, 3), F(5, 3), F(3, 7), 16),
+                    seq_order3(F(7, 3), F(17, 3), 16)):
+            b2 = PolynomialSystem(seq).b2
+            for k in range(33):
+                assert jacobi_moment(b2[: k // 2], k) == jacobi_moment(b2, k)
+                if k >= 2:
+                    with pytest.raises(ValueError, match=f"need at least {k // 2} squared"):
+                        jacobi_moment(b2[: k // 2 - 1], k)
 
     def test_scipy_cross_check(self):
         # mu_{2n} = Gamma(n + (g+1)/2) / (Gamma((g+1)/2) a^n)

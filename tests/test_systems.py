@@ -600,6 +600,28 @@ class TestCoresOnFirstRead:
         assert capsys.readouterr().out.startswith("reduced: false\n")
         assert built == [2, 3, 4]
 
+    @pytest.mark.parametrize("scan", [
+        "first_lowering_failure", "first_route_mismatch", "first_reduced_failure"])
+    def test_a_scan_forms_no_b2_fraction(self, scan):
+        # the cores grow from b2_row's integers: a scan that stops at P_4 forms
+        # none of the n_max b^2 Fractions
+        sys = PolynomialSystem(seq_order2(3, 40))
+        assert getattr(sys, scan)(40) is not None and "b2" not in vars(sys)
+
+    def test_classify_forms_no_b2_fraction(self, monkeypatch, capsys):
+        from hermite_chihara.cli import main
+
+        built, init = [], PolynomialSystem.__init__
+
+        def recorded(self, seq):
+            built.append(self)
+            init(self, seq)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
+        assert main(["classify", "--family", "order2", "--v1", "7/3", "--n-max", "40"]) == 0
+        assert capsys.readouterr().out.startswith("reduced: false\n")
+        assert len(built) == 1 and len(built[0]._monic) == 5 and "b2" not in vars(built[0])
+
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
     @pytest.mark.parametrize("partial", [0, 10, 19, 20, 30])
     def test_a_core_corrupted_after_a_partial_read_fails_at_its_n(self, kind, partial):
