@@ -189,6 +189,8 @@ class DerivationOperator:
         return tuple(Fraction(a, vden) for a in vnum)
 
     def eps(self, k: int) -> Fraction:
+        if not 1 <= k <= self.k_max:
+            raise ValueError(f"need 1 <= k <= K={self.k_max}, got k={k}")
         return self.epsilons[k - 1]
 
     def apply(self, p: Poly) -> Poly:

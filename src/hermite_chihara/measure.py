@@ -90,16 +90,16 @@ def moment_closed(spec: MeasureSpec, k: int) -> Fraction:
 def jacobi_moment(b2: Sequence[Fraction], k: int) -> Fraction:
     """mu_k = (J^k)_{00} for the Jacobi matrix with off-diagonal b_i: a sum over
     the closed walks of k steps in the monic basis (x P_j = P_{j+1} + b_{j-1}^2
-    P_{j-1}), which climb to height k/2 at most and read b_0^2..b_{k/2-1}^2.
-    Fraction-free: over b_i^2 = B_i / L, L the common denominator, the amplitudes
-    A_j = amp_j L^{(k-j)/2} are integers; an up-step adds A_j to A_{j+1}, a
-    down-step A_j B_{j-1} to A_{j-1}, and mu_k = A_0 / L^{k/2}."""
+    P_{j-1}), which climb to height k/2 at most and read b_0^2..b_{k/2-1}^2 (by
+    as_fraction: a float is a TypeError).  Fraction-free: over b_i^2 = B_i / L, L
+    the common denominator, the amplitudes A_j = amp_j L^{(k-j)/2} are integers; an
+    up-step adds A_j to A_{j+1}, a down-step A_j B_{j-1} to A_{j-1}, mu_k = A_0 / L^{k/2}."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = k // 2
     if len(b2) < size:
         raise ValueError(f"need at least {size} squared coefficients for k={k}")
-    B, L = common_denominator(b2[:size])
+    B, L = common_denominator(map(as_fraction, b2[:size]))
     amp = [1] + [0] * size
     for _ in range(k):
         amp = [(amp[j - 1] if j else 0) + (amp[j + 1] * B[j] if j < size else 0)

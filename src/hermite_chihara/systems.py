@@ -21,15 +21,15 @@ v_{2m+1} (v_n - v_{n-2}), so both first fail at validate's first violating n + 1
 
 The exact layer has one storage rule: each integer row is stored once, and
 every Fraction is a view formed from it on first read (the sequence's values,
-the operator's epsilons and values, and here b2, g2 and brackets).  The
-constructor forms b^2 as one integer row over one denominator (b2_row, whose
-pass runs the bracket check) and the weight; gamma^2's integer pairs (g2_pairs)
-and nu^2 come on first read, and build and table print b2_row and g2_pairs.
-_core(n) alone grows the one core list, [P_0, P_1] at first, from b2_row by the
-recurrence as far as the core a reader asks for when it reads it, so a scan
-that fails at k builds nothing past P_k, and build, gram, spectrum and the
-operator band build none; monic is P_0..P_{n_max}.  _ode_proved records each
-core whose ODE bracket was proved zero, so a grid of residuals builds it once.
+the operator's epsilons and values, and here b2, g2 and brackets).  Package
+code reads the rows, and the views are for callers: b^2 from b2_row alone, the
+weight as one integer pair (_weight_nums).  The constructor forms b2_row (its
+pass runs the bracket check) and the weight, and g2_pairs and nu^2 come on
+first read.  _core(n) alone grows the one core list, [P_0, P_1] at first, as far
+as the core a reader asks for when it reads it, so a scan that fails at k
+builds nothing past P_k, and build, gram, spectrum and the operator band build
+none.  ode_bracket(n) alone builds the ODE bracket and holds the per-core proof
+(_ode_proved): a grid of residuals builds it once, a new core is proved again.
 
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
@@ -86,6 +86,7 @@ class UnsupportedSystemError(ValueError):
 # the floats the float boundary reads b^2 and alpha as: normal, with room for
 # the levels lambda_n = 2 (b_{n-1}^2 + b_n^2) below the largest float
 FLOAT_RANGE = (2.0**-1022, 2.0**1020)
+_ZERO = Poly.from_numerators(())  # the zero polynomial: ode_bracket's value on a proved core
 
 
 class FloatRangeError(ArithmeticError):
@@ -95,11 +96,11 @@ class FloatRangeError(ArithmeticError):
         super().__init__(f"{name} outside the float range [2^-1022, 2^1020]")
 
 
-def _range_float(x: Fraction, name: str) -> float:
-    """The positive rational x as a float, or FloatRangeError(name) when its
-    float is not in FLOAT_RANGE."""
+def _range_float(p: int, q: int, name: str) -> float:
+    """The positive rational p / q as a float, rounded once (int division, as
+    Fraction's float is), or FloatRangeError(name) when it is not in FLOAT_RANGE."""
     try:
-        f = float(x)
+        f = p / q
     except OverflowError:
         raise FloatRangeError(name) from None
     if not FLOAT_RANGE[0] <= f <= FLOAT_RANGE[1]:
@@ -113,7 +114,7 @@ def _weight_floats(gamma: Fraction, alpha: Fraction) -> tuple[float, float]:
         g = float(gamma)
     except OverflowError:
         raise FloatRangeError("gamma") from None
-    return g, _range_float(alpha, "alpha")
+    return g, _range_float(alpha.numerator, alpha.denominator, "alpha")
 
 
 def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
@@ -130,7 +131,7 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
         return Fraction(0)
     if not 1 <= m <= n // 2:
         raise ValueError(f"need 1 <= m <= n//2, got m={m}, n={n}")
-    brackets = tuple(brackets)
+    brackets = tuple(map(as_fraction, brackets))
     if n > len(brackets):  # the outer sum reads [n-1]
         raise ValueError(f"n = {n} reads past the {len(brackets)} brackets given")
 
@@ -162,9 +163,9 @@ def alpha_closed(
                          f"{len(brackets)} brackets given")
 
     def fact(j: int) -> Fraction:  # (v_{j-1})! = v_0 ... v_{j-1}
-        return math.prod(values[:j], start=Fraction(1))
+        return math.prod(map(as_fraction, values[:j]), start=Fraction(1))
 
-    dfact = math.prod(brackets[1 : 2 * m : 2], start=Fraction(1))
+    dfact = math.prod(map(as_fraction, brackets[1 : 2 * m : 2]), start=Fraction(1))
     return dfact * fact(n) / (fact(2 * m) * fact(n - 2 * m))
 
 
@@ -241,9 +242,9 @@ class PolynomialSystem:
 
     Its values are fixed once built, and every query returns the same result
     whenever it is made: b2_row is formed by the constructor; g2_pairs, the
-    Fraction views b2, g2 and brackets, norm2 and the float tables are formed on
-    first read, each core when it is read (_core), and _ode_proved records each
-    zero ODE bracket.
+    Fraction views b2, g2 and brackets (for callers: the package reads the rows),
+    norm2 and the float tables are formed on first read, each core when it is
+    read (_core), and ode_bracket records each zero ODE bracket (_ode_proved).
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -254,7 +255,7 @@ class PolynomialSystem:
         self.b2_row = b_squares(seq)  # b_i^2 = b2_row[0][i] / b2_row[1], the bracket check
         self._w, self._L = seq.nums, seq.den  # _w[i] = L v_i, for the exact scans
         self._monic = [Poly.from_numerators([1]), Poly.from_numerators([0, 1])]
-        self._ode_proved: dict[int, Poly] = {}  # n -> the core whose bracket is zero
+        self._ode_proved: dict[int, Poly] = {}  # n -> the core ode_bracket proved
         self._weight = family_weight(seq)
         self._weight_nums = None if self._weight is None else common_denominator(self._weight)
 
@@ -262,7 +263,7 @@ class PolynomialSystem:
 
     @cached_property
     def b2(self) -> list[Fraction]:
-        """b2[i] = b_i^2 = b0^2 [i+1], i = 0..n_max-1, the Fractions of b2_row."""
+        """b2[i] = b_i^2 = b0^2 [i+1], i = 0..n_max-1, b2_row's Fractions, for callers."""
         nums, den = self.b2_row
         return [Fraction(a, den) for a in nums]
 
@@ -283,14 +284,15 @@ class PolynomialSystem:
 
     @cached_property
     def norm2(self) -> list[Fraction]:
-        """norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2, n = 0..n_max."""
-        return list(accumulate(self.b2, mul, initial=Fraction(1)))
+        """norm2[n] = nu_n^2 = b_0^2 ... b_{n-1}^2, n = 0..n_max, in lowest terms."""
+        nums, den = self.b2_row
+        return list(accumulate((Fraction(a, den) for a in nums), mul, initial=Fraction(1)))
 
     @cached_property
     def b2_float(self) -> list[float]:
-        """b_i^2 in floats, for the float boundary alone: exact paths run at any
-        b0^2.  FloatRangeError when one of them has no float in FLOAT_RANGE."""
-        return [_range_float(x, "b^2") for x in self.b2]
+        """b_i^2 in floats, from b2_row, for the float boundary alone: exact paths
+        run at any b0^2.  FloatRangeError when one of them has no float in FLOAT_RANGE."""
+        return [_range_float(a, self.b2_row[1], "b^2") for a in self.b2_row[0]]
 
     @cached_property
     def b_float(self) -> list[float]:
@@ -437,20 +439,21 @@ class PolynomialSystem:
         that is (k - n) c_k(P_n) = r c_k(P_{n-2}) for every k, checked exactly by
         cross-multiplying the integer numerators: 0.0 when every column holds,
         else the largest residual coefficient in units of psi_n (_over_sqrt).
-        With r an unreduced integer pair and the cores' denominators over their
-        gcd, each product is a numerator times a small integer, on n's parity
-        (_parities).  Family only; n_hi >= 2 reads the first column."""
-        alpha = self.weight_parameters()[1]
+        With r = 2 a B_{n-1} B_{n-2} / (G M^2), alpha = a / G (_weight_nums) and
+        b^2 = B / M (b2_row), an unreduced integer pair, and the cores' denominators
+        over their gcd, each product is a numerator times a small integer, on n's
+        parity (_parities).  Family only; n_hi >= 2 reads the first column."""
+        self.weight_parameters()  # family only
         self._check_n(n_hi)
         if n_hi < 2:
             raise ValueError(f"square lowering reads the columns 2 <= n <= n_hi: got n_hi = {n_hi}")
-        worst, cores = 0.0, self._monic
+        (_, ai), G = self._weight_nums
+        (B, M), worst, cores = self.b2_row, 0.0, self._monic
         for n in range(2, n_hi + 1):
-            p, q, b1, b2 = self._core(n), cores[n - 2], self.b2[n - 1], self.b2[n - 2]
+            p, q = self._core(n), cores[n - 2]
             g = math.gcd(p.den, q.den)
             # the residual coefficients times den(P_n) sp, for r = rn / rd: sp = den(P_{n-2}) rd / g
-            sp = q.den // g * b1.denominator * b2.denominator * alpha.denominator
-            sq = p.den // g * 2 * b1.numerator * b2.numerator * alpha.numerator
+            sp, sq = q.den // g * G * M * M, p.den // g * 2 * ai * B[n - 1] * B[n - 2]
             gap = max(
                 abs((t + 2 * i - n) * a * sp - c * sq) for t in _parities(n % 2, p.nums, q.nums)
                 for i, (a, c) in enumerate(zip_longest(p.nums[t::2], q.nums[t::2], fillvalue=0))
@@ -521,10 +524,11 @@ class PolynomialSystem:
         beta_scaled, *rest = self._core_expansion(nums, den, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
+        B, M = self.b2_row  # the psi-scalings b_{n-1}^2 and b_{n-1}^2 b_{n-2}^2
         return DecompositionReport(
             n=n, support=tuple(support), reduced=not tail,
-            delta_bar=_over_sqrt(delta_scaled, self.b2[n - 1]),
-            beta_bar=_over_sqrt(beta_scaled, self.b2[n - 1] * self.b2[n - 2]),
+            delta_bar=_over_sqrt(delta_scaled, Fraction(B[n - 1], M)),
+            beta_bar=_over_sqrt(beta_scaled, Fraction(B[n - 1] * B[n - 2], M * M)),
             delta_scaled=delta_scaled, beta_scaled=beta_scaled, tail_scaled=tail,
         )
 
@@ -549,8 +553,9 @@ class PolynomialSystem:
         cur, prev = self._core(n), self._core(n - 1)
         s = [k * a * prev.den - n * b * cur.den
              for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
-        (c2_scaled,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
-        return _over_sqrt(n, self.b2[n - 1]), _over_sqrt(c2_scaled, self.b2[n - 1] * self.b2[n - 2])
+        (c2,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
+        (B, M), k = self.b2_row, n - 1  # the psi-scalings b_k^2 and b_k^2 b_{k-1}^2
+        return _over_sqrt(n, Fraction(B[k], M)), _over_sqrt(c2, Fraction(B[k] * B[k - 1], M * M))
 
     def ode_bracket(self, n: int) -> Poly:
         """The second-order equation of the system's weight applied to the monic
@@ -569,17 +574,23 @@ class PolynomialSystem:
         c_k those of P_n, in integers over den(P_n) times the small common
         denominator of (gamma, alpha), which theta_n in {gamma, 0} shares, on the
         slots k = n (mod 2) up to k = deg + 2 (_parities); at degree n, n - k + 2
-        = 0 leaves only k <= n nonzero.
+        = 0 leaves only k <= n nonzero.  A zero bracket is recorded with its core
+        (_ode_proved) and returned for that core object again without a build.
         """
         self._check_n(n)
         self.weight_parameters()  # family only
+        core = self._core(n)
+        if self._ode_proved.get(n) is core:
+            return _ZERO
         (gi, ai), G = self._weight_nums
-        ti, ai2, core = gi if n % 2 == 1 else 0, 2 * ai, self._core(n)
+        ti, ai2 = gi if n % 2 == 1 else 0, 2 * ai
         out = [0] * (len(core.nums) + 2)
         for t in _parities(n % 2, core.nums):
             c = core.nums[t::2]
             out[t::2] = [(k * ((k - 1) * G + gi) - ti) * ck + (n + 2 - k) * ai2 * c2
                          for k, ck, c2 in zip(range(t, len(out), 2), (*c, 0), (0, *c))]
+        if not any(out):
+            self._ode_proved[n] = core
         return Poly.from_numerators(out, core.den * G)
 
     def ode_residual(self, n: int, x) -> float:
@@ -591,7 +602,7 @@ class PolynomialSystem:
         once, a rational (numpy's integers too) to a Fraction and any other real
         to a float, and NaN and the infinities are rejected.  A family system
         reads +0.0: its bracket is the zero polynomial, proved once per core
-        (_ode_defect).  A nonzero bracket (a defective core) is evaluated exactly
+        (ode_bracket).  A nonzero bracket (a defective core) is evaluated exactly
         and only the 1/nu_n normalization rounds, without converting nu_n^2 (it
         passes the float range near n = 200), free of the cancellation a naive
         float evaluation suffers at large |x| and n.
@@ -602,29 +613,15 @@ class PolynomialSystem:
             raise ValueError("the equation has a regular singular point at x = 0")
         if type(x) is float and not math.isfinite(x):
             raise ValueError(f"x must be finite; got {x}")
-        bracket = self._ode_defect(n)
-        if bracket is None:
+        bracket = self.ode_bracket(n)
+        if bracket.is_zero():
             return 0.0
-        X = Fraction(x)
-        return _over_sqrt(bracket(X) / X, self.norm2[n])
+        return _over_sqrt(bracket(X := Fraction(x)) / X, self.norm2[n])
 
     def first_ode_failure(self, n_hi: int) -> int | None:
         """The first n <= n_hi whose ode_bracket is not the zero polynomial, or None."""
         self._check_n(n_hi)
-        return next((n for n in range(n_hi + 1) if self._ode_defect(n) is not None), None)
-
-    def _ode_defect(self, n: int) -> Poly | None:
-        """ode_bracket(n) if it is not the zero polynomial, else None; a zero
-        bracket is built once per core object (_ode_proved)."""
-        self._check_n(n)
-        self.weight_parameters()  # family only
-        core = self._core(n)
-        if self._ode_proved.get(n) is not core:
-            bracket = self.ode_bracket(n)
-            if not bracket.is_zero():
-                return bracket
-            self._ode_proved[n] = core
-        return None
+        return next((n for n in range(n_hi + 1) if not self.ode_bracket(n).is_zero()), None)
 
     def _check_n(self, n: int, lo: int = 0) -> None:
         if not lo <= n <= self.n_max:

@@ -145,9 +145,11 @@ class TestClassify:
 
 
 class TestReadmeExactCommands:
-    """Every README line of an exact command prints the bytes recorded here.
-    The float commands (verify, gram, spectrum) are left out: their 17-digit
-    figures depend on the platform's libm and BLAS."""
+    """Every README line of an exact command prints the bytes recorded here,
+    and every README verify line the exact part of its verdict.  The float
+    figures (gram, spectrum, and verify's commutator, spectrum and
+    orthonormality details) are left out: their digits depend on the
+    platform's libm and BLAS."""
 
     DIGESTS = {
         "hcpoly epsilons --family classical --gamma 1 --n-max 6":
@@ -177,8 +179,8 @@ class TestReadmeExactCommands:
         "hcpoly build --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 64":
             "ed6305cf683e9174af121a628ae422a93a6eabee2a68d41fb38677d97844d9ce",
     }
-    LINES = [line for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-             if re.match(r"hcpoly (epsilons|table|ode|classify|build) ", line)]
+    README = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    LINES = [line for line in README if re.match(r"hcpoly (epsilons|table|ode|classify|build) ", line)]
 
     def test_every_line_is_known(self):
         assert len(self.LINES) == len(set(self.LINES)) == 13
@@ -189,6 +191,48 @@ class TestReadmeExactCommands:
         code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[line]
+
+    # each verify line's checks in order: name, status, and the detail of each
+    # exact check (None for a float check, whose detail carries a float figure)
+    EVERY_N = "exact polynomial identity for every n <= {}"
+    VERIFY = {
+        "hcpoly verify --family classical --gamma 1 --n-max 12": [
+            ("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
+            ("lowering", "pass", EVERY_N.format(12)),
+            ("route_equivalence", "pass", EVERY_N.format(12)),
+            ("commutator", "pass", None),
+            ("spectrum", "pass", None),
+            ("ode", "pass", EVERY_N.format(12)),
+            ("orthonormality", "pass", None),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
+        ],
+        "hcpoly verify --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 512 --dim 80": [
+            ("validate", "pass", "monotone=False first_violation=None on v_0..v_512"),
+            ("lowering", "pass", EVERY_N.format(512)),
+            ("route_equivalence", "pass", EVERY_N.format(512)),
+            ("commutator", "pass", None),
+            ("spectrum", "pass", None),
+            ("ode", "pass", EVERY_N.format(512)),
+            ("orthonormality", "pass", None),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
+        ],
+    }
+    VERIFY_LINES = [line for line in README if line.startswith("hcpoly verify ")]
+
+    def test_every_verify_line_is_known(self):
+        assert sorted(self.VERIFY_LINES) == sorted(self.VERIFY)
+
+    @pytest.mark.parametrize("line", VERIFY_LINES)
+    def test_verify_line_prints_its_exact_verdicts(self, capsys, line):
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert (code, err) == (0, "")
+        payload, want = json.loads(out), self.VERIFY[line]
+        assert payload["all_passed"] is True
+        assert [(c["name"], c["status"], c["passed"]) for c in payload["checks"]] == \
+            [(name, status, status == "pass") for name, status, _ in want]
+        for check, (_, _, detail) in zip(payload["checks"], want):
+            if detail is not None:
+                assert check["detail"] == detail
 
 
 class TestTable:
@@ -1190,6 +1234,58 @@ def bench_workload():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+class TestNoPackagePathFormsB2:
+    """b2, the Fraction view of b2_row, is kept for callers: no hcpoly
+    subcommand and no kind of benchmark job forms it on any system it builds
+    or reads."""
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """Every PolynomialSystem built from here on."""
+        built, init = [], PolynomialSystem.__init__
+
+        def recorded(self, seq):
+            init(self, seq)
+            built.append(self)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
+        return built
+
+    @pytest.mark.parametrize("argv", [
+        "build --family classical --gamma 1/3 --n-max 30",
+        "table --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 30",
+        "verify --family classical --gamma 1/3 --n-max 12 --dim 30",
+        "gram --family hermite --n-max 8",
+        "ode --family family --v2 5 --n-max 15",
+        "spectrum --family classical --gamma 2 --dim 40",
+        "classify --family order3 --v1 7/3 --v2 17/3 --n-max 20",
+        "epsilons --family classical --gamma 1/3 --n-max 30",
+    ], ids=lambda argv: argv.split()[0])
+    def test_no_subcommand_forms_b2(self, systems, capsys, argv):
+        code, _, _ = run_cli(capsys, *argv.split())
+        assert code == 0 and len(systems) == (0 if argv.startswith("epsilons") else 1)
+        assert not [s for s in systems if "b2" in vars(s)]
+
+    KINDS = ["verify", "classify", "table", "build", "epsilons",
+             "gram", "ode", "square_lowering", "operators"]
+
+    def test_every_job_kind_is_listed(self):
+        wl = bench_workload()
+        assert {job.kind for w in wl.WORKLOADS for job in wl.job_list(w, 1, 1)} == set(self.KINDS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_bench_job_kind_forms_b2(self, systems, kind):
+        # the smallest job of the kind at seed 1, run as the benchmark runs it,
+        # on its workload's pool of systems (built in set-up) where it has one
+        wl = bench_workload()
+        workload, job = min(((w, job) for w in wl.WORKLOADS for job in wl.job_list(w, 1, 1)
+                             if job.kind == kind), key=lambda pair: pair[1].size)
+        pool = wl.build_pool(hermite_chihara, workload)
+        result = wl.run_job(hermite_chihara, job, pool)
+        assert getattr(result, "code", 0) == 0 and bool(systems) == (kind != "epsilons")
+        assert not [s for s in systems if "b2" in vars(s)]
 
 
 # the family flags each family reads, the flags each one needs, how its

@@ -182,6 +182,14 @@ class TestEpsilons:
         with pytest.raises(ValueError, match=r"at least one epsilon \(K >= 1\)"):
             DerivationOperator([], values)
 
+    @pytest.mark.parametrize("k", [0, -1, 14, 99])
+    def test_eps_refuses_k_outside_1_to_K(self, k):
+        # eps(0) read eps_K and eps(-1) eps_{K-1} through a negative index
+        op = epsilons_from_sequence(seq_classical(1, 12))
+        assert op.k_max == 13 and op.eps(1) == 1 and op.eps(13) == op.epsilons[-1]
+        with pytest.raises(ValueError, match=rf"need 1 <= k <= K=13, got k={k}$"):
+            op.eps(k)
+
 
 class TestFiniteOrder:
     """At order r the transform stops at its first zero row and the forward

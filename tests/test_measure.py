@@ -152,6 +152,15 @@ class TestMoments:
                     with pytest.raises(ValueError, match=f"need at least {k // 2} squared"):
                         jacobi_moment(b2[: k // 2 - 1], k)
 
+    def test_the_walk_reads_each_b2_as_as_fraction_does(self):
+        # numpy's int64 converts through int, where its products would wrap;
+        # a float is refused as every exact input is
+        want = jacobi_moment([3**30] * 10, 8)
+        assert want == 25158144198802036945784517613134470556240658785529915489614
+        assert jacobi_moment([np.int64(3**30)] * 10, 8) == want
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            jacobi_moment([0.5, 1.0], 4)
+
     def test_scipy_cross_check(self):
         # mu_{2n} = Gamma(n + (g+1)/2) / (Gamma((g+1)/2) a^n)
         g, a = 1.5, 2.0

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from fractions import Fraction as F
@@ -130,6 +131,20 @@ class TestAlpha:
         for m in range(1, 4):
             assert alpha_closed(seq.values, br, m, 7) == alpha_nested(br, m, 7) \
                 == alpha_brute(br, m, 7)
+
+    def test_alpha_closed_reads_its_inputs_exactly(self):
+        # numpy's integers convert through int; a float is refused, where the
+        # closed form returned the float 1.0 for these values
+        assert alpha_closed([1, 2, 3], [0, 1, 2], 1, 2) == 1
+        assert alpha_closed([np.int64(1), np.int64(2), np.int64(3)], [0, 1, 2], 1, 2) == 1
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            alpha_closed([1.0, 2.0, 3.0], [0, 1, 2], 1, 2)
+
+    def test_alpha_nested_reads_its_inputs_exactly(self):
+        br = bracket_table(seq_hermite(8))
+        assert alpha_nested([np.int64(x) for x in br], 2, 8) == alpha_nested(br, 2, 8) == 210
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            alpha_nested([float(x) for x in br], 2, 8)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1052,14 +1067,20 @@ class TestOde:
 
     @pytest.fixture
     def bracket_builds(self, monkeypatch):
-        """The n of every ode_bracket built, in order."""
-        ns, build = [], PolynomialSystem.ode_bracket
+        """The n of every ODE bracket built, in order: a build forms its Poly by
+        Poly.from_numerators called from ode_bracket itself (the cores it grows
+        are formed one frame further down, in _next_monic), and a call that
+        finds its core proved returns without one."""
+        ns, build = [], Poly.from_numerators.__func__
+        bracket_code = PolynomialSystem.ode_bracket.__code__
 
-        def counted(self, n):
-            ns.append(n)
-            return build(self, n)
+        def counted(cls, nums, den=1):
+            caller = inspect.currentframe().f_back
+            if caller.f_code is bracket_code:
+                ns.append(caller.f_locals["n"])
+            return build(cls, nums, den)
 
-        monkeypatch.setattr(PolynomialSystem, "ode_bracket", counted)
+        monkeypatch.setattr(Poly, "from_numerators", classmethod(counted))
         return ns
 
     @pytest.mark.parametrize("seq", [seq_hermite(64), seq_classical(F(1, 3), 64),
@@ -1170,6 +1191,141 @@ def test_ode_bracket_equals_the_composition_reference(v1, v2, b0sq, n, kind, j):
         sys.monic[n] = core
         want = ref.ode_bracket_composed(ref.FractionPoly(core.coeffs), n, gamma, alpha)
         assert sys.ode_bracket(n).coeffs == want.coeffs
+
+
+DEFECT_SEQUENCES = {
+    "classical_1_3": seq_classical(F(1, 3), 30),
+    "family": seq_family(F(2, 3), F(5, 3), F(3, 7), 30),
+    "order3": seq_order3(F(7, 3), F(17, 3), 30, F(8, 3)),
+}
+FAMILIES = ("classical_1_3", "family")
+# (reader, system, n, defect kind): each reader runs on a system whose core P_n
+# has one defect.  derivative_decomposition divides x P_n' - n x P_{n-1} by
+# P_{n-2}, which stays exact for a defect in P_3's x^1 slot (P_1 = x)
+DEFECT_CASES = [
+    *[(r, name, n, "even") for r in ("decompose_b1bar", "derivative_in_basis")
+      for name in DEFECT_SEQUENCES for n in (7, 20)],
+    *[("derivative_decomposition", name, 3, "even") for name in FAMILIES],
+    *[("ode_residual", name, n, kind) for name in FAMILIES for n in (7, 20)
+      for kind in ("even", "odd", "degree")],
+]
+
+
+def defect_floats(reader, name, n, kind):
+    """The system with the defect in P_n, and the reader's floats at n as hex."""
+    sys = PolynomialSystem(DEFECT_SEQUENCES[name])
+    sys.monic[n] = corrupt_core(sys.monic[n], n, kind, 1)
+    if reader == "decompose_b1bar":
+        rep = sys.decompose_b1bar(n)
+        out = [rep.delta_bar, rep.beta_bar]
+    elif reader == "derivative_in_basis":
+        out = [c for _, c in sys.derivative_in_basis(n)]
+    elif reader == "derivative_decomposition":
+        out = list(sys.derivative_decomposition(n))
+    else:
+        out = [sys.ode_residual(n, x) for x in (-2.5, 0.3, 3.7)]
+    return sys, [x.hex() for x in out]
+
+
+# defect_floats on each case, as the psi-scalings formed from the b2 view give them
+DEFECT_FLOATS = {
+    "decompose_b1bar-classical_1_3-7-even": [
+        "-0x1.91132de9a584cp-1", "-0x1.34bf63985bd6dp-2",
+    ],
+    "decompose_b1bar-classical_1_3-20-even": [
+        "-0x1.94c583ada5b52p+0", "0x1.7c0ccd1c3293dp-25",
+    ],
+    "decompose_b1bar-family-7-even": [
+        "-0x1.c38aa37c3f68dp+1", "-0x1.a20bd6d6adcbap+0",
+    ],
+    "decompose_b1bar-family-20-even": [
+        "-0x1.f8d6bc21a583cp+2", "0x1.080fd95e855a4p-23",
+    ],
+    "decompose_b1bar-order3-7-even": [
+        "0x1.c3b9795e22ffap-1", "0x1.4dd40fc81dddap+1",
+    ],
+    "decompose_b1bar-order3-20-even": [
+        "0x1.a91f92985895bp+0", "0x1.67d38e7f52182p+3",
+    ],
+    "derivative_in_basis-classical_1_3-7-even": [
+        "0x1.d3ebb59096703p+1", "0x1.7a23150523fc1p-3", "-0x1.9e3a7a9da3e28p-3",
+        "0x1.fb52f76576ed0p-3",
+    ],
+    "derivative_in_basis-classical_1_3-20-even": [
+        "0x1.94c583ada5b52p+2", "-0x1.fabbbc2598c52p-25", "-0x1.07b65f416540bp-21",
+        "-0x1.e2f916bdf6312p-20", "-0x1.fd1926aa3c329p-19", "-0x1.52bc3c37e87d3p-18",
+        "-0x1.24b3642d28643p-18", "-0x1.4397c51ee51cdp-19", "-0x1.ab082529ad660p-21",
+        "-0x1.13a5d9ab7c748p-23",
+    ],
+    "derivative_in_basis-family-7-even": [
+        "0x1.8b194f0cb77bbp+2", "0x1.a20bd6b1db726p+0", "-0x1.75e9751a7a162p+0",
+        "0x1.314c3d269edacp+0",
+    ],
+    "derivative_in_basis-family-20-even": [
+        "0x1.7aa10d193c22dp+3", "-0x1.ee03bcc3c40c0p-24", "-0x1.0d2b82c6e68a0p-20",
+        "-0x1.0388d4d3a0859p-18", "-0x1.222b1b91e252ep-17", "-0x1.9d8db7a55c559p-17",
+        "-0x1.83f299215ace1p-17", "-0x1.db230b753457cp-18", "-0x1.672b7380acdd7p-19",
+        "-0x1.1bf2d7bae7e3cp-21",
+    ],
+    "derivative_in_basis-order3-7-even": [
+        "0x1.8331437542920p-4", "-0x1.63253213126abp-4", "0x1.9f42d8048c9a5p-4",
+        "-0x1.716f3c09070dcp-5",
+    ],
+    "derivative_in_basis-order3-20-even": [
+        "0x1.152902feebf41p-6", "-0x1.99ab10c4381dep-7", "0x1.75548399b105ap-7",
+        "-0x1.6fdc091d33108p-7", "0x1.7ce36b3e17592p-7", "-0x1.9ba38bc6c71fcp-7",
+        "0x1.d1eca39d6dec8p-7", "-0x1.177bebea2549ap-6", "0x1.67fa5b8883683p-6",
+        "-0x1.997138c7fb828p-6",
+    ],
+    "derivative_decomposition-classical_1_3-3-even": [
+        "0x1.2971f372f95b6p+1", "0x1.08654a1721932p-2",
+    ],
+    "derivative_decomposition-family-3-even": [
+        "0x1.c65adc84ae903p+1", "0x1.43d1361dba15fp+0",
+    ],
+    "ode_residual-classical_1_3-7-even": [
+        "-0x1.4af6f7a2f9e0dp-19", "-0x1.0739f255efd5ep-32", "-0x1.45fb02b1bb884p-16",
+    ],
+    "ode_residual-classical_1_3-7-odd": [
+        "-0x1.cf527f0d45e35p+1", "0x1.b7a0744e05185p-10", "0x1.61b6553883790p+4",
+    ],
+    "ode_residual-classical_1_3-7-degree": [
+        "0x1.2555337e1d65ap+13", "0x1.3c964f75f297cp-11", "0x1.524bfc9d7e9f7p+16",
+    ],
+    "ode_residual-classical_1_3-20-even": [
+        "0x1.786c7cc093ef4p-14", "-0x1.5c9cea8841474p-66", "-0x1.39beff8f8b9f5p-4",
+    ],
+    "ode_residual-classical_1_3-20-odd": [
+        "0x1.81757eeec8994p-8", "0x1.6223df0f8788ep-57", "0x1.c76eddff8b17dp+1",
+    ],
+    "ode_residual-classical_1_3-20-degree": [
+        "-0x1.75915cd0bbb41p+15", "0x1.4e9b4f41976c7p-49", "0x1.402ecc4f852cbp+27",
+    ],
+    "ode_residual-family-7-even": [
+        "-0x1.37028b351e56bp-14", "-0x1.0bad62d6ab2fbp-28", "-0x1.62bb57dffd32bp-11",
+    ],
+    "ode_residual-family-7-odd": [
+        "-0x1.959416fa330d8p+7", "0x1.7e8f3d84c83a3p-5", "0x1.5065c05e7dad0p+10",
+    ],
+    "ode_residual-family-7-degree": [
+        "0x1.965b247b663c6p+11", "0x1.8d4c33bbff836p-6", "-0x1.d9754f346c161p+23",
+    ],
+    "ode_residual-family-20-even": [
+        "0x1.7b6331494fd6dp+1", "-0x1.2ef58630c11a5p-51", "-0x1.6905a21463c35p+11",
+    ],
+    "ode_residual-family-20-odd": [
+        "0x1.bea82b1e35a29p+2", "0x1.47590f4491e48p-47", "0x1.39b8dc70ea747p+12",
+    ],
+    "ode_residual-family-20-degree": [
+        "-0x1.c048f47e16e2fp+31", "0x1.cad49fcad54d7p-33", "0x1.354f73003b266p+43",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", DEFECT_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_a_defective_core_reads_the_same_floats_from_b2_row(case):
+    sys, got = defect_floats(*case)
+    assert got == DEFECT_FLOATS["-".join(map(str, case))] and "b2" not in vars(sys)
 
 
 REFERENCE_SEQUENCES = {
