@@ -49,7 +49,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, zip_longest
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -124,6 +124,9 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
 
     m = 0 returns 0, the sentinel value of the defining display (the value used
     as the m = 0 entry of the coefficient table is 1; see alpha_closed).
+
+    Level j, S_j(u) = sum_{k=2j-1}^{u} [k] S_{j-1}(k-2) with S_0 = 1, is read on the
+    n - 2m + 1 values of u from 2j - 1 up: each level is one cumulative sum over the last.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -134,18 +137,11 @@ def alpha_nested(brackets: Sequence[Fraction], m: int, n: int) -> Fraction:
     brackets = tuple(map(as_fraction, brackets))
     if n > len(brackets):  # the outer sum reads [n-1]
         raise ValueError(f"n = {n} reads past the {len(brackets)} brackets given")
-
-    @lru_cache(maxsize=None)
-    def inner(levels: int, upper: int) -> Fraction:
-        if levels == 0:
-            return Fraction(1)
-        lo = 2 * levels - 1
-        acc = Fraction(0)
-        for k in range(lo, upper + 1):
-            acc += brackets[k] * inner(levels - 1, k - 2)
-        return acc
-
-    return inner(m, n - 1)
+    width = n - 2 * m + 1
+    level = [Fraction(1)] * width  # S_0 on its window
+    for j in range(1, m + 1):
+        level = list(accumulate(map(mul, brackets[2 * j - 1 : 2 * j - 1 + width], level)))
+    return level[-1]
 
 
 def alpha_closed(
@@ -430,6 +426,20 @@ class PolynomialSystem:
                 return n
         return None
 
+    def first_weight_mismatch(self, n_hi: int) -> int | None:
+        """The first 1 <= n <= n_hi at which b_{n-1}^2 = (n + gamma [n odd]) / (2 alpha),
+        the recurrence of the weight's monic orthogonal polynomials (Chihara's
+        generalized Hermite system), fails, or None.  It gives both Wigner's
+        commutator 2 (b_n^2 - b_{n-1}^2) = (1 + gamma (-1)^n) / alpha and the levels
+        2 (b_{n-1}^2 + b_n^2) = (2n + gamma + 1) / alpha.  Over b^2 = B / M (b2_row)
+        and (gamma, alpha) = (g, a) / G (_weight_nums) it reads 2 a B_{n-1} =
+        M (n G + g [n odd]), in integers.  Family only."""
+        self.weight_parameters()  # family only
+        self._check_n(n_hi)
+        ((g, a), G), (B, M) = self._weight_nums, self.b2_row
+        return next((n for n in range(1, n_hi + 1)
+                     if 2 * a * B[n - 1] != M * (n * G + g * (n % 2))), None)
+
     def square_lowering_deviation(self, n_hi: int) -> float:
         """Deviation of X d/dx - N = (a-)^2 / c1, c1 = 1 / alpha (the weight's),
         on the columns 2 <= n <= n_hi.  On the monic cores it reads
@@ -462,12 +472,13 @@ class PolynomialSystem:
                 worst = max(worst, _over_sqrt(Fraction(gap, p.den * sp), self.norm2[n]))
         return worst
 
-    def _core_expansion(self, nums: Sequence[int], den: int,
+    def _core_expansion(self, n: int, nums: Sequence[int], den: int,
                         indices: Sequence[int]) -> list[Fraction]:
         """Coefficients of nums / den (x^0 first) over the monic cores P_idx, idx in
         the given descending order, by triangular elimination in integers: P_idx is
         monic of degree idx, so r / den(p) is its coefficient, r the x^idx numerator
-        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx)."""
+        of the rest p, and p - (r / den(p)) P_idx has numerators a den(P_idx) - r c(P_idx).
+        A remainder means a defective core: ValueError naming the decomposition's n."""
         p, out = Poly.from_numerators(nums, den), []
         for idx in indices:
             r = p.nums[idx] if idx < len(p.nums) else 0
@@ -477,7 +488,8 @@ class PolynomialSystem:
                 p = Poly.from_numerators([a * core.den - r * c for a, c in zip_longest(
                     p.nums, core.nums, fillvalue=0)], p.den * core.den)
         if not p.is_zero():
-            raise RuntimeError("triangular elimination left a remainder")
+            raise ValueError(f"the expansion at n = {n} left a remainder: a monic core is "
+                             "defective (the first_* scans locate the first)")
         return out
 
     def _upper_remainder(self, n: int) -> tuple[int, list[int], int]:
@@ -521,7 +533,7 @@ class PolynomialSystem:
         un, nums, den = self._upper_remainder(n)
         delta_scaled = Fraction(un, self._L)
         indices = range(n - 2, -1, -2)
-        beta_scaled, *rest = self._core_expansion(nums, den, indices)
+        beta_scaled, *rest = self._core_expansion(n, nums, den, indices)
         tail = {idx: c for idx, c in zip(indices[1:], rest) if c != 0}
         support = [n - 1] * (delta_scaled != 0) + [n - 2] * (beta_scaled != 0) + list(tail)
         B, M = self.b2_row  # the psi-scalings b_{n-1}^2 and b_{n-1}^2 b_{n-2}^2
@@ -538,7 +550,7 @@ class PolynomialSystem:
         core = self._core(n)
         indices = range(n - 1, -1, -2)
         expansion = self._core_expansion(
-            [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, indices)
+            n, [k * a for k, a in enumerate(core.nums[1:], 1)], core.den, indices)
         return [(idx, _over_sqrt(e, self.norm2[n] / self.norm2[idx]))
                 for idx, e in zip(indices, expansion) if e]
 
@@ -553,7 +565,7 @@ class PolynomialSystem:
         cur, prev = self._core(n), self._core(n - 1)
         s = [k * a * prev.den - n * b * cur.den
              for k, (a, b) in enumerate(zip_longest(cur.nums, (0, *prev.nums), fillvalue=0))]
-        (c2,) = self._core_expansion(s, cur.den * prev.den, (n - 2,))
+        (c2,) = self._core_expansion(n, s, cur.den * prev.den, (n - 2,))
         (B, M), k = self.b2_row, n - 1  # the psi-scalings b_k^2 and b_k^2 b_{k-1}^2
         return _over_sqrt(n, Fraction(B[k], M)), _over_sqrt(c2, Fraction(B[k] * B[k - 1], M * M))
 

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 import hermite_chihara
 import hermite_chihara.governing as governing
-from conftest import corrupt_core
+from conftest import corrupt_core, propagated_compatible_sequence
 from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
 from hermite_chihara.cli import FAMILY_FLAGS, _ratio_str, build_sequence, main, make_parser
-from hermite_chihara.governing import GoverningSequence
+from hermite_chihara.governing import GoverningSequence, common_denominator
 
 
 def seed_text(values, b0_squared="1/2") -> str:
@@ -147,9 +147,8 @@ class TestClassify:
 class TestReadmeExactCommands:
     """Every README line of an exact command prints the bytes recorded here,
     and every README verify line the exact part of its verdict.  The float
-    figures (gram, spectrum, and verify's commutator, spectrum and
-    orthonormality details) are left out: their digits depend on the
-    platform's libm and BLAS."""
+    figures (gram, spectrum, and verify's orthonormality detail) are left
+    out: their digits depend on the platform's libm and BLAS."""
 
     DIGESTS = {
         "hcpoly epsilons --family classical --gamma 1 --n-max 6":
@@ -193,15 +192,17 @@ class TestReadmeExactCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[line]
 
     # each verify line's checks in order: name, status, and the detail of each
-    # exact check (None for a float check, whose detail carries a float figure)
+    # exact check (None for a float check, whose detail carries a float figure);
+    # on these family systems commutator and spectrum read the exact scan of b^2
+    # against the weight on every n <= max(n-max, dim)
     EVERY_N = "exact polynomial identity for every n <= {}"
     VERIFY = {
         "hcpoly verify --family classical --gamma 1 --n-max 12": [
             ("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
             ("lowering", "pass", EVERY_N.format(12)),
             ("route_equivalence", "pass", EVERY_N.format(12)),
-            ("commutator", "pass", None),
-            ("spectrum", "pass", None),
+            ("commutator", "pass", EVERY_N.format(40)),
+            ("spectrum", "pass", EVERY_N.format(40)),
             ("ode", "pass", EVERY_N.format(12)),
             ("orthonormality", "pass", None),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
@@ -210,8 +211,8 @@ class TestReadmeExactCommands:
             ("validate", "pass", "monotone=False first_violation=None on v_0..v_512"),
             ("lowering", "pass", EVERY_N.format(512)),
             ("route_equivalence", "pass", EVERY_N.format(512)),
-            ("commutator", "pass", None),
-            ("spectrum", "pass", None),
+            ("commutator", "pass", EVERY_N.format(512)),
+            ("spectrum", "pass", EVERY_N.format(512)),
             ("ode", "pass", EVERY_N.format(512)),
             ("orthonormality", "pass", None),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
@@ -676,16 +677,54 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is False
 
-    def test_one_operator_band_per_run(self, capsys, monkeypatch):
-        # the commutator and spectrum checks read the same band, built once
+    def test_one_operator_band_per_run(self, capsys, monkeypatch, tmp_path):
+        # off the family, the commutator and spectrum checks read the same band,
+        # built once: here on a compatible sequence of ratio r = 2
         from hermite_chihara import oscillator
 
         calls = []
         build = oscillator.build_operators
         monkeypatch.setattr(oscillator, "build_operators",
                             lambda *a, **k: calls.append(a) or build(*a, **k))
-        code, _, _ = run_cli(capsys, "verify", "--family", "family", "--v2", "5", "--n-max", "8")
+        seed = tmp_path / "r2.json"
+        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 12).values))
+        code, _, _ = run_cli(capsys, "verify", "--family", "custom-file", "--seed-file", str(seed),
+                             "--n-max", "8", "--dim", "12")
         assert (code, len(calls)) == (0, 1)
+
+    def test_a_family_system_builds_no_band(self, capsys, monkeypatch):
+        # on a family system commutator and spectrum read one exact scan of b^2
+        # against the weight, on every n <= max(n_max, dim), and no float
+        from hermite_chihara import oscillator
+
+        for name in ("build_operators", "commutator_report", "spectrum_report"):
+            monkeypatch.setattr(oscillator, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
+        code, out, _ = run_cli(capsys, "verify", "--family", "family", "--v2", "5", "--n-max", "8")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0
+        for name in ("commutator", "spectrum"):
+            assert checks[name]["detail"] == "exact polynomial identity for every n <= 40"
+
+    def test_a_weight_off_b2_fails_commutator_and_spectrum_at_n_1(self, capsys, monkeypatch):
+        # alpha times 1 + 1e-6 in the weight's integers: the scan fails at n = 1,
+        # as do the ODE and square lowering, which read the same pair
+        init = PolynomialSystem.__init__
+
+        def off_alpha(self, seq):
+            init(self, seq)
+            gamma, alpha = self.weight_parameters()
+            self._weight_nums = common_denominator((gamma, alpha * (1 + F(1, 10**6))))
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", off_alpha)
+        code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "1/3",
+                                 "--n-max", "8", "--dim", "12")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1
+        for name in ("commutator", "spectrum"):
+            assert (checks[name]["status"], checks[name]["detail"]) == (
+                "fail", "exact polynomial identity fails first at n = 1")
+        assert json.loads(err)["failed"] == ["commutator", "spectrum", "ode", "square_lowering"]
 
     def test_incompatible_seed_fails(self, capsys, tmp_path):
         values = [F(n + 1) for n in range(13)]
@@ -974,13 +1013,14 @@ class TestSpectrumCommand:
         assert float(lam_f) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("argv, rows", [
-        (("--family", "hermite", "--dim", "20"), 16),
-        (("--family", "hermite", "--b0-squared", "1000000000000", "--dim", "20"), 16),
-        (("--family", "classical", "--gamma", "1/3", "--dim", "400"), 396),
+        (("--family", "order2", "--v1", "3", "--dim", "20"), 16),
+        (("--family", "order2", "--v1", "3", "--b0-squared", "1000000000000", "--dim", "20"), 16),
+        (("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--dim", "400"), 396),
     ])
     def test_a_passing_band_prints_a_figure_within_its_bound(self, capsys, argv, rows):
-        # the figure is in the unit of the per-row bound, so a pass prints at most
-        # 8 whatever the levels' size (at b0^2 = 1e12 a row deviates by up to 0.016)
+        # verify reads the band off the family.  The figure is in the unit of the
+        # per-row bound, so a pass prints at most 8 whatever the levels' size (at
+        # b0^2 = 1e12 a row deviates by up to 1.0)
         code, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "12")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         for name in ("commutator", "spectrum"):
@@ -993,18 +1033,19 @@ class TestSpectrumCommand:
         # is the detail of verify's spectrum check at the same --dim
         from hermite_chihara import oscillator
 
-        # the verdict reads max_ratio <= ROUNDING_BOUND; Hermite's rows read 2 eps at
+        # the verdict reads max_ratio <= ROUNDING_BOUND; order2's rows read 2 eps at
         # dim 20, so a bound of 1 fails both band checks.  The detail's "bound 8" is
         # the text the CLI formed at import
         monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
-        code, out, err = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
+        argv = ("--family", "order2", "--v1", "3", "--dim", "20")
+        code, out, err = run_cli(capsys, "spectrum", *argv)
         # the figure is the largest row deviation in units of eps lambda_n
         largest = max(float(dev) / float(lam) for _, lam, _, dev in
                       (line.split(",") for line in out.splitlines()[1:])) / 2.0**-52
         detail = (f"max deviation {largest:.3g} eps |lambda_n| on rows n < 16, "
                   "bound 8 eps |lambda_n| per row")
         assert (code, json.loads(err)) == (1, {"failed": [detail]})
-        code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--dim", "20")
+        code, out, _ = run_cli(capsys, "verify", *argv)
         spectrum = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum"]
         assert (code, spectrum["status"], spectrum["detail"]) == (1, "fail", detail)
 
@@ -1115,25 +1156,41 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
     def test_verify_prints_its_check_list(self, capsys, b0):
-        # the exact checks run and pass, square lowering on the cores too; each
-        # float check fails, naming the first value it reads and the range
+        # the exact checks run and pass: on this family system commutator and
+        # spectrum by the scan of b^2 against the weight, square lowering on the
+        # cores; the Gram fails, naming the first value it reads and the range
         code, out, err = run_cli(capsys, "verify", "--b0-squared", b0)
         report = json.loads(out)
         assert code == 1 and report["all_passed"] is False
-        exact = ("validate", "lowering", "route_equivalence", "ode", "square_lowering")
-        floats = ("commutator", "spectrum", "orthonormality")
-        assert [c["name"] for c in report["checks"]] == [*exact[:3], *floats[:2], exact[3],
-                                                        floats[2], exact[4]]
+        assert [c["name"] for c in report["checks"]] == [
+            "validate", "lowering", "route_equivalence", "commutator", "spectrum", "ode",
+            "orthonormality", "square_lowering"]
         for c in report["checks"]:
-            if c["name"] in exact:
-                assert (c["status"], c["passed"]) == ("pass", True)
-            else:
+            if c["name"] == "orthonormality":
                 assert (c["status"], c["passed"]) == ("fail", False)
-                first = "alpha" if c["name"] == "orthonormality" else "b^2"
-                assert c["detail"] == f"{first} outside the float range [2^-1022, 2^1020]"
-        assert report["checks"][-1]["detail"] == (
+                assert c["detail"] == _NO_FLOAT.format("alpha")
+            else:
+                assert (c["status"], c["passed"]) == ("pass", True)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["commutator"]["detail"] == checks["spectrum"]["detail"] == (
+            "exact polynomial identity for every n <= 40")
+        assert checks["square_lowering"]["detail"] == (
             "max deviation 0.000e+00, exact on columns 2 <= n < 36")
-        assert json.loads(err) == {"failed": list(floats)}
+        assert json.loads(err) == {"failed": ["orthonormality"]}
+
+    @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
+    def test_verify_fails_the_band_checks_off_the_family(self, capsys, b0):
+        # order2 reads the band, whose b^2 has no float: each band check fails,
+        # naming b^2 and the range; validate fails as at any b0^2
+        code, out, err = run_cli(capsys, "verify", "--family", "order2", "--v1", "3",
+                                 "--b0-squared", b0, "--n-max", "8", "--dim", "12")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1
+        for name in ("commutator", "spectrum"):
+            assert (checks[name]["status"], checks[name]["detail"]) == (
+                "fail", _NO_FLOAT.format("b^2"))
+        assert json.loads(err) == {"failed": ["validate", "lowering", "route_equivalence",
+                                              "commutator", "spectrum"]}
 
     def test_square_lowering_residual_without_a_float(self, capsys, monkeypatch):
         # a core off by 1e-9 at b0^2 = 10^-400: the exact check fails, and its
@@ -1151,11 +1208,10 @@ class TestFloatRange:
         square = {c["name"]: c for c in json.loads(out)["checks"]}["square_lowering"]
         assert code == 1 and (square["status"], square["detail"]) == (
             "fail", "psi-scaled value outside the float range [2^-1022, 2^1020]")
-        assert json.loads(err) == {"failed": ["commutator", "spectrum", "orthonormality",
-                                              "square_lowering"]}
+        assert json.loads(err) == {"failed": ["orthonormality", "square_lowering"]}
 
     def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
-        # Gamma((gamma+1)/2) has no float at gamma = 400; the band checks run
+        # Gamma((gamma+1)/2) has no float at gamma = 400; the exact checks pass
         code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "400",
                                  "--n-max", "8")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -1165,10 +1221,11 @@ class TestFloatRange:
         assert all(c["passed"] for name, c in checks.items() if name != "orthonormality")
 
     def test_verify_fails_the_float_checks_where_gamma_has_no_float(self, capsys):
-        # every b^2 has a float; the weight's gamma has none, and each float
-        # check that reads it fails, naming it; the exact checks pass
+        # every b^2 has a float; the weight's gamma has none, and the one float
+        # check that reads it, the Gram, fails, naming it; the exact checks pass,
+        # commutator and spectrum among them (the scan reads gamma exactly)
         code, out, err = run_cli(capsys, "verify", *self.GAMMA_1E400, "--n-max", "8")
-        floats = ["commutator", "spectrum", "orthonormality"]
+        floats = ["orthonormality"]
         checks = json.loads(out)["checks"]
         assert code == 1 and json.loads(err) == {"failed": floats}
         for c in checks:
@@ -1207,8 +1264,8 @@ class TestCheckLog:
          [("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
           ("lowering", "pass", "exact polynomial identity for every n <= 12"),
           ("route_equivalence", "pass", "exact polynomial identity for every n <= 12"),
-          ("commutator", "FAIL", _NO_FLOAT.format("b^2")),
-          ("spectrum", "FAIL", _NO_FLOAT.format("b^2")),
+          ("commutator", "pass", "exact polynomial identity for every n <= 40"),
+          ("spectrum", "pass", "exact polynomial identity for every n <= 40"),
           ("ode", "pass", "exact polynomial identity for every n <= 12"),
           ("orthonormality", "FAIL", _NO_FLOAT.format("alpha")),
           ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36")],

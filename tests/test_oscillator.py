@@ -23,7 +23,7 @@ from hermite_chihara import (
 from hermite_chihara.cli import main
 from hermite_chihara.oscillator import MARGIN, ROUNDING_BOUND
 
-from conftest import corrupt_core
+from conftest import corrupt_core, propagated_compatible_sequence
 from fraction_reference import v_of
 
 DIM = 40
@@ -405,17 +405,31 @@ class TestRoundingBound:
     """The commutator and spectrum rows are judged against their own rounding,
     ROUNDING_BOUND eps lambda_n, not against an absolute bound."""
 
+    @staticmethod
+    def compatible_seed(tmp_path, b0_squared):
+        """--family custom-file flags for a compatible non-family sequence of
+        ratio r = 2, whose checks in verify read the band."""
+        seq = propagated_compatible_sequence(2, 3, 6, DIM)
+        seed = tmp_path / "r2.json"
+        seed.write_text(json.dumps({"values": [str(v) for v in seq.values],
+                                    "b0_squared": b0_squared}))
+        return ["--family", "custom-file", "--seed-file", str(seed)]
+
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
-    def test_large_levels_pass(self, capsys, command):
-        # levels up to 1.4e7: the rows round to ~2e-9, above an absolute 1e-10
-        args = [command, "--family", "hermite", "--b0-squared", "100000", "--dim", str(DIM)]
-        code = main(args + (["--n-max", "12"] if command == "verify" else []))
+    def test_large_levels_pass(self, capsys, tmp_path, command):
+        # spectrum on Hermite, levels up to 1.4e7: the rows round to ~2e-9, above an
+        # absolute 1e-10.  verify reads the band off the family: on the r = 2
+        # sequence its levels reach ~1e29
+        family = (self.compatible_seed(tmp_path, "100000") if command == "verify" else
+                  ["--family", "hermite", "--b0-squared", "100000"])
+        code = main([command, *family, "--dim", str(DIM)]
+                    + (["--n-max", "12"] if command == "verify" else []))
         captured = capsys.readouterr()
         assert code == 0, captured.err
         if command == "verify":
             checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
             assert checks["commutator"]["status"] == checks["spectrum"]["status"] == "pass"
-            assert float(checks["commutator"]["detail"].split()[2]) > 1e-10
+            assert 0.0 <= float(checks["commutator"]["detail"].split()[2]) <= ROUNDING_BOUND
 
     def perturbed(self, ops):
         # one band entry off by 1e3 eps relative: rows 10 and 11 of the
@@ -433,13 +447,15 @@ class TestRoundingBound:
         assert rep.max_deviation < 1e-10 and not rep.within_rounding
         assert not spectrum_report(bad, sys).within_rounding
 
-    def test_verify_fails_commutator_on_a_perturbed_band(self, capsys, monkeypatch):
+    def test_verify_fails_commutator_on_a_perturbed_band(self, capsys, monkeypatch, tmp_path):
+        # off the family, where verify reads the band
         from hermite_chihara import oscillator
 
         build = oscillator.build_operators
         monkeypatch.setattr(oscillator, "build_operators",
                             lambda *a, **kw: self.perturbed(build(*a, **kw)))
-        code = main(["verify", "--family", "hermite", "--n-max", "12", "--dim", str(DIM)])
+        code = main(["verify", *self.compatible_seed(tmp_path, "1/2"), "--n-max", "12",
+                     "--dim", str(DIM)])
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["commutator", "spectrum"]}

@@ -28,7 +28,7 @@ from hermite_chihara import (
 )
 from hermite_chihara import systems as systems_mod
 from hermite_chihara.derivation import Poly
-from hermite_chihara.governing import is_special_family
+from hermite_chihara.governing import common_denominator, is_special_family
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
@@ -139,6 +139,21 @@ class TestAlpha:
         assert alpha_closed([np.int64(1), np.int64(2), np.int64(3)], [0, 1, 2], 1, 2) == 1
         with pytest.raises(TypeError, match="expected exact rational, got float"):
             alpha_closed([1.0, 2.0, 3.0], [0, 1, 2], 1, 2)
+
+    def test_nested_equals_the_brute_sum_off_the_compatible_class(self):
+        # order3 is not compatible, so the closed form does not apply: the
+        # display's levels are checked against the enumeration of its tuples
+        br = bracket_table(seq_order3(F(7, 3), F(17, 3), 16, F(8, 3)))
+        for n in range(1, 17):
+            for m in range(1, n // 2 + 1):
+                assert alpha_nested(br, m, n) == alpha_brute(br, m, n)
+
+    def test_600_levels_equal_the_closed_form(self):
+        # one cumulative sum per level, no recursion: m = 600 nests past the
+        # interpreter's recursion limit
+        seq = seq_hermite(1300)
+        br = bracket_table(seq)
+        assert alpha_nested(br, 600, 1200) == alpha_closed(seq.values, br, 600, 1200)
 
     def test_alpha_nested_reads_its_inputs_exactly(self):
         br = bracket_table(seq_hermite(8))
@@ -654,6 +669,7 @@ class TestCoresOnFirstRead:
         assert sys.first_reduced_failure(N) == n
         assert sys.first_ode_failure(N) == n
         assert sys.square_lowering_deviation(n - 1) == 0.0 < sys.square_lowering_deviation(N)
+        assert sys.first_weight_mismatch(N) is None  # b^2 and the weight read no core
 
 
 class TestCompatiblePropagation:
@@ -886,8 +902,9 @@ class TestDecomposition:
 
 class TestCorruptCore:
     """Every expansion over the cores runs one triangular elimination; a core
-    off by a relative 1e-9 leaves a remainder there, which raises.  The
-    reduced scan eliminates nothing: it names the core's index instead."""
+    off by a relative 1e-9 leaves a remainder there, which raises a ValueError
+    naming the decomposition's n.  The reduced scan eliminates nothing: it
+    names the core's index instead."""
 
     @pytest.fixture
     def corrupt_sys(self):
@@ -895,14 +912,30 @@ class TestCorruptCore:
         sys.monic[20] = corrupt_core(sys.monic[20], 20, "scaled")
         return sys
 
-    @pytest.mark.parametrize("call", [
-        lambda sys: sys.derivative_in_basis(21),
-        lambda sys: sys.derivative_decomposition(21),
-        lambda sys: sys.decompose_b1bar(20),
+    @pytest.mark.parametrize("call, n", [
+        (lambda sys: sys.derivative_in_basis(21), 21),
+        (lambda sys: sys.derivative_decomposition(21), 21),
+        (lambda sys: sys.decompose_b1bar(20), 20),
     ], ids=["derivative_in_basis", "derivative_decomposition", "decompose_b1bar"])
-    def test_remainder_raises(self, corrupt_sys, call):
-        with pytest.raises(RuntimeError, match="remainder"):
+    def test_remainder_raises(self, corrupt_sys, call, n):
+        with pytest.raises(ValueError, match=rf"^the expansion at n = {n} left a remainder: "
+                                             r"a monic core is defective"):
             call(corrupt_sys)
+
+    @pytest.mark.parametrize("reader, k, kind", [
+        ("derivative_decomposition", 5, "scaled"),
+        ("derivative_in_basis", 7, "odd"),
+        ("derivative_in_basis", 7, "degree"),
+        ("decompose_b1bar", 7, "odd"),
+    ])
+    def test_a_defect_at_or_below_n_raises_at_n(self, reader, k, kind):
+        # a defect in P_k leaves a remainder in the expansion at n = 7, and the
+        # route scan locates the core
+        sys = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 30))
+        sys.monic[k] = corrupt_core(sys.monic[k], k, kind, 1)
+        with pytest.raises(ValueError, match=r"^the expansion at n = 7 left a remainder"):
+            getattr(sys, reader)(7)
+        assert sys.first_route_mismatch(30) == k
 
     def test_the_reduced_scan_names_the_corrupt_index(self, corrupt_sys):
         assert corrupt_sys.first_reduced_failure(19) is None
@@ -1126,6 +1159,65 @@ class TestOde:
         assert sys.first_ode_failure(N) == (None if kind == "scaled" else 17)
         rebuilt = 1 if kind == "scaled" else 2 * len(POINT_GRID) + 1
         assert bracket_builds.count(17) == 1 + rebuilt
+
+
+class TestWeightScan:
+    """first_weight_mismatch: b_{n-1}^2 = (n + gamma [n odd]) / (2 alpha), the
+    recurrence of the weight's monic orthogonal polynomials, on b2_row's
+    integers and the weight's integer pair, with no core, no b^2 Fraction and
+    no float."""
+
+    SEQUENCES = {
+        "hermite": lambda N: seq_hermite(N),
+        "classical_1_3": lambda N: seq_classical(F(1, 3), N),
+        "classical_-99_100": lambda N: seq_classical(F(-99, 100), N),
+        "family_2_3_5_3_3_7": lambda N: seq_family(F(2, 3), F(5, 3), F(3, 7), N),
+        "family_7_3_11_3_8_3": lambda N: seq_family(F(7, 3), F(11, 3), F(8, 3), N),
+    }
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_holds_for_every_n_to_1000(self, name):
+        sys = PolynomialSystem(self.SEQUENCES[name](1000))
+        assert sys.first_weight_mismatch(1000) is None
+        assert len(sys._monic) == 2 and not {"b2", "b2_float"} & set(vars(sys))
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_gives_wigner_s_commutator_and_the_levels(self, name):
+        # on the b^2 Fractions: 2 (b_n^2 - b_{n-1}^2) = (1 + gamma (-1)^n) / alpha
+        # and 2 (b_{n-1}^2 + b_n^2) = (2n + gamma + 1) / alpha, b_{-1} = 0
+        sys = PolynomialSystem(self.SEQUENCES[name](60))
+        gamma, alpha = sys.weight_parameters()
+        b2 = [F(0), *sys.b2]  # b2[n] = b_{n-1}^2
+        for n in range(60):
+            assert 2 * (b2[n + 1] - b2[n]) == (1 + gamma * (-1) ** n) / alpha
+            assert 2 * (b2[n] + b2[n + 1]) == (2 * n + gamma + 1) / alpha
+
+    @pytest.mark.parametrize("k", [0, 1, 40, 999])
+    def test_a_perturbed_b2_fails_at_its_n(self, k):
+        sys = PolynomialSystem(self.SEQUENCES["family_2_3_5_3_3_7"](1000))
+        B, M = sys.b2_row
+        sys.b2_row = ([b + (i == k) for i, b in enumerate(B)], M)
+        assert sys.first_weight_mismatch(1000) == k + 1
+        assert sys.first_weight_mismatch(k) is None
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_alpha_off_by_1e_6_fails_at_1(self, name):
+        sys = PolynomialSystem(self.SEQUENCES[name](40))
+        gamma, alpha = sys.weight_parameters()
+        sys._weight_nums = common_denominator((gamma, alpha * (1 + F(1, 10**6))))
+        assert sys.first_weight_mismatch(40) == 1
+
+    @pytest.mark.parametrize("seq", [
+        seq_order2(3, 20), seq_order3(F(7, 3), F(17, 3), 20, F(8, 3)),
+        propagated_compatible_sequence(2, 3, 6, 20),
+    ], ids=["order2", "order3", "compatible"])
+    def test_a_non_family_system_raises(self, seq):
+        with pytest.raises(UnsupportedSystemError):
+            PolynomialSystem(seq).first_weight_mismatch(20)
+
+    def test_n_hi_past_n_max_is_refused(self):
+        with pytest.raises(ValueError, match=r"n must be in \[0, 20\]"):
+            PolynomialSystem(seq_hermite(20)).first_weight_mismatch(21)
 
 
 ODE_SEQUENCES = {
