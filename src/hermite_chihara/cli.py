@@ -235,11 +235,12 @@ def cmd_classify(args) -> int:
 # one verdict function per kind of check, each (passed, detail): verify's check
 # list and the single-check commands share its wording, and each detail names
 # the range it covered and its bound
-def _exact(first_failure: int | None, n_max: int) -> tuple[bool, str]:
-    """A first-failure scan of an exact identity over n <= n_max."""
+def _exact(first_failure: int | None, n_max: int,
+           identity: str = "polynomial identity") -> tuple[bool, str]:
+    """A first-failure scan of an exact identity, named in the detail, over n <= n_max."""
     if first_failure is None:
-        return True, f"exact polynomial identity for every n <= {n_max}"
-    return False, f"exact polynomial identity fails first at n = {first_failure}"
+        return True, f"exact {identity} for every n <= {n_max}"
+    return False, f"exact {identity} fails first at n = {first_failure}"
 
 
 def _band(report, interior: int) -> tuple[bool, str]:
@@ -320,9 +321,9 @@ def cmd_verify(args) -> int:
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
-    # commutator and spectrum share one exact scan of b^2 against the weight on a family
-    # system, else one band; a FloatRangeError is not cached, so each check fails on it
-    weight = functools.cache(lambda: _exact(sys_.first_weight_mismatch(sys_.n_max), sys_.n_max))
+    # one weight scan on a family system, else one band, for both; a FloatRangeError is not cached
+    weight = functools.cache(lambda: _exact(sys_.first_weight_mismatch(sys_.n_max), sys_.n_max,
+                                            "b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"))
     operators = functools.cache(lambda: osc_mod.build_operators(sys_, dim=args.dim))
     def band(report) -> tuple[bool, str]:
         return weight() if sys_.is_family else _band(report(operators(), sys_), interior)

@@ -38,6 +38,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the detail of commutator and spectrum on a family system: the exact scan of b^2
+# against the weight
+WEIGHT = "exact b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"
+
+
 class TestEpsilons:
     def test_classical_gamma1(self, capsys):
         code, out, _ = run_cli(
@@ -201,8 +206,8 @@ class TestReadmeExactCommands:
             ("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
             ("lowering", "pass", EVERY_N.format(12)),
             ("route_equivalence", "pass", EVERY_N.format(12)),
-            ("commutator", "pass", EVERY_N.format(40)),
-            ("spectrum", "pass", EVERY_N.format(40)),
+            ("commutator", "pass", f"{WEIGHT} for every n <= 40"),
+            ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
             ("ode", "pass", EVERY_N.format(12)),
             ("orthonormality", "pass", None),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
@@ -211,8 +216,8 @@ class TestReadmeExactCommands:
             ("validate", "pass", "monotone=False first_violation=None on v_0..v_512"),
             ("lowering", "pass", EVERY_N.format(512)),
             ("route_equivalence", "pass", EVERY_N.format(512)),
-            ("commutator", "pass", EVERY_N.format(512)),
-            ("spectrum", "pass", EVERY_N.format(512)),
+            ("commutator", "pass", f"{WEIGHT} for every n <= 512"),
+            ("spectrum", "pass", f"{WEIGHT} for every n <= 512"),
             ("ode", "pass", EVERY_N.format(512)),
             ("orthonormality", "pass", None),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
@@ -704,7 +709,7 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 0
         for name in ("commutator", "spectrum"):
-            assert checks[name]["detail"] == "exact polynomial identity for every n <= 40"
+            assert checks[name]["detail"] == f"{WEIGHT} for every n <= 40"
 
     def test_a_weight_off_b2_fails_commutator_and_spectrum_at_n_1(self, capsys, monkeypatch):
         # alpha times 1 + 1e-6 in the weight's integers: the scan fails at n = 1,
@@ -723,7 +728,7 @@ class TestVerify:
         assert code == 1
         for name in ("commutator", "spectrum"):
             assert (checks[name]["status"], checks[name]["detail"]) == (
-                "fail", "exact polynomial identity fails first at n = 1")
+                "fail", f"{WEIGHT} fails first at n = 1")
         assert json.loads(err)["failed"] == ["commutator", "spectrum", "ode", "square_lowering"]
 
     def test_incompatible_seed_fails(self, capsys, tmp_path):
@@ -1173,7 +1178,7 @@ class TestFloatRange:
                 assert (c["status"], c["passed"]) == ("pass", True)
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["commutator"]["detail"] == checks["spectrum"]["detail"] == (
-            "exact polynomial identity for every n <= 40")
+            f"{WEIGHT} for every n <= 40")
         assert checks["square_lowering"]["detail"] == (
             "max deviation 0.000e+00, exact on columns 2 <= n < 36")
         assert json.loads(err) == {"failed": ["orthonormality"]}
@@ -1264,8 +1269,8 @@ class TestCheckLog:
          [("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
           ("lowering", "pass", "exact polynomial identity for every n <= 12"),
           ("route_equivalence", "pass", "exact polynomial identity for every n <= 12"),
-          ("commutator", "pass", "exact polynomial identity for every n <= 40"),
-          ("spectrum", "pass", "exact polynomial identity for every n <= 40"),
+          ("commutator", "pass", f"{WEIGHT} for every n <= 40"),
+          ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
           ("ode", "pass", "exact polynomial identity for every n <= 12"),
           ("orthonormality", "FAIL", _NO_FLOAT.format("alpha")),
           ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36")],
