@@ -321,12 +321,21 @@ def cmd_verify(args) -> int:
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
-    # one weight scan on a family system, else one band, for both; a FloatRangeError is not cached
+    # one weight scan (family: three checks), else one band (two); a FloatRangeError is not cached
     weight = functools.cache(lambda: _exact(sys_.first_weight_mismatch(sys_.n_max), sys_.n_max,
                                             "b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"))
     operators = functools.cache(lambda: osc_mod.build_operators(sys_, dim=args.dim))
     def band(report) -> tuple[bool, str]:
         return weight() if sys_.is_family else _band(report(operators(), sys_), interior)
+
+    def orthonormality() -> tuple[bool, str]:
+        # the weight scan proves orthonormality at every n <= N; the float Gram checks n <= 12
+        try:
+            gram = _gram(measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_),
+                                                    gram_n), gram_n)
+        except FloatRangeError as exc:
+            gram = False, str(exc)
+        return weight()[0] and gram[0], f"{weight()[1]}; float Gram: {gram[1]}"
 
     def square_lowering() -> tuple[bool, str]:
         # exact on the cores; only a nonzero residual's figure crosses to float
@@ -344,8 +353,7 @@ def cmd_verify(args) -> int:
     check("spectrum", lambda: band(osc_mod.spectrum_report))
     if sys_.is_family:
         check("ode", lambda: _exact(sys_.first_ode_failure(n_max), n_max))
-        check("orthonormality", lambda: _gram(
-            measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), gram_n), gram_n))
+        check("orthonormality", orthonormality)
         check("square_lowering", square_lowering, None if interior > 2 else
               f"skipped: no column 2 <= n < {interior}; --dim {osc_mod.MARGIN + 3} reads the first")
     else:

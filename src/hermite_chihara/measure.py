@@ -1,8 +1,8 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
 MeasureSpec.weight, moments (two exact routes: closed form, Jacobi walk), Gram
-matrices by adaptive quadrature of the bilinear integrand (w psi_i) psi_j, and
-the Carleman determinacy heuristic.  gram_deviation takes any weight: the
-system's own (spec_for_system) or a mismatched one (a negative control)."""
+matrices by adaptive quadrature of (w psi_i) psi_j in the mass variable u, x =
+sign(u) |u|^m, which has no cusp at 0, and the Carleman determinacy heuristic.
+gram_deviation takes any weight: the system's own (spec_for_system) or a mismatched one."""
 
 from __future__ import annotations
 
@@ -145,34 +145,41 @@ def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
     return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0, reach) / math.sqrt(alpha)
 
 
+def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
+    """gram_deviation's integrand and radius in the weight's mass variable u, x = sign(u)
+    |u|^m, m = ceil(gamma+1) / (gamma+1) in [1, 2): |x|^gamma dx = m |u|^{ceil(gamma+1)-1} du
+    has no cusp.  At an integer gamma m = 1.0: x = u, the factor m |u|^{m-1} is 1.0."""
+    import numpy as np
+
+    radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
+    m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
+
+    def integrand(u):
+        p = np.abs(u) ** (m - 1.0)
+        x = u * p  # sign(u) |u|^m
+        # row-major factors: a column-major table's product rounds differently on two BLAS threads
+        table = sys.psi_eval_table(x, n_max)
+        return table * (spec.weight(x) * (m * p))[:, None], table
+
+    return integrand, radius ** (1.0 / m)
+
+
 def gram_deviation(
     sys: PolynomialSystem, spec: MeasureSpec, n_max: int, tol: float = 1e-11
 ) -> OrthonormalityReport:
-    """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive
-    panel quadrature split at the origin.  The integrand is bilinear: its
-    factors are the weighted table (w psi_i) and the table (psi_j) at the
-    nodes of all the halves a round of splits makes, one psi_eval_table call
-    per round, and the quadrature contracts each panel's rows into the d x d
-    block directly.  ValueError for an n_max outside [0, sys.n_max];
-    FloatRangeError when gamma, alpha or a b^2 has no float (in FLOAT_RANGE
-    for alpha and b^2), or Gamma((gamma+1)/2) has none."""
+    """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive panel
+    quadrature split at the origin, in the mass variable (_gram_integrand), where
+    no cusp is left to bisect toward; its factors (w psi_i) and psi_j, one
+    psi_eval_table call per round of splits.  ValueError for an n_max outside
+    [0, sys.n_max]; FloatRangeError when gamma, alpha or a b^2 has no float (in
+    FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
     import numpy as np
 
     if n_max < 0:
         raise ValueError(f"n_max must be in [0, {sys.n_max}]; got {n_max}")
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
-
-    def integrand(x):
-        # row-major factors (psi_eval_table copies its row-per-psi_m fill into
-        # one): a column-major table (that fill, only transposed) sends the
-        # rule's product to an OpenBLAS kernel that rounds the Gram
-        # differently on two threads than on one
-        table = sys.psi_eval_table(x, n_max)
-        return table * spec.weight(x)[:, None], table
-
-    radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
-    gram, err = integrate_split_at_zero(integrand, radius, tol=tol)
+    gram, err = integrate_split_at_zero(*_gram_integrand(sys, spec, n_max), tol=tol)
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(max_deviation=float(dev.max()), deviation=dev,
                                 quadrature_error=float(err), tolerance=tol)

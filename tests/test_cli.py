@@ -152,8 +152,8 @@ class TestClassify:
 class TestReadmeExactCommands:
     """Every README line of an exact command prints the bytes recorded here,
     and every README verify line the exact part of its verdict.  The float
-    figures (gram, spectrum, and verify's orthonormality detail) are left
-    out: their digits depend on the platform's libm and BLAS."""
+    figures (gram, spectrum, and the Gram part of verify's orthonormality
+    detail) are left out: their digits depend on the platform's libm and BLAS."""
 
     DIGESTS = {
         "hcpoly epsilons --family classical --gamma 1 --n-max 6":
@@ -197,9 +197,9 @@ class TestReadmeExactCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[line]
 
     # each verify line's checks in order: name, status, and the detail of each
-    # exact check (None for a float check, whose detail carries a float figure);
-    # on these family systems commutator and spectrum read the exact scan of b^2
-    # against the weight on every n <= max(n-max, dim)
+    # exact check; on these family systems commutator and spectrum read the
+    # exact scan of b^2 against the weight on every n <= max(n-max, dim), and so
+    # does orthonormality, whose detail goes on with the float Gram's figure
     EVERY_N = "exact polynomial identity for every n <= {}"
     VERIFY = {
         "hcpoly verify --family classical --gamma 1 --n-max 12": [
@@ -209,7 +209,7 @@ class TestReadmeExactCommands:
             ("commutator", "pass", f"{WEIGHT} for every n <= 40"),
             ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
             ("ode", "pass", EVERY_N.format(12)),
-            ("orthonormality", "pass", None),
+            ("orthonormality", "pass", f"{WEIGHT} for every n <= 40"),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
         ],
         "hcpoly verify --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 512 --dim 80": [
@@ -219,7 +219,7 @@ class TestReadmeExactCommands:
             ("commutator", "pass", f"{WEIGHT} for every n <= 512"),
             ("spectrum", "pass", f"{WEIGHT} for every n <= 512"),
             ("ode", "pass", EVERY_N.format(512)),
-            ("orthonormality", "pass", None),
+            ("orthonormality", "pass", f"{WEIGHT} for every n <= 512"),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
         ],
     }
@@ -237,8 +237,7 @@ class TestReadmeExactCommands:
         assert [(c["name"], c["status"], c["passed"]) for c in payload["checks"]] == \
             [(name, status, status == "pass") for name, status, _ in want]
         for check, (_, _, detail) in zip(payload["checks"], want):
-            if detail is not None:
-                assert check["detail"] == detail
+            assert check["detail"].partition("; float Gram: ")[0] == detail
 
 
 class TestTable:
@@ -713,7 +712,8 @@ class TestVerify:
 
     def test_a_weight_off_b2_fails_commutator_and_spectrum_at_n_1(self, capsys, monkeypatch):
         # alpha times 1 + 1e-6 in the weight's integers: the scan fails at n = 1,
-        # as do the ODE and square lowering, which read the same pair
+        # and so does orthonormality, which reads it; the ODE and square lowering
+        # fail too, reading the same pair.  The Gram reads the weight's Fractions
         init = PolynomialSystem.__init__
 
         def off_alpha(self, seq):
@@ -729,7 +729,37 @@ class TestVerify:
         for name in ("commutator", "spectrum"):
             assert (checks[name]["status"], checks[name]["detail"]) == (
                 "fail", f"{WEIGHT} fails first at n = 1")
-        assert json.loads(err)["failed"] == ["commutator", "spectrum", "ode", "square_lowering"]
+        assert checks["orthonormality"]["detail"].startswith(
+            f"{WEIGHT} fails first at n = 1; float Gram: max deviation ")
+        assert json.loads(err)["failed"] == ["commutator", "spectrum", "ode", "orthonormality",
+                                             "square_lowering"]
+
+    def test_a_b2_off_past_the_gram_fails_orthonormality_at_its_n(self, capsys, monkeypatch):
+        # b_19^2 one unit off in b2_row's numerators: the weight scan fails at
+        # n = 20, past the float Gram's psi_0..psi_12, whose part of the detail
+        # is the unperturbed system's; orthonormality fails with both parts named
+        argv = ("verify", "--family", "classical", "--gamma", "1/3", "--n-max", "12", "--dim", "24")
+
+        def orthonormality(out):
+            return {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
+
+        code, out, _ = run_cli(capsys, *argv)
+        exact, gram = orthonormality(out)["detail"].split("; ")
+        assert (code, exact) == (0, f"{WEIGHT} for every n <= 24")
+        assert gram.startswith("float Gram: max deviation ") and gram.endswith("bound 1e-8")
+        init = PolynomialSystem.__init__
+
+        def off_at_20(self, seq):
+            init(self, seq)
+            B, M = self.b2_row
+            self.b2_row = ([b + (i == 19) for i, b in enumerate(B)], M)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", off_at_20)
+        code, out, err = run_cli(capsys, *argv)
+        check = orthonormality(out)
+        assert (code, check["status"]) == (1, "fail")
+        assert check["detail"] == f"{WEIGHT} fails first at n = 20; {gram}"
+        assert json.loads(err)["failed"] == ["commutator", "spectrum", "orthonormality"]
 
     def test_incompatible_seed_fails(self, capsys, tmp_path):
         values = [F(n + 1) for n in range(13)]
@@ -765,7 +795,8 @@ class TestGram:
         largest = max(abs(float(v)) for r in out.splitlines() for v in r.split(","))
         _, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "16")
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
-        assert check["detail"] == f"max deviation {largest:.3e} for i, j <= 12, bound 1e-8"
+        assert check["detail"] == (f"{WEIGHT} for every n <= 40; float Gram: "
+                                   f"max deviation {largest:.3e} for i, j <= 12, bound 1e-8")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("b0_squared", ["1/1000000", "1/1000000000000"])
@@ -804,7 +835,7 @@ class TestGram:
             return
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
         assert (check["status"], failed) == ("fail", ["orthonormality"])
-        assert check["detail"] == detail
+        assert check["detail"] == f"{WEIGHT} for every n <= 40; float Gram: {detail}"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma, n_max", [("200", "8"), ("212", "50"), ("215", "20")])
@@ -955,7 +986,8 @@ class TestRouteEquivalence:
         monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
         detail, failed = self.route(capsys)
         assert detail == "exact polynomial identity fails first at n = 6"
-        assert "route_equivalence" in failed
+        # orthonormality reads b^2 and the weight, no core: its verdict stays a pass
+        assert failed == ["lowering", "route_equivalence", "ode", "square_lowering"]
 
     def test_b0_squared_changed_in_the_explicit_formula_only(self, capsys, monkeypatch):
         # the scan runs on a shallow copy: the recurrence cores are the system's,
@@ -1148,7 +1180,8 @@ class TestFloatRange:
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
         # psi_400 overflows near the integration radius, 65
         pytest.param(("gram", "--n-max", "400"), id="gram-psi-n-400"),
-        # |x|^-0.99 overflows on the panels the quadrature bisects next to the origin
+        # in the mass variable, x = |u|^100 underflows to the weight's pole x = 0
+        # at the nodes next to the origin
         pytest.param(("gram", "--family", "classical", "--gamma", "-99/100", "--n-max", "12"),
                      id="gram-weight-gamma-minus-0.99"),
     ])
@@ -1163,7 +1196,8 @@ class TestFloatRange:
     def test_verify_prints_its_check_list(self, capsys, b0):
         # the exact checks run and pass: on this family system commutator and
         # spectrum by the scan of b^2 against the weight, square lowering on the
-        # cores; the Gram fails, naming the first value it reads and the range
+        # cores; orthonormality passes that scan, and fails by the Gram, which
+        # names the first value it reads and the range
         code, out, err = run_cli(capsys, "verify", "--b0-squared", b0)
         report = json.loads(out)
         assert code == 1 and report["all_passed"] is False
@@ -1173,7 +1207,8 @@ class TestFloatRange:
         for c in report["checks"]:
             if c["name"] == "orthonormality":
                 assert (c["status"], c["passed"]) == ("fail", False)
-                assert c["detail"] == _NO_FLOAT.format("alpha")
+                assert c["detail"] == f"{WEIGHT} for every n <= 40; float Gram: " + \
+                    _NO_FLOAT.format("alpha")
             else:
                 assert (c["status"], c["passed"]) == ("pass", True)
         checks = {c["name"]: c for c in report["checks"]}
@@ -1216,26 +1251,30 @@ class TestFloatRange:
         assert json.loads(err) == {"failed": ["orthonormality", "square_lowering"]}
 
     def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
-        # Gamma((gamma+1)/2) has no float at gamma = 400; the exact checks pass
+        # Gamma((gamma+1)/2) has no float at gamma = 400; the exact checks pass, and
+        # so does orthonormality's exact part
         code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "400",
                                  "--n-max", "8")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 1 and json.loads(err) == {"failed": ["orthonormality"]}
         assert checks["orthonormality"]["detail"] == (
+            f"{WEIGHT} for every n <= 40; float Gram: "
             "Gamma((gamma+1)/2) outside the float range [2^-1022, 2^1020]")
         assert all(c["passed"] for name, c in checks.items() if name != "orthonormality")
 
     def test_verify_fails_the_float_checks_where_gamma_has_no_float(self, capsys):
         # every b^2 has a float; the weight's gamma has none, and the one float
         # check that reads it, the Gram, fails, naming it; the exact checks pass,
-        # commutator and spectrum among them (the scan reads gamma exactly)
+        # commutator, spectrum and orthonormality's exact part among them (the
+        # scan reads gamma exactly)
         code, out, err = run_cli(capsys, "verify", *self.GAMMA_1E400, "--n-max", "8")
         floats = ["orthonormality"]
         checks = json.loads(out)["checks"]
         assert code == 1 and json.loads(err) == {"failed": floats}
         for c in checks:
             if c["name"] in floats:
-                assert (c["status"], c["detail"]) == ("fail", _NO_FLOAT.format("gamma"))
+                assert (c["status"], c["detail"]) == (
+                    "fail", f"{WEIGHT} for every n <= 40; float Gram: " + _NO_FLOAT.format("gamma"))
             else:
                 assert c["status"] == "pass", c
         assert len(checks) == 8
@@ -1272,7 +1311,8 @@ class TestCheckLog:
           ("commutator", "pass", f"{WEIGHT} for every n <= 40"),
           ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
           ("ode", "pass", "exact polynomial identity for every n <= 12"),
-          ("orthonormality", "FAIL", _NO_FLOAT.format("alpha")),
+          ("orthonormality", "FAIL",
+           f"{WEIGHT} for every n <= 40; float Gram: " + _NO_FLOAT.format("alpha")),
           ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36")],
          []),
     ], ids=["order2-incompatible", "no-square-lowering-column", "b0-squared-1e400"])

@@ -170,6 +170,17 @@ class TestMoments:
             assert float(moment_closed(spec, 2 * n)) == pytest.approx(expect, rel=1e-12)
 
 
+def x_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
+    """The Gram's integrand in x and its radius, written out: gram_deviation's
+    own at an integer gamma, where the mass variable is x itself."""
+
+    def integrand(x):
+        t = sys.psi_eval_table(x, n)
+        return t * spec.weight(x)[:, None], t
+
+    return integrand, measure._integration_radius(n, float(spec.gamma), float(spec.alpha))
+
+
 class TestOrthonormality:
     def test_hermite(self):
         sys = PolynomialSystem(seq_hermite(16))
@@ -200,11 +211,15 @@ class TestOrthonormality:
         assert rep.converged and rep.max_deviation < 1e-8
 
     @pytest.mark.parametrize(
-        "seq",
-        [seq_hermite(104, b0_squared=F(1, 2)), seq_classical(1, 104), seq_classical(F(-1, 2), 104)],
+        "seq,build",
+        [
+            (seq_hermite(104, b0_squared=F(1, 2)), x_integrand),
+            (seq_classical(1, 104), x_integrand),
+            (seq_classical(F(-1, 2), 104), measure._gram_integrand),  # in the mass variable
+        ],
         ids=["hermite", "classical-1", "classical-singular"],
     )
-    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
+    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, build, monkeypatch):
         # the Gram by the 61 x d^2 nodal products and the same rounds of
         # splits, one table per panel: the engine evaluates it once per round,
         # on all the round's halves' nodes
@@ -213,12 +228,7 @@ class TestOrthonormality:
         calls = []
         table = sys.psi_eval_table
         monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
-
-        def integrand(x):
-            t = sys.psi_eval_table(x, 100)
-            return t * spec.weight(x)[:, None], t
-
-        radius = measure._integration_radius(100, float(spec.gamma), float(spec.alpha))
+        integrand, radius = build(sys, spec, 100)
         gram, err, panels, rounds = integrate_fresh_sums(
             integrand, [-radius, 0.0, radius], 1e-11, panel=dense_panel)
         assert len(calls) == panels + sum(rounds)  # one table per panel made
@@ -231,30 +241,49 @@ class TestOrthonormality:
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "seq,spec",
+        "seq,spec,build",
         [
-            (seq_hermite(104, b0_squared=F(1, 2)), None),
-            (seq_classical(1, 104), None),
-            (seq_classical(F(-1, 2), 104), None),
-            (seq_classical(1, 104), MeasureSpec(F(1), F(2))),  # a mismatched weight
+            (seq_hermite(104, b0_squared=F(1, 2)), None, x_integrand),
+            (seq_classical(1, 104), None, x_integrand),
+            (seq_classical(F(-1, 2), 104), None, measure._gram_integrand),  # in the mass variable
+            (seq_classical(1, 104), MeasureSpec(F(1), F(2)), x_integrand),  # a mismatched weight
         ],
         ids=["hermite", "classical-1", "classical-singular", "mismatched"],
     )
-    def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec):
+    def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec, build):
         # the engine evaluates the integrand once per round, on all its
         # halves' nodes; the reference once per panel, with the same rule
         sys = PolynomialSystem(seq)
         spec = spec or spec_for_system(sys)
-
-        def integrand(x):
-            t = sys.psi_eval_table(x, 100)
-            return t * spec.weight(x)[:, None], t
-
-        radius = measure._integration_radius(100, float(spec.gamma), float(spec.alpha))
+        integrand, radius = build(sys, spec, 100)
         gram, err, _, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
         rep = gram_deviation(sys, spec, 100)
         assert rep.deviation.tobytes() == np.abs(gram - np.eye(101)).tobytes()
         assert rep.quadrature_error == err
+
+    @pytest.mark.parametrize("n_max", [12, 100])
+    @pytest.mark.parametrize("gamma", [F(-9, 10), F(-1, 2), F(-1, 3), F(-3, 11), F(1, 3), F(7, 4)])
+    def test_a_cusp_weight_takes_a_few_rounds(self, gamma, n_max, monkeypatch):
+        # in the mass variable |x|^gamma dx is m |u|^{ceil(gamma+1)-1} du, with
+        # no cusp for the rounds to bisect toward: in x, gamma = -1/2 took 68
+        # tables at n_max 100 and gamma = -9/10 took 345, to deviations of 6e-12
+        # and 5e-11
+        sys = PolynomialSystem(seq_classical(gamma, n_max))
+        calls = []
+        table = sys.psi_eval_table
+        monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
+        rep = gram_deviation(sys, spec_for_system(sys), n_max)
+        assert rep.converged and rep.max_deviation < 1e-13
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("gamma, name", [(F(-99, 100), "weight value"),
+                                             (F(-1) + F(1, 10**20), "Gamma((gamma+1)/2)")])
+    def test_next_to_the_pole_of_gamma_the_gram_still_raises(self, gamma, name):
+        # at gamma = -99/100, m = 100 takes the nodes next to u = 0 to x = 0, the
+        # weight's pole; at gamma = -1 + 10^-20 the float of gamma is -1
+        sys = PolynomialSystem(seq_classical(gamma, 12))
+        with pytest.raises(FloatRangeError, match=rf"^{re.escape(name)} outside the float range"):
+            gram_deviation(sys, spec_for_system(sys), 12)
 
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
