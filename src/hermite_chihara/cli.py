@@ -50,8 +50,10 @@ FAMILY_FLAGS = {
     "order3": (("v1", "v2", "b0_squared"), ("v1", "v2")),
     "custom-file": (("seed_file",), ("seed_file",)),
 }
-_ROUNDING = f"{osc_mod.ROUNDING_BOUND:g} eps |lambda_n|"  # their per-row bound, in words
 _GRAM_BOUND = "1e-8"  # the orthonormality check's bound on the Gram deviation, as printed
+# verify's commutator and spectrum identities, on the family and off it, as printed
+_WEIGHT_IDENTITY = "b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"
+_DEFORMATION_IDENTITY = "b^2_{n+1} - (r + r^2) b^2_{n-1} + r^3 b^2_{n-3} = 0, r = (v_3 - v_1)/v_1,"
 
 
 def _fmt_real(x: float) -> str:
@@ -243,14 +245,6 @@ def _exact(first_failure: int | None, n_max: int,
     return False, f"exact {identity} fails first at n = {first_failure}"
 
 
-def _band(report, interior: int) -> tuple[bool, str]:
-    """A band report (commutator or spectrum) on the rows n < interior: its
-    figure is the largest row deviation in units of eps |lambda_n|, the unit of
-    the per-row bound."""
-    return report.within_rounding, (f"max deviation {report.max_ratio:.3g} eps |lambda_n| on "
-                                    f"rows n < {interior}, bound {_ROUNDING} per row")
-
-
 def _gram(report: measure_mod.OrthonormalityReport, n: int) -> tuple[bool, str]:
     """The Gram of psi_0..psi_n: it fails on a deviation not below the bound (a
     NaN included), or on a quadrature that stopped short of its tolerance."""
@@ -269,8 +263,9 @@ def cmd_spectrum(args) -> int:
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    passed, detail = _band(rep, args.dim - osc_mod.MARGIN)
-    return _exit_code([] if passed else [detail])
+    return _exit_code([] if rep.within_rounding else [
+        f"max deviation {rep.max_ratio:.3g} eps |lambda_n| on rows n < "
+        f"{args.dim - osc_mod.MARGIN}, bound {osc_mod.ROUNDING_BOUND:g} eps |lambda_n| per row"])
 
 
 def cmd_ode(args) -> int:
@@ -307,9 +302,8 @@ def cmd_verify(args) -> int:
     checks = []
 
     def check(name: str, run, skip: str | None = None) -> None:
-        # run() gives (passed, detail).  A skipped check is not passed (the exit code
-        # counts it as a failure) but its status says it did not run; a value the check
-        # reads with no float in the float range fails it, the detail naming that value
+        # run() gives (passed, detail).  A skipped check is not passed (the exit code counts
+        # it) but says it did not run; a value read with no float fails it, named in the detail
         if skip is not None:
             status, detail = "skipped", skip
         else:
@@ -321,12 +315,11 @@ def cmd_verify(args) -> int:
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
-    # one weight scan (family: three checks), else one band (two); a FloatRangeError is not cached
-    weight = functools.cache(lambda: _exact(sys_.first_weight_mismatch(sys_.n_max), sys_.n_max,
-                                            "b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"))
-    operators = functools.cache(lambda: osc_mod.build_operators(sys_, dim=args.dim))
-    def band(report) -> tuple[bool, str]:
-        return weight() if sys_.is_family else _band(report(operators(), sys_), interior)
+    # one exact scan of b^2: the commutator, the levels and, on the family, orthonormality's
+    N = sys_.n_max
+    oscillator = functools.cache(
+        lambda: _exact(sys_.first_weight_mismatch(N), N, _WEIGHT_IDENTITY) if sys_.is_family
+        else _exact(sys_.first_deformation_mismatch(N), N - 2, _DEFORMATION_IDENTITY))
 
     def orthonormality() -> tuple[bool, str]:
         # the weight scan proves orthonormality at every n <= N; the float Gram checks n <= 12
@@ -335,7 +328,7 @@ def cmd_verify(args) -> int:
                                                     gram_n), gram_n)
         except FloatRangeError as exc:
             gram = False, str(exc)
-        return weight()[0] and gram[0], f"{weight()[1]}; float Gram: {gram[1]}"
+        return oscillator()[0] and gram[0], f"{oscillator()[1]}; float Gram: {gram[1]}"
 
     def square_lowering() -> tuple[bool, str]:
         # exact on the cores; only a nonzero residual's figure crosses to float
@@ -349,8 +342,8 @@ def cmd_verify(args) -> int:
     check("lowering", lambda: _exact(sys_.first_lowering_failure(n_max), n_max), incompatible)
     check("route_equivalence", lambda: _exact(sys_.first_route_mismatch(n_max), n_max),
           incompatible)
-    check("commutator", lambda: band(osc_mod.commutator_report))
-    check("spectrum", lambda: band(osc_mod.spectrum_report))
+    check("commutator", oscillator)
+    check("spectrum", oscillator)
     if sys_.is_family:
         check("ode", lambda: _exact(sys_.first_ode_failure(n_max), n_max))
         check("orthonormality", orthonormality)

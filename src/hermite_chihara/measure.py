@@ -1,5 +1,5 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
-MeasureSpec.weight, moments (two exact routes: closed form, Jacobi walk), Gram
+MeasureSpec._floats, moments (two exact routes: closed form, Jacobi walk), Gram
 matrices by adaptive quadrature of (w psi_i) psi_j in the mass variable u, x =
 sign(u) |u|^m, which has no cusp at 0, and the Carleman determinacy heuristic.
 gram_deviation takes any weight: the system's own (spec_for_system) or a mismatched one."""
@@ -45,6 +45,14 @@ class MeasureSpec:
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
 
+    def _floats(self) -> tuple[float, float, float]:
+        """(C = 1/Gamma((gamma+1)/2), gamma, alpha); FloatRangeError where one has no float."""
+        g, a = _weight_floats(self.gamma, self.alpha)
+        try:
+            return 1.0 / math.gamma((g + 1.0) / 2.0), g, a
+        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
+            raise FloatRangeError("Gamma((gamma+1)/2)") from None
+
     def weight(self, x: np.ndarray) -> np.ndarray:
         """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
         C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
@@ -56,11 +64,7 @@ class MeasureSpec:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
-        g, a = _weight_floats(self.gamma, self.alpha)
-        try:
-            c = 1.0 / math.gamma((g + 1.0) / 2.0)
-        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
-            raise FloatRangeError("Gamma((gamma+1)/2)") from None
+        c, g, a = self._floats()
         r = math.sqrt(a)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -146,20 +150,27 @@ def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
 
 
 def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
-    """gram_deviation's integrand and radius in the weight's mass variable u, x = sign(u)
-    |u|^m, m = ceil(gamma+1) / (gamma+1) in [1, 2): |x|^gamma dx = m |u|^{ceil(gamma+1)-1} du
-    has no cusp.  At an integer gamma m = 1.0: x = u, the factor m |u|^{m-1} is 1.0."""
+    """gram_deviation's integrand and radius in the mass variable u, x = sign(u) |u|^m,
+    m = ceil(gamma+1)/(gamma+1), where |x|^gamma dx = m |u|^{ceil(gamma+1)-1} du has no cusp
+    (m = 1.0, x = u at an integer gamma); for gamma < 0 the weight times dx/du is formed as
+    the bounded C m alpha^{(gamma+1)/2} exp(-alpha x^2), as x = |u|^m may underflow to 0."""
     import numpy as np
 
     radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
     m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
+    cusp = spec.gamma < 0
 
     def integrand(u):
         p = np.abs(u) ** (m - 1.0)
         x = u * p  # sign(u) |u|^m
         # row-major factors: a column-major table's product rounds differently on two BLAS threads
         table = sys.psi_eval_table(x, n_max)
-        return table * (spec.weight(x) * (m * p))[:, None], table
+        if cusp:
+            c, g, a = spec._floats()
+            w = c * m * math.sqrt(a) ** (g + 1.0) * np.exp(-a * x * x)
+        else:
+            w = spec.weight(x) * (m * p)
+        return table * w[:, None], table
 
     return integrand, radius ** (1.0 / m)
 

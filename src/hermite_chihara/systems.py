@@ -19,17 +19,14 @@ rule coefficientwise, and the recurrence for P_{n+1} on the explicit coefficient
 reduces to validate's case (n, m+1), (v_{2m+1} - v_{2m-1}) (v_n - v_{n-2m-2}) =
 v_{2m+1} (v_n - v_{n-2}), so both first fail at validate's first violating n + 1.
 
-The exact layer has one storage rule: each integer row is stored once, and
-every Fraction is a view formed from it on first read (the sequence's values,
-the operator's epsilons and values, and here b2, g2 and brackets).  Package
-code reads the rows, and the views are for callers: b^2 from b2_row alone, the
-weight as one integer pair (_weight_nums).  The constructor forms b2_row (its
-pass runs the bracket check) and the weight, and g2_pairs and nu^2 come on
-first read.  _core(n) alone grows the one core list, [P_0, P_1] at first, as far
-as the core a reader asks for when it reads it, so a scan that fails at k
-builds nothing past P_k, and build, gram, spectrum and the operator band build
-none.  ode_bracket(n) alone builds the ODE bracket and holds the per-core proof
-(_ode_proved): a grid of residuals builds it once, a new core is proved again.
+The exact layer stores each integer row once, and package code reads the rows:
+b^2 from b2_row (formed by the constructor, whose pass runs the bracket check),
+gamma^2 from g2_pairs, the weight as one integer pair (_weight_nums).  _core(n)
+alone grows the one core list, [P_0, P_1] at first, as far as the core a reader
+asks for, so a scan that fails at k builds nothing past P_k, and build, gram,
+spectrum and the operator band build none.  ode_bracket(n) alone builds the ODE
+bracket and holds the per-core proof (_ode_proved): a grid of residuals builds
+it once, a new core is proved again.
 
 Floating point enters only at evaluation boundaries.  A psi-scaled figure of
 an exact coefficient (the decompositions, the derivative expansion, the ODE
@@ -59,7 +56,6 @@ from .governing import (
     GoverningSequence,
     as_fraction,
     b_squares,
-    bracket_table,
     common_denominator,
     family_weight,
     gamma_squares,
@@ -237,10 +233,9 @@ class PolynomialSystem:
     """Orthonormal system generated by a governing sequence.
 
     Its values are fixed once built, and every query returns the same result
-    whenever it is made: b2_row is formed by the constructor; g2_pairs, the
-    Fraction views b2, g2 and brackets (for callers: the package reads the rows),
-    norm2 and the float tables are formed on first read, each core when it is
-    read (_core), and ode_bracket records each zero ODE bracket (_ode_proved).
+    whenever it is made: b2_row is formed by the constructor; g2_pairs, norm2
+    and the float tables are formed on first read, each core when it is read
+    (_core), and ode_bracket records each zero ODE bracket (_ode_proved).
     """
 
     def __init__(self, seq: GoverningSequence):
@@ -258,25 +253,9 @@ class PolynomialSystem:
     # -- basic accessors ---------------------------------------------------
 
     @cached_property
-    def b2(self) -> list[Fraction]:
-        """b2[i] = b_i^2 = b0^2 [i+1], i = 0..n_max-1, b2_row's Fractions, for callers."""
-        nums, den = self.b2_row
-        return [Fraction(a, den) for a in nums]
-
-    @cached_property
-    def brackets(self) -> list[Fraction]:
-        """brackets[n] = [n], n = 0..n_max (bracket_table)."""
-        return bracket_table(self.seq)
-
-    @cached_property
     def g2_pairs(self) -> list[tuple[int, int]]:
         """g2_pairs[n] = (num, den) with gamma_n^2 = num / den, den > 0 (gamma_squares)."""
         return gamma_squares(self.seq)
-
-    @cached_property
-    def g2(self) -> list[Fraction]:
-        """g2[n] = gamma_n^2, the squared lowering factors: the Fractions of g2_pairs."""
-        return [Fraction(a, b) for a, b in self.g2_pairs]
 
     @cached_property
     def norm2(self) -> list[Fraction]:
@@ -429,16 +408,32 @@ class PolynomialSystem:
     def first_weight_mismatch(self, n_hi: int) -> int | None:
         """The first 1 <= n <= n_hi at which b_{n-1}^2 = (n + gamma [n odd]) / (2 alpha),
         the recurrence of the weight's monic orthogonal polynomials (Chihara's
-        generalized Hermite system), fails, or None.  It gives both Wigner's
-        commutator 2 (b_n^2 - b_{n-1}^2) = (1 + gamma (-1)^n) / alpha and the levels
-        2 (b_{n-1}^2 + b_n^2) = (2n + gamma + 1) / alpha.  Over b^2 = B / M (b2_row)
-        and (gamma, alpha) = (g, a) / G (_weight_nums) it reads 2 a B_{n-1} =
-        M (n G + g [n odd]), in integers.  Family only."""
+        generalized Hermite system), fails, or None.  It gives Wigner's commutator
+        (1 + gamma (-1)^n) / alpha and the levels (2n + gamma + 1) / alpha.  Over
+        b^2 = B / M (b2_row) and (gamma, alpha) = (g, a) / G (_weight_nums) it reads
+        2 a B_{n-1} = M (n G + g [n odd]), in integers.  Family only."""
         self.weight_parameters()  # family only
         self._check_n(n_hi)
         ((g, a), G), (B, M) = self._weight_nums, self.b2_row
         return next((n for n in range(1, n_hi + 1)
                      if 2 * a * B[n - 1] != M * (n * G + g * (n % 2))), None)
+
+    def first_deformation_mismatch(self, n_hi: int) -> int | None:
+        """The first 3 <= n <= n_hi - 2 (a range that reads every b^2 below b_{n_hi}^2) at
+        which b_{n+1}^2 - (r + r^2) b_{n-1}^2 + r^3 b_{n-3}^2 = 0, r = (v_3 - v_1)/v_1, fails,
+        or None.  On the compatible class d_n = v_n - v_{n-2} = r d_{n-2} and b_{n-1}^2 =
+        (b0^2/v_1) v_{n-1} d_n give C_{n+2} = r^2 C_n, C_n = b_{n+1}^2 - r b_{n-1}^2: a parity-
+        deformed oscillator (Arik-Coon, q = r; Wigner's at r = 1), which the commutator and
+        the levels obey alike.  Over b^2 = B / M (b2_row) and r = R / W, R = w_3 - w_1, W = w_1,
+        it reads W^3 B_{n+1} - R W (W + R) B_{n-1} + R^3 B_{n-3} = 0, in integers."""
+        self._check_n(n_hi)
+        if n_hi < 5:  # no n in range
+            return None
+        B, w = self.b2_row[0], self._w
+        R, W = w[3] - w[1], w[1]
+        c1, c2, c3 = W**3, R * W * (W + R), R**3
+        return next((n for n in range(3, n_hi - 1)
+                     if c1 * B[n + 1] - c2 * B[n - 1] + c3 * B[n - 3]), None)
 
     def square_lowering_deviation(self, n_hi: int) -> float:
         """Deviation of X d/dx - N = (a-)^2 / c1, c1 = 1 / alpha (the weight's),

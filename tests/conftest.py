@@ -12,6 +12,8 @@ from hermite_chihara import (
 )
 from hermite_chihara.derivation import Poly
 
+from fraction_reference import b2_of
+
 # the fixed pointwise grid: 50 deterministic points in [-5, 5] \ {0}
 POINT_GRID = tuple(0.1 + 4.9 * k / 24 for k in range(25))
 POINT_GRID = tuple(-x for x in POINT_GRID) + POINT_GRID
@@ -48,6 +50,14 @@ def corrupt_core(core, n, kind, j=0):
     else:  # degree: x^{n+2} added; every slot of degree <= n is untouched
         nums += [0, den]
     return Poly.from_numerators(nums, den)
+
+
+def fraction_lists_of_b2(sys) -> list[str]:
+    """The names of a system's attributes that hold its b^2 (b2_row) as a list
+    of Fractions: none, wherever the package reads b^2 from the integer row."""
+    b2 = b2_of(sys)
+    return [name for name, value in vars(sys).items() if isinstance(value, list)
+            and all(type(x) is F for x in value) and value[: len(b2)] == b2]
 
 
 def propagated_compatible_sequence(v1, v2, v3, N):

@@ -26,6 +26,7 @@ operation re-normalized.  The tests compare the kernel against them.
   it, and the ``hcpoly table`` strings of a monic core built that way;
 - ``bracket_table``, ``b_squares``, ``gamma_squares``, ``is_special_family``,
   ``family_weight``: the sequence's tables by Fraction arithmetic on v;
+- ``b2_of``, ``g2_of``: a system's integer rows b2_row and g2_pairs as Fractions;
 - ``seq_order2``, ``seq_order3``, ``seq_family``: the constructors' values by
   Fraction arithmetic on the parameters;
 - ``epsilons``: eps_1..eps_K by the binomial sums, a Fraction per term;
@@ -229,10 +230,10 @@ def square_lowering_figure(sys, k: int) -> float:
     """square_lowering_report's figure on the columns 2 <= n < k, every slot, r
     a lowest-terms Fraction."""
     c1 = sys.seq.b0_squared * (sys.seq.values[2] - 1)
-    worst = 0.0
+    worst, b2 = 0.0, b2_of(sys)
     for n in range(2, k):
         p, q = sys.monic[n], sys.monic[n - 2]
-        r = 2 * sys.b2[n - 1] * sys.b2[n - 2] / c1
+        r = 2 * b2[n - 1] * b2[n - 2] / c1
         sp, sq = q.den * r.denominator, p.den * r.numerator
         gap = max(
             abs((j - n) * a * sp - c * sq)
@@ -312,6 +313,17 @@ def b_squares(seq, brackets) -> list[Fraction]:
 
 def gamma_squares(seq, b2) -> list[Fraction]:
     return [Fraction(0)] + [seq.values[n - 1] ** 2 / b2[n - 1] for n in range(1, len(seq))]
+
+
+def b2_of(sys) -> list[Fraction]:
+    """b_i^2, i = 0..n_max-1, a system's b2_row as lowest-terms Fractions."""
+    nums, den = sys.b2_row
+    return [Fraction(a, den) for a in nums]
+
+
+def g2_of(sys) -> list[Fraction]:
+    """gamma_n^2, n = 0..n_max, a system's g2_pairs as lowest-terms Fractions."""
+    return [Fraction(a, b) for a, b in sys.g2_pairs]
 
 
 def is_special_family(seq):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 import hermite_chihara
 import hermite_chihara.governing as governing
-from conftest import corrupt_core, propagated_compatible_sequence
+from conftest import corrupt_core, fraction_lists_of_b2, propagated_compatible_sequence
 from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
 from hermite_chihara.cli import FAMILY_FLAGS, _ratio_str, build_sequence, main, make_parser
 from hermite_chihara.governing import GoverningSequence, common_denominator
@@ -39,8 +39,10 @@ def run_cli(capsys, *argv):
 
 
 # the detail of commutator and spectrum on a family system: the exact scan of b^2
-# against the weight
+# against the weight; off the family, the exact scan of the deformed oscillator
+# relation of the compatible class
 WEIGHT = "exact b^2_{n-1} = (n + gamma [n odd])/(2 alpha)"
+DEFORMATION = "exact b^2_{n+1} - (r + r^2) b^2_{n-1} + r^3 b^2_{n-3} = 0, r = (v_3 - v_1)/v_1,"
 
 
 class TestEpsilons:
@@ -423,8 +425,9 @@ class TestTablesFromIntegers:
         assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
     def test_build_forms_no_fraction_view(self, capsys, monkeypatch):
-        # b2, g2 and brackets, and the sequence's values, are Fractions formed on
-        # first read, and build reads none of them
+        # build prints b^2 and gamma^2 from their integer rows, and the sequence's
+        # values from its integer table: it forms no Fraction list of b^2, nor nu^2,
+        # nor the values' Fraction view
         systems, init = [], PolynomialSystem.__init__
 
         def recorded(self, seq):
@@ -435,7 +438,7 @@ class TestTablesFromIntegers:
         code, _, _ = run_cli(capsys, "build", *TABLE_FAMILIES["family"], "--n-max", "64")
         assert code == 0
         (system,) = systems
-        assert not {"b2", "g2", "brackets"} & set(vars(system))
+        assert not fraction_lists_of_b2(system) and "norm2" not in vars(system)
         assert "values" not in vars(system.seq)
 
 
@@ -681,34 +684,32 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is False
 
-    def test_one_operator_band_per_run(self, capsys, monkeypatch, tmp_path):
-        # off the family, the commutator and spectrum checks read the same band,
-        # built once: here on a compatible sequence of ratio r = 2
-        from hermite_chihara import oscillator
-
-        calls = []
-        build = oscillator.build_operators
-        monkeypatch.setattr(oscillator, "build_operators",
-                            lambda *a, **k: calls.append(a) or build(*a, **k))
-        seed = tmp_path / "r2.json"
-        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 12).values))
-        code, _, _ = run_cli(capsys, "verify", "--family", "custom-file", "--seed-file", str(seed),
-                             "--n-max", "8", "--dim", "12")
-        assert (code, len(calls)) == (0, 1)
-
-    def test_a_family_system_builds_no_band(self, capsys, monkeypatch):
-        # on a family system commutator and spectrum read one exact scan of b^2
-        # against the weight, on every n <= max(n_max, dim), and no float
+    @pytest.mark.parametrize("argv, code, detail", [
+        (("--family", "family", "--v2", "5"), 0, f"{WEIGHT} for every n <= 12"),
+        (("--family", "order2", "--v1", "3"), 1, f"{DEFORMATION} fails first at n = 3"),
+        (("--family", "order3", "--v1", "7/3", "--v2", "17/3"), 1,
+         f"{DEFORMATION} fails first at n = 3"),
+        (("--family", "custom-file", "--seed-file", "r2.json"), 0,
+         f"{DEFORMATION} for every n <= 10"),
+    ], ids=["family", "order2", "order3", "compatible-r2"])
+    def test_no_system_builds_a_band(self, capsys, monkeypatch, tmp_path, argv, code, detail):
+        # commutator and spectrum read one exact scan of b^2 on every n it covers,
+        # and no float: against the weight on the family (n <= max(n_max, dim)),
+        # else the deformed oscillator relation (n <= max(n_max, dim) - 2, which
+        # reads every b^2); here a compatible sequence of ratio r = 2 passes it
         from hermite_chihara import oscillator
 
         for name in ("build_operators", "commutator_report", "spectrum_report"):
             monkeypatch.setattr(oscillator, name,
                                 lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
-        code, out, _ = run_cli(capsys, "verify", "--family", "family", "--v2", "5", "--n-max", "8")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r2.json").write_text(
+            seed_text(propagated_compatible_sequence(2, 3, 6, 12).values))
+        got, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "8", "--dim", "12")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert code == 0
+        assert got == code
         for name in ("commutator", "spectrum"):
-            assert checks[name]["detail"] == f"{WEIGHT} for every n <= 40"
+            assert (checks[name]["passed"], checks[name]["detail"]) == (code == 0, detail)
 
     def test_a_weight_off_b2_fails_commutator_and_spectrum_at_n_1(self, capsys, monkeypatch):
         # alpha times 1 + 1e-6 in the weight's integers: the scan fails at n = 1,
@@ -850,6 +851,18 @@ class TestGram:
         assert (code, err) == (0, "")
         assert max(abs(float(v)) for r in out.splitlines() for v in r.split(",")) < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["gram", "verify"])
+    def test_next_to_the_pole_of_gamma_passes(self, capsys, command):
+        # at gamma = -99/100 the mass variable takes the nodes next to u = 0 to
+        # x = |u|^100 = 0, the weight's pole, where the weight times dx/du is
+        # bounded: the Gram converges within the bound
+        code, out, err = run_cli(capsys, command, "--family", "classical", "--gamma", "-99/100",
+                                 "--n-max", "12")
+        assert (code, err) == (0, "")
+        if command == "gram":
+            assert max(abs(float(v)) for r in out.splitlines() for v in r.split(",")) < 1e-8
+
     def test_a_non_family_system_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
         assert (code, out) == (2, "")
@@ -859,7 +872,8 @@ class TestGram:
 class TestCheckStatus:
     def test_skipped_checks_say_so(self, capsys):
         # order2 is not compatible: validate fails, lowering and
-        # route_equivalence do not run; the exit code still counts them
+        # route_equivalence do not run, and the exit code still counts them;
+        # commutator and spectrum run their exact scan, which fails
         code, out, err = run_cli(
             capsys, "verify", "--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"
         )
@@ -869,11 +883,11 @@ class TestCheckStatus:
             ("validate", "fail", False),
             ("lowering", "skipped", False),
             ("route_equivalence", "skipped", False),
-            ("commutator", "pass", True),
-            ("spectrum", "pass", True),
+            ("commutator", "fail", False),
+            ("spectrum", "fail", False),
         ]
         assert json.loads(err.splitlines()[-1])["failed"] == [
-            "validate", "lowering", "route_equivalence"
+            "validate", "lowering", "route_equivalence", "commutator", "spectrum"
         ]
 
     def test_ode_is_an_exact_identity_to_n_max(self, capsys):
@@ -1055,36 +1069,31 @@ class TestSpectrumCommand:
         (("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--dim", "400"), 396),
     ])
     def test_a_passing_band_prints_a_figure_within_its_bound(self, capsys, argv, rows):
-        # verify reads the band off the family.  The figure is in the unit of the
-        # per-row bound, so a pass prints at most 8 whatever the levels' size (at
+        # spectrum reads the band on any system.  Its rows' figure is in the unit of
+        # the per-row bound, so a pass reads at most 8 whatever the levels' size (at
         # b0^2 = 1e12 a row deviates by up to 1.0)
-        code, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "12")
-        checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        for name in ("commutator", "spectrum"):
-            figure = re.fullmatch(rf"max deviation (\S+) eps \|lambda_n\| on rows n < {rows}, "
-                                  r"bound 8 eps \|lambda_n\| per row", checks[name]["detail"])[1]
-            assert checks[name]["status"] == "pass" and 0.0 <= float(figure) <= 8.0
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        lines = out.splitlines()[1:]
+        figure = max(float(dev) / float(lam) for _, lam, _, dev in
+                     (line.split(",") for line in lines)) / 2.0**-52
+        assert (code, err, len(lines)) == (0, "", rows) and 0.0 <= figure <= 8.0
 
-    def test_a_failed_band_reports_verify_s_detail(self, capsys, monkeypatch):
+    def test_a_failed_band_reports_its_figure_and_bound(self, capsys, monkeypatch):
         # a row past its rounding bound fails the command, and its failure report
-        # is the detail of verify's spectrum check at the same --dim
+        # names the rows, the largest row deviation and the bound
         from hermite_chihara import oscillator
 
         # the verdict reads max_ratio <= ROUNDING_BOUND; order2's rows read 2 eps at
-        # dim 20, so a bound of 1 fails both band checks.  The detail's "bound 8" is
-        # the text the CLI formed at import
+        # dim 20, so a bound of 1 fails the band
         monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
-        argv = ("--family", "order2", "--v1", "3", "--dim", "20")
-        code, out, err = run_cli(capsys, "spectrum", *argv)
+        code, out, err = run_cli(capsys, "spectrum", "--family", "order2", "--v1", "3",
+                                 "--dim", "20")
         # the figure is the largest row deviation in units of eps lambda_n
         largest = max(float(dev) / float(lam) for _, lam, _, dev in
                       (line.split(",") for line in out.splitlines()[1:])) / 2.0**-52
         detail = (f"max deviation {largest:.3g} eps |lambda_n| on rows n < 16, "
-                  "bound 8 eps |lambda_n| per row")
+                  "bound 1 eps |lambda_n| per row")
         assert (code, json.loads(err)) == (1, {"failed": [detail]})
-        code, out, _ = run_cli(capsys, "verify", *argv)
-        spectrum = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum"]
-        assert (code, spectrum["status"], spectrum["detail"]) == (1, "fail", detail)
 
 
 class TestOdeCommand:
@@ -1180,10 +1189,6 @@ class TestFloatRange:
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
         # psi_400 overflows near the integration radius, 65
         pytest.param(("gram", "--n-max", "400"), id="gram-psi-n-400"),
-        # in the mass variable, x = |u|^100 underflows to the weight's pole x = 0
-        # at the nodes next to the origin
-        pytest.param(("gram", "--family", "classical", "--gamma", "-99/100", "--n-max", "12"),
-                     id="gram-weight-gamma-minus-0.99"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -1219,16 +1224,26 @@ class TestFloatRange:
         assert json.loads(err) == {"failed": ["orthonormality"]}
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
-    def test_verify_fails_the_band_checks_off_the_family(self, capsys, b0):
-        # order2 reads the band, whose b^2 has no float: each band check fails,
-        # naming b^2 and the range; validate fails as at any b0^2
+    def test_verify_passes_the_oscillator_checks_off_the_family(self, capsys, tmp_path, b0):
+        # off the family commutator and spectrum read the exact scan of the
+        # deformed oscillator relation, which reads no float of b^2: on a
+        # compatible sequence of ratio r = 2 every check passes at any b0^2, and
+        # order2 fails the scan as at b0^2 = 1/2
+        seed = tmp_path / "r2.json"
+        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 12).values, b0))
+        code, out, err = run_cli(capsys, "verify", "--family", "custom-file", "--seed-file",
+                                 str(seed), "--n-max", "8", "--dim", "12")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert (code, err) == (0, "") and all(c["passed"] for c in checks.values())
+        for name in ("commutator", "spectrum"):
+            assert checks[name]["detail"] == f"{DEFORMATION} for every n <= 10"
         code, out, err = run_cli(capsys, "verify", "--family", "order2", "--v1", "3",
                                  "--b0-squared", b0, "--n-max", "8", "--dim", "12")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 1
         for name in ("commutator", "spectrum"):
             assert (checks[name]["status"], checks[name]["detail"]) == (
-                "fail", _NO_FLOAT.format("b^2"))
+                "fail", f"{DEFORMATION} fails first at n = 3")
         assert json.loads(err) == {"failed": ["validate", "lowering", "route_equivalence",
                                               "commutator", "spectrum"]}
 
@@ -1293,7 +1308,8 @@ class TestCheckLog:
         (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"),
          [("validate", "FAIL", "monotone=True first_violation=(4, 2) on v_0..v_12"),
           ("lowering", "skipped", _INCOMPATIBLE), ("route_equivalence", "skipped", _INCOMPATIBLE),
-          ("commutator", "pass", None), ("spectrum", "pass", None)],
+          ("commutator", "FAIL", f"{DEFORMATION} fails first at n = 3"),
+          ("spectrum", "FAIL", f"{DEFORMATION} fails first at n = 3")],
          ["non-family system: ode/orthonormality/square-lowering not applicable"]),
         (("--n-max", "2", "--dim", "5"),
          [("validate", "pass", "monotone=True first_violation=None on v_0..v_5"),
@@ -1339,9 +1355,9 @@ def bench_workload():
 
 
 class TestNoPackagePathFormsB2:
-    """b2, the Fraction view of b2_row, is kept for callers: no hcpoly
-    subcommand and no kind of benchmark job forms it on any system it builds
-    or reads."""
+    """The package reads b^2 from the integer row b2_row: no hcpoly subcommand
+    and no kind of benchmark job forms a Fraction list of b^2 on any system it
+    builds or reads."""
 
     @pytest.fixture
     def systems(self, monkeypatch):
@@ -1368,7 +1384,7 @@ class TestNoPackagePathFormsB2:
     def test_no_subcommand_forms_b2(self, systems, capsys, argv):
         code, _, _ = run_cli(capsys, *argv.split())
         assert code == 0 and len(systems) == (0 if argv.startswith("epsilons") else 1)
-        assert not [s for s in systems if "b2" in vars(s)]
+        assert not [s for s in systems if fraction_lists_of_b2(s)]
 
     KINDS = ["verify", "classify", "table", "build", "epsilons",
              "gram", "ode", "square_lowering", "operators"]
@@ -1387,7 +1403,7 @@ class TestNoPackagePathFormsB2:
         pool = wl.build_pool(hermite_chihara, workload)
         result = wl.run_job(hermite_chihara, job, pool)
         assert getattr(result, "code", 0) == 0 and bool(systems) == (kind != "epsilons")
-        assert not [s for s in systems if "b2" in vars(s)]
+        assert not [s for s in systems if fraction_lists_of_b2(s)]
 
 
 # the family flags each family reads, the flags each one needs, how its
@@ -1550,9 +1566,9 @@ class TestFlagScope:
         assert set(self.COMMANDS) <= examples
 
     # how a check's detail names its range: the n it covered, or the first failing
-    # n, the band's rows, the Gram's entries, square lowering's columns, or the
-    # sequence prefix that validate judged
-    RANGES = ("n <=", "fails first at n =", "rows n <", "i, j <=", "columns", "v_0..v_")
+    # n, the Gram's entries, square lowering's columns, or the sequence prefix
+    # that validate judged
+    RANGES = ("n <=", "fails first at n =", "i, j <=", "columns", "v_0..v_")
 
     def test_every_readme_line_exits_0_in_process(self, capsys):
         # each README line that starts with "hcpoly ", in order in this process
@@ -1648,8 +1664,10 @@ class TestSubprocessEntry:
 
 class TestNumpyAtTheFloatBoundary:
     """numpy loads where a command first evaluates a float, never at import:
-    the exact commands and a usage error run without it, and verify loads it.
-    In a fresh interpreter, as this test run has already imported numpy."""
+    the exact commands, a usage error and verify off the family (whose checks
+    are all exact) run without it, and verify on a family system loads it for
+    the Gram.  In a fresh interpreter, as this test run has already imported
+    numpy."""
 
     EXACT = [  # (argv, exit code)
         (["build"], 0),
@@ -1671,14 +1689,21 @@ for argv in json.loads(sys.argv[1]):
     print(json.dumps([argv[0], code, "numpy" in sys.modules]))
 """
 
-    def test_exact_commands_load_no_numpy(self):
-        argvs = [argv for argv, _ in self.EXACT] + [["verify", "--n-max", "8", "--dim", "12"]]
+    def test_exact_commands_load_no_numpy(self, tmp_path):
+        seed = tmp_path / "r2.json"
+        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 12).values))
+        exact = self.EXACT + [
+            (["verify", "--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"], 1),
+            (["verify", "--family", "custom-file", "--seed-file", str(seed), "--n-max", "8",
+              "--dim", "12"], 0),
+        ]
+        argvs = [argv for argv, _ in exact] + [["verify", "--n-max", "8", "--dim", "12"]]
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
                               capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert [json.loads(line) for line in proc.stdout.splitlines()] == [
             ["import", None, False],
-            *([argv[0], code, False] for argv, code in self.EXACT),
+            *([argv[0], code, False] for argv, code in exact),
             ["verify", 0, True],
         ]
 

@@ -23,6 +23,7 @@ from hermite_chihara import (
 )
 from hermite_chihara import measure, quadrature
 from hermite_chihara.quadrature import _halves, _rule, integrate_split_at_zero
+import fraction_reference as ref
 from conftest import plain
 
 
@@ -110,18 +111,19 @@ class TestMoments:
 
     def test_gaussian_second_moment(self):
         spec = MeasureSpec(F(0), F(1))
-        sys = PolynomialSystem(seq_hermite(8))
-        assert moment_closed(spec, 2) == F(1, 2) == jacobi_moment(sys.b2, 2) == sys.seq.b0_squared
+        seq = seq_hermite(8)
+        b2 = ref.b2_of(PolynomialSystem(seq))
+        assert moment_closed(spec, 2) == F(1, 2) == jacobi_moment(b2, 2) == seq.b0_squared
 
     def test_three_route_agreement(self):
         # closed form == Jacobi walk exactly; quadrature within a relative 1e-8
         for g in (F(0), F(1, 2), F(1), F(2)):
             for a in (F(1, 2), F(1), F(2)):
                 spec = MeasureSpec(g, a)
-                sys = weight_system(g, a, N=12)
+                b2 = ref.b2_of(weight_system(g, a, N=12))
                 for k in range(0, 17):
                     closed = moment_closed(spec, k)
-                    assert closed == jacobi_moment(sys.b2, k)
+                    assert closed == jacobi_moment(b2, k)
                     radius = max(10.0, 3.0 * math.sqrt(max(k, 1) / float(a)) + 5.0)
                     block, _ = integrate_split_at_zero(
                         plain(lambda x: x**k * spec.weight(x)), radius, tol=1e-11
@@ -130,12 +132,12 @@ class TestMoments:
                     assert abs(float(closed) - quad) <= 1e-8 * max(1.0, abs(float(closed)))
 
     def test_jacobi_walk_needs_enough_coefficients(self):
-        sys = PolynomialSystem(seq_hermite(4))
+        b2 = ref.b2_of(PolynomialSystem(seq_hermite(4)))
         with pytest.raises(ValueError):
-            jacobi_moment(sys.b2[:2], 10)
+            jacobi_moment(b2[:2], 10)
         # and a moment order k >= 0, as the closed form does
         with pytest.raises(ValueError, match="moment order must be >= 0"):
-            jacobi_moment(sys.b2, -1)
+            jacobi_moment(b2, -1)
         with pytest.raises(ValueError, match="moment order must be >= 0"):
             moment_closed(MeasureSpec(F(0), F(1)), -2)
 
@@ -145,7 +147,7 @@ class TestMoments:
         assert jacobi_moment([], 0) == 1 and jacobi_moment([], 1) == 0
         for seq in (seq_classical(F(1, 3), 16), seq_family(F(2, 3), F(5, 3), F(3, 7), 16),
                     seq_order3(F(7, 3), F(17, 3), 16)):
-            b2 = PolynomialSystem(seq).b2
+            b2 = ref.b2_of(PolynomialSystem(seq))
             for k in range(33):
                 assert jacobi_moment(b2[: k // 2], k) == jacobi_moment(b2, k)
                 if k >= 2:
@@ -276,14 +278,35 @@ class TestOrthonormality:
         assert rep.converged and rep.max_deviation < 1e-13
         assert len(calls) <= 12
 
-    @pytest.mark.parametrize("gamma, name", [(F(-99, 100), "weight value"),
-                                             (F(-1) + F(1, 10**20), "Gamma((gamma+1)/2)")])
-    def test_next_to_the_pole_of_gamma_the_gram_still_raises(self, gamma, name):
+    @pytest.mark.parametrize("n_max", [12, 36])
+    def test_next_to_the_pole_of_gamma_the_gram_converges(self, n_max):
         # at gamma = -99/100, m = 100 takes the nodes next to u = 0 to x = 0, the
-        # weight's pole; at gamma = -1 + 10^-20 the float of gamma is -1
+        # weight's pole, where the weight times dx/du is bounded and formed as such
+        sys = PolynomialSystem(seq_classical(F(-99, 100), n_max))
+        rep = gram_deviation(sys, spec_for_system(sys), n_max)
+        assert rep.converged and rep.max_deviation < 1e-13
+
+    @pytest.mark.parametrize("gamma, name", [(F(-1) + F(1, 10**20), "Gamma((gamma+1)/2)")])
+    def test_next_to_the_pole_of_gamma_the_gram_still_raises(self, gamma, name):
+        # at gamma = -1 + 10^-20 the float of gamma is -1
         sys = PolynomialSystem(seq_classical(gamma, 12))
         with pytest.raises(FloatRangeError, match=rf"^{re.escape(name)} outside the float range"):
             gram_deviation(sys, spec_for_system(sys), 12)
+
+    @pytest.mark.parametrize("gamma", [F(-1, 2), F(-1, 4), F(-9, 10)])
+    def test_the_cusp_factor_is_the_weight_times_dx_du(self, gamma):
+        # for -1 < gamma < 0 the integrand's weight factor is formed in closed form,
+        # C m alpha^{(gamma+1)/2} exp(-alpha x^2); away from u = 0 it is the weight
+        # at x = sign(u) |u|^m times m |u|^{m-1}, up to rounding
+        sys = PolynomialSystem(seq_classical(gamma, 12, F(3, 2)))
+        spec = spec_for_system(sys)
+        integrand, radius = measure._gram_integrand(sys, spec, 12)
+        u = np.linspace(-radius, radius, 102)
+        weighted, table = integrand(u)
+        m = float(math.ceil(gamma + 1) / (gamma + 1))
+        x = np.sign(u) * np.abs(u) ** m
+        want = table * (spec.weight(x) * m * np.abs(u) ** (m - 1.0))[:, None]
+        np.testing.assert_allclose(weighted, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])

@@ -23,6 +23,7 @@ from hermite_chihara import (
 from hermite_chihara.cli import main
 from hermite_chihara.oscillator import MARGIN, ROUNDING_BOUND
 
+import fraction_reference as ref
 from conftest import corrupt_core, propagated_compatible_sequence
 from fraction_reference import v_of
 
@@ -60,7 +61,7 @@ def dense_operators(sys, dim):
 
 def dense_b(sys, dim):
     """B(N) = diag(b_{n-1}^2) and B(N+I) = diag(b_n^2), b_{-1} = 0."""
-    b2 = [0.0] + [float(x) for x in sys.b2[:dim]]
+    b2 = [0.0] + [float(x) for x in ref.b2_of(sys)[:dim]]
     return np.diag(b2[:dim]), np.diag(b2[1:])
 
 
@@ -150,19 +151,19 @@ class TestStructure:
         # B(N) = diag(b_{n-1}^2) with b_{-1} = 0: the level formula of row 0
         # has only b_0^2 in it
         sys, ops = classical2_ops
-        rows = spectrum_report(ops, sys).rows
-        assert rows[0][2] == 2.0 * float(sys.b2[0])
-        assert rows[1][2] == 2.0 * float(sys.b2[0]) + 2.0 * float(sys.b2[1])
+        rows, b2 = spectrum_report(ops, sys).rows, ref.b2_of(sys)
+        assert rows[0][2] == 2.0 * float(b2[0])
+        assert rows[1][2] == 2.0 * float(b2[0]) + 2.0 * float(b2[1])
 
     def test_f_diagonal(self, classical2_ops):
         # the band entry sqrt2 b_{n-1} of a- is gamma_n f_n, with f_1 = sqrt2 b0^2
         # and f_n = sqrt2 b0^2 (v_n - v_{n-2}) / v_1
         sys, ops = classical2_ops
-        v, b0sq = v_of(sys.seq), float(sys.seq.b0_squared)
-        assert ops.b[0] / math.sqrt(float(sys.g2[1])) == pytest.approx(b0sq, rel=1e-15)
+        v, b0sq, g2 = v_of(sys.seq), float(sys.seq.b0_squared), ref.g2_of(sys)
+        assert ops.b[0] / math.sqrt(float(g2[1])) == pytest.approx(b0sq, rel=1e-15)
         for n in range(2, DIM):
             f = SQRT2 * b0sq * float((v(n) - v(n - 2)) / v(1))
-            gamma_n = math.sqrt(float(sys.g2[n]))
+            gamma_n = math.sqrt(float(g2[n]))
             assert SQRT2 * ops.b[n - 1] == pytest.approx(gamma_n * f, rel=1e-14)
 
     def test_a_minus_factors_through_f(self):
@@ -171,25 +172,25 @@ class TestStructure:
         for seq in (seq_classical(2, 64), seq_hermite(64),
                     seq_family(F(2, 3), F(5, 3), F(3, 7), 64), seq_order2(3, 64)):
             sys = PolynomialSystem(seq)
-            v, b0sq = v_of(seq), seq.b0_squared
+            v, b0sq, b2, g2 = v_of(seq), seq.b0_squared, ref.b2_of(sys), ref.g2_of(sys)
             for n in range(1, 65):
                 f_squared = 2 * b0sq**2 * (v(n) - v(n - 2)) ** 2 / v(1) ** 2
-                assert sys.g2[n] * f_squared == 2 * sys.b2[n - 1], (seq, n)
+                assert g2[n] * f_squared == 2 * b2[n - 1], (seq, n)
 
     def test_theta_classical_pattern(self):
         # Theta = 2 B(N) - N is 0 on even n and gamma = 2 on odd n
-        sys = PolynomialSystem(seq_classical(2, 64))
+        b2 = ref.b2_of(PolynomialSystem(seq_classical(2, 64)))
         for n in range(0, 65):
-            theta = 2 * (sys.b2[n - 1] if n >= 1 else 0) - n
+            theta = 2 * (b2[n - 1] if n >= 1 else 0) - n
             assert theta == (2 if n % 2 == 1 else 0), n
 
     def test_delta_family_pattern(self):
         # Delta = 2 B(N) / c1 - N is 0 on even n and gamma~ on odd n
         sys = PolynomialSystem(seq_family(4, 5, F(1), 64))
         gamma_tilde = sys.weight_parameters()[0]
-        c1 = sys.seq.b0_squared * (sys.seq.values[2] - 1)
+        c1, b2 = sys.seq.b0_squared * (sys.seq.values[2] - 1), ref.b2_of(sys)
         for n in range(0, 65):
-            delta = 2 * (sys.b2[n - 1] if n >= 1 else 0) / c1 - n
+            delta = 2 * (b2[n - 1] if n >= 1 else 0) / c1 - n
             assert delta == (gamma_tilde if n % 2 == 1 else 0), n
 
     def test_dim_guards(self):
@@ -257,16 +258,18 @@ class TestCommutator:
         rep = commutator_report(ops, sys)
         assert rep.max_deviation < 1e-12
         # 2(b_n^2 - b_{n-1}^2) = 1: the canonical [a, a+] = 1 pattern
+        b2 = ref.b2_of(sys)
         for n in range(64):
-            assert 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0)) == 1, n
+            assert 2 * (b2[n] - (b2[n - 1] if n >= 1 else 0)) == 1, n
 
     def test_classical_gamma2_pattern(self, classical2_ops):
         sys, ops = classical2_ops
         rep = commutator_report(ops, sys)
         assert rep.max_deviation < 1e-12
         assert rep.classical_deviation is not None and rep.classical_deviation < 1e-12
+        b2 = ref.b2_of(sys)
         for n in range(64):
-            comm = 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0))
+            comm = 2 * (b2[n] - (b2[n - 1] if n >= 1 else 0))
             assert comm == (3 if n % 2 == 0 else -1), n
 
     @pytest.mark.parametrize("seq", [
@@ -277,9 +280,9 @@ class TestCommutator:
         # [a-, a+] = (I + gamma R)/alpha, R = (-1)^N: exact on the b^2, and the
         # band's figure on every family system, alpha = 1 or not
         sys = PolynomialSystem(seq)
-        gamma, alpha = sys.weight_parameters()
+        (gamma, alpha), b2 = sys.weight_parameters(), ref.b2_of(sys)
         for n in range(64):
-            comm = 2 * (sys.b2[n] - (sys.b2[n - 1] if n >= 1 else 0))
+            comm = 2 * (b2[n] - (b2[n - 1] if n >= 1 else 0))
             assert comm == (1 + gamma * (-1) ** n) / alpha, n
         assert commutator_report(build_operators(sys, DIM), sys).classical_deviation < 1e-12
 
@@ -408,29 +411,36 @@ class TestRoundingBound:
     @staticmethod
     def compatible_seed(tmp_path, b0_squared):
         """--family custom-file flags for a compatible non-family sequence of
-        ratio r = 2, whose checks in verify read the band."""
+        ratio r = 2."""
         seq = propagated_compatible_sequence(2, 3, 6, DIM)
         seed = tmp_path / "r2.json"
         seed.write_text(json.dumps({"values": [str(v) for v in seq.values],
                                     "b0_squared": b0_squared}))
         return ["--family", "custom-file", "--seed-file", str(seed)]
 
-    @pytest.mark.parametrize("command", ["verify", "spectrum"])
-    def test_large_levels_pass(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("family", ["hermite", "compatible"])
+    def test_large_levels_pass(self, capsys, tmp_path, family):
         # spectrum on Hermite, levels up to 1.4e7: the rows round to ~2e-9, above an
-        # absolute 1e-10.  verify reads the band off the family: on the r = 2
-        # sequence its levels reach ~1e29, and its rows round (a figure above
-        # zero) within the relative bound
-        family = (self.compatible_seed(tmp_path, "100000") if command == "verify" else
-                  ["--family", "hermite", "--b0-squared", "100000"])
-        code = main([command, *family, "--dim", str(DIM)]
-                    + (["--n-max", "12"] if command == "verify" else []))
+        # absolute 1e-10.  On the r = 2 sequence the levels reach ~1e29, and the
+        # rows round (deviations above zero) within the relative bound
+        argv = (self.compatible_seed(tmp_path, "100000") if family == "compatible" else
+                ["--family", "hermite", "--b0-squared", "100000"])
+        code = main(["spectrum", *argv, "--dim", str(DIM)])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        if command == "verify":
-            checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
-            assert checks["commutator"]["status"] == checks["spectrum"]["status"] == "pass"
-            assert float(checks["commutator"]["detail"].split()[2]) > 1e-10
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert max(float(dev) for *_, dev in rows) > 1e-10
+
+    def test_verify_reads_no_band_at_large_levels(self, capsys, tmp_path):
+        # verify's commutator and spectrum read the exact scan of b^2 on the r = 2
+        # sequence, whatever its levels' size
+        code = main(["verify", *self.compatible_seed(tmp_path, "100000"), "--n-max", "12",
+                     "--dim", str(DIM)])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 0
+        assert checks["commutator"]["detail"] == checks["spectrum"]["detail"] == (
+            "exact b^2_{n+1} - (r + r^2) b^2_{n-1} + r^3 b^2_{n-3} = 0, r = (v_3 - v_1)/v_1, "
+            f"for every n <= {DIM - 2}")
 
     def perturbed(self, ops):
         # one band entry off by 1e3 eps relative: rows 10 and 11 of the
@@ -448,18 +458,26 @@ class TestRoundingBound:
         assert rep.max_deviation < 1e-10 and not rep.within_rounding
         assert not spectrum_report(bad, sys).within_rounding
 
-    def test_verify_fails_commutator_on_a_perturbed_band(self, capsys, monkeypatch, tmp_path):
-        # off the family, where verify reads the band
-        from hermite_chihara import oscillator
+    def test_verify_fails_commutator_on_a_perturbed_b2(self, capsys, monkeypatch, tmp_path):
+        # off the family, where verify reads the exact deformation scan: b_10^2
+        # one unit off in b2_row's numerators (the band's b[10] moved), which the
+        # relation first reads at n = 9, as b_{n+1}^2; n_max = 10 keeps it out of
+        # the cores, whose first to read it is P_12
+        init = PolynomialSystem.__init__
 
-        build = oscillator.build_operators
-        monkeypatch.setattr(oscillator, "build_operators",
-                            lambda *a, **kw: self.perturbed(build(*a, **kw)))
-        code = main(["verify", *self.compatible_seed(tmp_path, "1/2"), "--n-max", "12",
+        def off_at_10(self, seq):
+            init(self, seq)
+            B, M = self.b2_row
+            self.b2_row = ([b + (i == 10) for i, b in enumerate(B)], M)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", off_at_10)
+        code = main(["verify", *self.compatible_seed(tmp_path, "1/2"), "--n-max", "10",
                      "--dim", str(DIM)])
         captured = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
         assert code == 1
         assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["commutator", "spectrum"]}
+        assert checks["commutator"]["detail"].endswith(" fails first at n = 9")
 
 
 class TestHamiltonian:

@@ -160,7 +160,7 @@ def test_ode_residual_bit_identical(seq):
     # and P'', then the one rounding of the normalization), on the reference
     # cores and on a core with a defect of each kind
     sys = PolynomialSystem(seq)
-    cores = ref.monic_cores(sys.b2, 100)
+    cores = ref.monic_cores(ref.b2_of(sys), 100)
     g, a = sys.weight_parameters()
     for n in (0, 1, 2, 3, 17, 64, 100):
         for x in POINT_GRID:

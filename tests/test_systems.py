@@ -32,7 +32,7 @@ from hermite_chihara.governing import common_denominator, is_special_family
 from hermite_chihara.systems import _over_sqrt
 
 import fraction_reference as ref
-from conftest import POINT_GRID, corrupt_core, propagated_compatible_sequence
+from conftest import POINT_GRID, corrupt_core, fraction_lists_of_b2, propagated_compatible_sequence
 
 
 def alpha_brute(brackets, m, n):
@@ -102,11 +102,12 @@ class TestAlpha:
 
     def test_nested_equals_closed_on_reference_systems(self, reference_systems):
         for sys in reference_systems.values():
+            brackets = ref.bracket_table(sys.seq)
             for n in range(1, 15):
                 for m in range(1, n // 2 + 1):
-                    nested = alpha_nested(sys.brackets, m, n)
-                    closed = alpha_closed(sys.seq.values, sys.brackets, m, n)
-                    assert nested == closed == alpha_brute(sys.brackets, m, n)
+                    nested = alpha_nested(brackets, m, n)
+                    closed = alpha_closed(sys.seq.values, brackets, m, n)
+                    assert nested == closed == alpha_brute(brackets, m, n)
 
     def test_range_guards(self):
         seq = seq_hermite(8)
@@ -230,8 +231,7 @@ class TestPsiConstruction:
         # each table is one pass over w (governing._steps, which runs the bracket
         # check), once per system, through the names systems binds: the
         # constructor forms b^2's integer row, and the first read of gamma^2's
-        # pairs or of the brackets forms that table; the Fraction views b2 and g2
-        # read the integers already formed
+        # pairs forms that table
         from hermite_chihara import governing
 
         calls = {}
@@ -245,27 +245,25 @@ class TestPsiConstruction:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(governing, "_steps")
-        for name in ("b_squares", "gamma_squares", "bracket_table"):
+        for name in ("b_squares", "gamma_squares"):
             counted(systems_mod, name)
         for seq in (seq_hermite(12), seq_order3(F(7, 3), F(17, 3), N=12)):
             calls.clear()
             sys = PolynomialSystem(seq)
             assert calls == {"b_squares": 1, "_steps": 1}
-            want = ref.bracket_table(seq)
-            assert sys.b2 is sys.b2 and sys.b2 == ref.b_squares(seq, want)
-            assert sys.g2 is sys.g2 and sys.g2 == ref.gamma_squares(seq, sys.b2)
+            b2 = ref.b_squares(seq, ref.bracket_table(seq))
+            assert ref.b2_of(sys) == b2 and ref.g2_of(sys) == ref.gamma_squares(seq, b2)
             assert sys.g2_pairs is sys.g2_pairs
-            assert sys.brackets is sys.brackets and sys.brackets == want
-            assert calls == {"b_squares": 1, "gamma_squares": 1, "bracket_table": 1, "_steps": 3}
+            assert calls == {"b_squares": 1, "gamma_squares": 1, "_steps": 2}
 
 
 def _explicit_core(sys, n):
     """P_n from the paper's coefficient display, in Fractions: the coefficient
     of x^{n-2m} is (-b0^2)^m alpha_{2m-1,n-1}, alpha in the table convention."""
-    coeffs = [F(0)] * (n + 1)
+    coeffs, brackets = [F(0)] * (n + 1), ref.bracket_table(sys.seq)
     for m in range(n // 2 + 1):
         coeffs[n - 2 * m] = (-sys.seq.b0_squared) ** m * alpha_closed(
-            sys.seq.values, sys.brackets, m, n)
+            sys.seq.values, brackets, m, n)
     return Poly(coeffs)
 
 
@@ -398,8 +396,9 @@ class TestPsiEval:
 
     def test_float_coefficients_convert_each_b2_once(self, reference_systems):
         for sys in reference_systems.values():
-            assert [x.hex() for x in sys.b2_float] == [float(x).hex() for x in sys.b2]
-            assert [x.hex() for x in sys.b_float] == [math.sqrt(float(x)).hex() for x in sys.b2]
+            b2 = ref.b2_of(sys)
+            assert [x.hex() for x in sys.b2_float] == [float(x).hex() for x in b2]
+            assert [x.hex() for x in sys.b_float] == [math.sqrt(float(x)).hex() for x in b2]
 
     @pytest.mark.parametrize("b0_squared", [
         F(10**400), F(1, 10**400),  # float() overflows; it rounds to 0
@@ -407,7 +406,7 @@ class TestPsiEval:
     ])
     def test_b2_outside_the_float_range_raises_on_first_use(self, b0_squared):
         sys = PolynomialSystem(seq_hermite(8, b0_squared=b0_squared))
-        assert sys.b2[0] == b0_squared  # the exact fields are built
+        assert ref.b2_of(sys)[0] == b0_squared  # the exact fields are built
         with pytest.raises(FloatRangeError, match=r"b\^2 outside the float range"):
             sys.b_float
 
@@ -434,7 +433,7 @@ class TestPsiTableKernel:
         xs = np.random.default_rng(nodes).uniform(-35.0, 35.0, nodes)
         table = sys.psi_eval_table(xs, n_hi)
         assert table.shape == (nodes, n_hi + 1) and table.flags.c_contiguous
-        expect = np.array(ref.psi_table(sys.b2, xs, n_hi))
+        expect = np.array(ref.psi_table(ref.b2_of(sys), xs, n_hi))
         assert np.array_equal(table.view(np.int64), expect.view(np.int64))
 
     def test_psi_0_alone_reads_no_float_b(self):
@@ -464,7 +463,7 @@ class TestLowering:
 
     def test_hermite_reduces_to_doubling_rule(self, hermite_sys):
         # gamma_n^2 = 2n is the normalized form of d/dx H_n = 2n H_{n-1}
-        assert [hermite_sys.g2[n] for n in range(1, 11)] == [F(2 * n) for n in range(1, 11)]
+        assert [ref.g2_of(hermite_sys)[n] for n in range(1, 11)] == [F(2 * n) for n in range(1, 11)]
 
     def test_incompatible_sequence_fails_lowering(self):
         values = (F(1), F(1), F(2), F(5), F(8), F(11), F(14))
@@ -568,10 +567,11 @@ class TestCoresOnFirstRead:
 
     def test_a_fresh_system_holds_no_derived_table(self):
         sys = PolynomialSystem(seq_classical(F(1, 3), 30))
-        fresh = {"b2", "brackets", "g2_pairs", "g2", "norm2", "b2_float", "b_float"}
+        fresh = {"g2_pairs", "norm2", "b2_float", "b_float"}
         assert not fresh & set(vars(sys))
-        assert sys.norm2 == [math.prod(sys.b2[:n], start=F(1)) for n in range(31)]
-        assert {"norm2", "b2"} <= set(vars(sys)) and "g2" not in vars(sys)
+        b2 = ref.b2_of(sys)
+        assert sys.norm2 == [math.prod(b2[:n], start=F(1)) for n in range(31)]
+        assert "norm2" in vars(sys) and "g2_pairs" not in vars(sys)
 
     @pytest.mark.parametrize("argv, calls", [
         (("verify", "--family", "classical", "--gamma", "1/3", "--n-max", "12", "--dim", "20"), 0),
@@ -582,8 +582,8 @@ class TestCoresOnFirstRead:
         (("build", "--family", "order3", "--v1", "7/3", "--v2", "17/3", "--n-max", "12"), 1),
     ], ids=["verify", "classify", "gram", "spectrum", "table", "build"])
     def test_gamma_squared_is_formed_where_it_is_read(self, monkeypatch, capsys, argv, calls):
-        # table and build print gamma^2's integer pairs, formed once; no command
-        # forms the g2 Fractions
+        # table and build print gamma^2's integer pairs, formed once, and no
+        # other command forms them
         from hermite_chihara.cli import main
 
         counted, original = [], systems_mod.gamma_squares
@@ -592,11 +592,7 @@ class TestCoresOnFirstRead:
             counted.append(args)
             return original(*args)
 
-        def unformed(self):
-            raise AssertionError("the g2 Fractions were formed")
-
         monkeypatch.setattr(systems_mod, "gamma_squares", gamma_squares)
-        monkeypatch.setattr(PolynomialSystem, "g2", property(unformed))
         assert main(list(argv)) == 0
         capsys.readouterr()
         assert len(counted) == calls
@@ -615,7 +611,7 @@ class TestCoresOnFirstRead:
         assert sys.monic is cores and sys._core(N) is cores[N] and len(cores) == N + 1
         assert sys.first_lowering_failure(N) is None and sys.monic is cores
         assert built == list(range(2, N + 1))
-        assert [p.coeffs for p in cores] == [p.coeffs for p in ref.monic_cores(sys.b2, N)]
+        assert [p.coeffs for p in cores] == [p.coeffs for p in ref.monic_cores(ref.b2_of(sys), N)]
 
     @pytest.mark.parametrize("scan", [
         "first_lowering_failure", "first_route_mismatch", "first_reduced_failure"])
@@ -634,9 +630,10 @@ class TestCoresOnFirstRead:
         "first_lowering_failure", "first_route_mismatch", "first_reduced_failure"])
     def test_a_scan_forms_no_b2_fraction(self, scan):
         # the cores grow from b2_row's integers: a scan that stops at P_4 forms
-        # none of the n_max b^2 Fractions
+        # no Fraction list of the n_max b^2, nor their products nu^2
         sys = PolynomialSystem(seq_order2(3, 40))
-        assert getattr(sys, scan)(40) is not None and "b2" not in vars(sys)
+        assert getattr(sys, scan)(40) is not None
+        assert not fraction_lists_of_b2(sys) and "norm2" not in vars(sys)
 
     def test_classify_forms_no_b2_fraction(self, monkeypatch, capsys):
         from hermite_chihara.cli import main
@@ -650,7 +647,8 @@ class TestCoresOnFirstRead:
         monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
         assert main(["classify", "--family", "order2", "--v1", "7/3", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.startswith("reduced: false\n")
-        assert len(built) == 1 and len(built[0]._monic) == 5 and "b2" not in vars(built[0])
+        assert len(built) == 1 and len(built[0]._monic) == 5
+        assert not fraction_lists_of_b2(built[0]) and "norm2" not in vars(built[0])
 
     @pytest.mark.parametrize("kind", ["even", "odd", "degree"])
     @pytest.mark.parametrize("partial", [0, 10, 19, 20, 30])
@@ -749,23 +747,25 @@ class TestGammaCrossRelations:
     def test_odd_relation(self, reference_systems):
         # gamma_{2p+1} sqrt([2p+1]) = (alpha_{2p-1,2p} / [2p-1]!!) gamma_1
         for sys in reference_systems.values():
+            g2, brackets = ref.g2_of(sys), ref.bracket_table(sys.seq)
             for p in range(1, 7):
-                lhs_sq = sys.g2[2 * p + 1] * sys.brackets[2 * p + 1]
+                lhs_sq = g2[2 * p + 1] * brackets[2 * p + 1]
                 dfact = F(1)
                 for j in range(1, p + 1):
-                    dfact *= sys.brackets[2 * j - 1]
-                coeff = alpha_closed(sys.seq.values, sys.brackets, p, 2 * p + 1) / dfact
-                assert lhs_sq == coeff**2 * sys.g2[1]
+                    dfact *= brackets[2 * j - 1]
+                coeff = alpha_closed(sys.seq.values, brackets, p, 2 * p + 1) / dfact
+                assert lhs_sq == coeff**2 * g2[1]
 
     def test_even_relation(self, reference_systems):
         # gamma_{2p+2} sqrt([2p+2]) = (alpha_{2p-1,2p+1}/alpha_{2p-1,2p}) sqrt([2]) gamma_2
         for sys in reference_systems.values():
+            g2, brackets = ref.g2_of(sys), ref.bracket_table(sys.seq)
             for p in range(1, 7):
-                lhs_sq = sys.g2[2 * p + 2] * sys.brackets[2 * p + 2]
-                ratio = alpha_closed(sys.seq.values, sys.brackets, p, 2 * p + 2) / alpha_closed(
-                    sys.seq.values, sys.brackets, p, 2 * p + 1
+                lhs_sq = g2[2 * p + 2] * brackets[2 * p + 2]
+                ratio = alpha_closed(sys.seq.values, brackets, p, 2 * p + 2) / alpha_closed(
+                    sys.seq.values, brackets, p, 2 * p + 1
                 )
-                assert lhs_sq == ratio**2 * sys.brackets[2] * sys.g2[2]
+                assert lhs_sq == ratio**2 * brackets[2] * g2[2]
 
     def test_eps_sum_relation(self, reference_systems):
         # b0 (sqrt([2])/2) gamma_2 = eps_1 + eps_2, all positive here
@@ -773,7 +773,7 @@ class TestGammaCrossRelations:
             op = epsilons_from_sequence(sys.seq, K=2)
             s = op.eps(1) + op.eps(2)
             assert s > 0
-            lhs_sq = sys.seq.b0_squared * sys.brackets[2] / 4 * sys.g2[2]
+            lhs_sq = sys.seq.b0_squared * ref.bracket_table(sys.seq)[2] / 4 * ref.g2_of(sys)[2]
             assert lhs_sq == s**2
 
 
@@ -884,14 +884,15 @@ class TestDecomposition:
         at = PolynomialSystem(seq_family(F(2, 3), F(5, 3), F(3, 7), 40))
         with pytest.raises(FloatRangeError):
             sys.b_float
+        b2, b2_at = ref.b2_of(sys), ref.b2_of(at)
         for n in range(2, 41):
             rep, want = sys.decompose_b1bar(n), at.decompose_b1bar(n)
-            q = sys.b2[n - 1] * sys.b2[n - 2]
+            q = b2[n - 1] * b2[n - 2]
             assert math.isfinite(rep.delta_bar) and rep.delta_bar != 0.0
             assert (rep.beta_bar == 0.0) == (want.beta_bar == 0.0) == (n % 2 == 0)
             if rep.beta_bar:
                 exact = rep.beta_scaled**2 / q
-                assert exact == want.beta_scaled**2 / (at.b2[n - 1] * at.b2[n - 2])
+                assert exact == want.beta_scaled**2 / (b2_at[n - 1] * b2_at[n - 2])
                 for beta in (rep.beta_bar, want.beta_bar):
                     assert abs(float(F(beta) ** 2 / exact - 1)) < 1e-15
             c_prev, c_over_x = sys.derivative_decomposition(n)
@@ -946,10 +947,11 @@ class TestDerivativeDecomposition:
     def test_eq96_identity(self, classical1_sys):
         # b_{n-1}(gamma_n - delta_n) = v_{n-1} - A_n(2) = n, exactly in squares
         sys = classical1_sys
+        b2, g2 = ref.b2_of(sys), ref.g2_of(sys)
         for n in range(2, 16):
             rep = sys.decompose_b1bar(n)
             # gamma_n b_{n-1} = v_{n-1} exactly:
-            assert sys.g2[n] * sys.b2[n - 1] == sys.seq.values[n - 1] ** 2
+            assert g2[n] * b2[n - 1] == sys.seq.values[n - 1] ** 2
             assert sys.seq.values[n - 1] - rep.delta_scaled == n
 
     def test_classical_coefficients(self, classical1_sys):
@@ -1122,7 +1124,7 @@ class TestOde:
     @pytest.mark.parametrize("n", [0, 1, 16, 64])
     def test_a_grid_builds_the_bracket_once(self, bracket_builds, seq, n):
         sys = PolynomialSystem(seq)
-        core, (g, a) = ref.monic_cores(sys.b2, n)[n], sys.weight_parameters()
+        core, (g, a) = ref.monic_cores(ref.b2_of(sys), n)[n], sys.weight_parameters()
         for x in POINT_GRID:
             want = _over_sqrt(ref.ode_bracket(core, n, x, g, a), sys.norm2[n])
             assert sys.ode_residual(n, x).hex() == want.hex()
@@ -1179,7 +1181,7 @@ class TestWeightScan:
     def test_holds_for_every_n_to_1000(self, name):
         sys = PolynomialSystem(self.SEQUENCES[name](1000))
         assert sys.first_weight_mismatch(1000) is None
-        assert len(sys._monic) == 2 and not {"b2", "b2_float"} & set(vars(sys))
+        assert len(sys._monic) == 2 and "b2_float" not in vars(sys) and not fraction_lists_of_b2(sys)
 
     @pytest.mark.parametrize("name", list(SEQUENCES))
     def test_gives_wigner_s_commutator_and_the_levels(self, name):
@@ -1187,7 +1189,7 @@ class TestWeightScan:
         # and 2 (b_{n-1}^2 + b_n^2) = (2n + gamma + 1) / alpha, b_{-1} = 0
         sys = PolynomialSystem(self.SEQUENCES[name](60))
         gamma, alpha = sys.weight_parameters()
-        b2 = [F(0), *sys.b2]  # b2[n] = b_{n-1}^2
+        b2 = [F(0), *ref.b2_of(sys)]  # b2[n] = b_{n-1}^2
         for n in range(60):
             assert 2 * (b2[n + 1] - b2[n]) == (1 + gamma * (-1) ** n) / alpha
             assert 2 * (b2[n] + b2[n + 1]) == (2 * n + gamma + 1) / alpha
@@ -1218,6 +1220,99 @@ class TestWeightScan:
     def test_n_hi_past_n_max_is_refused(self):
         with pytest.raises(ValueError, match=r"n must be in \[0, 20\]"):
             PolynomialSystem(seq_hermite(20)).first_weight_mismatch(21)
+
+
+def _q_hermite(q, N):
+    """The discrete q-Hermite I sequence v_n = [n+1]_q = (1 - q^{n+1}) / (1 - q),
+    compatible with ratio r = q^2."""
+    return GoverningSequence(tuple((1 - q ** (n + 1)) / (1 - q) for n in range(N + 1)), F(1, 2))
+
+
+class TestDeformationScan:
+    """first_deformation_mismatch: b_{n+1}^2 - (r + r^2) b_{n-1}^2 + r^3 b_{n-3}^2 = 0,
+    r = (v_3 - v_1) / v_1, the deformed oscillator relation of the whole
+    compatible class, on b2_row's integers and the sequence's, with no core, no
+    b^2 Fraction and no float."""
+
+    PASSING = {
+        "hermite": lambda: seq_hermite(1000),
+        "classical_1_3": lambda: seq_classical(F(1, 3), 1000),
+        "family_2_3_5_3_3_7": lambda: seq_family(F(2, 3), F(5, 3), F(3, 7), 1000),
+        "compatible_r_2": lambda: propagated_compatible_sequence(2, 3, 6, 1000),
+        "compatible_r_1_4": lambda: propagated_compatible_sequence(4, 5, 5, 200),
+        "q_hermite_1_2": lambda: _q_hermite(F(1, 2), 1000),
+    }
+
+    @pytest.mark.parametrize("name", list(PASSING))
+    def test_holds_on_the_compatible_class(self, name):
+        sys = PolynomialSystem(self.PASSING[name]())
+        assert sys.first_deformation_mismatch(sys.n_max) is None
+        assert len(sys._monic) == 2 and "b2_float" not in vars(sys) and not fraction_lists_of_b2(sys)
+
+    @pytest.mark.parametrize("name", list(PASSING))
+    def test_the_commutator_and_the_levels_obey_it(self, name):
+        # on the b^2 Fractions, with b_{-1} = 0: the relation, and the same one for
+        # the commutator c_n = 2 (b_n^2 - b_{n-1}^2) and the levels
+        # lambda_n = 2 (b_{n-1}^2 + b_n^2)
+        seq = self.PASSING[name]()
+        sys = PolynomialSystem(GoverningSequence(seq.values[:61], seq.b0_squared))
+        v, b2 = seq.values, [F(0), *ref.b2_of(sys)]  # b2[n + 1] = b_n^2
+        r = (v[3] - v[1]) / v[1]
+        for f in (lambda n: b2[n + 1], lambda n: 2 * (b2[n + 1] - b2[n]),
+                  lambda n: 2 * (b2[n] + b2[n + 1])):
+            assert all(f(n + 1) - (r + r * r) * f(n - 1) + r**3 * f(n - 3) == 0
+                       for n in range(3, 59))
+
+    @pytest.mark.parametrize("seq", [seq_order2(3, 40), seq_order3(F(7, 3), F(17, 3), 40)],
+                             ids=["order2", "order3"])
+    def test_an_incompatible_sequence_fails_first_at_3(self, seq):
+        assert PolynomialSystem(seq).first_deformation_mismatch(40) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v1=st.fractions(min_value=F(1, 4), max_value=F(6), max_denominator=5),
+        d2=st.fractions(min_value=F(1, 5), max_value=F(6), max_denominator=5),
+        d3=st.fractions(min_value=F(1, 5), max_value=F(6), max_denominator=5),
+        N=st.integers(5, 24), bump=st.none() | st.tuples(st.integers(1, 24), st.integers(1, 10**6)),
+    )
+    def test_fails_where_validate_does(self, v1, d2, d3, N, bump):
+        # on a compatible prefix it holds; with a value scaled by 1 + 1/k it fails
+        # first at validate's first violating n - 2 or n - 1 (the relation at n
+        # reads v up to v_{n+2}).  N >= 5: the range 3 <= n <= N - 2 is not empty
+        seq = propagated_compatible_sequence(v1, 1 + d2, v1 + d3, N)
+        if bump is not None:
+            i, k = bump[0] % N + 1, bump[1]
+            values = list(seq.values)
+            values[i] *= 1 + F(1, k)
+            seq = GoverningSequence(tuple(values), seq.b0_squared)
+        try:
+            sys = PolynomialSystem(seq)
+        except ValueError:
+            assume(False)  # a bracket that is not positive
+        first, got = validate(seq).first_violation, sys.first_deformation_mismatch(N)
+        if first is None:
+            assert got is None
+        else:
+            assert got in (first[0] - 2, first[0] - 1)
+
+    @pytest.mark.parametrize("name", ["family_2_3_5_3_3_7", "compatible_r_2"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 40, 999])
+    def test_a_b2_one_unit_off_fails_at_the_first_n_that_reads_it(self, name, k):
+        # n reads B_{n+1}, B_{n-1} and B_{n-3}, each with a nonzero integer
+        # coefficient (R = w_3 - w_1 > 0 wherever the brackets are positive)
+        sys = PolynomialSystem(self.PASSING[name]())
+        B, M = sys.b2_row
+        sys.b2_row = ([b + (i == k) for i, b in enumerate(B)], M)
+        want = min(n for n in (k - 1, k + 1, k + 3) if 3 <= n <= 998)
+        assert sys.first_deformation_mismatch(1000) == want
+        assert sys.first_deformation_mismatch(want + 2) == want
+        assert sys.first_deformation_mismatch(want + 1) is None
+
+    def test_the_range(self):
+        sys = PolynomialSystem(seq_order2(3, 20))
+        assert [sys.first_deformation_mismatch(n) for n in (2, 3, 4, 5)] == [None, None, None, 3]
+        with pytest.raises(ValueError, match=r"n must be in \[0, 20\]"):
+            sys.first_deformation_mismatch(21)
 
 
 ODE_SEQUENCES = {
@@ -1417,7 +1512,7 @@ DEFECT_FLOATS = {
 @pytest.mark.parametrize("case", DEFECT_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_a_defective_core_reads_the_same_floats_from_b2_row(case):
     sys, got = defect_floats(*case)
-    assert got == DEFECT_FLOATS["-".join(map(str, case))] and "b2" not in vars(sys)
+    assert got == DEFECT_FLOATS["-".join(map(str, case))] and not fraction_lists_of_b2(sys)
 
 
 REFERENCE_SEQUENCES = {
@@ -1435,7 +1530,7 @@ def reference_pairs():
     out = {}
     for name, seq in REFERENCE_SEQUENCES.items():
         sys = PolynomialSystem(seq)
-        out[name] = (sys, ref.monic_cores(sys.b2, sys.n_max))
+        out[name] = (sys, ref.monic_cores(ref.b2_of(sys), sys.n_max))
     return out
 
 
@@ -1466,7 +1561,8 @@ class TestFractionReference:
                 if sys.is_family:
                     _, c_over_x = sys.derivative_decomposition(n)
                     c2 = ref.derivative_decomposition_c2(cores, n)
-                    assert c_over_x == float(c2) / math.sqrt(float(sys.b2[n - 1] * sys.b2[n - 2]))
+                    b2 = ref.b2_of(sys)
+                    assert c_over_x == float(c2) / math.sqrt(float(b2[n - 1] * b2[n - 2]))
 
     @pytest.mark.parametrize("name", ["hermite", "classical_1_3", "family"])
     def test_ode_residual_bit_identical(self, reference_pairs, name):
@@ -1500,7 +1596,7 @@ class TestDerivativeInBasis:
                                      seq_family(F(7, 3), F(11, 3), F(8, 3), 60)])
     def test_bit_identical_where_the_plain_formula_fits(self, seq):
         sys = PolynomialSystem(seq)
-        cores = ref.monic_cores(sys.b2, sys.n_max)
+        cores = ref.monic_cores(ref.b2_of(sys), sys.n_max)
         for n in range(1, 61):
             want = ref.derivative_in_basis(ref.derivative_core_expansion(cores, n), sys.norm2, n)
             assert sys.derivative_in_basis(n) == want
@@ -1515,7 +1611,7 @@ class TestDerivativeInBasis:
         # the plain formula returns 0.0 for half these coefficients at the
         # first n of each sequence and raises OverflowError at the second
         sys = PolynomialSystem(seq)
-        expansion = ref.derivative_core_expansion(ref.monic_cores(sys.b2, n), n)
+        expansion = ref.derivative_core_expansion(ref.monic_cores(ref.b2_of(sys), n), n)
         got = sys.derivative_in_basis(n)
         nonzero = [(n - 1 - 2 * j, e) for j, e in enumerate(expansion) if e != 0]
         assert [idx for idx, _ in got] == [idx for idx, _ in nonzero]
