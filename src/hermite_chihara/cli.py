@@ -255,6 +255,15 @@ def _gram(report: measure_mod.OrthonormalityReport, n: int) -> tuple[bool, str]:
     return report.max_deviation < float(_GRAM_BOUND) and report.converged, detail
 
 
+def _oscillator(sys_: PolynomialSystem) -> tuple[bool, str]:
+    """The commutator and the levels by one exact scan of b^2 over n <= N = sys_.n_max:
+    against the weight on the family, else the deformed oscillator relation (n <= N - 2)."""
+    N = sys_.n_max
+    if sys_.is_family:
+        return _exact(sys_.first_weight_mismatch(N), N, _WEIGHT_IDENTITY)
+    return _exact(sys_.first_deformation_mismatch(N), N - 2, _DEFORMATION_IDENTITY)
+
+
 def cmd_spectrum(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, args.dim))
     ops = osc_mod.build_operators(sys_, dim=args.dim)
@@ -263,9 +272,11 @@ def cmd_spectrum(args) -> int:
     for n, lam_m, lam_f, dev in rep.rows:
         lines.append(f"{n},{_fmt_real(lam_m)},{_fmt_real(lam_f)},{_fmt_real(dev)}")
     _emit(args, "\n".join(lines) + "\n")
-    return _exit_code([] if rep.within_rounding else [
+    failed = [] if rep.within_rounding else [
         f"max deviation {rep.max_ratio:.3g} eps |lambda_n| on rows n < "
-        f"{args.dim - osc_mod.MARGIN}, bound {osc_mod.ROUNDING_BOUND:g} eps |lambda_n| per row"])
+        f"{args.dim - osc_mod.MARGIN}, bound {osc_mod.ROUNDING_BOUND:g} eps |lambda_n| per row"]
+    passed, detail = _oscillator(sys_)  # verify's spectrum verdict, with N = dim
+    return _exit_code(failed if passed else [*failed, detail])
 
 
 def cmd_ode(args) -> int:
@@ -316,10 +327,7 @@ def cmd_verify(args) -> int:
         checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
 
     # one exact scan of b^2: the commutator, the levels and, on the family, orthonormality's
-    N = sys_.n_max
-    oscillator = functools.cache(
-        lambda: _exact(sys_.first_weight_mismatch(N), N, _WEIGHT_IDENTITY) if sys_.is_family
-        else _exact(sys_.first_deformation_mismatch(N), N - 2, _DEFORMATION_IDENTITY))
+    oscillator = functools.cache(lambda: _oscillator(sys_))
 
     def orthonormality() -> tuple[bool, str]:
         # the weight scan proves orthonormality at every n <= N; the float Gram checks n <= 12

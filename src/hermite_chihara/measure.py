@@ -1,8 +1,9 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
-MeasureSpec._floats, moments (two exact routes: closed form, Jacobi walk), Gram
-matrices by adaptive quadrature of (w psi_i) psi_j in the mass variable u, x =
-sign(u) |u|^m, which has no cusp at 0, and the Carleman determinacy heuristic.
-gram_deviation takes any weight: the system's own (spec_for_system) or a mismatched one."""
+MeasureSpec._floats, moments (two exact routes: closed form, Jacobi walk), Gram matrices
+by adaptive quadrature of (w psi_i) psi_j over x >= 0 (psi_n has the parity of n and the
+weight is even, so an entry with i + j odd is 0) in the mass variable u, x = u^m, which has
+no cusp at 0, and the Carleman determinacy heuristic.  gram_deviation takes any weight:
+the system's own (spec_for_system) or a mismatched one."""
 
 from __future__ import annotations
 
@@ -150,19 +151,23 @@ def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
 
 
 def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
-    """gram_deviation's integrand and radius in the mass variable u, x = sign(u) |u|^m,
-    m = ceil(gamma+1)/(gamma+1), where |x|^gamma dx = m |u|^{ceil(gamma+1)-1} du has no cusp
-    (m = 1.0, x = u at an integer gamma); for gamma < 0 the weight times dx/du is formed as
-    the bounded C m alpha^{(gamma+1)/2} exp(-alpha x^2), as x = |u|^m may underflow to 0."""
+    """gram_deviation's integrand over t in [-T, T], and T: the half-line u = (t + T)/2
+    in [0, T] of the mass variable, x = u^m, m = ceil(gamma+1)/(gamma+1), where |x|^gamma dx
+    = m u^{ceil(gamma+1)-1} du has no cusp (x = u at an integer gamma); dt = 2 du doubles it
+    to the whole line where i + j is even (psi_n has n's parity, the weight is even).  For
+    gamma < 0 the weight times dx/du is formed as the bounded C m alpha^{(gamma+1)/2}
+    exp(-alpha x^2), as x = u^m may underflow to 0."""
     import numpy as np
 
     radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
     m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
     cusp = spec.gamma < 0
+    t_max = radius ** (1.0 / m)
 
-    def integrand(u):
-        p = np.abs(u) ** (m - 1.0)
-        x = u * p  # sign(u) |u|^m
+    def integrand(t):
+        u = 0.5 * (t + t_max)
+        p = u ** (m - 1.0)
+        x = u * p  # u^m
         # row-major factors: a column-major table's product rounds differently on two BLAS threads
         table = sys.psi_eval_table(x, n_max)
         if cusp:
@@ -172,18 +177,19 @@ def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
             w = spec.weight(x) * (m * p)
         return table * w[:, None], table
 
-    return integrand, radius ** (1.0 / m)
+    return integrand, t_max
 
 
 def gram_deviation(
     sys: PolynomialSystem, spec: MeasureSpec, n_max: int, tol: float = 1e-11
 ) -> OrthonormalityReport:
-    """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive panel
-    quadrature split at the origin, in the mass variable (_gram_integrand), where
-    no cusp is left to bisect toward; its factors (w psi_i) and psi_j, one
-    psi_eval_table call per round of splits.  ValueError for an n_max outside
-    [0, sys.n_max]; FloatRangeError when gamma, alpha or a b^2 has no float (in
-    FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
+    """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive panel quadrature
+    of x >= 0 in the mass variable (_gram_integrand), where no cusp is left to bisect
+    toward: psi_n has the parity of n and the weight is even, so an entry with i + j odd
+    is 0, and is set so.  Its factors (w psi_i) and psi_j, one psi_eval_table call per
+    round of splits.  ValueError for an n_max outside [0, sys.n_max]; FloatRangeError
+    when gamma, alpha or a b^2 has no float (in FLOAT_RANGE for alpha and b^2), or
+    Gamma((gamma+1)/2) has none."""
     import numpy as np
 
     if n_max < 0:
@@ -191,6 +197,7 @@ def gram_deviation(
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
     gram, err = integrate_split_at_zero(*_gram_integrand(sys, spec, n_max), tol=tol)
+    gram[::2, 1::2] = gram[1::2, ::2] = 0.0
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(max_deviation=float(dev.max()), deviation=dev,
                                 quadrature_error=float(err), tolerance=tol)

@@ -1071,23 +1071,48 @@ class TestSpectrumCommand:
     def test_a_passing_band_prints_a_figure_within_its_bound(self, capsys, argv, rows):
         # spectrum reads the band on any system.  Its rows' figure is in the unit of
         # the per-row bound, so a pass reads at most 8 whatever the levels' size (at
-        # b0^2 = 1e12 a row deviates by up to 1.0)
+        # b0^2 = 1e12 a row deviates by up to 1.0).  The exit code also reads verify's
+        # spectrum verdict, the exact scan of b^2 with N = dim, which fails off the
+        # compatible class
         code, out, err = run_cli(capsys, "spectrum", *argv)
         lines = out.splitlines()[1:]
         figure = max(float(dev) / float(lam) for _, lam, _, dev in
                      (line.split(",") for line in lines)) / 2.0**-52
-        assert (code, err, len(lines)) == (0, "", rows) and 0.0 <= figure <= 8.0
+        assert (code, len(lines)) == (1, rows) and 0.0 <= figure <= 8.0
+        assert json.loads(err) == {"failed": [f"{DEFORMATION} fails first at n = 3"]}
 
-    def test_a_failed_band_reports_its_figure_and_bound(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, detail", [
+        (("--family", "hermite"), f"{WEIGHT} for every n <= 20"),
+        (("--family", "custom-file", "--seed-file", "r2.json"), f"{DEFORMATION} for every n <= 18"),
+        (("--family", "order2", "--v1", "3"), f"{DEFORMATION} fails first at n = 3"),
+    ], ids=["family", "compatible-r2", "order2"])
+    def test_the_exit_code_reads_verify_s_spectrum_verdict(self, capsys, monkeypatch, tmp_path,
+                                                           argv, detail):
+        # spectrum and verify's spectrum check agree: the same exact scan, with
+        # N = dim, on the family and off it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r2.json").write_text(
+            seed_text(propagated_compatible_sequence(2, 3, 6, 20).values))
+        code, _, err = run_cli(capsys, "spectrum", *argv, "--dim", "20")
+        _, out, _ = run_cli(capsys, "verify", *argv, "--n-max", "8", "--dim", "20")
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum"]
+        assert check["detail"] == detail
+        assert (code, err) == ((0, "") if check["passed"] else (1, json.dumps(
+            {"failed": [detail]}) + "\n"))
+
+    def test_a_failed_band_reports_its_figure_and_bound(self, capsys, monkeypatch, tmp_path):
         # a row past its rounding bound fails the command, and its failure report
         # names the rows, the largest row deviation and the bound
         from hermite_chihara import oscillator
 
-        # the verdict reads max_ratio <= ROUNDING_BOUND; order2's rows read 2 eps at
-        # dim 20, so a bound of 1 fails the band
+        # the verdict reads max_ratio <= ROUNDING_BOUND; the rows of a compatible
+        # sequence of ratio r = 2, which passes the exact scan, read 2 eps at dim
+        # 20, so a bound of 1 fails the band
         monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
-        code, out, err = run_cli(capsys, "spectrum", "--family", "order2", "--v1", "3",
-                                 "--dim", "20")
+        seed = tmp_path / "r2.json"
+        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 20).values))
+        code, out, err = run_cli(capsys, "spectrum", "--family", "custom-file", "--seed-file",
+                                 str(seed), "--dim", "20")
         # the figure is the largest row deviation in units of eps lambda_n
         largest = max(float(dev) / float(lam) for _, lam, _, dev in
                       (line.split(",") for line in out.splitlines()[1:])) / 2.0**-52

@@ -172,15 +172,50 @@ class TestMoments:
             assert float(moment_closed(spec, 2 * n)) == pytest.approx(expect, rel=1e-12)
 
 
-def x_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
-    """The Gram's integrand in x and its radius, written out: gram_deviation's
-    own at an integer gamma, where the mass variable is x itself."""
+def whole_line_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
+    """The Gram's integrand over the whole line of the mass variable u, x = sign(u) |u|^m,
+    m = ceil(gamma+1)/(gamma+1), and its radius, written out: gram_deviation's before the
+    fold onto u >= 0.  At an integer gamma m = 1.0 and it is the x-integrand bit for bit."""
+    m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
+    c, g, a = spec._floats()
 
-    def integrand(x):
+    def integrand(u):
+        p = np.abs(u) ** (m - 1.0)
+        x = u * p
         t = sys.psi_eval_table(x, n)
-        return t * spec.weight(x)[:, None], t
+        if spec.gamma < 0:  # the weight times dx/du, bounded where x underflows to the pole
+            w = c * m * math.sqrt(a) ** (g + 1.0) * np.exp(-a * x * x)
+        else:
+            w = spec.weight(x) * (m * p)
+        return t * w[:, None], t
 
-    return integrand, measure._integration_radius(n, float(spec.gamma), float(spec.alpha))
+    return integrand, measure._integration_radius(n, g, a) ** (1.0 / m)
+
+
+def folded_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
+    """whole_line_integrand over [-R, R] read at u = (t + R)/2 for t in [-R, R], as
+    gram_deviation reads it: dt = 2 du doubles the half-line [0, R]."""
+    f, radius = whole_line_integrand(sys, spec, n)
+    return (lambda t: f(0.5 * (t + radius))), radius
+
+
+def even_part(gram: np.ndarray) -> np.ndarray:
+    """gram with every entry i + j odd set to 0.0, as gram_deviation sets it: psi_n
+    has the parity of n and the weight is even."""
+    gram = gram.copy()
+    gram[::2, 1::2] = gram[1::2, ::2] = 0.0
+    return gram
+
+
+def table_nodes(sys: PolynomialSystem, run) -> int:
+    """The nodes of every psi_eval_table call run() makes on sys."""
+    sizes, table = [], sys.psi_eval_table
+    sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
+    try:
+        run()
+    finally:
+        del sys.psi_eval_table
+    return sum(sizes)
 
 
 class TestOrthonormality:
@@ -213,24 +248,24 @@ class TestOrthonormality:
         assert rep.converged and rep.max_deviation < 1e-8
 
     @pytest.mark.parametrize(
-        "seq,build",
+        "seq",
         [
-            (seq_hermite(104, b0_squared=F(1, 2)), x_integrand),
-            (seq_classical(1, 104), x_integrand),
-            (seq_classical(F(-1, 2), 104), measure._gram_integrand),  # in the mass variable
+            seq_hermite(104, b0_squared=F(1, 2)),
+            seq_classical(1, 104),
+            seq_classical(F(-1, 2), 104),  # in the mass variable, x = u^2
         ],
         ids=["hermite", "classical-1", "classical-singular"],
     )
-    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, build, monkeypatch):
+    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
         # the Gram by the 61 x d^2 nodal products and the same rounds of
-        # splits, one table per panel: the engine evaluates it once per round,
-        # on all the round's halves' nodes
+        # splits on the folded half-line, one table per panel: the engine
+        # evaluates it once per round, on all the round's halves' nodes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
         calls = []
         table = sys.psi_eval_table
         monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
-        integrand, radius = build(sys, spec, 100)
+        integrand, radius = folded_integrand(sys, spec, 100)
         gram, err, panels, rounds = integrate_fresh_sums(
             integrand, [-radius, 0.0, radius], 1e-11, panel=dense_panel)
         assert len(calls) == panels + sum(rounds)  # one table per panel made
@@ -239,28 +274,29 @@ class TestOrthonormality:
         # one table per round, the initial two panels included, on their halves' nodes
         assert len(calls) == 1 + len(rounds)
         assert sum(x.size for x, _ in calls) == 122 * (panels - 1)
-        assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
+        assert np.max(np.abs(rep.deviation - np.abs(even_part(gram) - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "seq,spec,build",
+        "seq,spec",
         [
-            (seq_hermite(104, b0_squared=F(1, 2)), None, x_integrand),
-            (seq_classical(1, 104), None, x_integrand),
-            (seq_classical(F(-1, 2), 104), None, measure._gram_integrand),  # in the mass variable
-            (seq_classical(1, 104), MeasureSpec(F(1), F(2)), x_integrand),  # a mismatched weight
+            (seq_hermite(104, b0_squared=F(1, 2)), None),
+            (seq_classical(1, 104), None),
+            (seq_classical(F(-1, 2), 104), None),  # in the mass variable, x = u^2
+            (seq_classical(1, 104), MeasureSpec(F(1), F(2))),  # a mismatched weight
         ],
         ids=["hermite", "classical-1", "classical-singular", "mismatched"],
     )
-    def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec, build):
+    def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec):
         # the engine evaluates the integrand once per round, on all its
-        # halves' nodes; the reference once per panel, with the same rule
+        # halves' nodes; the reference once per panel, with the same rule, on
+        # the folded half-line and with the entries i + j odd set to 0.0
         sys = PolynomialSystem(seq)
         spec = spec or spec_for_system(sys)
-        integrand, radius = build(sys, spec, 100)
+        integrand, radius = folded_integrand(sys, spec, 100)
         gram, err, _, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
         rep = gram_deviation(sys, spec, 100)
-        assert rep.deviation.tobytes() == np.abs(gram - np.eye(101)).tobytes()
+        assert rep.deviation.tobytes() == np.abs(even_part(gram) - np.eye(101)).tobytes()
         assert rep.quadrature_error == err
 
     @pytest.mark.parametrize("n_max", [12, 100])
@@ -297,16 +333,57 @@ class TestOrthonormality:
     def test_the_cusp_factor_is_the_weight_times_dx_du(self, gamma):
         # for -1 < gamma < 0 the integrand's weight factor is formed in closed form,
         # C m alpha^{(gamma+1)/2} exp(-alpha x^2); away from u = 0 it is the weight
-        # at x = sign(u) |u|^m times m |u|^{m-1}, up to rounding
+        # at x = u^m, u = (t + T)/2, times m u^{m-1}, up to rounding
         sys = PolynomialSystem(seq_classical(gamma, 12, F(3, 2)))
         spec = spec_for_system(sys)
         integrand, radius = measure._gram_integrand(sys, spec, 12)
-        u = np.linspace(-radius, radius, 102)
-        weighted, table = integrand(u)
+        t = np.linspace(-radius, radius, 103)[1:]  # t = -T is u = 0, the weight's pole
+        weighted, table = integrand(t)
         m = float(math.ceil(gamma + 1) / (gamma + 1))
-        x = np.sign(u) * np.abs(u) ** m
-        want = table * (spec.weight(x) * m * np.abs(u) ** (m - 1.0))[:, None]
+        u = 0.5 * (t + radius)
+        want = table * (spec.weight(u**m) * m * u ** (m - 1.0))[:, None]
         np.testing.assert_allclose(weighted, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seq, spec, n_max", [
+        (seq_hermite(104, b0_squared=F(1, 2)), None, 100),
+        (seq_classical(1, 104), None, 100),
+        (seq_family(F(2, 3), F(5, 3), F(3, 7), 104), None, 100),
+        (seq_classical(F(-1, 2), 104), None, 100),
+        (seq_hermite(104, b0_squared=F(1, 10**12)), None, 100),
+        (seq_classical(F(-9, 10), 104), None, 100),
+        # at n = 100 the whole line's Gram is itself 1.3e-13 off the identity here
+        (seq_classical(F(-99, 100), 104), None, 36),
+        (seq_classical(1, 104), MeasureSpec(F(1), F(2)), 100),  # a mismatched weight
+    ], ids=["hermite", "classical-1", "family", "classical-singular", "hermite-narrow",
+            "gamma-9/10", "gamma-99/100", "mismatched"])
+    def test_the_half_line_gram_is_the_whole_line_gram(self, seq, spec, n_max):
+        # psi_n has the parity of n and the weight is even: an entry i + j odd is
+        # 0.0 exactly, and every other entry is the whole line's, which the same
+        # engine integrates over [-R, R] in the unfolded mass variable
+        sys = PolynomialSystem(seq)
+        spec = spec or spec_for_system(sys)
+        rep = gram_deviation(sys, spec, n_max)
+        whole, _ = integrate_split_at_zero(*whole_line_integrand(sys, spec, n_max), tol=1e-11)
+        i, j = np.indices(rep.deviation.shape)
+        assert rep.converged and np.all(rep.deviation[(i + j) % 2 == 1] == 0.0)
+        even = (i + j) % 2 == 0
+        assert np.max(np.abs(rep.deviation - np.abs(whole - np.eye(n_max + 1)))[even]) <= 1e-13
+
+    @pytest.mark.parametrize("seq, n_max", [
+        *((seq, n) for seq in (seq_family(F(2, 3), F(5, 3), F(3, 7), 100), seq_classical(1, 100),
+                               seq_hermite(100, b0_squared=F(1, 2))) for n in (20, 50, 100)),
+        *((seq_classical(g, 12), 12) for g in (F(-1, 4), F(-1, 2), F(-9, 10), F(1, 3), F(7, 4))),
+    ])
+    def test_the_half_line_takes_at_most_half_the_nodes(self, seq, n_max):
+        # the float-boundary benchmark's three systems, and five cusp weights: the
+        # fold evaluates psi on half the line, at no more than half the nodes of
+        # the whole line's rounds (at most 0.5 here, 0.33 at gamma = -1/2)
+        sys = PolynomialSystem(seq)
+        spec = spec_for_system(sys)
+        half = table_nodes(sys, lambda: gram_deviation(sys, spec, n_max))
+        whole = table_nodes(sys, lambda: integrate_split_at_zero(
+            *whole_line_integrand(sys, spec, n_max), tol=1e-11))
+        assert 2 * half <= whole
 
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
