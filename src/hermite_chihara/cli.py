@@ -304,6 +304,38 @@ def cmd_gram(args) -> int:
     return _exit_code([] if passed else [detail])
 
 
+# verify's layout: json.dumps(payload, indent=2) + "\n", each string formed by
+# json.dumps; the payload holds family, n_max, dim, the checks (never empty: validate
+# always runs) and all_passed
+_VERIFY_LAYOUT = """\
+{{
+  "family": {},
+  "n_max": {},
+  "dim": {},
+  "checks": [
+{}
+  ],
+  "all_passed": {}
+}}
+"""
+_CHECK = """\
+    {{
+      "name": {},
+      "status": {},
+      "passed": {},
+      "detail": {}
+    }}"""
+
+
+def _verify_text(family: str, n_max: int, dim: int, checks) -> str:
+    """verify's report on its (name, status, detail) checks, in json.dumps's bytes at indent 2."""
+    dumps = json.dumps
+    rows = [_CHECK.format(dumps(name), dumps(status), str(status == "pass").lower(), dumps(detail))
+            for name, status, detail in checks]
+    return _VERIFY_LAYOUT.format(dumps(family), n_max, dim, ",\n".join(rows),
+                                 str(all(status == "pass" for _, status, _ in checks)).lower())
+
+
 def cmd_verify(args) -> int:
     n_max = args.n_max
     gram_n = min(n_max, 12)
@@ -324,7 +356,7 @@ def cmd_verify(args) -> int:
                 passed, detail = False, str(exc)
             status = "pass" if passed else "fail"
         log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
-        checks.append(dict(name=name, status=status, passed=status == "pass", detail=detail))
+        checks.append((name, status, detail))
 
     # one exact scan of b^2: the commutator, the levels and, on the family, orthonormality's
     oscillator = functools.cache(lambda: _oscillator(sys_))
@@ -360,11 +392,8 @@ def cmd_verify(args) -> int:
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
 
-    all_pass = all(c["passed"] for c in checks)
-    payload = {"family": args.family, "n_max": n_max, "dim": args.dim,
-               "checks": checks, "all_passed": all_pass}
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    return _exit_code([c["name"] for c in checks if not c["passed"]])
+    _emit(args, _verify_text(args.family, n_max, args.dim, checks))
+    return _exit_code([name for name, status, _ in checks if status != "pass"])
 
 
 @functools.cache

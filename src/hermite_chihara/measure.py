@@ -1,8 +1,9 @@
 """The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
 MeasureSpec._floats, moments (two exact routes: closed form, Jacobi walk), Gram matrices
-by adaptive quadrature of (w psi_i) psi_j over x >= 0 (psi_n has the parity of n and the
-weight is even, so an entry with i + j odd is 0) in the mass variable u, x = u^m, which has
-no cusp at 0, and the Carleman determinacy heuristic.  gram_deviation takes any weight:
+by adaptive quadrature of (w psi_i) psi_j over x >= 0 in two parity blocks (psi_n has the
+parity of n and the weight is even, so an entry with i + j odd is 0) in the mass variable u,
+x = u^M, which has no cusp at 0 and, for most rational gamma, leaves an entire integrand,
+and the Carleman determinacy heuristic.  gram_deviation takes any weight:
 the system's own (spec_for_system) or a mismatched one."""
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ class OrthonormalityReport:
         return self.quadrature_error <= self.tolerance
 
 
+# the largest M that _mass_exponent takes as the least M with 2M and M(gamma+1) integers:
+# at M = 11/2..8, on 36 of the 70 such gamma = p/q in (-1, 4] with q <= 12, the entire
+# integrand's degree in u took a third table at n = 12 where ceil(gamma+1)/(gamma+1) took two
+MAX_MASS_EXPONENT = 5
+
+
 def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
     """The alpha = 1 radius on the weight's scale 1/sqrt(alpha), at every
     alpha: the panel layout does not depend on alpha.  At alpha = 1 it is the
@@ -150,32 +157,62 @@ def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
     return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0, reach) / math.sqrt(alpha)
 
 
+def _mass_exponent(gamma: Fraction) -> Fraction:
+    """M of the Gram's mass variable u, x = u^M.  At gamma = p/q, not an integer, the least
+    M >= 1 at which 2M and M(gamma+1) are integers, q / gcd(p + q, 2q), while it is at most
+    MAX_MASS_EXPONENT; above it, ceil(gamma+1)/(gamma+1), at which M(gamma+1) alone is an
+    integer.  1 at an integer gamma."""
+    p, q = gamma.numerator, gamma.denominator
+    if q == 1:
+        return Fraction(1)
+    mass = Fraction(q, math.gcd(p + q, 2 * q))
+    return mass if mass <= MAX_MASS_EXPONENT else math.ceil(gamma + 1) / (gamma + 1)
+
+
 def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
     """gram_deviation's integrand over t in [-T, T], and T: the half-line u = (t + T)/2
-    in [0, T] of the mass variable, x = u^m, m = ceil(gamma+1)/(gamma+1), where |x|^gamma dx
-    = m u^{ceil(gamma+1)-1} du has no cusp (x = u at an integer gamma); dt = 2 du doubles it
-    to the whole line where i + j is even (psi_n has n's parity, the weight is even).  For
-    gamma < 0 the weight times dx/du is formed as the bounded C m alpha^{(gamma+1)/2}
-    exp(-alpha x^2), as x = u^m may underflow to 0."""
+    in [0, T] of the mass variable, x = u^M (_mass_exponent), where |x|^gamma dx =
+    M u^{K-1} du, K = M(gamma+1) an integer: no cusp is left at u = 0, and where 2M is an
+    integer too, x^2 = u^{2M} and each block's integrand below is a polynomial in u times
+    exp(-alpha u^{2M}), which is entire.  dt = 2 du doubles the half-line to the whole line
+    (psi_n has n's parity, the weight is even).  The factors come in two parity blocks on
+    a leading axis, (w psi_{2i}, psi_{2j}) and (w psi_{2i+1}, psi_{2j+1}), each of
+    floor(n_max/2) + 1 columns (the odd block's last one 0 at an even n_max), from one
+    psi_eval_table call: an entry with i + j odd is 0 and is never formed.  w is the weight
+    times dx/du: at M = 1 (an integer gamma) x = u and w the weight; for gamma < 0 the
+    bounded C M alpha^{(gamma+1)/2} u^{K-1} exp(-alpha x^2), as x = u^M may underflow to 0;
+    otherwise the weight at x times M u^{M-1}."""
     import numpy as np
 
     radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
-    m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
-    cusp = spec.gamma < 0
+    mass = _mass_exponent(spec.gamma)
+    m, k = float(mass), int(mass * (spec.gamma + 1))
     t_max = radius ** (1.0 / m)
+    cusp = spec.gamma < 0
+    if cusp:
+        c, g, a = spec._floats()
+        scale = c * m * math.sqrt(a) ** (g + 1.0)
+    cols, odd = n_max // 2 + 1, (n_max + 1) // 2
 
     def integrand(t):
         u = 0.5 * (t + t_max)
-        p = u ** (m - 1.0)
-        x = u * p  # u^m
-        # row-major factors: a column-major table's product rounds differently on two BLAS threads
-        table = sys.psi_eval_table(x, n_max)
-        if cusp:
-            c, g, a = spec._floats()
-            w = c * m * math.sqrt(a) ** (g + 1.0) * np.exp(-a * x * x)
+        if m == 1.0:
+            x, w = u, spec.weight(u)
         else:
-            w = spec.weight(x) * (m * p)
-        return table * w[:, None], table
+            p = u ** (m - 1.0)
+            x = u * p  # u^M
+            if cusp:
+                w = scale * np.exp(-a * x * x)
+                if k > 1:
+                    w *= u ** (k - 1)
+            else:
+                w = spec.weight(x) * (m * p)
+        table = sys.psi_eval_table(x, n_max)
+        # row-major factors: a column-major table's product rounds differently on two BLAS threads
+        psi = np.zeros((2, x.size, cols))
+        psi[0] = table[:, ::2]
+        psi[1, :, :odd] = table[:, 1::2]
+        return psi * w[:, None], psi
 
     return integrand, t_max
 
@@ -186,18 +223,21 @@ def gram_deviation(
     """Gram matrix of psi_0..psi_{n_max} against the weight, by adaptive panel quadrature
     of x >= 0 in the mass variable (_gram_integrand), where no cusp is left to bisect
     toward: psi_n has the parity of n and the weight is even, so an entry with i + j odd
-    is 0, and is set so.  Its factors (w psi_i) and psi_j, one psi_eval_table call per
-    round of splits.  ValueError for an n_max outside [0, sys.n_max]; FloatRangeError
-    when gamma, alpha or a b^2 has no float (in FLOAT_RANGE for alpha and b^2), or
-    Gamma((gamma+1)/2) has none."""
+    is 0, and the quadrature integrates the two parity blocks alone, which fill the others.
+    Its factors (w psi_i) and psi_j, one psi_eval_table call per round of splits.
+    ValueError for an n_max outside [0, sys.n_max]; FloatRangeError when gamma, alpha or a
+    b^2 has no float (in FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
     import numpy as np
 
     if n_max < 0:
         raise ValueError(f"n_max must be in [0, {sys.n_max}]; got {n_max}")
     if n_max > sys.n_max:
         raise ValueError(f"system built to n_max={sys.n_max}")
-    gram, err = integrate_split_at_zero(*_gram_integrand(sys, spec, n_max), tol=tol)
-    gram[::2, 1::2] = gram[1::2, ::2] = 0.0
+    blocks, err = integrate_split_at_zero(*_gram_integrand(sys, spec, n_max), tol=tol)
+    odd = (n_max + 1) // 2
+    gram = np.zeros((n_max + 1, n_max + 1))
+    gram[::2, ::2] = blocks[0]
+    gram[1::2, 1::2] = blocks[1, :odd, :odd]
     dev = np.abs(gram - np.eye(n_max + 1))
     return OrthonormalityReport(max_deviation=float(dev.max()), deviation=dev,
                                 quadrature_error=float(err), tolerance=tol)

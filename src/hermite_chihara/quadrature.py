@@ -4,14 +4,17 @@ The integrand is given by two factors: f(x), with x the 61 nodes of each of
 2k panels, returns a row-aligned pair (u, v) of shapes (2k x 61, p) and
 (2k x 61, q), and the integral is the p x q block of integrals of u_i v_j.  A
 Gram matrix is one such block, with u = (weight * psi) and v = psi; a plain
-vector integrand y is the pair (y, a column of ones).  Each panel applies both
-rules to its 61 rows of the nodewise outer products in one matrix product, so
-the 61 x p x q products are never formed.  The panels are bisected in rounds,
+vector integrand y is the pair (y, a column of ones).  The factors may carry a
+leading block axis, (blocks, 2k x 61, p) and (blocks, 2k x 61, q), and the
+integral is then one p x q block per block: the Gram's two parity blocks, whose
+entries are the only ones that can be nonzero.  Each panel applies both rules
+to its 61 rows of the nodewise outer products in one matrix product per block,
+so the 61 x p x q products are never formed.  The panels are bisected in rounds,
 the batch rule of SciPy's quad_vec: a round takes the panels with the largest
 estimated errors, the fewest whose removal leaves errors that sum to at most
 the tolerance (at least one, at most ROUND_PANELS), and evaluates all their
 halves with one call of f; the error total is re-summed over the panels after
-each round.  The error estimate max |K61 - G30| over the block is
+each round.  The error estimate max |K61 - G30| over every block is
 conservative for smooth integrands, which is what drives the splitting
 toward weight-function cusps.
 """
@@ -134,18 +137,21 @@ def _tables():
 
 
 def _rule(half: float, u: np.ndarray, v: np.ndarray):
-    """The K61 block of one panel's factor blocks u (61, p) and v (61, q),
-    half its width, and its error estimate max |K61 - G30|.  The block owns
-    its data, so a panel kept for the next round does not keep the G30 block alive."""
-    # (2, p, 61) @ (61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
-    k, g = (half * _tables()[1][:, None, :] * u.T) @ v
+    """The K61 block of one panel's factor blocks u (..., 61, p) and v (..., 61, q),
+    half its width, and its error estimate max |K61 - G30| over every block.  A
+    leading block axis gives one product per block, each the 2-D rule's product.
+    The block owns its data, so a panel kept for the next round does not keep the
+    G30 block alive."""
+    # (2, ..., p, 61) @ (..., 61, q): sum_k (half w_k u_ik) v_jk for both rule weights w
+    rules = _tables()[1].reshape((2,) + (1,) * (u.ndim - 1) + (61,))
+    k, g = (half * rules * u.swapaxes(-1, -2)) @ v
     return k.copy(), float(abs(k - g).max())
 
 
 def _halves(f: Callable, panels, index: int):
     """The halves of each panel (a, b) in panels, left then right, as
     (a, b, block, error, index) entries numbered from index on: one call of f
-    on all their nodes, then the rule on each half's 61 rows."""
+    on all their nodes, then the rule on each half's 61 rows (of every block)."""
     import numpy as np
 
     ends = []
@@ -155,7 +161,8 @@ def _halves(f: Callable, panels, index: int):
     lo, hi = np.array(ends).T
     half = 0.5 * (hi - lo)
     u, v = f((0.5 * (lo + hi)[:, None] + half[:, None] * _tables()[0]).ravel())
-    return [(a, b, *_rule(h, u[61 * i : 61 * i + 61], v[61 * i : 61 * i + 61]), index + i)
+    return [(a, b, *_rule(h, u[..., 61 * i : 61 * i + 61, :], v[..., 61 * i : 61 * i + 61, :]),
+             index + i)
             for i, ((a, b), h) in enumerate(zip(ends, half.tolist()))]
 
 
@@ -175,7 +182,8 @@ def integrate_split_at_zero(f: Callable, radius: float, tol: float = 1e-10):
     """Integrate the bilinear integrand f (see the module docstring) over
     [-radius, radius], starting from the two panels split at 0, where a weight
     has its cusp.  Returns (integral, error_estimate); the integral is the
-    p x q block of the factors' shapes (2k x 61, p) and (2k x 61, q), and the
+    p x q block of the factors' shapes (2k x 61, p) and (2k x 61, q), one per
+    block on a leading block axis where they have one, and the
     error estimate is the sum of the final panels' errors.  It exceeds tol only
     when MAX_PANELS panels did not meet it.  f is called once for the two
     initial panels and once per round.

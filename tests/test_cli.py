@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 import hermite_chihara
+import hermite_chihara.cli as cli
 import hermite_chihara.governing as governing
 from conftest import corrupt_core, fraction_lists_of_b2, propagated_compatible_sequence
 from hermite_chihara import DerivationOperator, Poly, PolynomialSystem, epsilons_from_sequence
@@ -223,6 +224,16 @@ class TestReadmeExactCommands:
             ("ode", "pass", EVERY_N.format(512)),
             ("orthonormality", "pass", f"{WEIGHT} for every n <= 512"),
             ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
+        ],
+        "hcpoly verify --family classical --gamma -1/4 --n-max 12": [
+            ("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
+            ("lowering", "pass", EVERY_N.format(12)),
+            ("route_equivalence", "pass", EVERY_N.format(12)),
+            ("commutator", "pass", f"{WEIGHT} for every n <= 40"),
+            ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
+            ("ode", "pass", EVERY_N.format(12)),
+            ("orthonormality", "pass", f"{WEIGHT} for every n <= 40"),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
         ],
     }
     VERIFY_LINES = [line for line in README if line.startswith("hcpoly verify ")]
@@ -664,6 +675,21 @@ class TestBuildAndSeedFile:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("checks", [
+        [("validate", "pass", 'monotone=True on "v" \\ v_0..v_40, \u03b3 = \u22121/4')],
+        [("validate", "pass", "a\tb\n"), ("ode", "fail", "\u00e9 \"\\\""),
+         ("square_lowering", "skipped", "skipped: no column")],
+    ], ids=["passed", "failed"])
+    def test_the_report_is_json_dumps_at_indent_2(self, checks):
+        # the report is laid out by hand, each string through json.dumps: a quote,
+        # a backslash, a control and a non-ASCII character print escaped as
+        # json.dumps(payload, indent=2) prints them
+        payload = {"family": "classical", "n_max": 12, "dim": 40,
+                   "checks": [{"name": name, "status": status, "passed": status == "pass",
+                               "detail": detail} for name, status, detail in checks],
+                   "all_passed": all(status == "pass" for _, status, _ in checks)}
+        assert cli._verify_text("classical", 12, 40, checks) == json.dumps(payload, indent=2) + "\n"
+
     def test_classical_all_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "classical", "--gamma", "1", "--n-max", "12"

@@ -173,10 +173,12 @@ class TestMoments:
 
 
 def whole_line_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
-    """The Gram's integrand over the whole line of the mass variable u, x = sign(u) |u|^m,
-    m = ceil(gamma+1)/(gamma+1), and its radius, written out: gram_deviation's before the
-    fold onto u >= 0.  At an integer gamma m = 1.0 and it is the x-integrand bit for bit."""
-    m = float(math.ceil(spec.gamma + 1) / (spec.gamma + 1))
+    """The Gram's integrand over the whole line of the mass variable u, x = sign(u) |u|^M,
+    M = measure._mass_exponent(gamma), K = M(gamma+1), and its radius, written out in full
+    factors: gram_deviation's before the fold onto u >= 0 and the split into parity blocks.
+    At an integer gamma M = 1.0 and it is the x-integrand bit for bit."""
+    mass = measure._mass_exponent(spec.gamma)
+    m, k = float(mass), int(mass * (spec.gamma + 1))
     c, g, a = spec._floats()
 
     def integrand(u):
@@ -185,6 +187,8 @@ def whole_line_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
         t = sys.psi_eval_table(x, n)
         if spec.gamma < 0:  # the weight times dx/du, bounded where x underflows to the pole
             w = c * m * math.sqrt(a) ** (g + 1.0) * np.exp(-a * x * x)
+            if k > 1:
+                w *= np.abs(u) ** (k - 1)
         else:
             w = spec.weight(x) * (m * p)
         return t * w[:, None], t
@@ -199,11 +203,25 @@ def folded_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
     return (lambda t: f(0.5 * (t + radius))), radius
 
 
-def even_part(gram: np.ndarray) -> np.ndarray:
-    """gram with every entry i + j odd set to 0.0, as gram_deviation sets it: psi_n
-    has the parity of n and the weight is even."""
-    gram = gram.copy()
-    gram[::2, 1::2] = gram[1::2, ::2] = 0.0
+def parity_blocks(f):
+    """The pair of full factors f(t) = (u, v) as gram_deviation's two parity blocks on a
+    leading axis: the columns 0, 2, 4, ... of each, then the columns 1, 3, 5, ... with a
+    zero column last where there are fewer of them."""
+    def split(a):
+        blocks = np.zeros((2, a.shape[0], (a.shape[1] + 1) // 2))
+        blocks[0] = a[:, ::2]
+        blocks[1, :, : a.shape[1] // 2] = a[:, 1::2]
+        return blocks
+
+    return lambda t: tuple(map(split, f(t)))
+
+
+def from_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 1) x (n + 1) Gram of the two parity blocks of integrals: 0.0 wherever
+    i + j is odd, as psi_n has the parity of n and the weight is even."""
+    gram = np.zeros((n + 1, n + 1))
+    gram[::2, ::2] = blocks[0]
+    gram[1::2, 1::2] = blocks[1, : (n + 1) // 2, : (n + 1) // 2]
     return gram
 
 
@@ -257,24 +275,26 @@ class TestOrthonormality:
         ids=["hermite", "classical-1", "classical-singular"],
     )
     def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
-        # the Gram by the 61 x d^2 nodal products and the same rounds of
-        # splits on the folded half-line, one table per panel: the engine
-        # evaluates it once per round, on all the round's halves' nodes
+        # the Gram by the 61 x d^2 nodal products of each parity block and the
+        # same rounds of splits on the folded half-line, one table per panel: the
+        # engine evaluates it once per round, on all the round's halves' nodes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
         calls = []
         table = sys.psi_eval_table
         monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
         integrand, radius = folded_integrand(sys, spec, 100)
-        gram, err, panels, rounds = integrate_fresh_sums(
-            integrand, [-radius, 0.0, radius], 1e-11, panel=dense_panel)
+        blocks, err, panels, rounds = integrate_fresh_sums(
+            parity_blocks(integrand), [-radius, 0.0, radius], 1e-11, panel=dense_panel)
+        assert blocks.shape == (2, 51, 51)
         assert len(calls) == panels + sum(rounds)  # one table per panel made
         del calls[:]
         rep = gram_deviation(sys, spec, 100)
         # one table per round, the initial two panels included, on their halves' nodes
         assert len(calls) == 1 + len(rounds)
         assert sum(x.size for x, _ in calls) == 122 * (panels - 1)
-        assert np.max(np.abs(rep.deviation - np.abs(even_part(gram) - np.eye(101)))) <= 1e-14
+        gram = from_blocks(blocks, 100)
+        assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -290,19 +310,21 @@ class TestOrthonormality:
     def test_bit_identical_to_one_integrand_call_per_panel_at_n100(self, seq, spec):
         # the engine evaluates the integrand once per round, on all its
         # halves' nodes; the reference once per panel, with the same rule, on
-        # the folded half-line and with the entries i + j odd set to 0.0
+        # the folded half-line's two parity blocks, cut from its full factors,
+        # and with the entries i + j odd 0.0
         sys = PolynomialSystem(seq)
         spec = spec or spec_for_system(sys)
         integrand, radius = folded_integrand(sys, spec, 100)
-        gram, err, _, _ = integrate_fresh_sums(integrand, [-radius, 0.0, radius], 1e-11)
+        blocks, err, _, _ = integrate_fresh_sums(
+            parity_blocks(integrand), [-radius, 0.0, radius], 1e-11)
         rep = gram_deviation(sys, spec, 100)
-        assert rep.deviation.tobytes() == np.abs(even_part(gram) - np.eye(101)).tobytes()
+        assert rep.deviation.tobytes() == np.abs(from_blocks(blocks, 100) - np.eye(101)).tobytes()
         assert rep.quadrature_error == err
 
     @pytest.mark.parametrize("n_max", [12, 100])
     @pytest.mark.parametrize("gamma", [F(-9, 10), F(-1, 2), F(-1, 3), F(-3, 11), F(1, 3), F(7, 4)])
     def test_a_cusp_weight_takes_a_few_rounds(self, gamma, n_max, monkeypatch):
-        # in the mass variable |x|^gamma dx is m |u|^{ceil(gamma+1)-1} du, with
+        # in the mass variable |x|^gamma dx is M u^{K-1} du, K = M(gamma+1), with
         # no cusp for the rounds to bisect toward: in x, gamma = -1/2 took 68
         # tables at n_max 100 and gamma = -9/10 took 345, to deviations of 6e-12
         # and 5e-11
@@ -332,16 +354,22 @@ class TestOrthonormality:
     @pytest.mark.parametrize("gamma", [F(-1, 2), F(-1, 4), F(-9, 10)])
     def test_the_cusp_factor_is_the_weight_times_dx_du(self, gamma):
         # for -1 < gamma < 0 the integrand's weight factor is formed in closed form,
-        # C m alpha^{(gamma+1)/2} exp(-alpha x^2); away from u = 0 it is the weight
-        # at x = u^m, u = (t + T)/2, times m u^{m-1}, up to rounding
+        # C M alpha^{(gamma+1)/2} u^{K-1} exp(-alpha x^2), K = M(gamma+1); away from
+        # u = 0 it is the weight at x = u^M, u = (t + T)/2, times M u^{M-1}, up to
+        # rounding, on both parity blocks of psi at x
         sys = PolynomialSystem(seq_classical(gamma, 12, F(3, 2)))
         spec = spec_for_system(sys)
+        m = {F(-1, 2): 2, F(-1, 4): 4, F(-9, 10): 10}[gamma]
+        assert measure._mass_exponent(gamma) == m
         integrand, radius = measure._gram_integrand(sys, spec, 12)
         t = np.linspace(-radius, radius, 103)[1:]  # t = -T is u = 0, the weight's pole
-        weighted, table = integrand(t)
-        m = float(math.ceil(gamma + 1) / (gamma + 1))
+        weighted, psi = integrand(t)
         u = 0.5 * (t + radius)
-        want = table * (spec.weight(u**m) * m * u ** (m - 1.0))[:, None]
+        table = sys.psi_eval_table(u**m, 12)
+        assert psi.shape == (2, 102, 7) and not psi[1, :, 6].any()
+        np.testing.assert_allclose(psi[0], table[:, ::2], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(psi[1, :, :6], table[:, 1::2], rtol=1e-13, atol=0.0)
+        want = psi * (spec.weight(u**m) * m * u ** (m - 1.0))[:, None]
         np.testing.assert_allclose(weighted, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("seq, spec, n_max", [
@@ -368,6 +396,61 @@ class TestOrthonormality:
         assert rep.converged and np.all(rep.deviation[(i + j) % 2 == 1] == 0.0)
         even = (i + j) % 2 == 0
         assert np.max(np.abs(rep.deviation - np.abs(whole - np.eye(n_max + 1)))[even]) <= 1e-13
+
+    def test_the_mass_exponent_is_the_least_with_2m_and_k_integers(self):
+        # at gamma = p/q, M >= 1 is the least half-integer at which M(gamma+1) = K is
+        # an integer, while it is at most MAX_MASS_EXPONENT; past that cap, and only
+        # there, ceil(gamma+1)/(gamma+1), at which K alone is an integer; 1 at an integer
+        capped = 0
+        for gamma in {F(p, q) for q in range(1, 25) for p in range(1 - q, 5 * q)}:
+            m = measure._mass_exponent(gamma)
+            assert m >= 1 and (m * (gamma + 1)).denominator == 1
+            least = next(F(j, 2) for j in range(2, 4 * gamma.denominator + 1)
+                         if (F(j, 2) * (gamma + 1)).denominator == 1)
+            if least <= measure.MAX_MASS_EXPONENT:
+                assert m == least and (2 * m).denominator == 1
+            else:
+                capped += 1
+                assert m == math.ceil(gamma + 1) / (gamma + 1)
+            assert (m == 1) == (gamma.denominator == 1)
+        assert capped > 0
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 13, 100])
+    @pytest.mark.parametrize("seq", [seq_hermite(104, b0_squared=F(1, 2)), seq_classical(1, 104),
+                                     seq_classical(3, 104, F(3, 2)),
+                                     seq_family(F(2, 3), F(5, 3), F(3, 7), 104)],
+                             ids=["hermite", "classical-1", "classical-3", "family"])
+    def test_at_an_integer_gamma_the_integrand_is_the_x_integrand_bit_for_bit(self, seq, n_max):
+        # M = 1: x = u and w the weight, where u^(m - 1) = 1.0 and the factor
+        # m u^(m - 1) = 1.0 were formed before; the blocks hold the same bytes
+        sys = PolynomialSystem(seq)
+        spec = spec_for_system(sys)
+        integrand, radius = measure._gram_integrand(sys, spec, n_max)
+        t = np.linspace(-radius, radius, 246)[1:-1]  # inside the panels, as every node is
+
+        def before(t):  # the integrand at m = 1.0, written out as it was formed in full
+            u = 0.5 * (t + radius)
+            p = u ** (1.0 - 1.0)
+            x = u * p
+            table = sys.psi_eval_table(x, n_max)
+            return table * (spec.weight(x) * (1.0 * p))[:, None], table
+
+        for got, want in zip(integrand(t), parity_blocks(before)(t)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [F(-1, 4), F(-1, 5), F(-1, 9), F(1, 3), F(-3, 7), F(3, 5)])
+    def test_an_entire_integrand_takes_two_tables_at_n12(self, gamma):
+        # 2M and M(gamma+1) integers: each block's integrand is a polynomial in u
+        # times exp(-alpha u^{2M}), entire, and one round of splits of the first two
+        # panels meets the tolerance, where x = u^m, m = ceil(gamma+1)/(gamma+1),
+        # with the entries i + j odd formed too, took 8, 9, 10, 4, 5 and 5 tables
+        sys = PolynomialSystem(seq_classical(gamma, 12))
+        sizes = []
+        table = sys.psi_eval_table
+        sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
+        rep = gram_deviation(sys, spec_for_system(sys), 12)
+        assert rep.converged and rep.max_deviation < 1e-13
+        assert len(sizes) <= 2
 
     @pytest.mark.parametrize("seq, n_max", [
         *((seq, n) for seq in (seq_family(F(2, 3), F(5, 3), F(3, 7), 100), seq_classical(1, 100),
@@ -518,14 +601,14 @@ class TestOrthonormality:
 
 def dense_panel(f, a, b):
     """The panel rule on the explicit nodewise outer products of f's pair of
-    factors: the 61 x p x q array u_i v_j, contracted with both rules.  The
-    reference for _rule's one rule-weighted product."""
+    factors: the 61 x p x q array u_i v_j (for each block on a leading axis),
+    contracted with both rules.  The reference for _rule's one rule-weighted product."""
     half = 0.5 * (b - a)
     nodes, rules = quadrature._tables()
     u, v = f(0.5 * (a + b) + half * nodes)
-    y = (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
-    k, g = half * (rules @ y)
-    return k.reshape(u.shape[1], v.shape[1]), float(np.max(np.abs(k - g)))
+    y = u[..., :, :, None] * v[..., :, None, :]  # (..., 61, p, q), for each block
+    k, g = half * np.tensordot(rules, y, axes=([1], [-3]))
+    return k, float(np.max(np.abs(k - g)))
 
 
 def one_panel(f, a, b):
@@ -695,6 +778,25 @@ class TestQuadratureEngine:
         for x, lo, hi in zip(got, starts[:-1], starts[1:]):
             assert x.tobytes() == np.concatenate(want[lo:hi]).tobytes()
         assert starts[-1] == len(want)
+
+    @pytest.mark.parametrize("cols", [1, 2, 7, 51])
+    def test_a_block_axis_gives_the_2d_rule_block_by_block(self, cols):
+        # a leading block axis: each block's K61 block is the 2-D rule's bit for
+        # bit, on fixed panels whose rows are cut from one call's factors, as
+        # _halves cuts them, and the error is the largest of the blocks' errors
+        rng = np.random.default_rng(cols)
+        u, v = rng.standard_normal((2, 244, cols)), rng.standard_normal((2, 244, cols))
+        panels = [(-1.0, 0.0), (0.0, 1.0)]
+        stacked = _halves(lambda x: (u, v), panels, 0)
+        apart = [_halves(lambda x: (u[i], v[i]), panels, 0) for i in range(2)]
+        for j, (_, _, k, err, _) in enumerate(stacked):
+            assert k.shape == (2, cols, cols)
+            for i in range(2):
+                assert k[i].tobytes() == apart[i][j][2].tobytes()
+            assert err == max(apart[0][j][3], apart[1][j][3])
+            rows = slice(61 * j, 61 * j + 61)
+            k_rule, err_rule = _rule(0.25, u[:, rows], v[:, rows])
+            assert k_rule.tobytes() == k.tobytes() and err_rule == err
 
     def test_panel_block_owns_its_data(self):
         # a panel kept for the next round holds its K61 block alone, not a view
