@@ -1,10 +1,10 @@
-"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C formed in
-MeasureSpec._floats, moments (two exact routes: closed form, Jacobi walk), Gram matrices
-by adaptive quadrature of (w psi_i) psi_j over x >= 0 in two parity blocks (psi_n has the
-parity of n and the weight is even, so an entry with i + j odd is 0) in the mass variable u,
-x = u^M, which has no cusp at 0 and, for most rational gamma, leaves an entire integrand,
-and the Carleman determinacy heuristic.  gram_deviation takes any weight:
-the system's own (spec_for_system) or a mismatched one."""
+"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C = 1/Gamma((gamma+1)/2),
+moments (two exact routes: closed form, Jacobi walk), Gram matrices by adaptive quadrature
+of (s psi_i)(s psi_j), s^2 the weight times dx/du, over x >= 0 in two parity blocks (psi_n
+has the parity of n and the weight is even, so an entry with i + j odd is 0) in the mass
+variable u, x = u^M, which has no cusp at 0 and, for most rational gamma, leaves an entire
+integrand, and the Carleman determinacy heuristic.  gram_deviation takes any weight: the
+system's own (spec_for_system) or a mismatched one."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .governing import as_fraction, common_denominator
 from .quadrature import integrate_split_at_zero
-from .systems import FloatRangeError, PolynomialSystem, _weight_floats
+from .systems import FLOAT_RANGE, FloatRangeError, PolynomialSystem, _weight_floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,14 +47,6 @@ class MeasureSpec:
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
 
-    def _floats(self) -> tuple[float, float, float]:
-        """(C = 1/Gamma((gamma+1)/2), gamma, alpha); FloatRangeError where one has no float."""
-        g, a = _weight_floats(self.gamma, self.alpha)
-        try:
-            return 1.0 / math.gamma((g + 1.0) / 2.0), g, a
-        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
-            raise FloatRangeError("Gamma((gamma+1)/2)") from None
-
     def weight(self, x: np.ndarray) -> np.ndarray:
         """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
         C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
@@ -66,7 +58,11 @@ class MeasureSpec:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
-        c, g, a = self._floats()
+        g, a = _weight_floats(self.gamma, self.alpha)
+        try:
+            c = 1.0 / math.gamma((g + 1.0) / 2.0)
+        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
+            raise FloatRangeError("Gamma((gamma+1)/2)") from None
         r = math.sqrt(a)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -139,22 +135,24 @@ MAX_MASS_EXPONENT = 5
 
 
 def _integration_radius(n_max: int, gamma: float, alpha: float) -> float:
-    """The alpha = 1 radius on the weight's scale 1/sqrt(alpha), at every
-    alpha: the panel layout does not depend on alpha.  At alpha = 1 it is the
-    larger of max(10, 3 sqrt(n) + 5) and sqrt(t) + 3 t^{1/4} + 6, t = s + n
-    with s = (gamma + 1)/2: the integrand's mass lies near x^2 = t, which a
-    large gamma moves past the first.  The second never passes the |x| at which
-    the weight's factor C sqrt(alpha) |sqrt(alpha) x|^gamma, formed before
-    exp(-alpha x^2), reaches 2^1020: growing the radius for gamma makes no
-    weight value overflow that the first radius left finite."""
-    s = (gamma + 1.0) / 2.0
-    t = s + n_max
-    reach = math.sqrt(t) + 3.0 * t**0.25 + 6.0
-    if gamma > 0:
-        room = 1020.0 * math.log(2.0) - max(0.0, 0.5 * math.log(alpha) - math.lgamma(s))
-        if gamma * math.log(reach) > room:  # room: log 2^1020 / max(1, C sqrt(alpha))
-            reach = math.exp(room / gamma)
-    return max(10.0, 3.0 * math.sqrt(max(n_max, 1)) + 5.0, reach) / math.sqrt(alpha)
+    """psi_{n_max}'s turning point alpha x^2 = t = 2 n_max + gamma + 1 and a margin of 6 Airy
+    scales t^{-1/6} and 3, on the weight's scale 1/sqrt(alpha), so the panel layout does not
+    depend on alpha: past it every weighted function s psi_n decays faster than a Gaussian."""
+    t = 2.0 * n_max + gamma + 1.0
+    return (math.sqrt(t) + 6.0 * t ** (-1.0 / 6.0) + 3.0) / math.sqrt(alpha)
+
+
+def _log_gamma_at_peak(h: float, d: float) -> float:
+    """lgamma(h + d) - (h log h - h), 0 < d <= 1/2: from h + d = 10 on by Stirling's series,
+    whose terms are all small, where lgamma alone would round away digits the difference keeps."""
+    s = h + d
+    if s < 10.0:
+        return math.lgamma(s) - (h * math.log(h) - h if h else 0.0)
+    r, series = 1.0 / (s * s), 0.0
+    for coeff in (-691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0):
+        series = r * (coeff + series)
+    return ((d - 0.5) * math.log(s) + 0.5 * math.log(2.0 * math.pi) - d
+            + (1.0 / 12.0 + series) / s - h * math.log1p(-d / s))
 
 
 def _mass_exponent(gamma: Fraction) -> Fraction:
@@ -173,46 +171,46 @@ def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
     """gram_deviation's integrand over t in [-T, T], and T: the half-line u = (t + T)/2
     in [0, T] of the mass variable, x = u^M (_mass_exponent), where |x|^gamma dx =
     M u^{K-1} du, K = M(gamma+1) an integer: no cusp is left at u = 0, and where 2M is an
-    integer too, x^2 = u^{2M} and each block's integrand below is a polynomial in u times
+    integer too, x^2 = u^{2M} and each block's integrand is a polynomial in u times
     exp(-alpha u^{2M}), which is entire.  dt = 2 du doubles the half-line to the whole line
-    (psi_n has n's parity, the weight is even).  The factors come in two parity blocks on
-    a leading axis, (w psi_{2i}, psi_{2j}) and (w psi_{2i+1}, psi_{2j+1}), each of
-    floor(n_max/2) + 1 columns (the odd block's last one 0 at an even n_max), from one
-    psi_eval_table call: an entry with i + j odd is 0 and is never formed.  w is the weight
-    times dx/du: at M = 1 (an integer gamma) x = u and w the weight; for gamma < 0 the
-    bounded C M alpha^{(gamma+1)/2} u^{K-1} exp(-alpha x^2), as x = u^M may underflow to 0;
-    otherwise the weight at x times M u^{M-1}."""
+    (psi_n has n's parity, the weight is even).  Both factors are phi_n = s psi_n, s^2 the
+    weight times dx/du, in two parity blocks on a leading axis, each of floor(n_max/2) + 1
+    columns (the odd block's last one 0 at an even n_max), from one psi_eval_table call from
+    row 0 = s.  On the weight's scale z = alpha^{1/(2M)} u, s^2 = C M alpha^{1/(2M)} z^{K-1}
+    exp(-z^{2M}), formed in logs about its peak z^{2M} = h = (K-1)/(2M) (or 1) so that no large
+    log cancels (_log_gamma_at_peak), with z^{2M} = alpha x^2: no Gamma value, alpha power or
+    |x|^gamma is formed.  FloatRangeError before the first table where s at the radius is not
+    a normal float ("weight value"; Hermite from n = 538) or gamma's float is -1."""
     import numpy as np
 
-    radius = _integration_radius(n_max, *_weight_floats(spec.gamma, spec.alpha))
+    g, a = _weight_floats(spec.gamma, spec.alpha)
+    if g <= -1.0:  # gamma within about 1e-16 of -1: (gamma+1)/2 has no float
+        raise FloatRangeError("Gamma((gamma+1)/2)")
     mass = _mass_exponent(spec.gamma)
-    m, k = float(mass), int(mass * (spec.gamma + 1))
-    t_max = radius ** (1.0 / m)
-    cusp = spec.gamma < 0
-    if cusp:
-        c, g, a = spec._floats()
-        scale = c * m * math.sqrt(a) ** (g + 1.0)
-    cols, odd = n_max // 2 + 1, (n_max + 1) // 2
+    m, h = float(mass), float((mass * (spec.gamma + 1) - 1) / (2 * mass))
+    mid = h or 1.0
+    c = math.log(m) - _log_gamma_at_peak(h, 0.5 / m) - (mid - h)
+    root = a ** (0.25 / m)  # s = root exp(log_s(z^{2M}))
+    radius = _integration_radius(n_max, g, a)
+
+    def log_s(zz):  # log(zz / mid) = -inf at zz = 0, and at K = 1 it is not read
+        return 0.5 * (c + (h * np.log(zz / mid) if h else 0.0) - (zz - mid))
+
+    low, high = map(math.log, FLOAT_RANGE)
+    if not low <= log_s(a * radius * radius) + math.log(root) <= high:
+        raise FloatRangeError("weight value")
+    t_max, cols, odd = radius ** (1.0 / m), n_max // 2 + 1, (n_max + 1) // 2
 
     def integrand(t):
-        u = 0.5 * (t + t_max)
-        if m == 1.0:
-            x, w = u, spec.weight(u)
-        else:
-            p = u ** (m - 1.0)
-            x = u * p  # u^M
-            if cusp:
-                w = scale * np.exp(-a * x * x)
-                if k > 1:
-                    w *= u ** (k - 1)
-            else:
-                w = spec.weight(x) * (m * p)
-        table = sys.psi_eval_table(x, n_max)
+        x = (0.5 * (t + t_max)) ** m
+        with np.errstate(divide="ignore"):  # x = 0: s = 0 at K > 1
+            s = np.exp(log_s(a * x * x)) * root
+        table = sys.psi_eval_table(x, n_max, s)
         # row-major factors: a column-major table's product rounds differently on two BLAS threads
-        psi = np.zeros((2, x.size, cols))
-        psi[0] = table[:, ::2]
-        psi[1, :, :odd] = table[:, 1::2]
-        return psi * w[:, None], psi
+        phi = np.zeros((2, x.size, cols))
+        phi[0] = table[:, ::2]
+        phi[1, :, :odd] = table[:, 1::2]
+        return phi, phi
 
     return integrand, t_max
 
@@ -224,9 +222,10 @@ def gram_deviation(
     of x >= 0 in the mass variable (_gram_integrand), where no cusp is left to bisect
     toward: psi_n has the parity of n and the weight is even, so an entry with i + j odd
     is 0, and the quadrature integrates the two parity blocks alone, which fill the others.
-    Its factors (w psi_i) and psi_j, one psi_eval_table call per round of splits.
-    ValueError for an n_max outside [0, sys.n_max]; FloatRangeError when gamma, alpha or a
-    b^2 has no float (in FLOAT_RANGE for alpha and b^2), or Gamma((gamma+1)/2) has none."""
+    Both factors are the weighted functions s psi_i, one psi_eval_table call per round of
+    splits.  ValueError for an n_max outside [0, sys.n_max]; FloatRangeError when gamma,
+    alpha or a b^2 has no float (in FLOAT_RANGE for alpha and b^2), gamma's float is -1, or
+    s at the integration radius is not a normal float (_gram_integrand)."""
     import numpy as np
 
     if n_max < 0:

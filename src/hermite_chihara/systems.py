@@ -349,16 +349,15 @@ class PolynomialSystem:
                 return n
         return None
 
-    def psi_eval_table(self, x: np.ndarray, n_hi: int) -> np.ndarray:
-        """Matrix [len(x), n_hi+1] of psi_0..psi_{n_hi} at the nodes x, by the
-        forward three-term recurrence: the one float evaluation of psi.  The
-        recurrence fills one contiguous row per psi_m in place, each step
-        psi_{m+1} = (x psi_m - b_{m-1} psi_{m-1}) / b_m in that operation order
-        with no temporary but one scratch row, and the rows are returned
-        transposed into a row-major (C-contiguous) copy: the factor layout whose
-        Gram product rounds alike on one BLAS thread and on two (gram_deviation).
-        ValueError where an x is not finite; FloatRangeError when a value
-        overflows (or, after an overflow, is NaN)."""
+    def psi_eval_table(self, x: np.ndarray, n_hi: int, row0: np.ndarray = 1.0) -> np.ndarray:
+        """Matrix [len(x), n_hi+1] of row0 psi_0..row0 psi_{n_hi} at the nodes x, row0 = 1
+        or per-node values, by the forward three-term recurrence from row 0: the one float
+        evaluation of psi, linear in row 0.  It fills one contiguous row per psi_m in place,
+        each step psi_{m+1} = (x psi_m - b_{m-1} psi_{m-1}) / b_m in that operation order
+        with no temporary but one scratch row, and the rows are returned transposed into a
+        row-major (C-contiguous) copy: the factor layout whose Gram product rounds alike on
+        one BLAS thread and on two (gram_deviation).  ValueError where an x is not finite;
+        FloatRangeError when a value overflows (or, after an overflow, is NaN)."""
         import numpy as np
 
         self._check_n(n_hi)
@@ -366,12 +365,13 @@ class PolynomialSystem:
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         buf = np.empty((n_hi + 1, x.size))
-        buf[0] = 1.0
+        buf[0] = row0
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if n_hi >= 1:
                     b, rows, scratch = self.b_float, list(buf), np.empty(x.size)
-                    np.divide(x, b[0], out=rows[1])
+                    np.multiply(x, rows[0], out=rows[1])
+                    np.divide(rows[1], b[0], out=rows[1])
                     for m in range(1, n_hi):
                         nxt = rows[m + 1]
                         np.multiply(x, rows[m], out=nxt)

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +29,18 @@ def plain(f):
         return np.reshape(f(x), (x.size, -1)), np.ones((x.size, 1))
 
     return pair
+
+
+@contextlib.contextmanager
+def psi_tables(sys):
+    """The node arrays of every psi_eval_table call made on sys inside the block, in
+    order: the one spy on the table, which passes every other argument through."""
+    calls, table = [], sys.psi_eval_table
+    sys.psi_eval_table = lambda x, *rest: calls.append(np.asarray(x)) or table(x, *rest)
+    try:
+        yield calls
+    finally:
+        del sys.psi_eval_table
 
 
 def corrupt_core(core, n, kind, j=0):

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -842,8 +843,8 @@ class TestGram:
         # a NaN deviation fails too
         table = PolynomialSystem.psi_eval_table
 
-        def scaled(self, x, n_hi):
-            out = table(self, x, n_hi)
+        def scaled(self, x, n_hi, row0=1.0):
+            out = table(self, x, n_hi, row0)
             out[:, 2] *= factor
             return out
 
@@ -858,7 +859,7 @@ class TestGram:
         if command == "gram":
             assert failed == [detail]
             assert out.splitlines()[2].split(",")[2] == ("nan" if math.isnan(factor) else
-                                                         "1.2499999999999996")
+                                                         "1.2499999999999973")
             return
         check = {c["name"]: c for c in json.loads(out)["checks"]}["orthonormality"]
         assert (check["status"], failed) == ("fail", ["orthonormality"])
@@ -870,8 +871,8 @@ class TestGram:
         # at gamma = 200 the weight's mass sits near |x| = sqrt((gamma + 1)/2), past
         # the radius max(10, 3 sqrt(n) + 5) at n = 8; the radius reads gamma, and
         # the Gram is within the bound (a radius of 13.5 gave 9.7e-6, converged).
-        # At gamma = 212, n = 50 and gamma = 215, n = 20 the gamma term stops where
-        # |x|^gamma reaches 2^1020, so no weight value overflows
+        # At gamma = 212, n = 50 and gamma = 215, n = 20 |x|^gamma would pass
+        # 2^1020 inside the radius, but the weight root is formed in logs
         code, out, err = run_cli(capsys, "gram", "--family", "classical", "--gamma", gamma,
                                  "--n-max", n_max)
         assert (code, err) == (0, "")
@@ -1185,6 +1186,7 @@ class TestExitCodes:
 
 
 _E400 = str(10**400)
+_NEXT_TO_THE_POLE = f"{1 - 10**20}/{10**20}"  # gamma = -1 + 10^-20
 _LIMIT = 640  # a low int-string limit, set for the test's duration
 
 
@@ -1235,11 +1237,14 @@ class TestFloatRange:
                       "1/" + _E400), id="spectrum-alpha-1e-400"),
         pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
         pytest.param(("gram", "--b0-squared", "1/" + _E400), id="gram-1e-400"),
-        pytest.param(("gram", "--family", "classical", "--gamma", "400"), id="gram-gamma-400"),
+        # gamma = -1 + 10^-20, whose float is -1: (gamma + 1)/2 has no float
+        pytest.param(("gram", "--family", "classical", "--gamma", _NEXT_TO_THE_POLE),
+                     id="gram-gamma-pole"),
         pytest.param(("spectrum", *GAMMA_1E400), id="spectrum-gamma-1e400"),
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
-        # psi_400 overflows near the integration radius, 65
-        pytest.param(("gram", "--n-max", "400"), id="gram-psi-n-400"),
+        # the weight root at psi_1000's turning point radius, e^{-1000}, is not a
+        # normal float (Hermite from n = 538)
+        pytest.param(("gram", "--n-max", "1000"), id="gram-weight-n-1000"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -1317,10 +1322,10 @@ class TestFloatRange:
         assert json.loads(err) == {"failed": ["orthonormality", "square_lowering"]}
 
     def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
-        # Gamma((gamma+1)/2) has no float at gamma = 400; the exact checks pass, and
-        # so does orthonormality's exact part
-        code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "400",
-                                 "--n-max", "8")
+        # (gamma + 1)/2 has no float at gamma = -1 + 10^-20, whose float is -1; the
+        # exact checks pass, and so does orthonormality's exact part
+        code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma",
+                                 _NEXT_TO_THE_POLE, "--n-max", "8")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 1 and json.loads(err) == {"failed": ["orthonormality"]}
         assert checks["orthonormality"]["detail"] == (
@@ -1671,6 +1676,34 @@ class TestEdgeMatrix:
         else:
             assert proc.returncode in (0, 2), proc.stderr
             assert proc.returncode == 0 or last.startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize("setting", [
+        ("--family", "hermite", "--n-max", "400"),
+        ("--family", "classical", "--gamma", "200", "--n-max", "100"),
+        ("--family", "classical", "--gamma", "400", "--n-max", "8"),
+        ("--family", "classical", "--gamma", "1000", "--n-max", "60"),
+    ], ids=["hermite-n-400", "gamma-200-n-100", "gamma-400-n-8", "gamma-1000-n-60"])
+    def test_the_gram_exits_0_past_the_old_float_range(self, setting):
+        # psi_400 overflowed at the old radius, the weight's |x|^200 inside it, and
+        # Gamma((gamma+1)/2) at gamma = 400 and 1000; the weighted functions are
+        # bounded, and every Gram is below 1e-13
+        proc = subprocess.run([sys.executable, "-m", "hermite_chihara.cli", "gram", *setting],
+                              capture_output=True, text=True, timeout=120,
+                              env=child_env(PYTHONWARNINGS="error::RuntimeWarning"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert max(abs(float(v)) for r in proc.stdout.splitlines() for v in r.split(",")) < 1e-13
+
+    def test_the_gram_fails_fast_past_the_weighted_range(self):
+        # at Hermite n = 1000 the weight root at the radius is not a normal float: the
+        # Gram raises before its first table, where it took 27 tables and 2.6 s to
+        # 4e-10 at n = 700, and held 4 GB of panels at n = 1000
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hermite_chihara.cli", "gram", "--family",
+                               "hermite", "--n-max", "1000"], capture_output=True, text=True,
+                              timeout=120, env=child_env(PYTHONWARNINGS="error::RuntimeWarning"))
+        assert time.perf_counter() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {"failed": [_NO_FLOAT.format("weight value")]}
 
 
 class TestSubprocessEntry:

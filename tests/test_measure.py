@@ -1,3 +1,4 @@
+import decimal
 import heapq
 import math
 import re
@@ -24,7 +25,7 @@ from hermite_chihara import (
 from hermite_chihara import measure, quadrature
 from hermite_chihara.quadrature import _halves, _rule, integrate_split_at_zero
 import fraction_reference as ref
-from conftest import plain
+from conftest import plain, psi_tables
 
 
 def weight_system(gamma: F, alpha: F, N: int = 16) -> PolynomialSystem:
@@ -172,28 +173,34 @@ class TestMoments:
             assert float(moment_closed(spec, 2 * n)) == pytest.approx(expect, rel=1e-12)
 
 
+def weight_root(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
+    """s = sqrt(w dx/du) at the nodes x = u^M, M = measure._mass_exponent(gamma), written
+    out as the Gram forms it: on the weight's scale z = alpha^{1/(2M)} u, log s^2 about the
+    peak z^{2M} = h = (K-1)/(2M) (1 at K = 1), K = M(gamma+1), with z^{2M} = alpha x^2."""
+    mass = measure._mass_exponent(spec.gamma)
+    m, h = float(mass), float((mass * (spec.gamma + 1) - 1) / (2 * mass))
+    a, mid = float(spec.alpha), h or 1.0
+    c = math.log(m) - measure._log_gamma_at_peak(h, 0.5 / m) - (mid - h)
+    zz = a * x * x
+    with np.errstate(divide="ignore"):
+        log_s2 = c + (h * np.log(zz / mid) if h else 0.0) - (zz - mid)
+    return np.exp(0.5 * log_s2) * a ** (0.25 / m)
+
+
 def whole_line_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
     """The Gram's integrand over the whole line of the mass variable u, x = sign(u) |u|^M,
-    M = measure._mass_exponent(gamma), K = M(gamma+1), and its radius, written out in full
-    factors: gram_deviation's before the fold onto u >= 0 and the split into parity blocks.
-    At an integer gamma M = 1.0 and it is the x-integrand bit for bit."""
-    mass = measure._mass_exponent(spec.gamma)
-    m, k = float(mass), int(mass * (spec.gamma + 1))
-    c, g, a = spec._floats()
+    and its radius, written out in full factors: the weighted functions s psi_n, twice,
+    gram_deviation's before the fold onto u >= 0 and the split into parity blocks
+    (s is even in u)."""
+    m = float(measure._mass_exponent(spec.gamma))
 
     def integrand(u):
-        p = np.abs(u) ** (m - 1.0)
-        x = u * p
-        t = sys.psi_eval_table(x, n)
-        if spec.gamma < 0:  # the weight times dx/du, bounded where x underflows to the pole
-            w = c * m * math.sqrt(a) ** (g + 1.0) * np.exp(-a * x * x)
-            if k > 1:
-                w *= np.abs(u) ** (k - 1)
-        else:
-            w = spec.weight(x) * (m * p)
-        return t * w[:, None], t
+        x = np.sign(u) * np.abs(u) ** m
+        t = sys.psi_eval_table(x, n, weight_root(spec, x))
+        return t, t
 
-    return integrand, measure._integration_radius(n, g, a) ** (1.0 / m)
+    radius = measure._integration_radius(n, float(spec.gamma), float(spec.alpha))
+    return integrand, radius ** (1.0 / m)
 
 
 def folded_integrand(sys: PolynomialSystem, spec: MeasureSpec, n: int):
@@ -223,17 +230,6 @@ def from_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
     gram[::2, ::2] = blocks[0]
     gram[1::2, 1::2] = blocks[1, : (n + 1) // 2, : (n + 1) // 2]
     return gram
-
-
-def table_nodes(sys: PolynomialSystem, run) -> int:
-    """The nodes of every psi_eval_table call run() makes on sys."""
-    sizes, table = [], sys.psi_eval_table
-    sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
-    try:
-        run()
-    finally:
-        del sys.psi_eval_table
-    return sum(sizes)
 
 
 class TestOrthonormality:
@@ -274,25 +270,23 @@ class TestOrthonormality:
         ],
         ids=["hermite", "classical-1", "classical-singular"],
     )
-    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq, monkeypatch):
+    def test_matches_the_dense_nodal_product_reference_at_n100(self, seq):
         # the Gram by the 61 x d^2 nodal products of each parity block and the
         # same rounds of splits on the folded half-line, one table per panel: the
         # engine evaluates it once per round, on all the round's halves' nodes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
-        calls = []
-        table = sys.psi_eval_table
-        monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
-        integrand, radius = folded_integrand(sys, spec, 100)
-        blocks, err, panels, rounds = integrate_fresh_sums(
-            parity_blocks(integrand), [-radius, 0.0, radius], 1e-11, panel=dense_panel)
+        with psi_tables(sys) as calls:
+            integrand, radius = folded_integrand(sys, spec, 100)
+            blocks, err, panels, rounds = integrate_fresh_sums(
+                parity_blocks(integrand), [-radius, 0.0, radius], 1e-11, panel=dense_panel)
         assert blocks.shape == (2, 51, 51)
         assert len(calls) == panels + sum(rounds)  # one table per panel made
-        del calls[:]
-        rep = gram_deviation(sys, spec, 100)
+        with psi_tables(sys) as calls:
+            rep = gram_deviation(sys, spec, 100)
         # one table per round, the initial two panels included, on their halves' nodes
         assert len(calls) == 1 + len(rounds)
-        assert sum(x.size for x, _ in calls) == 122 * (panels - 1)
+        assert sum(x.size for x in calls) == 122 * (panels - 1)
         gram = from_blocks(blocks, 100)
         assert np.max(np.abs(rep.deviation - np.abs(gram - np.eye(101)))) <= 1e-14
         assert rep.quadrature_error == pytest.approx(err, abs=1e-14)
@@ -323,16 +317,14 @@ class TestOrthonormality:
 
     @pytest.mark.parametrize("n_max", [12, 100])
     @pytest.mark.parametrize("gamma", [F(-9, 10), F(-1, 2), F(-1, 3), F(-3, 11), F(1, 3), F(7, 4)])
-    def test_a_cusp_weight_takes_a_few_rounds(self, gamma, n_max, monkeypatch):
+    def test_a_cusp_weight_takes_a_few_rounds(self, gamma, n_max):
         # in the mass variable |x|^gamma dx is M u^{K-1} du, K = M(gamma+1), with
         # no cusp for the rounds to bisect toward: in x, gamma = -1/2 took 68
         # tables at n_max 100 and gamma = -9/10 took 345, to deviations of 6e-12
         # and 5e-11
         sys = PolynomialSystem(seq_classical(gamma, n_max))
-        calls = []
-        table = sys.psi_eval_table
-        monkeypatch.setattr(sys, "psi_eval_table", lambda *a: calls.append(a) or table(*a))
-        rep = gram_deviation(sys, spec_for_system(sys), n_max)
+        with psi_tables(sys) as calls:
+            rep = gram_deviation(sys, spec_for_system(sys), n_max)
         assert rep.converged and rep.max_deviation < 1e-13
         assert len(calls) <= 12
 
@@ -351,26 +343,53 @@ class TestOrthonormality:
         with pytest.raises(FloatRangeError, match=rf"^{re.escape(name)} outside the float range"):
             gram_deviation(sys, spec_for_system(sys), 12)
 
-    @pytest.mark.parametrize("gamma", [F(-1, 2), F(-1, 4), F(-9, 10)])
+    @pytest.mark.parametrize("gamma", [F(-1, 2), F(-1, 4), F(-9, 10), F(0), F(1), F(1, 3),
+                                       F(7, 4), F(3)])
     def test_the_cusp_factor_is_the_weight_times_dx_du(self, gamma):
-        # for -1 < gamma < 0 the integrand's weight factor is formed in closed form,
-        # C M alpha^{(gamma+1)/2} u^{K-1} exp(-alpha x^2), K = M(gamma+1); away from
-        # u = 0 it is the weight at x = u^M, u = (t + T)/2, times M u^{M-1}, up to
-        # rounding, on both parity blocks of psi at x
+        # both factors are the one array of weighted functions s psi_n, from one table
+        # whose row 0 is s; away from u = 0, s^2 is the weight at x = u^M, u = (t + T)/2,
+        # times M u^{M-1}, up to rounding, on both parity blocks; for -1 < gamma < 0 s
+        # has no pole where the weight has its pole x = 0
         sys = PolynomialSystem(seq_classical(gamma, 12, F(3, 2)))
         spec = spec_for_system(sys)
-        m = {F(-1, 2): 2, F(-1, 4): 4, F(-9, 10): 10}[gamma]
-        assert measure._mass_exponent(gamma) == m
+        m = float(measure._mass_exponent(gamma))
+        assert gamma >= 0 or m == {F(-1, 2): 2, F(-1, 4): 4, F(-9, 10): 10}[gamma]
         integrand, radius = measure._gram_integrand(sys, spec, 12)
         t = np.linspace(-radius, radius, 103)[1:]  # t = -T is u = 0, the weight's pole
-        weighted, psi = integrand(t)
+        phi, again = integrand(t)
         u = 0.5 * (t + radius)
-        table = sys.psi_eval_table(u**m, 12)
-        assert psi.shape == (2, 102, 7) and not psi[1, :, 6].any()
-        np.testing.assert_allclose(psi[0], table[:, ::2], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(psi[1, :, :6], table[:, 1::2], rtol=1e-13, atol=0.0)
-        want = psi * (spec.weight(u**m) * m * u ** (m - 1.0))[:, None]
-        np.testing.assert_allclose(weighted, want, rtol=1e-13, atol=0.0)
+        s = np.sqrt(spec.weight(u**m) * m * u ** (m - 1.0))
+        table = sys.psi_eval_table(u**m, 12) * s[:, None]
+        assert again is phi and phi.shape == (2, 102, 7) and not phi[1, :, 6].any()
+        # s psi_n from row 0 = s and psi_n times s round apart near a zero of psi_n
+        atol = 1e-14 * np.abs(table).max()
+        np.testing.assert_allclose(phi[0], table[:, ::2], rtol=1e-13, atol=atol)
+        np.testing.assert_allclose(phi[1, :, :6], table[:, 1::2], rtol=1e-13, atol=atol)
+        np.testing.assert_allclose(phi[0, :, 0], s, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 9.5, 10.0, 10.5, 30.0, 100.5, 500.5, 1000.0,
+                                   5000.5])
+    def test_the_peak_constant_keeps_its_digits(self, s):
+        # lgamma((gamma+1)/2) - (h log h - h) is O(log s) where lgamma alone is
+        # O(s log s): at gamma = 1000 lgamma(500.5) = 2608.2, whose rounding alone
+        # made the gamma = 1000 Gram read 1.3e-13 at n = 60.  The reference is
+        # log Gamma(s) in 50 digits, from the factorials of Gamma(j) = (j-1)! and
+        # Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!)
+        decimal.getcontext().prec = 50
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
+        j = int(s)
+        if s == j:
+            log_gamma = decimal.Decimal(math.factorial(j - 1)).ln()
+        else:
+            log_gamma = (decimal.Decimal(math.factorial(2 * j)).ln() + pi.ln() / 2
+                         - decimal.Decimal(4**j * math.factorial(j)).ln())
+        for d in (0.5, 0.25, 0.125, 0.0625):  # 1/(2M), and h = s - d exact
+            h = s - d
+            if h < 0:
+                continue
+            dh = decimal.Decimal(h)
+            want = log_gamma - (dh * dh.ln() - dh if h else 0)
+            assert abs(measure._log_gamma_at_peak(h, d) - float(want)) <= 1e-14
 
     @pytest.mark.parametrize("seq, spec, n_max", [
         (seq_hermite(104, b0_squared=F(1, 2)), None, 100),
@@ -421,21 +440,22 @@ class TestOrthonormality:
                                      seq_family(F(2, 3), F(5, 3), F(3, 7), 104)],
                              ids=["hermite", "classical-1", "classical-3", "family"])
     def test_at_an_integer_gamma_the_integrand_is_the_x_integrand_bit_for_bit(self, seq, n_max):
-        # M = 1: x = u and w the weight, where u^(m - 1) = 1.0 and the factor
-        # m u^(m - 1) = 1.0 were formed before; the blocks hold the same bytes
+        # M = 1: the nodes are x = u bit for bit, and both factors are one array, the
+        # parity blocks of the table of s psi_n at x from row 0 = s, s^2 the weight
+        # (weight_root, written out); the blocks hold the same bytes
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
         integrand, radius = measure._gram_integrand(sys, spec, n_max)
         t = np.linspace(-radius, radius, 246)[1:-1]  # inside the panels, as every node is
 
-        def before(t):  # the integrand at m = 1.0, written out as it was formed in full
-            u = 0.5 * (t + radius)
-            p = u ** (1.0 - 1.0)
-            x = u * p
-            table = sys.psi_eval_table(x, n_max)
-            return table * (spec.weight(x) * (1.0 * p))[:, None], table
+        def before(t):  # the integrand at m = 1.0, written out in x
+            x = 0.5 * (t + radius)
+            table = sys.psi_eval_table(x, n_max, weight_root(spec, x))
+            return table, table
 
-        for got, want in zip(integrand(t), parity_blocks(before)(t)):
+        got = integrand(t)
+        assert got[0] is got[1]
+        for got, want in zip(got, parity_blocks(before)(t)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gamma", [F(-1, 4), F(-1, 5), F(-1, 9), F(1, 3), F(-3, 7), F(3, 5)])
@@ -445,12 +465,10 @@ class TestOrthonormality:
         # panels meets the tolerance, where x = u^m, m = ceil(gamma+1)/(gamma+1),
         # with the entries i + j odd formed too, took 8, 9, 10, 4, 5 and 5 tables
         sys = PolynomialSystem(seq_classical(gamma, 12))
-        sizes = []
-        table = sys.psi_eval_table
-        sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
-        rep = gram_deviation(sys, spec_for_system(sys), 12)
+        with psi_tables(sys) as calls:
+            rep = gram_deviation(sys, spec_for_system(sys), 12)
         assert rep.converged and rep.max_deviation < 1e-13
-        assert len(sizes) <= 2
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("seq, n_max", [
         *((seq, n) for seq in (seq_family(F(2, 3), F(5, 3), F(3, 7), 100), seq_classical(1, 100),
@@ -463,10 +481,28 @@ class TestOrthonormality:
         # the whole line's rounds (at most 0.5 here, 0.33 at gamma = -1/2)
         sys = PolynomialSystem(seq)
         spec = spec_for_system(sys)
-        half = table_nodes(sys, lambda: gram_deviation(sys, spec, n_max))
-        whole = table_nodes(sys, lambda: integrate_split_at_zero(
-            *whole_line_integrand(sys, spec, n_max), tol=1e-11))
-        assert 2 * half <= whole
+        with psi_tables(sys) as half:
+            gram_deviation(sys, spec, n_max)
+        with psi_tables(sys) as whole:
+            integrate_split_at_zero(*whole_line_integrand(sys, spec, n_max), tol=1e-11)
+        assert 2 * sum(x.size for x in half) <= sum(x.size for x in whole)
+
+    @pytest.mark.parametrize("n_max, most_tables", [(12, 394), (100, 879)])
+    def test_every_weight_of_the_sweep_converges(self, n_max, most_tables):
+        # the 230 weights gamma = p/q in (-1, 4], q <= 12: every Gram converges below
+        # 2e-14, and all of them take at most 394 tables at n = 12 and 879 at n = 100
+        # (500 and 1 000 with the radius max(10, 3 sqrt(n) + 5, ...))
+        gammas = {F(p, q) for q in range(1, 13) for p in range(1 - q, 4 * q + 1)}
+        assert len(gammas) == 230
+        tables, worst = 0, {}
+        for gamma in sorted(gammas):
+            sys = PolynomialSystem(seq_classical(gamma, n_max))
+            with psi_tables(sys) as calls:
+                rep = gram_deviation(sys, spec_for_system(sys), n_max)
+            tables += len(calls)
+            if not (rep.converged and rep.max_deviation < 2e-14):
+                worst[gamma] = (rep.converged, rep.max_deviation)
+        assert worst == {} and tables <= most_tables
 
     @pytest.mark.parametrize("n_max", [1, 12, 100])
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.5, 5e11])
@@ -476,27 +512,45 @@ class TestOrthonormality:
             radius = measure._integration_radius(n_max, gamma, alpha)
             assert radius == measure._integration_radius(n_max, gamma, 1.0) / math.sqrt(alpha)
 
-    def test_integration_radius_grows_only_where_the_mass_lies_past_it(self):
-        # max(10, 3 sqrt(n) + 5) wherever gamma <= 2 at n >= 20 (every Gram of the
-        # float-boundary benchmark) and at gamma = -1/2, n = 100; at gamma = 200
-        # the weight's mass lies near |x| = 10, past that radius at n = 8
-        def gamma_blind(n):
-            return max(10.0, 3.0 * math.sqrt(n) + 5.0)
+    @pytest.mark.parametrize("seq, spec", [
+        (seq_hermite(104, b0_squared=F(1, 2)), None),
+        (seq_classical(1, 104), None),
+        (seq_classical(F(-1, 2), 104), None),
+        (seq_family(F(2, 3), F(5, 3), F(3, 7), 104), None),
+        (seq_classical(200, 104), None),
+        (seq_hermite(104, b0_squared=F(1, 10**12)), None),
+        (seq_classical(1, 104), MeasureSpec(F(1), F(2))),  # a mismatched weight
+    ], ids=["hermite", "classical-1", "classical-singular", "family", "gamma-200",
+            "hermite-narrow", "mismatched"])
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 100])
+    def test_integration_radius_is_the_turning_point_and_an_airy_margin(self, seq, spec, n_max):
+        # alpha R^2 = t = 2n + gamma + 1 at psi_n's turning point, then 6 Airy scales
+        # t^{-1/6} and 3 more: there every weighted function s psi_m, m <= n, is below
+        # 1e-10 of its largest value (past it each decays faster than a Gaussian), so
+        # what the panels leave out is below the Gram's rounding; the radius
+        # max(10, 3 sqrt(n) + 5) it replaced was larger wherever n >= 12, gamma <= 2
+        sys = PolynomialSystem(seq)
+        spec = spec or spec_for_system(sys)
+        g, a = float(spec.gamma), float(spec.alpha)
+        t = 2.0 * n_max + g + 1.0
+        radius = measure._integration_radius(n_max, g, a)
+        assert radius * math.sqrt(a) == pytest.approx(math.sqrt(t) + 6.0 * t ** (-1 / 6) + 3.0,
+                                                      rel=1e-15)
+        if n_max >= 12 and g <= 2:
+            assert radius * math.sqrt(a) < max(10.0, 3.0 * math.sqrt(n_max) + 5.0)
+        integrand, t_max = measure._gram_integrand(sys, spec, n_max)
+        phi = integrand(np.linspace(-t_max, t_max, 4001)[1:])[0]
+        assert np.all(np.abs(phi[:, -1]) <= 1e-10 * np.abs(phi).max(axis=1))
 
-        for n in (20, 50, 100):
-            for gamma in (-0.5, 0.0, 1.0, 2.0):
-                assert measure._integration_radius(n, gamma, 1.0) == gamma_blind(n)
-        assert measure._integration_radius(8, 200.0, 1.0) > 10.0 + gamma_blind(8)
-
-    @pytest.mark.parametrize("gamma, n_max", [(212.0, 50), (215.0, 20), (260.0, 8)])
-    def test_integration_radius_stops_where_the_weight_would_overflow(self, gamma, n_max):
-        # sqrt(t) + 3 t^{1/4} + 6 would take |x|^gamma past the largest float
-        # here (29.1^212, 27.4^215, 24.6^260); the radius stops where it is 2^1020
-        radius = measure._integration_radius(n_max, gamma, 1.0)
-        t = (gamma + 1.0) / 2.0 + n_max
-        assert radius < math.sqrt(t) + 3.0 * t**0.25 + 6.0
-        assert radius == pytest.approx(2.0 ** (1020.0 / gamma), rel=1e-15)
-        assert radius >= max(10.0, 3.0 * math.sqrt(n_max) + 5.0)
+    @pytest.mark.parametrize("gamma, n_max", [(212, 50), (215, 20), (260, 8), (400, 8)])
+    def test_a_large_gamma_needs_no_radius_cap(self, gamma, n_max):
+        # the weight's factor |x|^gamma is never formed alone, so the radius has no
+        # stop where it would reach 2^1020 (29.1^212, 27.4^215, 24.6^260; at
+        # gamma = 260, n = 8 that stop, 15.2, left too little margin, and the
+        # radius is now 22.0), and the Gram converges below 1e-13
+        sys = PolynomialSystem(seq_classical(gamma, n_max))
+        rep = gram_deviation(sys, spec_for_system(sys), n_max)
+        assert rep.converged and rep.max_deviation < 1e-13
 
     @pytest.mark.parametrize("n_max", [12, 100])
     @pytest.mark.parametrize("family", ["hermite", "family-4-5"])
@@ -510,12 +564,10 @@ class TestOrthonormality:
                 sys = PolynomialSystem(seq_hermite(n_max, b0_squared=b0_squared))
             else:
                 sys = PolynomialSystem(seq_family(4, 5, b0_squared, n_max))
-            sizes = []
-            table = sys.psi_eval_table
-            sys.psi_eval_table = lambda x, n: sizes.append(x.size) or table(x, n)
-            rep = gram_deviation(sys, spec_for_system(sys), n_max)
+            with psi_tables(sys) as tables:
+                rep = gram_deviation(sys, spec_for_system(sys), n_max)
             assert rep.converged
-            calls.append(sizes)
+            calls.append([x.size for x in tables])
             devs.append(rep.deviation)
         assert all(sizes == calls[0] for sizes in calls)
         assert all(np.max(np.abs(dev - devs[0])) <= 1e-14 for dev in devs)
@@ -564,16 +616,15 @@ class TestOrthonormality:
         assert rep.tolerance == 1e-300
         assert rep.converged is False
 
-    def test_rounds_bound_the_tables_of_a_gram_run_to_max_panels(self, monkeypatch):
+    def test_rounds_bound_the_tables_of_a_gram_run_to_max_panels(self):
         # every integrand call holds the halves of at most ROUND_PANELS panels,
         # 2 x 64 x 61 = 7 808 nodes.  Without that bound a round could take up
         # to 2 000 panels here, and one call's 244 000 x 101 table alone would
         # be 197 MB, beside the 326 MB of the 4 000 kept 101 x 101 blocks
         sys = PolynomialSystem(seq_classical(1, 104))
-        sizes = []
-        table = sys.psi_eval_table
-        monkeypatch.setattr(sys, "psi_eval_table", lambda x, n: sizes.append(x.size) or table(x, n))
-        rep = gram_deviation(sys, spec_for_system(sys), 100, tol=1e-300)
+        with psi_tables(sys) as calls:
+            rep = gram_deviation(sys, spec_for_system(sys), 100, tol=1e-300)
+        sizes = [x.size for x in calls]
         assert max(sizes) <= 2 * quadrature.ROUND_PANELS * 61 == 7808
         assert sum(sizes) == 122 * (quadrature.MAX_PANELS - 1)  # it ends at MAX_PANELS
         assert rep.converged is False
