@@ -156,8 +156,8 @@ class TestClassify:
 class TestReadmeExactCommands:
     """Every README line of an exact command prints the bytes recorded here,
     and every README verify line the exact part of its verdict.  The float
-    figures (gram, spectrum, and the Gram part of verify's orthonormality
-    detail) are left out: their digits depend on the platform's libm and BLAS."""
+    figures (gram, and the Gram part of verify's orthonormality detail) are
+    left out: their digits depend on the platform's libm and BLAS."""
 
     DIGESTS = {
         "hcpoly epsilons --family classical --gamma 1 --n-max 6":
@@ -186,12 +186,16 @@ class TestReadmeExactCommands:
             "020bd41c2df4ade41aefb8e78434a1ad991136f0854bc49b2dd99504c1323cd5",
         "hcpoly build --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 64":
             "ed6305cf683e9174af121a628ae422a93a6eabee2a68d41fb38677d97844d9ce",
+        "hcpoly spectrum --family classical --gamma 2 --dim 40":
+            "054ec7e1e42226119b7903d59ac72b3f7a91d3e8c45dc4b3369b7456aa906dd5",
+        "hcpoly spectrum --family classical --gamma 1 --dim 400":
+            "0fd812a9c3d8402a99889996009a7ecdd1a4684fc5b0ac0493adf3370232be36",
     }
     README = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-    LINES = [line for line in README if re.match(r"hcpoly (epsilons|table|ode|classify|build) ", line)]
+    LINES = [line for line in README if re.match(r"hcpoly (epsilons|table|ode|classify|build|spectrum) ", line)]
 
     def test_every_line_is_known(self):
-        assert len(self.LINES) == len(set(self.LINES)) == 13
+        assert len(self.LINES) == len(set(self.LINES)) == 15
         assert set(self.LINES) == set(self.DIGESTS)
 
     @pytest.mark.parametrize("line", LINES)
@@ -1083,29 +1087,28 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(capsys, "spectrum", "--family", "hermite", "--dim", "20")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "n,lambda_matrix,lambda_formula,deviation"
-        assert len(lines) == 1 + 16  # dim - margin rows
-        n, lam_m, lam_f, dev = lines[1].split(",")
-        assert n == "0"
-        assert float(lam_m) == pytest.approx(1.0, abs=1e-12)
-        assert float(lam_f) == pytest.approx(1.0, abs=1e-12)
+        assert lines[0] == "n,lambda"
+        assert len(lines) == 1 + 20  # every n < dim
+        assert lines[1] == "0,1"
 
-    @pytest.mark.parametrize("argv, rows", [
-        (("--family", "order2", "--v1", "3", "--dim", "20"), 16),
-        (("--family", "order2", "--v1", "3", "--b0-squared", "1000000000000", "--dim", "20"), 16),
-        (("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--dim", "400"), 396),
-    ])
-    def test_a_passing_band_prints_a_figure_within_its_bound(self, capsys, argv, rows):
-        # spectrum reads the band on any system.  Its rows' figure is in the unit of
-        # the per-row bound, so a pass reads at most 8 whatever the levels' size (at
-        # b0^2 = 1e12 a row deviates by up to 1.0).  The exit code also reads verify's
-        # spectrum verdict, the exact scan of b^2 with N = dim, which fails off the
-        # compatible class
+    @pytest.mark.parametrize("argv, seq", [
+        (("--family", "order2", "--v1", "3", "--dim", "20"), ref.seq_order2(3, 20)),
+        (("--family", "order2", "--v1", "3", "--b0-squared", "1000000000000", "--dim", "20"),
+         ref.seq_order2(3, 20, 10**12)),
+        (("--family", "order3", "--v1", "7/3", "--v2", "17/3", "--dim", "400"),
+         ref.seq_order3(F(7, 3), F(17, 3), 400)),
+    ], ids=["order2", "order2-b0-1e12", "order3-dim-400"])
+    def test_each_row_is_the_exact_level(self, capsys, argv, seq):
+        # spectrum prints lambda_n = 2(b_{n-1}^2 + b_n^2), b_{-1}^2 = 0, in lowest
+        # terms for every n < dim, whatever the levels' size (at b0^2 = 1e12 they
+        # reach 1e17), against b^2 formed from v by the brackets.  The exit code
+        # reads verify's spectrum verdict, the exact scan of b^2 with N = dim,
+        # which fails off the compatible class
         code, out, err = run_cli(capsys, "spectrum", *argv)
-        lines = out.splitlines()[1:]
-        figure = max(float(dev) / float(lam) for _, lam, _, dev in
-                     (line.split(",") for line in lines)) / 2.0**-52
-        assert (code, len(lines)) == (1, rows) and 0.0 <= figure <= 8.0
+        b2 = [F(0), *ref.b_squares(seq, ref.bracket_table(seq))]
+        assert out.splitlines() == ["n,lambda", *(f"{n},{2 * (b2[n] + b2[n + 1])}"
+                                                  for n in range(len(b2) - 1))]
+        assert code == 1
         assert json.loads(err) == {"failed": [f"{DEFORMATION} fails first at n = 3"]}
 
     @pytest.mark.parametrize("argv, detail", [
@@ -1126,26 +1129,6 @@ class TestSpectrumCommand:
         assert check["detail"] == detail
         assert (code, err) == ((0, "") if check["passed"] else (1, json.dumps(
             {"failed": [detail]}) + "\n"))
-
-    def test_a_failed_band_reports_its_figure_and_bound(self, capsys, monkeypatch, tmp_path):
-        # a row past its rounding bound fails the command, and its failure report
-        # names the rows, the largest row deviation and the bound
-        from hermite_chihara import oscillator
-
-        # the verdict reads max_ratio <= ROUNDING_BOUND; the rows of a compatible
-        # sequence of ratio r = 2, which passes the exact scan, read 2 eps at dim
-        # 20, so a bound of 1 fails the band
-        monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
-        seed = tmp_path / "r2.json"
-        seed.write_text(seed_text(propagated_compatible_sequence(2, 3, 6, 20).values))
-        code, out, err = run_cli(capsys, "spectrum", "--family", "custom-file", "--seed-file",
-                                 str(seed), "--dim", "20")
-        # the figure is the largest row deviation in units of eps lambda_n
-        largest = max(float(dev) / float(lam) for _, lam, _, dev in
-                      (line.split(",") for line in out.splitlines()[1:])) / 2.0**-52
-        detail = (f"max deviation {largest:.3g} eps |lambda_n| on rows n < 16, "
-                  "bound 1 eps |lambda_n| per row")
-        assert (code, json.loads(err)) == (1, {"failed": [detail]})
 
 
 class TestOdeCommand:
@@ -1228,20 +1211,20 @@ class TestFloatRange:
     systems.FLOAT_RANGE, or whose gamma has no float, cannot run, so it fails:
     exit 1 with the JSON failure report, which names the float range, and
     nothing on stdout.  verify still runs its exact checks and prints its
-    check list."""
+    check list, and spectrum, whose levels are exact, runs and passes."""
 
     GAMMA_1E400 = ("--family", "classical", "--gamma", "1e400", "--alpha", "1e300")
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(("spectrum", "--family", "classical", "--gamma", "1", "--alpha",
-                      "1/" + _E400), id="spectrum-alpha-1e-400"),
         pytest.param(("gram", "--b0-squared", _E400), id="gram-1e400"),
         pytest.param(("gram", "--b0-squared", "1/" + _E400), id="gram-1e-400"),
         # gamma = -1 + 10^-20, whose float is -1: (gamma + 1)/2 has no float
         pytest.param(("gram", "--family", "classical", "--gamma", _NEXT_TO_THE_POLE),
                      id="gram-gamma-pole"),
-        pytest.param(("spectrum", *GAMMA_1E400), id="spectrum-gamma-1e400"),
         pytest.param(("gram", *GAMMA_1E400), id="gram-gamma-1e400"),
+        # alpha = 2^-1021 has a float, b_0^2 = 1/alpha = 2^1021 has none
+        pytest.param(("gram", "--family", "classical", "--gamma", "1", "--alpha",
+                      f"1/{2**1021}", "--n-max", "4"), id="gram-b2-2^1021"),
         # the weight root at psi_1000's turning point radius, e^{-1000}, is not a
         # normal float (Hermite from n = 538)
         pytest.param(("gram", "--n-max", "1000"), id="gram-weight-n-1000"),
@@ -1252,6 +1235,17 @@ class TestFloatRange:
         (failed,) = json.loads(err)["failed"]
         assert re.fullmatch(r"(b\^2|alpha|gamma|Gamma\(\(gamma\+1\)/2\)|psi value|weight value) "
                             r"outside the float range \[2\^-1022, 2\^1020\]", failed)
+
+    @pytest.mark.parametrize("argv, lam0", [
+        (("--family", "classical", "--gamma", "1", "--alpha", "1/" + _E400), F(2 * 10**400)),
+        (GAMMA_1E400, F(10**400 + 1, 10**300)),
+    ], ids=["spectrum-alpha-1e-400", "spectrum-gamma-1e400"])
+    def test_spectrum_prints_exact_levels_past_it(self, capsys, argv, lam0):
+        # spectrum converts no value to a float: lambda_0 = 2 b_0^2 = (gamma + 1)/alpha
+        # prints in lowest terms, and the exact scan of b^2 against the weight passes
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"0,{lam0}"
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
     def test_verify_prints_its_check_list(self, capsys, b0):
@@ -1760,6 +1754,7 @@ class TestNumpyAtTheFloatBoundary:
         (["epsilons"], 0),
         (["classify"], 0),
         (["ode"], 0),
+        (["spectrum"], 0),
         (["verify", "--n-max", "x"], 2),
     ]
     SCRIPT = """
@@ -1780,6 +1775,8 @@ for argv in json.loads(sys.argv[1]):
             (["verify", "--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"], 1),
             (["verify", "--family", "custom-file", "--seed-file", str(seed), "--n-max", "8",
               "--dim", "12"], 0),
+            (["spectrum", "--family", "order2", "--v1", "3", "--dim", "12"], 1),
+            (["spectrum", "--family", "custom-file", "--seed-file", str(seed), "--dim", "12"], 0),
         ]
         argvs = [argv for argv, _ in exact] + [["verify", "--n-max", "8", "--dim", "12"]]
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],

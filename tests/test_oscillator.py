@@ -7,6 +7,7 @@ import pytest
 
 from hermite_chihara import (
     CommutatorReport,
+    GoverningSequence,
     OperatorSet,
     PolynomialSystem,
     SpectrumReport,
@@ -419,17 +420,28 @@ class TestRoundingBound:
         return ["--family", "custom-file", "--seed-file", str(seed)]
 
     @pytest.mark.parametrize("family", ["hermite", "compatible"])
-    def test_large_levels_pass(self, capsys, tmp_path, family):
-        # spectrum on Hermite, levels up to 1.4e7: the rows round to ~2e-9, above an
-        # absolute 1e-10.  On the r = 2 sequence the levels reach ~1e29, and the
-        # rows round (deviations above zero) within the relative bound
-        argv = (self.compatible_seed(tmp_path, "100000") if family == "compatible" else
-                ["--family", "hermite", "--b0-squared", "100000"])
-        code = main(["spectrum", *argv, "--dim", str(DIM)])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
-        assert max(float(dev) for *_, dev in rows) > 1e-10
+    def test_large_levels_pass(self, family):
+        # b0^2 = 1e5: on Hermite the levels reach 1.4e7 and the rows round to
+        # ~2e-9, above an absolute 1e-10.  On the r = 2 sequence the levels reach
+        # ~1e29, and the rows round (deviations above zero) within the relative bound
+        values = (seq_hermite(DIM) if family == "hermite" else
+                  propagated_compatible_sequence(2, 3, 6, DIM)).values
+        sys = PolynomialSystem(GoverningSequence(values, F(100000)))
+        ops = build_operators(sys, DIM)
+        for rep in (commutator_report(ops, sys), spectrum_report(ops, sys)):
+            assert rep.within_rounding and rep.max_deviation > 1e-10
+
+    def test_a_failed_band_reports_its_figure(self, monkeypatch):
+        # the verdict reads max_ratio <= ROUNDING_BOUND, and max_ratio is the
+        # largest row deviation in units of eps lambda_n; the rows of the r = 2
+        # sequence read 2 eps at dim 20, so a bound of 1 fails the band
+        from hermite_chihara import oscillator
+
+        monkeypatch.setattr(oscillator, "ROUNDING_BOUND", 1.0)
+        sys = PolynomialSystem(propagated_compatible_sequence(2, 3, 6, 20))
+        rep = spectrum_report(build_operators(sys, 20), sys)
+        largest = max(dev / lam for _, lam, _, dev in rep.rows) / 2.0**-52
+        assert (rep.within_rounding, rep.max_ratio) == (False, largest)
 
     def test_verify_reads_no_band_at_large_levels(self, capsys, tmp_path):
         # verify's commutator and spectrum read the exact scan of b^2 on the r = 2
