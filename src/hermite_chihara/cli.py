@@ -5,10 +5,10 @@ verification suites, and emit deterministic CSV/JSON tables: identical configs
 produce identical bytes.  Rationals cross the boundary as "p/q" strings; reals
 are printed with 17 significant digits.
 
-Exit codes: 0 all requested checks pass, 1 some check failed or was skipped (a
-JSON failure report is printed; a float check fails so where a value it reads
-has no float in the float range, its detail naming the first such value, and
-verify still runs and prints its exact checks), 2 input error.
+Exit codes: 0 all requested checks pass, 1 some check failed (a JSON failure
+report is printed; a float check fails so where a value it reads has no float
+in the float range, its detail naming the first such value, and verify still
+runs and prints its exact checks), 2 input error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import measure as measure_mod
-from . import oscillator as osc_mod
 from .derivation import epsilons_from_sequence
 from .governing import (
     GoverningSequence,
@@ -332,25 +331,20 @@ def cmd_verify(args) -> int:
     gram_n = min(n_max, 12)
     seq = build_sequence(args, max(n_max, args.dim))
     sys_ = PolynomialSystem(seq)
-    interior = args.dim - osc_mod.MARGIN
     checks = []
 
-    def check(name: str, run, skip: str | None = None) -> None:
-        # run() gives (passed, detail).  A skipped check is not passed (the exit code counts
-        # it) but says it did not run; a value read with no float fails it, named in the detail
-        if skip is not None:
-            status, detail = "skipped", skip
-        else:
-            try:
-                passed, detail = run()
-            except FloatRangeError as exc:
-                passed, detail = False, str(exc)
-            status = "pass" if passed else "fail"
-        log.info("check %s: %s (%s)", name, "FAIL" if status == "fail" else status, detail)
+    def check(name: str, run) -> None:
+        # run() gives (passed, detail); a value read with no float fails it, named in the detail
+        try:
+            passed, detail = run()
+        except FloatRangeError as exc:
+            passed, detail = False, str(exc)
+        status = "pass" if passed else "fail"
+        log.info("check %s: %s (%s)", name, status if passed else "FAIL", detail)
         checks.append((name, status, detail))
 
     # one exact scan of b^2: the commutator, the levels and, on the family, orthonormality's
-    oscillator = functools.cache(lambda: _oscillator(sys_))
+    oscillator = _oscillator(sys_)
 
     def orthonormality() -> tuple[bool, str]:
         # the weight scan proves orthonormality at every n <= N; the float Gram checks n <= 12
@@ -359,27 +353,24 @@ def cmd_verify(args) -> int:
                                                     gram_n), gram_n)
         except FloatRangeError as exc:
             gram = False, str(exc)
-        return oscillator()[0] and gram[0], f"{oscillator()[1]}; float Gram: {gram[1]}"
+        return oscillator[0] and gram[0], f"{oscillator[1]}; float Gram: {gram[1]}"
 
     def square_lowering() -> tuple[bool, str]:
         # exact on the cores; only a nonzero residual's figure crosses to float
-        sq = sys_.square_lowering_deviation(interior - 1)
-        return sq == 0.0, f"max deviation {sq:.3e}, exact on columns 2 <= n < {interior}"
+        sq = sys_.square_lowering_deviation(n_max)
+        return sq == 0.0, f"max deviation {sq:.3e}, exact on columns 2 <= n <= {n_max}"
 
     rep = validate(seq)
     check("validate", lambda: (rep.ok, f"monotone={rep.monotone} first_violation="
                                        f"{rep.first_violation} on v_0..v_{seq.n_max}"))
-    incompatible = None if rep.ok else "skipped: sequence not compatible"
-    check("lowering", lambda: _exact(sys_.first_lowering_failure(n_max), n_max), incompatible)
-    check("route_equivalence", lambda: _exact(sys_.first_route_mismatch(n_max), n_max),
-          incompatible)
-    check("commutator", oscillator)
-    check("spectrum", oscillator)
+    check("lowering", lambda: _exact(sys_.first_lowering_failure(n_max), n_max))
+    check("route_equivalence", lambda: _exact(sys_.first_route_mismatch(n_max), n_max))
+    check("commutator", lambda: oscillator)
+    check("spectrum", lambda: oscillator)
     if sys_.is_family:
         check("ode", lambda: _exact(sys_.first_ode_failure(n_max), n_max))
         check("orthonormality", orthonormality)
-        check("square_lowering", square_lowering, None if interior > 2 else
-              f"skipped: no column 2 <= n < {interior}; --dim {osc_mod.MARGIN + 3} reads the first")
+        check("square_lowering", square_lowering)
     else:
         log.info("non-family system: ode/orthonormality/square-lowering not applicable")
 
@@ -420,8 +411,9 @@ def make_parser() -> argparse.ArgumentParser:
     # flags read by only some commands are registered on those alone
     def add_dim(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, default=40,
-                       help=f"basis size psi_0..psi_(dim-1): the levels spectrum prints, the "
-                       f"range of verify's operator checks (>= {osc_mod.MARGIN + 1})")
+                       help="range of the exact b^2 scan: spectrum prints the levels n < dim, "
+                       "verify's commutator, spectrum and orthonormality scan "
+                       "n <= max(n-max, dim) (>= 5)")
 
     command("build", cmd_build)
     table = command("table", cmd_table)
@@ -462,9 +454,9 @@ def _main(argv) -> int:
     try:
         if getattr(args, "n_max", 2) < 2:
             raise ValueError("--n-max must be >= 2")
-        # --dim leaves verify at least one interior row n < dim - MARGIN; spectrum shares the floor
-        if getattr(args, "dim", osc_mod.MARGIN + 1) <= osc_mod.MARGIN:
-            raise ValueError(f"--dim must be >= {osc_mod.MARGIN + 1}")
+        # off the family the b^2 scan's first row (n = 3) reads b^2_4, so N >= 5
+        if getattr(args, "dim", 5) < 5:
+            raise ValueError("--dim must be >= 5")
         return args.func(args)
     except (ValueError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")

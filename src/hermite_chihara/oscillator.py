@@ -10,12 +10,12 @@ realization holds only the off-diagonal b_0..b_{dim-2}:
 
 The creation operator maps the last basis vector out of the truncated space, so
 the commutator and spectrum reports, which serve the Python API and the
-benchmark (hcpoly verify and spectrum read an exact scan of b^2), read the
-interior rows n < dim - MARGIN.  They compare the band with its own b^2, so a
-row differs only by rounding, which grows with the level lambda_n; each row is
-judged against ROUNDING_BOUND eps lambda_n, and the reports carry the largest
-deviation / (eps lambda_n), the figure it gates.  Square lowering is checked
-as an exact identity on the cores.
+benchmark (hcpoly reads nothing here, MARGIN included: verify and spectrum read
+an exact scan of b^2), read the interior rows n < dim - MARGIN.  They compare
+the band with its own b^2, so a row differs only by rounding, which grows with
+the level lambda_n; each row is judged against ROUNDING_BOUND eps lambda_n, and
+the reports carry the largest deviation / (eps lambda_n), the figure it gates.
+Square lowering is checked as an exact identity on the cores.
 """
 
 from __future__ import annotations

@@ -40,6 +40,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def systems(monkeypatch):
+    """Every PolynomialSystem built from here on."""
+    built, init = [], PolynomialSystem.__init__
+
+    def recorded(self, seq):
+        init(self, seq)
+        built.append(self)
+
+    monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
+    return built
+
+
 # the detail of commutator and spectrum on a family system: the exact scan of b^2
 # against the weight; off the family, the exact scan of the deformed oscillator
 # relation of the compatible class
@@ -218,7 +231,7 @@ class TestReadmeExactCommands:
             ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
             ("ode", "pass", EVERY_N.format(12)),
             ("orthonormality", "pass", f"{WEIGHT} for every n <= 40"),
-            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 12"),
         ],
         "hcpoly verify --family family --v1 2/3 --v2 5/3 --b0-squared 3/7 --n-max 512 --dim 80": [
             ("validate", "pass", "monotone=False first_violation=None on v_0..v_512"),
@@ -228,7 +241,7 @@ class TestReadmeExactCommands:
             ("spectrum", "pass", f"{WEIGHT} for every n <= 512"),
             ("ode", "pass", EVERY_N.format(512)),
             ("orthonormality", "pass", f"{WEIGHT} for every n <= 512"),
-            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 76"),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 512"),
         ],
         "hcpoly verify --family classical --gamma -1/4 --n-max 12": [
             ("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
@@ -238,7 +251,7 @@ class TestReadmeExactCommands:
             ("spectrum", "pass", f"{WEIGHT} for every n <= 40"),
             ("ode", "pass", EVERY_N.format(12)),
             ("orthonormality", "pass", f"{WEIGHT} for every n <= 40"),
-            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36"),
+            ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 12"),
         ],
     }
     VERIFY_LINES = [line for line in README if line.startswith("hcpoly verify ")]
@@ -683,7 +696,7 @@ class TestVerify:
     @pytest.mark.parametrize("checks", [
         [("validate", "pass", 'monotone=True on "v" \\ v_0..v_40, \u03b3 = \u22121/4')],
         [("validate", "pass", "a\tb\n"), ("ode", "fail", "\u00e9 \"\\\""),
-         ("square_lowering", "skipped", "skipped: no column")],
+         ("square_lowering", "fail", "psi-scaled value outside the float range")],
     ], ids=["passed", "failed"])
     def test_the_report_is_json_dumps_at_indent_2(self, checks):
         # the report is laid out by hand, each string through json.dumps: a quote,
@@ -901,10 +914,10 @@ class TestGram:
 
 
 class TestCheckStatus:
-    def test_skipped_checks_say_so(self, capsys):
-        # order2 is not compatible: validate fails, lowering and
-        # route_equivalence do not run, and the exit code still counts them;
-        # commutator and spectrum run their exact scan, which fails
+    def test_incompatible_checks_run_and_fail(self, capsys):
+        # order2 is not compatible: validate fails at n = 4, lowering and
+        # route_equivalence run and fail one past it, at n = 5; commutator and
+        # spectrum run their exact scan, which fails
         code, out, err = run_cli(
             capsys, "verify", "--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"
         )
@@ -912,11 +925,13 @@ class TestCheckStatus:
         checks = json.loads(out)["checks"]
         assert [(c["name"], c["status"], c["passed"]) for c in checks] == [
             ("validate", "fail", False),
-            ("lowering", "skipped", False),
-            ("route_equivalence", "skipped", False),
+            ("lowering", "fail", False),
+            ("route_equivalence", "fail", False),
             ("commutator", "fail", False),
             ("spectrum", "fail", False),
         ]
+        for c in checks[1:3]:
+            assert c["detail"] == "exact polynomial identity fails first at n = 5"
         assert json.loads(err.splitlines()[-1])["failed"] == [
             "validate", "lowering", "route_equivalence", "commutator", "spectrum"
         ]
@@ -988,16 +1003,113 @@ class TestCheckStatus:
             self.monic[20] = Poly([c * (1 + F(1, 10**15)) for c in self.monic[20].coeffs])
 
         monkeypatch.setattr(PolynomialSystem, "__init__", perturbed_init)
-        # n_max = 12 keeps core 20 out of every other check
+        # n_max = 20 reads core 20; lowering and the route check fail on it
+        # too (the ODE is linear, so a scaled core obeys it), and the tests of
+        # PolynomialSystem.square_lowering_deviation isolate square lowering
         code, out, err = run_cli(
             capsys, "verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
-            "--b0-squared", "3/7", "--n-max", "12", "--dim", "40",
+            "--b0-squared", "3/7", "--n-max", "20", "--dim", "40",
         )
         assert code == 1
         square = {c["name"]: c for c in json.loads(out)["checks"]}["square_lowering"]
         assert (square["status"], square["passed"]) == ("fail", False)
         assert 0.0 < float(square["detail"].split()[2].rstrip(",")) < 1e-10
-        assert json.loads(err.splitlines()[-1])["failed"] == ["square_lowering"]
+        assert json.loads(err.splitlines()[-1])["failed"] == [
+            "lowering", "route_equivalence", "square_lowering"]
+
+
+class TestEveryCheckRuns:
+    """verify runs every check it lists, each pass or fail, and skips none: the
+    core scans (lowering, route_equivalence, ode, square_lowering) read the
+    cores P_0..P_{n-max} and no other, and the b^2 scan reads
+    n <= max(n-max, dim)."""
+
+    HERMITE_7 = tuple(range(1, 8))  # v_n = n + 1: Hermite's v_0..v_6
+    INCOMPATIBLE = (1, 2, 2, 4, 5, 6, 7)
+    SYSTEMS = [
+        ("--family", "hermite"),
+        ("--family", "classical", "--gamma", "1/3"),
+        ("--family", "family", "--v1", "2/3", "--v2", "5/3", "--b0-squared", "3/7"),
+        ("--family", "order2", "--v1", "3"),
+        ("--family", "order3", "--v1", "7/3", "--v2", "17/3"),
+        ("--family", "custom-file", "--seed-file", "hermite7.json"),
+        ("--family", "custom-file", "--seed-file", "incompatible.json"),
+    ]
+    IDS = ["hermite", "classical", "family", "order2", "order3", "hermite-seed",
+           "incompatible-seed"]
+
+    @pytest.fixture(autouse=True)
+    def seed_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hermite7.json").write_text(seed_text(self.HERMITE_7))
+        (tmp_path / "incompatible.json").write_text(seed_text(self.INCOMPATIBLE))
+
+    @pytest.mark.parametrize("flags", SYSTEMS, ids=IDS)
+    def test_every_status_is_pass_or_fail(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "verify", *flags, "--n-max", "6", "--dim", "6")
+        checks = json.loads(out)["checks"]
+        assert {c["status"] for c in checks} <= {"pass", "fail"}
+        assert all(c["passed"] is (c["status"] == "pass") for c in checks)
+        assert code == (0 if all(c["passed"] for c in checks) else 1)
+
+    @pytest.mark.parametrize("argv, n_max", [
+        (("--n-max", "30", "--dim", "6"), 30),
+        (("--n-max", "2", "--dim", "5"), 2),
+        (("--family", "custom-file", "--seed-file", "hermite7.json", "--n-max", "6",
+          "--dim", "6"), 6),
+    ], ids=["dim-6", "dim-5", "seven-values"])
+    def test_a_valid_system_passes_below_dim_7(self, capsys, argv, n_max):
+        # square lowering reads the columns 2 <= n <= n-max whatever --dim is
+        code, out, err = run_cli(capsys, "verify", *argv)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert (code, err) == (0, "")
+        assert {c["status"] for c in checks.values()} == {"pass"}
+        assert checks["square_lowering"]["detail"] == (
+            f"max deviation 0.000e+00, exact on columns 2 <= n <= {n_max}")
+
+    @pytest.mark.parametrize("flags, values", [
+        (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"),
+         governing.seq_order2(3, N=12).values),
+        (("--family", "custom-file", "--seed-file", "incompatible.json", "--n-max", "6",
+          "--dim", "6"), INCOMPATIBLE),
+    ], ids=["order2", "seed-file"])
+    def test_the_core_scans_fail_one_past_validate(self, capsys, flags, values):
+        # lowering and the route check cross-check validate by an independent
+        # route (PolynomialSystem's test of the same name proves it in general)
+        first = governing.validate(GoverningSequence(values, F(1, 2))).first_violation
+        code, out, err = run_cli(capsys, "verify", *flags)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["validate"]["status"] == "fail"
+        for name in ("lowering", "route_equivalence"):
+            assert (checks[name]["status"], checks[name]["detail"]) == (
+                "fail", f"exact polynomial identity fails first at n = {first[0] + 1}")
+        assert json.loads(err)["failed"][:3] == ["validate", "lowering", "route_equivalence"]
+
+    @pytest.mark.parametrize("flags", SYSTEMS[:3], ids=IDS[:3])
+    def test_verify_builds_no_core_past_n_max(self, capsys, systems, flags):
+        code, _, _ = run_cli(capsys, "verify", *flags, "--n-max", "12", "--dim", "40")
+        (system,) = systems
+        assert code == 0 and system.n_max == 40
+        assert len(system._monic) == 13  # P_0..P_12
+
+    @pytest.mark.parametrize("n_max, n, failed", [
+        (12, 13, []),
+        (12, 40, []),
+        (13, 13, ["lowering", "route_equivalence", "ode", "square_lowering"]),
+    ], ids=["next-core", "last-core", "read-at-n-max"])
+    def test_a_core_past_n_max_is_read_by_no_check(self, capsys, monkeypatch, n_max, n, failed):
+        # P_n's x^(n-2) coefficient off by a relative 1e-9, in a system built to dim = 40
+        init = PolynomialSystem.__init__
+
+        def corrupted(self, seq):
+            init(self, seq)
+            self.monic[n] = corrupt_core(self.monic[n], n, "even", j=1)
+
+        monkeypatch.setattr(PolynomialSystem, "__init__", corrupted)
+        code, out, err = run_cli(capsys, "verify", "--family", "classical", "--gamma", "1/3",
+                                 "--n-max", str(n_max), "--dim", "40")
+        assert code == (1 if failed else 0)
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == failed
 
 
 class TestRouteEquivalence:
@@ -1270,7 +1382,7 @@ class TestFloatRange:
         assert checks["commutator"]["detail"] == checks["spectrum"]["detail"] == (
             f"{WEIGHT} for every n <= 40")
         assert checks["square_lowering"]["detail"] == (
-            "max deviation 0.000e+00, exact on columns 2 <= n < 36")
+            "max deviation 0.000e+00, exact on columns 2 <= n <= 12")
         assert json.loads(err) == {"failed": ["orthonormality"]}
 
     @pytest.mark.parametrize("b0", [_E400, "1/" + _E400], ids=["verify-1e400", "verify-1e-400"])
@@ -1298,9 +1410,10 @@ class TestFloatRange:
                                               "commutator", "spectrum"]}
 
     def test_square_lowering_residual_without_a_float(self, capsys, monkeypatch):
-        # a core off by 1e-9 at b0^2 = 10^-400: the exact check fails, and its
-        # figure in psi units (x^k scales as b0^-k) has no float, which the
-        # check's detail names; verify still prints its check list
+        # a core off by 1e-9 at b0^2 = 10^-400, read at n_max = 20: the exact
+        # check fails, and its figure in psi units (x^k scales as b0^-k) has no
+        # float, which the check's detail names; verify still prints its check
+        # list, and lowering and the route check fail on that core too
         init = PolynomialSystem.__init__
 
         def scaled_at_20(self, seq):
@@ -1309,11 +1422,12 @@ class TestFloatRange:
 
         monkeypatch.setattr(PolynomialSystem, "__init__", scaled_at_20)
         code, out, err = run_cli(capsys, "verify", "--family", "family", "--v1", "2/3", "--v2",
-                                 "5/3", "--b0-squared", "1/" + _E400, "--n-max", "12")
+                                 "5/3", "--b0-squared", "1/" + _E400, "--n-max", "20")
         square = {c["name"]: c for c in json.loads(out)["checks"]}["square_lowering"]
         assert code == 1 and (square["status"], square["detail"]) == (
             "fail", "psi-scaled value outside the float range [2^-1022, 2^1020]")
-        assert json.loads(err) == {"failed": ["orthonormality", "square_lowering"]}
+        assert json.loads(err) == {"failed": ["lowering", "route_equivalence",
+                                              "orthonormality", "square_lowering"]}
 
     def test_verify_fails_only_the_gram_where_gamma_has_no_float(self, capsys):
         # (gamma + 1)/2 has no float at gamma = -1 + 10^-20, whose float is -1; the
@@ -1345,7 +1459,6 @@ class TestFloatRange:
         assert len(checks) == 8
 
 
-_INCOMPATIBLE = "skipped: sequence not compatible"
 _NO_FLOAT = "{} outside the float range [2^-1022, 2^1020]"
 
 
@@ -1354,23 +1467,24 @@ class TestCheckLog:
     check, in the order of its check list; a failing check's status reads
     FAIL.  A detail given as None is a measured figure, read from the list."""
 
-    @pytest.mark.parametrize("argv,expected,after", [
-        (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"),
+    @pytest.mark.parametrize("argv,code,expected,after", [
+        (("--family", "order2", "--v1", "3", "--n-max", "8", "--dim", "12"), 1,
          [("validate", "FAIL", "monotone=True first_violation=(4, 2) on v_0..v_12"),
-          ("lowering", "skipped", _INCOMPATIBLE), ("route_equivalence", "skipped", _INCOMPATIBLE),
+          ("lowering", "FAIL", "exact polynomial identity fails first at n = 5"),
+          ("route_equivalence", "FAIL", "exact polynomial identity fails first at n = 5"),
           ("commutator", "FAIL", f"{DEFORMATION} fails first at n = 3"),
           ("spectrum", "FAIL", f"{DEFORMATION} fails first at n = 3")],
          ["non-family system: ode/orthonormality/square-lowering not applicable"]),
-        (("--n-max", "2", "--dim", "5"),
+        (("--n-max", "2", "--dim", "5"), 0,
          [("validate", "pass", "monotone=True first_violation=None on v_0..v_5"),
           ("lowering", "pass", "exact polynomial identity for every n <= 2"),
           ("route_equivalence", "pass", "exact polynomial identity for every n <= 2"),
           ("commutator", "pass", None), ("spectrum", "pass", None),
           ("ode", "pass", "exact polynomial identity for every n <= 2"),
           ("orthonormality", "pass", None),
-          ("square_lowering", "skipped",
-           "skipped: no column 2 <= n < 1; --dim 7 reads the first")], []),
-        (("--b0-squared", _E400),
+          ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 2")],
+         []),
+        (("--b0-squared", _E400), 1,
          [("validate", "pass", "monotone=True first_violation=None on v_0..v_40"),
           ("lowering", "pass", "exact polynomial identity for every n <= 12"),
           ("route_equivalence", "pass", "exact polynomial identity for every n <= 12"),
@@ -1379,13 +1493,13 @@ class TestCheckLog:
           ("ode", "pass", "exact polynomial identity for every n <= 12"),
           ("orthonormality", "FAIL",
            f"{WEIGHT} for every n <= 40; float Gram: " + _NO_FLOAT.format("alpha")),
-          ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 36")],
+          ("square_lowering", "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 12")],
          []),
-    ], ids=["order2-incompatible", "no-square-lowering-column", "b0-squared-1e400"])
-    def test_one_line_per_check(self, capsys, caplog, argv, expected, after):
+    ], ids=["order2-incompatible", "one-square-lowering-column", "b0-squared-1e400"])
+    def test_one_line_per_check(self, capsys, caplog, argv, code, expected, after):
         caplog.set_level(logging.INFO, logger="hermite_chihara.cli")
-        code, out, _ = run_cli(capsys, "verify", *argv)
-        assert code == 1
+        got, out, _ = run_cli(capsys, "verify", *argv)
+        assert got == code
         checks = json.loads(out)["checks"]
         assert [c["name"] for c in checks] == [name for name, _, _ in expected]
         want = [f"check {name}: {status} ({c['detail'] if detail is None else detail})"
@@ -1408,18 +1522,6 @@ class TestNoPackagePathFormsB2:
     """The package reads b^2 from the integer row b2_row: no hcpoly subcommand
     and no kind of benchmark job forms a Fraction list of b^2 on any system it
     builds or reads."""
-
-    @pytest.fixture
-    def systems(self, monkeypatch):
-        """Every PolynomialSystem built from here on."""
-        built, init = [], PolynomialSystem.__init__
-
-        def recorded(self, seq):
-            init(self, seq)
-            built.append(self)
-
-        monkeypatch.setattr(PolynomialSystem, "__init__", recorded)
-        return built
 
     @pytest.mark.parametrize("argv", [
         "build --family classical --gamma 1/3 --n-max 30",

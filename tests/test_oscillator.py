@@ -203,10 +203,11 @@ class TestStructure:
 
 
 class TestMarginGuard:
-    """An operator set needs dim > MARGIN, one interior row n < dim - MARGIN;
-    the CLI needs --dim >= MARGIN + 1.  Square lowering reads the columns
-    2 <= n < dim - MARGIN, so below dim MARGIN + 3 it raises, and verify skips
-    it, and fails."""
+    """An operator set needs dim > MARGIN, one interior row n < dim - MARGIN.
+    Its square-lowering report reads the columns 2 <= n < dim - MARGIN, so below
+    dim MARGIN + 3 it raises.  hcpoly reads no MARGIN: verify's square lowering
+    reads the columns 2 <= n <= --n-max at any --dim, and the CLI's floor
+    --dim >= 5 is the b^2 scan's."""
 
     @pytest.mark.parametrize("dim", [1, MARGIN])
     def test_operator_set_rejects_dim(self, dim):
@@ -225,25 +226,24 @@ class TestMarginGuard:
         assert square_lowering_report(build_operators(sys, MARGIN + 3), sys) == 0.0
 
     @pytest.mark.parametrize("dim", [MARGIN + 1, MARGIN + 2])
-    def test_verify_skips_square_lowering_without_a_column(self, capsys, dim):
+    def test_verify_reads_square_lowering_to_n_max_below_dim_7(self, capsys, dim):
         code = main(["verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
                      "--dim", str(dim)])
         captured = capsys.readouterr()
         checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
-        assert code == 1
-        assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["square_lowering"]}
+        assert (code, captured.err) == (0, "")
         assert (checks["square_lowering"]["status"], checks["square_lowering"]["passed"]) == (
-            "skipped", False)
+            "pass", True)
         assert checks["square_lowering"]["detail"] == (
-            f"skipped: no column 2 <= n < {dim - MARGIN}; --dim {MARGIN + 3} reads the first")
+            "max deviation 0.000e+00, exact on columns 2 <= n <= 12")
 
     def test_verify_reads_one_square_lowering_column(self, capsys):
         code = main(["verify", "--family", "family", "--v1", "2/3", "--v2", "5/3",
-                     "--dim", str(MARGIN + 3)])
+                     "--n-max", "2"])
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert code == 0
         assert (checks["square_lowering"]["status"], checks["square_lowering"]["detail"]) == (
-            "pass", "max deviation 0.000e+00, exact on columns 2 <= n < 3")
+            "pass", "max deviation 0.000e+00, exact on columns 2 <= n <= 2")
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("dim", ["3", "4"])
@@ -387,8 +387,10 @@ class TestPerturbedCore:
         perturb_core(sys, n=38)
         assert square_lowering_report(build_operators(sys, DIM), sys) == 0.0
 
-    def test_verify_fails_square_lowering_only(self, capsys, monkeypatch):
-        # n_max = 12 keeps core 20 out of every other check
+    def test_verify_fails_square_lowering_on_the_core(self, capsys, monkeypatch):
+        # n_max = 20 reads core 20, and lowering and the route check fail on it
+        # too (the ODE is linear, so a scaled core obeys it);
+        # test_report_exceeds_bound isolates square lowering
         init = PolynomialSystem.__init__
 
         def perturbed_init(self, *args, **kwargs):
@@ -397,12 +399,14 @@ class TestPerturbedCore:
 
         monkeypatch.setattr(PolynomialSystem, "__init__", perturbed_init)
         code = main(["verify", "--family", "classical", "--gamma", "1",
-                     "--n-max", "12", "--dim", str(DIM)])
+                     "--n-max", "20", "--dim", str(DIM)])
         captured = capsys.readouterr()
         assert code == 1
-        assert json.loads(captured.err.splitlines()[-1]) == {"failed": ["square_lowering"]}
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "failed": ["lowering", "route_equivalence", "square_lowering"]}
         square = {c["name"]: c for c in json.loads(captured.out)["checks"]}["square_lowering"]
         assert (square["status"], square["passed"]) == ("fail", False)
+        assert float(square["detail"].split()[2].rstrip(",")) > 1e-10
 
 
 class TestRoundingBound:
