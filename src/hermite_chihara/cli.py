@@ -91,8 +91,6 @@ def build_sequence(args, length: int) -> GoverningSequence:
     if fam == "hermite":
         return seq_hermite(length, **b0)
     if fam == "classical":
-        if args.alpha is not None and args.alpha <= 0:
-            raise ValueError(f"--alpha must be positive, got {args.alpha}")
         return seq_classical(args.gamma, length, 1 if args.alpha is None else args.alpha)
     if fam == "family":
         v1 = args.v1 if args.v1 is not None else args.v2 - 1
@@ -271,8 +269,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_ode(args) -> int:
     sys_ = PolynomialSystem(build_sequence(args, max(args.n_max, 3)))
-    if not sys_.is_family:
-        raise ValueError("ode requires a special-family system")
     g, a = sys_.weight_parameters()
     first = sys_.first_ode_failure(args.n_max)
     payload = {"family": args.family, "gamma": str(g), "alpha": str(a), "n_max": args.n_max,
@@ -285,8 +281,6 @@ def cmd_ode(args) -> int:
 def cmd_gram(args) -> int:
     # the Gram of psi_0..psi_{n_max} reads v_0..v_{n_max} and no operator
     sys_ = PolynomialSystem(build_sequence(args, args.n_max))
-    if not sys_.is_family:
-        raise ValueError("orthonormality verification requires a special-family system")
     rep = measure_mod.gram_deviation(sys_, measure_mod.spec_for_system(sys_), args.n_max)
     rows = rep.deviation.tolist()
     _emit(args, "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
@@ -454,8 +448,10 @@ def _main(argv) -> int:
     try:
         if getattr(args, "n_max", 2) < 2:
             raise ValueError("--n-max must be >= 2")
-        # off the family the b^2 scan's first row (n = 3) reads b^2_4, so N >= 5
-        if getattr(args, "dim", 5) < 5:
+        # off the family the b^2 scan's first row reads b^2_4: its N (verify's max(n_max, dim)) >= 5
+        if args.command == "verify" and (args.dim < 1 or max(args.n_max, args.dim) < 5):
+            raise ValueError("verify needs --dim >= 1 and max(--n-max, --dim) >= 5")
+        if args.command == "spectrum" and args.dim < 5:
             raise ValueError("--dim must be >= 5")
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -140,7 +140,10 @@ class GoverningSequence:
     def from_json(cls, text: str, n_max: int | None = None) -> "GoverningSequence":
         """The sequence of a seed file's object {"values": [...], "b0_squared": ...},
         cut to v_0..v_{n_max} when n_max is given: later values are neither converted
-        nor judged.  ValueError on any other shape, or on fewer than n_max + 1 values."""
+        nor judged.  ValueError on any other shape, on a negative n_max, or on fewer than
+        n_max + 1 values."""
+        if n_max is not None and n_max < 0:
+            raise ValueError(f"n_max must be >= 0; got {n_max}")
         data = json.loads(text)
         if not (isinstance(data, dict) and isinstance(data.get("values"), list)
                 and "b0_squared" in data):

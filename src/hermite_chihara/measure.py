@@ -1,10 +1,10 @@
-"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C = 1/Gamma((gamma+1)/2),
-moments (two exact routes: closed form, Jacobi walk), Gram matrices by adaptive quadrature
-of (s psi_i)(s psi_j), s^2 the weight times dx/du, over x >= 0 in two parity blocks (psi_n
-has the parity of n and the weight is even, so an entry with i + j odd is 0) in the mass
-variable u, x = u^M, which has no cusp at 0 and, for most rational gamma, leaves an entire
-integrand, and the Carleman determinacy heuristic.  gram_deviation takes any weight: the
-system's own (spec_for_system) or a mismatched one."""
+"""The generalized Hermite weight C |x|^gamma exp(-alpha x^2), C = 1/Gamma((gamma+1)/2), held
+as its exact (gamma, alpha) (MeasureSpec), moments (two exact routes: closed form, Jacobi walk),
+Gram matrices by adaptive quadrature of (s psi_i)(s psi_j), s^2 the weight times dx/du and the
+weight's one float form, over x >= 0 in two parity blocks (psi_n has the parity of n and the
+weight is even, so an entry with i + j odd is 0) in the mass variable u, x = u^M, which has no
+cusp at 0 and, for most rational gamma, leaves an entire integrand, and the Carleman determinacy
+heuristic.  gram_deviation takes any weight: the system's (spec_for_system) or a mismatched one."""
 
 from __future__ import annotations
 
@@ -46,29 +46,6 @@ class MeasureSpec:
             raise ValueError("gamma must be > -1")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-
-    def weight(self, x: np.ndarray) -> np.ndarray:
-        """C sqrt(alpha) |sqrt(alpha) x|^gamma exp(-alpha x^2), of unit mass with
-        C = 1/Gamma((gamma+1)/2): on its scale 1/sqrt(alpha), no alpha^{(gamma+1)/2}
-        is formed.  ValueError where an x is not finite; FloatRangeError when gamma,
-        alpha or the Gamma value has no float, where a weight value overflows (or,
-        after an overflow, is NaN), and at the pole x = 0 of a gamma < 0."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
-        g, a = _weight_floats(self.gamma, self.alpha)
-        try:
-            c = 1.0 / math.gamma((g + 1.0) / 2.0)
-        except (OverflowError, ValueError):  # ValueError: the pole at gamma's float -1
-            raise FloatRangeError("Gamma((gamma+1)/2)") from None
-        r = math.sqrt(a)
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return c * r * np.abs(r * x) ** g * np.exp(-a * x * x)
-        except FloatingPointError:
-            raise FloatRangeError("weight value") from None
 
 
 def moment_closed(spec: MeasureSpec, k: int) -> Fraction:

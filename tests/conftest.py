@@ -1,4 +1,5 @@
 import contextlib
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +30,14 @@ def plain(f):
         return np.reshape(f(x), (x.size, -1)), np.ones((x.size, 1))
 
     return pair
+
+
+def chihara_weight(spec, x):
+    """The weight C |x|^gamma exp(-alpha x^2), C = 1/Gamma((gamma+1)/2), in closed form on
+    its scale 1/sqrt(alpha): the tests' float reference for the weight the Gram integrates."""
+    g, a = float(spec.gamma), float(spec.alpha)
+    r = math.sqrt(a)
+    return r * np.abs(r * x) ** g * np.exp(-a * x * x) / math.gamma((g + 1) / 2)
 
 
 @contextlib.contextmanager

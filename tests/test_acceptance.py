@@ -6,6 +6,8 @@ import time
 from fractions import Fraction as F
 from math import factorial
 
+import scipy.integrate
+
 from hermite_chihara import (
     PolynomialSystem,
     alpha_closed,
@@ -29,10 +31,9 @@ from hermite_chihara import (
     square_lowering_report,
 )
 from hermite_chihara.oscillator import MARGIN
-from hermite_chihara.quadrature import integrate_split_at_zero
 from hermite_chihara.systems import _over_sqrt
 import fraction_reference as ref
-from conftest import POINT_GRID, plain, propagated_compatible_sequence
+from conftest import POINT_GRID, chihara_weight, propagated_compatible_sequence
 
 DIM = 40
 
@@ -237,11 +238,10 @@ def test_criterion_11_moments():
         for k in range(0, 17):
             closed = moment_closed(spec, k)
             assert closed == jacobi_moment(b2, k)  # exact route agreement
-            radius = max(10.0, 3.0 * math.sqrt(max(k, 1)) + 5.0)
-            block, _ = integrate_split_at_zero(
-                plain(lambda x: x**k * spec.weight(x)), radius, tol=1e-11
-            )
-            quad = block.item()
+            # x^k times the closed-form weight, folded onto x >= 0 (the weight is even)
+            quad, _ = scipy.integrate.quad(
+                lambda x: (x**k + (-x) ** k) * chihara_weight(spec, x), 0, math.inf,
+                epsabs=1e-13, epsrel=1e-13)
             worst = max(worst, abs(float(closed) - quad))
             assert abs(float(closed) - quad) < 1e-8
     _pass(11, f"closed form == Jacobi walk exactly and quadrature within 1e-8 "

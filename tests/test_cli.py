@@ -910,7 +910,7 @@ class TestGram:
     def test_a_non_family_system_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gram", "--family", "order2", "--v1", "3")
         assert (code, out) == (2, "")
-        assert err == "error: orthonormality verification requires a special-family system\n"
+        assert err == "error: weight parameters exist only for family systems\n"
 
 
 class TestCheckStatus:
@@ -1251,9 +1251,9 @@ class TestOdeCommand:
                                    "n_max": 10, "first_failure": None, "passed": True}
 
     def test_non_family_is_input_error(self, capsys):
+        # weight_parameters refuses it
         code, _, err = run_cli(capsys, "ode", "--family", "order2", "--v1", "3", "--n-max", "6")
-        assert code == 2
-        assert "family" in err
+        assert (code, err) == (2, "error: weight parameters exist only for family systems\n")
 
 
 class TestExitCodes:
@@ -1610,11 +1610,12 @@ class TestFamilyFlags:
 
     @pytest.mark.parametrize("alpha", ["0", "-2"])
     def test_non_positive_alpha_is_an_input_error(self, capsys, alpha):
+        # seq_classical refuses it
         code, out, err = run_cli(
             capsys, "build", "--family", "classical", "--gamma", "1", f"--alpha={alpha}"
         )
         assert code == 2 and out == ""
-        assert err == f"error: --alpha must be positive, got {alpha}\n"
+        assert err == "error: alpha must be > 0\n"
 
     def test_classical_alpha_forms_one_sequence(self, capsys, monkeypatch):
         # seq_classical sets b0^2 = (gamma + 1)/(2 alpha) itself: no second sequence
@@ -1631,11 +1632,10 @@ class TestFamilyFlags:
 
     @pytest.mark.parametrize("alpha", ["-2", "-2/3"])
     def test_a_negative_value_after_a_space_is_a_value(self, capsys, alpha):
-        code, out, err = run_cli(
-            capsys, "build", "--family", "classical", "--gamma", "1", "--alpha", alpha
-        )
-        assert code == 2 and out == ""
-        assert err == f"error: --alpha must be positive, got {alpha}\n"
+        argv = ("build", "--family", "classical", "--gamma", "1")
+        spaced = run_cli(capsys, *argv, "--alpha", alpha)
+        assert spaced == (2, "", "error: alpha must be > 0\n")
+        assert spaced == run_cli(capsys, *argv, f"--alpha={alpha}")
 
     def test_a_negative_ratio_parses_as_with_an_equals_sign(self, capsys):
         # every negative form that Fraction reads: p/q, decimals and exponents;

@@ -489,6 +489,15 @@ class TestJson:
         with pytest.raises(ValueError, match=r"^seed file stores 3 values; need at least 5$"):
             GoverningSequence.from_json(text, 4)
 
+    @pytest.mark.parametrize("n_max", [-1, -3, -12])
+    def test_a_negative_n_max_is_refused(self, n_max):
+        # the slice values[:n_max + 1] would cut a 12-value file to v_0..v_9 at -3, and to
+        # nothing at -1
+        text = json.dumps({"values": [str(v) for v in seq_hermite(11).values],
+                           "b0_squared": "1/2"})
+        with pytest.raises(ValueError, match=rf"^n_max must be >= 0; got {n_max}$"):
+            GoverningSequence.from_json(text, n_max)
+
 
 _positive = st.fractions(min_value=F(1, 7), max_value=F(9), max_denominator=7)
 

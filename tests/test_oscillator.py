@@ -248,9 +248,26 @@ class TestMarginGuard:
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("dim", ["3", "4"])
     def test_cli_rejects_small_dim(self, capsys, command, dim):
-        code = main([command, "--family", "hermite", "--dim", dim])
+        # verify's scan covers n <= max(n_max, dim), so it refuses a small dim at a small n_max
+        n_max = ["--n-max", "4"] if command == "verify" else []
+        code = main([command, "--family", "hermite", "--dim", dim, *n_max])
         assert code == 2
         assert "--dim" in capsys.readouterr().err
+
+    def test_verify_reads_b2_to_n_max_past_a_small_dim(self, capsys):
+        code = main(["verify", "--family", "hermite", "--n-max", "30", "--dim", "3"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["dim"] == 3
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["commutator"]["detail"] == (
+            "exact b^2_{n-1} = (n + gamma [n odd])/(2 alpha) for every n <= 30")
+
+    @pytest.mark.parametrize("n_max, dim", [("30", "0"), ("30", "-1"), ("4", "4"), ("2", "3")])
+    def test_verify_refuses_a_dim_below_1_or_a_scan_below_5(self, capsys, n_max, dim):
+        code = main(["verify", "--family", "hermite", "--n-max", n_max, "--dim", dim])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: verify needs --dim >= 1 and max(--n-max, --dim) >= 5\n"
 
 
 class TestCommutator:
