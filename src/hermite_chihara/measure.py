@@ -157,7 +157,7 @@ def _gram_integrand(sys: PolynomialSystem, spec: MeasureSpec, n_max: int):
     exp(-z^{2M}), formed in logs about its peak z^{2M} = h = (K-1)/(2M) (or 1) so that no large
     log cancels (_log_gamma_at_peak), with z^{2M} = alpha x^2: no Gamma value, alpha power or
     |x|^gamma is formed.  FloatRangeError before the first table where s at the radius is not
-    a normal float ("weight value"; Hermite from n = 538) or gamma's float is -1."""
+    a normal float ("weight value"; Hermite from n = 537) or gamma's float is -1."""
     import numpy as np
 
     g, a = _weight_floats(spec.gamma, spec.alpha)

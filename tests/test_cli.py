@@ -1338,7 +1338,7 @@ class TestFloatRange:
         pytest.param(("gram", "--family", "classical", "--gamma", "1", "--alpha",
                       f"1/{2**1021}", "--n-max", "4"), id="gram-b2-2^1021"),
         # the weight root at psi_1000's turning point radius, e^{-1000}, is not a
-        # normal float (Hermite from n = 538)
+        # normal float (Hermite from n = 537)
         pytest.param(("gram", "--n-max", "1000"), id="gram-weight-n-1000"),
     ])
     def test_exits_1_with_a_report_naming_the_float_range(self, capsys, argv):

@@ -52,6 +52,30 @@ class TestNormalization:
         with pytest.raises(ValueError):
             MeasureSpec(F(0), F(0))
 
+    def test_weight_parameters_without_a_float_raise(self):
+        # the Gram forms the weight's floats once: alpha = 10^-400 rounds to 0.0, gamma =
+        # 10^400 overflows, and at gamma = -1 + 10^-20, whose float is -1,
+        # Gamma((gamma+1)/2) is read at its pole; a weight need not be the system's own
+        sys = PolynomialSystem(seq_hermite(4))
+        for g, a, name in ((F(3), F(1, 10**400), "alpha"), (F(10**400), F(1), "gamma"),
+                           (F(-1) + F(1, 10**20), F(1), "Gamma((gamma+1)/2)")):
+            with psi_tables(sys) as calls, pytest.raises(
+                    FloatRangeError, match=rf"^{re.escape(name)} outside the float range"):
+                gram_deviation(sys, MeasureSpec(g, a), 4)
+            assert calls == []
+
+    def test_a_weight_value_without_a_float_raises(self):
+        # s at psi_n's integration radius is below the least normal float from Hermite
+        # n = 537 on: the Gram raises before its first table, and builds at n = 536
+        sys = PolynomialSystem(seq_hermite(537))
+        spec = spec_for_system(sys)
+        with psi_tables(sys) as calls, pytest.raises(
+                FloatRangeError, match=r"^weight value outside the float range"):
+            gram_deviation(sys, spec, 537)
+        assert calls == []
+        _, radius = measure._gram_integrand(sys, spec, 536)
+        assert radius == measure._integration_radius(536, 0.0, 1.0)
+
 
 class TestMoments:
     def test_odd_vanish(self):
